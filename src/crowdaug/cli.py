@@ -107,6 +107,16 @@ def _train_config(values: dict[str, str], seed: int | None) -> TrainConfig:
     return cfg
 
 
+def _check_checkpoint_dims(path, dims, ds, fields: tuple[str, ...]) -> None:
+    """Reject a checkpoint whose input widths do not fit the dataset."""
+    for name in fields:
+        trained, given = getattr(dims, name), getattr(ds, name)
+        if trained != given:
+            raise CheckpointError(
+                f"{path}: checkpoint was trained with {name} = {trained}, "
+                f"but the dataset has {name} = {given}")
+
+
 def _variant_of(method: str, cfg: TrainConfig) -> str:
     """Label the run by which components are active (config echo)."""
     if method != "crowding":
@@ -179,11 +189,14 @@ def cmd_eval(args) -> int:
                    [Path(args.checkpoint)] + _dataset_paths(args.data),
                    [str(out_dir / "metrics.json")])
     clf, _ = load_result_checkpoint(args.checkpoint)
+    _check_checkpoint_dims(args.checkpoint, clf.dims, ds, ("feature_dim",))
     metrics = {}
     for name, split in (("train", 0), ("val", 1), ("test", 2)):
         idx = ds.split_indices(split)
-        labels = ds.ground_truth[idx] if idx.size else np.empty(0, dtype=np.int64)
-        if idx.size and np.all(labels >= 0):
+        if ds.ground_truth is None or not idx.size:
+            continue
+        labels = ds.ground_truth[idx]
+        if np.all(labels >= 0):
             metrics[f"{name}_acc"] = evalsuite.accuracy(clf, ds.features[idx], labels)
     path = out_dir / "metrics.json"
     path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n",
@@ -295,6 +308,8 @@ def cmd_augment(args) -> int:
         raise CheckpointError(
             f"{args.checkpoint}: checkpoint has no generator; augment needs a "
             f"run trained with the adversarial method")
+    _check_checkpoint_dims(args.checkpoint, bundle.dims, ds,
+                           ("feature_dim", "annotator_dim"))
     rows = export_augmented(ds, bundle, seed=args.seed,
                             out_path=out_dir / "augmented.csv")
     print(f"augment: {len(rows)} rows "

@@ -6,18 +6,40 @@ parent gradients. ``backward`` walks the graph in reverse topological order
 and accumulates into the ``.grad`` slots of parameter leaves. Repeated
 ``backward`` calls keep accumulating until the slots are zeroed.
 
+Inside a ``no_grad()`` scope no graph is recorded: op outputs keep neither
+parents nor a backward closure, so each intermediate array is freed as soon
+as the next op has consumed it. The arrays themselves are computed by the
+same NumPy calls, so values are bit-identical to graph mode. Wrap every pass
+that only reads ``.data`` (grid logging, scoring, evaluation, export) in it;
+calling ``backward`` inside the scope raises.
+
 Everything is float64 and single-threaded; stochastic ops take an explicit
 ``numpy.random.Generator`` so runs are bit-reproducible per seed.
 """
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 Array = np.ndarray
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Scope (or function decorator) in which ops record no graph."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _as_f64(x) -> Array:
@@ -33,6 +55,8 @@ class Tensor:
         self.data = _as_f64(data)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
+        if not _grad_enabled:
+            parents, backward_fn = (), None
         self.parents: tuple[Tensor, ...] = tuple(parents)
         self._backward: Callable[[Array], tuple] | None = backward_fn
 
@@ -213,7 +237,7 @@ def pick(a: Tensor, idx) -> Tensor:
 
     def back(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, idx), g)
+        ga[rows, idx] = g  # one entry per row, so nothing to accumulate
         return (ga,)
 
     return Tensor(out, parents=(a,), backward_fn=back)
@@ -386,6 +410,8 @@ def backward(loss: Tensor) -> None:
     Gradients accumulate across calls; zero the slots between independent
     losses.
     """
+    if not _grad_enabled:
+        raise RuntimeError("backward called inside a no_grad scope")
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _toposort(loss)

@@ -20,6 +20,7 @@ from .data import TEST, CrowdDataset, remove_annotations
 # metric primitives
 
 
+@dc.no_grad()
 def predictions(classifier, x: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the smallest class index."""
     probs = classifier.probs(np.asarray(x, dtype=np.float64)).data
@@ -50,6 +51,7 @@ def per_class_accuracy(classifier, x, labels) -> tuple[np.ndarray, np.ndarray]:
     return accs, counts
 
 
+@dc.no_grad()
 def entropy_accuracy_curve(classifier, x, labels) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative accuracy over instances sorted by ascending output entropy.
 

@@ -11,10 +11,12 @@
 - Auxiliary net: recovers the classifier's distribution from a generated
   annotation; shares the discriminator's encoders (same tensor objects).
 
-All forwards accept plain numpy batches and return graph Tensors; every
-output-layer weight starts at zero so freshly built classifier/generator/aux
-nets emit exactly uniform distributions (the discriminator's class matrices
-start random so its gradients are live from step one).
+All forwards accept plain numpy batches and return graph Tensors, except
+inside a ``diffcore.no_grad`` scope, where the same values come back without
+a graph (nothing to back-propagate). Every output-layer weight starts at zero
+so freshly built classifier/generator/aux nets emit exactly uniform
+distributions (the discriminator's class matrices start random so its
+gradients are live from step one).
 """
 from __future__ import annotations
 

@@ -331,7 +331,8 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
     disc = Discriminator(dims, rng)
     aux = AuxNet(dims, rng, disc)
     ann = _train_annotations(ds)
-    zhat_all = clf.probs(ds.features).data
+    with dc.no_grad():
+        zhat_all = clf.probs(ds.features).data
     history = []
 
     opt_g = Adam(gen.store, lr=cfg.lr_pretrain)
@@ -358,7 +359,8 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
             inst, annot, labels = ann[batch, 0], ann[batch, 1], ann[batch, 2]
             gx, ge = _gen_inputs(ds, cfg, inst, annot)
             eps = gen.draw_noise(rng, len(batch))
-            gen_dist = gen.distribution(gx, ge, zhat_all[inst], eps).data
+            with dc.no_grad():
+                gen_dist = gen.distribution(gx, ge, zhat_all[inst], eps).data
             fake_labels = dc.sample_categorical(rng, gen_dist)
             zdraws = dc.sample_categorical(rng, zhat_all[inst])
             x, e = ds.features[inst], ds.annotator_features[annot]
@@ -381,6 +383,7 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
 # epoch machinery
 
 
+@dc.no_grad()
 def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
                         cfg: TrainConfig, rng: np.random.Generator) -> LoggedBatch:
     """Sample one annotation per (train instance, annotator) pair.
@@ -603,8 +606,9 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     # (3) score all logged samples
     adj = bundle.adjacency
     x_all, e_all = ds.features[batch.instances], ds.annotator_features[batch.annotators]
-    d_scores = bundle.discriminator.score(x_all, e_all, batch.labels, adj).data
-    q_lp_all = bundle.aux.log_posterior(x_all, e_all, batch.labels, adj).data
+    with dc.no_grad():
+        d_scores = bundle.discriminator.score(x_all, e_all, batch.labels, adj).data
+        q_lp_all = bundle.aux.log_posterior(x_all, e_all, batch.labels, adj).data
     q_at_draw = q_lp_all[np.arange(len(batch)), batch.zhat_draws]
     deltas_gen, clamped_d = per_annotation_delta(d_scores, q_at_draw, cfg.info_weight)
     deltas_clf, _ = per_annotation_delta(d_scores, q_at_draw, 0.0)
@@ -612,16 +616,17 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
 
     # (4) split train instances by normalized code entropy at snapshot time
     train_idx = ds.split_indices(TRAIN)
-    zhat_train = bundle.classifier.probs(ds.features[train_idx]).data
-    norm_entropy = dc.entropy(zhat_train, axis=1) / np.log(ds.num_classes)
-    low_instances = train_idx[norm_entropy <= cfg.entropy_threshold]
-    pair_is_low = np.isin(batch.instances, low_instances)
-    low_idx = np.flatnonzero(pair_is_low)
-    high_idx = np.flatnonzero(~pair_is_low)
-    low = batch.subset(low_idx)
-    high = batch.subset(high_idx)
-    zhat_low_const = bundle.classifier.probs(ds.features[low.instances]).data \
-        if len(low_idx) else np.empty((0, ds.num_classes))
+    with dc.no_grad():
+        zhat_train = bundle.classifier.probs(ds.features[train_idx]).data
+        norm_entropy = dc.entropy(zhat_train, axis=1) / np.log(ds.num_classes)
+        low_instances = train_idx[norm_entropy <= cfg.entropy_threshold]
+        pair_is_low = np.isin(batch.instances, low_instances)
+        low_idx = np.flatnonzero(pair_is_low)
+        high_idx = np.flatnonzero(~pair_is_low)
+        low = batch.subset(low_idx)
+        high = batch.subset(high_idx)
+        zhat_low_const = bundle.classifier.probs(ds.features[low.instances]).data \
+            if len(low_idx) else np.empty((0, ds.num_classes))
 
     # (5)+(6) CRM updates under a shared multiplier-coefficient search
     if cfg.mu_mode == "fixed":
@@ -669,12 +674,13 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
 
     # (7) metrics
     sel = batch.subset(selected)
-    d_auth_final = bundle.discriminator.score(
-        ds.features[authentic[:, 0]], ds.annotator_features[authentic[:, 1]],
-        authentic[:, 2], adj).data
-    d_gen_final = bundle.discriminator.score(
-        ds.features[sel.instances], ds.annotator_features[sel.annotators],
-        sel.labels, adj).data
+    with dc.no_grad():
+        d_auth_final = bundle.discriminator.score(
+            ds.features[authentic[:, 0]], ds.annotator_features[authentic[:, 1]],
+            authentic[:, 2], adj).data
+        d_gen_final = bundle.discriminator.score(
+            ds.features[sel.instances], ds.annotator_features[sel.annotators],
+            sel.labels, adj).data
     code_entropy = float(dc.entropy(zhat_train, axis=1).mean())
     breakdown = compute_breakdown(d_auth_final, d_gen_final, q_at_draw[selected],
                                   code_entropy, cfg.info_weight)
@@ -820,6 +826,7 @@ def load_result_checkpoint(path: str | Path) -> tuple[Classifier, NetworkBundle 
 # augmentation export
 
 
+@dc.no_grad()
 def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
                      out_path: str | Path | None = None) -> np.ndarray:
     """Authentic annotations plus one generated label per missing pair.
@@ -830,17 +837,15 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
     """
     rng = np.random.default_rng(seed)
     train_idx = ds.split_indices(TRAIN)
-    authentic = {(int(n), int(r)): int(y) for n, r, y in _train_annotations(ds)}
     r_total = ds.num_annotators
     inst = np.repeat(train_idx, r_total)
     annot = np.tile(np.arange(r_total), len(train_idx))
-    missing = np.array([(int(n), int(a)) not in authentic
-                        for n, a in zip(inst, annot)])
-
-    labels = np.empty(len(inst), dtype=np.int64)
-    for i, (n, a) in enumerate(zip(inst, annot)):
-        if not missing[i]:
-            labels[i] = authentic[(int(n), int(a))]
+    # authentic label per (instance, annotator) key, -1 where the pair is missing
+    known = np.full(ds.num_instances * r_total, -1, dtype=np.int64)
+    ann = _train_annotations(ds)
+    known[ann[:, 0] * r_total + ann[:, 1]] = ann[:, 2]
+    labels = known[inst * r_total + annot]
+    missing = labels < 0
     if missing.any():
         m_inst, m_annot = inst[missing], annot[missing]
         zhat = bundle.classifier.probs(ds.features[m_inst]).data

@@ -1,11 +1,12 @@
 """Command-line behavior: artifacts, manifests, exit codes, determinism."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from crowdaug import cli
-from crowdaug.data import load_dataset
+from crowdaug.data import load_dataset, save_dataset
 from crowdaug.trainer import DivergenceError, read_augmented_file
 
 
@@ -42,6 +43,13 @@ def workspace(tmp_path_factory):
                      "--method", "crowding",
                      "--out", str(root / "run"), "--seed", "3"]) == 0
     return root
+
+
+def dataset_variant(workspace, out, **changes):
+    """The workspace dataset with some fields replaced, saved to ``out``."""
+    ds = load_dataset(workspace / "data")
+    save_dataset(dataclasses.replace(ds, **changes), out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +177,29 @@ def test_eval_reproduces_reported_accuracy_bit_exactly(workspace, tmp_path):
     assert set(metrics) == {"train_acc", "val_acc", "test_acc"}
 
 
+def test_eval_without_truth_reports_no_accuracy(workspace, tmp_path):
+    data = dataset_variant(workspace, tmp_path / "unlabeled", ground_truth=None)
+    assert not (data / "truth.csv").exists()
+    out = tmp_path / "ev"
+    assert cli.main(["eval", "--data", str(data),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+                     "--out", str(out)]) == 0
+    assert json.loads((out / "metrics.json").read_text(encoding="utf-8")) == {}
+
+
+def test_eval_rejects_checkpoint_of_other_feature_dim(workspace, tmp_path, capsys):
+    ds = load_dataset(workspace / "data")
+    wider = np.hstack([ds.features, np.zeros((ds.num_instances, 3))])
+    data = dataset_variant(workspace, tmp_path / "wide", features=wider)
+    code = cli.main(["eval", "--data", str(data),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "feature_dim" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # sweep / ablate
 
@@ -252,6 +283,22 @@ def test_augment_writes_completed_annotations(workspace, tmp_path):
     assert int(flags.sum()) == int(
         (ds.splits[ds.annotations[:, 0]] == 0).sum())
     assert np.all((triplets[:, 2] >= 0) & (triplets[:, 2] < ds.num_classes))
+    train_ann = ds.annotations[ds.splits[ds.annotations[:, 0]] == 0]
+    order = np.lexsort((train_ann[:, 1], train_ann[:, 0]))
+    np.testing.assert_array_equal(triplets[flags], train_ann[order])
+
+
+def test_augment_rejects_checkpoint_of_other_annotator_dim(workspace, tmp_path, capsys):
+    ds = load_dataset(workspace / "data")
+    wider = np.hstack([ds.annotator_features, np.zeros((ds.num_annotators, 2))])
+    data = dataset_variant(workspace, tmp_path / "wide", annotator_features=wider)
+    code = cli.main(["augment", "--data", str(data),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "annotator_dim" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_augment_requires_adversarial_checkpoint(workspace, tmp_path, capsys):

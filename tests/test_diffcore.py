@@ -230,6 +230,95 @@ def test_dropout_scales_and_is_deterministic_per_seed():
 
 
 # ---------------------------------------------------------------------------
+# graph-free scope
+
+
+def _op_cases():
+    """Every op the four nets and the training objectives apply, on fixed inputs."""
+    rng = np.random.default_rng(17)
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    c = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    mats = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+    rows = np.array([1, 0, 1, 1])
+    cols = np.array([2, 0, 1, 2])
+    return {
+        "add": lambda: dc.add(a, bias),
+        "neg": lambda: dc.neg(a),
+        "mul": lambda: dc.mul(a, c),
+        "div": lambda: dc.div(a, dc.t_exp(c)),
+        "matmul": lambda: dc.matmul(a, b),
+        "t_exp": lambda: dc.t_exp(a),
+        "t_log": lambda: dc.t_log(dc.t_exp(a)),
+        "t_sum": lambda: dc.t_sum(a, axis=1),
+        "t_mean": lambda: dc.t_mean(a),
+        "concat": lambda: dc.concat([a, c, b.data.T[:4]], axis=1),
+        "reshape": lambda: dc.reshape(mats, (2, 9)),
+        "gather_rows": lambda: dc.gather_rows(mats, rows),
+        "pick": lambda: dc.pick(a, cols),
+        "rowwise_matvec": lambda: dc.rowwise_matvec(dc.gather_rows(mats, rows), a),
+        "rowwise_bilinear": lambda: dc.rowwise_bilinear(
+            a, dc.gather_rows(mats, rows), c),
+        "clamp": lambda: dc.clamp(a, -0.5, 0.5),
+        "dropout": lambda: dc.dropout(a, 0.5, np.random.default_rng(4)),
+        "softmax": lambda: softmax(a, axis=1),
+        "log_softmax": lambda: log_softmax(a, axis=1),
+        "relu": lambda: dc.relu(a),
+        "sigmoid": lambda: dc.sigmoid(a),
+        "operators": lambda: (2.0 - a) * c / 3.0 + (-a) @ b.data[:, :3],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_op_cases()))
+def test_no_grad_op_is_bit_exact_and_graph_free(name):
+    graph_out = _op_cases()[name]()
+    assert graph_out.parents != () and graph_out._backward is not None
+    with dc.no_grad():
+        free_out = _op_cases()[name]()
+    assert free_out.parents == () and free_out._backward is None
+    assert free_out.data.dtype == graph_out.data.dtype
+    assert free_out.data.tobytes() == graph_out.data.tobytes()
+
+
+def _records_graph() -> bool:
+    return dc.add(Tensor(1.0), Tensor(2.0)).parents != ()
+
+
+def test_no_grad_restores_after_nesting_and_errors():
+    assert _records_graph()
+    with dc.no_grad():
+        with dc.no_grad():
+            assert not _records_graph()
+        assert not _records_graph()  # the inner exit keeps the outer scope
+    assert _records_graph()
+
+    with pytest.raises(KeyError):
+        with dc.no_grad():
+            raise KeyError("boom")
+    assert _records_graph()
+
+    @dc.no_grad()
+    def failing():
+        raise KeyError("boom")
+
+    with pytest.raises(KeyError):
+        failing()
+    assert _records_graph()
+
+
+def test_backward_inside_no_grad_raises():
+    w = Tensor(np.array([3.0]), requires_grad=True)
+    loss = dc.t_sum(dc.mul(w, w))  # graph built outside the scope
+    with dc.no_grad():
+        with pytest.raises(RuntimeError, match="no_grad"):
+            backward(loss)
+    assert w.grad is None
+    backward(loss)
+    np.testing.assert_allclose(w.grad, [6.0])
+
+
+# ---------------------------------------------------------------------------
 # Adam
 
 

@@ -277,6 +277,28 @@ def test_grad_check_aux_includes_shared_encoders():
     assert grad_check(loss, b.aux.store) < 1e-4
 
 
+def test_forwards_under_no_grad_equal_graph_mode():
+    b = small_bundle(seed=34)
+    for store in b.stores().values():
+        store.randomize(np.random.default_rng(35), scale=0.5)
+    rng = np.random.default_rng(36)
+    x, e, y = rand_inputs(rng, batch=7)
+    zhat = dc.softmax(rng.normal(size=(7, SMALL.num_classes)), axis=1)
+    eps = b.generator.draw_noise(rng, 7)
+    forwards = {
+        "classifier": lambda: b.classifier.probs(x),
+        "generator": lambda: b.generator.distribution(x, e, zhat, eps),
+        "discriminator": lambda: b.discriminator.score(x, e, y, b.adjacency),
+        "aux": lambda: b.aux.log_posterior(x, e, y, b.adjacency),
+    }
+    for name, forward in forwards.items():
+        graph_out = forward()
+        with dc.no_grad():
+            free_out = forward()
+        assert free_out.parents == (), name
+        assert np.array_equal(free_out.data, graph_out.data), name
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
