@@ -35,7 +35,8 @@ def type_name(tp) -> str:
     return getattr(tp, "__name__", str(tp))
 
 
-def main() -> int:
+def render() -> str:
+    """The reference document, as ``main`` writes it."""
     out = [HEADER]
     for title, cls in SECTIONS:
         out.append(f"## {title}\n")
@@ -46,9 +47,13 @@ def main() -> int:
                        f"| `{field.default!r}` |")
         out.append("")
     out.append(EXTRA)
+    return "\n".join(out)
+
+
+def main() -> int:
     target = Path(__file__).resolve().parent.parent / "docs" / "config_reference.md"
     target.parent.mkdir(exist_ok=True)
-    target.write_text("\n".join(out), encoding="utf-8")
+    target.write_text(render(), encoding="utf-8")
     print(f"wrote {target}")
     return 0
 

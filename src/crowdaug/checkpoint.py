@@ -40,7 +40,10 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise CheckpointError(f"{path}: missing manifest terminator")
-    manifest = raw[:sep].decode("utf-8").splitlines()
+    try:
+        manifest = raw[:sep].decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: manifest is not UTF-8 text") from None
     payload = raw[sep + 2:]
     if not manifest or manifest[0] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")

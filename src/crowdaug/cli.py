@@ -10,17 +10,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, evalsuite
 from .checkpoint import CheckpointError
 from .config import ConfigError, apply_overrides, config_as_dict, load_config_file
-from .data import DatasetError, SynthConfig, load_dataset, remove_annotations, save_dataset, synthesize_dataset
+from .data import TEST, TRAIN, VAL, DatasetError, SynthConfig, load_dataset, remove_annotations, save_dataset, synthesize_dataset
 from .evalsuite import RunReport, SweepTable
 from .trainer import (
     DivergenceError,
@@ -108,13 +107,21 @@ def _train_config(values: dict[str, str], seed: int | None) -> TrainConfig:
 
 
 def _check_checkpoint_dims(path, dims, ds, fields: tuple[str, ...]) -> None:
-    """Reject a checkpoint whose input widths do not fit the dataset."""
+    """Reject a checkpoint whose input widths or classes do not fit the dataset.
+
+    A dataset may have fewer classes than the checkpoint (a class with no
+    annotation), never more.
+    """
     for name in fields:
         trained, given = getattr(dims, name), getattr(ds, name)
         if trained != given:
             raise CheckpointError(
                 f"{path}: checkpoint was trained with {name} = {trained}, "
                 f"but the dataset has {name} = {given}")
+    if ds.num_classes > dims.num_classes:
+        raise CheckpointError(
+            f"{path}: checkpoint was trained with num_classes = "
+            f"{dims.num_classes}, but the dataset has {ds.num_classes} classes")
 
 
 def _variant_of(method: str, cfg: TrainConfig) -> str:
@@ -191,13 +198,10 @@ def cmd_eval(args) -> int:
     clf, _ = load_result_checkpoint(args.checkpoint)
     _check_checkpoint_dims(args.checkpoint, clf.dims, ds, ("feature_dim",))
     metrics = {}
-    for name, split in (("train", 0), ("val", 1), ("test", 2)):
-        idx = ds.split_indices(split)
-        if ds.ground_truth is None or not idx.size:
-            continue
-        labels = ds.ground_truth[idx]
-        if np.all(labels >= 0):
-            metrics[f"{name}_acc"] = evalsuite.accuracy(clf, ds.features[idx], labels)
+    for name, split in (("train", TRAIN), ("val", VAL), ("test", TEST)):
+        acc = evalsuite.split_accuracy(clf, ds, split)
+        if not math.isnan(acc):
+            metrics[f"{name}_acc"] = acc
     path = out_dir / "metrics.json"
     path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")

@@ -489,11 +489,6 @@ class ParamStore:
                 raise ValueError(f"shape mismatch for {k!r}: {arr.shape} vs {t.data.shape}")
             t.data = arr.copy()
 
-    def randomize(self, rng: np.random.Generator, scale: float = 0.1) -> None:
-        """Overwrite every parameter with small random values (test helper)."""
-        for t in self._params.values():
-            t.data = rng.normal(scale=scale, size=t.data.shape)
-
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         for k, t in self._params.items():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffcore as dc
-from .data import TEST, CrowdDataset, remove_annotations
+from .data import CrowdDataset, remove_annotations
 
 
 # ---------------------------------------------------------------------------
@@ -34,21 +34,15 @@ def accuracy(classifier, x: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predictions(classifier, x) == labels))
 
 
-def per_class_accuracy(classifier, x, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class match rates and class counts (count 0 -> accuracy NaN)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("cannot compute accuracy on an empty split")
-    preds = predictions(classifier, x)
-    num_classes = classifier.dims.num_classes
-    accs = np.full(num_classes, np.nan)
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for c in range(num_classes):
-        mask = labels == c
-        counts[c] = mask.sum()
-        if counts[c]:
-            accs[c] = float(np.mean(preds[mask] == c))
-    return accs, counts
+def split_accuracy(classifier, ds: CrowdDataset, split: int) -> float:
+    """Accuracy on one split; NaN when it is empty or lacks ground truth."""
+    idx = ds.split_indices(split)
+    if ds.ground_truth is None or idx.size == 0:
+        return float("nan")
+    labels = ds.ground_truth[idx]
+    if np.any(labels < 0):
+        return float("nan")
+    return accuracy(classifier, ds.features[idx], labels)
 
 
 @dc.no_grad()
@@ -219,12 +213,6 @@ ABLATION_VARIANTS = ("full", "no-info", "no-instance-features",
                      "no-annotator-features", "random-selection")
 
 
-def _test_accuracy_of(result, ds: CrowdDataset) -> float:
-    test_idx = ds.split_indices(TEST)
-    return accuracy(result.classifier, ds.features[test_idx],
-                    ds.ground_truth[test_idx])
-
-
 def sparsity_sweep(ds: CrowdDataset, fractions, methods, seeds,
                    cfg=None) -> SweepTable:
     """Remove -> train -> test-accuracy grid over (fraction, method, seed)."""
@@ -239,7 +227,7 @@ def sparsity_sweep(ds: CrowdDataset, fractions, methods, seeds,
                 run_cfg = trainer_mod.TrainConfig(**{
                     **(cfg.__dict__ if cfg is not None else {}), "seed": seed})
                 result = trainer_mod.train_method(reduced, run_cfg, method)
-                table.add(fraction, method, _test_accuracy_of(result, reduced))
+                table.add(fraction, method, result.test_acc)
     table.validate()
     return table
 
@@ -271,6 +259,6 @@ def run_ablation(ds: CrowdDataset, variant: str, cfg, seeds) -> SweepTable:
         run_cfg = apply_ablation(
             trainer_mod.TrainConfig(**{**cfg.__dict__, "seed": seed}), variant)
         result = trainer_mod.train_crowding(ds, run_cfg)
-        table.add(variant, "crowding", _test_accuracy_of(result, ds))
+        table.add(variant, "crowding", result.test_acc)
     table.validate()
     return table

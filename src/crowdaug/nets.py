@@ -279,6 +279,7 @@ class NetworkBundle:
 
 def build_bundle(dims: NetDims, adjacency: CoocAdjacency | None,
                  rng: np.random.Generator) -> NetworkBundle:
+    """Fresh networks drawn from ``rng`` (checkpoint loading overwrites them)."""
     classifier = Classifier(dims, rng)
     generator = Generator(dims, rng)
     discriminator = Discriminator(dims, rng)
@@ -287,25 +288,3 @@ def build_bundle(dims: NetDims, adjacency: CoocAdjacency | None,
         raise ValueError("label-correlation mixing needs a co-occurrence adjacency")
     return NetworkBundle(dims, classifier, generator, discriminator, aux, adjacency)
 
-
-# Operation-style wrappers -------------------------------------------------
-
-
-def classify(clf: Classifier, x, train_mode: bool = False, rng=None) -> Tensor:
-    """Predicted class distribution per instance row."""
-    return clf.probs(x, train_mode=train_mode, rng=rng)
-
-
-def generate_distribution(gen: Generator, x, e, zhat, eps) -> Tensor:
-    """Annotation distribution per (instance, annotator, code, noise) row."""
-    return gen.distribution(x, e, zhat, eps)
-
-
-def discriminate(disc: Discriminator, x, e, y, adj=None) -> Tensor:
-    """Authenticity probability in (0,1) for each (instance, annotator, label)."""
-    return disc.score(x, e, y, adj)
-
-
-def aux_posterior(aux: AuxNet, x, e, y, adj=None) -> Tensor:
-    """Posterior over the classifier's classes given one annotation."""
-    return aux.posterior(x, e, y, adj)

@@ -25,24 +25,6 @@ CLAMP_HI = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
-class LoggedSample:
-    """One sampled annotation with everything needed to replay its loss."""
-
-    instance: int
-    annotator: int
-    label: int
-    g0: float              # logging policy's probability of `label`
-    authentic: bool
-    eps: np.ndarray        # generator noise drawn at logging time
-    zhat_draw: int         # class sampled from the classifier's distribution
-    entropy: float         # entropy of the logged generator distribution
-
-    def __post_init__(self):
-        if not self.g0 > 0.0:
-            raise ValueError(f"logged sample has non-positive g0 = {self.g0}")
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     """Reporting view of one batch: V, L_I, and V - lambda * L_I."""
 

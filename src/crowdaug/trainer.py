@@ -2,7 +2,7 @@
 
 One epoch of the main procedure:
 
-1. snapshot the classifier+generator as the logging policy, sample one
+1. with the current classifier+generator as the logging policy, sample one
    annotation per (train instance, annotator) pair with fresh noise, and
    record each sample's logging probability, code draw, and entropy;
 2. select per-annotator count-balanced generated samples (weight 1/entropy)
@@ -18,7 +18,9 @@ One epoch of the main procedure:
 
 The Lagrange multiplier is searched on a small grid per epoch by validation
 accuracy. A one-step mode (generator and classifier updated jointly on all
-pairs) exists only for the stability comparison.
+pairs) exists only for the stability comparison. Steps 5 and 6 and the
+one-step mode run one counterfactual-risk loop, ``_crm_update``, which
+differs only in the networks it moves and the pairs it sees.
 """
 from __future__ import annotations
 
@@ -31,10 +33,11 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalsuite
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError
 from .data import TRAIN, VAL, TEST, CoocAdjacency, CrowdDataset, build_cooccurrence, majority_vote
 from .diffcore import Adam, ParamStore, Tensor, backward
+from .evalsuite import split_accuracy
 from .nets import AuxNet, Classifier, Discriminator, Generator, NetDims, NetworkBundle, build_bundle
 from .objectives import (
     compute_breakdown,
@@ -136,7 +139,6 @@ class TrainState:
 
     bundle: NetworkBundle
     optimizers: dict
-    snapshot: dict | None = None  # logging-policy parameter copy
     epoch: int = 0
     history: list = field(default_factory=list)
     rng: np.random.Generator | None = None
@@ -169,16 +171,6 @@ def _dims_for(ds: CrowdDataset, cfg: TrainConfig) -> NetDims:
                    dropout=cfg.dropout, lca_enabled=cfg.lca_enabled)
 
 
-def _split_accuracy(clf: Classifier, ds: CrowdDataset, split: int) -> float:
-    idx = ds.split_indices(split)
-    if ds.ground_truth is None or idx.size == 0:
-        return float("nan")
-    labels = ds.ground_truth[idx]
-    if np.any(labels < 0):
-        return float("nan")
-    return evalsuite.accuracy(clf, ds.features[idx], labels)
-
-
 def _train_annotations(ds: CrowdDataset) -> np.ndarray:
     """Annotation triplets whose instance is in the train split."""
     mask = ds.splits[ds.annotations[:, 0]] == TRAIN
@@ -204,7 +196,7 @@ def _gen_inputs(ds: CrowdDataset, cfg: TrainConfig, inst: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# supervised core (used by DL-MV, the truth baseline, and DL-CL's inner loop)
+# supervised core (used by DL-MV and DL-CL's inner loop)
 
 
 def _fit_classifier(clf: Classifier, x: np.ndarray, labels: np.ndarray,
@@ -212,12 +204,7 @@ def _fit_classifier(clf: Classifier, x: np.ndarray, labels: np.ndarray,
                     transforms: ParamStore | None = None,
                     annotators: np.ndarray | None = None,
                     epochs: int | None = None) -> list[dict]:
-    """Cross-entropy training, optionally through per-annotator transforms.
-
-    With ``transforms`` given, each sample's predicted log-distribution is
-    mapped by its annotator's matrix before the final normalization; identity
-    matrices make this collapse to plain cross-entropy exactly.
-    """
+    """Cross-entropy training, optionally through per-annotator transforms."""
     epochs = cfg.pretrain_epochs if epochs is None else epochs
     params = clf.store if transforms is None else ParamStore.union(clf.store, transforms)
     opt = Adam(params, lr=cfg.lr_pretrain)
@@ -226,11 +213,8 @@ def _fit_classifier(clf: Classifier, x: np.ndarray, labels: np.ndarray,
         losses = []
         for batch in _minibatches(rng, len(labels), cfg.batch_size):
             logits = clf.logits(x[batch], train_mode=True, rng=rng)
-            log_probs = dc.log_softmax(logits, axis=1)
-            if transforms is not None:
-                mats = dc.gather_rows(transforms["T"], annotators[batch])
-                log_probs = dc.log_softmax(dc.rowwise_matvec(mats, log_probs), axis=1)
-            loss = dc.neg(dc.t_mean(dc.pick(log_probs, labels[batch])))
+            loss = crowd_layer_loss(logits, labels[batch], transforms,
+                                    None if transforms is None else annotators[batch])
             _check_finite(loss.item(), "cross-entropy loss", epoch)
             opt.zero_grad()
             backward(loss)
@@ -240,12 +224,20 @@ def _fit_classifier(clf: Classifier, x: np.ndarray, labels: np.ndarray,
     return history
 
 
-def dl_cl_loss(clf: Classifier, transforms: ParamStore, x, annotators, labels) -> Tensor:
-    """The crowd-layer objective at fixed parameters (eval mode)."""
-    log_probs = dc.log_softmax(clf.logits(x), axis=1)
-    mats = dc.gather_rows(transforms["T"], np.asarray(annotators, dtype=np.int64))
-    log_probs = dc.log_softmax(dc.rowwise_matvec(mats, log_probs), axis=1)
-    return dc.neg(dc.t_mean(dc.pick(log_probs, np.asarray(labels, dtype=np.int64))))
+def crowd_layer_loss(logits: Tensor, labels: np.ndarray,
+                     transforms: ParamStore | None = None,
+                     annotators: np.ndarray | None = None) -> Tensor:
+    """Mean cross-entropy of ``labels``, through per-annotator transforms if given.
+
+    Each row's predicted log-distribution is mapped by its annotator's matrix
+    before the final normalization; identity matrices make this collapse to
+    plain cross-entropy exactly.
+    """
+    log_probs = dc.log_softmax(logits, axis=1)
+    if transforms is not None:
+        mats = dc.gather_rows(transforms["T"], annotators)
+        log_probs = dc.log_softmax(dc.rowwise_matvec(mats, log_probs), axis=1)
+    return dc.neg(dc.t_mean(dc.pick(log_probs, labels)))
 
 
 def identity_transforms(num_annotators: int, num_classes: int) -> ParamStore:
@@ -256,7 +248,7 @@ def identity_transforms(num_annotators: int, num_classes: int) -> ParamStore:
 
 def pretrain_dl_cl(ds: CrowdDataset, cfg: TrainConfig,
                    rng: np.random.Generator | None = None,
-                   freeze_transforms: bool = False) -> tuple[Classifier, ParamStore, list]:
+                   ) -> tuple[Classifier, ParamStore, list]:
     """Crowd-layer pretraining: classifier + per-annotator label transforms.
 
     Returns (classifier, transforms, history); the transforms are only needed
@@ -267,10 +259,8 @@ def pretrain_dl_cl(ds: CrowdDataset, cfg: TrainConfig,
     clf = Classifier(_dims_for(ds, cfg), rng)
     transforms = identity_transforms(ds.num_annotators, ds.num_classes)
     ann = _train_annotations(ds)
-    history = _fit_classifier(
-        clf, ds.features[ann[:, 0]], ann[:, 2], cfg, rng,
-        transforms=None if freeze_transforms else transforms,
-        annotators=ann[:, 1])
+    history = _fit_classifier(clf, ds.features[ann[:, 0]], ann[:, 2], cfg, rng,
+                              transforms=transforms, annotators=ann[:, 1])
     return clf, transforms, history
 
 
@@ -282,28 +272,11 @@ def train_dl_mv(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     train_idx = ds.split_indices(TRAIN)
     clf = Classifier(_dims_for(ds, cfg), rng)
     history = _fit_classifier(clf, ds.features[train_idx], mv[train_idx], cfg, rng)
-    val_acc = _split_accuracy(clf, ds, VAL)
+    val_acc = split_accuracy(clf, ds, VAL)
     return TrainResult(classifier=clf, bundle=None, history=history,
                        best_epoch=len(history) - 1, best_val_acc=val_acc,
-                       test_acc=_split_accuracy(clf, ds, TEST),
+                       test_acc=split_accuracy(clf, ds, TEST),
                        config=cfg, method="dl-mv")
-
-
-def train_on_truth(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
-    """Supervised training on the hidden ground truth (oracle baseline)."""
-    cfg.validate()
-    if ds.ground_truth is None:
-        raise ValueError("truth baseline needs ground-truth labels")
-    rng = np.random.default_rng(cfg.seed)
-    train_idx = ds.split_indices(TRAIN)
-    clf = Classifier(_dims_for(ds, cfg), rng)
-    history = _fit_classifier(clf, ds.features[train_idx],
-                              ds.ground_truth[train_idx], cfg, rng)
-    return TrainResult(classifier=clf, bundle=None, history=history,
-                       best_epoch=len(history) - 1,
-                       best_val_acc=_split_accuracy(clf, ds, VAL),
-                       test_acc=_split_accuracy(clf, ds, TEST),
-                       config=cfg, method="truth")
 
 
 def train_dl_cl(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
@@ -311,8 +284,8 @@ def train_dl_cl(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     clf, _, history = pretrain_dl_cl(ds, cfg)
     return TrainResult(classifier=clf, bundle=None, history=history,
                        best_epoch=len(history) - 1,
-                       best_val_acc=_split_accuracy(clf, ds, VAL),
-                       test_acc=_split_accuracy(clf, ds, TEST),
+                       best_val_acc=split_accuracy(clf, ds, VAL),
+                       test_acc=split_accuracy(clf, ds, TEST),
                        config=cfg, method="dl-cl")
 
 
@@ -425,22 +398,6 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
                        g0=g0, eps=eps, zhat_draws=zdraws, entropies=entropies)
 
 
-def recompute_logging_probs(batch: LoggedBatch, snapshot: dict, dims: NetDims,
-                            ds: CrowdDataset, cfg: TrainConfig) -> np.ndarray:
-    """Replay the snapshot policy over the logged pairs (bit-exact check)."""
-    rng = np.random.default_rng(0)
-    clf = Classifier(dims, rng)
-    gen = Generator(dims, rng)
-    clf.store.load_state_dict({k.split(".", 1)[1]: v for k, v in snapshot.items()
-                               if k.startswith("classifier.")})
-    gen.store.load_state_dict({k.split(".", 1)[1]: v for k, v in snapshot.items()
-                               if k.startswith("generator.")})
-    zhat = clf.probs(ds.features[batch.instances]).data
-    gx, ge = _gen_inputs(ds, cfg, batch.instances, batch.annotators)
-    dist = gen.distribution(gx, ge, zhat, batch.eps).data
-    return dist[np.arange(len(batch)), batch.labels]
-
-
 def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
                              authentic_counts: np.ndarray,
                              rng: np.random.Generator,
@@ -502,68 +459,44 @@ def _update_disc_and_aux(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     return last_loss, clamp_total
 
 
-def _crm_update_generator(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
-                          low: LoggedBatch, zhat_const: np.ndarray,
-                          deltas: np.ndarray, mu: float) -> None:
-    gen = state.bundle.generator
-    gx, ge = _gen_inputs(ds, cfg, low.instances, low.annotators)
-    before = state.bundle.classifier.store.fingerprint()
+_NET_NAMES = {"gen": "generator", "clf": "classifier"}
+
+
+def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
+                pairs: LoggedBatch, deltas: np.ndarray, mu: float,
+                trains: tuple[str, ...], rng: np.random.Generator,
+                zhat_const: np.ndarray | None = None) -> None:
+    """Minimize mean((delta - mu) * G(y) / g0) over ``pairs``.
+
+    Only the stores named in ``trains`` ("gen", "clf") step, generator first.
+    With the classifier training, codes come from it in train mode (dropout
+    from ``rng``); otherwise ``zhat_const`` is the code. Frozen stores must
+    come out bit-identical.
+    """
+    clf, gen = state.bundle.classifier, state.bundle.generator
+    stores = {"gen": gen.store, "clf": clf.store}
+    frozen = {k: s.fingerprint() for k, s in stores.items() if k not in trains}
+    what = _NET_NAMES[trains[0]] if len(trains) == 1 else "joint"
+    gx, ge = _gen_inputs(ds, cfg, pairs.instances, pairs.annotators)
+    if "clf" in trains:
+        uniq, inverse = np.unique(pairs.instances, return_inverse=True)
     for _ in range(cfg.inner_steps):
-        dist = gen.distribution(gx, ge, zhat_const, low.eps)
-        target = dc.pick(dist, low.labels)
-        obj = crm_objective(low.g0, target, deltas, mu)
-        _check_finite(obj.item(), "generator objective", state.epoch)
-        opt = state.optimizers["gen"]
-        opt.zero_grad()
-        state.bundle.classifier.store.zero_grad()
+        zhat = zhat_const
+        if "clf" in trains:
+            zhat = dc.gather_rows(clf.probs(ds.features[uniq], train_mode=True, rng=rng),
+                                  inverse)
+        dist = gen.distribution(gx, ge, zhat, pairs.eps)
+        obj = crm_objective(pairs.g0, dc.pick(dist, pairs.labels), deltas, mu)
+        _check_finite(obj.item(), f"{what} objective", state.epoch)
+        for store in stores.values():
+            store.zero_grad()
         backward(obj)
-        opt.step()
-    assert state.bundle.classifier.store.fingerprint() == before, \
-        "classifier changed during the generator step"
-
-
-def _crm_update_classifier(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
-                           high: LoggedBatch, deltas: np.ndarray, mu: float,
-                           rng: np.random.Generator) -> None:
-    clf = state.bundle.classifier
-    gen = state.bundle.generator
-    gx, ge = _gen_inputs(ds, cfg, high.instances, high.annotators)
-    uniq, inverse = np.unique(high.instances, return_inverse=True)
-    before = gen.store.fingerprint()
-    for _ in range(cfg.inner_steps):
-        zhat = clf.probs(ds.features[uniq], train_mode=True, rng=rng)
-        dist = gen.distribution(gx, ge, dc.gather_rows(zhat, inverse), high.eps)
-        target = dc.pick(dist, high.labels)
-        obj = crm_objective(high.g0, target, deltas, mu)
-        _check_finite(obj.item(), "classifier objective", state.epoch)
-        opt = state.optimizers["clf"]
-        opt.zero_grad()
-        gen.store.zero_grad()
-        backward(obj)
-        opt.step()
-    assert gen.store.fingerprint() == before, \
-        "generator changed during the classifier step"
-
-
-def _crm_update_joint(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
-                      batch: LoggedBatch, deltas: np.ndarray, mu: float,
-                      rng: np.random.Generator) -> None:
-    """One-step mode: generator and classifier move together on all pairs."""
-    clf = state.bundle.classifier
-    gen = state.bundle.generator
-    gx, ge = _gen_inputs(ds, cfg, batch.instances, batch.annotators)
-    uniq, inverse = np.unique(batch.instances, return_inverse=True)
-    for _ in range(cfg.inner_steps):
-        zhat = clf.probs(ds.features[uniq], train_mode=True, rng=rng)
-        dist = gen.distribution(gx, ge, dc.gather_rows(zhat, inverse), batch.eps)
-        target = dc.pick(dist, batch.labels)
-        obj = crm_objective(batch.g0, target, deltas, mu)
-        _check_finite(obj.item(), "joint objective", state.epoch)
-        state.optimizers["gen"].zero_grad()
-        state.optimizers["clf"].zero_grad()
-        backward(obj)
-        state.optimizers["gen"].step()
-        state.optimizers["clf"].step()
+        for name in ("gen", "clf"):
+            if name in trains:
+                state.optimizers[name].step()
+    for name, before in frozen.items():
+        assert stores[name].fingerprint() == before, \
+            f"{_NET_NAMES[name]} changed during the {what} step"
 
 
 def _fork_gc(state: TrainState) -> dict:
@@ -588,11 +521,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     rng = state.rng
     warnings: list[str] = []
 
-    # (1) freeze the logging policy and sample the grid
-    state.snapshot = {f"classifier.{k}": v for k, v in
-                      bundle.classifier.store.state_dict().items()}
-    state.snapshot.update({f"generator.{k}": v for k, v in
-                           bundle.generator.store.state_dict().items()})
+    # (1) sample the grid with the current networks as the logging policy
     batch = log_generation_grid(bundle.generator, bundle.classifier, ds, cfg, rng)
 
     # (2) count-balanced selection, then discriminator + auxiliary updates
@@ -614,7 +543,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     deltas_clf, _ = per_annotation_delta(d_scores, q_at_draw, 0.0)
     clamp_count += clamped_d
 
-    # (4) split train instances by normalized code entropy at snapshot time
+    # (4) split train instances by normalized code entropy at logging time
     train_idx = ds.split_indices(TRAIN)
     with dc.no_grad():
         zhat_train = bundle.classifier.probs(ds.features[train_idx]).data
@@ -648,15 +577,16 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
             mu_g, mu_c = coeff * mean_delta_low, coeff * mean_delta_high
         if cfg.two_step:
             if len(low_idx):
-                _crm_update_generator(state, ds, cfg, low, zhat_low_const,
-                                      deltas_gen[low_idx], mu_g)
+                _crm_update(state, ds, cfg, low, deltas_gen[low_idx], mu_g,
+                            ("gen",), cand_rng, zhat_const=zhat_low_const)
             if len(high_idx):
-                _crm_update_classifier(state, ds, cfg, high,
-                                       deltas_clf[high_idx], mu_c, cand_rng)
+                _crm_update(state, ds, cfg, high, deltas_clf[high_idx], mu_c,
+                            ("clf",), cand_rng)
         else:
             mu_joint = cfg.mu_fixed if coeff is None else coeff * float(deltas_gen.mean())
-            _crm_update_joint(state, ds, cfg, batch, deltas_gen, mu_joint, cand_rng)
-        val_acc = _split_accuracy(bundle.classifier, ds, VAL)
+            _crm_update(state, ds, cfg, batch, deltas_gen, mu_joint,
+                        ("gen", "clf"), cand_rng)
+        val_acc = split_accuracy(bundle.classifier, ds, VAL)
         results.append((coeff, mu_g, mu_c, val_acc, _fork_gc(state)))
 
     def sort_key(item):
@@ -686,9 +616,9 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
                                   code_entropy, cfg.info_weight)
     record = {
         "epoch": state.epoch,
-        "train_acc": _split_accuracy(bundle.classifier, ds, TRAIN),
+        "train_acc": split_accuracy(bundle.classifier, ds, TRAIN),
         "val_acc": best[3],
-        "test_acc": _split_accuracy(bundle.classifier, ds, TEST),
+        "test_acc": split_accuracy(bundle.classifier, ds, TEST),
         "value_term": breakdown.value_term,
         "info_term": breakdown.info_term,
         "combined": breakdown.combined,
@@ -733,7 +663,7 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
         rng=master,
     )
 
-    best_val = _split_accuracy(clf, ds, VAL)
+    best_val = split_accuracy(clf, ds, VAL)
     best_epoch = -1  # the pretrained classifier itself
     best_params = clf.store.state_dict()
     for _ in range(cfg.epochs):
@@ -748,7 +678,7 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     history = state.history
     return TrainResult(classifier=clf, bundle=bundle, history=history,
                        best_epoch=best_epoch, best_val_acc=best_val,
-                       test_acc=_split_accuracy(clf, ds, TEST),
+                       test_acc=split_accuracy(clf, ds, TEST),
                        config=cfg, method="crowding")
 
 
@@ -804,22 +734,23 @@ def save_result_checkpoint(path: str | Path, result: TrainResult) -> None:
 def load_result_checkpoint(path: str | Path) -> tuple[Classifier, NetworkBundle | None]:
     """Rebuild the classifier (and the bundle when present) from a checkpoint."""
     arrays = load_checkpoint(path)
-    dims = _dims_from_meta(arrays)
     rng = np.random.default_rng(0)
-    if arrays["meta.has_bundle"]:
-        adjacency = CoocAdjacency(counts=arrays["adjacency.counts"],
-                                  propagation=arrays["adjacency.propagation"])
+    try:
+        dims = _dims_from_meta(arrays)
+        if arrays["meta.has_bundle"]:
+            adjacency = CoocAdjacency(counts=arrays["adjacency.counts"],
+                                      propagation=arrays["adjacency.propagation"])
+            bundle = build_bundle(dims, adjacency, rng)
+            bundle.load_state_dict(arrays)
+            return bundle.classifier, bundle
         clf = Classifier(dims, rng)
-        gen = Generator(dims, rng)
-        disc = Discriminator(dims, rng)
-        aux = AuxNet(dims, rng, disc)
-        bundle = NetworkBundle(dims, clf, gen, disc, aux, adjacency)
-        bundle.load_state_dict(arrays)
-        return clf, bundle
-    clf = Classifier(dims, rng)
-    clf.store.load_state_dict({k.split(".", 1)[1]: v for k, v in arrays.items()
-                               if k.startswith("classifier.")})
-    return clf, None
+        clf.store.load_state_dict({name: arrays[f"classifier.{name}"]
+                                   for name in clf.store.names()})
+        return clf, None
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing array {exc.args[0]!r}") from None
+    except ValueError as exc:  # an array of the wrong shape, or invalid meta dims
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from crowdaug.trainer import (
     train_dl_cl,
     train_dl_mv,
 )
+from helpers import randomize
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -101,13 +102,13 @@ def test_criterion_01_gradient_integrity():
         adj = _adj(*_counts_scale(rng, dims.num_classes), dims.num_classes)
 
         clf = Classifier(dims, rng)
-        clf.store.randomize(rng, scale=0.4)
+        randomize(clf.store, rng, scale=0.4)
         gen = Generator(dims, rng)
-        gen.store.randomize(rng, scale=0.4)
+        randomize(gen.store, rng, scale=0.4)
         disc = Discriminator(dims, rng)
-        disc.store.randomize(rng, scale=0.4)
+        randomize(disc.store, rng, scale=0.4)
         aux = AuxNet(dims, rng, disc)
-        aux.own_store().randomize(rng, scale=0.4)
+        randomize(aux.own_store(), rng, scale=0.4)
         zhat = clf.probs(x).data
         eps = gen.draw_noise(rng, batch)
         weights = rng.normal(size=(batch, dims.num_classes))
@@ -173,7 +174,7 @@ def test_criterion_02_normalization_invariants():
     disc = Discriminator(dims, rng)
     aux = AuxNet(dims, rng, disc)
     for store in (clf.store, gen.store, disc.store, aux.own_store()):
-        store.randomize(rng, scale=0.8)
+        randomize(store, rng, scale=0.8)
 
     trials = 0
 

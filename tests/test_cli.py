@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crowdaug import cli
+from crowdaug.checkpoint import load_checkpoint, save_checkpoint
 from crowdaug.data import load_dataset, save_dataset
 from crowdaug.trainer import DivergenceError, read_augmented_file
 
@@ -50,6 +51,16 @@ def dataset_variant(workspace, out, **changes):
     ds = load_dataset(workspace / "data")
     save_dataset(dataclasses.replace(ds, **changes), out)
     return out
+
+
+def relabeled_variant(workspace, out, mapping):
+    """The workspace dataset with annotation and truth labels remapped."""
+    ds = load_dataset(workspace / "data")
+    lut = np.asarray(mapping)
+    ann = ds.annotations.copy()
+    ann[:, 2] = lut[ann[:, 2]]
+    return dataset_variant(workspace, out, num_classes=int(lut.max()) + 1,
+                           annotations=ann, ground_truth=lut[ds.ground_truth])
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +211,62 @@ def test_eval_rejects_checkpoint_of_other_feature_dim(workspace, tmp_path, capsy
     assert len(err.strip().splitlines()) == 1
 
 
+def test_eval_rejects_dataset_with_more_classes_than_checkpoint(workspace, tmp_path,
+                                                                capsys):
+    checkpoint = str(workspace / "run" / "checkpoint.bin")
+    # a dataset without class 2 fits the 3-class checkpoint
+    fewer = relabeled_variant(workspace, tmp_path / "two", [0, 1, 1])
+    assert load_dataset(fewer).num_classes == 2
+    assert cli.main(["eval", "--data", str(fewer), "--checkpoint", checkpoint,
+                     "--out", str(tmp_path / "o2")]) == 0
+    capsys.readouterr()
+    more = relabeled_variant(workspace, tmp_path / "five", [0, 3, 4])
+    code = cli.main(["eval", "--data", str(more), "--checkpoint", checkpoint,
+                     "--out", str(tmp_path / "o5")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "num_classes" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "augment"])
+@pytest.mark.parametrize("prefix", ["meta.", "generator.W2"])
+def test_checkpoint_missing_arrays_is_data_error(workspace, tmp_path, capsys,
+                                                 command, prefix):
+    arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
+    broken = tmp_path / "broken.bin"
+    save_checkpoint(broken, {k: v for k, v in arrays.items() if not k.startswith(prefix)})
+    code = cli.main([command, "--data", str(workspace / "data"),
+                     "--checkpoint", str(broken), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "missing array" in err
+    assert prefix in err and len(err.strip().splitlines()) == 1
+
+
+def test_checkpoint_with_wrong_shape_array_is_data_error(workspace, tmp_path, capsys):
+    arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
+    arrays["generator.W2"] = arrays["generator.W2"][:, :1]
+    save_checkpoint(tmp_path / "narrow.bin", arrays)
+    code = cli.main(["augment", "--data", str(workspace / "data"),
+                     "--checkpoint", str(tmp_path / "narrow.bin"),
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "shape mismatch" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_checkpoint_with_non_utf8_manifest_is_data_error(workspace, tmp_path, capsys):
+    broken = tmp_path / "latin1.bin"
+    broken.write_bytes(b"crowdaug-checkpoint-v1\nmeta.caf\xe9|1|0\n\n" + bytes(8))
+    code = cli.main(["eval", "--data", str(workspace / "data"),
+                     "--checkpoint", str(broken), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "UTF-8" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep / ablate
 
@@ -299,6 +366,19 @@ def test_augment_rejects_checkpoint_of_other_annotator_dim(workspace, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "annotator_dim" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_augment_rejects_dataset_with_more_classes_than_checkpoint(workspace, tmp_path,
+                                                                   capsys):
+    more = relabeled_variant(workspace, tmp_path / "five", [0, 3, 4])
+    code = cli.main(["augment", "--data", str(more),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "num_classes" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o" / "augmented.csv").exists()
 
 
 def test_augment_requires_adversarial_checkpoint(workspace, tmp_path, capsys):

@@ -19,7 +19,6 @@ class StubClassifier:
 
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.float64)
-        self.dims = types.SimpleNamespace(num_classes=self.table.shape[1])
 
     def probs(self, x, train_mode=False, rng=None):
         idx = np.asarray(x, dtype=np.int64).reshape(len(x), -1)[:, 0]
@@ -51,21 +50,17 @@ def test_accuracy_rejects_empty_split():
         ev.accuracy(clf, np.empty((0, 1)), [])
 
 
-def test_per_class_accuracy_weighted_identity():
-    rng = np.random.default_rng(0)
-    table = rng.dirichlet(np.ones(3), size=40)
-    labels = rng.integers(0, 3, size=40)
-    clf = StubClassifier(table)
-    accs, counts = ev.per_class_accuracy(clf, id_features(40), labels)
-    overall = ev.accuracy(clf, id_features(40), labels)
-    assert np.nansum(accs * counts) / counts.sum() == pytest.approx(overall)
-
-
-def test_per_class_accuracy_absent_class_is_nan():
-    clf = StubClassifier([[0.9, 0.05, 0.05], [0.1, 0.8, 0.1]])
-    accs, counts = ev.per_class_accuracy(clf, id_features(2), [0, 1])
-    assert counts.tolist() == [1, 1, 0]
-    assert math.isnan(accs[2]) and accs[0] == 1.0 and accs[1] == 1.0
+def test_split_accuracy_is_nan_without_truth_or_rows():
+    clf = StubClassifier([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+    splits = np.array([0, 0, 1])
+    ds = types.SimpleNamespace(features=id_features(3),
+                               ground_truth=np.array([0, 0, -1]),
+                               split_indices=lambda s: np.flatnonzero(splits == s))
+    assert ev.split_accuracy(clf, ds, 0) == 0.5
+    assert math.isnan(ev.split_accuracy(clf, ds, 1))  # an unknown label
+    assert math.isnan(ev.split_accuracy(clf, ds, 2))  # an empty split
+    ds.ground_truth = None
+    assert math.isnan(ev.split_accuracy(clf, ds, 0))
 
 
 # ---------------------------------------------------------------------------

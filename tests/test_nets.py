@@ -13,11 +13,8 @@ from crowdaug.nets import (
     Generator,
     NetDims,
     build_bundle,
-    classify,
-    aux_posterior,
-    discriminate,
-    generate_distribution,
 )
+from helpers import randomize
 
 SMALL = NetDims(num_classes=3, feature_dim=4, annotator_dim=5, noise_dim=2,
                 clf_hidden=6, gen_hidden1=5, gen_hidden2=7, aux_hidden1=5,
@@ -50,7 +47,7 @@ def small_bundle(seed=0, **overrides):
 def test_classifier_uniform_at_init():
     b = small_bundle()
     x = np.random.default_rng(1).normal(size=(6, SMALL.feature_dim))
-    probs = classify(b.classifier, x).data
+    probs = b.classifier.probs(x).data
     np.testing.assert_allclose(probs, np.full((6, 3), 1.0 / 3.0), atol=1e-15)
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
 
@@ -62,7 +59,7 @@ def test_generator_uniform_at_init():
     e = rng.normal(size=(5, SMALL.annotator_dim))
     zhat = np.full((5, 3), 1.0 / 3.0)
     eps = b.generator.draw_noise(rng, 5)
-    dist = generate_distribution(b.generator, x, e, zhat, eps).data
+    dist = b.generator.distribution(x, e, zhat, eps).data
     np.testing.assert_allclose(dist, np.full((5, 3), 1.0 / 3.0), atol=1e-15)
     np.testing.assert_allclose(dc.entropy(dist, axis=1), np.log(3.0), atol=1e-12)
 
@@ -72,7 +69,7 @@ def test_aux_uniform_at_init():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, SMALL.feature_dim))
     e = rng.normal(size=(4, SMALL.annotator_dim))
-    out = aux_posterior(b.aux, x, e, [0, 1, 2, 0], b.adjacency).data
+    out = b.aux.posterior(x, e, [0, 1, 2, 0], b.adjacency).data
     np.testing.assert_allclose(out, np.full((4, 3), 1.0 / 3.0), atol=1e-15)
 
 
@@ -83,18 +80,18 @@ def test_discriminator_zero_matrices_give_half():
     x = rng.normal(size=(7, SMALL.feature_dim))
     e = rng.normal(size=(7, SMALL.annotator_dim))
     y = rng.integers(0, 3, size=7)
-    scores = discriminate(b.discriminator, x, e, y, b.adjacency).data
+    scores = b.discriminator.score(x, e, y, b.adjacency).data
     np.testing.assert_allclose(scores, 0.5, atol=1e-15)
 
 
 def test_discriminator_output_open_interval():
     b = small_bundle()
-    b.discriminator.store.randomize(np.random.default_rng(5), scale=2.0)
+    randomize(b.discriminator.store, np.random.default_rng(5), scale=2.0)
     rng = np.random.default_rng(6)
     x = rng.normal(size=(50, SMALL.feature_dim)) * 10
     e = rng.normal(size=(50, SMALL.annotator_dim)) * 10
     y = rng.integers(0, 3, size=50)
-    scores = discriminate(b.discriminator, x, e, y, b.adjacency).data
+    scores = b.discriminator.score(x, e, y, b.adjacency).data
     assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
 
@@ -104,13 +101,13 @@ def test_discriminator_output_open_interval():
 
 def test_generator_noise_path_live_after_randomization():
     b = small_bundle()
-    b.generator.store.randomize(np.random.default_rng(7), scale=0.5)
+    randomize(b.generator.store, np.random.default_rng(7), scale=0.5)
     rng = np.random.default_rng(8)
     x = rng.normal(size=(3, SMALL.feature_dim))
     e = rng.normal(size=(3, SMALL.annotator_dim))
     zhat = np.full((3, 3), 1.0 / 3.0)
-    d1 = generate_distribution(b.generator, x, e, zhat, b.generator.draw_noise(rng, 3)).data
-    d2 = generate_distribution(b.generator, x, e, zhat, b.generator.draw_noise(rng, 3)).data
+    d1 = b.generator.distribution(x, e, zhat, b.generator.draw_noise(rng, 3)).data
+    d2 = b.generator.distribution(x, e, zhat, b.generator.draw_noise(rng, 3)).data
     assert not np.allclose(d1, d2)
 
 
@@ -121,7 +118,7 @@ def test_generator_noise_path_live_after_randomization():
 def test_lca_identity_propagation_equals_disabled_with_mixed_matrices():
     rng = np.random.default_rng(9)
     disc_on = Discriminator(SMALL, np.random.default_rng(1))
-    disc_on.store.randomize(rng, scale=0.6)
+    randomize(disc_on.store, rng, scale=0.6)
     w = disc_on.store["Wmix"].data
 
     dims_off = NetDims(**{**SMALL.__dict__, "lca_enabled": False})
@@ -134,15 +131,15 @@ def test_lca_identity_propagation_equals_disabled_with_mixed_matrices():
     x = rng2.normal(size=(8, SMALL.feature_dim))
     e = rng2.normal(size=(8, SMALL.annotator_dim))
     y = rng2.integers(0, 3, size=8)
-    s_on = discriminate(disc_on, x, e, y, identity_adj(3)).data
-    s_off = discriminate(disc_off, x, e, y, None).data
+    s_on = disc_on.score(x, e, y, identity_adj(3)).data
+    s_off = disc_off.score(x, e, y, None).data
     np.testing.assert_allclose(s_on, s_off, atol=1e-12)
 
 
 def test_lca_scaling_linearity():
     b = small_bundle()
     disc = b.discriminator
-    disc.store.randomize(np.random.default_rng(11), scale=0.5)
+    randomize(disc.store, np.random.default_rng(11), scale=0.5)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(6, SMALL.feature_dim))
     e = rng.normal(size=(6, SMALL.annotator_dim))
@@ -164,7 +161,7 @@ def test_lca_requires_adjacency():
     x = np.zeros((2, SMALL.feature_dim))
     e = np.zeros((2, SMALL.annotator_dim))
     with pytest.raises(ValueError, match="adjacency"):
-        discriminate(disc, x, e, [0, 1], None)
+        disc.score(x, e, [0, 1], None)
 
 
 # ---------------------------------------------------------------------------
@@ -173,41 +170,41 @@ def test_lca_requires_adjacency():
 
 def test_aux_shares_discriminator_encoders():
     b = small_bundle()
-    b.aux.own_store().randomize(np.random.default_rng(13), scale=0.5)
+    randomize(b.aux.own_store(), np.random.default_rng(13), scale=0.5)
     rng = np.random.default_rng(14)
     x = rng.normal(size=(4, SMALL.feature_dim))
     e = rng.normal(size=(4, SMALL.annotator_dim))
     y = [0, 1, 2, 1]
-    before = aux_posterior(b.aux, x, e, y, b.adjacency).data.copy()
+    before = b.aux.posterior(x, e, y, b.adjacency).data.copy()
     b.discriminator.store["Wu"].data += 0.7  # write through the discriminator
-    after = aux_posterior(b.aux, x, e, y, b.adjacency).data
+    after = b.aux.posterior(x, e, y, b.adjacency).data
     assert not np.allclose(before, after)
 
 
 def test_dimension_mismatch_errors():
     b = small_bundle()
     with pytest.raises(ValueError, match="classifier input"):
-        classify(b.classifier, np.zeros((2, SMALL.feature_dim + 1)))
+        b.classifier.probs(np.zeros((2, SMALL.feature_dim + 1)))
     with pytest.raises(ValueError, match="noise"):
-        generate_distribution(b.generator, np.zeros((1, SMALL.feature_dim)),
-                              np.zeros((1, SMALL.annotator_dim)),
-                              np.full((1, 3), 1 / 3), np.zeros((1, 99)))
+        b.generator.distribution(np.zeros((1, SMALL.feature_dim)),
+                                 np.zeros((1, SMALL.annotator_dim)),
+                                 np.full((1, 3), 1 / 3), np.zeros((1, 99)))
     with pytest.raises(ValueError, match="class index"):
-        discriminate(b.discriminator, np.zeros((1, SMALL.feature_dim)),
-                     np.zeros((1, SMALL.annotator_dim)), [3], b.adjacency)
+        b.discriminator.score(np.zeros((1, SMALL.feature_dim)),
+                              np.zeros((1, SMALL.annotator_dim)), [3], b.adjacency)
 
 
 def test_train_mode_requires_rng_and_is_stochastic():
     b = small_bundle()
-    b.classifier.store.randomize(np.random.default_rng(15), scale=0.5)
+    randomize(b.classifier.store, np.random.default_rng(15), scale=0.5)
     x = np.random.default_rng(16).normal(size=(4, SMALL.feature_dim))
     with pytest.raises(ValueError, match="rng"):
-        classify(b.classifier, x, train_mode=True)
-    p1 = classify(b.classifier, x, train_mode=True, rng=np.random.default_rng(1)).data
-    p2 = classify(b.classifier, x, train_mode=True, rng=np.random.default_rng(2)).data
+        b.classifier.probs(x, train_mode=True)
+    p1 = b.classifier.probs(x, train_mode=True, rng=np.random.default_rng(1)).data
+    p2 = b.classifier.probs(x, train_mode=True, rng=np.random.default_rng(2)).data
     assert not np.allclose(p1, p2)
-    e1 = classify(b.classifier, x).data
-    e2 = classify(b.classifier, x).data
+    e1 = b.classifier.probs(x).data
+    e2 = b.classifier.probs(x).data
     np.testing.assert_array_equal(e1, e2)
 
 
@@ -224,7 +221,7 @@ def rand_inputs(rng, batch=3):
 
 def test_grad_check_classifier():
     b = small_bundle(seed=21)
-    b.classifier.store.randomize(np.random.default_rng(22), scale=0.4)
+    randomize(b.classifier.store, np.random.default_rng(22), scale=0.4)
     x, _, y = rand_inputs(np.random.default_rng(23))
 
     def loss():
@@ -236,7 +233,7 @@ def test_grad_check_classifier():
 
 def test_grad_check_generator():
     b = small_bundle(seed=24)
-    b.generator.store.randomize(np.random.default_rng(25), scale=0.4)
+    randomize(b.generator.store, np.random.default_rng(25), scale=0.4)
     rng = np.random.default_rng(26)
     x, e, y = rand_inputs(rng)
     zhat = dc.softmax(rng.normal(size=(3, SMALL.num_classes)), axis=1)
@@ -253,12 +250,12 @@ def test_grad_check_discriminator_with_and_without_lca():
     for lca in (True, False):
         b = small_bundle(seed=27, lca_enabled=lca)
         disc = b.discriminator
-        disc.store.randomize(np.random.default_rng(28), scale=0.4)
+        randomize(disc.store, np.random.default_rng(28), scale=0.4)
         x, e, y = rand_inputs(np.random.default_rng(29))
         adj = b.adjacency if lca else None
 
         def loss():
-            s = discriminate(disc, x, e, y, adj)
+            s = disc.score(x, e, y, adj)
             return dc.neg(dc.t_mean(dc.t_log(s)))
 
         assert grad_check(loss, disc.store) < 1e-4, f"lca={lca}"
@@ -266,7 +263,7 @@ def test_grad_check_discriminator_with_and_without_lca():
 
 def test_grad_check_aux_includes_shared_encoders():
     b = small_bundle(seed=30)
-    b.aux.store.randomize(np.random.default_rng(31), scale=0.4)
+    randomize(b.aux.store, np.random.default_rng(31), scale=0.4)
     x, e, y = rand_inputs(np.random.default_rng(32))
     targets = np.array([1, 0, 2])
 
@@ -280,7 +277,7 @@ def test_grad_check_aux_includes_shared_encoders():
 def test_forwards_under_no_grad_equal_graph_mode():
     b = small_bundle(seed=34)
     for store in b.stores().values():
-        store.randomize(np.random.default_rng(35), scale=0.5)
+        randomize(store, np.random.default_rng(35), scale=0.5)
     rng = np.random.default_rng(36)
     x, e, y = rand_inputs(rng, batch=7)
     zhat = dc.softmax(rng.normal(size=(7, SMALL.num_classes)), axis=1)
@@ -332,7 +329,7 @@ def test_checkpoint_rejects_corrupt_file(tmp_path):
 def test_bundle_state_round_trip(tmp_path):
     b = small_bundle(seed=34)
     for store in b.stores().values():
-        store.randomize(np.random.default_rng(35), scale=0.3)
+        randomize(store, np.random.default_rng(35), scale=0.3)
     state = b.state_dict()
     path = tmp_path / "bundle.ckpt"
     save_checkpoint(path, state)
@@ -349,5 +346,5 @@ def test_bundle_state_round_trip(tmp_path):
     e = rng.normal(size=(5, SMALL.annotator_dim))
     y = rng.integers(0, 3, size=5)
     np.testing.assert_array_equal(
-        discriminate(b.discriminator, x, e, y, b.adjacency).data,
-        discriminate(b2.discriminator, x, e, y, b2.adjacency).data)
+        b.discriminator.score(x, e, y, b.adjacency).data,
+        b2.discriminator.score(x, e, y, b2.adjacency).data)

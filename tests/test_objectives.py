@@ -5,7 +5,6 @@ import pytest
 from crowdaug import diffcore as dc
 from crowdaug.diffcore import Tensor, backward
 from crowdaug.objectives import (
-    LoggedSample,
     compute_breakdown,
     crm_objective,
     discriminator_loss,
@@ -211,12 +210,6 @@ def test_crm_gradient_matches_closed_form():
     backward(crm_objective(g0, target, deltas, mu))
     expected = (deltas - mu) / g0 / 3.0
     np.testing.assert_allclose(target.grad, expected, atol=1e-15)
-
-
-def test_logged_sample_validates_support():
-    with pytest.raises(ValueError, match="g0"):
-        LoggedSample(instance=0, annotator=0, label=1, g0=0.0, authentic=False,
-                     eps=np.zeros(2), zhat_draw=0, entropy=0.5)
 
 
 def test_breakdown_combined_identity():

@@ -20,21 +20,20 @@ from crowdaug.trainer import (
     DivergenceError,
     LoggedBatch,
     TrainConfig,
-    dl_cl_loss,
+    crowd_layer_loss,
     export_augmented,
     identity_transforms,
     log_generation_grid,
     pretrain_dl_cl,
     pretrain_gen_disc,
     read_augmented_file,
-    recompute_logging_probs,
     select_for_discriminator,
     train_crowding,
     train_dl_cl,
     train_dl_mv,
     train_method,
-    train_on_truth,
 )
+from helpers import randomize
 
 
 def tiny_dataset(seed=7, n=60, r=6, c=3):
@@ -148,17 +147,23 @@ def test_logged_probabilities_replay_bit_exact():
                    dropout=cfg.dropout, lca_enabled=cfg.lca_enabled)
     clf = Classifier(dims, rng)
     gen = Generator(dims, rng)
-    clf.store.randomize(rng, scale=0.3)
-    gen.store.randomize(rng, scale=0.3)
-    snapshot = {f"classifier.{k}": v for k, v in clf.store.state_dict().items()}
-    snapshot.update({f"generator.{k}": v for k, v in gen.store.state_dict().items()})
+    randomize(clf.store, rng, scale=0.3)
+    randomize(gen.store, rng, scale=0.3)
+    clf_state, gen_state = clf.store.state_dict(), gen.store.state_dict()
 
     batch = log_generation_grid(gen, clf, ds, cfg, rng)
-    # mutate the live networks: the log must remain reproducible from snapshot
-    clf.store.randomize(rng, scale=1.0)
-    gen.store.randomize(rng, scale=1.0)
-    replayed = recompute_logging_probs(batch, snapshot, dims, ds, cfg)
-    assert np.array_equal(replayed, batch.g0)
+    # mutate the live networks: the log must remain reproducible from the
+    # logging policy's parameters, replayed in fresh networks
+    randomize(clf.store, rng, scale=1.0)
+    randomize(gen.store, rng, scale=1.0)
+    replay_rng = np.random.default_rng(0)
+    replay_clf, replay_gen = Classifier(dims, replay_rng), Generator(dims, replay_rng)
+    replay_clf.store.load_state_dict(clf_state)
+    replay_gen.store.load_state_dict(gen_state)
+    zhat = replay_clf.probs(ds.features[batch.instances]).data
+    gx, ge = tr._gen_inputs(ds, cfg, batch.instances, batch.annotators)
+    dist = replay_gen.distribution(gx, ge, zhat, batch.eps).data
+    assert np.array_equal(dist[np.arange(len(batch)), batch.labels], batch.g0)
 
 
 def test_logged_grid_covers_all_train_pairs():
@@ -331,14 +336,14 @@ def test_crowd_layer_identity_equals_plain_cross_entropy():
     dims = NetDims(num_classes=ds.num_classes, feature_dim=ds.feature_dim,
                    annotator_dim=ds.annotator_dim)
     clf = Classifier(dims, rng)
-    clf.store.randomize(rng, scale=0.5)
+    randomize(clf.store, rng, scale=0.5)
     ann = ds.annotations
-    x = ds.features[ann[:, 0]]
-    with_identity = dl_cl_loss(clf, identity_transforms(ds.num_annotators,
-                                                        ds.num_classes),
-                               x, ann[:, 1], ann[:, 2]).item()
-    lp = dc.log_softmax(clf.logits(x), axis=1)
+    logits = clf.logits(ds.features[ann[:, 0]])
+    eye = identity_transforms(ds.num_annotators, ds.num_classes)
+    with_identity = crowd_layer_loss(logits, ann[:, 2], eye, ann[:, 1]).item()
+    lp = dc.log_softmax(logits, axis=1)
     plain = dc.neg(dc.t_mean(dc.pick(lp, ann[:, 2]))).item()
+    assert crowd_layer_loss(logits, ann[:, 2]).item() == plain
     assert with_identity == pytest.approx(plain, abs=1e-12)
 
 
@@ -352,19 +357,6 @@ def test_majority_vote_baseline_learns_separable_data():
     res = train_dl_mv(ds, tiny_config(pretrain_epochs=60))
     assert res.method == "dl-mv"
     assert res.test_acc > 0.8
-
-
-def test_truth_baseline_learns_despite_noisy_annotators():
-    # annotator quality is irrelevant to the oracle baseline: it trains on
-    # hidden truth and should solve separable data outright.
-    cfg_d = SynthConfig(num_classes=3, num_instances=150, num_annotators=10,
-                        feature_dim=2, avg_annotations=1.5,
-                        reliability_low=0.45, reliability_high=0.6,
-                        class_sep=6.0)
-    ds = synthesize_dataset(cfg_d, seed=1)
-    res = train_on_truth(ds, tiny_config(pretrain_epochs=60))
-    assert res.method == "truth"
-    assert res.test_acc > 0.85
 
 
 def test_dl_cl_trains_and_reports_splits():
@@ -401,14 +393,6 @@ def test_generator_pretraining_reduces_loss():
     _, _, _, history = pretrain_gen_disc(ds, clf, cfg, rng)
     gen_losses = [h["loss"] for h in history if h["phase"] == "gen"]
     assert gen_losses[-1] < gen_losses[0]
-
-
-def test_frozen_transforms_fall_back_to_plain_training():
-    ds = tiny_dataset()
-    cfg = tiny_config()
-    clf_frozen, transforms, _ = pretrain_dl_cl(ds, cfg, freeze_transforms=True)
-    eye = np.tile(np.eye(ds.num_classes), (ds.num_annotators, 1, 1))
-    assert np.array_equal(transforms["T"].data, eye)
 
 
 # ---------------------------------------------------------------------------
