@@ -3,7 +3,8 @@
 
 Variants: full, no-info (information term off), no-instance-features /
 no-annotator-features (generator input ablations), random-selection
-(uniform instead of entropy-weighted discriminator batches).
+(uniform instead of entropy-weighted discriminator batches). Runs on the
+``crowdaug ablate`` grid, so ``CROWDING_THREADS`` caps its worker processes.
 """
 import argparse
 import sys
@@ -11,8 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from crowdaug.cli import ABLATIONS, run_ablation
 from crowdaug.data import SynthConfig, synthesize_dataset
-from crowdaug.evalsuite import ABLATION_VARIANTS, run_ablation
 from crowdaug.trainer import TrainConfig
 
 
@@ -21,7 +22,7 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--train-instances", type=int, default=500)
     parser.add_argument("--epochs", type=int, default=12)
-    parser.add_argument("--variants", default=",".join(ABLATION_VARIANTS))
+    parser.add_argument("--variants", default=",".join(ABLATIONS))
     args = parser.parse_args()
 
     data_cfg = SynthConfig(num_classes=4, num_instances=args.train_instances,
@@ -34,9 +35,9 @@ def main() -> int:
                       gen_pretrain_epochs=30, disc_pretrain_epochs=40,
                       lr_discriminator=1e-3, entropy_threshold=0.8,
                       inner_steps=5, batch_size=64)
-    for variant in args.variants.split(","):
-        variant = variant.strip()
-        table = run_ablation(ds, variant, cfg, seeds=range(args.seeds))
+    variants = [v.strip() for v in args.variants.split(",")]
+    table = run_ablation(ds, variants, cfg, seeds=range(args.seeds))
+    for variant in variants:
         print(f"{variant:>22}: {table.mean(variant, 'crowding'):.4f} "
               f"+- {table.std(variant, 'crowding'):.4f}", flush=True)
     return 0

@@ -3,7 +3,8 @@
 
 Builds a redundantly annotated synthetic dataset (~4 annotations/instance),
 removes growing fractions of annotations (always leaving each annotated train
-instance at least one), and compares methods at each sparsity level.
+instance at least one), and compares methods at each sparsity level. Runs on
+the ``crowdaug sweep`` grid, so ``CROWDING_THREADS`` caps its worker processes.
 """
 import argparse
 import sys
@@ -11,8 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from crowdaug.cli import sparsity_sweep
 from crowdaug.data import SynthConfig, synthesize_dataset
-from crowdaug.evalsuite import sparsity_sweep
 from crowdaug.trainer import TrainConfig
 
 

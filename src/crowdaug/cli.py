@@ -124,19 +124,85 @@ def _check_checkpoint_dims(path, dims, ds, fields: tuple[str, ...]) -> None:
             f"{dims.num_classes}, but the dataset has {ds.num_classes} classes")
 
 
+# ---------------------------------------------------------------------------
+# experiment grid: sparsity sweeps and ablations train through one job list
+
+# variant -> the TrainConfig fields it switches off
+ABLATIONS = {
+    "full": {},
+    "no-info": {"info_weight": 0.0},
+    "no-instance-features": {"gen_use_instance_features": False},
+    "no-annotator-features": {"gen_use_annotator_features": False},
+    "random-selection": {"selection_mode": "uniform"},
+}
+
+
+def apply_ablation(cfg: TrainConfig, variant: str) -> TrainConfig:
+    """Return a copy of ``cfg`` with one component switched off."""
+    if variant not in ABLATIONS:
+        raise ConfigError(f"unknown ablation variant {variant!r}; "
+                          f"expected one of {tuple(ABLATIONS)}")
+    return TrainConfig(**{**cfg.__dict__, **ABLATIONS[variant]})
+
+
 def _variant_of(method: str, cfg: TrainConfig) -> str:
-    """Label the run by which components are active (config echo)."""
+    """Label the run by the first ablation whose fields ``cfg`` has switched off."""
     if method != "crowding":
         return method
-    if cfg.info_weight == 0.0:
-        return "no-info"
-    if not cfg.gen_use_instance_features:
-        return "no-instance-features"
-    if not cfg.gen_use_annotator_features:
-        return "no-annotator-features"
-    if cfg.selection_mode == "uniform":
-        return "random-selection"
-    return "full"
+    return next((variant for variant, off in ABLATIONS.items()
+                 if off and all(getattr(cfg, k) == v for k, v in off.items())),
+                "full")
+
+
+def _sweep_job(payload) -> tuple:
+    """One grid cell: remove annotations, train, and return the cell's
+    (axis value, method, test accuracy)."""
+    value, ds, fraction, method, seed, cfg_dict = payload
+    reduced = remove_annotations(ds, fraction, seed=seed)
+    cfg = TrainConfig(**{**cfg_dict, "seed": seed})
+    return value, method, train_method(reduced, cfg, method).test_acc
+
+
+def _worker_count(num_jobs: int) -> int:
+    cap = os.environ.get("CROWDING_THREADS", "1")
+    try:
+        cap_value = max(1, int(cap))
+    except ValueError as exc:
+        raise ConfigError(f"CROWDING_THREADS must be an integer, got {cap!r}") from exc
+    return min(cap_value, num_jobs)
+
+
+def _run_grid(table: SweepTable, jobs: list) -> SweepTable:
+    """Run every job, on worker processes when ``CROWDING_THREADS`` > 1, and add
+    the accuracies in job order: the table is the same on any worker count."""
+    workers = _worker_count(len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_job, jobs))
+    else:
+        results = [_sweep_job(job) for job in jobs]
+    for value, method, acc in results:
+        table.add(value, method, acc)
+    table.validate()
+    return table
+
+
+def sparsity_sweep(ds, fractions, methods, seeds, cfg: TrainConfig) -> SweepTable:
+    """Remove -> train -> test-accuracy grid over (fraction, method, seed)."""
+    table = SweepTable(axis_name="fraction", axis_values=list(fractions),
+                       methods=list(methods))
+    return _run_grid(table, [(fraction, ds, fraction, method, seed, cfg.__dict__)
+                             for fraction in fractions for seed in seeds
+                             for method in methods])
+
+
+def run_ablation(ds, variants, cfg: TrainConfig, seeds) -> SweepTable:
+    """Each ablation variant across seeds on all annotations (fraction 0)."""
+    table = SweepTable(axis_name="variant", axis_values=list(variants),
+                       methods=["crowding"])
+    return _run_grid(table, [(variant, ds, 0.0, "crowding", seed,
+                              apply_ablation(cfg, variant).__dict__)
+                             for variant in variants for seed in seeds])
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +261,7 @@ def cmd_eval(args) -> int:
                    args.seed,
                    [Path(args.checkpoint)] + _dataset_paths(args.data),
                    [str(out_dir / "metrics.json")])
-    clf, _ = load_result_checkpoint(args.checkpoint)
+    clf, _ = load_result_checkpoint(args.checkpoint, classifier_only=True)
     _check_checkpoint_dims(args.checkpoint, clf.dims, ds, ("feature_dim",))
     metrics = {}
     for name, split in (("train", TRAIN), ("val", VAL), ("test", TEST)):
@@ -207,23 +273,6 @@ def cmd_eval(args) -> int:
                     encoding="utf-8")
     print(json.dumps(metrics, sort_keys=True))
     return EXIT_OK
-
-
-def _sweep_job(payload):
-    ds, fraction, method, seed, cfg_dict = payload
-    reduced = remove_annotations(ds, fraction, seed=seed)
-    cfg = TrainConfig(**{**cfg_dict, "seed": seed})
-    result = train_method(reduced, cfg, method)
-    return fraction, method, seed, result.test_acc
-
-
-def _worker_count(num_jobs: int) -> int:
-    cap = os.environ.get("CROWDING_THREADS", "1")
-    try:
-        cap_value = max(1, int(cap))
-    except ValueError as exc:
-        raise ConfigError(f"CROWDING_THREADS must be an integer, got {cap!r}") from exc
-    return min(cap_value, num_jobs)
 
 
 def cmd_sweep(args) -> int:
@@ -245,20 +294,7 @@ def cmd_sweep(args) -> int:
                    ([Path(args.config)] if args.config else []) + _dataset_paths(args.data),
                    [str(out_dir / "sweep.csv"), str(out_dir / "sweep.json")])
 
-    jobs = [(ds, fraction, method, seed, cfg.__dict__)
-            for fraction in fractions for seed in seeds for method in methods]
-    workers = _worker_count(len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, jobs))
-    else:
-        results = [_sweep_job(job) for job in jobs]
-
-    table = SweepTable(axis_name="fraction", axis_values=fractions,
-                       methods=methods)
-    for fraction, method, _, acc in results:
-        table.add(fraction, method, acc)
-    table.validate()
+    table = sparsity_sweep(ds, fractions, methods, seeds, cfg)
     table.to_csv(out_dir / "sweep.csv")
     table.to_json(out_dir / "sweep.json")
     print(f"sweep: {len(fractions)}x{len(methods)} cells, "
@@ -269,13 +305,12 @@ def cmd_sweep(args) -> int:
 def cmd_ablate(args) -> int:
     values = _load_config_values(args.config)
     ablate, rest = _split_prefixed(values, "ablate_")
-    variants = _parse_list(ablate.pop("variants",
-                                      ",".join(evalsuite.ABLATION_VARIANTS)), str)
+    variants = _parse_list(ablate.pop("variants", ",".join(ABLATIONS)), str)
     seeds = _parse_list(ablate.pop("seeds", "0,1,2"), int)
     if ablate:
         raise ConfigError(f"unknown ablation key 'ablate_{sorted(ablate)[0]}'")
     for variant in variants:
-        if variant not in evalsuite.ABLATION_VARIANTS:
+        if variant not in ABLATIONS:
             raise ConfigError(f"unknown ablation variant {variant!r}")
     cfg = _train_config(rest, args.seed)
     ds = load_dataset(args.data)
@@ -287,13 +322,7 @@ def cmd_ablate(args) -> int:
                    ([Path(args.config)] if args.config else []) + _dataset_paths(args.data),
                    [str(out_dir / "ablation.csv"), str(out_dir / "ablation.json")])
 
-    table = SweepTable(axis_name="variant", axis_values=list(variants),
-                       methods=["crowding"])
-    for variant in variants:
-        part = evalsuite.run_ablation(ds, variant, cfg, seeds)
-        for acc in part.cells[(variant, "crowding")]:
-            table.add(variant, "crowding", acc)
-    table.validate()
+    table = run_ablation(ds, variants, cfg, seeds)
     table.to_csv(out_dir / "ablation.csv")
     table.to_json(out_dir / "ablation.json")
     print(f"ablation: {len(variants)} variants, {len(seeds)} seeds -> {out_dir}")

@@ -117,16 +117,6 @@ class CrowdDataset:
     def split_indices(self, split: int) -> np.ndarray:
         return np.flatnonzero(self.splits == split)
 
-    def annotation_counts_per_annotator(self) -> np.ndarray:
-        return np.bincount(self.annotations[:, 1], minlength=self.num_annotators)
-
-    def annotations_by_instance(self) -> list[np.ndarray]:
-        """Row indices into ``annotations`` grouped per instance."""
-        groups: list[list[int]] = [[] for _ in range(self.num_instances)]
-        for i, n in enumerate(self.annotations[:, 0]):
-            groups[n].append(i)
-        return [np.asarray(g, dtype=np.int64) for g in groups]
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
@@ -308,30 +298,32 @@ def synthesize_dataset(cfg: SynthConfig, seed: int) -> CrowdDataset:
 # aggregation / adjacency
 
 
+def _label_counts(ds: CrowdDataset) -> np.ndarray:
+    """(instance x class) matrix of annotation counts."""
+    counts = np.zeros((ds.num_instances, ds.num_classes), dtype=np.int64)
+    np.add.at(counts, (ds.annotations[:, 0], ds.annotations[:, 2]), 1)
+    return counts
+
+
 def majority_vote(ds: CrowdDataset) -> np.ndarray:
     """Plurality label per instance (ties -> smallest class index; -1 = none)."""
-    votes = np.zeros((ds.num_instances, ds.num_classes), dtype=np.int64)
-    np.add.at(votes, (ds.annotations[:, 0], ds.annotations[:, 2]), 1)
+    votes = _label_counts(ds)
     labels = votes.argmax(axis=1).astype(np.int64)
     labels[votes.sum(axis=1) == 0] = -1
     return labels
 
 
 def build_cooccurrence(ds: CrowdDataset) -> CoocAdjacency:
-    """Count unordered same-instance label pairs and normalize A + I."""
-    c = ds.num_classes
-    counts = np.zeros((c, c), dtype=np.float64)
-    for rows in ds.annotations_by_instance():
-        labels = ds.annotations[rows, 2]
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                a, b = labels[i], labels[j]
-                if a == b:
-                    counts[a, a] += 1.0
-                else:
-                    counts[a, b] += 1.0
-                    counts[b, a] += 1.0
-    a_hat = counts + np.eye(c)
+    """Count unordered same-instance label pairs and normalize A + I.
+
+    With H the (instance x class) label counts, instance n holds
+    H[n, a] * H[n, b] pairs of labels a != b and H[n, a] choose 2 of label a.
+    """
+    h = _label_counts(ds)
+    pairs = h.T @ h
+    np.fill_diagonal(pairs, (np.diag(pairs) - h.sum(axis=0)) // 2)
+    counts = pairs.astype(np.float64)
+    a_hat = counts + np.eye(ds.num_classes)
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     propagation = a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
     return CoocAdjacency(counts=counts, propagation=propagation)

@@ -1,7 +1,6 @@
-"""Metrics and experiment harnesses: accuracy, entropy diagnostics, sweeps.
-
-Harness functions (sparsity sweep, ablations) import the trainer lazily so
-the trainer can use these metric primitives without an import cycle.
+"""Metrics and report tables: accuracy, AUC and ranks, entropy diagnostics,
+per-epoch run reports and sweep tables. The experiment grid that fills sweep
+tables is in ``cli``; nothing here trains, so the trainer imports it freely.
 """
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffcore as dc
-from .data import CrowdDataset, remove_annotations
+from .data import CrowdDataset
 
 
 # ---------------------------------------------------------------------------
@@ -203,62 +202,3 @@ class SweepTable:
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.rows(), indent=2) + "\n",
                               encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
-# experiment harnesses
-
-
-ABLATION_VARIANTS = ("full", "no-info", "no-instance-features",
-                     "no-annotator-features", "random-selection")
-
-
-def sparsity_sweep(ds: CrowdDataset, fractions, methods, seeds,
-                   cfg=None) -> SweepTable:
-    """Remove -> train -> test-accuracy grid over (fraction, method, seed)."""
-    from . import trainer as trainer_mod
-
-    table = SweepTable(axis_name="fraction", axis_values=list(fractions),
-                       methods=list(methods))
-    for fraction in fractions:
-        for seed in seeds:
-            reduced = remove_annotations(ds, fraction, seed=seed)
-            for method in methods:
-                run_cfg = trainer_mod.TrainConfig(**{
-                    **(cfg.__dict__ if cfg is not None else {}), "seed": seed})
-                result = trainer_mod.train_method(reduced, run_cfg, method)
-                table.add(fraction, method, result.test_acc)
-    table.validate()
-    return table
-
-
-def apply_ablation(cfg, variant: str):
-    """Return a copy of ``cfg`` with one component switched off."""
-    from .trainer import TrainConfig
-
-    if variant not in ABLATION_VARIANTS:
-        raise ValueError(f"unknown ablation variant {variant!r}; "
-                         f"expected one of {ABLATION_VARIANTS}")
-    tweaks = {
-        "full": {},
-        "no-info": {"info_weight": 0.0},
-        "no-instance-features": {"gen_use_instance_features": False},
-        "no-annotator-features": {"gen_use_annotator_features": False},
-        "random-selection": {"selection_mode": "uniform"},
-    }[variant]
-    return TrainConfig(**{**cfg.__dict__, **tweaks})
-
-
-def run_ablation(ds: CrowdDataset, variant: str, cfg, seeds) -> SweepTable:
-    """Train one ablation variant across seeds; one-row sweep table."""
-    from . import trainer as trainer_mod
-
-    table = SweepTable(axis_name="variant", axis_values=[variant],
-                       methods=["crowding"])
-    for seed in seeds:
-        run_cfg = apply_ablation(
-            trainer_mod.TrainConfig(**{**cfg.__dict__, "seed": seed}), variant)
-        result = trainer_mod.train_crowding(ds, run_cfg)
-        table.add(variant, "crowding", result.test_acc)
-    table.validate()
-    return table

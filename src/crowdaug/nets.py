@@ -235,9 +235,6 @@ class AuxNet:
         h2 = dc.relu(dc.add(dc.matmul(h1, self.store["W2"]), self.store["b2"]))
         return dc.add(dc.matmul(h2, self.store["W3"]), self.store["b3"])
 
-    def posterior(self, x, e, y, adj) -> Tensor:
-        return dc.softmax(self.logits(x, e, y, adj), axis=1)
-
     def log_posterior(self, x, e, y, adj) -> Tensor:
         return dc.log_softmax(self.logits(x, e, y, adj), axis=1)
 

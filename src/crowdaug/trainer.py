@@ -337,17 +337,10 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
             fake_labels = dc.sample_categorical(rng, gen_dist)
             zdraws = dc.sample_categorical(rng, zhat_all[inst])
             x, e = ds.features[inst], ds.annotator_features[annot]
-            d_auth = disc.score(x, e, labels, adjacency)
-            d_gen = disc.score(x, e, fake_labels, adjacency)
-            d_loss, _ = discriminator_loss(d_auth, d_gen, cfg.disc_l2)
-            q_lp = aux.log_posterior(x, e, fake_labels, adjacency)
-            q_loss = dc.neg(dc.t_mean(dc.pick(q_lp, zdraws)))
-            loss = d_loss + q_loss
-            _check_finite(loss.item(), "discriminator pretraining loss", epoch)
-            opt_dq.zero_grad()
-            backward(loss)
-            opt_dq.step()
-            losses.append(loss.item())
+            loss, _ = _disc_aux_step(opt_dq, disc, aux, adjacency, (x, e, labels),
+                                     (x, e, fake_labels), zdraws, cfg,
+                                     "discriminator pretraining loss", epoch)
+            losses.append(loss)
         history.append({"phase": "disc", "epoch": epoch, "loss": float(np.mean(losses))})
     return gen, disc, aux, history
 
@@ -431,32 +424,20 @@ def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
     return np.concatenate(selected)
 
 
-def _update_disc_and_aux(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
-                         batch: LoggedBatch, selected: np.ndarray,
-                         authentic: np.ndarray, rng: np.random.Generator,
-                         ) -> tuple[float, int]:
-    bundle = state.bundle
-    disc, aux, adj = bundle.discriminator, bundle.aux, bundle.adjacency
-    sel = batch.subset(selected)
-    ax, ae = ds.features[authentic[:, 0]], ds.annotator_features[authentic[:, 1]]
-    sx, se = ds.features[sel.instances], ds.annotator_features[sel.annotators]
-    clamp_total = 0
-    last_loss = float("nan")
-    for _ in range(cfg.inner_steps):
-        d_auth = disc.score(ax, ae, authentic[:, 2], adj)
-        d_gen = disc.score(sx, se, sel.labels, adj)
-        d_loss, clamped = discriminator_loss(d_auth, d_gen, cfg.disc_l2)
-        q_lp = aux.log_posterior(sx, se, sel.labels, adj)
-        q_loss = dc.neg(dc.t_mean(dc.pick(q_lp, sel.zhat_draws)))
-        loss = d_loss + q_loss
-        _check_finite(loss.item(), "discriminator loss", state.epoch)
-        opt = state.optimizers["disc"]
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
-        clamp_total += clamped
-        last_loss = loss.item()
-    return last_loss, clamp_total
+def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, auth: tuple,
+                   gen: tuple, codes: np.ndarray, cfg: TrainConfig, what: str,
+                   epoch: int) -> tuple[float, int]:
+    """One step on D's authentic-vs-generated loss over ``(x, e, y)`` rows plus
+    Q's cross-entropy of ``codes``; returns (loss, clamped D outputs)."""
+    d_loss, clamped = discriminator_loss(disc.score(*auth, adj),
+                                         disc.score(*gen, adj), cfg.disc_l2)
+    q_lp = aux.log_posterior(*gen, adj)
+    loss = d_loss + dc.neg(dc.t_mean(dc.pick(q_lp, codes)))
+    _check_finite(loss.item(), what, epoch)
+    opt.zero_grad()
+    backward(loss)
+    opt.step()
+    return loss.item(), clamped
 
 
 _NET_NAMES = {"gen": "generator", "clf": "classifier"}
@@ -529,8 +510,18 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     counts = np.bincount(authentic[:, 1], minlength=ds.num_annotators)
     selected = select_for_discriminator(batch.annotators, batch.entropies,
                                         counts, rng, mode=cfg.selection_mode)
-    disc_loss_val, clamp_count = _update_disc_and_aux(
-        state, ds, cfg, batch, selected, authentic, rng)
+    sel = batch.subset(selected)
+    auth_rows = (ds.features[authentic[:, 0]],
+                 ds.annotator_features[authentic[:, 1]], authentic[:, 2])
+    sel_rows = (ds.features[sel.instances],
+                ds.annotator_features[sel.annotators], sel.labels)
+    disc_loss_val, clamp_count = float("nan"), 0
+    for _ in range(cfg.inner_steps):
+        disc_loss_val, clamped = _disc_aux_step(
+            state.optimizers["disc"], bundle.discriminator, bundle.aux,
+            bundle.adjacency, auth_rows, sel_rows, sel.zhat_draws, cfg,
+            "discriminator loss", state.epoch)
+        clamp_count += clamped
 
     # (3) score all logged samples
     adj = bundle.adjacency
@@ -603,14 +594,9 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
         warnings.append("empty high-entropy set: classifier update skipped")
 
     # (7) metrics
-    sel = batch.subset(selected)
     with dc.no_grad():
-        d_auth_final = bundle.discriminator.score(
-            ds.features[authentic[:, 0]], ds.annotator_features[authentic[:, 1]],
-            authentic[:, 2], adj).data
-        d_gen_final = bundle.discriminator.score(
-            ds.features[sel.instances], ds.annotator_features[sel.annotators],
-            sel.labels, adj).data
+        d_auth_final = bundle.discriminator.score(*auth_rows, adj).data
+        d_gen_final = bundle.discriminator.score(*sel_rows, adj).data
     code_entropy = float(dc.entropy(zhat_train, axis=1).mean())
     breakdown = compute_breakdown(d_auth_final, d_gen_final, q_at_draw[selected],
                                   code_entropy, cfg.info_weight)
@@ -731,13 +717,15 @@ def save_result_checkpoint(path: str | Path, result: TrainResult) -> None:
     save_checkpoint(path, arrays)
 
 
-def load_result_checkpoint(path: str | Path) -> tuple[Classifier, NetworkBundle | None]:
-    """Rebuild the classifier (and the bundle when present) from a checkpoint."""
+def load_result_checkpoint(path: str | Path, classifier_only: bool = False,
+                           ) -> tuple[Classifier, NetworkBundle | None]:
+    """Rebuild the classifier (and the bundle when present) from a checkpoint;
+    ``classifier_only`` reads just the ``meta.*`` and ``classifier.*`` arrays."""
     arrays = load_checkpoint(path)
     rng = np.random.default_rng(0)
     try:
         dims = _dims_from_meta(arrays)
-        if arrays["meta.has_bundle"]:
+        if not classifier_only and arrays["meta.has_bundle"]:
             adjacency = CoocAdjacency(counts=arrays["adjacency.counts"],
                                       propagation=arrays["adjacency.propagation"])
             bundle = build_bundle(dims, adjacency, rng)

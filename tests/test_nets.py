@@ -69,7 +69,7 @@ def test_aux_uniform_at_init():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, SMALL.feature_dim))
     e = rng.normal(size=(4, SMALL.annotator_dim))
-    out = b.aux.posterior(x, e, [0, 1, 2, 0], b.adjacency).data
+    out = dc.softmax(b.aux.logits(x, e, [0, 1, 2, 0], b.adjacency), axis=1).data
     np.testing.assert_allclose(out, np.full((4, 3), 1.0 / 3.0), atol=1e-15)
 
 
@@ -175,9 +175,9 @@ def test_aux_shares_discriminator_encoders():
     x = rng.normal(size=(4, SMALL.feature_dim))
     e = rng.normal(size=(4, SMALL.annotator_dim))
     y = [0, 1, 2, 1]
-    before = b.aux.posterior(x, e, y, b.adjacency).data.copy()
+    before = dc.softmax(b.aux.logits(x, e, y, b.adjacency), axis=1).data.copy()
     b.discriminator.store["Wu"].data += 0.7  # write through the discriminator
-    after = b.aux.posterior(x, e, y, b.adjacency).data
+    after = dc.softmax(b.aux.logits(x, e, y, b.adjacency), axis=1).data
     assert not np.allclose(before, after)
 
 

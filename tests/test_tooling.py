@@ -1,5 +1,5 @@
 """Repository tooling stays in step with the package: the generated config
-reference and the names the benchmark tracer wraps."""
+reference, the names the benchmark tracer wraps, and the scripts' imports."""
 import importlib
 import importlib.util
 from pathlib import Path
@@ -20,6 +20,14 @@ def test_config_reference_is_current():
     committed = (ROOT / "docs" / "config_reference.md").read_text(encoding="utf-8")
     assert committed == gen.render(), \
         "docs/config_reference.md is stale: run scripts/gen_config_reference.py"
+
+
+def test_scripts_import():
+    # each script's main() runs only under __main__, so loading runs its imports
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert scripts
+    for path in scripts:
+        assert callable(load_script(path.relative_to(ROOT)).main), path.name
 
 
 TRACER = load_script("perfbench/tracer.py")
