@@ -19,11 +19,13 @@ from pathlib import Path
 from . import __version__, evalsuite
 from .checkpoint import CheckpointError
 from .config import ConfigError, apply_overrides, config_as_dict, load_config_file
-from .data import TEST, TRAIN, VAL, DatasetError, SynthConfig, load_dataset, remove_annotations, save_dataset, synthesize_dataset
+from .data import TEST, TRAIN, VAL, DatasetError, SynthConfig, check_removal, load_dataset, remove_annotations, save_dataset, synthesize_dataset
 from .evalsuite import RunReport, SweepTable
 from .trainer import (
+    METHODS,
     DivergenceError,
     TrainConfig,
+    check_method,
     export_augmented,
     load_result_checkpoint,
     save_result_checkpoint,
@@ -224,6 +226,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _selected_by(result) -> str:
+    """How ``train_crowding`` chose the classifier it returned."""
+    if result.best_epoch >= 0:
+        return "validation"
+    return "no validation truth" if math.isnan(result.best_val_acc) else "pretraining"
+
+
 def cmd_train(args) -> int:
     values = _load_config_values(args.config)
     cfg = _train_config(values, args.seed)
@@ -234,17 +243,22 @@ def cmd_train(args) -> int:
                    ([Path(args.config)] if args.config else []) + _dataset_paths(args.data),
                    [str(out_dir / n) for n in ("checkpoint.bin", "report.csv",
                                                "report.json")])
+    if args.method == "crowding" and evalsuite.split_truth(ds, VAL) is None:
+        print("warning: the dataset has no validation truth, so no epoch can be "
+              "selected and crowding returns its pretrained classifier",
+              file=sys.stderr)
     result = train_method(ds, cfg, args.method)
-    report = RunReport(
-        epochs=result.history,
-        summary={
-            "method": result.method,
-            "variant": _variant_of(result.method, cfg),
-            "seed": cfg.seed,
-            "best_epoch": result.best_epoch,
-            "best_val_acc": result.best_val_acc,
-            "test_acc": result.test_acc,
-        })
+    summary = {
+        "method": result.method,
+        "variant": _variant_of(result.method, cfg),
+        "seed": cfg.seed,
+        "best_epoch": result.best_epoch,
+        "best_val_acc": result.best_val_acc,
+        "test_acc": result.test_acc,
+    }
+    if result.method == "crowding":
+        summary["selected_by"] = _selected_by(result)
+    report = RunReport(epochs=result.history, summary=summary)
     report.validate()
     save_result_checkpoint(out_dir / "checkpoint.bin", result)
     report.to_csv(out_dir / "report.csv")
@@ -283,8 +297,12 @@ def cmd_sweep(args) -> int:
     seeds = _parse_list(sweep.pop("seeds", "0,1,2"), int)
     if sweep:
         raise ConfigError(f"unknown sweep key 'sweep_{sorted(sweep)[0]}'")
+    for method in methods:
+        check_method(method)
     cfg = _train_config(rest, args.seed)
     ds = load_dataset(args.data)
+    for fraction in fractions:  # fail before any cell trains, not hours in
+        check_removal(ds, fraction)
 
     out_dir = Path(args.out)
     write_manifest(out_dir, "sweep",
@@ -377,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", required=True,
                            help="checkpoint file from a training run")
         if method:
-            p.add_argument("--method", default="crowding",
-                           choices=["crowding", "dl-cl", "dl-mv"])
+            p.add_argument("--method", default="crowding", choices=list(METHODS))
 
     p = sub.add_parser("synth", help="generate a synthetic crowd dataset")
     common(p)

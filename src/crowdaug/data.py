@@ -333,18 +333,18 @@ def build_cooccurrence(ds: CrowdDataset) -> CoocAdjacency:
 # annotation removal
 
 
-def remove_annotations(ds: CrowdDataset, fraction: float, seed: int) -> CrowdDataset:
-    """Drop ``floor(fraction * M)`` triplets, keeping >= 1 per instance.
+def check_removal(ds: CrowdDataset, fraction: float) -> int:
+    """Number of triplets ``remove_annotations`` drops for ``fraction``.
 
-    Each removal draws uniformly among the currently removable triplets (those
-    whose instance still holds >= 2 annotations).
+    Raises ``DatasetError`` when the fraction lies outside [0, 1) or the
+    removal would leave some annotated instance without an annotation.
     """
     if not 0.0 <= fraction < 1.0:
         raise DatasetError(f"removal fraction must lie in [0, 1), got {fraction}")
     m = ds.num_annotations
     target = int(np.floor(fraction * m))
     if target == 0:
-        return ds
+        return 0
     counts = np.bincount(ds.annotations[:, 0], minlength=ds.num_instances)
     max_removable = int(m - np.count_nonzero(counts))
     if target > max_removable:
@@ -352,7 +352,20 @@ def remove_annotations(ds: CrowdDataset, fraction: float, seed: int) -> CrowdDat
             f"removal infeasible: requested {target} removals but only "
             f"{max_removable} annotations are removable while every instance "
             f"keeps one (max feasible fraction {max_removable / m:.4f})")
+    return target
 
+
+def remove_annotations(ds: CrowdDataset, fraction: float, seed: int) -> CrowdDataset:
+    """Drop ``floor(fraction * M)`` triplets, keeping >= 1 per instance.
+
+    Each removal draws uniformly among the currently removable triplets (those
+    whose instance still holds >= 2 annotations).
+    """
+    target = check_removal(ds, fraction)
+    if target == 0:
+        return ds
+    m = ds.num_annotations
+    counts = np.bincount(ds.annotations[:, 0], minlength=ds.num_instances)
     rng = np.random.default_rng(seed)
     alive = np.ones(m, dtype=bool)
     inst = ds.annotations[:, 0]

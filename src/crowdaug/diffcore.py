@@ -13,6 +13,10 @@ same NumPy calls, so values are bit-identical to graph mode. Wrap every pass
 that only reads ``.data`` (grid logging, scoring, evaluation, export) in it;
 calling ``backward`` inside the scope raises.
 
+``rowwise_bilinear(u, mats, v, classes)`` reads row b's matrix from a
+(C, m, n) class table by index and works class by class, so neither its
+forward nor its backward allocates a (B, m, n) array of gathered matrices.
+
 Everything is float64 and single-threaded; stochastic ops take an explicit
 ``numpy.random.Generator`` so runs are bit-reproducible per seed.
 """
@@ -255,17 +259,36 @@ def rowwise_matvec(m: Tensor, v: Tensor) -> Tensor:
     return Tensor(out, parents=(m, v), backward_fn=back)
 
 
-def rowwise_bilinear(u: Tensor, m: Tensor, v: Tensor) -> Tensor:
-    """Per-row bilinear form: out[b] = u[b] @ m[b] @ v[b]."""
-    out = np.einsum("bi,bij,bj->b", u.data, m.data, v.data)
+def rowwise_bilinear(u: Tensor, mats: Tensor, v: Tensor, classes) -> Tensor:
+    """Per-row bilinear form over a class table: out[b] = u[b] @ mats[classes[b]] @ v[b].
+
+    Rows are grouped by class and each group is multiplied with its (m, n)
+    matrix, so no per-row copy of the (C, m, n) table is made. The values,
+    and the table's gradient, are bit-identical to gathering one matrix per
+    row and accumulating the per-row gradients with ``np.add.at``: a group's
+    rows stay in ascending order and ``sum(0)`` adds them one after another.
+    """
+    classes = np.asarray(classes, dtype=np.int64)
+    num_classes = mats.shape[0]
+    if classes.size and (classes.min() < 0 or classes.max() >= num_classes):
+        raise IndexError(f"class index out of range for {num_classes} matrices")
+    groups = [np.flatnonzero(classes == c) for c in range(num_classes)]
+    out = np.empty(len(classes))
+    for c, idx in enumerate(groups):
+        out[idx] = np.einsum("bi,ij,bj->b", u.data[idx], mats.data[c], v.data[idx])
 
     def back(g):
-        gu = np.einsum("b,bij,bj->bi", g, m.data, v.data)
-        gm = np.einsum("b,bi,bj->bij", g, u.data, v.data)
-        gv = np.einsum("b,bi,bij->bj", g, u.data, m.data)
+        gu, gv = np.empty_like(u.data), np.empty_like(v.data)
+        gm = np.empty_like(mats.data)
+        for c, idx in enumerate(groups):
+            g_c, u_c, v_c, m_c = g[idx], u.data[idx], v.data[idx], mats.data[c]
+            gu[idx] = np.einsum("b,ij,bj->bi", g_c, m_c, v_c)
+            gv[idx] = np.einsum("b,bi,ij->bj", g_c, u_c, m_c)
+            # + 0.0 turns a -0.0 into the 0.0 that np.add.at's zero start gives
+            gm[c] = np.einsum("b,bi,bj->bij", g_c, u_c, v_c).sum(0) + 0.0
         return gu, gm, gv
 
-    return Tensor(out, parents=(u, m, v), backward_fn=back)
+    return Tensor(out, parents=(u, mats, v), backward_fn=back)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:

@@ -33,15 +33,21 @@ def accuracy(classifier, x: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predictions(classifier, x) == labels))
 
 
-def split_accuracy(classifier, ds: CrowdDataset, split: int) -> float:
-    """Accuracy on one split; NaN when it is empty or lacks ground truth."""
+def split_truth(ds: CrowdDataset, split: int) -> np.ndarray | None:
+    """Ground-truth labels of one split; None when it is empty or lacks ground truth."""
     idx = ds.split_indices(split)
     if ds.ground_truth is None or idx.size == 0:
-        return float("nan")
+        return None
     labels = ds.ground_truth[idx]
-    if np.any(labels < 0):
+    return None if np.any(labels < 0) else labels
+
+
+def split_accuracy(classifier, ds: CrowdDataset, split: int) -> float:
+    """Accuracy on one split; NaN when it is empty or lacks ground truth."""
+    labels = split_truth(ds, split)
+    if labels is None:
         return float("nan")
-    return accuracy(classifier, ds.features[idx], labels)
+    return accuracy(classifier, ds.features[ds.split_indices(split)], labels)
 
 
 @dc.no_grad()

@@ -7,9 +7,13 @@
 - Discriminator: bilinear scorer sigma(u_r^T M_y v_n) over encoded annotator
   and instance vectors, with an optional label-correlation decoder that mixes
   the per-class bilinear matrices through the co-occurrence propagation
-  matrix: M_hat_c = sum_c' P[c,c'] * M_c' * W.
+  matrix: M_hat_c = sum_c' P[c,c'] * M_c' * W. Each row is scored against
+  its label's matrix in the (C, m, m) table (``diffcore.rowwise_bilinear``),
+  so no (B, m, m) copy of the table is made.
 - Auxiliary net: recovers the classifier's distribution from a generated
-  annotation; shares the discriminator's encoders (same tensor objects).
+  annotation; shares the discriminator's encoders (same tensor objects). It
+  still gathers one flattened (m*m) class matrix per row before embedding it,
+  so callers that score many pairs do so in row blocks (see ``trainer``).
 
 All forwards accept plain numpy batches and return graph Tensors, except
 inside a ``diffcore.no_grad`` scope, where the same values come back without
@@ -174,8 +178,7 @@ class Discriminator:
             raise ValueError("class index out of range")
         u = self.encode_annotators(e)
         v = self.encode_instances(x)
-        per_sample = dc.gather_rows(self.decoded_matrices(adj), y)
-        return dc.rowwise_bilinear(u, per_sample, v)
+        return dc.rowwise_bilinear(u, self.decoded_matrices(adj), v, y)
 
     def score(self, x, e, y, adj: CoocAdjacency | None) -> Tensor:
         # clamp away float64 saturation so the output stays strictly inside (0,1)

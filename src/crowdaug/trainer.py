@@ -20,7 +20,13 @@ The Lagrange multiplier is searched on a small grid per epoch by validation
 accuracy. A one-step mode (generator and classifier updated jointly on all
 pairs) exists only for the stability comparison. Steps 5 and 6 and the
 one-step mode run one counterfactual-risk loop, ``_crm_update``, which
-differs only in the networks it moves and the pairs it sees.
+differs only in the networks it moves and the pairs it sees; it keeps one
+inner step's graph alive at a time.
+
+The forward-only passes over all pairs (step 1, the step-3 scores, the
+generator step's codes and the augmentation export) run in row blocks of at
+most 8191 rows, so their memory does not grow with the pair grid; the values
+are bit-identical to one call over every row.
 """
 from __future__ import annotations
 
@@ -181,6 +187,24 @@ def _minibatches(rng: np.random.Generator, count: int, batch_size: int):
     order = rng.permutation(count)
     for start in range(0, count, batch_size):
         yield order[start:start + batch_size]
+
+
+# Forward-only passes over pairs run in balanced blocks of 4096-8191 rows,
+# whose rows come out bit-identical to one call over all rows (a test checks
+# every net). Smaller blocks are not safe: OpenBLAS uses a small-matrix
+# kernel, which rounds differently, when M*N*K <= 1e6, and at 1,666 rows the
+# 128 x 4 output layers fall under it. A constant, not a setting.
+_BLOCK_ROWS = 4096
+
+
+@dc.no_grad()
+def _forward_in_blocks(n: int, forward) -> np.ndarray:
+    """``forward(rows)`` (a slice, returning an array) over balanced row blocks
+    of ``0..n``, concatenated; one call when ``n`` < 8192."""
+    count = max(1, n // _BLOCK_ROWS)
+    bounds = [n * k // count for k in range(count + 1)]
+    return np.concatenate([forward(slice(lo, hi))
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 def _gen_inputs(ds: CrowdDataset, cfg: TrainConfig, inst: np.ndarray,
@@ -379,10 +403,11 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     inst = np.concatenate(pairs_inst)
     annot = np.concatenate(pairs_annot)
 
-    zhat = clf.probs(ds.features[inst]).data
+    zhat = _forward_in_blocks(len(inst), lambda s: clf.probs(ds.features[inst[s]]).data)
     eps = gen.draw_noise(rng, len(inst))
     gx, ge = _gen_inputs(ds, cfg, inst, annot)
-    dist = gen.distribution(gx, ge, zhat, eps).data
+    dist = _forward_in_blocks(
+        len(inst), lambda s: gen.distribution(gx[s], ge[s], zhat[s], eps[s]).data)
     labels = dc.sample_categorical(rng, dist)
     g0 = dist[np.arange(len(inst)), labels]
     entropies = dc.entropy(dist, axis=1)
@@ -403,11 +428,15 @@ def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
     """
     annotators = np.asarray(annotators, dtype=np.int64)
     entropies = np.asarray(entropies, dtype=np.float64)
+    authentic_counts = np.asarray(authentic_counts, dtype=np.int64)
+    # a stable sort keeps each annotator's candidates in ascending index order
+    order = np.argsort(annotators, kind="stable")
+    bounds = np.searchsorted(annotators[order], np.arange(len(authentic_counts) + 1))
     selected = []
-    for annot, count in enumerate(np.asarray(authentic_counts, dtype=np.int64)):
+    for annot, count in enumerate(authentic_counts):
         if count == 0:
             continue
-        candidates = np.flatnonzero(annotators == annot)
+        candidates = order[bounds[annot]:bounds[annot + 1]]
         if len(candidates) < count:
             raise ValueError(
                 f"annotator {annot} has {len(candidates)} generated samples "
@@ -472,6 +501,7 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
         for store in stores.values():
             store.zero_grad()
         backward(obj)
+        del zhat, dist, obj  # free this step's graph before the next one is built
         for name in ("gen", "clf"):
             if name in trains:
                 state.optimizers[name].step()
@@ -526,9 +556,10 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     # (3) score all logged samples
     adj = bundle.adjacency
     x_all, e_all = ds.features[batch.instances], ds.annotator_features[batch.annotators]
-    with dc.no_grad():
-        d_scores = bundle.discriminator.score(x_all, e_all, batch.labels, adj).data
-        q_lp_all = bundle.aux.log_posterior(x_all, e_all, batch.labels, adj).data
+    d_scores = _forward_in_blocks(len(batch), lambda s: bundle.discriminator.score(
+        x_all[s], e_all[s], batch.labels[s], adj).data)
+    q_lp_all = _forward_in_blocks(len(batch), lambda s: bundle.aux.log_posterior(
+        x_all[s], e_all[s], batch.labels[s], adj).data)
     q_at_draw = q_lp_all[np.arange(len(batch)), batch.zhat_draws]
     deltas_gen, clamped_d = per_annotation_delta(d_scores, q_at_draw, cfg.info_weight)
     deltas_clf, _ = per_annotation_delta(d_scores, q_at_draw, 0.0)
@@ -538,15 +569,15 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     train_idx = ds.split_indices(TRAIN)
     with dc.no_grad():
         zhat_train = bundle.classifier.probs(ds.features[train_idx]).data
-        norm_entropy = dc.entropy(zhat_train, axis=1) / np.log(ds.num_classes)
-        low_instances = train_idx[norm_entropy <= cfg.entropy_threshold]
-        pair_is_low = np.isin(batch.instances, low_instances)
-        low_idx = np.flatnonzero(pair_is_low)
-        high_idx = np.flatnonzero(~pair_is_low)
-        low = batch.subset(low_idx)
-        high = batch.subset(high_idx)
-        zhat_low_const = bundle.classifier.probs(ds.features[low.instances]).data \
-            if len(low_idx) else np.empty((0, ds.num_classes))
+    norm_entropy = dc.entropy(zhat_train, axis=1) / np.log(ds.num_classes)
+    low_instances = train_idx[norm_entropy <= cfg.entropy_threshold]
+    pair_is_low = np.isin(batch.instances, low_instances)
+    low_idx = np.flatnonzero(pair_is_low)
+    high_idx = np.flatnonzero(~pair_is_low)
+    low = batch.subset(low_idx)
+    high = batch.subset(high_idx)
+    zhat_low_const = _forward_in_blocks(len(low), lambda s: bundle.classifier.probs(
+        ds.features[low.instances[s]]).data)
 
     # (5)+(6) CRM updates under a shared multiplier-coefficient search
     if cfg.mu_mode == "fixed":
@@ -668,14 +699,17 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
                        config=cfg, method="crowding")
 
 
+METHODS = {"crowding": train_crowding, "dl-cl": train_dl_cl, "dl-mv": train_dl_mv}
+
+
+def check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected crowding, dl-cl, or dl-mv")
+
+
 def train_method(ds: CrowdDataset, cfg: TrainConfig, method: str) -> TrainResult:
-    if method == "crowding":
-        return train_crowding(ds, cfg)
-    if method == "dl-cl":
-        return train_dl_cl(ds, cfg)
-    if method == "dl-mv":
-        return train_dl_mv(ds, cfg)
-    raise ConfigError(f"unknown method {method!r}; expected crowding, dl-cl, or dl-mv")
+    check_method(method)
+    return METHODS[method](ds, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -767,11 +801,11 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
     missing = labels < 0
     if missing.any():
         m_inst, m_annot = inst[missing], annot[missing]
-        zhat = bundle.classifier.probs(ds.features[m_inst]).data
+        zhat = _forward_in_blocks(len(m_inst), lambda s: bundle.classifier.probs(
+            ds.features[m_inst[s]]).data)
         eps = bundle.generator.draw_noise(rng, len(m_inst))
-        dist = bundle.generator.distribution(ds.features[m_inst],
-                                             ds.annotator_features[m_annot],
-                                             zhat, eps).data
+        dist = _forward_in_blocks(len(m_inst), lambda s: bundle.generator.distribution(
+            ds.features[m_inst[s]], ds.annotator_features[m_annot[s]], zhat[s], eps[s]).data)
         labels[missing] = dc.sample_categorical(rng, dist)
 
     rows = np.column_stack([inst, annot, labels, (~missing).astype(np.int64)])

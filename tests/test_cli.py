@@ -146,6 +146,27 @@ def test_zero_info_weight_is_labeled_distinctly(workspace, tmp_path):
     assert report["summary"]["variant"] == "no-info"
 
 
+def test_train_reports_how_the_classifier_was_selected(workspace):
+    summary = json.loads((workspace / "run" / "report.json")
+                         .read_text(encoding="utf-8"))["summary"]
+    expected = "validation" if summary["best_epoch"] >= 0 else "pretraining"
+    assert summary["selected_by"] == expected
+
+
+def test_train_without_validation_truth_warns_once(workspace, tmp_path, capsys):
+    data = dataset_variant(workspace, tmp_path / "unlabeled", ground_truth=None)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data),
+                     "--config", str(workspace / "train.cfg"), "--method", "crowding",
+                     "--out", str(out), "--seed", "3"]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1 and "no validation truth" in warnings[0]
+    summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
+    assert summary["selected_by"] == "no validation truth"
+    assert summary["best_epoch"] == -1
+
+
 def test_train_missing_dataset_is_data_error(tmp_path, capsys):
     code = cli.main(["train", "--data", str(tmp_path / "nothing"),
                      "--out", str(tmp_path / "o")])
@@ -314,6 +335,23 @@ def test_sweep_rejects_unknown_sweep_key(workspace, tmp_path, capsys):
                      "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "sweep_depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys,code,message", [
+    ("sweep_methods = dl-mv, bogus\nsweep_fractions = 0\n", cli.EXIT_CONFIG,
+     "unknown method 'bogus'"),
+    ("sweep_methods = dl-mv\nsweep_fractions = 0, 0.99\n", cli.EXIT_DATA,
+     "removal infeasible"),
+])
+def test_sweep_rejects_bad_grid_before_any_cell_trains(workspace, tmp_path, capsys,
+                                                       keys, code, message):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(keys + "sweep_seeds = 0\n" + GRID_TRAIN_CFG, encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--data", str(workspace / "data"),
+                     "--config", str(cfg), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_thread_cap_must_be_integer(workspace, tmp_path, monkeypatch, capsys):

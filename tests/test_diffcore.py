@@ -168,13 +168,58 @@ def test_grad_check_bilinear_and_matvec():
     u = store.add("u", rng.normal(size=(4, 3)))
     m = store.add("m", rng.normal(size=(4, 3, 5)))
     v = store.add("v", rng.normal(size=(4, 5)))
+    classes = np.array([2, 0, 2, 1])  # class 3 has no rows, class 2 two
 
     def loss():
-        s = dc.rowwise_bilinear(u, m, v)
+        s = dc.rowwise_bilinear(u, m, v, classes)
         w = dc.rowwise_matvec(m, v)
         return dc.t_mean(dc.mul(s, s)) + dc.t_mean(dc.t_exp(dc.mul(w, Tensor(0.1))))
 
     assert grad_check(loss, store) < 1e-6
+
+
+def _bilinear_reference(u, mats, v, classes, g):
+    """The per-row kernel it replaces: gather one matrix per row, einsum, and
+    scatter the per-row matrix gradients back with ``np.add.at``."""
+    per_row = mats[classes]
+    out = np.einsum("bi,bij,bj->b", u, per_row, v)
+    gu = np.einsum("b,bij,bj->bi", g, per_row, v)
+    gv = np.einsum("b,bi,bij->bj", g, u, per_row)
+    gm = np.zeros_like(mats)
+    np.add.at(gm, classes, np.einsum("b,bi,bj->bij", g, u, v))
+    return out, gu, gm, gv
+
+
+@pytest.mark.parametrize("rows,num_classes,m,n,seed", [
+    (0, 3, 4, 4, 0),        # empty batch
+    (1, 2, 3, 5, 1),
+    (57, 4, 6, 6, 2),       # the last class has no rows
+    (500, 3, 32, 32, 3),
+    (2000, 5, 7, 11, 4),
+])
+def test_rowwise_bilinear_is_bit_identical_to_gather_reference(rows, num_classes, m, n, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(rows, m))
+    u[::7] = -0.0  # zero rows give -0.0 products, which np.add.at turns into 0.0
+    v = rng.normal(size=(rows, n))
+    mats = rng.normal(size=(num_classes, m, n))
+    classes = rng.integers(0, num_classes - 1, size=rows)
+    g = rng.normal(size=rows)
+    g[::5] = 0.0
+    ut, mt, vt = (Tensor(a, requires_grad=True) for a in (u, mats, v))
+    out = dc.rowwise_bilinear(ut, mt, vt, classes)
+    got = (out.data, *out._backward(g))
+    for value, expected in zip(got, _bilinear_reference(u, mats, v, classes, g)):
+        assert value.shape == expected.shape
+        assert value.tobytes() == expected.tobytes()
+    assert not np.any(got[2][num_classes - 1])
+
+
+def test_rowwise_bilinear_rejects_out_of_range_class():
+    u, mats, v = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3, 3))), Tensor(np.ones((2, 3)))
+    for classes in ([0, 2], [-1, 0]):
+        with pytest.raises(IndexError, match="class index"):
+            dc.rowwise_bilinear(u, mats, v, classes)
 
 
 def test_grad_check_log_softmax_concat():
@@ -258,8 +303,7 @@ def _op_cases():
         "gather_rows": lambda: dc.gather_rows(mats, rows),
         "pick": lambda: dc.pick(a, cols),
         "rowwise_matvec": lambda: dc.rowwise_matvec(dc.gather_rows(mats, rows), a),
-        "rowwise_bilinear": lambda: dc.rowwise_bilinear(
-            a, dc.gather_rows(mats, rows), c),
+        "rowwise_bilinear": lambda: dc.rowwise_bilinear(a, mats, c, rows),
         "clamp": lambda: dc.clamp(a, -0.5, 0.5),
         "dropout": lambda: dc.dropout(a, 0.5, np.random.default_rng(4)),
         "softmax": lambda: softmax(a, axis=1),

@@ -1,6 +1,7 @@
 """Training-loop behavior: selection balance, logging consistency, freezing,
 determinism, baseline equivalences, and the augmentation export."""
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from crowdaug import trainer as tr
 from crowdaug.config import ConfigError
 from crowdaug.data import (
     TRAIN, VAL, TEST,
+    CoocAdjacency,
     SynthConfig,
     build_cooccurrence,
     majority_vote,
     synthesize_dataset,
 )
-from crowdaug.nets import Classifier, Generator, NetDims
+from crowdaug.nets import Classifier, Generator, NetDims, build_bundle
 from crowdaug.trainer import (
     DivergenceError,
     LoggedBatch,
@@ -125,6 +127,38 @@ def test_selection_uniform_mode_is_unbiased():
     assert np.all(np.abs(tally - expected) < 5 * sigma)
 
 
+def _select_by_scan(annotators, entropies, authentic_counts, rng, mode="entropy"):
+    """Selection with one ``annotators == annot`` scan per annotator."""
+    selected = []
+    for annot, count in enumerate(authentic_counts):
+        if count == 0:
+            continue
+        candidates = np.flatnonzero(annotators == annot)
+        if mode == "uniform":
+            weights = np.ones(len(candidates))
+        else:
+            weights = 1.0 / np.maximum(entropies[candidates], 1e-6)
+        chosen = rng.choice(candidates, size=int(count), replace=False,
+                            p=weights / weights.sum())
+        selected.append(np.sort(chosen))
+    return np.concatenate(selected) if selected else np.empty(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("mode", ["entropy", "uniform"])
+def test_selection_equals_per_annotator_scan(mode):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        annotators = rng.integers(0, 7, size=400)  # shuffled, as after a pair cap
+        entropies = rng.uniform(0.0, 1.5, size=400)
+        counts = np.minimum(np.bincount(annotators, minlength=8),
+                            rng.integers(0, 30, size=8))
+        got = select_for_discriminator(annotators, entropies, counts,
+                                       np.random.default_rng(seed), mode=mode)
+        expected = _select_by_scan(annotators, entropies, counts,
+                                   np.random.default_rng(seed), mode=mode)
+        assert np.array_equal(got, expected)
+
+
 def test_selection_floors_tiny_entropy():
     # entropy 0 must not divide by zero; the floored weight still dominates.
     rng = np.random.default_rng(5)
@@ -198,6 +232,60 @@ def test_logged_grid_respects_pair_cap():
     # capped well below the full grid, but never below the authentic count
     assert len(batch) < len(ds.split_indices(TRAIN)) * ds.num_annotators
     assert np.all(per >= np.maximum(counts, 1))
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 8191, 8192, 12289, 20000])
+def test_blocked_forward_equals_one_shot(n):
+    # the widths of the pair-grid benchmark: 4 classes, 2-D features, 40 annotators
+    dims = NetDims(num_classes=4, feature_dim=2, annotator_dim=40)
+    rng = np.random.default_rng(n)
+    prop = rng.uniform(0.1, 1.0, size=(4, 4))
+    adj = CoocAdjacency(counts=np.zeros((4, 4)), propagation=(prop + prop.T) / 4)
+    bundle = build_bundle(dims, adj, rng)
+    for store in bundle.stores().values():
+        randomize(store, rng, scale=0.3)
+    x, e = rng.normal(size=(n, 2)), rng.normal(size=(n, 40))
+    zhat, eps = dc.softmax(rng.normal(size=(n, 4)), axis=1), rng.normal(size=(n, 8))
+    y = rng.integers(0, 4, size=n)
+    forwards = {
+        "classifier": lambda s: bundle.classifier.probs(x[s]).data,
+        "generator": lambda s: bundle.generator.distribution(
+            x[s], e[s], zhat[s], eps[s]).data,
+        "discriminator": lambda s: bundle.discriminator.score(x[s], e[s], y[s], adj).data,
+        "aux": lambda s: bundle.aux.log_posterior(x[s], e[s], y[s], adj).data,
+    }
+    for name, forward in forwards.items():
+        with dc.no_grad():
+            whole = forward(slice(None))
+        assert tr._forward_in_blocks(n, forward).tobytes() == whole.tobytes(), name
+
+
+def test_crm_step_frees_its_graph_before_the_next_forward(monkeypatch):
+    # a tensor owns its array, so a dead weak reference to an objective's
+    # array means the objective, and the graph it holds, is gone
+    objectives, freed_at_forward = [], []
+    crm_objective = tr.crm_objective
+
+    def recording_objective(*args):
+        obj = crm_objective(*args)
+        objectives.append(weakref.ref(obj.data))
+        return obj
+
+    def checking(forward):
+        def wrapped(self, *args, **kwargs):
+            if dc._grad_enabled:  # the CRM steps are the graph-mode callers
+                freed_at_forward.append(all(ref() is None for ref in objectives))
+            return forward(self, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(tr, "crm_objective", recording_objective)
+    monkeypatch.setattr(Classifier, "probs", checking(Classifier.probs))
+    monkeypatch.setattr(Generator, "distribution", checking(Generator.distribution))
+    ds = tiny_dataset()
+    for two_step in (True, False):
+        train_crowding(ds, tiny_config(inner_steps=3, two_step=two_step, epochs=1))
+    assert len(objectives) >= 9 and len(freed_at_forward) >= len(objectives)
+    assert all(freed_at_forward)
 
 
 # ---------------------------------------------------------------------------
