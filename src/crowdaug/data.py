@@ -359,22 +359,60 @@ def remove_annotations(ds: CrowdDataset, fraction: float, seed: int) -> CrowdDat
     """Drop ``floor(fraction * M)`` triplets, keeping >= 1 per instance.
 
     Each removal draws uniformly among the currently removable triplets (those
-    whose instance still holds >= 2 annotations).
+    whose instance still holds >= 2 annotations): draw k is the k-th of them
+    in index order, found in a Fenwick tree over their flags in O(log M).
     """
     target = check_removal(ds, fraction)
     if target == 0:
         return ds
-    m = ds.num_annotations
-    counts = np.bincount(ds.annotations[:, 0], minlength=ds.num_instances)
-    rng = np.random.default_rng(seed)
-    alive = np.ones(m, dtype=bool)
     inst = ds.annotations[:, 0]
+    counts = np.bincount(inst, minlength=ds.num_instances)
+    rng = np.random.default_rng(seed)
+    alive = np.ones(ds.num_annotations, dtype=bool)
+    removable = _FenwickTree(counts[inst] >= 2)
+    # each instance's triplets, to find its last one when it becomes unremovable
+    by_instance = np.argsort(inst, kind="stable")
+    starts = np.searchsorted(inst[by_instance], np.arange(ds.num_instances + 1))
     for _ in range(target):
-        removable = np.flatnonzero(alive & (counts[inst] >= 2))
-        pick = removable[rng.integers(len(removable))]
+        pick = removable.find(int(rng.integers(removable.total)))
         alive[pick] = False
-        counts[inst[pick]] -= 1
+        removable.clear(pick)
+        i = inst[pick]
+        counts[i] -= 1
+        if counts[i] == 1:
+            group = by_instance[starts[i]:starts[i + 1]]
+            removable.clear(group[alive[group]][0])
     return ds.with_annotations(ds.annotations[alive])
+
+
+class _FenwickTree:
+    """Binary indexed tree over 0/1 flags: clear a flag, or find the k-th set one."""
+
+    def __init__(self, flags: np.ndarray):
+        prefix = np.concatenate([[0], np.cumsum(flags, dtype=np.int64)])
+        pos = np.arange(1, len(flags) + 1)
+        # node p (1-based) holds the flags of (p - lowbit(p), p]
+        self.tree = [0] + (prefix[pos] - prefix[pos - (pos & -pos)]).tolist()
+        self.total = int(prefix[-1])
+
+    def clear(self, index: int) -> None:
+        """Unset the (set) flag at 0-based ``index``."""
+        tree, p = self.tree, int(index) + 1
+        while p < len(tree):
+            tree[p] -= 1
+            p += p & -p
+        self.total -= 1
+
+    def find(self, k: int) -> int:
+        """0-based index of the k-th (0-based) set flag."""
+        tree, pos = self.tree, 0
+        step = 1 << ((len(tree) - 1).bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt < len(tree) and tree[nxt] <= k:
+                pos, k = nxt, k - tree[nxt]
+            step >>= 1
+        return pos
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ parent gradients. ``backward`` walks the graph in reverse topological order
 and accumulates into the ``.grad`` slots of parameter leaves. Repeated
 ``backward`` calls keep accumulating until the slots are zeroed.
 
+An op over parents that need no gradient records no graph either: a parent
+needs one when it is a ``requires_grad`` leaf or has parents itself, so
+constants and frozen parameters cost no backward work, and ``matmul`` and
+``add`` skip the product or bias sum of a parent that needs none. The
+gradients of the parents that do need one are unchanged.
+
 Inside a ``no_grad()`` scope no graph is recorded: op outputs keep neither
 parents nor a backward closure, so each intermediate array is freed as soon
 as the next op has consumed it. The arrays themselves are computed by the
@@ -59,7 +65,7 @@ class Tensor:
         self.data = _as_f64(data)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
-        if not _grad_enabled:
+        if not _grad_enabled or not any(map(_needs_grad, parents)):
             parents, backward_fn = (), None
         self.parents: tuple[Tensor, ...] = tuple(parents)
         self._backward: Callable[[Array], tuple] | None = backward_fn
@@ -114,6 +120,10 @@ class Tensor:
         return matmul(self, as_tensor(other))
 
 
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or bool(t.parents)
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -134,9 +144,11 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if need_a else None,
+                _unbroadcast(g, b.shape) if need_b else None)
 
     return Tensor(out, parents=(a, b), backward_fn=back)
 
@@ -169,9 +181,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def back(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if need_a else None,
+                a.data.T @ g if need_b else None)
 
     return Tensor(out, parents=(a, b), backward_fn=back)
 
@@ -427,18 +441,23 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, grad: Array | None = None) -> None:
     """Reverse-mode sweep from a scalar loss into leaf ``.grad`` slots.
 
-    Gradients accumulate across calls; zero the slots between independent
-    losses.
+    ``grad``, shaped like ``loss``, seeds the sweep with an upstream gradient
+    instead, so ``loss`` may be any tensor. Gradients accumulate across
+    calls; zero the slots between independent losses.
     """
     if not _grad_enabled:
         raise RuntimeError("backward called inside a no_grad scope")
-    if loss.data.size != 1:
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if grad is None:
+        if loss.data.size != 1:
+            raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+        grad = np.ones_like(loss.data)
+    elif grad.shape != loss.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match {loss.shape}")
     order = _toposort(loss)
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, Array] = {id(loss): grad}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:

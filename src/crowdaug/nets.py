@@ -35,7 +35,12 @@ from .diffcore import ParamStore, Tensor
 
 @dataclass(frozen=True)
 class NetDims:
-    """Width configuration shared by all four networks."""
+    """Widths and switches shared by all four networks.
+
+    The two ``gen_use_*`` switches say whether the generator was trained on
+    instance and annotator features or on zeros in their place; the trainer
+    builds generator inputs from them (``trainer._gen_inputs``).
+    """
 
     num_classes: int
     feature_dim: int
@@ -50,6 +55,8 @@ class NetDims:
     class_embed_dim: int = 16  # low-dim embedding of the flattened class matrix
     dropout: float = 0.5
     lca_enabled: bool = True
+    gen_use_instance_features: bool = True
+    gen_use_annotator_features: bool = True
 
     def __post_init__(self):
         for name in ("num_classes", "feature_dim", "annotator_dim", "noise_dim",

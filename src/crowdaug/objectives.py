@@ -92,11 +92,14 @@ def per_annotation_delta(d_scores, q_logprobs, info_weight: float) -> tuple[np.n
     return deltas, clamped
 
 
-def crm_objective(g0, target_probs, deltas, mu: float) -> Tensor:
+def crm_objective(g0, target_probs, deltas, mu: float, total: int | None = None) -> Tensor:
     """Importance-weighted risk mean((delta - mu) * G_theta(y) / g0).
 
     ``target_probs`` must be a graph Tensor (the gradient path); ``g0`` and
-    ``deltas`` are constants from logging time.
+    ``deltas`` are constants from logging time. When these cover one block
+    of a larger logged set, ``total`` is that set's size: the block's sum is
+    scaled by 1/total, so the blocks' objectives (and gradients) add up to
+    the mean over the whole set.
     """
     g0 = np.asarray(g0, dtype=np.float64)
     if np.any(g0 <= 0.0):
@@ -107,7 +110,8 @@ def crm_objective(g0, target_probs, deltas, mu: float) -> Tensor:
     if target_probs.shape != g0.shape or deltas.shape != g0.shape:
         raise ValueError("g0, target_probs, and deltas must share one shape")
     centered = Tensor(deltas - mu)
-    return dc.t_mean(dc.mul(centered, dc.div(target_probs, Tensor(g0))))
+    weighted = dc.t_sum(dc.mul(centered, dc.div(target_probs, Tensor(g0))))
+    return dc.mul(weighted, Tensor(1.0 / (g0.size if total is None else total)))
 
 
 def compute_breakdown(authentic_scores: np.ndarray, generated_scores: np.ndarray,

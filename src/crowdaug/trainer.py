@@ -20,13 +20,15 @@ The Lagrange multiplier is searched on a small grid per epoch by validation
 accuracy. A one-step mode (generator and classifier updated jointly on all
 pairs) exists only for the stability comparison. Steps 5 and 6 and the
 one-step mode run one counterfactual-risk loop, ``_crm_update``, which
-differs only in the networks it moves and the pairs it sees; it keeps one
-inner step's graph alive at a time.
+differs only in the networks it moves and the pairs it sees; each inner step
+runs forward and backward over pair blocks and keeps one pair block's graph
+alive at a time, accumulating the gradient in the parameters' slots.
 
-The forward-only passes over all pairs (step 1, the step-3 scores, the
-generator step's codes and the augmentation export) run in row blocks of at
-most 8191 rows, so their memory does not grow with the pair grid; the values
-are bit-identical to one call over every row.
+Every pass over all pairs runs in row blocks of at most 8191 rows, so its
+memory does not grow with the pair grid. The forward-only ones (step 1, the
+step-3 scores, the generator step's codes and the augmentation export) are
+bit-identical to one call over every row; the CRM steps are too below 8192
+pairs, and above that only the order of the gradient's sum over pairs moves.
 """
 from __future__ import annotations
 
@@ -174,7 +176,9 @@ def _check_finite(value: float, what: str, epoch: int) -> None:
 def _dims_for(ds: CrowdDataset, cfg: TrainConfig) -> NetDims:
     return NetDims(num_classes=ds.num_classes, feature_dim=ds.feature_dim,
                    annotator_dim=ds.annotator_dim, noise_dim=cfg.noise_dim,
-                   dropout=cfg.dropout, lca_enabled=cfg.lca_enabled)
+                   dropout=cfg.dropout, lca_enabled=cfg.lca_enabled,
+                   gen_use_instance_features=cfg.gen_use_instance_features,
+                   gen_use_annotator_features=cfg.gen_use_annotator_features)
 
 
 def _train_annotations(ds: CrowdDataset) -> np.ndarray:
@@ -189,32 +193,37 @@ def _minibatches(rng: np.random.Generator, count: int, batch_size: int):
         yield order[start:start + batch_size]
 
 
-# Forward-only passes over pairs run in balanced blocks of 4096-8191 rows,
-# whose rows come out bit-identical to one call over all rows (a test checks
-# every net). Smaller blocks are not safe: OpenBLAS uses a small-matrix
-# kernel, which rounds differently, when M*N*K <= 1e6, and at 1,666 rows the
-# 128 x 4 output layers fall under it. A constant, not a setting.
+# Passes over pairs (forward-only ones and the CRM steps) run in balanced
+# blocks of 4096-8191 rows, whose rows come out bit-identical to one call over
+# all rows (a test checks every net). Smaller blocks are not safe: OpenBLAS
+# uses a small-matrix kernel, which rounds differently, when M*N*K <= 1e6, and
+# at 1,666 rows the 128 x 4 output layers fall under it. A constant, not a
+# setting.
 _BLOCK_ROWS = 4096
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Balanced row blocks of ``0..n`` of 4096-8191 rows; one block when ``n`` < 8192."""
+    count = max(1, n // _BLOCK_ROWS)
+    bounds = [n * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @dc.no_grad()
 def _forward_in_blocks(n: int, forward) -> np.ndarray:
-    """``forward(rows)`` (a slice, returning an array) over balanced row blocks
-    of ``0..n``, concatenated; one call when ``n`` < 8192."""
-    count = max(1, n // _BLOCK_ROWS)
-    bounds = [n * k // count for k in range(count + 1)]
-    return np.concatenate([forward(slice(lo, hi))
-                           for lo, hi in zip(bounds[:-1], bounds[1:])])
+    """``forward(rows)`` (a slice, returning an array) over ``_row_blocks(n)``,
+    concatenated."""
+    return np.concatenate([forward(rows) for rows in _row_blocks(n)])
 
 
-def _gen_inputs(ds: CrowdDataset, cfg: TrainConfig, inst: np.ndarray,
+def _gen_inputs(ds: CrowdDataset, dims: NetDims, inst: np.ndarray,
                 annot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Generator-side feature rows honoring the ablation switches."""
+    """Generator-side feature rows honoring the generator's ablation switches."""
     x = ds.features[inst]
     e = ds.annotator_features[annot]
-    if not cfg.gen_use_instance_features:
+    if not dims.gen_use_instance_features:
         x = np.zeros_like(x)
-    if not cfg.gen_use_annotator_features:
+    if not dims.gen_use_annotator_features:
         e = np.zeros_like(e)
     return x, e
 
@@ -337,7 +346,7 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
         losses = []
         for batch in _minibatches(rng, len(ann), cfg.batch_size):
             inst, annot, labels = ann[batch, 0], ann[batch, 1], ann[batch, 2]
-            x, e = _gen_inputs(ds, cfg, inst, annot)
+            x, e = _gen_inputs(ds, dims, inst, annot)
             eps = gen.draw_noise(rng, len(batch))
             log_dist = gen.log_distribution(x, e, zhat_all[inst], eps)
             loss = dc.neg(dc.t_mean(dc.pick(log_dist, labels)))
@@ -354,7 +363,7 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
         losses = []
         for batch in _minibatches(rng, len(ann), cfg.batch_size):
             inst, annot, labels = ann[batch, 0], ann[batch, 1], ann[batch, 2]
-            gx, ge = _gen_inputs(ds, cfg, inst, annot)
+            gx, ge = _gen_inputs(ds, dims, inst, annot)
             eps = gen.draw_noise(rng, len(batch))
             with dc.no_grad():
                 gen_dist = gen.distribution(gx, ge, zhat_all[inst], eps).data
@@ -405,9 +414,8 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
 
     zhat = _forward_in_blocks(len(inst), lambda s: clf.probs(ds.features[inst[s]]).data)
     eps = gen.draw_noise(rng, len(inst))
-    gx, ge = _gen_inputs(ds, cfg, inst, annot)
-    dist = _forward_in_blocks(
-        len(inst), lambda s: gen.distribution(gx[s], ge[s], zhat[s], eps[s]).data)
+    dist = _forward_in_blocks(len(inst), lambda s: gen.distribution(
+        *_gen_inputs(ds, gen.dims, inst[s], annot[s]), zhat[s], eps[s]).data)
     labels = dc.sample_categorical(rng, dist)
     g0 = dist[np.arange(len(inst)), labels]
     entropies = dc.entropy(dist, axis=1)
@@ -480,31 +488,57 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
 
     Only the stores named in ``trains`` ("gen", "clf") step, generator first.
     With the classifier training, codes come from it in train mode (dropout
-    from ``rng``); otherwise ``zhat_const`` is the code. Frozen stores must
-    come out bit-identical.
+    from ``rng``); otherwise ``zhat_const`` is the code. Frozen stores take
+    no gradient and must come out bit-identical.
+
+    Each inner step runs forward and backward over ``_row_blocks`` of the
+    pairs, one pair block's graph alive at a time: a block's objective is
+    its sum scaled by 1/len(pairs), and the blocks' gradients accumulate in
+    the ``.grad`` slots. The classifier's codes are computed once per step
+    over the unique instances (one dropout draw); the blocks' gradients
+    with respect to them are gathered in one leaf and sent through the
+    classifier once. Below 8192 pairs this is one block, the same
+    computation as a single pass; above it only the order in which the
+    weight and bias gradients are summed over pairs differs.
     """
     clf, gen = state.bundle.classifier, state.bundle.generator
     stores = {"gen": gen.store, "clf": clf.store}
     frozen = {k: s.fingerprint() for k, s in stores.items() if k not in trains}
     what = _NET_NAMES[trains[0]] if len(trains) == 1 else "joint"
-    gx, ge = _gen_inputs(ds, cfg, pairs.instances, pairs.annotators)
     if "clf" in trains:
         uniq, inverse = np.unique(pairs.instances, return_inverse=True)
-    for _ in range(cfg.inner_steps):
-        zhat = zhat_const
-        if "clf" in trains:
-            zhat = dc.gather_rows(clf.probs(ds.features[uniq], train_mode=True, rng=rng),
-                                  inverse)
-        dist = gen.distribution(gx, ge, zhat, pairs.eps)
-        obj = crm_objective(pairs.g0, dc.pick(dist, pairs.labels), deltas, mu)
-        _check_finite(obj.item(), f"{what} objective", state.epoch)
-        for store in stores.values():
-            store.zero_grad()
-        backward(obj)
-        del zhat, dist, obj  # free this step's graph before the next one is built
-        for name in ("gen", "clf"):
-            if name in trains:
-                state.optimizers[name].step()
+    blocks = _row_blocks(len(pairs))
+    frozen_leaves = [(t, t.requires_grad) for k in frozen for t in stores[k].tensors()]
+    for t, _ in frozen_leaves:
+        t.requires_grad = False
+    try:
+        for _ in range(cfg.inner_steps):
+            for store in stores.values():
+                store.zero_grad()
+            if "clf" in trains:
+                probs = clf.probs(ds.features[uniq], train_mode=True, rng=rng)
+                codes = Tensor(probs.data, requires_grad=True)
+            objective = 0.0
+            for rows in blocks:
+                zhat = dc.gather_rows(codes, inverse[rows]) if "clf" in trains \
+                    else zhat_const[rows]
+                x, e = _gen_inputs(ds, gen.dims, pairs.instances[rows], pairs.annotators[rows])
+                dist = gen.distribution(x, e, zhat, pairs.eps[rows])
+                obj = crm_objective(pairs.g0[rows], dc.pick(dist, pairs.labels[rows]),
+                                    deltas[rows], mu, len(pairs))
+                objective += obj.item()
+                backward(obj)
+                del x, e, zhat, dist, obj  # free this block's graph before the next one is built
+            _check_finite(objective, f"{what} objective", state.epoch)
+            if "clf" in trains:
+                backward(probs, codes.grad)
+                del probs, codes
+            for name in ("gen", "clf"):
+                if name in trains:
+                    state.optimizers[name].step()
+    finally:
+        for t, needed in frozen_leaves:
+            t.requires_grad = needed
     for name, before in frozen.items():
         assert stores[name].fingerprint() == before, \
             f"{_NET_NAMES[name]} changed during the {what} step"
@@ -718,13 +752,15 @@ def train_method(ds: CrowdDataset, cfg: TrainConfig, method: str) -> TrainResult
 _DIMS_INT_FIELDS = ("num_classes", "feature_dim", "annotator_dim", "noise_dim",
                     "clf_hidden", "gen_hidden1", "gen_hidden2", "aux_hidden1",
                     "aux_hidden2", "embed_dim", "class_embed_dim")
+_GEN_SWITCHES = ("gen_use_instance_features", "gen_use_annotator_features")
 
 
 def _dims_meta(dims: NetDims) -> dict:
     meta = {f"meta.{f}": np.array(float(getattr(dims, f)))
             for f in _DIMS_INT_FIELDS}
     meta["meta.dropout"] = np.array(dims.dropout)
-    meta["meta.lca_enabled"] = np.array(1.0 if dims.lca_enabled else 0.0)
+    for f in ("lca_enabled",) + _GEN_SWITCHES:
+        meta[f"meta.{f}"] = np.array(1.0 if getattr(dims, f) else 0.0)
     return meta
 
 
@@ -732,6 +768,9 @@ def _dims_from_meta(arrays: dict) -> NetDims:
     kwargs = {f: int(arrays[f"meta.{f}"]) for f in _DIMS_INT_FIELDS}
     kwargs["dropout"] = float(arrays["meta.dropout"])
     kwargs["lca_enabled"] = bool(arrays["meta.lca_enabled"])
+    # checkpoints saved before the generator switches were stored had both on
+    for f in _GEN_SWITCHES:
+        kwargs[f] = bool(arrays.get(f"meta.{f}", 1.0))
     return NetDims(**kwargs)
 
 
@@ -803,9 +842,10 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
         m_inst, m_annot = inst[missing], annot[missing]
         zhat = _forward_in_blocks(len(m_inst), lambda s: bundle.classifier.probs(
             ds.features[m_inst[s]]).data)
-        eps = bundle.generator.draw_noise(rng, len(m_inst))
-        dist = _forward_in_blocks(len(m_inst), lambda s: bundle.generator.distribution(
-            ds.features[m_inst[s]], ds.annotator_features[m_annot[s]], zhat[s], eps[s]).data)
+        gen = bundle.generator
+        eps = gen.draw_noise(rng, len(m_inst))
+        dist = _forward_in_blocks(len(m_inst), lambda s: gen.distribution(
+            *_gen_inputs(ds, gen.dims, m_inst[s], m_annot[s]), zhat[s], eps[s]).data)
         labels[missing] = dc.sample_categorical(rng, dist)
 
     rows = np.column_stack([inst, annot, labels, (~missing).astype(np.int64)])

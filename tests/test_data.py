@@ -352,6 +352,32 @@ def test_remove_infeasible_reports_max_fraction():
         remove_annotations(ds, 0.1, seed=0)
 
 
+def _remove_by_rescan(ds, fraction, seed):
+    """The quadratic loop ``remove_annotations`` replaced: rescan every triplet
+    for the removable ones before each draw."""
+    target = int(np.floor(fraction * ds.num_annotations))
+    counts = np.bincount(ds.annotations[:, 0], minlength=ds.num_instances)
+    rng = np.random.default_rng(seed)
+    alive = np.ones(ds.num_annotations, dtype=bool)
+    inst = ds.annotations[:, 0]
+    for _ in range(target):
+        removable = np.flatnonzero(alive & (counts[inst] >= 2))
+        pick = removable[rng.integers(len(removable))]
+        alive[pick] = False
+        counts[inst[pick]] -= 1
+    return ds.annotations[alive]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("fraction", [0.01, 0.2, 0.5, 0.62])
+def test_remove_equals_rescan_reference(seed, fraction):
+    ds = synthesize_dataset(SynthConfig(num_classes=3, num_instances=150 + 37 * seed,
+                                        num_annotators=9, avg_annotations=3.0),
+                            seed=seed)
+    got = remove_annotations(ds, fraction, seed=seed + 100).annotations
+    assert got.tobytes() == _remove_by_rescan(ds, fraction, seed + 100).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(fraction=st.floats(0.0, 0.55), seed=st.integers(0, 10_000))
 def test_remove_property_counts_and_validity(fraction, seed):

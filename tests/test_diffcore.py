@@ -326,7 +326,7 @@ def test_no_grad_op_is_bit_exact_and_graph_free(name):
 
 
 def _records_graph() -> bool:
-    return dc.add(Tensor(1.0), Tensor(2.0)).parents != ()
+    return dc.add(Tensor(1.0, requires_grad=True), Tensor(2.0)).parents != ()
 
 
 def test_no_grad_restores_after_nesting_and_errors():
@@ -349,6 +349,82 @@ def test_no_grad_restores_after_nesting_and_errors():
     with pytest.raises(KeyError):
         failing()
     assert _records_graph()
+
+
+# ---------------------------------------------------------------------------
+# graphs only where a gradient is needed
+
+
+def test_op_over_constants_records_no_graph():
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))
+    out = dc.softmax(dc.add(dc.matmul(a, b), Tensor(np.ones(2))), axis=1)
+    assert out.parents == () and out._backward is None
+    # a parent with parents of its own still needs a gradient
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    hidden = dc.matmul(a, w)
+    assert hidden.parents == (a, w)
+    assert dc.relu(hidden).parents == (hidden,)
+
+
+def _case_leaves(build):
+    """The ``requires_grad`` leaves one op case's graph reaches, in a fixed order."""
+    out = build()
+    leaves, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.requires_grad:
+            leaves.append(node)
+        stack.extend(node.parents)
+    return out, leaves
+
+
+@pytest.mark.parametrize("name", sorted(_op_cases()))
+def test_gradients_of_parents_that_need_one_are_unchanged(name):
+    # with every leaf trainable each op computes every parent's gradient;
+    # freezing any subset must leave the others' gradients byte-identical
+    build = _op_cases()[name]
+    out, leaves = _case_leaves(build)
+    g = np.random.default_rng(5).normal(size=out.shape)
+    backward(out, g)
+    full = [leaf.grad.copy() for leaf in leaves]
+    for mask in range(1, 2 ** len(leaves) - 1):
+        frozen = [i for i in range(len(leaves)) if mask >> i & 1]
+        for i, leaf in enumerate(leaves):
+            leaf.grad = None
+            leaf.requires_grad = i not in frozen
+        try:
+            backward(build(), g)
+            for i, leaf in enumerate(leaves):
+                if i in frozen:
+                    assert leaf.grad is None
+                else:
+                    assert leaf.grad.tobytes() == full[i].tobytes(), (name, frozen, i)
+        finally:
+            for leaf in leaves:
+                leaf.requires_grad = True
+
+
+def test_matmul_and_add_skip_parents_that_need_no_gradient():
+    a = Tensor(np.ones((2, 3)))
+    w = Tensor(np.ones((3, 4)), requires_grad=True)
+    bias = Tensor(np.ones(4))
+    prod = dc.matmul(a, w)
+    ga, gw = prod._backward(np.ones((2, 4)))
+    assert ga is None and gw.shape == (3, 4)
+    gp, gb = dc.add(prod, bias)._backward(np.ones((2, 4)))
+    assert gb is None and gp.shape == (2, 4)
+
+
+def test_backward_seeded_with_an_upstream_gradient():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    out = dc.mul(w, w)
+    backward(out, np.array([3.0, 0.5]))
+    np.testing.assert_array_equal(w.grad, [6.0, 2.0])
+    with pytest.raises(ValueError, match="shape"):
+        backward(out, np.ones(3))
 
 
 def test_backward_inside_no_grad_raises():

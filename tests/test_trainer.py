@@ -1,13 +1,16 @@
 """Training-loop behavior: selection balance, logging consistency, freezing,
 determinism, baseline equivalences, and the augmentation export."""
 import math
+import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import crowdaug.diffcore as dc
 from crowdaug import trainer as tr
+from crowdaug.checkpoint import load_checkpoint, save_checkpoint
 from crowdaug.config import ConfigError
 from crowdaug.data import (
     TRAIN, VAL, TEST,
@@ -289,6 +292,139 @@ def test_crm_step_frees_its_graph_before_the_next_forward(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the CRM step over pair blocks
+
+_CRM_MODES = {"generator": ("gen",), "classifier": ("clf",), "joint": ("gen", "clf")}
+
+
+def _crm_setup(pairs_count, seed):
+    """A randomized bundle, Adam state and logged pairs for one ``_crm_update``
+    at the pair-grid benchmark's widths; ``ds`` is a stand-in with the two
+    feature tables the step reads."""
+    dims = NetDims(num_classes=4, feature_dim=2, annotator_dim=40)
+    rng = np.random.default_rng(seed)
+    prop = rng.uniform(0.1, 1.0, size=(4, 4))
+    adj = CoocAdjacency(counts=np.zeros((4, 4)), propagation=(prop + prop.T) / 4)
+    bundle = build_bundle(dims, adj, rng)
+    for store in bundle.stores().values():
+        randomize(store, rng, scale=0.3)
+    ds = SimpleNamespace(features=rng.normal(size=(700, 2)),
+                         annotator_features=rng.normal(size=(30, 40)))
+    g0 = rng.uniform(0.05, 1.0, size=pairs_count)
+    pairs = LoggedBatch(instances=rng.integers(0, 700, size=pairs_count),
+                        annotators=rng.integers(0, 30, size=pairs_count),
+                        labels=rng.integers(0, 4, size=pairs_count), g0=g0,
+                        eps=rng.normal(size=(pairs_count, 8)),
+                        zhat_draws=rng.integers(0, 4, size=pairs_count),
+                        entropies=np.ones(pairs_count))
+    deltas = rng.normal(size=pairs_count)
+    with dc.no_grad():
+        zhat_const = bundle.classifier.probs(ds.features[pairs.instances]).data
+    state = tr.TrainState(bundle=bundle, optimizers={
+        "clf": dc.Adam(bundle.classifier.store, lr=1e-3),
+        "gen": dc.Adam(bundle.generator.store, lr=1e-3)})
+    return state, ds, pairs, deltas, zhat_const
+
+
+def _one_pass_crm_update(state, ds, cfg, pairs, deltas, mu, trains, rng, zhat_const):
+    """``_crm_update`` as one graph over every pair, the reference for the blocks."""
+    clf, gen = state.bundle.classifier, state.bundle.generator
+    gx, ge = tr._gen_inputs(ds, gen.dims, pairs.instances, pairs.annotators)
+    if "clf" in trains:
+        uniq, inverse = np.unique(pairs.instances, return_inverse=True)
+    for _ in range(cfg.inner_steps):
+        zhat = zhat_const
+        if "clf" in trains:
+            zhat = dc.gather_rows(clf.probs(ds.features[uniq], train_mode=True, rng=rng),
+                                  inverse)
+        dist = gen.distribution(gx, ge, zhat, pairs.eps)
+        obj = tr.crm_objective(pairs.g0, dc.pick(dist, pairs.labels), deltas, mu)
+        gen.store.zero_grad()
+        clf.store.zero_grad()
+        dc.backward(obj)
+        for name in ("gen", "clf"):
+            if name in trains:
+                state.optimizers[name].step()
+
+
+class _RecordingOptimizer:
+    """Stands in for Adam: keeps a copy of every gradient it is asked to apply."""
+
+    def __init__(self, store):
+        self.store, self.grads = store, []
+
+    def step(self):
+        self.grads.append({k: t.grad.copy() for k, t in self.store.items()})
+
+
+def _run_crm(update, pairs_count, mode, seed=0, inner_steps=2, record=False):
+    state, ds, pairs, deltas, zhat_const = _crm_setup(pairs_count, seed)
+    if record:
+        state.optimizers = {"gen": _RecordingOptimizer(state.bundle.generator.store),
+                            "clf": _RecordingOptimizer(state.bundle.classifier.store)}
+    trains = _CRM_MODES[mode]
+    update(state, ds, tiny_config(inner_steps=inner_steps), pairs, deltas, 0.1, trains,
+           np.random.default_rng(seed + 1), zhat_const=zhat_const)
+    return state
+
+
+@pytest.mark.parametrize("mode", sorted(_CRM_MODES))
+@pytest.mark.parametrize("pairs_count", [1, 3000, 8191])
+def test_crm_update_below_8192_pairs_equals_one_pass(mode, pairs_count):
+    blocked = _run_crm(tr._crm_update, pairs_count, mode, seed=pairs_count)
+    reference = _run_crm(_one_pass_crm_update, pairs_count, mode, seed=pairs_count)
+    for name in ("generator", "classifier"):
+        assert blocked.bundle.stores()[name].fingerprint() == \
+            reference.bundle.stores()[name].fingerprint(), (mode, name)
+
+
+@pytest.mark.parametrize("mode", sorted(_CRM_MODES))
+@pytest.mark.parametrize("pairs_count", [8192, 20011])
+def test_crm_update_accumulated_gradients_match_one_pass(mode, pairs_count):
+    # the blocks sum the weight and bias gradients over pairs in another order;
+    # the error is relative to each array's norm, because an entry whose terms
+    # nearly cancel can differ by more than 1e-12 of its own size
+    blocked = _run_crm(tr._crm_update, pairs_count, mode, record=True)
+    reference = _run_crm(_one_pass_crm_update, pairs_count, mode, record=True)
+    for name in _CRM_MODES[mode]:
+        got, expected = blocked.optimizers[name].grads, reference.optimizers[name].grads
+        assert len(got) == len(expected) == 2
+        for step_got, step_expected in zip(got, expected):
+            for key, grad in step_expected.items():
+                error = np.linalg.norm(step_got[key] - grad) / np.linalg.norm(grad)
+                assert error <= 1e-12, (mode, name, key, error)
+
+
+@pytest.mark.parametrize("mode", sorted(_CRM_MODES))
+def test_crm_update_diverges_before_any_step(mode):
+    state, ds, pairs, deltas, zhat_const = _crm_setup(9000, 0)
+    deltas[8999] = np.nan  # in the second block
+    before = {k: s.fingerprint() for k, s in state.bundle.stores().items()}
+    with pytest.raises(DivergenceError, match=f"non-finite {mode} objective at epoch 0"):
+        tr._crm_update(state, ds, tiny_config(), pairs, deltas, 0.1, _CRM_MODES[mode],
+                       np.random.default_rng(1), zhat_const=zhat_const)
+    assert {k: s.fingerprint() for k, s in state.bundle.stores().items()} == before
+    for store in (state.bundle.generator.store, state.bundle.classifier.store):
+        assert all(t.requires_grad for t in store.tensors())
+
+
+@pytest.mark.parametrize("mode", sorted(_CRM_MODES))
+def test_crm_update_peak_memory_does_not_grow_with_pairs(mode):
+    def peak(pairs_count):
+        state, ds, pairs, deltas, zhat_const = _crm_setup(pairs_count, 0)
+        tracemalloc.start()
+        try:
+            tr._crm_update(state, ds, tiny_config(inner_steps=1), pairs, deltas, 0.1,
+                           _CRM_MODES[mode], np.random.default_rng(1), zhat_const=zhat_const)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(12000), peak(48000)
+    assert large <= 1.5 * small, (small, large)
+
+
+# ---------------------------------------------------------------------------
 # freezing and the two-step schedule
 
 
@@ -545,6 +681,46 @@ def test_export_is_deterministic_and_round_trips(tmp_path):
     triplets, flags = read_augmented_file(path)
     assert np.array_equal(triplets, rows[:, :3])
     assert np.array_equal(flags, rows[:, 3] == 1)
+
+
+def _labels_fed(ds, bundle, rows, seed, zero_annotator_features):
+    """The generated labels of an export, recomputed with the annotator
+    features the generator is fed given or zeroed."""
+    missing = rows[:, 3] == 0
+    inst, annot = rows[missing, 0], rows[missing, 1]
+    e = ds.annotator_features[annot]
+    if zero_annotator_features:
+        e = np.zeros_like(e)
+    rng = np.random.default_rng(seed)
+    with dc.no_grad():
+        zhat = bundle.classifier.probs(ds.features[inst]).data
+        eps = bundle.generator.draw_noise(rng, len(inst))
+        dist = bundle.generator.distribution(ds.features[inst], e, zhat, eps).data
+    return dc.sample_categorical(rng, dist)
+
+
+def test_export_feeds_the_generator_the_inputs_it_was_trained_on(tmp_path):
+    ds = tiny_dataset()
+    res = train_crowding(ds, tiny_config(epochs=1, gen_use_annotator_features=False))
+    path = tmp_path / "checkpoint.bin"
+    tr.save_result_checkpoint(path, res)
+    arrays = load_checkpoint(path)
+    assert arrays["meta.gen_use_annotator_features"] == 0.0
+    assert arrays["meta.gen_use_instance_features"] == 1.0
+    _, bundle = tr.load_result_checkpoint(path)
+    rows = export_augmented(ds, bundle, seed=5)
+    generated = rows[rows[:, 3] == 0, 2]
+    assert np.array_equal(generated, _labels_fed(ds, bundle, rows, 5, True))
+    assert not np.array_equal(generated, _labels_fed(ds, bundle, rows, 5, False))
+
+    # a checkpoint saved before the switches were stored had both on
+    switches = ("meta.gen_use_instance_features", "meta.gen_use_annotator_features")
+    save_checkpoint(tmp_path / "older.bin",
+                    {k: v for k, v in arrays.items() if k not in switches})
+    _, older = tr.load_result_checkpoint(tmp_path / "older.bin")
+    assert older.dims.gen_use_instance_features and older.dims.gen_use_annotator_features
+    rows = export_augmented(ds, older, seed=5)
+    assert np.array_equal(rows[rows[:, 3] == 0, 2], _labels_fed(ds, older, rows, 5, False))
 
 
 def test_read_augmented_rejects_wrong_header(tmp_path):
