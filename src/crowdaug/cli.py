@@ -268,12 +268,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _checkpoint_inputs(args) -> list[Path]:
+    """Check ``--config`` as a TrainConfig; list the files eval/augment read."""
+    _train_config(_load_config_values(args.config), args.seed)
+    return (([Path(args.config)] if args.config else []) + [Path(args.checkpoint)]
+            + _dataset_paths(args.data))
+
+
 def cmd_eval(args) -> int:
     ds = load_dataset(args.data)
     out_dir = Path(args.out)
     write_manifest(out_dir, "eval", {"checkpoint": str(args.checkpoint)},
-                   args.seed,
-                   [Path(args.checkpoint)] + _dataset_paths(args.data),
+                   args.seed, _checkpoint_inputs(args),
                    [str(out_dir / "metrics.json")])
     clf, _ = load_result_checkpoint(args.checkpoint, classifier_only=True)
     _check_checkpoint_dims(args.checkpoint, clf.dims, ds, ("feature_dim",))
@@ -351,8 +357,7 @@ def cmd_augment(args) -> int:
     ds = load_dataset(args.data)
     out_dir = Path(args.out)
     write_manifest(out_dir, "augment", {"checkpoint": str(args.checkpoint)},
-                   args.seed,
-                   [Path(args.checkpoint)] + _dataset_paths(args.data),
+                   args.seed, _checkpoint_inputs(args),
                    [str(out_dir / "augmented.csv")])
     _, bundle = load_result_checkpoint(args.checkpoint)
     if bundle is None:

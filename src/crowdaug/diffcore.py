@@ -8,9 +8,9 @@ and accumulates into the ``.grad`` slots of parameter leaves. Repeated
 
 An op over parents that need no gradient records no graph either: a parent
 needs one when it is a ``requires_grad`` leaf or has parents itself, so
-constants and frozen parameters cost no backward work, and ``matmul`` and
-``add`` skip the product or bias sum of a parent that needs none. The
-gradients of the parents that do need one are unchanged.
+constants and frozen parameters cost no backward work, and ``matmul``,
+``add`` and ``dense`` skip the product or bias sum of a parent that needs
+none. The gradients of the parents that do need one are unchanged.
 
 Inside a ``no_grad()`` scope no graph is recorded: op outputs keep neither
 parents nor a backward closure, so each intermediate array is freed as soon
@@ -18,6 +18,11 @@ as the next op has consumed it. The arrays themselves are computed by the
 same NumPy calls, so values are bit-identical to graph mode. Wrap every pass
 that only reads ``.data`` (grid logging, scoring, evaluation, export) in it;
 calling ``backward`` inside the scope raises.
+
+``dense(x, w, b, relu)`` is one layer as one node. Its bias add and ReLU run
+in place on the product, with the NumPy operations of the chain
+``relu(add(matmul(x, w), b))``, so values and gradients are byte-identical
+to it (-0.0 too); the graph keeps one array and a bool mask, not three arrays.
 
 ``rowwise_bilinear(u, mats, v, classes)`` reads row b's matrix from a
 (C, m, n) class table by index and works class by class, so neither its
@@ -188,6 +193,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 a.data.T @ g if need_b else None)
 
     return Tensor(out, parents=(a, b), backward_fn=back)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w + b``, then ReLU if ``relu``, as one node (see the module docstring)."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError(f"dense expects 2-D operands, got {x.shape} @ {w.shape}")
+    out = x.data @ w.data
+    out += b.data
+    if relu:
+        mask = out > 0
+        out *= mask
+    need_x, need_w, need_b = _needs_grad(x), _needs_grad(w), _needs_grad(b)
+
+    def back(g):
+        if relu:
+            g = g * mask
+        return (g @ w.data.T if need_x else None,
+                x.data.T @ g if need_w else None,
+                _unbroadcast(g, b.shape) if need_b else None)
+
+    return Tensor(out, parents=(x, w, b), backward_fn=back)
 
 
 def t_exp(a: Tensor) -> Tensor:

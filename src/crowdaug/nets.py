@@ -15,6 +15,9 @@
   still gathers one flattened (m*m) class matrix per row before embedding it,
   so callers that score many pairs do so in row blocks (see ``trainer``).
 
+Every layer ``x @ W + b`` (with or without ReLU) is one ``diffcore.dense``
+node; only the discriminator's class-matrix mixing calls ``matmul``.
+
 All forwards accept plain numpy batches and return graph Tensors, except
 inside a ``diffcore.no_grad`` scope, where the same values come back without
 a graph (nothing to back-propagate). Every output-layer weight starts at zero
@@ -91,12 +94,12 @@ class Classifier:
                rng: np.random.Generator | None = None) -> Tensor:
         x = _check_batch(x, self.dims.feature_dim, "classifier input")
         p = self.store
-        h = dc.relu(dc.add(dc.matmul(Tensor(x), p["W1"]), p["b1"]))
+        h = dc.dense(Tensor(x), p["W1"], p["b1"], relu=True)
         if train_mode and self.dims.dropout > 0.0:
             if rng is None:
                 raise ValueError("train-mode classify needs an rng for dropout")
             h = dc.dropout(h, self.dims.dropout, rng)
-        return dc.add(dc.matmul(h, p["W2"]), p["b2"])
+        return dc.dense(h, p["W2"], p["b2"])
 
     def probs(self, x, train_mode: bool = False, rng=None) -> Tensor:
         return dc.softmax(self.logits(x, train_mode, rng), axis=1)
@@ -131,9 +134,9 @@ class Generator:
             raise ValueError(f"generator zhat must have width {d.num_classes}")
         p = self.store
         inp = dc.concat([Tensor(x), Tensor(e), zhat, Tensor(eps)], axis=1)
-        h1 = dc.relu(dc.add(dc.matmul(inp, p["W1"]), p["b1"]))
-        h2 = dc.relu(dc.add(dc.matmul(h1, p["W2"]), p["b2"]))
-        return dc.add(dc.matmul(h2, p["W3"]), p["b3"])
+        h1 = dc.dense(inp, p["W1"], p["b1"], relu=True)
+        h2 = dc.dense(h1, p["W2"], p["b2"], relu=True)
+        return dc.dense(h2, p["W3"], p["b3"])
 
     def distribution(self, x, e, zhat, eps) -> Tensor:
         return dc.softmax(self.logits(x, e, zhat, eps), axis=1)
@@ -160,11 +163,11 @@ class Discriminator:
 
     def encode_annotators(self, e) -> Tensor:
         e = _check_batch(e, self.dims.annotator_dim, "discriminator annotator input")
-        return dc.add(dc.matmul(Tensor(e), self.store["Wu"]), self.store["bu"])
+        return dc.dense(Tensor(e), self.store["Wu"], self.store["bu"])
 
     def encode_instances(self, x) -> Tensor:
         x = _check_batch(x, self.dims.feature_dim, "discriminator instance input")
-        return dc.add(dc.matmul(Tensor(x), self.store["Wv"]), self.store["bv"])
+        return dc.dense(Tensor(x), self.store["Wv"], self.store["bv"])
 
     def decoded_matrices(self, adj: CoocAdjacency | None) -> Tensor:
         """Per-class bilinear matrices after optional correlation mixing."""
@@ -238,12 +241,12 @@ class AuxNet:
         v = self.disc.encode_instances(x)
         c, m = d.num_classes, d.embed_dim
         flat = dc.reshape(self.disc.decoded_matrices(adj), (c, m * m))
-        m_y = dc.add(dc.matmul(dc.gather_rows(flat, y), self.store["Wembed"]),
-                     self.store["bembed"])
+        p = self.store
+        m_y = dc.dense(dc.gather_rows(flat, y), p["Wembed"], p["bembed"])
         inp = dc.concat([v, u, m_y], axis=1)
-        h1 = dc.relu(dc.add(dc.matmul(inp, self.store["W1"]), self.store["b1"]))
-        h2 = dc.relu(dc.add(dc.matmul(h1, self.store["W2"]), self.store["b2"]))
-        return dc.add(dc.matmul(h2, self.store["W3"]), self.store["b3"])
+        h1 = dc.dense(inp, p["W1"], p["b1"], relu=True)
+        h2 = dc.dense(h1, p["W2"], p["b2"], relu=True)
+        return dc.dense(h2, p["W3"], p["b3"])
 
     def log_posterior(self, x, e, y, adj) -> Tensor:
         return dc.log_softmax(self.logits(x, e, y, adj), axis=1)

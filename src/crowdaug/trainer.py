@@ -853,17 +853,7 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["instance_id", "annotator_id", "label", "authentic"])
-            writer.writerows(rows.tolist())
+            for block in _row_blocks(len(rows)):  # one block's Python ints at a time
+                writer.writerows(rows[block].tolist())
     return rows
 
-
-def read_augmented_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an export back as (triplets, authentic flags)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["instance_id", "annotator_id", "label", "authentic"]:
-            raise ValueError(f"{path}: not an augmented annotation file")
-        body = [[int(v) for v in row] for row in reader if row]
-    arr = np.asarray(body, dtype=np.int64).reshape(-1, 4)
-    return arr[:, :3], arr[:, 3].astype(bool)

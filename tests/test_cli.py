@@ -8,7 +8,8 @@ import pytest
 from crowdaug import cli
 from crowdaug.checkpoint import load_checkpoint, save_checkpoint
 from crowdaug.data import load_dataset, save_dataset
-from crowdaug.trainer import DivergenceError, TrainConfig, read_augmented_file
+from crowdaug.trainer import DivergenceError, TrainConfig
+from helpers import read_augmented_file
 
 
 SYNTH_CFG = """\
@@ -531,6 +532,38 @@ def test_augment_requires_adversarial_checkpoint(workspace, tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_DATA
     assert "no generator" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# eval and augment read --config
+
+
+def checkpoint_command(workspace, command, config, out):
+    return cli.main([command, "--config", str(config), "--data", str(workspace / "data"),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+                     "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", ["eval", "augment"])
+def test_checkpoint_command_rejects_missing_or_invalid_config(workspace, tmp_path,
+                                                              capsys, command):
+    invalid = tmp_path / "invalid.cfg"
+    invalid.write_text("epochs = 0\n", encoding="utf-8")
+    for config, message in ((tmp_path / "nope.cfg", "not found"), (invalid, "epochs")):
+        out = tmp_path / config.stem
+        assert checkpoint_command(workspace, command, config, out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()  # rejected before the manifest
+
+
+@pytest.mark.parametrize("command", ["eval", "augment"])
+def test_checkpoint_command_records_its_config(workspace, tmp_path, command):
+    config, out = workspace / "train.cfg", tmp_path / "o"
+    assert checkpoint_command(workspace, command, config, out) == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["input_digests"][str(config)] == cli._sha256(config)
 
 
 def test_help_exits_zero():

@@ -17,6 +17,7 @@ from crowdaug.diffcore import (
     sample_categorical,
     softmax,
 )
+from helpers import three_op_dense
 
 RNG = np.random.default_rng(0)
 
@@ -178,6 +179,48 @@ def test_grad_check_bilinear_and_matvec():
     assert grad_check(loss, store) < 1e-6
 
 
+def test_grad_check_dense_layers():
+    rng = np.random.default_rng(19)
+    store = ParamStore()
+    x = store.add("x", rng.normal(size=(5, 3)))
+    w1 = store.add("w1", rng.normal(size=(3, 4)))
+    b1 = store.add("b1", rng.normal(size=4))
+    w2 = store.add("w2", rng.normal(size=(4, 2)))
+    b2 = store.add("b2", rng.normal(size=2))
+
+    def loss():
+        h = dc.dense(x, w1, b1, relu=True)
+        p = softmax(dc.dense(h, w2, b2), axis=1)
+        return dc.t_mean(dc.mul(p, p))
+
+    assert grad_check(loss, store) < 1e-6
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("rows", [0, 1, 9, 300])
+def test_dense_is_byte_identical_to_the_three_op_chain(rows, relu):
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows, 6))
+    x[::3] = 0.0  # zero rows: the pre-activation is the bias alone
+    w = rng.normal(size=(6, 5))
+    b = rng.normal(size=5)
+    b[:3] = 0.0, -0.0, -1.0  # zero rows: exact zero and negative pre-activations
+    g = rng.normal(size=(rows, 5))
+    g[:, 1] = -g[:, 1] ** 2  # negative upstream gradients where units are off
+    results = []
+    for layer in (dc.dense, three_op_dense):
+        leaves = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+        out = layer(*leaves, relu=relu)
+        backward(out, g)
+        results.append([out.data] + [t.grad for t in leaves])
+    for fused, chain in zip(*results):
+        assert fused.shape == chain.shape
+        assert fused.tobytes() == chain.tobytes()  # bytes, so sign bits too
+    if relu and rows:
+        out = results[1][0]
+        assert np.signbit(out[out == 0]).any()  # ReLU of a negative is -0.0
+
+
 def _bilinear_reference(u, mats, v, classes, g):
     """The per-row kernel it replaces: gather one matrix per row, einsum, and
     scatter the per-row matrix gradients back with ``np.add.at``."""
@@ -286,6 +329,7 @@ def _op_cases():
     c = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
     mats = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+    bias5 = Tensor(rng.normal(size=(5,)), requires_grad=True)
     rows = np.array([1, 0, 1, 1])
     cols = np.array([2, 0, 1, 2])
     return {
@@ -294,6 +338,8 @@ def _op_cases():
         "mul": lambda: dc.mul(a, c),
         "div": lambda: dc.div(a, dc.t_exp(c)),
         "matmul": lambda: dc.matmul(a, b),
+        "dense": lambda: dc.dense(a, b, bias5),
+        "dense_relu": lambda: dc.dense(a, b, bias5, relu=True),
         "t_exp": lambda: dc.t_exp(a),
         "t_log": lambda: dc.t_log(dc.t_exp(a)),
         "t_sum": lambda: dc.t_sum(a, axis=1),

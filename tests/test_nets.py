@@ -14,7 +14,7 @@ from crowdaug.nets import (
     NetDims,
     build_bundle,
 )
-from helpers import randomize
+from helpers import randomize, store_grads, three_op_dense
 
 SMALL = NetDims(num_classes=3, feature_dim=4, annotator_dim=5, noise_dim=2,
                 clf_hidden=6, gen_hidden1=5, gen_hidden2=7, aux_hidden1=5,
@@ -294,6 +294,42 @@ def test_forwards_under_no_grad_equal_graph_mode():
             free_out = forward()
         assert free_out.parents == (), name
         assert np.array_equal(free_out.data, graph_out.data), name
+
+
+@pytest.mark.parametrize("name", ["classifier", "generator", "discriminator", "aux"])
+def test_fused_layers_are_byte_identical_to_three_op_layers(name, monkeypatch):
+    # graph mode: the output and every store's gradients match nets built
+    # from matmul/add/relu; the generator reads a live classifier code, so
+    # gradients cross from one net into another
+    b = small_bundle(seed=37)
+    for store in b.stores().values():
+        randomize(store, np.random.default_rng(38), scale=0.5)
+    rng = np.random.default_rng(39)
+    x, e, y = rand_inputs(rng, batch=9)
+    eps = b.generator.draw_noise(rng, 9)
+    forward = {
+        "classifier": lambda: b.classifier.logits(
+            x, train_mode=True, rng=np.random.default_rng(40)),
+        "generator": lambda: b.generator.logits(x, e, b.classifier.probs(x), eps),
+        "discriminator": lambda: b.discriminator.score(x, e, y, b.adjacency),
+        "aux": lambda: b.aux.logits(x, e, y, b.adjacency),
+    }[name]
+    stores = list(b.stores().values())
+
+    def run():
+        for store in stores:
+            store.zero_grad()
+        out = forward()
+        nodes = len(dc._toposort(out))
+        dc.backward(out, np.random.default_rng(41).normal(size=out.shape))
+        return out.data.tobytes(), store_grads(*stores), nodes
+
+    fused_out, fused_grads, fused_nodes = run()
+    monkeypatch.setattr(dc, "dense", three_op_dense)
+    chain_out, chain_grads, chain_nodes = run()
+    assert chain_nodes > fused_nodes  # the reference really is the old chain
+    assert chain_out == fused_out
+    assert chain_grads == fused_grads
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,13 @@ from crowdaug.trainer import (
     log_generation_grid,
     pretrain_dl_cl,
     pretrain_gen_disc,
-    read_augmented_file,
     select_for_discriminator,
     train_crowding,
     train_dl_cl,
     train_dl_mv,
     train_method,
 )
-from helpers import randomize
+from helpers import randomize, read_augmented_file, store_grads, three_op_dense
 
 
 def tiny_dataset(seed=7, n=60, r=6, c=3):
@@ -289,6 +288,44 @@ def test_crm_step_frees_its_graph_before_the_next_forward(monkeypatch):
         train_crowding(ds, tiny_config(inner_steps=3, two_step=two_step, epochs=1))
     assert len(objectives) >= 9 and len(freed_at_forward) >= len(objectives)
     assert all(freed_at_forward)
+
+
+def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
+    # D scores the authentic and the generated rows and Q reads the generated
+    # ones, so the encoders and M each take three gradient contributions: this
+    # pins the order in which shared leaves accumulate them
+    dims = NetDims(num_classes=4, feature_dim=2, annotator_dim=6)
+    prop = np.random.default_rng(0).uniform(0.1, 1.0, size=(4, 4))
+    adj = CoocAdjacency(counts=np.zeros((4, 4)), propagation=(prop + prop.T) / 4)
+    rng = np.random.default_rng(1)
+    auth = (rng.normal(size=(50, 2)), rng.normal(size=(50, 6)), rng.integers(0, 4, 50))
+    gen = (rng.normal(size=(70, 2)), rng.normal(size=(70, 6)), rng.integers(0, 4, 70))
+    codes = rng.integers(0, 4, size=70)
+
+    def step():
+        bundle = build_bundle(dims, adj, np.random.default_rng(2))
+        for store in bundle.stores().values():
+            randomize(store, np.random.default_rng(3), scale=0.5)
+        disc, aux = bundle.discriminator, bundle.aux
+        opt = dc.Adam(dc.ParamStore.union(disc.store, aux.own_store()), lr=1e-3)
+        loss, clamped = tr._disc_aux_step(opt, disc, aux, adj, auth, gen, codes,
+                                          tiny_config(), "test", 0)
+        return loss, clamped, store_grads(disc.store, aux.own_store())
+
+    fused = step()
+    monkeypatch.setattr(dc, "dense", three_op_dense)
+    assert step() == fused
+
+
+@pytest.mark.parametrize("two_step", [True, False])
+def test_training_is_byte_identical_to_three_op_layers(two_step, monkeypatch):
+    ds, cfg = tiny_dataset(), tiny_config(two_step=two_step)
+    fused = train_crowding(ds, cfg)
+    monkeypatch.setattr(dc, "dense", three_op_dense)
+    chain = train_crowding(ds, cfg)
+    assert repr(chain.history) == repr(fused.history)
+    assert chain.test_acc == fused.test_acc
+    assert _fingerprints(chain) == _fingerprints(fused)
 
 
 # ---------------------------------------------------------------------------
