@@ -64,7 +64,10 @@ def _dataset_paths(data_dir: str | Path) -> list[Path]:
 def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
                    inputs: list[Path | None], outputs: list[str]) -> Path:
     """Record what is about to run; written before any training starts."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or on the way to it
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     manifest = {
         "command": command,
         "config": config,
@@ -86,6 +89,8 @@ def _load_config_values(config_file: str | None) -> dict[str, str]:
         return load_config_file(config_file)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {config_file}") from exc
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ConfigError(f"cannot read config file {config_file}: {exc.strerror}") from exc
 
 
 def _split_prefixed(values: dict[str, str], prefix: str) -> tuple[dict, dict]:

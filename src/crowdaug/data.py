@@ -472,11 +472,12 @@ def load_dataset(data_dir: str | Path, num_classes: int | None = None) -> CrowdD
     features = _parse_float_matrix(data_dir / "features.csv", "f")
     n = len(features)
 
-    header, body = _read_csv_rows(data_dir / "annotations.csv")
+    ann_path = data_dir / "annotations.csv"
+    header, body = _read_csv_rows(ann_path)
     if header != ["instance_id", "annotator_id", "label"]:
-        raise DatasetError(f"{data_dir/'annotations.csv'}: bad header {header}")
+        raise DatasetError(f"{ann_path}: bad header {header}")
     triplets = np.asarray(
-        [_parse_int_row(row, 3, data_dir / "annotations.csv", i)
+        [_parse_int_row(row, 3, ann_path, i)
          for i, row in enumerate(body)], dtype=np.int64).reshape(-1, 3)
 
     annot_path = data_dir / "annotators.csv"

@@ -12,10 +12,11 @@
   so no (B, m, m) copy of the table is made.
 - Auxiliary net: recovers the classifier's distribution from a generated
   annotation; shares the discriminator's encoders (same tensor objects). It
-  still gathers one flattened (m*m) class matrix per row before embedding it,
-  so callers that score many pairs do so in row blocks (see ``trainer``).
+  embeds each row's label matrix from the flattened (C, m*m) table by index
+  (``diffcore.class_dense``), so its graph keeps no (B, m*m) copy of the table.
 
 Every layer ``x @ W + b`` (with or without ReLU) is one ``diffcore.dense``
+node, and the aux net's class-matrix embedding one ``diffcore.class_dense``
 node; only the discriminator's class-matrix mixing calls ``matmul``.
 
 All forwards accept plain numpy batches and return graph Tensors, except
@@ -242,7 +243,7 @@ class AuxNet:
         c, m = d.num_classes, d.embed_dim
         flat = dc.reshape(self.disc.decoded_matrices(adj), (c, m * m))
         p = self.store
-        m_y = dc.dense(dc.gather_rows(flat, y), p["Wembed"], p["bembed"])
+        m_y = dc.class_dense(flat, y, p["Wembed"], p["bembed"])
         inp = dc.concat([v, u, m_y], axis=1)
         h1 = dc.dense(inp, p["W1"], p["b1"], relu=True)
         h2 = dc.dense(h1, p["W2"], p["b2"], relu=True)

@@ -589,11 +589,12 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
 
     # (3) score all logged samples
     adj = bundle.adjacency
-    x_all, e_all = ds.features[batch.instances], ds.annotator_features[batch.annotators]
     d_scores = _forward_in_blocks(len(batch), lambda s: bundle.discriminator.score(
-        x_all[s], e_all[s], batch.labels[s], adj).data)
+        ds.features[batch.instances[s]], ds.annotator_features[batch.annotators[s]],
+        batch.labels[s], adj).data)
     q_lp_all = _forward_in_blocks(len(batch), lambda s: bundle.aux.log_posterior(
-        x_all[s], e_all[s], batch.labels[s], adj).data)
+        ds.features[batch.instances[s]], ds.annotator_features[batch.annotators[s]],
+        batch.labels[s], adj).data)
     q_at_draw = q_lp_all[np.arange(len(batch)), batch.zhat_draws]
     deltas_gen, clamped_d = per_annotation_delta(d_scores, q_at_draw, cfg.info_weight)
     deltas_clf, _ = per_annotation_delta(d_scores, q_at_draw, 0.0)

@@ -1,9 +1,11 @@
 """Helpers shared by the test modules (not collected as tests)."""
 import csv
+from typing import Callable, Iterable
 
 import numpy as np
 
 from crowdaug import diffcore as dc
+from crowdaug.diffcore import ParamStore, Tensor, backward
 
 
 def randomize(store, rng, scale):
@@ -22,6 +24,16 @@ def three_op_dense(x, w, b, relu=False):
     return dc.relu(out) if relu else out
 
 
+def gather_dense(table, classes, w, b):
+    """The ``gather_rows``/``dense`` pair that ``diffcore.class_dense`` replaces.
+
+    Patched in for ``diffcore.class_dense``, it copies one table row per row
+    and scatters their gradients back with ``np.add.at``: the reference for
+    the op's byte-identity.
+    """
+    return dc.dense(dc.gather_rows(table, classes), w, b)
+
+
 def store_grads(*stores):
     """Every parameter's (name, value bytes, gradient bytes or None), in store order."""
     return [(name, t.data.tobytes(), None if t.grad is None else t.grad.tobytes())
@@ -38,3 +50,47 @@ def read_augmented_file(path):
         body = [[int(v) for v in row] for row in reader if row]
     arr = np.asarray(body, dtype=np.int64).reshape(-1, 4)
     return arr[:, :3], arr[:, 3].astype(bool)
+
+
+def grad_check(fn: Callable[[], Tensor], params: ParamStore | Iterable[Tensor],
+               eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``fn`` must rebuild the loss from the current parameter values and be
+    deterministic (freeze any random inputs before calling). Relative error is
+    |analytic - numeric| / (|numeric| + 1e-8), maximized over every entry of
+    every parameter.
+    """
+    if not 0.0 < eps <= 1e-3:
+        raise ValueError(f"eps must be in (0, 1e-3], got {eps}")
+    if isinstance(params, ParamStore):
+        named = list(params.items())
+    else:
+        named = [(f"param{i}", t) for i, t in enumerate(params)]
+
+    for _, t in named:
+        t.grad = None
+    loss = fn()
+    backward(loss)
+    analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
+                for name, t in named}
+
+    worst = 0.0
+    for name, t in named:
+        flat = t.data.reshape(-1)
+        aflat = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = fn().item()
+            flat[i] = orig - eps
+            f_minus = fn().item()
+            flat[i] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise ValueError(f"non-finite loss while perturbing parameter {name!r}")
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            rel = abs(aflat[i] - numeric) / (abs(numeric) + 1e-8)
+            worst = max(worst, rel)
+    for _, t in named:
+        t.grad = None
+    return worst

@@ -30,7 +30,7 @@ from crowdaug.trainer import (
     train_dl_cl,
     train_dl_mv,
 )
-from helpers import randomize
+from helpers import grad_check, randomize
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -115,29 +115,29 @@ def test_criterion_01_gradient_integrity():
         weights = rng.normal(size=(batch, dims.num_classes))
 
         # classifier through a weighted log-probability readout
-        worst = max(worst, dc.grad_check(
+        worst = max(worst, grad_check(
             lambda: dc.t_sum(dc.log_softmax(clf.logits(x), axis=1)
                              * dc.Tensor(weights)), clf.store))
         # generator distribution readout
-        worst = max(worst, dc.grad_check(
+        worst = max(worst, grad_check(
             lambda: dc.t_sum(gen.distribution(x, e, zhat, eps)
                              * dc.Tensor(weights)), gen.store))
         # discriminator ± LCA through the adversarial loss
         y2 = rng.integers(0, dims.num_classes, size=batch)
-        worst = max(worst, dc.grad_check(
+        worst = max(worst, grad_check(
             lambda: discriminator_loss(disc.score(x, e, y, adj),
                                        disc.score(x, e, y2, adj))[0],
             disc.store))
         # auxiliary posterior cross-entropy, through the shared encoders too
         zdraw = rng.integers(0, dims.num_classes, size=batch)
-        worst = max(worst, dc.grad_check(
+        worst = max(worst, grad_check(
             lambda: dc.neg(dc.t_mean(dc.pick(aux.log_posterior(x, e, y, adj),
                                              zdraw))),
             dc.ParamStore.union(disc.store, aux.own_store())))
         # importance-weighted objective through the generator
         g0 = np.full(batch, 1.0 / dims.num_classes)
         deltas = rng.normal(size=batch)
-        worst = max(worst, dc.grad_check(
+        worst = max(worst, grad_check(
             lambda: crm_objective(g0, dc.pick(gen.distribution(x, e, zhat, eps),
                                               y), deltas, 0.1),
             gen.store))
@@ -146,7 +146,7 @@ def test_criterion_01_gradient_integrity():
             z = clf.probs(x)
             dist = gen.distribution(x, e, z, eps)
             return crm_objective(g0, dc.pick(dist, y), deltas, 0.0)
-        worst = max(worst, dc.grad_check(clf_crm, clf.store))
+        worst = max(worst, grad_check(clf_crm, clf.store))
 
     _note(1, f"worst relative gradient error {worst:.2e} (tolerance 1e-4) "
              f"across all five network paths, with and without label-context "

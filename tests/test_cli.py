@@ -175,6 +175,42 @@ def test_train_missing_dataset_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def _config_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error:")
+    return err
+
+
+def test_train_out_naming_an_existing_file_is_config_error(workspace, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    code = cli.main(["train", "--data", str(workspace / "data"),
+                     "--config", str(workspace / "train.cfg"), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "cannot create output directory" in _config_error_line(capsys)
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_out_below_a_file_is_config_error(workspace, tmp_path, capsys):
+    parent = tmp_path / "file"
+    parent.write_text("", encoding="utf-8")
+    code = cli.main(["synth", "--config", str(workspace / "synth.cfg"),
+                     "--out", str(parent / "x")])
+    assert code == cli.EXIT_CONFIG
+    assert "cannot create output directory" in _config_error_line(capsys)
+
+
+def test_config_naming_a_directory_is_config_error(workspace, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = cli.main(["train", "--data", str(workspace / "data"),
+                     "--config", str(tmp_path), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "cannot read config file" in _config_error_line(capsys)
+    assert not out.exists()  # rejected before the manifest
+
+
 def test_usage_error_exits_with_config_code(capsys):
     assert cli.main(["train"]) == cli.EXIT_CONFIG  # --data/--out missing
     assert "required" in capsys.readouterr().err

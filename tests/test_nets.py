@@ -5,7 +5,7 @@ import pytest
 from crowdaug import diffcore as dc
 from crowdaug.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from crowdaug.data import CoocAdjacency
-from crowdaug.diffcore import ParamStore, Tensor, grad_check
+from crowdaug.diffcore import ParamStore, Tensor
 from crowdaug.nets import (
     AuxNet,
     Classifier,
@@ -14,7 +14,7 @@ from crowdaug.nets import (
     NetDims,
     build_bundle,
 )
-from helpers import randomize, store_grads, three_op_dense
+from helpers import grad_check, randomize, store_grads, three_op_dense
 
 SMALL = NetDims(num_classes=3, feature_dim=4, annotator_dim=5, noise_dim=2,
                 clf_hidden=6, gen_hidden1=5, gen_hidden2=7, aux_hidden1=5,

@@ -37,7 +37,13 @@ from crowdaug.trainer import (
     train_dl_mv,
     train_method,
 )
-from helpers import randomize, read_augmented_file, store_grads, three_op_dense
+from helpers import (
+    gather_dense,
+    randomize,
+    read_augmented_file,
+    store_grads,
+    three_op_dense,
+)
 
 
 def tiny_dataset(seed=7, n=60, r=6, c=3):
@@ -290,17 +296,19 @@ def test_crm_step_frees_its_graph_before_the_next_forward(monkeypatch):
     assert all(freed_at_forward)
 
 
-def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
-    # D scores the authentic and the generated rows and Q reads the generated
-    # ones, so the encoders and M each take three gradient contributions: this
-    # pins the order in which shared leaves accumulate them
-    dims = NetDims(num_classes=4, feature_dim=2, annotator_dim=6)
-    prop = np.random.default_rng(0).uniform(0.1, 1.0, size=(4, 4))
-    adj = CoocAdjacency(counts=np.zeros((4, 4)), propagation=(prop + prop.T) / 4)
+def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32):
+    """One ``_disc_aux_step`` of fresh randomized D/Q nets over 50 authentic
+    and ``gen_rows`` generated rows, as a closure returning the loss, the
+    clamp count and every D/Q parameter's value and gradient bytes."""
+    c = num_classes
+    dims = NetDims(num_classes=c, feature_dim=2, annotator_dim=6, embed_dim=embed_dim)
+    prop = np.random.default_rng(0).uniform(0.1, 1.0, size=(c, c))
+    adj = CoocAdjacency(counts=np.zeros((c, c)), propagation=(prop + prop.T) / c)
     rng = np.random.default_rng(1)
-    auth = (rng.normal(size=(50, 2)), rng.normal(size=(50, 6)), rng.integers(0, 4, 50))
-    gen = (rng.normal(size=(70, 2)), rng.normal(size=(70, 6)), rng.integers(0, 4, 70))
-    codes = rng.integers(0, 4, size=70)
+    auth = (rng.normal(size=(50, 2)), rng.normal(size=(50, 6)), rng.integers(0, c, 50))
+    gen = (rng.normal(size=(gen_rows, 2)), rng.normal(size=(gen_rows, 6)),
+           rng.integers(0, c, gen_rows))
+    codes = rng.integers(0, c, size=gen_rows)
 
     def step():
         bundle = build_bundle(dims, adj, np.random.default_rng(2))
@@ -312,9 +320,53 @@ def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
                                           tiny_config(), "test", 0)
         return loss, clamped, store_grads(disc.store, aux.own_store())
 
+    return step
+
+
+def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
+    # D scores the authentic and the generated rows and Q reads the generated
+    # ones, so the encoders and M each take three gradient contributions: this
+    # pins the order in which shared leaves accumulate them
+    step = _disc_aux_step_on(70)
     fused = step()
     monkeypatch.setattr(dc, "dense", three_op_dense)
     assert step() == fused
+
+
+@pytest.mark.parametrize("gen_rows", [70, 1500])
+def test_disc_aux_step_is_byte_identical_to_gathered_class_embedding(gen_rows, monkeypatch):
+    # at 1500 rows each class's rows of the table gradient span two chunks
+    step = _disc_aux_step_on(gen_rows)
+    embedded = step()
+    monkeypatch.setattr(dc, "class_dense", gather_dense)
+    assert step() == embedded
+
+
+def test_disc_aux_step_peak_memory_per_generated_row():
+    # Q's class embedding used to keep one (rows, m*m) copy in the graph and
+    # make a second one in the backward; now one exists at a time, next to
+    # the graph's own few KB a row, which m = 48 keeps under half a copy.
+    # Two classes of over 512 rows each hold the chunked reads' size fixed.
+    m = 48
+
+    def peak(gen_rows):
+        step = _disc_aux_step_on(gen_rows, num_classes=2, embed_dim=m)
+        tracemalloc.start()
+        try:
+            step()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1100), peak(2200)
+    per_row = (large - small) / 1100
+    assert per_row < 1.5 * 8 * m * m, per_row
+
+
+def _assert_same_training(a, b):
+    assert repr(a.history) == repr(b.history)
+    assert a.test_acc == b.test_acc
+    assert _fingerprints(a) == _fingerprints(b)
 
 
 @pytest.mark.parametrize("two_step", [True, False])
@@ -322,10 +374,15 @@ def test_training_is_byte_identical_to_three_op_layers(two_step, monkeypatch):
     ds, cfg = tiny_dataset(), tiny_config(two_step=two_step)
     fused = train_crowding(ds, cfg)
     monkeypatch.setattr(dc, "dense", three_op_dense)
-    chain = train_crowding(ds, cfg)
-    assert repr(chain.history) == repr(fused.history)
-    assert chain.test_acc == fused.test_acc
-    assert _fingerprints(chain) == _fingerprints(fused)
+    _assert_same_training(train_crowding(ds, cfg), fused)
+
+
+@pytest.mark.parametrize("two_step", [True, False])
+def test_training_is_byte_identical_to_gathered_class_embedding(two_step, monkeypatch):
+    ds, cfg = tiny_dataset(), tiny_config(two_step=two_step)
+    embedded = train_crowding(ds, cfg)
+    monkeypatch.setattr(dc, "class_dense", gather_dense)
+    _assert_same_training(train_crowding(ds, cfg), embedded)
 
 
 # ---------------------------------------------------------------------------
