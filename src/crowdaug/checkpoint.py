@@ -7,6 +7,7 @@ self-describing and bit-exact on round-trip.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,10 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             offset = int(offset_text)
         except ValueError:
             raise CheckpointError(f"{path}: bad manifest line {line!r}") from None
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * count
+        if offset < 0 or any(d < 0 for d in shape):
+            raise CheckpointError(
+                f"{path}: negative offset or dimension in manifest line {line!r}")
+        end = offset + 8 * math.prod(shape)  # Python ints: no overflow
         if end > len(payload):
             raise CheckpointError(f"{path}: payload truncated for {name!r}")
         arrays[name] = np.frombuffer(payload[offset:end],

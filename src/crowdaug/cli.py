@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, evalsuite
@@ -184,6 +183,8 @@ def _run_grid(table: SweepTable, jobs: list) -> SweepTable:
     the accuracies in job order: the table is the same on any worker count."""
     workers = _worker_count(len(jobs))
     if workers > 1:
+        # imported here: the pool module costs every other command's start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_job, jobs))
     else:

@@ -144,8 +144,10 @@ class CrowdDataset:
             if ann[:, 2].min() < 0 or ann[:, 2].max() >= self.num_classes:
                 raise DatasetError(
                     f"annotation label out of range [0, {self.num_classes})")
-            pair_keys = ann[:, 0].astype(np.int64) * self.num_annotators + ann[:, 1]
-            if len(np.unique(pair_keys)) != len(pair_keys):
+            # sorted neighbours, not np.unique: its first call imports numpy.ma,
+            # ~30 ms of every command's start-up
+            pair_keys = np.sort(ann[:, 0] * self.num_annotators + ann[:, 1])
+            if np.any(pair_keys[1:] == pair_keys[:-1]):
                 raise DatasetError("duplicate annotation for an (instance, annotator) pair")
 
         annotated = np.zeros(self.num_instances, dtype=bool)
@@ -430,6 +432,32 @@ def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def _as_table(body: list[list[str]], width: int, dtype) -> np.ndarray | None:
+    """``body`` as one (rows, width) array from a single NumPy conversion; None
+    when a row has another width or a value does not convert.
+
+    numpy's str-to-int64/float64 casts give Python's ``int()``/``float()``
+    values, so a caller needs its per-row parse only to name a bad row.
+    """
+    try:
+        table = np.array(body, dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+    return table if table.shape == (len(body), width) else None
+
+
+def _ids_in_range(ids: np.ndarray, n: int) -> bool:
+    return not ids.size or (ids.min() >= 0 and ids.max() < n)
+
+
+def _assign_last_wins(out: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``out[ids[i]] = values[i]`` in row order: a repeated id keeps its last row."""
+    _, first_from_end = np.unique(ids[::-1], return_index=True)
+    last = len(ids) - 1 - first_from_end
+    out[ids[last]] = values[last]
+    return out
+
+
 def _parse_float_matrix(path: Path, prefix: str) -> np.ndarray:
     header, body = _read_csv_rows(path)
     expected = [f"{prefix}{i}" for i in range(len(header))]
@@ -437,15 +465,17 @@ def _parse_float_matrix(path: Path, prefix: str) -> np.ndarray:
         raise DatasetError(
             f"{path}: header must be {prefix}0..{prefix}{{d-1}}, got {header[:4]}...")
     width = len(header)
-    data = np.empty((len(body), width), dtype=np.float64)
-    for i, row in enumerate(body):
-        if len(row) != width:
-            raise DatasetError(f"{path}: ragged feature row {i} "
-                               f"(expected {width} columns, got {len(row)})")
-        try:
-            data[i] = [float(v) for v in row]
-        except ValueError:
-            raise DatasetError(f"{path}: non-numeric value in row {i}") from None
+    data = _as_table(body, width, np.float64)
+    if data is None:
+        data = np.empty((len(body), width), dtype=np.float64)
+        for i, row in enumerate(body):
+            if len(row) != width:
+                raise DatasetError(f"{path}: ragged feature row {i} "
+                                   f"(expected {width} columns, got {len(row)})")
+            try:
+                data[i] = [float(v) for v in row]
+            except ValueError:
+                raise DatasetError(f"{path}: non-numeric value in row {i}") from None
     if not np.all(np.isfinite(data)):
         raise DatasetError(f"{path}: non-finite value in features")
     return data
@@ -460,6 +490,53 @@ def _parse_int_row(row: list[str], width: int, path: Path, i: int) -> list[int]:
         raise DatasetError(f"{path}: non-integer value in row {i}") from None
 
 
+def _parse_truth(path: Path, body: list[list[str]], n: int) -> np.ndarray:
+    rows = _as_table(body, 2, np.int64)
+    if rows is not None and _ids_in_range(rows[:, 0], n):
+        return _assign_last_wins(np.full(n, -1, dtype=np.int64), rows[:, 0], rows[:, 1])
+    # the row-by-row parse, which names the first bad row (an empty body ends here too)
+    truth = np.full(n, -1, dtype=np.int64)
+    for i, row in enumerate(body):
+        inst, label = _parse_int_row(row, 2, path, i)
+        if not 0 <= inst < n:
+            raise DatasetError(f"{path}: instance id {inst} out of range")
+        truth[inst] = label
+    return truth
+
+
+def _parse_splits(path: Path, body: list[list[str]], n: int) -> np.ndarray:
+    name_to_code = {name: code for code, name in enumerate(SPLIT_NAMES)}
+    splits = None
+    rows = _as_table(body, 2, object)
+    if rows is not None:
+        try:
+            ids = rows[:, 0].astype(np.int64)
+        except (ValueError, OverflowError):
+            ids = None
+        codes = np.full(len(rows), -1, dtype=np.int8)
+        for name, code in name_to_code.items():
+            codes[rows[:, 1] == name] = code
+        if ids is not None and _ids_in_range(ids, n) and np.all(codes >= 0):
+            splits = _assign_last_wins(np.full(n, -1, dtype=np.int8), ids, codes)
+    if splits is None:  # the row-by-row parse, which names the first bad row
+        splits = np.full(n, -1, dtype=np.int8)
+        for i, row in enumerate(body):
+            if len(row) != 2:
+                raise DatasetError(f"{path}: row {i} must be instance_id,split")
+            try:
+                inst = int(row[0])
+            except ValueError:
+                raise DatasetError(f"{path}: non-integer id in row {i}") from None
+            if row[1] not in name_to_code:
+                raise DatasetError(f"{path}: unknown split {row[1]!r}")
+            if not 0 <= inst < n:
+                raise DatasetError(f"{path}: instance id {inst} out of range")
+            splits[inst] = name_to_code[row[1]]
+    if np.any(splits < 0):
+        raise DatasetError(f"{path}: split missing for some instances")
+    return splits
+
+
 def load_dataset(data_dir: str | Path, num_classes: int | None = None) -> CrowdDataset:
     """Load a dataset directory written by ``save_dataset`` or by hand.
 
@@ -467,6 +544,12 @@ def load_dataset(data_dir: str | Path, num_classes: int | None = None) -> CrowdD
     ``annotators.csv`` (else annotators get one-hot vectors),
     ``truth.csv``, ``splits.csv`` (else every instance is train).
     ``num_classes`` is inferred from the labels when not given.
+
+    Each file is read by ``csv.reader`` (its quoting, blank-line and line-end
+    rules) and its body converted in one NumPy call; only a file that fails
+    that conversion or a check is parsed again row by row, to name the bad
+    row. A repeated instance id in ``truth.csv`` or ``splits.csv`` keeps its
+    last row.
     """
     data_dir = Path(data_dir)
     features = _parse_float_matrix(data_dir / "features.csv", "f")
@@ -476,9 +559,10 @@ def load_dataset(data_dir: str | Path, num_classes: int | None = None) -> CrowdD
     header, body = _read_csv_rows(ann_path)
     if header != ["instance_id", "annotator_id", "label"]:
         raise DatasetError(f"{ann_path}: bad header {header}")
-    triplets = np.asarray(
-        [_parse_int_row(row, 3, ann_path, i)
-         for i, row in enumerate(body)], dtype=np.int64).reshape(-1, 3)
+    triplets = _as_table(body, 3, np.int64)
+    if triplets is None:  # the row-by-row parse, which names the first bad row
+        triplets = np.asarray([_parse_int_row(row, 3, ann_path, i)
+                               for i, row in enumerate(body)], dtype=np.int64).reshape(-1, 3)
 
     annot_path = data_dir / "annotators.csv"
     if annot_path.exists():
@@ -497,12 +581,7 @@ def load_dataset(data_dir: str | Path, num_classes: int | None = None) -> CrowdD
         header, body = _read_csv_rows(truth_path)
         if header != ["instance_id", "label"]:
             raise DatasetError(f"{truth_path}: bad header {header}")
-        truth = np.full(n, -1, dtype=np.int64)
-        for i, row in enumerate(body):
-            inst, label = _parse_int_row(row, 2, truth_path, i)
-            if not 0 <= inst < n:
-                raise DatasetError(f"{truth_path}: instance id {inst} out of range")
-            truth[inst] = label
+        truth = _parse_truth(truth_path, body, n)
 
     splits = None
     splits_path = data_dir / "splits.csv"
@@ -510,22 +589,7 @@ def load_dataset(data_dir: str | Path, num_classes: int | None = None) -> CrowdD
         header, body = _read_csv_rows(splits_path)
         if header != ["instance_id", "split"]:
             raise DatasetError(f"{splits_path}: bad header {header}")
-        splits = np.full(n, -1, dtype=np.int8)
-        name_to_code = {name: code for code, name in enumerate(SPLIT_NAMES)}
-        for i, row in enumerate(body):
-            if len(row) != 2:
-                raise DatasetError(f"{splits_path}: row {i} must be instance_id,split")
-            try:
-                inst = int(row[0])
-            except ValueError:
-                raise DatasetError(f"{splits_path}: non-integer id in row {i}") from None
-            if row[1] not in name_to_code:
-                raise DatasetError(f"{splits_path}: unknown split {row[1]!r}")
-            if not 0 <= inst < n:
-                raise DatasetError(f"{splits_path}: instance id {inst} out of range")
-            splits[inst] = name_to_code[row[1]]
-        if np.any(splits < 0):
-            raise DatasetError(f"{splits_path}: split missing for some instances")
+        splits = _parse_splits(splits_path, body, n)
 
     if num_classes is None:
         observed = [triplets[:, 2].max()] if triplets.size else []

@@ -29,10 +29,14 @@ memory does not grow with the pair grid. The forward-only ones (step 1, the
 step-3 scores, the generator step's codes and the augmentation export) are
 bit-identical to one call over every row; the CRM steps are too below 8192
 pairs, and above that only the order of the gradient's sum over pairs moves.
+The classifier probabilities of step 1, of the generator step's codes and of
+the export depend only on the instance, so ``_instance_probs`` computes them
+once per distinct instance, byte-equal to the pass per pair. The export
+writes its CSV one row block at a time from a NumPy formatter, byte-equal to
+``csv.writer``.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -214,6 +218,24 @@ def _forward_in_blocks(n: int, forward) -> np.ndarray:
     """``forward(rows)`` (a slice, returning an array) over ``_row_blocks(n)``,
     concatenated."""
     return np.concatenate([forward(rows) for rows in _row_blocks(n)])
+
+
+def _instance_probs(clf: Classifier, ds: CrowdDataset, inst: np.ndarray) -> np.ndarray:
+    """Classifier probabilities of each pair's instance ``inst``: one forward
+    pass per distinct instance, gathered back to the pairs.
+
+    Byte-equal to ``_forward_in_blocks`` over the pairs. The distinct rows are
+    repeated up to the pair pass's first block height, so every block is as
+    tall as one of that pass and takes the same BLAS kernel (a shorter block
+    would fall under OpenBLAS's small-matrix one; see ``_BLOCK_ROWS``).
+    """
+    present = np.zeros(ds.num_instances, dtype=bool)
+    present[inst] = True
+    distinct = np.flatnonzero(present)
+    padded = np.resize(distinct, max(len(distinct), _row_blocks(len(inst))[0].stop))
+    probs = _forward_in_blocks(len(padded), lambda s: clf.probs(ds.features[padded[s]]).data)
+    # position of each instance among the distinct ones, without a sort
+    return probs[np.cumsum(present)[inst] - 1]
 
 
 def _gen_inputs(ds: CrowdDataset, dims: NetDims, inst: np.ndarray,
@@ -412,7 +434,7 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     inst = np.concatenate(pairs_inst)
     annot = np.concatenate(pairs_annot)
 
-    zhat = _forward_in_blocks(len(inst), lambda s: clf.probs(ds.features[inst[s]]).data)
+    zhat = _instance_probs(clf, ds, inst)
     eps = gen.draw_noise(rng, len(inst))
     dist = _forward_in_blocks(len(inst), lambda s: gen.distribution(
         *_gen_inputs(ds, gen.dims, inst[s], annot[s]), zhat[s], eps[s]).data)
@@ -611,8 +633,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     high_idx = np.flatnonzero(~pair_is_low)
     low = batch.subset(low_idx)
     high = batch.subset(high_idx)
-    zhat_low_const = _forward_in_blocks(len(low), lambda s: bundle.classifier.probs(
-        ds.features[low.instances[s]]).data)
+    zhat_low_const = _instance_probs(bundle.classifier, ds, low.instances)
 
     # (5)+(6) CRM updates under a shared multiplier-coefficient search
     if cfg.mu_mode == "fixed":
@@ -841,8 +862,7 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
     missing = labels < 0
     if missing.any():
         m_inst, m_annot = inst[missing], annot[missing]
-        zhat = _forward_in_blocks(len(m_inst), lambda s: bundle.classifier.probs(
-            ds.features[m_inst[s]]).data)
+        zhat = _instance_probs(bundle.classifier, ds, m_inst)
         gen = bundle.generator
         eps = gen.draw_noise(rng, len(m_inst))
         dist = _forward_in_blocks(len(m_inst), lambda s: gen.distribution(
@@ -851,10 +871,30 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
 
     rows = np.column_stack([inst, annot, labels, (~missing).astype(np.int64)])
     if out_path is not None:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["instance_id", "annotator_id", "label", "authentic"])
-            for block in _row_blocks(len(rows)):  # one block's Python ints at a time
-                writer.writerows(rows[block].tolist())
+        with open(out_path, "wb") as fh:
+            fh.write(b"instance_id,annotator_id,label,authentic\n")
+            for block in _row_blocks(len(rows)):
+                fh.write(_csv_int_lines(rows[block]))
     return rows
 
+
+def _csv_int_lines(rows: np.ndarray) -> bytes:
+    """Rows of non-negative integers as CSV lines ending in "\\n", byte-equal to
+    ``csv.writer`` over ``rows.tolist()``: one character matrix of the rows,
+    filled one column and digit at a time, with leading zeros masked out."""
+    if not rows.size:
+        return b""
+    widths = [len(str(int(m))) for m in rows.max(axis=0)]
+    chars = np.empty((len(rows), sum(widths) + len(widths)), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    end = chars.shape[1]
+    for col, width in zip(rows.T[::-1], widths[::-1]):  # right to left
+        chars[:, end - 1] = ord(",")
+        for at in range(end - 2, end - 2 - width, -1):
+            if at < end - 2:  # a digit left of the units: kept while digits remain
+                keep[:, at] = col > 0
+            col, digit = np.divmod(col, 10)
+            chars[:, at] = digit + ord("0")
+        end -= width + 1
+    chars[:, -1] = ord("\n")
+    return chars[keep].tobytes()

@@ -94,3 +94,34 @@ def grad_check(fn: Callable[[], Tensor], params: ParamStore | Iterable[Tensor],
     for _, t in named:
         t.grad = None
     return worst
+
+
+@dc.no_grad()
+def entropy_accuracy_curve(classifier, x, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative accuracy over instances sorted by ascending output entropy.
+
+    Returns (sorted entropies, cumulative accuracy); point i covers the i+1
+    lowest-entropy instances, so the final point equals overall accuracy.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    probs = classifier.probs(np.asarray(x, dtype=np.float64)).data
+    ent = dc.entropy(probs, axis=1)
+    order = np.argsort(ent, kind="stable")
+    correct = (probs.argmax(axis=1) == labels)[order]
+    cum_acc = np.cumsum(correct) / np.arange(1, len(labels) + 1)
+    return ent[order], cum_acc
+
+
+def decile_points(cum_acc: np.ndarray) -> np.ndarray:
+    """Cumulative-accuracy values at the 10 decile cut points."""
+    n = len(cum_acc)
+    idx = np.maximum((np.arange(1, 11) * n) // 10, 1) - 1
+    return cum_acc[idx]
+
+
+def nonincreasing_fraction(values: np.ndarray, tol: float = 1e-12) -> float:
+    """Fraction of adjacent pairs where the sequence does not increase."""
+    diffs = np.diff(np.asarray(values, dtype=np.float64))
+    if diffs.size == 0:
+        return 1.0
+    return float(np.mean(diffs <= tol))

@@ -30,7 +30,13 @@ from crowdaug.trainer import (
     train_dl_cl,
     train_dl_mv,
 )
-from helpers import grad_check, randomize
+from helpers import (
+    decile_points,
+    entropy_accuracy_curve,
+    grad_check,
+    nonincreasing_fraction,
+    randomize,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -414,11 +420,11 @@ def test_criterion_08_entropy_accuracy_deciles(benchmark_runs):
     fractions = []
     for ds, _, crowding in benchmark_runs.values():
         test_idx = ds.split_indices(TEST)
-        _, cum = ev.entropy_accuracy_curve(crowding.classifier,
-                                           ds.features[test_idx],
-                                           ds.ground_truth[test_idx])
-        deciles = ev.decile_points(cum)
-        fractions.append(ev.nonincreasing_fraction(deciles))
+        _, cum = entropy_accuracy_curve(crowding.classifier,
+                                        ds.features[test_idx],
+                                        ds.ground_truth[test_idx])
+        deciles = decile_points(cum)
+        fractions.append(nonincreasing_fraction(deciles))
     mean_fraction = float(np.mean(fractions))
     _note(8, f"mean non-increasing decile fraction on cumulative "
              f"entropy-sorted accuracy {mean_fraction:.3f} "

@@ -332,6 +332,39 @@ def test_checkpoint_with_wrong_shape_array_is_data_error(workspace, tmp_path, ca
     assert len(err.strip().splitlines()) == 1
 
 
+def rewrite_manifest_entry(src, dst, name, field, value):
+    """Copy checkpoint ``src`` to ``dst`` with one field (1 = shape, 2 = offset)
+    of array ``name``'s manifest entry replaced."""
+    manifest, payload = src.read_bytes().split(b"\n\n", 1)
+    lines = manifest.decode("utf-8").split("\n")
+    for i, line in enumerate(lines):
+        parts = line.split("|")
+        if parts[0] == name:
+            parts[field] = value
+            lines[i] = "|".join(parts)
+    dst.write_bytes("\n".join(lines).encode("utf-8") + b"\n\n" + payload)
+
+
+@pytest.mark.parametrize("command", ["eval", "augment"])
+@pytest.mark.parametrize("name, field, value, message", [
+    ("classifier.W1", 2, "-2048", "negative offset or dimension"),
+    ("meta.num_classes", 1, "-1", "negative offset or dimension"),
+    # 2**62 x 4 elements overflow an int64 product to 0
+    ("classifier.W1", 1, f"{2 ** 62},4", "payload truncated")],
+    ids=["negative-offset", "negative-dimension", "overflowing-shape"])
+def test_checkpoint_with_impossible_manifest_entry_is_data_error(
+        workspace, tmp_path, capsys, command, name, field, value, message):
+    broken = tmp_path / "broken.bin"
+    rewrite_manifest_entry(workspace / "run" / "checkpoint.bin", broken, name, field, value)
+    assert f"{name}|".encode() in broken.read_bytes()
+    code = cli.main([command, "--data", str(workspace / "data"),
+                     "--checkpoint", str(broken), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err and name in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_checkpoint_with_non_utf8_manifest_is_data_error(workspace, tmp_path, capsys):
     broken = tmp_path / "latin1.bin"
     broken.write_bytes(b"crowdaug-checkpoint-v1\nmeta.caf\xe9|1|0\n\n" + bytes(8))

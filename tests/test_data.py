@@ -1,10 +1,13 @@
 """Dataset loading, synthesis, co-occurrence, vote, and removal tests."""
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crowdaug.config import ConfigError
 from crowdaug.data import (
+    SPLIT_NAMES,
     TRAIN,
     VAL,
     TEST,
@@ -121,6 +124,119 @@ def test_save_load_round_trip_byte_identical(tmp_path):
     np.testing.assert_array_equal(canon(loaded.annotations), canon(ds.annotations))
     np.testing.assert_array_equal(loaded.ground_truth, ds.ground_truth)
     np.testing.assert_array_equal(loaded.splits, ds.splits)
+
+
+def load_by_rows(data_dir):
+    """(features, annotator features, triplets, truth, splits) parsed row by
+    row with Python's ``float()``/``int()``, a repeated truth or split id taking
+    its last row: the reference for ``load_dataset``'s one-call conversion."""
+    def body(name):
+        with open(data_dir / name, newline="", encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh) if row][1:]
+
+    features = np.array([[float(v) for v in row] for row in body("features.csv")])
+    annotators = np.array([[float(v) for v in row] for row in body("annotators.csv")])
+    triplets = np.array([[int(v) for v in row] for row in body("annotations.csv")],
+                        dtype=np.int64)
+    truth = np.full(len(features), -1, dtype=np.int64)
+    for inst, label in body("truth.csv"):
+        truth[int(inst)] = int(label)
+    splits = np.full(len(features), -1, dtype=np.int8)
+    for inst, name in body("splits.csv"):
+        splits[int(inst)] = SPLIT_NAMES.index(name)
+    return features, annotators, triplets, truth, splits
+
+
+def assert_loads_as_rows(data_dir):
+    ds = load_dataset(data_dir)
+    got = (ds.features, ds.annotator_features, ds.annotations, ds.ground_truth, ds.splits)
+    for name, a, b in zip(("features", "annotators", "annotations", "truth", "splits"),
+                          got, load_by_rows(data_dir)):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def rewrite_quoted_crlf(src, dst):
+    """Every file of ``src`` with each field quoted, CRLF line ends and a blank
+    line after every third row."""
+    dst.mkdir()
+    for path in src.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        lines = [",".join(f'"{v}"' for v in row) + ("\r\n" if i % 3 == 2 else "")
+                 for i, row in enumerate(rows)]
+        (dst / path.name).write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    return dst
+
+
+def test_load_equals_row_parse_on_saved_and_reformatted_files(tmp_path):
+    ds = synthesize_dataset(SynthConfig(num_classes=3, num_instances=300,
+                                        num_annotators=7, feature_dim=3,
+                                        reliability_low=0.6, reliability_high=0.9,
+                                        avg_annotations=2.5), seed=4)
+    saved = tmp_path / "saved"
+    save_dataset(ds, saved)
+    assert_loads_as_rows(saved)
+    reformatted = rewrite_quoted_crlf(saved, tmp_path / "quoted")
+    assert b'"\r\n\r\n"' in (reformatted / "features.csv").read_bytes()
+    assert_loads_as_rows(reformatted)
+    loaded = load_dataset(reformatted)
+    for field in ("features", "annotator_features", "annotations", "ground_truth", "splits"):
+        assert getattr(loaded, field).tobytes() == getattr(ds, field).tobytes(), field
+
+
+def test_load_equals_row_parse_on_unusual_values(tmp_path):
+    # whitespace, digit separators, signs, non-ASCII digits, -0.0, a subnormal;
+    # instance 0's truth and split rows repeat, and the last row wins
+    (tmp_path / "features.csv").write_text(
+        "f0,f1\n 1.5 ,1_0\n-0.0,1e-320\n\u0663.5,+2\n", encoding="utf-8")
+    (tmp_path / "annotators.csv").write_text("f0\n0.25\n\t1\n", encoding="utf-8")
+    (tmp_path / "annotations.csv").write_text(
+        "instance_id,annotator_id,label\n 0,0,1\n0,+1,0\n1,0,\u0661\n2, 1 ,0\n",
+        encoding="utf-8")
+    (tmp_path / "truth.csv").write_text(
+        "instance_id,label\n0,1\n1,0\n2,1\n0,0\n", encoding="utf-8")
+    (tmp_path / "splits.csv").write_text(
+        "instance_id,split\n0,test\n1,train\n2,val\n0,train\n", encoding="utf-8")
+    assert_loads_as_rows(tmp_path)
+    ds = load_dataset(tmp_path)
+    assert ds.ground_truth[0] == 0 and ds.splits[0] == TRAIN
+    assert ds.features[0, 1] == 10.0 and str(ds.features[1, 0]) == "-0.0"
+
+
+BAD_FILES = [  # (file, body after the header, message after "<path>: ")
+    ("features.csv", "1.0,2.0\n3.0\n",
+     "ragged feature row 1 (expected 2 columns, got 1)"),
+    ("features.csv", "1,2,3\n4,5,6\n", "ragged feature row 0 (expected 2 columns, got 3)"),
+    ("features.csv", "1.0,x\n3.0\n", "non-numeric value in row 0"),
+    ("features.csv", "1.0,2.0\n0x1p3,1\n", "non-numeric value in row 1"),
+    ("features.csv", "1.0,nan\n1,2\n3,4\n", "non-finite value in features"),
+    ("annotations.csv", "0,0\n", "row 0 has 2 columns, expected 3"),
+    ("annotations.csv", "0,0,1\n0,1,1.0\n1,0\n", "non-integer value in row 1"),
+    ("annotations.csv", "0,0,99999999999999999999999x\n", "non-integer value in row 0"),
+    ("truth.csv", "0,1\n9,0\n", "instance id 9 out of range"),
+    ("truth.csv", "-1,0\n0,x\n", "instance id -1 out of range"),
+    ("truth.csv", "0,1\n1,x\n5,0\n", "non-integer value in row 1"),
+    ("truth.csv", "0\n", "row 0 has 1 columns, expected 2"),
+    ("splits.csv", "0,train,x\n", "row 0 must be instance_id,split"),
+    ("splits.csv", "0,train\na,train\n", "non-integer id in row 1"),
+    ("splits.csv", "5,dev\n1,train\n", "unknown split 'dev'"),
+    ("splits.csv", "0,dev\nb,train\n", "unknown split 'dev'"),
+    ("splits.csv", "0,train\n7,train\n", "instance id 7 out of range"),
+    ("splits.csv", "0,train\n1,train\n", "split missing for some instances"),
+]
+HEADERS = {"features.csv": "f0,f1", "annotations.csv": "instance_id,annotator_id,label",
+           "truth.csv": "instance_id,label", "splits.csv": "instance_id,split"}
+
+
+@pytest.mark.parametrize("name, body, message", BAD_FILES)
+def test_load_names_the_bad_row(tmp_path, name, body, message):
+    write_dir(tmp_path, BASIC_FEATURES, BASIC_ANNOTATIONS, truth=[0, 1, 0],
+              splits=["train", "train", "test"])
+    (tmp_path / name).write_text(f"{HEADERS[name]}\n{body}", encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        load_dataset(tmp_path)
+    assert str(info.value) == f"{tmp_path / name}: {message}"
 
 
 # ---------------------------------------------------------------------------

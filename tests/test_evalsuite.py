@@ -9,6 +9,7 @@ import pytest
 
 import crowdaug.diffcore as dc
 from crowdaug import evalsuite as ev
+from helpers import decile_points, entropy_accuracy_curve, nonincreasing_fraction
 
 
 class StubClassifier:
@@ -68,7 +69,7 @@ def test_entropy_accuracy_curve_hand_case():
     # confidence aligned with correctness: the curve starts at 1 and decays
     clf = StubClassifier([[0.9, 0.1], [0.8, 0.2], [0.6, 0.4], [0.55, 0.45]])
     labels = [0, 0, 1, 1]  # the two uncertain rows are wrong
-    ents, cum = ev.entropy_accuracy_curve(clf, id_features(4), labels)
+    ents, cum = entropy_accuracy_curve(clf, id_features(4), labels)
     assert np.all(np.diff(ents) >= 0)
     assert cum.tolist() == pytest.approx([1.0, 1.0, 2 / 3, 0.5])
     assert cum[-1] == pytest.approx(ev.accuracy(clf, id_features(4), labels))
@@ -76,24 +77,24 @@ def test_entropy_accuracy_curve_hand_case():
 
 def test_decile_points_regular_grid():
     cum = np.arange(1, 101, dtype=np.float64)  # cum[i] = i + 1
-    assert ev.decile_points(cum).tolist() == [10, 20, 30, 40, 50,
-                                              60, 70, 80, 90, 100]
+    assert decile_points(cum).tolist() == [10, 20, 30, 40, 50,
+                                           60, 70, 80, 90, 100]
 
 
 def test_decile_points_short_sequence_ends_at_last():
     cum = np.array([0.5, 0.6, 0.7, 0.8, 0.9])
-    pts = ev.decile_points(cum)
+    pts = decile_points(cum)
     assert len(pts) == 10
     assert pts[-1] == cum[-1]
     assert set(pts.tolist()) <= set(cum.tolist())
 
 
 def test_nonincreasing_fraction_hand_cases():
-    assert ev.nonincreasing_fraction([3.0, 2.0, 2.0, 1.0]) == 1.0
-    assert ev.nonincreasing_fraction([1.0, 2.0, 1.0]) == 0.5
-    assert ev.nonincreasing_fraction([1.0]) == 1.0
+    assert nonincreasing_fraction([3.0, 2.0, 2.0, 1.0]) == 1.0
+    assert nonincreasing_fraction([1.0, 2.0, 1.0]) == 0.5
+    assert nonincreasing_fraction([1.0]) == 1.0
     # increases within tolerance count as non-increasing
-    assert ev.nonincreasing_fraction([1.0, 1.0 + 1e-13]) == 1.0
+    assert nonincreasing_fraction([1.0, 1.0 + 1e-13]) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Training-loop behavior: selection balance, logging consistency, freezing,
 determinism, baseline equivalences, and the augmentation export."""
+import csv
+import io
 import math
 import tracemalloc
 import weakref
@@ -266,6 +268,28 @@ def test_blocked_forward_equals_one_shot(n):
         with dc.no_grad():
             whole = forward(slice(None))
         assert tr._forward_in_blocks(n, forward).tobytes() == whole.tobytes(), name
+
+
+def _pair_instances(pairs, distinct, rng):
+    """``pairs`` instance ids drawn from ``distinct`` ids of 20000, each id at
+    least once, in a shuffled order."""
+    ids = rng.choice(20000, size=distinct, replace=False)
+    inst = np.concatenate([ids, rng.choice(ids, size=pairs - distinct)])
+    return rng.permutation(inst)
+
+
+@pytest.mark.parametrize("pairs", [1, 61, 1952, 1953, 4095, 4096, 8191, 8192,
+                                   12289, 20000])
+@pytest.mark.parametrize("distinct", [1, 3, "all"])
+def test_instance_probs_equal_the_per_pair_pass(pairs, distinct):
+    # the classifier of the densify benchmark: 4 classes, 2-D features
+    rng = np.random.default_rng(pairs)
+    clf = Classifier(NetDims(num_classes=4, feature_dim=2, annotator_dim=40), rng)
+    randomize(clf.store, rng, scale=0.3)
+    ds = SimpleNamespace(features=rng.normal(size=(20000, 2)), num_instances=20000)
+    inst = _pair_instances(pairs, pairs if distinct == "all" else min(pairs, distinct), rng)
+    per_pair = tr._forward_in_blocks(pairs, lambda s: clf.probs(ds.features[inst[s]]).data)
+    assert tr._instance_probs(clf, ds, inst).tobytes() == per_pair.tobytes()
 
 
 def test_crm_step_frees_its_graph_before_the_next_forward(monkeypatch):
@@ -815,6 +839,58 @@ def test_export_feeds_the_generator_the_inputs_it_was_trained_on(tmp_path):
     assert older.dims.gen_use_instance_features and older.dims.gen_use_annotator_features
     rows = export_augmented(ds, older, seed=5)
     assert np.array_equal(rows[rows[:, 3] == 0, 2], _labels_fed(ds, older, rows, 5, False))
+
+
+def csv_writer_bytes(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows.tolist())
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", [
+    np.zeros((0, 4), dtype=np.int64),
+    np.array([[12, 3, 0, 1]]),
+    np.array([[9, 10, 99, 100], [999, 1000, 0, 1], [0, 0, 0, 0]]),
+    np.arange(7).reshape(7, 1),
+    np.random.default_rng(0).integers(0, 10 ** np.arange(1, 7), size=(20000, 6)),
+], ids=["empty", "one-row", "digit-boundaries", "one-column", "random-20k"])
+def test_csv_int_lines_equal_csv_writer(rows):
+    assert tr._csv_int_lines(rows) == csv_writer_bytes(rows)
+
+
+def reference_export(ds, bundle, seed):
+    """``augmented.csv``'s bytes from a classifier pass over every missing
+    pair and ``csv.writer``."""
+    train_idx = ds.split_indices(TRAIN)
+    r = ds.num_annotators
+    inst, annot = np.repeat(train_idx, r), np.tile(np.arange(r), len(train_idx))
+    labels = np.full(len(inst), -1, dtype=np.int64)
+    known = {(int(n), int(a)): int(y) for n, a, y in tr._train_annotations(ds)}
+    for i, key in enumerate(zip(inst.tolist(), annot.tolist())):
+        labels[i] = known.get(key, -1)
+    missing = labels < 0
+    m_inst, m_annot = inst[missing], annot[missing]
+    gen, rng = bundle.generator, np.random.default_rng(seed)
+    zhat = tr._forward_in_blocks(len(m_inst), lambda s: bundle.classifier.probs(
+        ds.features[m_inst[s]]).data)
+    eps = gen.draw_noise(rng, len(m_inst))
+    dist = tr._forward_in_blocks(len(m_inst), lambda s: gen.distribution(
+        *tr._gen_inputs(ds, gen.dims, m_inst[s], m_annot[s]), zhat[s], eps[s]).data)
+    labels[missing] = dc.sample_categorical(rng, dist)
+    rows = np.column_stack([inst, annot, labels, (~missing).astype(np.int64)])
+    return b"instance_id,annotator_id,label,authentic\n" + csv_writer_bytes(rows)
+
+
+@pytest.mark.parametrize("n, r", [(60, 6), (500, 20)])
+def test_export_bytes_equal_per_pair_reference(tmp_path, n, r):
+    # 500 x 20 has about 9,000 missing pairs: two pair blocks, one per-instance block
+    ds = tiny_dataset(n=n, r=r, c=4)
+    rng = np.random.default_rng(n)
+    bundle = build_bundle(tr._dims_for(ds, tiny_config()), build_cooccurrence(ds), rng)
+    for store in bundle.stores().values():
+        randomize(store, rng, scale=0.5)
+    export_augmented(ds, bundle, seed=5, out_path=tmp_path / "augmented.csv")
+    assert (tmp_path / "augmented.csv").read_bytes() == reference_export(ds, bundle, 5)
 
 
 def test_read_augmented_rejects_wrong_header(tmp_path):
