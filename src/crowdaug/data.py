@@ -72,7 +72,6 @@ class CrowdDataset:
     annotations: np.ndarray         # (M, 3) int64 rows of (instance, annotator, label)
     ground_truth: np.ndarray | None = None   # (N,) int64, -1 = unknown
     splits: np.ndarray | None = None          # (N,) int8 of TRAIN/VAL/TEST
-    annotators_onehot: bool = True
     annotator_models: tuple[AnnotatorModel, ...] | None = None
     instance_difficulty: np.ndarray | None = None  # (N,) in [0,1], synthetic only
 
@@ -290,7 +289,6 @@ def synthesize_dataset(cfg: SynthConfig, seed: int) -> CrowdDataset:
         annotations=np.asarray(triplets, dtype=np.int64),
         ground_truth=truth,
         splits=splits,
-        annotators_onehot=True,
         annotator_models=tuple(models),
         instance_difficulty=difficulty,
     )
@@ -481,13 +479,19 @@ def _parse_float_matrix(path: Path, prefix: str) -> np.ndarray:
     return data
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_int_row(row: list[str], width: int, path: Path, i: int) -> list[int]:
     if len(row) != width:
         raise DatasetError(f"{path}: row {i} has {len(row)} columns, expected {width}")
     try:
-        return [int(v) for v in row]
+        values = [int(v) for v in row]
     except ValueError:
         raise DatasetError(f"{path}: non-integer value in row {i}") from None
+    if not all(_INT64.min <= v <= _INT64.max for v in values):
+        raise DatasetError(f"{path}: integer out of range in row {i}")
+    return values
 
 
 def _parse_truth(path: Path, body: list[list[str]], n: int) -> np.ndarray:
@@ -567,13 +571,9 @@ def load_dataset(data_dir: str | Path, num_classes: int | None = None) -> CrowdD
     annot_path = data_dir / "annotators.csv"
     if annot_path.exists():
         annotator_features = _parse_float_matrix(annot_path, "f")
-        onehot = bool(annotator_features.shape[0] == annotator_features.shape[1]
-                      and np.array_equal(annotator_features,
-                                         np.eye(annotator_features.shape[0])))
     else:
         r = int(triplets[:, 1].max()) + 1 if triplets.size else 1
         annotator_features = np.eye(r)
-        onehot = True
 
     truth = None
     truth_path = data_dir / "truth.csv"
@@ -606,7 +606,6 @@ def load_dataset(data_dir: str | Path, num_classes: int | None = None) -> CrowdD
         annotations=triplets,
         ground_truth=truth,
         splits=splits,
-        annotators_onehot=onehot,
     )
 
 

@@ -9,9 +9,8 @@ and accumulates into the ``.grad`` slots of parameter leaves. Repeated
 An op over parents that need no gradient records no graph either: a parent
 needs one when it is a ``requires_grad`` leaf or has parents itself, so
 constants and frozen parameters cost no backward work, and ``matmul``,
-``add``, ``dense`` and ``class_dense`` skip the product or bias sum of a
-parent that needs none. The gradients of the parents that do need one are
-unchanged.
+``add`` and ``dense`` skip the product or bias sum of a parent that needs
+none. The gradients of the parents that do need one are unchanged.
 
 Inside a ``no_grad()`` scope no graph is recorded: op outputs keep neither
 parents nor a backward closure, so each intermediate array is freed as soon
@@ -28,12 +27,6 @@ to it (-0.0 too); the graph keeps one array and a bool mask, not three arrays.
 ``rowwise_bilinear(u, mats, v, classes)`` reads row b's matrix from a
 (C, m, n) class table by index and works class by class, so neither its
 forward nor its backward allocates a (B, m, n) array of gathered matrices.
-
-``class_dense(table, classes, w, b)`` is the layer ``table[classes] @ w + b``
-as one node. Its graph keeps the class index, not the (B, width) gathered
-rows; the backward gathers them again for ``w``'s gradient, and sums each
-class's rows of the table gradient in the order ``np.add.at`` adds them, so
-values and gradients are byte-identical to ``dense(gather_rows(...))``.
 
 Everything is float64 and single-threaded; stochastic ops take an explicit
 ``numpy.random.Generator`` so runs are bit-reproducible per seed.
@@ -89,6 +82,9 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+    def __len__(self) -> int:
+        return len(self.data)
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -221,53 +217,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
                 _unbroadcast(g, b.shape) if need_b else None)
 
     return Tensor(out, parents=(x, w, b), backward_fn=back)
-
-
-# class_dense sums a class's rows of its table gradient this many at a time,
-# so no copy of them all is made: with every row in one class, that copy
-# would double the backward's peak
-_SUM_CHUNK_ROWS = 256
-
-
-def class_dense(table: Tensor, classes, w: Tensor, b: Tensor) -> Tensor:
-    """Per-row layer over a class table: out[r] = table[classes[r]] @ w + b.
-
-    Values and gradients are byte-identical to ``dense(gather_rows(table,
-    classes), w, b)``, but the gathered (rows, width) array lives only while
-    a product needs it: the forward frees it once ``out`` exists, and the
-    backward gathers it again for ``w``'s gradient, so BLAS sees the same
-    operands. The table's gradient sums each class's rows of ``g @ w.T`` in
-    ascending order, the order in which ``np.add.at`` adds them.
-    """
-    classes = np.asarray(classes, dtype=np.int64)
-    if table.data.ndim != 2 or w.data.ndim != 2:
-        raise ValueError(f"class_dense expects a 2-D table and weight, "
-                         f"got {table.shape} and {w.shape}")
-    num_classes = table.shape[0]
-    if classes.size and (classes.min() < 0 or classes.max() >= num_classes):
-        raise IndexError(f"class index out of range for {num_classes} table rows")
-    out = table.data[classes] @ w.data
-    out += b.data
-    need_t, need_w, need_b = _needs_grad(table), _needs_grad(w), _needs_grad(b)
-
-    def back(g):
-        gw = table.data[classes].T @ g if need_w else None
-        gt = None
-        if need_t:
-            gx = g @ w.data.T
-            gt = np.empty_like(table.data)
-            for c in range(num_classes):
-                # the class's rows one after another in ascending order
-                idx = np.flatnonzero(classes == c)
-                total = gx[idx[:_SUM_CHUNK_ROWS]].sum(0)
-                for lo in range(_SUM_CHUNK_ROWS, len(idx), _SUM_CHUNK_ROWS):
-                    total = np.concatenate(
-                        (total[None], gx[idx[lo:lo + _SUM_CHUNK_ROWS]])).sum(0)
-                # + 0.0 turns a -0.0 into the 0.0 that np.add.at's zero start gives
-                gt[c] = total + 0.0
-        return gt, gw, _unbroadcast(g, b.shape) if need_b else None
-
-    return Tensor(out, parents=(table, w, b), backward_fn=back)
 
 
 def t_exp(a: Tensor) -> Tensor:

@@ -76,21 +76,6 @@ def auc(positive_scores, negative_scores) -> float:
     return float((rank_sum - len(pos) * (len(pos) + 1) / 2.0) / (len(pos) * len(neg)))
 
 
-def spearman(x, y) -> float:
-    """Rank correlation via Pearson on average ranks."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.size < 2:
-        raise ValueError("spearman needs two equal-length sequences of size >= 2")
-    rx, ry = _ranks(x), _ranks(y)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    denom = np.sqrt((rx * rx).sum() * (ry * ry).sum())
-    if denom == 0.0:
-        return 0.0
-    return float((rx * ry).sum() / denom)
-
-
 # ---------------------------------------------------------------------------
 # reports
 

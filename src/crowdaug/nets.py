@@ -11,12 +11,17 @@
   its label's matrix in the (C, m, m) table (``diffcore.rowwise_bilinear``),
   so no (B, m, m) copy of the table is made.
 - Auxiliary net: recovers the classifier's distribution from a generated
-  annotation; shares the discriminator's encoders (same tensor objects). It
-  embeds each row's label matrix from the flattened (C, m*m) table by index
-  (``diffcore.class_dense``), so its graph keeps no (B, m*m) copy of the table.
+  annotation; built on the discriminator's encoders (same tensor objects). It
+  embeds the flattened (C, m*m) table once and gathers each row's label
+  embedding, so its graph keeps no (B, m*m) copy of the table.
+
+The discriminator and the aux net judge the same encoding: ``Discriminator.
+encode(x, e)`` gives a row batch's ``(u, v)`` and ``decoded_matrices(adj)``
+the table, and ``Discriminator.score`` and ``AuxNet.logits`` both take
+``(u, v, mats, y)``, so a training step encodes each row batch and decodes
+the table once for both judges.
 
 Every layer ``x @ W + b`` (with or without ReLU) is one ``diffcore.dense``
-node, and the aux net's class-matrix embedding one ``diffcore.class_dense``
 node; only the discriminator's class-matrix mixing calls ``matmul``.
 
 All forwards accept plain numpy batches and return graph Tensors, except
@@ -77,6 +82,13 @@ def _check_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"{what} must have shape (batch, {dim}), got {x.shape}")
     return x
+
+
+def _class_index(y, num_classes: int) -> np.ndarray:
+    y = np.asarray(y, dtype=np.int64)
+    if y.size and (y.min() < 0 or y.max() >= num_classes):
+        raise ValueError("class index out of range")
+    return y
 
 
 class Classifier:
@@ -162,13 +174,14 @@ class Discriminator:
         p.add("Wmix", np.eye(m))
         self.store = p
 
-    def encode_annotators(self, e) -> Tensor:
-        e = _check_batch(e, self.dims.annotator_dim, "discriminator annotator input")
-        return dc.dense(Tensor(e), self.store["Wu"], self.store["bu"])
-
-    def encode_instances(self, x) -> Tensor:
-        x = _check_batch(x, self.dims.feature_dim, "discriminator instance input")
-        return dc.dense(Tensor(x), self.store["Wv"], self.store["bv"])
+    def encode(self, x, e) -> tuple[Tensor, Tensor]:
+        """Encoded annotators ``u`` and instances ``v`` of a row batch, which
+        ``score`` and ``AuxNet.logits`` both read."""
+        d, p = self.dims, self.store
+        e = _check_batch(e, d.annotator_dim, "discriminator annotator input")
+        x = _check_batch(x, d.feature_dim, "discriminator instance input")
+        return (dc.dense(Tensor(e), p["Wu"], p["bu"]),
+                dc.dense(Tensor(x), p["Wv"], p["bv"]))
 
     def decoded_matrices(self, adj: CoocAdjacency | None) -> Tensor:
         """Per-class bilinear matrices after optional correlation mixing."""
@@ -183,31 +196,26 @@ class Discriminator:
         stacked = dc.reshape(mixed, (c * m, m))
         return dc.reshape(dc.matmul(stacked, self.store["Wmix"]), (c, m, m))
 
-    def bilinear_score(self, x, e, y, adj: CoocAdjacency | None) -> Tensor:
-        y = np.asarray(y, dtype=np.int64)
-        if y.size and (y.min() < 0 or y.max() >= self.dims.num_classes):
-            raise ValueError("class index out of range")
-        u = self.encode_annotators(e)
-        v = self.encode_instances(x)
-        return dc.rowwise_bilinear(u, self.decoded_matrices(adj), v, y)
-
-    def score(self, x, e, y, adj: CoocAdjacency | None) -> Tensor:
+    def score(self, u: Tensor, v: Tensor, mats: Tensor, y) -> Tensor:
+        """Realism of each row from its encoding ``u``, ``v`` (``encode``) and
+        the decoded table ``mats`` (``decoded_matrices``) at label ``y``."""
+        y = _class_index(y, self.dims.num_classes)
         # clamp away float64 saturation so the output stays strictly inside (0,1)
-        return dc.clamp(dc.sigmoid(self.bilinear_score(x, e, y, adj)),
+        return dc.clamp(dc.sigmoid(dc.rowwise_bilinear(u, mats, v, y)),
                         1e-12, 1.0 - 1e-12)
 
 
 class AuxNet:
     """Predicts the classifier's distribution from one annotation.
 
-    Reuses the discriminator's encoder tensors (mutating those weights changes
-    this net's outputs) plus a low-dim embedding of the annotation's decoded
-    class matrix.
+    Reads the discriminator's encoding of the row (its store holds the same
+    encoder tensors, so the two train them together) plus a low-dim embedding
+    of the annotation's decoded class matrix: the (C, m*m) table is embedded
+    once and each row takes its label's embedding.
     """
 
     def __init__(self, dims: NetDims, rng: np.random.Generator, disc: Discriminator):
         self.dims = dims
-        self.disc = disc
         m, ce = dims.embed_dim, dims.class_embed_dim
         d_in = 2 * m + ce
         p = ParamStore()
@@ -233,24 +241,20 @@ class AuxNet:
                 own.add_tensor(name, t)
         return own
 
-    def logits(self, x, e, y, adj: CoocAdjacency | None) -> Tensor:
-        d = self.dims
-        y = np.asarray(y, dtype=np.int64)
-        if y.size and (y.min() < 0 or y.max() >= d.num_classes):
-            raise ValueError("class index out of range")
-        u = self.disc.encode_annotators(e)
-        v = self.disc.encode_instances(x)
+    def logits(self, u: Tensor, v: Tensor, mats: Tensor, y) -> Tensor:
+        """Code logits of each row from the discriminator's encoding ``u``,
+        ``v`` and decoded table ``mats`` at label ``y``."""
+        d, p = self.dims, self.store
+        y = _class_index(y, d.num_classes)
         c, m = d.num_classes, d.embed_dim
-        flat = dc.reshape(self.disc.decoded_matrices(adj), (c, m * m))
-        p = self.store
-        m_y = dc.class_dense(flat, y, p["Wembed"], p["bembed"])
-        inp = dc.concat([v, u, m_y], axis=1)
+        table = dc.dense(dc.reshape(mats, (c, m * m)), p["Wembed"], p["bembed"])
+        inp = dc.concat([v, u, dc.gather_rows(table, y)], axis=1)
         h1 = dc.dense(inp, p["W1"], p["b1"], relu=True)
         h2 = dc.dense(h1, p["W2"], p["b2"], relu=True)
         return dc.dense(h2, p["W3"], p["b3"])
 
-    def log_posterior(self, x, e, y, adj) -> Tensor:
-        return dc.log_softmax(self.logits(x, e, y, adj), axis=1)
+    def log_posterior(self, u: Tensor, v: Tensor, mats: Tensor, y) -> Tensor:
+        return dc.log_softmax(self.logits(u, v, mats, y), axis=1)
 
 
 @dataclass

@@ -31,7 +31,6 @@ class LossBreakdown:
     value_term: float
     info_term: float
     combined: float
-    deltas: np.ndarray
     clamp_count: int
 
 
@@ -125,7 +124,5 @@ def compute_breakdown(authentic_scores: np.ndarray, generated_scores: np.ndarray
     gen = np.clip(gen, CLAMP_LO, CLAMP_HI)
     value = float(np.mean(np.log(auth)) + np.mean(np.log1p(-gen)))
     info = info_lower_bound(np.asarray(q_logprobs, dtype=np.float64), code_entropy)
-    deltas, _ = per_annotation_delta(gen, q_logprobs, info_weight)
     return LossBreakdown(value_term=value, info_term=info,
-                         combined=value - info_weight * info,
-                         deltas=deltas, clamp_count=clamped)
+                         combined=value - info_weight * info, clamp_count=clamped)

@@ -24,6 +24,11 @@ differs only in the networks it moves and the pairs it sees; each inner step
 runs forward and backward over pair blocks and keeps one pair block's graph
 alive at a time, accumulating the gradient in the parameters' slots.
 
+The discriminator and the auxiliary net read one encoding of each row batch
+(``_encoding``): the D/Q step of step 2 decodes the class table once and
+encodes the authentic and the selected rows once each, and step 3 scores D
+and Q in one pass over the pairs.
+
 Every pass over all pairs runs in row blocks of at most 8191 rows, so its
 memory does not grow with the pair grid. The forward-only ones (step 1, the
 step-3 scores, the generator step's codes and the augmentation export) are
@@ -483,14 +488,26 @@ def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
     return np.concatenate(selected)
 
 
+def _encoding(disc: Discriminator, rows: tuple, mats: Tensor) -> tuple:
+    """``(u, v, mats, y)`` of ``(x, e, y)`` rows: the input of both
+    ``Discriminator.score`` and ``AuxNet.logits``."""
+    x, e, y = rows
+    return (*disc.encode(x, e), mats, y)
+
+
 def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, auth: tuple,
                    gen: tuple, codes: np.ndarray, cfg: TrainConfig, what: str,
                    epoch: int) -> tuple[float, int]:
     """One step on D's authentic-vs-generated loss over ``(x, e, y)`` rows plus
-    Q's cross-entropy of ``codes``; returns (loss, clamped D outputs)."""
-    d_loss, clamped = discriminator_loss(disc.score(*auth, adj),
-                                         disc.score(*gen, adj), cfg.disc_l2)
-    q_lp = aux.log_posterior(*gen, adj)
+    Q's cross-entropy of ``codes``; returns (loss, clamped D outputs).
+
+    The table is decoded once and each row batch encoded once: D's score of
+    the generated rows and Q's posterior read the same encoding."""
+    mats = disc.decoded_matrices(adj)
+    auth_enc, gen_enc = _encoding(disc, auth, mats), _encoding(disc, gen, mats)
+    d_loss, clamped = discriminator_loss(disc.score(*auth_enc), disc.score(*gen_enc),
+                                         cfg.disc_l2)
+    q_lp = aux.log_posterior(*gen_enc)
     loss = d_loss + dc.neg(dc.t_mean(dc.pick(q_lp, codes)))
     _check_finite(loss.item(), what, epoch)
     opt.zero_grad()
@@ -609,15 +626,20 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
             "discriminator loss", state.epoch)
         clamp_count += clamped
 
-    # (3) score all logged samples
-    adj = bundle.adjacency
-    d_scores = _forward_in_blocks(len(batch), lambda s: bundle.discriminator.score(
-        ds.features[batch.instances[s]], ds.annotator_features[batch.annotators[s]],
-        batch.labels[s], adj).data)
-    q_lp_all = _forward_in_blocks(len(batch), lambda s: bundle.aux.log_posterior(
-        ds.features[batch.instances[s]], ds.annotator_features[batch.annotators[s]],
-        batch.labels[s], adj).data)
-    q_at_draw = q_lp_all[np.arange(len(batch)), batch.zhat_draws]
+    # (3) score all logged samples: D and Q read one encoding per pair block
+    disc = bundle.discriminator
+    with dc.no_grad():
+        mats = disc.decoded_matrices(bundle.adjacency)
+
+    def judge(s):
+        enc = _encoding(disc, (ds.features[batch.instances[s]],
+                               ds.annotator_features[batch.annotators[s]],
+                               batch.labels[s]), mats)
+        q_lp = bundle.aux.log_posterior(*enc).data
+        return np.column_stack([disc.score(*enc).data,
+                                q_lp[np.arange(len(q_lp)), batch.zhat_draws[s]]])
+
+    d_scores, q_at_draw = _forward_in_blocks(len(batch), judge).T
     deltas_gen, clamped_d = per_annotation_delta(d_scores, q_at_draw, cfg.info_weight)
     deltas_clf, _ = per_annotation_delta(d_scores, q_at_draw, 0.0)
     clamp_count += clamped_d
@@ -681,9 +703,9 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
         warnings.append("empty high-entropy set: classifier update skipped")
 
     # (7) metrics
-    with dc.no_grad():
-        d_auth_final = bundle.discriminator.score(*auth_rows, adj).data
-        d_gen_final = bundle.discriminator.score(*sel_rows, adj).data
+    with dc.no_grad():  # steps 5 and 6 leave D, so step 3's table is current
+        d_auth_final = disc.score(*_encoding(disc, auth_rows, mats)).data
+        d_gen_final = disc.score(*_encoding(disc, sel_rows, mats)).data
     code_entropy = float(dc.entropy(zhat_train, axis=1).mean())
     breakdown = compute_breakdown(d_auth_final, d_gen_final, q_at_draw[selected],
                                   code_entropy, cfg.info_weight)

@@ -6,6 +6,7 @@ import numpy as np
 
 from crowdaug import diffcore as dc
 from crowdaug.diffcore import ParamStore, Tensor, backward
+from crowdaug.evalsuite import _ranks
 
 
 def randomize(store, rng, scale):
@@ -24,14 +25,10 @@ def three_op_dense(x, w, b, relu=False):
     return dc.relu(out) if relu else out
 
 
-def gather_dense(table, classes, w, b):
-    """The ``gather_rows``/``dense`` pair that ``diffcore.class_dense`` replaces.
-
-    Patched in for ``diffcore.class_dense``, it copies one table row per row
-    and scatters their gradients back with ``np.add.at``: the reference for
-    the op's byte-identity.
-    """
-    return dc.dense(dc.gather_rows(table, classes), w, b)
+def encoding(disc, x, e, y, adj):
+    """``(u, v, mats, y)`` of one row batch: the input of both
+    ``Discriminator.score`` and ``AuxNet.logits``."""
+    return (*disc.encode(x, e), disc.decoded_matrices(adj), y)
 
 
 def store_grads(*stores):
@@ -110,6 +107,21 @@ def entropy_accuracy_curve(classifier, x, labels) -> tuple[np.ndarray, np.ndarra
     correct = (probs.argmax(axis=1) == labels)[order]
     cum_acc = np.cumsum(correct) / np.arange(1, len(labels) + 1)
     return ent[order], cum_acc
+
+
+def spearman(x, y) -> float:
+    """Rank correlation via Pearson on average ranks."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.size < 2:
+        raise ValueError("spearman needs two equal-length sequences of size >= 2")
+    rx, ry = _ranks(x), _ranks(y)
+    rx = rx - rx.mean()
+    ry = ry - ry.mean()
+    denom = np.sqrt((rx * rx).sum() * (ry * ry).sum())
+    if denom == 0.0:
+        return 0.0
+    return float((rx * ry).sum() / denom)
 
 
 def decile_points(cum_acc: np.ndarray) -> np.ndarray:

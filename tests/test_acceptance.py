@@ -34,8 +34,10 @@ from helpers import (
     decile_points,
     entropy_accuracy_curve,
     grad_check,
+    encoding,
     nonincreasing_fraction,
     randomize,
+    spearman,
 )
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -131,14 +133,14 @@ def test_criterion_01_gradient_integrity():
         # discriminator ± LCA through the adversarial loss
         y2 = rng.integers(0, dims.num_classes, size=batch)
         worst = max(worst, grad_check(
-            lambda: discriminator_loss(disc.score(x, e, y, adj),
-                                       disc.score(x, e, y2, adj))[0],
+            lambda: discriminator_loss(disc.score(*encoding(disc, x, e, y, adj)),
+                                       disc.score(*encoding(disc, x, e, y2, adj)))[0],
             disc.store))
         # auxiliary posterior cross-entropy, through the shared encoders too
         zdraw = rng.integers(0, dims.num_classes, size=batch)
         worst = max(worst, grad_check(
-            lambda: dc.neg(dc.t_mean(dc.pick(aux.log_posterior(x, e, y, adj),
-                                             zdraw))),
+            lambda: dc.neg(dc.t_mean(dc.pick(
+                aux.log_posterior(*encoding(disc, x, e, y, adj)), zdraw))),
             dc.ParamStore.union(disc.store, aux.own_store())))
         # importance-weighted objective through the generator
         g0 = np.full(batch, 1.0 / dims.num_classes)
@@ -206,9 +208,9 @@ def test_criterion_02_normalization_invariants():
     check_probs(gen.distribution(x, e, zhat, gen.draw_noise(rng, 2500)).data)
 
     y = rng.integers(0, dims.num_classes, size=1250)
-    check_probs(np.exp(aux.log_posterior(x[:1250], e[:1250], y, adj).data))
+    check_probs(np.exp(aux.log_posterior(*encoding(disc, x[:1250], e[:1250], y, adj)).data))
 
-    d = disc.score(x[:1250], e[:1250], y[:250].repeat(5), adj).data
+    d = disc.score(*encoding(disc, x[:1250], e[:1250], y[:250].repeat(5), adj)).data
     trials += len(d)
     assert np.all((d > 0.0) & (d < 1.0))
 
@@ -399,7 +401,7 @@ def test_criterion_07_sparsity_sweep(sweep_table):
     fractions = (0.0, 0.2, 0.4, 0.6)
     means = {m: [sweep_table.mean(f, m) for f in fractions]
              for m in ("crowding", "dl-mv")}
-    rhos = {m: ev.spearman(fractions, accs) for m, accs in means.items()}
+    rhos = {m: spearman(fractions, accs) for m, accs in means.items()}
     worst_gap = min(means["crowding"][i] - means["dl-mv"][i]
                     for i in range(len(fractions)))
     _note(7, f"spearman(removed fraction, accuracy): crowding "

@@ -175,6 +175,22 @@ def test_train_missing_dataset_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, row", [("annotations.csv", "0,0,99999999999999999999"),
+                                       ("truth.csv", "0,99999999999999999999")])
+def test_train_on_integer_beyond_int64_is_data_error(workspace, tmp_path, capsys,
+                                                     name, row):
+    data = dataset_variant(workspace, tmp_path / "data")
+    path = data / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = row
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = cli.main(["train", "--data", str(data), "--config", str(workspace / "train.cfg"),
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {path}: integer out of range in row 0\n"
+
+
 def _config_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert "Traceback" not in err

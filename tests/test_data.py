@@ -55,7 +55,6 @@ def test_load_small_handwritten_dataset(tmp_path):
     assert ds.num_annotators == 2
     assert ds.num_annotations == 4
     assert ds.num_classes == 2
-    assert ds.annotators_onehot
     np.testing.assert_array_equal(ds.annotator_features, np.eye(2))
 
 
@@ -214,10 +213,12 @@ BAD_FILES = [  # (file, body after the header, message after "<path>: ")
     ("annotations.csv", "0,0\n", "row 0 has 2 columns, expected 3"),
     ("annotations.csv", "0,0,1\n0,1,1.0\n1,0\n", "non-integer value in row 1"),
     ("annotations.csv", "0,0,99999999999999999999999x\n", "non-integer value in row 0"),
+    ("annotations.csv", "0,0,1\n0,1,99999999999999999999\n", "integer out of range in row 1"),
     ("truth.csv", "0,1\n9,0\n", "instance id 9 out of range"),
     ("truth.csv", "-1,0\n0,x\n", "instance id -1 out of range"),
     ("truth.csv", "0,1\n1,x\n5,0\n", "non-integer value in row 1"),
     ("truth.csv", "0\n", "row 0 has 1 columns, expected 2"),
+    ("truth.csv", "0,1\n1,-99999999999999999999\n", "integer out of range in row 1"),
     ("splits.csv", "0,train,x\n", "row 0 must be instance_id,split"),
     ("splits.csv", "0,train\na,train\n", "non-integer id in row 1"),
     ("splits.csv", "5,dev\n1,train\n", "unknown split 'dev'"),

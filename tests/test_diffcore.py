@@ -1,5 +1,4 @@
 """Unit and property tests for the autodiff kernel."""
-import itertools
 
 import numpy as np
 import pytest
@@ -222,80 +221,6 @@ def test_dense_is_byte_identical_to_the_three_op_chain(rows, relu):
         assert np.signbit(out[out == 0]).any()  # ReLU of a negative is -0.0
 
 
-def test_grad_check_class_dense():
-    rng = np.random.default_rng(23)
-    store = ParamStore()
-    table = store.add("table", rng.normal(size=(4, 6)))
-    w = store.add("w", rng.normal(size=(6, 3)))
-    b = store.add("b", rng.normal(size=3))
-    classes = np.array([2, 0, 2, 1, 2])  # class 3 has no rows, class 2 three
-
-    def loss():
-        p = softmax(dc.class_dense(table, classes, w, b), axis=1)
-        return dc.t_mean(dc.mul(p, p))
-
-    assert grad_check(loss, store) < 1e-6
-
-
-def _class_dense_reference(table, classes, w, b, g):
-    """The gather it replaces: copy one table row per row, multiply, and
-    scatter the per-row gradients back with ``np.add.at``."""
-    x = table[classes]
-    out = x @ w
-    out += b
-    gtable = np.zeros_like(table)
-    np.add.at(gtable, classes, g @ w.T)
-    return out, gtable, x.T @ g, g.sum(axis=0)
-
-
-@pytest.mark.parametrize("rows,num_classes,width,seed", [
-    (0, 3, 8, 0),           # empty batch
-    (1, 2, 8, 1),           # one row
-    (40, 4, 1024, 2),       # under 62 rows: OpenBLAS's small-matrix kernel
-    (700, 3, 1024, 3),      # several 256-row chunks in a class
-    (4500, 4, 64, 4),       # over 4096 rows
-])
-def test_class_dense_is_byte_identical_to_gather_reference(rows, num_classes, width, seed):
-    rng = np.random.default_rng(seed)
-    # -0.0 in every input (the BLAS products of g @ w.T start their sums at
-    # +0.0 and so never return a -0.0 for the op's + 0.0 to clear)
-    table = rng.normal(size=(num_classes, width))
-    table[0, ::3] = -0.0
-    w = rng.normal(size=(width, 16))
-    w[:, 5] = -0.0
-    b = rng.normal(size=16)
-    b[:2] = 0.0, -0.0
-    classes = rng.integers(0, num_classes - 1, size=rows)  # the last class has no rows
-    g = rng.normal(size=(rows, 16))
-    g[::4] = -0.0
-    expected = _class_dense_reference(table, classes, w, b, g)
-    # the reference is what the two ops that class_dense replaces compute
-    leaves = [Tensor(v, requires_grad=True) for v in (table, w, b)]
-    composed = dc.dense(dc.gather_rows(leaves[0], classes), leaves[1], leaves[2])
-    backward(composed, g)
-    assert [a.tobytes() for a in (composed.data, *(t.grad for t in leaves))] == \
-        [a.tobytes() for a in expected]
-    # every subset of frozen parents, none frozen first
-    for frozen in itertools.product((False, True), repeat=3):
-        parents = [Tensor(v, requires_grad=not f) for v, f in zip((table, w, b), frozen)]
-        out = dc.class_dense(parents[0], classes, parents[1], parents[2])
-        assert out.data.tobytes() == expected[0].tobytes()
-        if all(frozen):
-            assert out._backward is None
-            continue
-        grads = out._backward(g)
-        for grad, ref, f in zip(grads, expected[1:], frozen):
-            assert (grad is None) if f else grad.tobytes() == ref.tobytes()
-    assert not np.any(expected[1][num_classes - 1])
-
-
-def test_class_dense_rejects_out_of_range_class():
-    table, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
-    for classes in ([0, 2], [-1, 0]):
-        with pytest.raises(IndexError, match="class index"):
-            dc.class_dense(table, classes, w, b)
-
-
 def _bilinear_reference(u, mats, v, classes, g):
     """The per-row kernel it replaces: gather one matrix per row, einsum, and
     scatter the per-row matrix gradients back with ``np.add.at``."""
@@ -407,8 +332,6 @@ def _op_cases():
     bias5 = Tensor(rng.normal(size=(5,)), requires_grad=True)
     rows = np.array([1, 0, 1, 1])
     cols = np.array([2, 0, 1, 2])
-    table = Tensor(rng.normal(size=(3, 9)), requires_grad=True)
-    w9 = Tensor(rng.normal(size=(9, 5)), requires_grad=True)
     return {
         "add": lambda: dc.add(a, bias),
         "neg": lambda: dc.neg(a),
@@ -417,7 +340,6 @@ def _op_cases():
         "matmul": lambda: dc.matmul(a, b),
         "dense": lambda: dc.dense(a, b, bias5),
         "dense_relu": lambda: dc.dense(a, b, bias5, relu=True),
-        "class_dense": lambda: dc.class_dense(table, cols, w9, bias5),
         "t_exp": lambda: dc.t_exp(a),
         "t_log": lambda: dc.t_log(dc.t_exp(a)),
         "t_sum": lambda: dc.t_sum(a, axis=1),

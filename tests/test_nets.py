@@ -14,7 +14,7 @@ from crowdaug.nets import (
     NetDims,
     build_bundle,
 )
-from helpers import grad_check, randomize, store_grads, three_op_dense
+from helpers import encoding, grad_check, randomize, store_grads, three_op_dense
 
 SMALL = NetDims(num_classes=3, feature_dim=4, annotator_dim=5, noise_dim=2,
                 clf_hidden=6, gen_hidden1=5, gen_hidden2=7, aux_hidden1=5,
@@ -69,7 +69,8 @@ def test_aux_uniform_at_init():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, SMALL.feature_dim))
     e = rng.normal(size=(4, SMALL.annotator_dim))
-    out = dc.softmax(b.aux.logits(x, e, [0, 1, 2, 0], b.adjacency), axis=1).data
+    enc = encoding(b.discriminator, x, e, [0, 1, 2, 0], b.adjacency)
+    out = dc.softmax(b.aux.logits(*enc), axis=1).data
     np.testing.assert_allclose(out, np.full((4, 3), 1.0 / 3.0), atol=1e-15)
 
 
@@ -80,7 +81,7 @@ def test_discriminator_zero_matrices_give_half():
     x = rng.normal(size=(7, SMALL.feature_dim))
     e = rng.normal(size=(7, SMALL.annotator_dim))
     y = rng.integers(0, 3, size=7)
-    scores = b.discriminator.score(x, e, y, b.adjacency).data
+    scores = b.discriminator.score(*encoding(b.discriminator, x, e, y, b.adjacency)).data
     np.testing.assert_allclose(scores, 0.5, atol=1e-15)
 
 
@@ -91,7 +92,7 @@ def test_discriminator_output_open_interval():
     x = rng.normal(size=(50, SMALL.feature_dim)) * 10
     e = rng.normal(size=(50, SMALL.annotator_dim)) * 10
     y = rng.integers(0, 3, size=50)
-    scores = b.discriminator.score(x, e, y, b.adjacency).data
+    scores = b.discriminator.score(*encoding(b.discriminator, x, e, y, b.adjacency)).data
     assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
 
@@ -131,8 +132,8 @@ def test_lca_identity_propagation_equals_disabled_with_mixed_matrices():
     x = rng2.normal(size=(8, SMALL.feature_dim))
     e = rng2.normal(size=(8, SMALL.annotator_dim))
     y = rng2.integers(0, 3, size=8)
-    s_on = disc_on.score(x, e, y, identity_adj(3)).data
-    s_off = disc_off.score(x, e, y, None).data
+    s_on = disc_on.score(*encoding(disc_on, x, e, y, identity_adj(3))).data
+    s_off = disc_off.score(*encoding(disc_off, x, e, y, None)).data
     np.testing.assert_allclose(s_on, s_off, atol=1e-12)
 
 
@@ -144,13 +145,18 @@ def test_lca_scaling_linearity():
     x = rng.normal(size=(6, SMALL.feature_dim))
     e = rng.normal(size=(6, SMALL.annotator_dim))
     y = rng.integers(0, 3, size=6)
-    base = disc.bilinear_score(x, e, y, b.adjacency).data
+    u, v = disc.encode(x, e)
+
+    def bilinear():
+        return dc.rowwise_bilinear(u, disc.decoded_matrices(b.adjacency), v, y).data
+
+    base = bilinear()
     disc.store["M"].data *= 2.5
-    scaled = disc.bilinear_score(x, e, y, b.adjacency).data
+    scaled = bilinear()
     np.testing.assert_allclose(scaled, 2.5 * base, atol=1e-10)
 
 
-def test_discriminate_monotone_in_bilinear_score():
+def test_discriminate_monotone_in_bilinear_form():
     scores = np.linspace(-4, 4, 33)
     out = dc.sigmoid(scores)
     assert np.all(np.diff(out) > 0)
@@ -158,10 +164,8 @@ def test_discriminate_monotone_in_bilinear_score():
 
 def test_lca_requires_adjacency():
     disc = Discriminator(SMALL, np.random.default_rng(0))
-    x = np.zeros((2, SMALL.feature_dim))
-    e = np.zeros((2, SMALL.annotator_dim))
     with pytest.raises(ValueError, match="adjacency"):
-        disc.score(x, e, [0, 1], None)
+        disc.decoded_matrices(None)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +179,16 @@ def test_aux_shares_discriminator_encoders():
     x = rng.normal(size=(4, SMALL.feature_dim))
     e = rng.normal(size=(4, SMALL.annotator_dim))
     y = [0, 1, 2, 1]
-    before = dc.softmax(b.aux.logits(x, e, y, b.adjacency), axis=1).data.copy()
+    # Q reads D's encoding, and its store holds D's encoder tensors
+    assert all(b.aux.store[n] is b.discriminator.store[n] for n in ("Wu", "bu", "Wv", "bv"))
+
+    def posterior():
+        return dc.softmax(b.aux.logits(*encoding(b.discriminator, x, e, y, b.adjacency)),
+                          axis=1).data
+
+    before = posterior().copy()
     b.discriminator.store["Wu"].data += 0.7  # write through the discriminator
-    after = dc.softmax(b.aux.logits(x, e, y, b.adjacency), axis=1).data
-    assert not np.allclose(before, after)
+    assert not np.allclose(before, posterior())
 
 
 def test_dimension_mismatch_errors():
@@ -190,8 +200,12 @@ def test_dimension_mismatch_errors():
                                  np.zeros((1, SMALL.annotator_dim)),
                                  np.full((1, 3), 1 / 3), np.zeros((1, 99)))
     with pytest.raises(ValueError, match="class index"):
-        b.discriminator.score(np.zeros((1, SMALL.feature_dim)),
-                              np.zeros((1, SMALL.annotator_dim)), [3], b.adjacency)
+        b.discriminator.score(*encoding(b.discriminator, np.zeros((1, SMALL.feature_dim)),
+                                        np.zeros((1, SMALL.annotator_dim)), [3],
+                                        b.adjacency))
+    with pytest.raises(ValueError, match="class index"):
+        b.aux.logits(*encoding(b.discriminator, np.zeros((1, SMALL.feature_dim)),
+                               np.zeros((1, SMALL.annotator_dim)), [-1], b.adjacency))
 
 
 def test_train_mode_requires_rng_and_is_stochastic():
@@ -255,7 +269,7 @@ def test_grad_check_discriminator_with_and_without_lca():
         adj = b.adjacency if lca else None
 
         def loss():
-            s = disc.score(x, e, y, adj)
+            s = disc.score(*encoding(disc, x, e, y, adj))
             return dc.neg(dc.t_mean(dc.t_log(s)))
 
         assert grad_check(loss, disc.store) < 1e-4, f"lca={lca}"
@@ -268,7 +282,7 @@ def test_grad_check_aux_includes_shared_encoders():
     targets = np.array([1, 0, 2])
 
     def loss():
-        lp = b.aux.log_posterior(x, e, y, b.adjacency)
+        lp = b.aux.log_posterior(*encoding(b.discriminator, x, e, y, b.adjacency))
         return dc.neg(dc.t_mean(dc.pick(lp, targets)))
 
     assert grad_check(loss, b.aux.store) < 1e-4
@@ -285,8 +299,9 @@ def test_forwards_under_no_grad_equal_graph_mode():
     forwards = {
         "classifier": lambda: b.classifier.probs(x),
         "generator": lambda: b.generator.distribution(x, e, zhat, eps),
-        "discriminator": lambda: b.discriminator.score(x, e, y, b.adjacency),
-        "aux": lambda: b.aux.log_posterior(x, e, y, b.adjacency),
+        "discriminator": lambda: b.discriminator.score(
+            *encoding(b.discriminator, x, e, y, b.adjacency)),
+        "aux": lambda: b.aux.log_posterior(*encoding(b.discriminator, x, e, y, b.adjacency)),
     }
     for name, forward in forwards.items():
         graph_out = forward()
@@ -311,8 +326,9 @@ def test_fused_layers_are_byte_identical_to_three_op_layers(name, monkeypatch):
         "classifier": lambda: b.classifier.logits(
             x, train_mode=True, rng=np.random.default_rng(40)),
         "generator": lambda: b.generator.logits(x, e, b.classifier.probs(x), eps),
-        "discriminator": lambda: b.discriminator.score(x, e, y, b.adjacency),
-        "aux": lambda: b.aux.logits(x, e, y, b.adjacency),
+        "discriminator": lambda: b.discriminator.score(
+            *encoding(b.discriminator, x, e, y, b.adjacency)),
+        "aux": lambda: b.aux.logits(*encoding(b.discriminator, x, e, y, b.adjacency)),
     }[name]
     stores = list(b.stores().values())
 
@@ -382,5 +398,5 @@ def test_bundle_state_round_trip(tmp_path):
     e = rng.normal(size=(5, SMALL.annotator_dim))
     y = rng.integers(0, 3, size=5)
     np.testing.assert_array_equal(
-        b.discriminator.score(x, e, y, b.adjacency).data,
-        b2.discriminator.score(x, e, y, b2.adjacency).data)
+        b.discriminator.score(*encoding(b.discriminator, x, e, y, b.adjacency)).data,
+        b2.discriminator.score(*encoding(b2.discriminator, x, e, y, b2.adjacency)).data)

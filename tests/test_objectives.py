@@ -219,5 +219,4 @@ def test_breakdown_combined_identity():
     q_logs = np.log(rng.uniform(0.05, 1.0, size=12))
     bd = compute_breakdown(auth, gen, q_logs, code_entropy=0.9, info_weight=0.7)
     assert abs(bd.combined - (bd.value_term - 0.7 * bd.info_term)) < 1e-12
-    assert bd.deltas.shape == (12,)
     assert bd.clamp_count == 0

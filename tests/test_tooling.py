@@ -1,8 +1,15 @@
 """Repository tooling stays in step with the package: the generated config
-reference, the names the benchmark tracer wraps, and the scripts' imports."""
+reference, the names the benchmark tracer wraps and what it sees of a run,
+and the scripts' imports."""
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from crowdaug import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +53,28 @@ def test_tracer_names_exist():
     missing += [f"diffcore.{op}" for op in TRACER.NAMED_OPS + TRACER.OTHER_OPS
                 if not callable(getattr(dc, op, None))]
     assert missing == []
+
+
+def test_traced_train_counts_rows_of_all_four_nets(tmp_path):
+    # the tracer counts a net's rows from the first argument of its wrapped
+    # method, so a signature change there reads as zero rows
+    (tmp_path / "synth.cfg").write_text(
+        "num_classes = 3\nnum_instances = 40\nnum_annotators = 5\nfeature_dim = 2\n",
+        encoding="utf-8")
+    (tmp_path / "train.cfg").write_text(
+        "pretrain_epochs = 1\ngen_pretrain_epochs = 1\ndisc_pretrain_epochs = 1\n"
+        "epochs = 1\ninner_steps = 1\nbatch_size = 32\n", encoding="utf-8")
+    assert cli.main(["synth", "--config", str(tmp_path / "synth.cfg"),
+                     "--out", str(tmp_path / "data"), "--seed", "1"]) == 0
+    trace = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(trace), "0", "--",
+         "train", "--data", str(tmp_path / "data"), "--config", str(tmp_path / "train.cfg"),
+         "--method", "crowding", "--out", str(tmp_path / "run"), "--seed", "1"],
+        env=env, check=True, capture_output=True, timeout=300)
+    counts = json.loads(trace.read_text(encoding="utf-8"))["counts"]
+    rows = {span: counts.get(f"nets.{span}.rows", 0) for span in (
+        "classifier.fwd", "generator.fwd", "discriminator.score", "aux.fwd")}
+    assert all(rows.values()), rows

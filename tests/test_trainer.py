@@ -22,7 +22,7 @@ from crowdaug.data import (
     majority_vote,
     synthesize_dataset,
 )
-from crowdaug.nets import Classifier, Generator, NetDims, build_bundle
+from crowdaug.nets import AuxNet, Classifier, Discriminator, Generator, NetDims, build_bundle
 from crowdaug.trainer import (
     DivergenceError,
     LoggedBatch,
@@ -40,7 +40,8 @@ from crowdaug.trainer import (
     train_method,
 )
 from helpers import (
-    gather_dense,
+    encoding,
+    grad_check,
     randomize,
     read_augmented_file,
     store_grads,
@@ -261,8 +262,10 @@ def test_blocked_forward_equals_one_shot(n):
         "classifier": lambda s: bundle.classifier.probs(x[s]).data,
         "generator": lambda s: bundle.generator.distribution(
             x[s], e[s], zhat[s], eps[s]).data,
-        "discriminator": lambda s: bundle.discriminator.score(x[s], e[s], y[s], adj).data,
-        "aux": lambda s: bundle.aux.log_posterior(x[s], e[s], y[s], adj).data,
+        "discriminator": lambda s: bundle.discriminator.score(
+            *encoding(bundle.discriminator, x[s], e[s], y[s], adj)).data,
+        "aux": lambda s: bundle.aux.log_posterior(
+            *encoding(bundle.discriminator, x[s], e[s], y[s], adj)).data,
     }
     for name, forward in forwards.items():
         with dc.no_grad():
@@ -357,20 +360,85 @@ def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
     assert step() == fused
 
 
-@pytest.mark.parametrize("gen_rows", [70, 1500])
-def test_disc_aux_step_is_byte_identical_to_gathered_class_embedding(gen_rows, monkeypatch):
-    # at 1500 rows each class's rows of the table gradient span two chunks
-    step = _disc_aux_step_on(gen_rows)
-    embedded = step()
-    monkeypatch.setattr(dc, "class_dense", gather_dense)
-    assert step() == embedded
+def test_disc_aux_step_grad_check_covers_the_shared_encoders(monkeypatch):
+    # the whole D/Q loss as the step builds it: D's two scores and Q's
+    # cross-entropy all reach the encoders, so their gradients sum three paths
+    dims = NetDims(num_classes=3, feature_dim=2, annotator_dim=4, embed_dim=3,
+                   class_embed_dim=2, aux_hidden1=4, aux_hidden2=3)
+    rng = np.random.default_rng(5)
+    prop = rng.uniform(0.1, 1.0, size=(3, 3))
+    adj = CoocAdjacency(counts=np.zeros((3, 3)), propagation=(prop + prop.T) / 3)
+    bundle = build_bundle(dims, adj, rng)
+    for store in bundle.stores().values():
+        randomize(store, rng, scale=0.5)
+    auth = (rng.normal(size=(5, 2)), rng.normal(size=(5, 4)), rng.integers(0, 3, 5))
+    gen = (rng.normal(size=(4, 2)), rng.normal(size=(4, 4)), rng.integers(0, 3, 4))
+    codes = rng.integers(0, 3, size=4)
+    losses = []
+    monkeypatch.setattr(tr, "backward", losses.append)  # keep the loss, step nothing
+    no_step = SimpleNamespace(zero_grad=lambda: None, step=lambda: None)
+
+    def loss():
+        tr._disc_aux_step(no_step, bundle.discriminator, bundle.aux, adj, auth, gen,
+                          codes, tiny_config(), "test", 0)
+        return losses.pop()
+
+    params = dc.ParamStore.union(bundle.discriminator.store, bundle.aux.own_store())
+    assert grad_check(loss, params) < 1e-4
+
+
+def _record_judges(monkeypatch) -> list:
+    """Patch D's ``encode``, ``decoded_matrices`` and ``score`` and Q's ``logits``
+    to record, per call, the name and the rows of the encoding it made or read."""
+    calls, rows_of = [], {}
+    encode, decode = Discriminator.encode, Discriminator.decoded_matrices
+
+    def recording_encode(self, x, e):
+        u, v = encode(self, x, e)
+        rows_of[id(u)] = len(x)
+        calls.append(("encode", len(x)))
+        return u, v
+
+    def recording_decode(self, adj):
+        calls.append(("decode", 0))
+        return decode(self, adj)
+
+    def reading(name, method):
+        def wrapped(self, u, *rest):
+            calls.append((name, rows_of[id(u)]))
+            return method(self, u, *rest)
+        return wrapped
+
+    monkeypatch.setattr(Discriminator, "encode", recording_encode)
+    monkeypatch.setattr(Discriminator, "decoded_matrices", recording_decode)
+    monkeypatch.setattr(Discriminator, "score", reading("score", Discriminator.score))
+    monkeypatch.setattr(AuxNet, "logits", reading("logits", AuxNet.logits))
+    return calls
+
+
+def test_disc_aux_step_decodes_once_and_encodes_each_row_batch_once(monkeypatch):
+    # D scores both encodings, and Q reads the generated rows' one
+    calls = _record_judges(monkeypatch)
+    _disc_aux_step_on(70)()
+    assert sorted(calls) == [("decode", 0), ("encode", 50), ("encode", 70),
+                             ("logits", 70), ("score", 50), ("score", 70)]
+
+
+def test_epoch_scores_the_logged_grid_in_one_pass(monkeypatch):
+    calls = _record_judges(monkeypatch)
+    result = train_crowding(tiny_dataset(), tiny_config(epochs=1))
+    logged = result.history[0]["num_logged"]
+    assert logged < 8192  # one pair block
+    assert sorted(c for c in calls if c[1] == logged) == \
+        [("encode", logged), ("logits", logged), ("score", logged)]
 
 
 def test_disc_aux_step_peak_memory_per_generated_row():
-    # Q's class embedding used to keep one (rows, m*m) copy in the graph and
-    # make a second one in the backward; now one exists at a time, next to
-    # the graph's own few KB a row, which m = 48 keeps under half a copy.
-    # Two classes of over 512 rows each hold the chunked reads' size fixed.
+    # Q embeds the (C, m*m) class table once and gathers one small embedding
+    # per row, so no (rows, m*m) copy of the table is made. What grows with
+    # the rows is the graph's own few KB a row plus rowwise_bilinear's
+    # (rows, m, m) backward intermediate of one class's rows: about 0.76
+    # copies a row at m = 48 with two classes.
     m = 48
 
     def peak(gen_rows):
@@ -399,14 +467,6 @@ def test_training_is_byte_identical_to_three_op_layers(two_step, monkeypatch):
     fused = train_crowding(ds, cfg)
     monkeypatch.setattr(dc, "dense", three_op_dense)
     _assert_same_training(train_crowding(ds, cfg), fused)
-
-
-@pytest.mark.parametrize("two_step", [True, False])
-def test_training_is_byte_identical_to_gathered_class_embedding(two_step, monkeypatch):
-    ds, cfg = tiny_dataset(), tiny_config(two_step=two_step)
-    embedded = train_crowding(ds, cfg)
-    monkeypatch.setattr(dc, "class_dense", gather_dense)
-    _assert_same_training(train_crowding(ds, cfg), embedded)
 
 
 # ---------------------------------------------------------------------------
