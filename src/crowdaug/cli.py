@@ -102,7 +102,17 @@ def _parse_list(text: str, cast):
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise ConfigError(f"empty list value {text!r}")
-    return [cast(part) for part in items]
+    try:
+        return [cast(part) for part in items]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"bad list value {text!r}: {exc}") from None
+
+
+def _seed(text: str) -> int:
+    """``--seed`` or a seed-list entry: an integer >= 0, as ``np.random.default_rng`` needs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _train_config(values: dict[str, str], seed: int | None) -> TrainConfig:
@@ -276,7 +286,7 @@ def cmd_train(args) -> int:
 
 def _checkpoint_inputs(args) -> list[Path]:
     """Check ``--config`` as a TrainConfig; list the files eval/augment read."""
-    _train_config(_load_config_values(args.config), args.seed)
+    _train_config(_load_config_values(args.config), None)
     return (([Path(args.config)] if args.config else []) + [Path(args.checkpoint)]
             + _dataset_paths(args.data))
 
@@ -306,7 +316,7 @@ def cmd_sweep(args) -> int:
     sweep, rest = _split_prefixed(values, "sweep_")
     fractions = _parse_list(sweep.pop("fractions", "0,0.2,0.4,0.6"), float)
     methods = _parse_list(sweep.pop("methods", "crowding,dl-cl,dl-mv"), str)
-    seeds = _parse_list(sweep.pop("seeds", "0,1,2"), int)
+    seeds = _parse_list(sweep.pop("seeds", "0,1,2"), _seed)
     if sweep:
         raise ConfigError(f"unknown sweep key 'sweep_{sorted(sweep)[0]}'")
     for method in methods:
@@ -336,13 +346,12 @@ def cmd_ablate(args) -> int:
     values = _load_config_values(args.config)
     ablate, rest = _split_prefixed(values, "ablate_")
     variants = _parse_list(ablate.pop("variants", ",".join(ABLATIONS)), str)
-    seeds = _parse_list(ablate.pop("seeds", "0,1,2"), int)
+    seeds = _parse_list(ablate.pop("seeds", "0,1,2"), _seed)
     if ablate:
         raise ConfigError(f"unknown ablation key 'ablate_{sorted(ablate)[0]}'")
-    for variant in variants:
-        if variant not in ABLATIONS:
-            raise ConfigError(f"unknown ablation variant {variant!r}")
     cfg = _train_config(rest, args.seed)
+    for variant in variants:  # fail before the manifest, not in the first job
+        apply_ablation(cfg, variant)
     ds = load_dataset(args.data)
 
     out_dir = Path(args.out)
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="key = value configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="seed override (default: config seed)")
         if data:
             p.add_argument("--data", required=True, help="dataset directory")

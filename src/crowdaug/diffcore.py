@@ -28,6 +28,10 @@ to it (-0.0 too); the graph keeps one array and a bool mask, not three arrays.
 (C, m, n) class table by index and works class by class, so neither its
 forward nor its backward allocates a (B, m, n) array of gathered matrices.
 
+A ``ParamStore`` names one net's parameter leaves, and every leaf has one
+store. ``ParamStore.union`` merges stores, rejecting a repeated name, so one
+``Adam`` can step several nets together (the discriminator and the aux net).
+
 Everything is float64 and single-threaded; stochastic ops take an explicit
 ``numpy.random.Generator`` so runs are bit-reproducible per seed.
 """
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -516,11 +519,7 @@ class ParamStore:
         self._params: dict[str, Tensor] = {}
 
     def add(self, name: str, data) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True)
-        self._params[name] = t
-        return t
+        return self.add_tensor(name, Tensor(data, requires_grad=True))
 
     def add_tensor(self, name: str, t: Tensor) -> Tensor:
         if name in self._params:
@@ -530,12 +529,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -569,15 +562,12 @@ class ParamStore:
 
     @staticmethod
     def union(*stores: "ParamStore") -> "ParamStore":
-        """Merge stores for joint optimization; shared tensors appear once."""
+        """Merge stores, in argument order, for joint optimization; a name
+        that two stores share raises."""
         merged = ParamStore()
-        seen: set[int] = set()
-        for i, store in enumerate(stores):
+        for store in stores:
             for name, t in store.items():
-                if id(t) in seen:
-                    continue
-                seen.add(id(t))
-                merged.add_tensor(f"{i}.{name}" if name in merged._params else name, t)
+                merged.add_tensor(name, t)
         return merged
 
 
@@ -593,70 +583,47 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in=None, fan_out=None) -
 # ---------------------------------------------------------------------------
 # Adam
 
-
-@dataclass
-class AdamState:
-    """First/second-moment accumulators with bias-correction step counter."""
-
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
-
-
-def adam_step(params: dict[str, Array], grads: dict[str, Array], state: AdamState) -> None:
-    """One in-place Adam update over named arrays."""
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}: {g.shape} vs {p.shape}")
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam over a ParamStore, reading the ``.grad`` slots filled by backward."""
+    """Adam over a ParamStore, reading the ``.grad`` slots filled by backward;
+    a parameter without a gradient takes a zero one."""
 
-    def __init__(self, store: ParamStore, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParamStore, lr: float):
         self.store = store
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.lr = lr
+        self.step_count = 0
+        self.m: dict[str, Array] = {}
+        self.v: dict[str, Array] = {}
 
     def step(self) -> None:
-        params = {k: t.data for k, t in self.store.items()}
-        grads = {k: t.grad for k, t in self.store.items() if t.grad is not None}
-        adam_step(params, grads, self.state)
+        """One in-place update of every parameter of the store."""
+        self.step_count += 1
+        bc1 = 1.0 - ADAM_BETA1**self.step_count
+        bc2 = 1.0 - ADAM_BETA2**self.step_count
+        for name, t in self.store.items():
+            p = t.data
+            g = np.zeros_like(p) if t.grad is None else t.grad
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape mismatch for {name!r}: {g.shape} vs {p.shape}")
+            m = self.m.setdefault(name, np.zeros_like(p))
+            v = self.v.setdefault(name, np.zeros_like(p))
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         self.store.zero_grad()
 
     def state_dict(self) -> dict:
-        s = self.state
-        return {
-            "lr": s.lr, "beta1": s.beta1, "beta2": s.beta2, "eps": s.eps,
-            "step_count": s.step_count,
-            "m": {k: a.copy() for k, a in s.m.items()},
-            "v": {k: a.copy() for k, a in s.v.items()},
-        }
+        return {"step_count": self.step_count,
+                "m": {k: a.copy() for k, a in self.m.items()},
+                "v": {k: a.copy() for k, a in self.v.items()}}
 
     def load_state_dict(self, d: dict) -> None:
-        self.state = AdamState(
-            lr=d["lr"], beta1=d["beta1"], beta2=d["beta2"], eps=d["eps"],
-            step_count=d["step_count"],
-            m={k: a.copy() for k, a in d["m"].items()},
-            v={k: a.copy() for k, a in d["v"].items()},
-        )
+        self.step_count = d["step_count"]
+        self.m = {k: a.copy() for k, a in d["m"].items()}
+        self.v = {k: a.copy() for k, a in d["v"].items()}

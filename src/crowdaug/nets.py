@@ -11,15 +11,16 @@
   its label's matrix in the (C, m, m) table (``diffcore.rowwise_bilinear``),
   so no (B, m, m) copy of the table is made.
 - Auxiliary net: recovers the classifier's distribution from a generated
-  annotation; built on the discriminator's encoders (same tensor objects). It
-  embeds the flattened (C, m*m) table once and gathers each row's label
-  embedding, so its graph keeps no (B, m*m) copy of the table.
+  annotation. It reads the discriminator's encoding of the row and owns only
+  its head: it embeds the flattened (C, m*m) table once and gathers each
+  row's label embedding, so its graph keeps no (B, m*m) copy of the table.
 
 The discriminator and the aux net judge the same encoding: ``Discriminator.
 encode(x, e)`` gives a row batch's ``(u, v)`` and ``decoded_matrices(adj)``
 the table, and ``Discriminator.score`` and ``AuxNet.logits`` both take
 ``(u, v, mats, y)``, so a training step encodes each row batch and decodes
-the table once for both judges.
+the table once for both judges. Each parameter has one owning store; D and
+Q train together through ``ParamStore.union`` of their two stores.
 
 Every layer ``x @ W + b`` (with or without ReLU) is one ``diffcore.dense``
 node; only the discriminator's class-matrix mixing calls ``matmul``.
@@ -33,7 +34,7 @@ gradients are live from step one).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,11 +69,9 @@ class NetDims:
     gen_use_annotator_features: bool = True
 
     def __post_init__(self):
-        for name in ("num_classes", "feature_dim", "annotator_dim", "noise_dim",
-                     "clf_hidden", "gen_hidden1", "gen_hidden2", "aux_hidden1",
-                     "aux_hidden2", "embed_dim", "class_embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 
@@ -208,21 +207,17 @@ class Discriminator:
 class AuxNet:
     """Predicts the classifier's distribution from one annotation.
 
-    Reads the discriminator's encoding of the row (its store holds the same
-    encoder tensors, so the two train them together) plus a low-dim embedding
-    of the annotation's decoded class matrix: the (C, m*m) table is embedded
-    once and each row takes its label's embedding.
+    Reads the discriminator's encoding of the row (passed in; the encoders
+    stay in D's store) plus a low-dim embedding of the annotation's decoded
+    class matrix: the (C, m*m) table is embedded once and each row takes its
+    label's embedding.
     """
 
-    def __init__(self, dims: NetDims, rng: np.random.Generator, disc: Discriminator):
+    def __init__(self, dims: NetDims, rng: np.random.Generator):
         self.dims = dims
         m, ce = dims.embed_dim, dims.class_embed_dim
         d_in = 2 * m + ce
         p = ParamStore()
-        p.add_tensor("Wu", disc.store["Wu"])
-        p.add_tensor("bu", disc.store["bu"])
-        p.add_tensor("Wv", disc.store["Wv"])
-        p.add_tensor("bv", disc.store["bv"])
         p.add("Wembed", dc.glorot_uniform(rng, (m * m, ce)))
         p.add("bembed", np.zeros(ce))
         p.add("W1", dc.glorot_uniform(rng, (d_in, dims.aux_hidden1)))
@@ -232,14 +227,6 @@ class AuxNet:
         p.add("W3", np.zeros((dims.aux_hidden2, dims.num_classes)))
         p.add("b3", np.zeros(dims.num_classes))
         self.store = p
-
-    def own_store(self) -> ParamStore:
-        """Parameters owned by this net only (encoders excluded)."""
-        own = ParamStore()
-        for name, t in self.store.items():
-            if name not in ("Wu", "bu", "Wv", "bv"):
-                own.add_tensor(name, t)
-        return own
 
     def logits(self, u: Tensor, v: Tensor, mats: Tensor, y) -> Tensor:
         """Code logits of each row from the discriminator's encoding ``u``,
@@ -273,7 +260,7 @@ class NetworkBundle:
             "classifier": self.classifier.store,
             "generator": self.generator.store,
             "discriminator": self.discriminator.store,
-            "aux": self.aux.own_store(),
+            "aux": self.aux.store,
         }
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -298,7 +285,7 @@ def build_bundle(dims: NetDims, adjacency: CoocAdjacency | None,
     classifier = Classifier(dims, rng)
     generator = Generator(dims, rng)
     discriminator = Discriminator(dims, rng)
-    aux = AuxNet(dims, rng, discriminator)
+    aux = AuxNet(dims, rng)
     if dims.lca_enabled and adjacency is None:
         raise ValueError("label-correlation mixing needs a co-occurrence adjacency")
     return NetworkBundle(dims, classifier, generator, discriminator, aux, adjacency)

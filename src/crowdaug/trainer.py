@@ -43,7 +43,7 @@ writes its CSV one row block at a time from a NumPy formatter, byte-equal to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +127,12 @@ class TrainConfig:
             raise ConfigError("disc_l2 must be >= 0")
         if self.max_grid_pairs < 0:
             raise ConfigError("max_grid_pairs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.noise_dim < 1:
+            raise ConfigError("noise_dim must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError("dropout must lie in [0, 1)")
 
 
 @dataclass
@@ -180,6 +186,16 @@ class TrainResult:
 def _check_finite(value: float, what: str, epoch: int) -> None:
     if not math.isfinite(value):
         raise DivergenceError(f"non-finite {what} at epoch {epoch}")
+
+
+def _descend(opt: Adam, loss: Tensor, what: str, epoch: int) -> float:
+    """One descent step of ``opt``'s store on a finite scalar ``loss``."""
+    value = loss.item()
+    _check_finite(value, what, epoch)
+    opt.zero_grad()
+    backward(loss)
+    opt.step()
+    return value
 
 
 def _dims_for(ds: CrowdDataset, cfg: TrainConfig) -> NetDims:
@@ -275,11 +291,7 @@ def _fit_classifier(clf: Classifier, x: np.ndarray, labels: np.ndarray,
             logits = clf.logits(x[batch], train_mode=True, rng=rng)
             loss = crowd_layer_loss(logits, labels[batch], transforms,
                                     None if transforms is None else annotators[batch])
-            _check_finite(loss.item(), "cross-entropy loss", epoch)
-            opt.zero_grad()
-            backward(loss)
-            opt.step()
-            losses.append(loss.item())
+            losses.append(_descend(opt, loss, "cross-entropy loss", epoch))
         history.append({"epoch": epoch, "loss": float(np.mean(losses))})
     return history
 
@@ -362,7 +374,7 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
     adjacency = build_cooccurrence(ds) if adjacency is None else adjacency
     gen = Generator(dims, rng)
     disc = Discriminator(dims, rng)
-    aux = AuxNet(dims, rng, disc)
+    aux = AuxNet(dims, rng)
     ann = _train_annotations(ds)
     with dc.no_grad():
         zhat_all = clf.probs(ds.features).data
@@ -377,15 +389,10 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
             eps = gen.draw_noise(rng, len(batch))
             log_dist = gen.log_distribution(x, e, zhat_all[inst], eps)
             loss = dc.neg(dc.t_mean(dc.pick(log_dist, labels)))
-            _check_finite(loss.item(), "generator pretraining loss", epoch)
-            opt_g.zero_grad()
-            backward(loss)
-            opt_g.step()
-            losses.append(loss.item())
+            losses.append(_descend(opt_g, loss, "generator pretraining loss", epoch))
         history.append({"phase": "gen", "epoch": epoch, "loss": float(np.mean(losses))})
 
-    opt_dq = Adam(ParamStore.union(disc.store, aux.own_store()),
-                  lr=cfg.lr_discriminator)
+    opt_dq = Adam(ParamStore.union(disc.store, aux.store), lr=cfg.lr_discriminator)
     for epoch in range(cfg.disc_pretrain_epochs):
         losses = []
         for batch in _minibatches(rng, len(ann), cfg.batch_size):
@@ -509,11 +516,7 @@ def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, auth: tuple
                                          cfg.disc_l2)
     q_lp = aux.log_posterior(*gen_enc)
     loss = d_loss + dc.neg(dc.t_mean(dc.pick(q_lp, codes)))
-    _check_finite(loss.item(), what, epoch)
-    opt.zero_grad()
-    backward(loss)
-    opt.step()
-    return loss.item(), clamped
+    return _descend(opt, loss, what, epoch), clamped
 
 
 _NET_NAMES = {"gen": "generator", "clf": "classifier"}
@@ -752,8 +755,7 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
         optimizers={
             "clf": Adam(clf.store, lr=cfg.lr_classifier),
             "gen": Adam(gen.store, lr=cfg.lr_generator),
-            "disc": Adam(ParamStore.union(disc.store, aux.own_store()),
-                         lr=cfg.lr_discriminator),
+            "disc": Adam(ParamStore.union(disc.store, aux.store), lr=cfg.lr_discriminator),
         },
         rng=master,
     )
@@ -793,28 +795,22 @@ def train_method(ds: CrowdDataset, cfg: TrainConfig, method: str) -> TrainResult
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_DIMS_INT_FIELDS = ("num_classes", "feature_dim", "annotator_dim", "noise_dim",
-                    "clf_hidden", "gen_hidden1", "gen_hidden2", "aux_hidden1",
-                    "aux_hidden2", "embed_dim", "class_embed_dim")
-_GEN_SWITCHES = ("gen_use_instance_features", "gen_use_annotator_features")
+_META_TYPES = {"int": int, "float": float, "bool": bool}
 
 
 def _dims_meta(dims: NetDims) -> dict:
-    meta = {f"meta.{f}": np.array(float(getattr(dims, f)))
-            for f in _DIMS_INT_FIELDS}
-    meta["meta.dropout"] = np.array(dims.dropout)
-    for f in ("lca_enabled",) + _GEN_SWITCHES:
-        meta[f"meta.{f}"] = np.array(1.0 if getattr(dims, f) else 0.0)
-    return meta
+    """One ``meta.<field>`` scalar per ``NetDims`` field, in field order."""
+    return {f"meta.{f.name}": np.array(float(getattr(dims, f.name)))
+            for f in fields(NetDims)}
 
 
 def _dims_from_meta(arrays: dict) -> NetDims:
-    kwargs = {f: int(arrays[f"meta.{f}"]) for f in _DIMS_INT_FIELDS}
-    kwargs["dropout"] = float(arrays["meta.dropout"])
-    kwargs["lca_enabled"] = bool(arrays["meta.lca_enabled"])
-    # checkpoints saved before the generator switches were stored had both on
-    for f in _GEN_SWITCHES:
-        kwargs[f] = bool(arrays.get(f"meta.{f}", 1.0))
+    kwargs = {}
+    for f in fields(NetDims):
+        key = f"meta.{f.name}"
+        # checkpoints saved before the generator switches were stored had both on
+        if key in arrays or not f.name.startswith("gen_use_"):
+            kwargs[f.name] = _META_TYPES[f.type](arrays[key])
     return NetDims(**kwargs)
 
 

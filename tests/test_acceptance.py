@@ -116,8 +116,8 @@ def test_criterion_01_gradient_integrity():
         randomize(gen.store, rng, scale=0.4)
         disc = Discriminator(dims, rng)
         randomize(disc.store, rng, scale=0.4)
-        aux = AuxNet(dims, rng, disc)
-        randomize(aux.own_store(), rng, scale=0.4)
+        aux = AuxNet(dims, rng)
+        randomize(aux.store, rng, scale=0.4)
         zhat = clf.probs(x).data
         eps = gen.draw_noise(rng, batch)
         weights = rng.normal(size=(batch, dims.num_classes))
@@ -141,7 +141,7 @@ def test_criterion_01_gradient_integrity():
         worst = max(worst, grad_check(
             lambda: dc.neg(dc.t_mean(dc.pick(
                 aux.log_posterior(*encoding(disc, x, e, y, adj)), zdraw))),
-            dc.ParamStore.union(disc.store, aux.own_store())))
+            dc.ParamStore.union(disc.store, aux.store)))
         # importance-weighted objective through the generator
         g0 = np.full(batch, 1.0 / dims.num_classes)
         deltas = rng.normal(size=batch)
@@ -181,8 +181,8 @@ def test_criterion_02_normalization_invariants():
     clf = Classifier(dims, rng)
     gen = Generator(dims, rng)
     disc = Discriminator(dims, rng)
-    aux = AuxNet(dims, rng, disc)
-    for store in (clf.store, gen.store, disc.store, aux.own_store()):
+    aux = AuxNet(dims, rng)
+    for store in (clf.store, gen.store, disc.store, aux.store):
         randomize(store, rng, scale=0.8)
 
     trials = 0

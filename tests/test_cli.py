@@ -227,6 +227,51 @@ def test_config_naming_a_directory_is_config_error(workspace, tmp_path, capsys):
     assert not out.exists()  # rejected before the manifest
 
 
+@pytest.mark.parametrize("method", ["crowding", "dl-mv"])
+@pytest.mark.parametrize("key, message", [
+    ("dropout = 1.5", "dropout must lie in [0, 1)"),
+    ("dropout = -0.5", "dropout must lie in [0, 1)"),
+    ("noise_dim = 0", "noise_dim must be >= 1"),
+])
+def test_out_of_range_net_setting_is_config_error(workspace, tmp_path, capsys,
+                                                  method, key, message):
+    cfg, out = tmp_path / "train.cfg", tmp_path / "o"
+    cfg.write_text(TRAIN_CFG + key + "\n", encoding="utf-8")
+    code = cli.main(["train", "--data", str(workspace / "data"), "--config", str(cfg),
+                     "--method", method, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert message in _config_error_line(capsys)
+    assert not out.exists()  # rejected before the manifest
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["synth", "--seed", "-1"], ""),
+    (["train", "--data", "DATA", "--seed", "-1"], ""),
+    (["train", "--data", "DATA"], "seed = -1\n"),
+    (["eval", "--data", "DATA", "--checkpoint", "CKPT", "--seed", "-1"], ""),
+    (["eval", "--data", "DATA", "--checkpoint", "CKPT"], "seed = -1\n"),
+    (["augment", "--data", "DATA", "--checkpoint", "CKPT", "--seed", "-1"], ""),
+    (["augment", "--data", "DATA", "--checkpoint", "CKPT"], "seed = -1\n"),
+    (["sweep", "--data", "DATA", "--seed", "-1"], ""),
+    (["sweep", "--data", "DATA"], "seed = -1\n"),
+    (["sweep", "--data", "DATA"], "sweep_seeds = 0, -1\n"),
+    (["sweep", "--data", "DATA"], "sweep_seeds = zero\n"),
+    (["ablate", "--data", "DATA", "--seed", "-1"], ""),
+    (["ablate", "--data", "DATA"], "seed = -1\n"),
+    (["ablate", "--data", "DATA"], "ablate_seeds = -1\n"),
+])
+def test_negative_seed_is_config_error(workspace, tmp_path, capsys, argv, config):
+    cfg, out = tmp_path / "seed.cfg", tmp_path / "o"
+    cfg.write_text(config, encoding="utf-8")
+    paths = {"DATA": str(workspace / "data"),
+             "CKPT": str(workspace / "run" / "checkpoint.bin")}
+    code = cli.main([paths.get(a, a) for a in argv] + ["--config", str(cfg),
+                                                       "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "seed" in _config_error_line(capsys)
+    assert not out.exists()  # rejected before the manifest
+
+
 def test_usage_error_exits_with_config_code(capsys):
     assert cli.main(["train"]) == cli.EXIT_CONFIG  # --data/--out missing
     assert "required" in capsys.readouterr().err
@@ -428,6 +473,8 @@ def test_sweep_rejects_unknown_sweep_key(workspace, tmp_path, capsys):
      "unknown method 'bogus'"),
     ("sweep_methods = dl-mv\nsweep_fractions = 0, 0.99\n", cli.EXIT_DATA,
      "removal infeasible"),
+    ("sweep_methods = dl-mv\nsweep_fractions = 0, half\n", cli.EXIT_CONFIG,
+     "bad list value '0, half'"),
 ])
 def test_sweep_rejects_bad_grid_before_any_cell_trains(workspace, tmp_path, capsys,
                                                        keys, code, message):
@@ -472,7 +519,9 @@ def test_ablate_rejects_unknown_variant(workspace, tmp_path, capsys):
     code = cli.main(["ablate", "--data", str(workspace / "data"),
                      "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
-    assert "no-adversary" in capsys.readouterr().err
+    err = _config_error_line(capsys)
+    assert "'no-adversary'" in err and "expected one of" in err and "random-selection" in err
+    assert not (tmp_path / "o").exists()  # rejected before the manifest
 
 
 GRID_TRAIN_CFG = ("pretrain_epochs = 1\ngen_pretrain_epochs = 1\n"

@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from crowdaug import diffcore as dc
 from crowdaug.diffcore import (
     Adam,
-    AdamState,
     ParamStore,
     Tensor,
-    adam_step,
     backward,
     entropy,
     log_softmax,
@@ -490,10 +488,20 @@ def test_backward_inside_no_grad_raises():
 
 def test_adam_first_step_closed_form():
     # with m,v bias-corrected, step 1 moves by lr * g / (|g| + eps)
-    params = {"p": np.array([1.0])}
-    grads = {"p": np.array([0.25])}
-    adam_step(params, grads, AdamState(lr=0.1))
-    np.testing.assert_allclose(params["p"], [0.9000000039999998], atol=0, rtol=0)
+    store = ParamStore()
+    p = store.add("p", np.array([1.0]))
+    p.grad = np.array([0.25])
+    Adam(store, lr=0.1).step()
+    np.testing.assert_allclose(p.data, [0.9000000039999998], atol=0, rtol=0)
+
+
+def test_adam_without_gradient_takes_a_zero_one():
+    store = ParamStore()
+    p = store.add("p", np.array([1.0, -2.0]))
+    opt = Adam(store, lr=0.1)
+    opt.step()
+    np.testing.assert_array_equal(p.data, [1.0, -2.0])
+    assert opt.state_dict()["step_count"] == 1
 
 
 def test_adam_converges_on_quadratic():
@@ -534,8 +542,10 @@ def test_adam_state_roundtrip_bit_exact():
 
 
 def test_adam_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        adam_step({"p": np.zeros(3)}, {"p": np.zeros(4)}, AdamState(lr=0.1))
+    store = ParamStore()
+    store.add("p", np.zeros(3)).grad = np.zeros(4)
+    with pytest.raises(ValueError, match="gradient shape mismatch"):
+        Adam(store, lr=0.1).step()
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +569,22 @@ def test_param_store_fingerprint_tracks_values():
     assert store.fingerprint() == before
 
 
-def test_param_store_union_dedupes_shared_tensors():
+def test_param_store_union_merges_in_argument_order():
     s1, s2 = ParamStore(), ParamStore()
-    shared = s1.add("enc", np.zeros(3))
-    s2.add_tensor("enc", shared)
-    s2.add("head", np.zeros(2))
+    a = s1.add("enc", np.zeros(3))
+    b = s2.add("head", np.zeros(2))
+    c = s1.add("dec", np.zeros(1))
     merged = ParamStore.union(s1, s2)
-    assert len(merged) == 2
-    assert any(t is shared for t in merged.tensors())
+    assert merged.names() == ["enc", "dec", "head"]
+    assert merged.tensors() == [a, c, b] and merged["head"] is b
+
+
+def test_param_store_union_rejects_repeated_name():
+    s1, s2 = ParamStore(), ParamStore()
+    s1.add("W1", np.zeros(3))
+    s2.add("W1", np.zeros(3))
+    with pytest.raises(ValueError, match="duplicate parameter name 'W1'"):
+        ParamStore.union(s1, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -174,21 +174,35 @@ def test_lca_requires_adjacency():
 
 def test_aux_shares_discriminator_encoders():
     b = small_bundle()
-    randomize(b.aux.own_store(), np.random.default_rng(13), scale=0.5)
+    randomize(b.aux.store, np.random.default_rng(13), scale=0.5)
     rng = np.random.default_rng(14)
     x = rng.normal(size=(4, SMALL.feature_dim))
     e = rng.normal(size=(4, SMALL.annotator_dim))
     y = [0, 1, 2, 1]
-    # Q reads D's encoding, and its store holds D's encoder tensors
-    assert all(b.aux.store[n] is b.discriminator.store[n] for n in ("Wu", "bu", "Wv", "bv"))
+    disc = b.discriminator
 
-    def posterior():
-        return dc.softmax(b.aux.logits(*encoding(b.discriminator, x, e, y, b.adjacency)),
-                          axis=1).data
+    def log_posterior():
+        return b.aux.log_posterior(*encoding(disc, x, e, y, b.adjacency))
 
-    before = posterior().copy()
-    b.discriminator.store["Wu"].data += 0.7  # write through the discriminator
-    assert not np.allclose(before, posterior())
+    # Q reads D's encoding: a write to D's encoder moves Q's posterior
+    before = log_posterior().data.copy()
+    disc.store["Wu"].data += 0.7
+    assert not np.allclose(before, log_posterior().data)
+    # and D's encoders take Q's gradient through the joint D/Q optimizer
+    opt = dc.Adam(ParamStore.union(disc.store, b.aux.store), lr=0.1)
+    encoders = {n: disc.store[n].data.copy() for n in ("Wu", "bu", "Wv", "bv")}
+    opt.zero_grad()
+    dc.backward(dc.neg(dc.t_mean(dc.pick(log_posterior(), [0, 2, 1, 0]))))
+    assert all(np.any(disc.store[n].grad != 0) for n in encoders)
+    opt.step()
+    assert all(np.any(disc.store[n].data != old) for n, old in encoders.items())
+
+
+def test_no_tensor_belongs_to_two_stores():
+    stores = small_bundle().stores()
+    owners = [id(t) for store in stores.values() for t in store.tensors()]
+    assert len(owners) == len(set(owners))
+    assert stores["aux"].names() == ["Wembed", "bembed", "W1", "b1", "W2", "b2", "W3", "b3"]
 
 
 def test_dimension_mismatch_errors():
@@ -277,7 +291,8 @@ def test_grad_check_discriminator_with_and_without_lca():
 
 def test_grad_check_aux_includes_shared_encoders():
     b = small_bundle(seed=30)
-    randomize(b.aux.store, np.random.default_rng(31), scale=0.4)
+    params = ParamStore.union(b.discriminator.store, b.aux.store)
+    randomize(params, np.random.default_rng(31), scale=0.4)
     x, e, y = rand_inputs(np.random.default_rng(32))
     targets = np.array([1, 0, 2])
 
@@ -285,7 +300,7 @@ def test_grad_check_aux_includes_shared_encoders():
         lp = b.aux.log_posterior(*encoding(b.discriminator, x, e, y, b.adjacency))
         return dc.neg(dc.t_mean(dc.pick(lp, targets)))
 
-    assert grad_check(loss, b.aux.store) < 1e-4
+    assert grad_check(loss, params) < 1e-4
 
 
 def test_forwards_under_no_grad_equal_graph_mode():

@@ -12,7 +12,7 @@ import pytest
 
 import crowdaug.diffcore as dc
 from crowdaug import trainer as tr
-from crowdaug.checkpoint import load_checkpoint, save_checkpoint
+from crowdaug.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from crowdaug.config import ConfigError
 from crowdaug.data import (
     TRAIN, VAL, TEST,
@@ -72,7 +72,9 @@ def test_config_rejects_bad_values():
                dict(entropy_threshold=1.0), dict(epochs=0),
                dict(mu_mode="annealed"), dict(selection_mode="greedy"),
                dict(lr_classifier=0.0), dict(disc_l2=-1e-9),
-               dict(max_grid_pairs=-1), dict(pretrain_epochs=-1)):
+               dict(max_grid_pairs=-1), dict(pretrain_epochs=-1),
+               dict(seed=-1), dict(noise_dim=0), dict(dropout=1.5),
+               dict(dropout=-0.1), dict(dropout=1.0)):
         with pytest.raises(ConfigError):
             TrainConfig(**kw).validate()
 
@@ -342,10 +344,10 @@ def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32):
         for store in bundle.stores().values():
             randomize(store, np.random.default_rng(3), scale=0.5)
         disc, aux = bundle.discriminator, bundle.aux
-        opt = dc.Adam(dc.ParamStore.union(disc.store, aux.own_store()), lr=1e-3)
+        opt = dc.Adam(dc.ParamStore.union(disc.store, aux.store), lr=1e-3)
         loss, clamped = tr._disc_aux_step(opt, disc, aux, adj, auth, gen, codes,
                                           tiny_config(), "test", 0)
-        return loss, clamped, store_grads(disc.store, aux.own_store())
+        return loss, clamped, store_grads(disc.store, aux.store)
 
     return step
 
@@ -383,7 +385,7 @@ def test_disc_aux_step_grad_check_covers_the_shared_encoders(monkeypatch):
                           codes, tiny_config(), "test", 0)
         return losses.pop()
 
-    params = dc.ParamStore.union(bundle.discriminator.store, bundle.aux.own_store())
+    params = dc.ParamStore.union(bundle.discriminator.store, bundle.aux.store)
     assert grad_check(loss, params) < 1e-4
 
 
@@ -899,6 +901,33 @@ def test_export_feeds_the_generator_the_inputs_it_was_trained_on(tmp_path):
     assert older.dims.gen_use_instance_features and older.dims.gen_use_annotator_features
     rows = export_augmented(ds, older, seed=5)
     assert np.array_equal(rows[rows[:, 3] == 0, 2], _labels_fed(ds, older, rows, 5, False))
+
+
+CROWDING_CHECKPOINT_NAMES = (
+    [f"classifier.{n}" for n in ("W1", "b1", "W2", "b2")]
+    + [f"generator.{n}" for n in ("W1", "b1", "W2", "b2", "W3", "b3")]
+    + [f"discriminator.{n}" for n in ("Wu", "bu", "Wv", "bv", "M", "Wmix")]
+    + [f"aux.{n}" for n in ("Wembed", "bembed", "W1", "b1", "W2", "b2", "W3", "b3")]
+    + ["adjacency.counts", "adjacency.propagation", "meta.has_bundle"]
+    + [f"meta.{n}" for n in (
+        "num_classes", "feature_dim", "annotator_dim", "noise_dim", "clf_hidden",
+        "gen_hidden1", "gen_hidden2", "aux_hidden1", "aux_hidden2", "embed_dim",
+        "class_embed_dim", "dropout", "lca_enabled", "gen_use_instance_features",
+        "gen_use_annotator_features")])
+
+
+def test_crowding_checkpoint_array_names_are_pinned(tmp_path):
+    # every parameter is saved once, under its owning net, in a fixed order
+    path = tmp_path / "checkpoint.bin"
+    tr.save_result_checkpoint(path, train_crowding(tiny_dataset(), tiny_config(epochs=1)))
+    arrays = load_checkpoint(path)
+    assert list(arrays) == CROWDING_CHECKPOINT_NAMES
+    # only the two generator switches may be missing (older checkpoints)
+    for key in (k for k in arrays if k.startswith("meta.") and "gen_use_" not in k):
+        save_checkpoint(tmp_path / "broken.bin",
+                        {k: v for k, v in arrays.items() if k != key})
+        with pytest.raises(CheckpointError, match=f"missing array '{key}'"):
+            tr.load_result_checkpoint(tmp_path / "broken.bin")
 
 
 def csv_writer_bytes(rows):
