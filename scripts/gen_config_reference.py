@@ -26,7 +26,8 @@ EXTRA = """\
 ## Harness keys
 
 `sweep` additionally reads `sweep_fractions`, `sweep_methods`, `sweep_seeds`
-(comma-separated lists); `ablate` reads `ablate_variants`, `ablate_seeds`.
+(comma-separated lists, each value at most once); `ablate` reads
+`ablate_variants`, `ablate_seeds`.
 All other keys in those files configure training as above.
 """
 

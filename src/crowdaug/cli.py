@@ -99,13 +99,19 @@ def _split_prefixed(values: dict[str, str], prefix: str) -> tuple[dict, dict]:
 
 
 def _parse_list(text: str, cast):
+    """Comma-separated values cast one by one; an empty list, a bad value or a
+    value repeated after casting (``0, 0.0``) raises ``ConfigError``."""
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise ConfigError(f"empty list value {text!r}")
     try:
-        return [cast(part) for part in items]
+        values = [cast(part) for part in items]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad list value {text!r}: {exc}") from None
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"repeated list value {repeated!r} in {text!r}")
+    return values
 
 
 def _seed(text: str) -> int:
@@ -179,19 +185,19 @@ def _sweep_job(payload) -> tuple:
     return value, method, train_method(reduced, cfg, method).test_acc
 
 
-def _worker_count(num_jobs: int) -> int:
+def _thread_cap() -> int:
+    """The worker-process cap ``CROWDING_THREADS`` (default 1, at least 1)."""
     cap = os.environ.get("CROWDING_THREADS", "1")
     try:
-        cap_value = max(1, int(cap))
-    except ValueError as exc:
-        raise ConfigError(f"CROWDING_THREADS must be an integer, got {cap!r}") from exc
-    return min(cap_value, num_jobs)
+        return max(1, int(cap))
+    except ValueError:
+        raise ConfigError(f"CROWDING_THREADS must be an integer, got {cap!r}") from None
 
 
 def _run_grid(table: SweepTable, jobs: list) -> SweepTable:
     """Run every job, on worker processes when ``CROWDING_THREADS`` > 1, and add
     the accuracies in job order: the table is the same on any worker count."""
-    workers = _worker_count(len(jobs))
+    workers = min(_thread_cap(), len(jobs))
     if workers > 1:
         # imported here: the pool module costs every other command's start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -325,6 +331,7 @@ def cmd_sweep(args) -> int:
     ds = load_dataset(args.data)
     for fraction in fractions:  # fail before any cell trains, not hours in
         check_removal(ds, fraction)
+    _thread_cap()  # a bad CROWDING_THREADS fails here, before the manifest
 
     out_dir = Path(args.out)
     write_manifest(out_dir, "sweep",
@@ -352,6 +359,7 @@ def cmd_ablate(args) -> int:
     cfg = _train_config(rest, args.seed)
     for variant in variants:  # fail before the manifest, not in the first job
         apply_ablation(cfg, variant)
+    _thread_cap()  # a bad CROWDING_THREADS fails here, before the manifest
     ds = load_dataset(args.data)
 
     out_dir = Path(args.out)

@@ -6,6 +6,10 @@ parent gradients. ``backward`` walks the graph in reverse topological order
 and accumulates into the ``.grad`` slots of parameter leaves. Repeated
 ``backward`` calls keep accumulating until the slots are zeroed.
 
+Ops take and return Tensors only; ``entropy`` and ``sample_categorical``
+are the array utilities. A Tensor's ``+`` and ``*`` build ``add`` and ``mul``
+nodes, with a non-Tensor operand as a constant.
+
 An op over parents that need no gradient records no graph either: a parent
 needs one when it is a ``requires_grad`` leaf or has parents itself, so
 constants and frozen parameters cost no backward work, and ``matmul``,
@@ -92,12 +96,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, leaf={self._backward is None})"
 
@@ -107,28 +105,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return add(self, neg(as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), neg(self))
-
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -353,78 +333,50 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax / entropy (work on plain arrays and on graph tensors)
+# nonlinearities (graph tensors) and array utilities
 
 
-def _softmax_data(x: Array, axis: int) -> Array:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
-
-
-def _log_softmax_data(x: Array, axis: int) -> Array:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def _check_finite_logits(x: Array) -> None:
-    if not np.all(np.isfinite(x)):
+def _shifted_logits(x: Tensor, axis: int) -> Array:
+    """``x`` minus its max along ``axis``; non-finite logits raise."""
+    if not np.all(np.isfinite(x.data)):
         raise ValueError("softmax input contains non-finite values")
+    return x.data - x.data.max(axis=axis, keepdims=True)
 
 
-def softmax(x, axis: int = -1):
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Exp-normalized probabilities along ``axis`` (max-shifted for stability)."""
-    if isinstance(x, Tensor):
-        _check_finite_logits(x.data)
-        s = _softmax_data(x.data, axis)
+    ex = np.exp(_shifted_logits(x, axis))
+    s = ex / ex.sum(axis=axis, keepdims=True)
 
-        def back(g):
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            return (s * (g - dot),)
+    def back(g):
+        dot = (g * s).sum(axis=axis, keepdims=True)
+        return (s * (g - dot),)
 
-        return Tensor(s, parents=(x,), backward_fn=back)
-    x = _as_f64(x)
-    if x.size == 0:
-        raise ValueError("softmax input must have length >= 1")
-    _check_finite_logits(x)
-    return _softmax_data(x, axis)
+    return Tensor(s, parents=(x,), backward_fn=back)
 
 
-def log_softmax(x, axis: int = -1):
-    if isinstance(x, Tensor):
-        _check_finite_logits(x.data)
-        ls = _log_softmax_data(x.data, axis)
+def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    shifted = _shifted_logits(x, axis)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
-        def back(g):
-            return (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),)
+    def back(g):
+        return (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),)
 
-        return Tensor(ls, parents=(x,), backward_fn=back)
-    x = _as_f64(x)
-    _check_finite_logits(x)
-    return _log_softmax_data(x, axis)
+    return Tensor(ls, parents=(x,), backward_fn=back)
 
 
-def relu(x):
-    if isinstance(x, Tensor):
-        mask = x.data > 0
-        return Tensor(x.data * mask, parents=(x,), backward_fn=lambda g: (g * mask,))
-    return np.maximum(_as_f64(x), 0.0)
+def relu(x: Tensor) -> Tensor:
+    mask = x.data > 0
+    return Tensor(x.data * mask, parents=(x,), backward_fn=lambda g: (g * mask,))
 
 
-def _sigmoid_data(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(x):
-    if isinstance(x, Tensor):
-        s = _sigmoid_data(x.data)
-        return Tensor(s, parents=(x,), backward_fn=lambda g: (g * s * (1.0 - s),))
-    return _sigmoid_data(_as_f64(x))
+def sigmoid(x: Tensor) -> Tensor:
+    s = np.empty_like(x.data)
+    pos = x.data >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
+    ex = np.exp(x.data[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return Tensor(s, parents=(x,), backward_fn=lambda g: (g * s * (1.0 - s),))
 
 
 def entropy(p, axis: int = -1):

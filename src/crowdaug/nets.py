@@ -3,7 +3,8 @@
 - Classifier: instance features -> predicted class distribution (the latent
   code the generator conditions on).
 - Generator: (instance, annotator, predicted distribution, noise) -> a
-  distribution over annotation labels.
+  distribution over annotation labels. With an ablation switch off it reads
+  zeros in place of the instance or annotator features it is given.
 - Discriminator: bilinear scorer sigma(u_r^T M_y v_n) over encoded annotator
   and instance vectors, with an optional label-correlation decoder that mixes
   the per-class bilinear matrices through the co-occurrence propagation
@@ -47,9 +48,8 @@ from .diffcore import ParamStore, Tensor
 class NetDims:
     """Widths and switches shared by all four networks.
 
-    The two ``gen_use_*`` switches say whether the generator was trained on
-    instance and annotator features or on zeros in their place; the trainer
-    builds generator inputs from them (``trainer._gen_inputs``).
+    The two ``gen_use_*`` switches say whether the generator reads instance
+    and annotator features or zeros in their place (``Generator.logits``).
     """
 
     num_classes: int
@@ -136,9 +136,15 @@ class Generator:
         return rng.standard_normal((batch, self.dims.noise_dim))
 
     def logits(self, x, e, zhat, eps) -> Tensor:
+        """Label logits of each row; ``x`` (``e``) reads as zeros when
+        ``gen_use_instance_features`` (``gen_use_annotator_features``) is off."""
         d = self.dims
         x = _check_batch(x, d.feature_dim, "generator instance input")
         e = _check_batch(e, d.annotator_dim, "generator annotator input")
+        if not d.gen_use_instance_features:
+            x = np.zeros_like(x)
+        if not d.gen_use_annotator_features:
+            e = np.zeros_like(e)
         eps = _check_batch(eps, d.noise_dim, "generator noise")
         if not isinstance(zhat, Tensor):
             zhat = Tensor(_check_batch(zhat, d.num_classes, "generator zhat"))

@@ -38,20 +38,15 @@ def _clamp_count(values: np.ndarray) -> int:
     return int(np.count_nonzero((values <= CLAMP_LO) | (values >= CLAMP_HI)))
 
 
-def _as_prob_tensor(scores) -> tuple[Tensor, int]:
-    t = scores if isinstance(scores, Tensor) else Tensor(np.asarray(scores, dtype=np.float64))
-    return dc.clamp(t, CLAMP_LO, CLAMP_HI), _clamp_count(t.data)
-
-
-def discriminator_loss(authentic_scores, generated_scores,
+def discriminator_loss(authentic_scores: Tensor, generated_scores: Tensor,
                        l2_coeff: float = 1e-4) -> tuple[Tensor, int]:
     """Negative adversarial value plus output L2; returns (loss, clamp count).
 
     Minimizing this over the discriminator maximizes
     mean(log D(authentic)) + mean(log(1 - D(generated))).
     """
-    auth, clamped_a = _as_prob_tensor(authentic_scores)
-    gen, clamped_g = _as_prob_tensor(generated_scores)
+    auth = dc.clamp(authentic_scores, CLAMP_LO, CLAMP_HI)
+    gen = dc.clamp(generated_scores, CLAMP_LO, CLAMP_HI)
     if auth.size == 0 or gen.size == 0:
         raise ValueError("discriminator_loss needs both authentic and generated scores")
     loss = dc.neg(dc.add(dc.t_mean(dc.t_log(auth)),
@@ -59,17 +54,15 @@ def discriminator_loss(authentic_scores, generated_scores,
     if l2_coeff > 0.0:
         both = dc.concat([auth, gen], axis=0)
         loss = loss + dc.t_mean(dc.mul(both, both)) * l2_coeff
-    return loss, clamped_a + clamped_g
+    return loss, _clamp_count(authentic_scores.data) + _clamp_count(generated_scores.data)
 
 
-def info_lower_bound(q_logprobs, entropy_term: float):
+def info_lower_bound(q_logprobs: np.ndarray, entropy_term: float) -> float:
     """Variational bound on I(code; annotation): mean log Q + code entropy.
 
-    ``entropy_term`` is treated as a constant (no gradient) — during generator
-    updates the classifier producing the code is frozen.
+    A reporting value from arrays; the generator's gradient path carries the
+    information term per sample, through ``per_annotation_delta``.
     """
-    if isinstance(q_logprobs, Tensor):
-        return dc.t_mean(q_logprobs) + float(entropy_term)
     return float(np.mean(np.asarray(q_logprobs, dtype=np.float64)) + entropy_term)
 
 
@@ -91,7 +84,8 @@ def per_annotation_delta(d_scores, q_logprobs, info_weight: float) -> tuple[np.n
     return deltas, clamped
 
 
-def crm_objective(g0, target_probs, deltas, mu: float, total: int | None = None) -> Tensor:
+def crm_objective(g0, target_probs: Tensor, deltas, mu: float,
+                  total: int | None = None) -> Tensor:
     """Importance-weighted risk mean((delta - mu) * G_theta(y) / g0).
 
     ``target_probs`` must be a graph Tensor (the gradient path); ``g0`` and
@@ -104,8 +98,6 @@ def crm_objective(g0, target_probs, deltas, mu: float, total: int | None = None)
     if np.any(g0 <= 0.0):
         raise ValueError("logging support violated: g0 must be positive everywhere")
     deltas = np.asarray(deltas, dtype=np.float64)
-    if not isinstance(target_probs, Tensor):
-        target_probs = Tensor(np.asarray(target_probs, dtype=np.float64))
     if target_probs.shape != g0.shape or deltas.shape != g0.shape:
         raise ValueError("g0, target_probs, and deltas must share one shape")
     centered = Tensor(deltas - mu)

@@ -16,13 +16,16 @@ One epoch of the main procedure:
    the discriminator signal (generator frozen);
 7. record metrics.
 
-The Lagrange multiplier is searched on a small grid per epoch by validation
-accuracy. A one-step mode (generator and classifier updated jointly on all
-pairs) exists only for the stability comparison. Steps 5 and 6 and the
-one-step mode run one counterfactual-risk loop, ``_crm_update``, which
-differs only in the networks it moves and the pairs it sees; each inner step
-runs forward and backward over pair blocks and keeps one pair block's graph
-alive at a time, accumulating the gradient in the parameters' slots.
+The Lagrange multiplier's coefficient is chosen per epoch from ``MU_GRID`` by
+validation accuracy. A one-step mode (generator and classifier updated
+jointly on all pairs) exists only for the stability comparison. Steps 5 and
+6 and the one-step mode run one counterfactual-risk loop, ``_crm_update``,
+which differs only in the networks it moves and the pairs it sees; each
+inner step runs forward and backward over pair blocks and keeps one pair
+block's graph alive at a time, accumulating the gradient in the parameters'
+slots. Supervised training, generator pretraining and the D/Q warm-up run
+one minibatch loop, ``_epoch_losses``; step 1 and the augmentation export
+draw labels through one sampling pass, ``_sample_generated``.
 
 The discriminator and the auxiliary net read one encoding of each row batch
 (``_encoding``): the D/Q step of step 2 decodes the class table once and
@@ -88,8 +91,6 @@ class TrainConfig:
     info_weight: float = 0.5        # weight of the information term
     entropy_threshold: float = 0.5  # split point on normalized entropy
     disc_l2: float = 1e-4           # L2 penalty on discriminator outputs
-    mu_mode: str = "grid"           # "grid" searches multiplier coefficients
-    mu_fixed: float = 0.0           # used when mu_mode == "fixed"
     # optimization
     lr_classifier: float = 3e-4
     lr_generator: float = 3e-4
@@ -115,8 +116,6 @@ class TrainConfig:
         if min(self.pretrain_epochs, self.gen_pretrain_epochs,
                self.disc_pretrain_epochs) < 0:
             raise ConfigError("pretraining epoch counts must be >= 0")
-        if self.mu_mode not in ("grid", "fixed"):
-            raise ConfigError(f"unknown mu_mode {self.mu_mode!r}")
         if self.selection_mode not in ("entropy", "uniform"):
             raise ConfigError(f"unknown selection_mode {self.selection_mode!r}")
         for name in ("lr_classifier", "lr_generator", "lr_discriminator",
@@ -212,10 +211,16 @@ def _train_annotations(ds: CrowdDataset) -> np.ndarray:
     return ds.annotations[mask]
 
 
-def _minibatches(rng: np.random.Generator, count: int, batch_size: int):
-    order = rng.permutation(count)
-    for start in range(0, count, batch_size):
-        yield order[start:start + batch_size]
+def _epoch_losses(rng: np.random.Generator, count: int, cfg: TrainConfig,
+                  epochs: int, step) -> list[float]:
+    """Each epoch's mean of ``step(batch, epoch)`` over minibatches of a fresh
+    permutation of ``range(count)``."""
+    means = []
+    for epoch in range(epochs):
+        order = rng.permutation(count)
+        means.append(float(np.mean([step(order[start:start + cfg.batch_size], epoch)
+                                    for start in range(0, count, cfg.batch_size)])))
+    return means
 
 
 # Passes over pairs (forward-only ones and the CRM steps) run in balanced
@@ -259,16 +264,15 @@ def _instance_probs(clf: Classifier, ds: CrowdDataset, inst: np.ndarray) -> np.n
     return probs[np.cumsum(present)[inst] - 1]
 
 
-def _gen_inputs(ds: CrowdDataset, dims: NetDims, inst: np.ndarray,
-                annot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Generator-side feature rows honoring the generator's ablation switches."""
-    x = ds.features[inst]
-    e = ds.annotator_features[annot]
-    if not dims.gen_use_instance_features:
-        x = np.zeros_like(x)
-    if not dims.gen_use_annotator_features:
-        e = np.zeros_like(e)
-    return x, e
+def _sample_generated(gen: Generator, clf: Classifier, ds: CrowdDataset, inst: np.ndarray,
+                      annot: np.ndarray, rng: np.random.Generator) -> tuple:
+    """One generated label per (``inst``, ``annot``) pair with fresh noise;
+    returns (codes, noise, generator distributions, labels)."""
+    zhat = _instance_probs(clf, ds, inst)
+    eps = gen.draw_noise(rng, len(inst))
+    dist = _forward_in_blocks(len(inst), lambda s: gen.distribution(
+        ds.features[inst[s]], ds.annotator_features[annot[s]], zhat[s], eps[s]).data)
+    return zhat, eps, dist, dc.sample_categorical(rng, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +282,21 @@ def _gen_inputs(ds: CrowdDataset, dims: NetDims, inst: np.ndarray,
 def _fit_classifier(clf: Classifier, x: np.ndarray, labels: np.ndarray,
                     cfg: TrainConfig, rng: np.random.Generator,
                     transforms: ParamStore | None = None,
-                    annotators: np.ndarray | None = None,
-                    epochs: int | None = None) -> list[dict]:
-    """Cross-entropy training, optionally through per-annotator transforms."""
-    epochs = cfg.pretrain_epochs if epochs is None else epochs
+                    annotators: np.ndarray | None = None) -> list[dict]:
+    """Cross-entropy training for ``cfg.pretrain_epochs`` epochs, optionally
+    through per-annotator transforms."""
     params = clf.store if transforms is None else ParamStore.union(clf.store, transforms)
     opt = Adam(params, lr=cfg.lr_pretrain)
-    history = []
-    for epoch in range(epochs):
-        losses = []
-        for batch in _minibatches(rng, len(labels), cfg.batch_size):
-            logits = clf.logits(x[batch], train_mode=True, rng=rng)
-            loss = crowd_layer_loss(logits, labels[batch], transforms,
-                                    None if transforms is None else annotators[batch])
-            losses.append(_descend(opt, loss, "cross-entropy loss", epoch))
-        history.append({"epoch": epoch, "loss": float(np.mean(losses))})
-    return history
+
+    def step(batch, epoch):
+        logits = clf.logits(x[batch], train_mode=True, rng=rng)
+        loss = crowd_layer_loss(logits, labels[batch], transforms,
+                                None if transforms is None else annotators[batch])
+        return _descend(opt, loss, "cross-entropy loss", epoch)
+
+    return [{"epoch": epoch, "loss": loss}
+            for epoch, loss in enumerate(_epoch_losses(rng, len(labels), cfg,
+                                                       cfg.pretrain_epochs, step))]
 
 
 def crowd_layer_loss(logits: Tensor, labels: np.ndarray,
@@ -319,13 +322,9 @@ def identity_transforms(num_annotators: int, num_classes: int) -> ParamStore:
 
 
 def pretrain_dl_cl(ds: CrowdDataset, cfg: TrainConfig,
-                   rng: np.random.Generator | None = None,
-                   ) -> tuple[Classifier, ParamStore, list]:
-    """Crowd-layer pretraining: classifier + per-annotator label transforms.
-
-    Returns (classifier, transforms, history); the transforms are only needed
-    by the baseline itself and are discarded by the main procedure.
-    """
+                   rng: np.random.Generator | None = None) -> tuple[Classifier, list]:
+    """Crowd-layer pretraining of a classifier through per-annotator label
+    transforms; returns (classifier, history) and drops the transforms."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     clf = Classifier(_dims_for(ds, cfg), rng)
@@ -333,7 +332,7 @@ def pretrain_dl_cl(ds: CrowdDataset, cfg: TrainConfig,
     ann = _train_annotations(ds)
     history = _fit_classifier(clf, ds.features[ann[:, 0]], ann[:, 2], cfg, rng,
                               transforms=transforms, annotators=ann[:, 1])
-    return clf, transforms, history
+    return clf, history
 
 
 def train_dl_mv(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
@@ -353,7 +352,7 @@ def train_dl_mv(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
 
 def train_dl_cl(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     """The crowd-layer baseline as a standalone method."""
-    clf, _, history = pretrain_dl_cl(ds, cfg)
+    clf, history = pretrain_dl_cl(ds, cfg)
     return TrainResult(classifier=clf, bundle=None, history=history,
                        best_epoch=len(history) - 1,
                        best_val_acc=split_accuracy(clf, ds, VAL),
@@ -378,37 +377,34 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
     ann = _train_annotations(ds)
     with dc.no_grad():
         zhat_all = clf.probs(ds.features).data
-    history = []
-
     opt_g = Adam(gen.store, lr=cfg.lr_pretrain)
-    for epoch in range(cfg.gen_pretrain_epochs):
-        losses = []
-        for batch in _minibatches(rng, len(ann), cfg.batch_size):
-            inst, annot, labels = ann[batch, 0], ann[batch, 1], ann[batch, 2]
-            x, e = _gen_inputs(ds, dims, inst, annot)
-            eps = gen.draw_noise(rng, len(batch))
-            log_dist = gen.log_distribution(x, e, zhat_all[inst], eps)
-            loss = dc.neg(dc.t_mean(dc.pick(log_dist, labels)))
-            losses.append(_descend(opt_g, loss, "generator pretraining loss", epoch))
-        history.append({"phase": "gen", "epoch": epoch, "loss": float(np.mean(losses))})
-
     opt_dq = Adam(ParamStore.union(disc.store, aux.store), lr=cfg.lr_discriminator)
-    for epoch in range(cfg.disc_pretrain_epochs):
-        losses = []
-        for batch in _minibatches(rng, len(ann), cfg.batch_size):
-            inst, annot, labels = ann[batch, 0], ann[batch, 1], ann[batch, 2]
-            gx, ge = _gen_inputs(ds, dims, inst, annot)
-            eps = gen.draw_noise(rng, len(batch))
-            with dc.no_grad():
-                gen_dist = gen.distribution(gx, ge, zhat_all[inst], eps).data
-            fake_labels = dc.sample_categorical(rng, gen_dist)
-            zdraws = dc.sample_categorical(rng, zhat_all[inst])
-            x, e = ds.features[inst], ds.annotator_features[annot]
-            loss, _ = _disc_aux_step(opt_dq, disc, aux, adjacency, (x, e, labels),
-                                     (x, e, fake_labels), zdraws, cfg,
-                                     "discriminator pretraining loss", epoch)
-            losses.append(loss)
-        history.append({"phase": "disc", "epoch": epoch, "loss": float(np.mean(losses))})
+
+    def rows(batch):
+        inst, annot = ann[batch, 0], ann[batch, 1]
+        return ds.features[inst], ds.annotator_features[annot], zhat_all[inst], ann[batch, 2]
+
+    def gen_step(batch, epoch):
+        x, e, zhat, labels = rows(batch)
+        log_dist = gen.log_distribution(x, e, zhat, gen.draw_noise(rng, len(batch)))
+        loss = dc.neg(dc.t_mean(dc.pick(log_dist, labels)))
+        return _descend(opt_g, loss, "generator pretraining loss", epoch)
+
+    def disc_step(batch, epoch):
+        x, e, zhat, labels = rows(batch)
+        eps = gen.draw_noise(rng, len(batch))
+        with dc.no_grad():
+            fake_labels = dc.sample_categorical(rng, gen.distribution(x, e, zhat, eps).data)
+        zdraws = dc.sample_categorical(rng, zhat)
+        return _disc_aux_step(opt_dq, disc, aux, adjacency, (x, e, labels),
+                              (x, e, fake_labels), zdraws, cfg,
+                              "discriminator pretraining loss", epoch)[0]
+
+    history = []
+    for phase, epochs, step in (("gen", cfg.gen_pretrain_epochs, gen_step),
+                                ("disc", cfg.disc_pretrain_epochs, disc_step)):
+        history += [{"phase": phase, "epoch": epoch, "loss": loss} for epoch, loss
+                    in enumerate(_epoch_losses(rng, len(ann), cfg, epochs, step))]
     return gen, disc, aux, history
 
 
@@ -446,16 +442,11 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     inst = np.concatenate(pairs_inst)
     annot = np.concatenate(pairs_annot)
 
-    zhat = _instance_probs(clf, ds, inst)
-    eps = gen.draw_noise(rng, len(inst))
-    dist = _forward_in_blocks(len(inst), lambda s: gen.distribution(
-        *_gen_inputs(ds, gen.dims, inst[s], annot[s]), zhat[s], eps[s]).data)
-    labels = dc.sample_categorical(rng, dist)
-    g0 = dist[np.arange(len(inst)), labels]
-    entropies = dc.entropy(dist, axis=1)
-    zdraws = dc.sample_categorical(rng, zhat)
+    zhat, eps, dist, labels = _sample_generated(gen, clf, ds, inst, annot, rng)
     return LoggedBatch(instances=inst, annotators=annot, labels=labels,
-                       g0=g0, eps=eps, zhat_draws=zdraws, entropies=entropies)
+                       g0=dist[np.arange(len(inst)), labels], eps=eps,
+                       zhat_draws=dc.sample_categorical(rng, zhat),
+                       entropies=dc.entropy(dist, axis=1))
 
 
 def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
@@ -564,13 +555,14 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
             for rows in blocks:
                 zhat = dc.gather_rows(codes, inverse[rows]) if "clf" in trains \
                     else zhat_const[rows]
-                x, e = _gen_inputs(ds, gen.dims, pairs.instances[rows], pairs.annotators[rows])
-                dist = gen.distribution(x, e, zhat, pairs.eps[rows])
+                dist = gen.distribution(ds.features[pairs.instances[rows]],
+                                        ds.annotator_features[pairs.annotators[rows]],
+                                        zhat, pairs.eps[rows])
                 obj = crm_objective(pairs.g0[rows], dc.pick(dist, pairs.labels[rows]),
                                     deltas[rows], mu, len(pairs))
                 objective += obj.item()
                 backward(obj)
-                del x, e, zhat, dist, obj  # free this block's graph before the next one is built
+                del zhat, dist, obj  # free this block's graph before the next one is built
             _check_finite(objective, f"{what} objective", state.epoch)
             if "clf" in trains:
                 backward(probs, codes.grad)
@@ -661,23 +653,16 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     zhat_low_const = _instance_probs(bundle.classifier, ds, low.instances)
 
     # (5)+(6) CRM updates under a shared multiplier-coefficient search
-    if cfg.mu_mode == "fixed":
-        coeffs = (None,)
-    else:
-        coeffs = MU_GRID
     mean_delta_low = float(deltas_gen[low_idx].mean()) if len(low_idx) else 0.0
     mean_delta_high = float(deltas_clf[high_idx].mean()) if len(high_idx) else 0.0
 
     fork = _fork_gc(state)
     candidate_seed = int(rng.integers(2**63))
     results = []
-    for coeff in coeffs:
+    for coeff in MU_GRID:
         _restore_gc(state, fork)
         cand_rng = np.random.default_rng(candidate_seed)
-        if coeff is None:
-            mu_g = mu_c = cfg.mu_fixed
-        else:
-            mu_g, mu_c = coeff * mean_delta_low, coeff * mean_delta_high
+        mu_g, mu_c = coeff * mean_delta_low, coeff * mean_delta_high
         if cfg.two_step:
             if len(low_idx):
                 _crm_update(state, ds, cfg, low, deltas_gen[low_idx], mu_g,
@@ -686,8 +671,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
                 _crm_update(state, ds, cfg, high, deltas_clf[high_idx], mu_c,
                             ("clf",), cand_rng)
         else:
-            mu_joint = cfg.mu_fixed if coeff is None else coeff * float(deltas_gen.mean())
-            _crm_update(state, ds, cfg, batch, deltas_gen, mu_joint,
+            _crm_update(state, ds, cfg, batch, deltas_gen, coeff * float(deltas_gen.mean()),
                         ("gen", "clf"), cand_rng)
         val_acc = split_accuracy(bundle.classifier, ds, VAL)
         results.append((coeff, mu_g, mu_c, val_acc, _fork_gc(state)))
@@ -727,7 +711,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
         "num_selected": int(len(selected)),
         "num_low_pairs": int(len(low_idx)),
         "num_high_pairs": int(len(high_idx)),
-        "mu_coeff": float("nan") if chosen_coeff is None else chosen_coeff,
+        "mu_coeff": chosen_coeff,
         "mu_generator": mu_g,
         "mu_classifier": mu_c,
         "warnings": ";".join(warnings),
@@ -746,9 +730,9 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     """
     cfg.validate()
     master = np.random.default_rng(cfg.seed)
-    clf, _, pre_history = pretrain_dl_cl(ds, cfg, rng=master)
+    clf, _ = pretrain_dl_cl(ds, cfg, rng=master)
     adjacency = build_cooccurrence(ds)
-    gen, disc, aux, gd_history = pretrain_gen_disc(ds, clf, cfg, master, adjacency)
+    gen, disc, aux, _ = pretrain_gen_disc(ds, clf, cfg, master, adjacency)
     bundle = NetworkBundle(_dims_for(ds, cfg), clf, gen, disc, aux, adjacency)
     state = TrainState(
         bundle=bundle,
@@ -772,8 +756,7 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
             best_params = clf.store.state_dict()
 
     clf.store.load_state_dict(best_params)
-    history = state.history
-    return TrainResult(classifier=clf, bundle=bundle, history=history,
+    return TrainResult(classifier=clf, bundle=bundle, history=state.history,
                        best_epoch=best_epoch, best_val_acc=best_val,
                        test_acc=split_accuracy(clf, ds, TEST),
                        config=cfg, method="crowding")
@@ -879,13 +862,8 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
     labels = known[inst * r_total + annot]
     missing = labels < 0
     if missing.any():
-        m_inst, m_annot = inst[missing], annot[missing]
-        zhat = _instance_probs(bundle.classifier, ds, m_inst)
-        gen = bundle.generator
-        eps = gen.draw_noise(rng, len(m_inst))
-        dist = _forward_in_blocks(len(m_inst), lambda s: gen.distribution(
-            *_gen_inputs(ds, gen.dims, m_inst[s], m_annot[s]), zhat[s], eps[s]).data)
-        labels[missing] = dc.sample_categorical(rng, dist)
+        labels[missing] = _sample_generated(bundle.generator, bundle.classifier, ds,
+                                            inst[missing], annot[missing], rng)[3]
 
     rows = np.column_stack([inst, annot, labels, (~missing).astype(np.int64)])
     if out_path is not None:

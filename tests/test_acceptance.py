@@ -198,7 +198,7 @@ def test_criterion_02_normalization_invariants():
     # raw softmax over adversarially scaled logits
     logits = rng.normal(size=(2500, dims.num_classes)) * \
         rng.choice([1e-3, 1.0, 50.0, 1e3], size=(2500, 1))
-    check_probs(dc.softmax(logits, axis=1))
+    check_probs(dc.softmax(dc.Tensor(logits), axis=1).data)
 
     x = rng.normal(size=(2500, dims.feature_dim), scale=3.0)
     e_idx = rng.integers(0, dims.annotator_dim, size=2500)
@@ -366,6 +366,7 @@ def control_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_06_end_to_end_improvement(benchmark_runs, control_runs):
     gains = [100.0 * (crowding.test_acc - baseline.test_acc)
              for _, baseline, crowding in benchmark_runs.values()]
@@ -397,6 +398,7 @@ def sweep_table():
                               cfg=cfg)
 
 
+@pytest.mark.slow
 def test_criterion_07_sparsity_sweep(sweep_table):
     fractions = (0.0, 0.2, 0.4, 0.6)
     means = {m: [sweep_table.mean(f, m) for f in fractions]
@@ -418,6 +420,7 @@ def test_criterion_07_sparsity_sweep(sweep_table):
             f"dl-mv {means['dl-mv'][i]:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_08_entropy_accuracy_deciles(benchmark_runs):
     fractions = []
     for ds, _, crowding in benchmark_runs.values():
@@ -449,6 +452,7 @@ def stability_runs():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_09_two_step_stability(stability_runs):
     def epoch_variance(result):
         accs = [rec["val_acc"] for rec in result.history
@@ -475,6 +479,7 @@ def noinfo_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_10_ablation_ordering(benchmark_runs, noinfo_runs):
     full = float(np.mean([crowding.test_acc
                           for _, _, crowding in benchmark_runs.values()]))

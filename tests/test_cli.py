@@ -209,6 +209,18 @@ def test_train_out_naming_an_existing_file_is_config_error(workspace, tmp_path, 
     assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize("line", ["mu_mode = fixed", "mu_fixed = 0.25"])
+def test_removed_multiplier_keys_are_unknown(workspace, tmp_path, capsys, line):
+    # the multiplier coefficient is always chosen from the grid
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG + line + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["train", "--data", str(workspace / "data"), "--config", str(cfg),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"unknown config key {line.split()[0]!r}" in _config_error_line(capsys)
+    assert not out.exists()
+
+
 def test_out_below_a_file_is_config_error(workspace, tmp_path, capsys):
     parent = tmp_path / "file"
     parent.write_text("", encoding="utf-8")
@@ -497,6 +509,37 @@ def test_thread_cap_must_be_integer(workspace, tmp_path, monkeypatch, capsys):
                      "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "CROWDING_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "ablate"])
+def test_thread_cap_is_checked_before_the_manifest(workspace, tmp_path, monkeypatch,
+                                                   capsys, command):
+    monkeypatch.setenv("CROWDING_THREADS", "abc")
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"{command}_seeds = 0\n" + GRID_TRAIN_CFG, encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main([command, "--data", str(workspace / "data"),
+                     "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "CROWDING_THREADS" in _config_error_line(capsys)
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,keys,repeated", [
+    ("sweep", "sweep_fractions = 0, 0.0\nsweep_methods = dl-mv\nsweep_seeds = 0, 1\n", "0.0"),
+    ("sweep", "sweep_fractions = 0\nsweep_methods = dl-mv, dl-mv\nsweep_seeds = 0\n", "'dl-mv'"),
+    ("sweep", "sweep_fractions = 0\nsweep_methods = dl-mv\nsweep_seeds = 0, 00\n", "0"),
+    ("ablate", "ablate_variants = full, full\nablate_seeds = 0\n", "'full'"),
+    ("ablate", "ablate_variants = full\nablate_seeds = 1, 1\n", "1"),
+], ids=["sweep_fractions", "sweep_methods", "sweep_seeds", "ablate_variants", "ablate_seeds"])
+def test_grid_lists_reject_a_repeated_value(workspace, tmp_path, capsys,
+                                            command, keys, repeated):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(keys + GRID_TRAIN_CFG, encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main([command, "--data", str(workspace / "data"),
+                     "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"repeated list value {repeated} in" in _config_error_line(capsys)
+    assert not (out / "manifest.json").exists()
 
 
 def test_ablate_writes_requested_variants(workspace, tmp_path):

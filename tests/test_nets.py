@@ -112,6 +112,27 @@ def test_generator_noise_path_live_after_randomization():
     assert not np.allclose(d1, d2)
 
 
+@pytest.mark.parametrize("switch", [0, 1])
+def test_generator_with_switch_off_ignores_that_input(switch):
+    # switch 0 is gen_use_instance_features (input x), 1 gen_use_annotator_features (e)
+    names = ("gen_use_instance_features", "gen_use_annotator_features")
+    gen = small_bundle(**{names[switch]: False}).generator
+    both_on = small_bundle().generator
+    randomize(gen.store, np.random.default_rng(10), scale=0.5)
+    both_on.store.load_state_dict(gen.store.state_dict())
+    rng = np.random.default_rng(11)
+    inputs = [rng.normal(size=(4, SMALL.feature_dim)), rng.normal(size=(4, SMALL.annotator_dim))]
+    zhat, eps = np.full((4, 3), 1.0 / 3.0), gen.draw_noise(rng, 4)
+    zeroed = list(inputs)
+    zeroed[switch] = np.zeros_like(inputs[switch])
+    reference = both_on.distribution(*zeroed, zhat, eps).data
+    assert not np.array_equal(both_on.distribution(*inputs, zhat, eps).data, reference)
+    for scale in (0.0, 1.0, 1e3):
+        varied = list(inputs)
+        varied[switch] = scale * rng.normal(size=inputs[switch].shape)
+        assert gen.distribution(*varied, zhat, eps).data.tobytes() == reference.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # LCA decoding algebra
 
@@ -158,7 +179,7 @@ def test_lca_scaling_linearity():
 
 def test_discriminate_monotone_in_bilinear_form():
     scores = np.linspace(-4, 4, 33)
-    out = dc.sigmoid(scores)
+    out = dc.sigmoid(Tensor(scores)).data
     assert np.all(np.diff(out) > 0)
 
 
@@ -264,7 +285,7 @@ def test_grad_check_generator():
     randomize(b.generator.store, np.random.default_rng(25), scale=0.4)
     rng = np.random.default_rng(26)
     x, e, y = rand_inputs(rng)
-    zhat = dc.softmax(rng.normal(size=(3, SMALL.num_classes)), axis=1)
+    zhat = dc.softmax(Tensor(rng.normal(size=(3, SMALL.num_classes))), axis=1).data
     eps = b.generator.draw_noise(rng, 3)
 
     def loss():
@@ -309,7 +330,7 @@ def test_forwards_under_no_grad_equal_graph_mode():
         randomize(store, np.random.default_rng(35), scale=0.5)
     rng = np.random.default_rng(36)
     x, e, y = rand_inputs(rng, batch=7)
-    zhat = dc.softmax(rng.normal(size=(7, SMALL.num_classes)), axis=1)
+    zhat = dc.softmax(Tensor(rng.normal(size=(7, SMALL.num_classes))), axis=1).data
     eps = b.generator.draw_noise(rng, 7)
     forwards = {
         "classifier": lambda: b.classifier.probs(x),

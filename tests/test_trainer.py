@@ -1,6 +1,7 @@
 """Training-loop behavior: selection balance, logging consistency, freezing,
 determinism, baseline equivalences, and the augmentation export."""
 import csv
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -70,7 +71,7 @@ def tiny_config(**kw):
 def test_config_rejects_bad_values():
     for kw in (dict(info_weight=-0.1), dict(entropy_threshold=0.0),
                dict(entropy_threshold=1.0), dict(epochs=0),
-               dict(mu_mode="annealed"), dict(selection_mode="greedy"),
+               dict(selection_mode="greedy"),
                dict(lr_classifier=0.0), dict(disc_l2=-1e-9),
                dict(max_grid_pairs=-1), dict(pretrain_epochs=-1),
                dict(seed=-1), dict(noise_dim=0), dict(dropout=1.5),
@@ -208,8 +209,8 @@ def test_logged_probabilities_replay_bit_exact():
     replay_clf.store.load_state_dict(clf_state)
     replay_gen.store.load_state_dict(gen_state)
     zhat = replay_clf.probs(ds.features[batch.instances]).data
-    gx, ge = tr._gen_inputs(ds, cfg, batch.instances, batch.annotators)
-    dist = replay_gen.distribution(gx, ge, zhat, batch.eps).data
+    dist = replay_gen.distribution(ds.features[batch.instances],
+                                   ds.annotator_features[batch.annotators], zhat, batch.eps).data
     assert np.array_equal(dist[np.arange(len(batch)), batch.labels], batch.g0)
 
 
@@ -258,7 +259,8 @@ def test_blocked_forward_equals_one_shot(n):
     for store in bundle.stores().values():
         randomize(store, rng, scale=0.3)
     x, e = rng.normal(size=(n, 2)), rng.normal(size=(n, 40))
-    zhat, eps = dc.softmax(rng.normal(size=(n, 4)), axis=1), rng.normal(size=(n, 8))
+    zhat = dc.softmax(dc.Tensor(rng.normal(size=(n, 4))), axis=1).data
+    eps = rng.normal(size=(n, 8))
     y = rng.integers(0, 4, size=n)
     forwards = {
         "classifier": lambda s: bundle.classifier.probs(x[s]).data,
@@ -509,7 +511,7 @@ def _crm_setup(pairs_count, seed):
 def _one_pass_crm_update(state, ds, cfg, pairs, deltas, mu, trains, rng, zhat_const):
     """``_crm_update`` as one graph over every pair, the reference for the blocks."""
     clf, gen = state.bundle.classifier, state.bundle.generator
-    gx, ge = tr._gen_inputs(ds, gen.dims, pairs.instances, pairs.annotators)
+    gx, ge = ds.features[pairs.instances], ds.annotator_features[pairs.annotators]
     if "clf" in trains:
         uniq, inverse = np.unique(pairs.instances, return_inverse=True)
     for _ in range(cfg.inner_steps):
@@ -626,7 +628,7 @@ def test_high_threshold_freezes_classifier():
 
     # replay pretraining alone to get the pre-epoch classifier state
     rng = np.random.default_rng(cfg.seed)
-    clf, _, _ = pretrain_dl_cl(ds, cfg, rng=rng)
+    clf, _ = pretrain_dl_cl(ds, cfg, rng=rng)
     pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
     assert res.bundle.classifier.store.fingerprint() == clf.store.fingerprint()
 
@@ -640,7 +642,7 @@ def test_low_threshold_freezes_generator():
     assert "generator update skipped" in rec["warnings"]
 
     rng = np.random.default_rng(cfg.seed)
-    clf, _, _ = pretrain_dl_cl(ds, cfg, rng=rng)
+    clf, _ = pretrain_dl_cl(ds, cfg, rng=rng)
     gen, _, _, _ = pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
     assert res.bundle.generator.store.fingerprint() == gen.store.fingerprint()
 
@@ -651,7 +653,7 @@ def test_epoch_moves_discriminator_and_choosing_side():
     res = train_crowding(ds, cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    clf, _, _ = pretrain_dl_cl(ds, cfg, rng=rng)
+    clf, _ = pretrain_dl_cl(ds, cfg, rng=rng)
     gen, disc, aux, _ = pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
     assert res.bundle.discriminator.store.fingerprint() != disc.store.fingerprint()
     rec = res.history[0]
@@ -667,16 +669,16 @@ def test_epoch_moves_discriminator_and_choosing_side():
 
 def test_one_step_mode_moves_both_networks():
     ds = tiny_dataset()
-    cfg = tiny_config(epochs=1, two_step=False, mu_mode="fixed")
+    cfg = tiny_config(epochs=1, two_step=False)
     res = train_crowding(ds, cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    clf, _, _ = pretrain_dl_cl(ds, cfg, rng=rng)
+    clf, _ = pretrain_dl_cl(ds, cfg, rng=rng)
     gen, _, _, _ = pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
     assert res.bundle.generator.store.fingerprint() != gen.store.fingerprint()
     # best-val restore may roll the classifier back to the pretrained epoch-0
     # candidate, so compare the last-epoch record instead of the final params
-    assert math.isnan(res.history[0]["mu_coeff"])
+    assert res.history[0]["mu_coeff"] in tr.MU_GRID
     assert res.history[0]["num_logged"] == res.history[0]["num_low_pairs"] + \
         res.history[0]["num_high_pairs"]
 
@@ -686,17 +688,6 @@ def test_mu_grid_reports_chosen_coefficient():
     cfg = tiny_config(epochs=1)
     res = train_crowding(ds, cfg)
     assert res.history[0]["mu_coeff"] in (0.0, 0.5, 1.0)
-
-
-def test_fixed_mu_reports_nan_coefficient():
-    ds = tiny_dataset()
-    cfg = tiny_config(epochs=1, mu_mode="fixed", mu_fixed=0.25)
-    res = train_crowding(ds, cfg)
-    rec = res.history[0]
-    assert math.isnan(rec["mu_coeff"])
-    for key in ("mu_generator", "mu_classifier"):
-        if rec[f"num_{'low' if key.endswith('generator') else 'high'}_pairs"] > 0:
-            assert rec[key] == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +773,7 @@ def test_dispatcher_routes_all_methods():
 def test_zero_pretrain_epochs_returns_untrained_classifier():
     ds = tiny_dataset()
     cfg = tiny_config(pretrain_epochs=0)
-    clf, _, history = pretrain_dl_cl(ds, cfg)
+    clf, history = pretrain_dl_cl(ds, cfg)
     assert history == []
     probs = clf.probs(ds.features[:5]).data
     assert np.allclose(probs, 1.0 / ds.num_classes)
@@ -793,7 +784,7 @@ def test_generator_pretraining_reduces_loss():
     cfg = tiny_config(pretrain_epochs=10, gen_pretrain_epochs=12,
                       disc_pretrain_epochs=0)
     rng = np.random.default_rng(0)
-    clf, _, _ = pretrain_dl_cl(ds, cfg, rng=rng)
+    clf, _ = pretrain_dl_cl(ds, cfg, rng=rng)
     _, _, _, history = pretrain_gen_disc(ds, clf, cfg, rng)
     gen_losses = [h["loss"] for h in history if h["phase"] == "gen"]
     assert gen_losses[-1] < gen_losses[0]
@@ -864,18 +855,23 @@ def test_export_is_deterministic_and_round_trips(tmp_path):
 
 
 def _labels_fed(ds, bundle, rows, seed, zero_annotator_features):
-    """The generated labels of an export, recomputed with the annotator
-    features the generator is fed given or zeroed."""
+    """The generated labels of an export, recomputed by the bundle's generator
+    weights with both input switches on, fed the annotator features given or
+    zeroed."""
     missing = rows[:, 3] == 0
     inst, annot = rows[missing, 0], rows[missing, 1]
     e = ds.annotator_features[annot]
     if zero_annotator_features:
         e = np.zeros_like(e)
+    both_on = dataclasses.replace(bundle.dims, gen_use_instance_features=True,
+                                  gen_use_annotator_features=True)
+    gen = Generator(both_on, np.random.default_rng(0))
+    gen.store.load_state_dict(bundle.generator.store.state_dict())
     rng = np.random.default_rng(seed)
     with dc.no_grad():
         zhat = bundle.classifier.probs(ds.features[inst]).data
-        eps = bundle.generator.draw_noise(rng, len(inst))
-        dist = bundle.generator.distribution(ds.features[inst], e, zhat, eps).data
+        eps = gen.draw_noise(rng, len(inst))
+        dist = gen.distribution(ds.features[inst], e, zhat, eps).data
     return dc.sample_categorical(rng, dist)
 
 
@@ -964,7 +960,7 @@ def reference_export(ds, bundle, seed):
         ds.features[m_inst[s]]).data)
     eps = gen.draw_noise(rng, len(m_inst))
     dist = tr._forward_in_blocks(len(m_inst), lambda s: gen.distribution(
-        *tr._gen_inputs(ds, gen.dims, m_inst[s], m_annot[s]), zhat[s], eps[s]).data)
+        ds.features[m_inst[s]], ds.annotator_features[m_annot[s]], zhat[s], eps[s]).data)
     labels[missing] = dc.sample_categorical(rng, dist)
     rows = np.column_stack([inst, annot, labels, (~missing).astype(np.int64)])
     return b"instance_id,annotator_id,label,authentic\n" + csv_writer_bytes(rows)
