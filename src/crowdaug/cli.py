@@ -24,6 +24,7 @@ from .trainer import (
     METHODS,
     DivergenceError,
     TrainConfig,
+    TrainResult,
     check_method,
     export_augmented,
     load_result_checkpoint,
@@ -176,13 +177,13 @@ def _variant_of(method: str, cfg: TrainConfig) -> str:
                 "full")
 
 
-def _sweep_job(payload) -> tuple:
-    """One grid cell: remove annotations, train, and return the cell's
-    (axis value, method, test accuracy)."""
-    value, ds, fraction, method, seed, cfg_dict = payload
+def _sweep_job(payload) -> TrainResult:
+    """One grid cell ``(axis value, dataset, fraction, method, seed, config
+    dict)``: remove annotations, train, and return the run's result."""
+    _, ds, fraction, method, seed, cfg_dict = payload
     reduced = remove_annotations(ds, fraction, seed=seed)
     cfg = TrainConfig(**{**cfg_dict, "seed": seed})
-    return value, method, train_method(reduced, cfg, method).test_acc
+    return train_method(reduced, cfg, method)
 
 
 def _thread_cap() -> int:
@@ -194,19 +195,22 @@ def _thread_cap() -> int:
         raise ConfigError(f"CROWDING_THREADS must be an integer, got {cap!r}") from None
 
 
-def _run_grid(table: SweepTable, jobs: list) -> SweepTable:
-    """Run every job, on worker processes when ``CROWDING_THREADS`` > 1, and add
-    the accuracies in job order: the table is the same on any worker count."""
+def _run_grid(jobs: list) -> list[TrainResult]:
+    """Run every job, on worker processes when ``CROWDING_THREADS`` > 1, and
+    return the results in job order: the same on any worker count."""
     workers = min(_thread_cap(), len(jobs))
     if workers > 1:
         # imported here: the pool module costs every other command's start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, jobs))
-    else:
-        results = [_sweep_job(job) for job in jobs]
-    for value, method, acc in results:
-        table.add(value, method, acc)
+            return list(pool.map(_sweep_job, jobs))
+    return [_sweep_job(job) for job in jobs]
+
+
+def _tabulate(table: SweepTable, jobs: list) -> SweepTable:
+    """Each job's test accuracy in the table, under its axis value and method."""
+    for (value, _, _, method, _, _), result in zip(jobs, _run_grid(jobs)):
+        table.add(value, method, result.test_acc)
     table.validate()
     return table
 
@@ -215,7 +219,7 @@ def sparsity_sweep(ds, fractions, methods, seeds, cfg: TrainConfig) -> SweepTabl
     """Remove -> train -> test-accuracy grid over (fraction, method, seed)."""
     table = SweepTable(axis_name="fraction", axis_values=list(fractions),
                        methods=list(methods))
-    return _run_grid(table, [(fraction, ds, fraction, method, seed, cfg.__dict__)
+    return _tabulate(table, [(fraction, ds, fraction, method, seed, cfg.__dict__)
                              for fraction in fractions for seed in seeds
                              for method in methods])
 
@@ -224,7 +228,7 @@ def run_ablation(ds, variants, cfg: TrainConfig, seeds) -> SweepTable:
     """Each ablation variant across seeds on all annotations (fraction 0)."""
     table = SweepTable(axis_name="variant", axis_values=list(variants),
                        methods=["crowding"])
-    return _run_grid(table, [(variant, ds, 0.0, "crowding", seed,
+    return _tabulate(table, [(variant, ds, 0.0, "crowding", seed,
                               apply_ablation(cfg, variant).__dict__)
                              for variant in variants for seed in seeds])
 

@@ -36,8 +36,12 @@ A ``ParamStore`` names one net's parameter leaves, and every leaf has one
 store. ``ParamStore.union`` merges stores, rejecting a repeated name, so one
 ``Adam`` can step several nets together (the discriminator and the aux net).
 
-Everything is float64 and single-threaded; stochastic ops take an explicit
-``numpy.random.Generator`` so runs are bit-reproducible per seed.
+Everything is float64, and stochastic ops take an explicit
+``numpy.random.Generator``, so runs are bit-reproducible per seed on a given
+BLAS thread count. The Python code runs on one thread, but NumPy's BLAS uses
+one thread per core unless ``OPENBLAS_NUM_THREADS`` (or ``OMP_NUM_THREADS``,
+``MKL_NUM_THREADS``) pins it, and the thread count moves the last bits of
+matrix products, and with them every later value.
 """
 from __future__ import annotations
 

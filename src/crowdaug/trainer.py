@@ -652,9 +652,13 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     high = batch.subset(high_idx)
     zhat_low_const = _instance_probs(bundle.classifier, ds, low.instances)
 
-    # (5)+(6) CRM updates under a shared multiplier-coefficient search
-    mean_delta_low = float(deltas_gen[low_idx].mean()) if len(low_idx) else 0.0
-    mean_delta_high = float(deltas_clf[high_idx].mean()) if len(high_idx) else 0.0
+    # (5)+(6) CRM updates under a shared multiplier-coefficient search; the
+    # joint update applies one μ to all pairs, so both records carry it
+    if cfg.two_step:
+        mean_delta_low = float(deltas_gen[low_idx].mean()) if len(low_idx) else 0.0
+        mean_delta_high = float(deltas_clf[high_idx].mean()) if len(high_idx) else 0.0
+    else:
+        mean_delta_low = mean_delta_high = float(deltas_gen.mean())
 
     fork = _fork_gc(state)
     candidate_seed = int(rng.integers(2**63))
@@ -671,8 +675,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
                 _crm_update(state, ds, cfg, high, deltas_clf[high_idx], mu_c,
                             ("clf",), cand_rng)
         else:
-            _crm_update(state, ds, cfg, batch, deltas_gen, coeff * float(deltas_gen.mean()),
-                        ("gen", "clf"), cand_rng)
+            _crm_update(state, ds, cfg, batch, deltas_gen, mu_g, ("gen", "clf"), cand_rng)
         val_acc = split_accuracy(bundle.classifier, ds, VAL)
         results.append((coeff, mu_g, mu_c, val_acc, _fork_gc(state)))
 

@@ -2,9 +2,13 @@
 
 Criteria 1-5 and 11 are exact/property checks. Criteria 6-10 are scaled
 synthetic experiments; their shared runs live in session fixtures so the
-5-seed benchmark is trained once and reused.
+5-seed benchmark is trained once and reused. Every fixture trains through
+the experiment grid (``cli._run_grid``) on min(2, nproc) worker processes;
+the results are the same on any worker count.
 """
 import math
+import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -27,8 +31,6 @@ from crowdaug.trainer import (
     save_result_checkpoint,
     select_for_discriminator,
     train_crowding,
-    train_dl_cl,
-    train_dl_mv,
 )
 from helpers import (
     decile_points,
@@ -339,31 +341,39 @@ def test_criterion_05_selection_balance():
 # criteria 6-10: scaled synthetic experiments (shared fixtures)
 
 
-def _bench_config(seed, **overrides):
-    return TrainConfig(**{**BENCH_TRAIN, "seed": seed, **overrides})
+@contextmanager
+def _grid_workers():
+    """A scope in which the experiment grid runs on min(2, nproc) worker processes."""
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("CROWDING_THREADS", str(min(2, os.cpu_count() or 1)))
+        yield
+
+
+def _seed_runs(data, runs):
+    """Synthesize ``data`` on every seed and train each (method, TrainConfig
+    dict) of ``runs`` on it; per seed: (dataset, result of each run)."""
+    datasets = [synthesize_dataset(SynthConfig(**data), seed=seed) for seed in SEEDS]
+    with _grid_workers():
+        results = iter(cli._run_grid([(seed, ds, 0.0, method, seed, train)
+                                      for seed, ds in zip(SEEDS, datasets)
+                                      for method, train in runs]))
+    return {seed: (ds, *(next(results) for _ in runs))
+            for seed, ds in zip(SEEDS, datasets)}
+
+
+# criterion 6's baseline: dl-cl pretraining alone; then the full adversarial run
+BENCH_RUNS = (("dl-cl", {**BENCH_TRAIN, "epochs": 1}), ("crowding", BENCH_TRAIN))
 
 
 @pytest.fixture(scope="session")
 def benchmark_runs():
-    """Per seed: (dl-cl pretraining baseline, full adversarial run)."""
-    runs = {}
-    for seed in SEEDS:
-        ds = synthesize_dataset(SynthConfig(**BENCH_DATA), seed=seed)
-        baseline = train_dl_cl(ds, _bench_config(seed, epochs=1))
-        crowding = train_crowding(ds, _bench_config(seed))
-        runs[seed] = (ds, baseline, crowding)
-    return runs
+    """Per seed: (dataset, dl-cl pretraining baseline, full adversarial run)."""
+    return _seed_runs(BENCH_DATA, BENCH_RUNS)
 
 
 @pytest.fixture(scope="session")
 def control_runs():
-    runs = {}
-    for seed in SEEDS:
-        ds = synthesize_dataset(SynthConfig(**CONTROL_DATA), seed=seed)
-        baseline = train_dl_cl(ds, _bench_config(seed, epochs=1))
-        crowding = train_crowding(ds, _bench_config(seed))
-        runs[seed] = (ds, baseline, crowding)
-    return runs
+    return _seed_runs(CONTROL_DATA, BENCH_RUNS)
 
 
 @pytest.mark.slow
@@ -393,9 +403,10 @@ def test_criterion_06_end_to_end_improvement(benchmark_runs, control_runs):
 def sweep_table():
     ds = synthesize_dataset(SynthConfig(**SWEEP_DATA), seed=100)
     cfg = TrainConfig(**SWEEP_TRAIN)
-    return cli.sparsity_sweep(ds, fractions=(0.0, 0.2, 0.4, 0.6),
-                              methods=("crowding", "dl-mv"), seeds=SEEDS,
-                              cfg=cfg)
+    with _grid_workers():
+        return cli.sparsity_sweep(ds, fractions=(0.0, 0.2, 0.4, 0.6),
+                                  methods=("crowding", "dl-mv"), seeds=SEEDS,
+                                  cfg=cfg)
 
 
 @pytest.mark.slow
@@ -442,14 +453,9 @@ def test_criterion_08_entropy_accuracy_deciles(benchmark_runs):
 
 @pytest.fixture(scope="session")
 def stability_runs():
-    out = {}
-    for seed in SEEDS:
-        ds = synthesize_dataset(SynthConfig(**STAB_DATA), seed=seed)
-        two = train_crowding(ds, TrainConfig(**{**STAB_TRAIN, "seed": seed}))
-        one = train_crowding(ds, TrainConfig(**{**STAB_TRAIN, "seed": seed,
-                                                "two_step": False}))
-        out[seed] = (two, one)
-    return out
+    """Per seed: (dataset, two-step run, one-step run)."""
+    return _seed_runs(STAB_DATA, (("crowding", STAB_TRAIN),
+                                  ("crowding", {**STAB_TRAIN, "two_step": False})))
 
 
 @pytest.mark.slow
@@ -459,8 +465,8 @@ def test_criterion_09_two_step_stability(stability_runs):
                 if not math.isnan(rec["val_acc"])]
         return float(np.var(accs))
 
-    two_vars = [epoch_variance(two) for two, _ in stability_runs.values()]
-    one_vars = [epoch_variance(one) for _, one in stability_runs.values()]
+    two_vars = [epoch_variance(two) for _, two, _ in stability_runs.values()]
+    one_vars = [epoch_variance(one) for _, _, one in stability_runs.values()]
     mean_two, mean_one = float(np.mean(two_vars)), float(np.mean(one_vars))
     _note(9, f"mean per-epoch validation-accuracy variance: two-step "
              f"{mean_two:.6f} vs one-step {mean_one:.6f} "
@@ -472,18 +478,15 @@ def test_criterion_09_two_step_stability(stability_runs):
 
 @pytest.fixture(scope="session")
 def noinfo_runs():
-    runs = {}
-    for seed in SEEDS:
-        ds = synthesize_dataset(SynthConfig(**BENCH_DATA), seed=seed)
-        runs[seed] = train_crowding(ds, _bench_config(seed, info_weight=0.0))
-    return runs
+    """Per seed: (dataset, full run without the information term)."""
+    return _seed_runs(BENCH_DATA, (("crowding", {**BENCH_TRAIN, "info_weight": 0.0}),))
 
 
 @pytest.mark.slow
 def test_criterion_10_ablation_ordering(benchmark_runs, noinfo_runs):
     full = float(np.mean([crowding.test_acc
                           for _, _, crowding in benchmark_runs.values()]))
-    noinfo = float(np.mean([r.test_acc for r in noinfo_runs.values()]))
+    noinfo = float(np.mean([r.test_acc for _, r in noinfo_runs.values()]))
     _note(10, f"mean test accuracy over 5 seeds: full method {full:.4f} vs "
               f"no-information-term ablation {noinfo:.4f} "
               f"(full required >= ablated)")

@@ -567,9 +567,9 @@ def test_ablate_rejects_unknown_variant(workspace, tmp_path, capsys):
     assert not (tmp_path / "o").exists()  # rejected before the manifest
 
 
-GRID_TRAIN_CFG = ("pretrain_epochs = 1\ngen_pretrain_epochs = 1\n"
-                  "disc_pretrain_epochs = 1\nepochs = 1\ninner_steps = 1\n"
-                  "batch_size = 32\n")
+GRID_TRAIN = dict(pretrain_epochs=1, gen_pretrain_epochs=1, disc_pretrain_epochs=1,
+                  epochs=1, inner_steps=1, batch_size=32)
+GRID_TRAIN_CFG = "".join(f"{key} = {value}\n" for key, value in GRID_TRAIN.items())
 
 
 def test_sweep_and_ablate_on_two_workers_match_serial(workspace, tmp_path,
@@ -580,9 +580,18 @@ def test_sweep_and_ablate_on_two_workers_match_serial(workspace, tmp_path,
     (tmp_path / "ablate.cfg").write_text(
         "ablate_variants = full, no-info\nablate_seeds = 0\n" + GRID_TRAIN_CFG,
         encoding="utf-8")
-    outputs = {}
+    ds = load_dataset(workspace / "data")
+    jobs = [("a", ds, 0.3, "crowding", 1, GRID_TRAIN),
+            ("b", ds, 0.0, "dl-mv", 0, GRID_TRAIN),
+            ("c", ds, 0.0, "crowding", 2, {**GRID_TRAIN, "two_step": False})]
+    outputs, results = {}, {}
     for threads in ("1", "2"):
         monkeypatch.setenv("CROWDING_THREADS", threads)
+        results[threads] = cli._run_grid(jobs)
+        # job order: each result is the run its job asked for
+        assert [(r.method, r.config.seed, r.config.two_step)
+                for r in results[threads]] == \
+            [("crowding", 1, True), ("dl-mv", 0, True), ("crowding", 2, False)]
         for command, name in (("sweep", "sweep"), ("ablate", "ablation")):
             out = tmp_path / f"{command}{threads}"
             assert cli.main([command, "--data", str(workspace / "data"),
@@ -592,6 +601,9 @@ def test_sweep_and_ablate_on_two_workers_match_serial(workspace, tmp_path,
                 outputs[threads, name, ext] = (out / f"{name}.{ext}").read_bytes()
     for (threads, name, ext), data in outputs.items():
         assert data == outputs["1", name, ext], f"{name}.{ext} on {threads} workers"
+    for serial, pooled in zip(results["1"], results["2"]):
+        assert pooled.history == serial.history
+        assert pooled.test_acc == serial.test_acc
 
 
 def quick_config(**kw):

@@ -1,14 +1,20 @@
 """Repository tooling stays in step with the package: the generated config
 reference, the names the benchmark tracer wraps and what it sees of a run,
-and the scripts' imports."""
+the scripts' imports and the seed harness's summary."""
 import importlib
 import importlib.util
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
+
+import test_acceptance
 from crowdaug import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +41,40 @@ def test_scripts_import():
     assert scripts
     for path in scripts:
         assert callable(load_script(path.relative_to(ROOT)).main), path.name
+
+
+HARNESS = load_script("scripts/run_benchmark.py")
+
+
+def test_harness_trains_the_acceptance_geometry_itself():
+    # the same objects, not copies that could drift from criterion 6
+    assert HARNESS.BENCH_DATA is test_acceptance.BENCH_DATA
+    assert HARNESS.BENCH_TRAIN is test_acceptance.BENCH_TRAIN
+    assert HARNESS.CONTROL_DATA is test_acceptance.CONTROL_DATA
+
+
+def test_harness_summary_on_hand_made_gains():
+    # two full 5-seed blocks and a partial third one, which no block mean covers
+    gains = [1.0, 0.0, -1.0, 2.0, 3.0, 0.0, 0.0, 4.0, -2.0, 5.0, 7.0, -0.5]
+    summary = HARNESS.summarize(gains)
+    assert summary["seeds"] == 12
+    assert summary["mean"] == pytest.approx(18.5 / 12, abs=1e-12)
+    assert summary["se"] == pytest.approx(statistics.stdev(gains) / math.sqrt(12), abs=1e-12)
+    assert (summary["zero"], summary["negative"], summary["worst"]) == (3, 3, -2.0)
+    assert summary["block_means"] == [1.0, 1.4]
+    assert HARNESS.summarize([0.5])["se"] is None
+
+
+def test_harness_seed_record_reads_the_crowding_run():
+    def run(acc, history=(), best_epoch=-1):
+        return SimpleNamespace(test_acc=acc, history=list(history), best_epoch=best_epoch)
+
+    history = [{"val_acc": 0.5, "mu_coeff": 0.0}, {"val_acc": 0.75, "mu_coeff": 1.0}]
+    record = HARNESS.seed_record(3, {"dl-cl": run(0.5), "dl-mv": run(0.25),
+                                     "crowding": run(0.625, history, 1)})
+    assert record == {"seed": 3, "dl-cl_test_acc": 0.5, "dl-mv_test_acc": 0.25,
+                      "crowding_test_acc": 0.625, "gain": 12.5, "best_epoch": 1,
+                      "val_acc": [0.5, 0.75], "mu_coeff": [0.0, 1.0]}
 
 
 TRACER = load_script("perfbench/tracer.py")

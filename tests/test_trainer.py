@@ -690,6 +690,25 @@ def test_mu_grid_reports_chosen_coefficient():
     assert res.history[0]["mu_coeff"] in (0.0, 0.5, 1.0)
 
 
+def test_one_step_mode_records_the_mu_it_applied(monkeypatch):
+    # the joint update applies coefficient x mean delta over all pairs; a
+    # record built from the low- and high-entropy halves would differ
+    monkeypatch.setattr(tr, "MU_GRID", (0.5,))
+    applied = []
+    crm_update = tr._crm_update
+
+    def recording(state, ds, cfg, pairs, deltas, mu, trains, rng, **kw):
+        applied.append((trains, mu))
+        return crm_update(state, ds, cfg, pairs, deltas, mu, trains, rng, **kw)
+
+    monkeypatch.setattr(tr, "_crm_update", recording)
+    res = train_crowding(tiny_dataset(), tiny_config(epochs=2, two_step=False))
+    assert [trains for trains, _ in applied] == [("gen", "clf")] * 2
+    assert all(mu != 0.0 for _, mu in applied)
+    assert [(rec["mu_generator"], rec["mu_classifier"]) for rec in res.history] == \
+        [(mu, mu) for _, mu in applied]
+
+
 # ---------------------------------------------------------------------------
 # determinism and divergence
 
