@@ -18,23 +18,21 @@ mean gain, its standard error, the counts of zero and of negative gains, the
 worst gain (for the control, minus its worst drop) and the means of the
 disjoint 5-seed blocks. Seeds 0-4 are criterion 6's own.
 
-BLAS is pinned to one thread unless the environment says otherwise: two
-worker processes of two BLAS threads each oversubscribe two cores, and the
-thread count moves the last bits of the results.
+``crowdaug`` is imported before NumPy, so BLAS is pinned to one thread unless
+the environment says otherwise: two worker processes of two BLAS threads each
+oversubscribe two cores, and the thread count moves the last bits of the
+results.
 """
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")  # before NumPy is imported
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import crowdaug  # noqa: F401,E402  (pins BLAS before NumPy is imported)
 import numpy as np
 
 from crowdaug.cli import _run_grid

@@ -4,11 +4,16 @@ The compute graph is kept implicitly: every Tensor produced by an op holds
 references to its parent tensors plus a closure mapping the output gradient to
 parent gradients. ``backward`` walks the graph in reverse topological order
 and accumulates into the ``.grad`` slots of parameter leaves. Repeated
-``backward`` calls keep accumulating until the slots are zeroed.
+``backward`` calls keep accumulating until the slots are zeroed. Given a
+``sink`` dict instead, ``backward`` leaves the slots alone and adds each
+leaf's gradient under that leaf in the dict; ``add_grads`` later adds a sink
+into the slots. Graphs built on several threads at once, which share only
+their leaves, back-propagate this way, and adding their sinks in a fixed
+order gives the same bits on any number of threads.
 
-Ops take and return Tensors only; ``entropy`` and ``sample_categorical``
-are the array utilities. A Tensor's ``+`` and ``*`` build ``add`` and ``mul``
-nodes, with a non-Tensor operand as a constant.
+Ops take and return Tensors only; ``entropy``, ``sample_categorical`` and
+``categorical_at`` are the array utilities. A Tensor's ``+`` and ``*`` build
+``add`` and ``mul`` nodes, with a non-Tensor operand as a constant.
 
 An op over parents that need no gradient records no graph either: a parent
 needs one when it is a ``requires_grad`` leaf or has parents itself, so
@@ -21,7 +26,10 @@ parents nor a backward closure, so each intermediate array is freed as soon
 as the next op has consumed it. The arrays themselves are computed by the
 same NumPy calls, so values are bit-identical to graph mode. Wrap every pass
 that only reads ``.data`` (grid logging, scoring, evaluation, export) in it;
-calling ``backward`` inside the scope raises.
+calling ``backward`` inside the scope raises. The grad mode is one flag per
+process, not per thread: set it before a pass hands row blocks to other
+threads, and leave it alone until the pass is over, because a scope entered
+or left on one thread switches it for all of them.
 
 ``dense(x, w, b, relu)`` is one layer as one node. Its bias add and ReLU run
 in place on the product, with the NumPy operations of the chain
@@ -38,10 +46,10 @@ store. ``ParamStore.union`` merges stores, rejecting a repeated name, so one
 
 Everything is float64, and stochastic ops take an explicit
 ``numpy.random.Generator``, so runs are bit-reproducible per seed on a given
-BLAS thread count. The Python code runs on one thread, but NumPy's BLAS uses
-one thread per core unless ``OPENBLAS_NUM_THREADS`` (or ``OMP_NUM_THREADS``,
-``MKL_NUM_THREADS``) pins it, and the thread count moves the last bits of
-matrix products, and with them every later value.
+BLAS thread count. NumPy's BLAS uses one thread per core unless
+``OPENBLAS_NUM_THREADS`` (or ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``) pins
+it, and the thread count moves the last bits of matrix products, and with
+them every later value; importing ``crowdaug`` before NumPy pins it to one.
 """
 from __future__ import annotations
 
@@ -400,8 +408,13 @@ def entropy(p, axis: int = -1):
 def sample_categorical(rng: np.random.Generator, probs: Array) -> Array:
     """Draw one class index per row of a (B, C) probability matrix."""
     probs = np.atleast_2d(_as_f64(probs))
+    return categorical_at(probs, rng.random(probs.shape[0]))
+
+
+def categorical_at(probs: Array, u: Array) -> Array:
+    """The class of each row of a (B, C) probability matrix at its uniform
+    draw ``u``: the first class whose cumulative probability exceeds it."""
     cum = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
     idx = (u[:, None] >= cum).sum(axis=1)
     return np.minimum(idx, probs.shape[1] - 1)
 
@@ -429,12 +442,14 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, grad: Array | None = None) -> None:
+def backward(loss: Tensor, grad: Array | None = None, sink: dict | None = None) -> None:
     """Reverse-mode sweep from a scalar loss into leaf ``.grad`` slots.
 
     ``grad``, shaped like ``loss``, seeds the sweep with an upstream gradient
     instead, so ``loss`` may be any tensor. Gradients accumulate across
-    calls; zero the slots between independent losses.
+    calls; zero the slots between independent losses. With a ``sink`` dict
+    the slots are not touched: each leaf's gradient is added under the leaf
+    in ``sink`` (see ``add_grads``).
     """
     if not _grad_enabled:
         raise RuntimeError("backward called inside a no_grad scope")
@@ -452,9 +467,11 @@ def backward(loss: Tensor, grad: Array | None = None) -> None:
             continue
         if node._backward is None:
             if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                if sink is None:
+                    _add_grad(node, g)
+                else:
+                    acc = sink.get(node)
+                    sink[node] = g if acc is None else acc + g
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node.parents, parent_grads):
@@ -462,6 +479,19 @@ def backward(loss: Tensor, grad: Array | None = None) -> None:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
+
+
+def _add_grad(leaf: Tensor, g: Array) -> None:
+    if leaf.grad is None:
+        leaf.grad = np.zeros_like(leaf.data)
+    leaf.grad += g
+
+
+def add_grads(sink: dict) -> None:
+    """Add the gradients a ``backward(..., sink=sink)`` collected into their
+    leaves' ``.grad`` slots, as that call would have without a sink."""
+    for leaf, g in sink.items():
+        _add_grad(leaf, g)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,21 @@ The discriminator and the auxiliary net read one encoding of each row batch
 encodes the authentic and the selected rows once each, and step 3 scores D
 and Q in one pass over the pairs.
 
-Every pass over all pairs runs in row blocks of at most 8191 rows, so its
-memory does not grow with the pair grid. The forward-only ones (step 1, the
+Every pass over all pairs runs in row blocks, so its memory does not grow
+with the pair grid: one block below 8192 rows, and from 8192 rows on
+balanced blocks of 2048-4095 rows, two of them in flight at a time. When at
+least two cores are usable and BLAS is pinned to one thread (see
+``crowdaug/__init__.py``), the calling thread runs every other block and one
+worker thread the rest (``_in_flight``); grid worker processes run theirs on
+one thread. Each CRM block back-propagates into its own gradient sink, and
+the sinks are added into the ``.grad`` slots in block order; each
+forward-only block writes its own rows of the output. A run therefore gives
+the same bits on one thread or two. The forward-only passes (step 1, the
 step-3 scores, the generator step's codes and the augmentation export) are
 bit-identical to one call over every row; the CRM steps are too below 8192
 pairs, and above that only the order of the gradient's sum over pairs moves.
+Step 1 draws the noise and the categorical uniforms of all pairs up front,
+so each block samples its own labels and keeps no (pairs, classes) array.
 The classifier probabilities of step 1, of the generator step's codes and of
 the export depend only on the instance, so ``_instance_probs`` computes them
 once per distinct instance, byte-equal to the pass per pair. The export
@@ -46,11 +56,13 @@ writes its CSV one row block at a time from a NumPy formatter, byte-equal to
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_PINNED
 from . import diffcore as dc
 from . import evalsuite
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -223,27 +235,76 @@ def _epoch_losses(rng: np.random.Generator, count: int, cfg: TrainConfig,
     return means
 
 
-# Passes over pairs (forward-only ones and the CRM steps) run in balanced
-# blocks of 4096-8191 rows, whose rows come out bit-identical to one call over
-# all rows (a test checks every net). Smaller blocks are not safe: OpenBLAS
-# uses a small-matrix kernel, which rounds differently, when M*N*K <= 1e6, and
-# at 1,666 rows the 128 x 4 output layers fall under it. A constant, not a
-# setting.
-_BLOCK_ROWS = 4096
+# Passes over pairs (forward-only ones and the CRM steps) run in one block
+# below 8192 rows and in balanced blocks of 2048-4095 rows from there on, whose
+# rows come out bit-identical to one call over all rows (a test checks every
+# net). Smaller blocks are not safe: OpenBLAS uses a small-matrix kernel, which
+# rounds differently, when M*N*K <= 1e6, and at 1,953 rows the 128 x 4 output
+# layers fall under it. Constants, not settings.
+_BLOCK_ROWS = 2048
+_SPLIT_ROWS = 4 * _BLOCK_ROWS
 
 
 def _row_blocks(n: int) -> list[slice]:
-    """Balanced row blocks of ``0..n`` of 4096-8191 rows; one block when ``n`` < 8192."""
-    count = max(1, n // _BLOCK_ROWS)
+    """Row blocks of ``0..n``: one block when ``n`` < 8192, else balanced
+    blocks of 2048-4095 rows."""
+    count = n // _BLOCK_ROWS if n >= _SPLIT_ROWS else 1
     bounds = [n * k // count for k in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Threads that run a pass's row blocks: two when two cores are usable and BLAS
+# is pinned to one thread, else one. Grid worker processes set it to one
+# (``one_block_thread``), so processes and threads never multiply.
+_BLOCK_THREADS = 2 if BLAS_PINNED and _usable_cores() >= 2 else 1
+
+
+def one_block_thread() -> None:
+    """Run every later pass's row blocks on the calling thread alone."""
+    global _BLOCK_THREADS
+    _BLOCK_THREADS = 1
+
+
+def _in_flight(run, blocks: list[slice]):
+    """Yield ``run(rows)`` of each block in block order.
+
+    On ``_BLOCK_THREADS`` = 2 two blocks are in flight at a time: the calling
+    thread runs the even blocks and one worker thread, from a pool made for
+    this pass (no thread outlives it), the odd ones. ``run`` must not switch
+    the grad mode (see ``diffcore``)."""
+    if _BLOCK_THREADS < 2 or len(blocks) < 2:
+        yield from map(run, blocks)
+        return
+    # imported here: the pool module costs every command's start-up (eval's too)
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for at in range(0, len(blocks), 2):
+            ahead = pool.submit(run, blocks[at + 1]) if at + 1 < len(blocks) else None
+            yield run(blocks[at])
+            if ahead is not None:
+                yield ahead.result()
+
+
 @dc.no_grad()
-def _forward_in_blocks(n: int, forward) -> np.ndarray:
-    """``forward(rows)`` (a slice, returning an array) over ``_row_blocks(n)``,
-    concatenated."""
-    return np.concatenate([forward(rows) for rows in _row_blocks(n)])
+def _forward_in_blocks(n: int, forward):
+    """``forward(rows)`` over ``_row_blocks(n)``: each block's array (or tuple
+    of arrays) is written to its rows of one ``n``-row array per output."""
+    blocks = _row_blocks(n)
+    outs = None
+    for rows, values in zip(blocks, _in_flight(forward, blocks)):
+        parts = values if isinstance(values, tuple) else (values,)
+        if outs is None:
+            outs = tuple(np.empty((n, *p.shape[1:]), dtype=p.dtype) for p in parts)
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs if isinstance(values, tuple) else outs[0]
 
 
 def _instance_probs(clf: Classifier, ds: CrowdDataset, inst: np.ndarray) -> np.ndarray:
@@ -267,12 +328,23 @@ def _instance_probs(clf: Classifier, ds: CrowdDataset, inst: np.ndarray) -> np.n
 def _sample_generated(gen: Generator, clf: Classifier, ds: CrowdDataset, inst: np.ndarray,
                       annot: np.ndarray, rng: np.random.Generator) -> tuple:
     """One generated label per (``inst``, ``annot``) pair with fresh noise;
-    returns (codes, noise, generator distributions, labels)."""
+    returns (codes, noise, labels, their probabilities, the entropies of the
+    generator's distributions).
+
+    The noise and then each pair's categorical uniform are drawn up front, so
+    every row block samples its own labels and no (pairs, classes)
+    distribution is kept."""
     zhat = _instance_probs(clf, ds, inst)
     eps = gen.draw_noise(rng, len(inst))
-    dist = _forward_in_blocks(len(inst), lambda s: gen.distribution(
-        ds.features[inst[s]], ds.annotator_features[annot[s]], zhat[s], eps[s]).data)
-    return zhat, eps, dist, dc.sample_categorical(rng, dist)
+    uniforms = rng.random(len(inst))
+
+    def sample(s):
+        dist = gen.distribution(ds.features[inst[s]], ds.annotator_features[annot[s]],
+                                zhat[s], eps[s]).data
+        labels = dc.categorical_at(dist, uniforms[s])
+        return labels, dist[np.arange(len(labels)), labels], dc.entropy(dist, axis=1)
+
+    return (zhat, eps, *_forward_in_blocks(len(inst), sample))
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +514,9 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     inst = np.concatenate(pairs_inst)
     annot = np.concatenate(pairs_annot)
 
-    zhat, eps, dist, labels = _sample_generated(gen, clf, ds, inst, annot, rng)
-    return LoggedBatch(instances=inst, annotators=annot, labels=labels,
-                       g0=dist[np.arange(len(inst)), labels], eps=eps,
-                       zhat_draws=dc.sample_categorical(rng, zhat),
-                       entropies=dc.entropy(dist, axis=1))
+    zhat, eps, labels, g0, entropies = _sample_generated(gen, clf, ds, inst, annot, rng)
+    return LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
+                       zhat_draws=dc.sample_categorical(rng, zhat), entropies=entropies)
 
 
 def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
@@ -525,14 +595,16 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     no gradient and must come out bit-identical.
 
     Each inner step runs forward and backward over ``_row_blocks`` of the
-    pairs, one pair block's graph alive at a time: a block's objective is
-    its sum scaled by 1/len(pairs), and the blocks' gradients accumulate in
-    the ``.grad`` slots. The classifier's codes are computed once per step
-    over the unique instances (one dropout draw); the blocks' gradients
-    with respect to them are gathered in one leaf and sent through the
-    classifier once. Below 8192 pairs this is one block, the same
-    computation as a single pass; above it only the order in which the
-    weight and bias gradients are summed over pairs differs.
+    pairs, at most two pair blocks' graphs alive at a time (``_in_flight``):
+    a block's objective is its sum scaled by 1/len(pairs), each block
+    back-propagates into its own gradient sink, and the sinks are added into
+    the ``.grad`` slots in block order, so the gradient has the same bits on
+    one thread or two. The classifier's codes are computed once per step over
+    the unique instances (one dropout draw); the blocks' gradients with
+    respect to them are gathered in one leaf and sent through the classifier
+    once. Below 8192 pairs this is one block, the same computation as a single
+    pass; above it only the order in which the weight and bias gradients are
+    summed over pairs differs.
     """
     clf, gen = state.bundle.classifier, state.bundle.generator
     stores = {"gen": gen.store, "clf": clf.store}
@@ -551,8 +623,9 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
             if "clf" in trains:
                 probs = clf.probs(ds.features[uniq], train_mode=True, rng=rng)
                 codes = Tensor(probs.data, requires_grad=True)
-            objective = 0.0
-            for rows in blocks:
+
+            def block_step(rows):
+                # the graph is local, so it is freed when the block returns
                 zhat = dc.gather_rows(codes, inverse[rows]) if "clf" in trains \
                     else zhat_const[rows]
                 dist = gen.distribution(ds.features[pairs.instances[rows]],
@@ -560,9 +633,14 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
                                         zhat, pairs.eps[rows])
                 obj = crm_objective(pairs.g0[rows], dc.pick(dist, pairs.labels[rows]),
                                     deltas[rows], mu, len(pairs))
-                objective += obj.item()
-                backward(obj)
-                del zhat, dist, obj  # free this block's graph before the next one is built
+                sink = {}
+                backward(obj, sink=sink)
+                return obj.item(), sink
+
+            objective = 0.0
+            for value, sink in _in_flight(block_step, blocks):
+                objective += value
+                dc.add_grads(sink)
             _check_finite(objective, f"{what} objective", state.epoch)
             if "clf" in trains:
                 backward(probs, codes.grad)
@@ -631,10 +709,9 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
                                ds.annotator_features[batch.annotators[s]],
                                batch.labels[s]), mats)
         q_lp = bundle.aux.log_posterior(*enc).data
-        return np.column_stack([disc.score(*enc).data,
-                                q_lp[np.arange(len(q_lp)), batch.zhat_draws[s]]])
+        return disc.score(*enc).data, q_lp[np.arange(len(q_lp)), batch.zhat_draws[s]]
 
-    d_scores, q_at_draw = _forward_in_blocks(len(batch), judge).T
+    d_scores, q_at_draw = _forward_in_blocks(len(batch), judge)
     deltas_gen, clamped_d = per_annotation_delta(d_scores, q_at_draw, cfg.info_weight)
     deltas_clf, _ = per_annotation_delta(d_scores, q_at_draw, 0.0)
     clamp_count += clamped_d
@@ -650,6 +727,9 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     high_idx = np.flatnonzero(~pair_is_low)
     low = batch.subset(low_idx)
     high = batch.subset(high_idx)
+    num_logged = len(batch)
+    if cfg.two_step:
+        del batch  # its two halves are all the CRM steps read
     zhat_low_const = _instance_probs(bundle.classifier, ds, low.instances)
 
     # (5)+(6) CRM updates under a shared multiplier-coefficient search; the
@@ -710,7 +790,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
         "disc_loss": disc_loss_val,
         "disc_auc": evalsuite.auc(d_auth_final, d_gen_final),
         "clamp_count": clamp_count + breakdown.clamp_count,
-        "num_logged": len(batch),
+        "num_logged": num_logged,
         "num_selected": int(len(selected)),
         "num_low_pairs": int(len(low_idx)),
         "num_high_pairs": int(len(high_idx)),
@@ -866,7 +946,7 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
     missing = labels < 0
     if missing.any():
         labels[missing] = _sample_generated(bundle.generator, bundle.classifier, ds,
-                                            inst[missing], annot[missing], rng)[3]
+                                            inst[missing], annot[missing], rng)[2]
 
     rows = np.column_stack([inst, annot, labels, (~missing).astype(np.int64)])
     if out_path is not None:

@@ -1,22 +1,20 @@
-"""Pins BLAS to one thread, and prints one PASS/FAIL line per acceptance
-criterion in the terminal summary.
+"""Imports ``crowdaug`` before anything imports NumPy, and prints one
+PASS/FAIL line per acceptance criterion in the terminal summary.
 
-The pin is set before NumPy is first imported, which is when OpenBLAS reads
-it. The acceptance fixtures train on two worker processes, and two processes
-of two BLAS threads each on two cores took 2-3x the wall time of a serial run.
-The thread count also moves the last bits of the results, so every run of
-the suite uses the same one.
+Importing ``crowdaug`` pins BLAS to one thread unless the environment says
+otherwise, and the pin holds only if NumPy is imported after it. The thread
+count moves the last bits of the results, so every run of the suite uses the
+same one; the acceptance fixtures' two worker processes of two BLAS threads
+each took 2-3x the wall time of a serial run on two cores.
 
 Each criterion test in test_acceptance.py registers a measurement string
 (value vs. tolerance) in CRITERION_DETAILS; the hook below pairs those with
 the test outcomes so the summary is readable even when output is captured.
 """
-import os
 import re
 import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import crowdaug  # noqa: F401  (before NumPy: see above)
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 

@@ -1,6 +1,9 @@
 """Command-line behavior: artifacts, manifests, exit codes, determinism."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -134,6 +137,38 @@ def test_manifest_echoes_defaults_and_digests(workspace):
     assert any(path.endswith("annotations.csv") for path in digests)
     assert all(len(d) == 64 for d in digests.values())
     assert any(p.endswith("checkpoint.bin") for p in manifest["outputs"])
+
+
+def test_manifest_records_the_blas_pin(workspace):
+    manifest = json.loads((workspace / "run" / "manifest.json")
+                          .read_text(encoding="utf-8"))
+    # the suite imports crowdaug before NumPy, and sets none of the variables
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    assert manifest["numpy_imported_first"] is False
+
+
+@pytest.mark.parametrize("first, env, pinned", [
+    ("crowdaug", {}, True),
+    ("numpy", {}, False),
+    ("crowdaug", {"OMP_NUM_THREADS": "2"}, False),
+])
+def test_blas_pin_holds_only_before_numpy(first, env, pinned):
+    # the pool of row-block threads runs only where the pin took effect
+    script = (f"import {first}, crowdaug, json\n"
+              "from crowdaug import trainer\n"
+              "print(json.dumps([crowdaug.BLAS_THREADS, crowdaug.NUMPY_IMPORTED_FIRST,"
+              " crowdaug.BLAS_PINNED, trainer._BLOCK_THREADS]))\n")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", script], env={**base, **env}, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    values, numpy_first, got_pinned, block_threads = json.loads(out)
+    assert values == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                      "MKL_NUM_THREADS": "1", **env}
+    assert numpy_first == (first == "numpy")
+    assert got_pinned == pinned
+    assert block_threads == (2 if pinned and len(os.sched_getaffinity(0)) >= 2 else 1)
 
 
 def test_zero_info_weight_is_labeled_distinctly(workspace, tmp_path):
@@ -604,6 +639,43 @@ def test_sweep_and_ablate_on_two_workers_match_serial(workspace, tmp_path,
     for serial, pooled in zip(results["1"], results["2"]):
         assert pooled.history == serial.history
         assert pooled.test_acc == serial.test_acc
+
+
+# two jobs of 16,000 logged pairs each: seven row blocks per pass over the grid
+WIDE_GRID_JOBS = """\
+from crowdaug import cli
+from crowdaug.data import SynthConfig, synthesize_dataset
+ds = synthesize_dataset(SynthConfig(num_classes=4, num_instances=400, num_annotators=40,
+                                    feature_dim=2, avg_annotations=2.0), seed=1)
+train = dict(pretrain_epochs=1, gen_pretrain_epochs=1, disc_pretrain_epochs=1,
+             epochs=1, inner_steps=1, batch_size=32)
+jobs = [(seed, ds, 0.0, "crowding", seed, train) for seed in (0, 1)]
+"""
+
+
+def _grid_digest(results) -> list:
+    return [(r.history, r.test_acc, {name: store.fingerprint()
+                                     for name, store in r.bundle.stores().items()})
+            for r in results]
+
+
+def test_grid_workers_run_their_blocks_on_one_thread(monkeypatch):
+    # forked workers with a block pool of their own would oversubscribe the
+    # cores, and a worker thread alive at the fork could hang the child
+    script = WIDE_GRID_JOBS + (
+        "import json, test_cli\n"
+        "print(json.dumps(test_cli._grid_digest(cli._run_grid(jobs))))\n")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "CROWDING_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([tests, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    namespace = {}
+    exec(WIDE_GRID_JOBS, namespace)
+    monkeypatch.setenv("CROWDING_THREADS", "1")
+    serial = _grid_digest(cli._run_grid(namespace["jobs"]))
+    assert all(rec["num_logged"] >= 8192 for history, _, _ in serial for rec in history)
+    assert json.loads(out) == json.loads(json.dumps(serial))
 
 
 def quick_config(**kw):

@@ -472,6 +472,31 @@ def test_backward_seeded_with_an_upstream_gradient():
         backward(out, np.ones(3))
 
 
+def test_backward_into_a_sink_leaves_the_slots_alone():
+    # two graphs over shared leaves: sinks added in order give the slots' bits
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    xs = [rng.normal(size=(5, 4)) for _ in range(2)]
+
+    def loss(x):
+        return dc.t_sum(dc.softmax(dc.dense(Tensor(x), w, b, relu=True), axis=1) * x[:, :3])
+
+    for x in xs:
+        backward(loss(x))
+    direct = {"w": w.grad, "b": b.grad}
+    w.grad = b.grad = None
+    sinks = [{} for _ in xs]
+    for x, sink in zip(xs, sinks):
+        backward(loss(x), sink=sink)
+    assert w.grad is None and b.grad is None
+    assert set(sinks[0]) == {w, b}
+    for sink in sinks:
+        dc.add_grads(sink)
+    assert w.grad.tobytes() == direct["w"].tobytes()
+    assert b.grad.tobytes() == direct["b"].tobytes()
+
+
 def test_backward_inside_no_grad_raises():
     w = Tensor(np.array([3.0]), requires_grad=True)
     loss = dc.t_sum(dc.mul(w, w))  # graph built outside the scope
@@ -604,6 +629,13 @@ def test_sample_categorical_frequencies():
     probs = np.tile(np.array([0.1, 0.9]), (20000, 1))
     draws = sample_categorical(np.random.default_rng(1), probs)
     assert abs(draws.mean() - 0.9) < 0.01
+
+
+def test_sample_categorical_is_categorical_at_its_uniforms():
+    probs = dc.softmax(Tensor(np.random.default_rng(5).normal(size=(500, 4))), axis=1).data
+    draws = sample_categorical(np.random.default_rng(8), probs)
+    uniforms = np.random.default_rng(8).random(500)
+    np.testing.assert_array_equal(dc.categorical_at(probs, uniforms), draws)
 
 
 def test_sample_categorical_degenerate_rows():

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -231,6 +233,35 @@ def test_logged_grid_covers_all_train_pairs():
     assert np.all(batch.entropies >= 0)
 
 
+def test_logged_grid_equals_the_whole_grid_sample(monkeypatch):
+    # 16,000 pairs: seven row blocks on the pool, sampled block by block,
+    # against one distribution over every pair and one categorical draw
+    monkeypatch.setattr(tr, "_BLOCK_THREADS", 2)
+    ds = tiny_dataset(n=400, r=40, c=4)
+    cfg = tiny_config()
+    rng = np.random.default_rng(4)
+    bundle = build_bundle(tr._dims_for(ds, cfg), build_cooccurrence(ds), rng)
+    for store in bundle.stores().values():
+        randomize(store, rng, scale=0.5)
+    clf, gen = bundle.classifier, bundle.generator
+    batch = log_generation_grid(gen, clf, ds, cfg, np.random.default_rng(11))
+    assert len(batch) >= 8192
+
+    rng = np.random.default_rng(11)
+    inst, annot = batch.instances, batch.annotators
+    with dc.no_grad():
+        zhat = clf.probs(ds.features[inst]).data
+        eps = gen.draw_noise(rng, len(inst))
+        dist = gen.distribution(ds.features[inst], ds.annotator_features[annot],
+                                zhat, eps).data
+    labels = dc.sample_categorical(rng, dist)
+    expected = LoggedBatch(inst, annot, labels, dist[np.arange(len(inst)), labels], eps,
+                           dc.sample_categorical(rng, zhat), dc.entropy(dist, axis=1))
+    for f in dataclasses.fields(LoggedBatch):
+        got, want = getattr(batch, f.name), getattr(expected, f.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+
+
 def test_logged_grid_respects_pair_cap():
     ds = tiny_dataset()
     cfg = tiny_config(max_grid_pairs=60)
@@ -248,8 +279,21 @@ def test_logged_grid_respects_pair_cap():
     assert np.all(per >= np.maximum(counts, 1))
 
 
-@pytest.mark.parametrize("n", [1, 4095, 4096, 8191, 8192, 12289, 20000])
-def test_blocked_forward_equals_one_shot(n):
+@pytest.mark.parametrize("n", [0, 1, 2047, 8191, 8192, 10239, 10240, 12289, 20011, 80000])
+def test_row_blocks_partition(n):
+    blocks = tr._row_blocks(n)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    heights = [b.stop - b.start for b in blocks]
+    if n < 8192:
+        assert heights == [n]
+    else:
+        assert min(heights) >= 2048 and max(heights) <= 4095, heights
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 8191, 8192, 10239, 12289, 20000])
+def test_blocked_forward_equals_one_shot(n, monkeypatch):
+    monkeypatch.setattr(tr, "_BLOCK_THREADS", 2)  # the blocks run on the pool
     # the widths of the pair-grid benchmark: 4 classes, 2-D features, 40 annotators
     dims = NetDims(num_classes=4, feature_dim=2, annotator_dim=40)
     rng = np.random.default_rng(n)
@@ -286,9 +330,10 @@ def _pair_instances(pairs, distinct, rng):
 
 
 @pytest.mark.parametrize("pairs", [1, 61, 1952, 1953, 4095, 4096, 8191, 8192,
-                                   12289, 20000])
+                                   10239, 12289, 20000])
 @pytest.mark.parametrize("distinct", [1, 3, "all"])
-def test_instance_probs_equal_the_per_pair_pass(pairs, distinct):
+def test_instance_probs_equal_the_per_pair_pass(pairs, distinct, monkeypatch):
+    monkeypatch.setattr(tr, "_BLOCK_THREADS", 2)
     # the classifier of the densify benchmark: 4 classes, 2-D features
     rng = np.random.default_rng(pairs)
     clf = Classifier(NetDims(num_classes=4, feature_dim=2, annotator_dim=40), rng)
@@ -297,6 +342,27 @@ def test_instance_probs_equal_the_per_pair_pass(pairs, distinct):
     inst = _pair_instances(pairs, pairs if distinct == "all" else min(pairs, distinct), rng)
     per_pair = tr._forward_in_blocks(pairs, lambda s: clf.probs(ds.features[inst[s]]).data)
     assert tr._instance_probs(clf, ds, inst).tobytes() == per_pair.tobytes()
+
+
+def test_no_grad_pass_on_the_pool_builds_no_graph_in_the_worker(monkeypatch):
+    monkeypatch.setattr(tr, "_BLOCK_THREADS", 2)
+    w = dc.Tensor(np.ones((3, 2)), requires_grad=True)
+    x = np.random.default_rng(0).normal(size=(10239, 3))
+    seen = []
+
+    def forward(rows):
+        out = dc.matmul(dc.Tensor(x[rows]), w)
+        seen.append((threading.get_ident(), out.parents, out._backward))
+        return out.data
+
+    got = tr._forward_in_blocks(len(x), forward)
+    assert got.tobytes() == (x @ w.data).tobytes()
+    assert len(seen) == 4
+    assert {ident for ident, _, _ in seen} - {threading.get_ident()}, "no worker ran"
+    assert all(parents == () and back is None for _, parents, back in seen)
+    assert dc._grad_enabled
+    # the pass's worker thread does not outlive it
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
 
 
 def test_crm_step_frees_its_graph_before_the_next_forward(monkeypatch):
@@ -578,9 +644,38 @@ def test_crm_update_accumulated_gradients_match_one_pass(mode, pairs_count):
 
 
 @pytest.mark.parametrize("mode", sorted(_CRM_MODES))
+def test_crm_update_gradients_are_equal_on_one_and_two_threads(mode, monkeypatch):
+    threads = []
+    crm_objective = tr.crm_objective
+
+    def recording_objective(*args):
+        threads.append(threading.get_ident())
+        return crm_objective(*args)
+
+    monkeypatch.setattr(tr, "crm_objective", recording_objective)
+    runs = {}
+    interval = sys.getswitchinterval()
+    for count in (1, 2):
+        monkeypatch.setattr(tr, "_BLOCK_THREADS", count)
+        threads.clear()
+        sys.setswitchinterval(1e-5)  # the two threads trade the interpreter often
+        try:
+            runs[count] = _run_crm(tr._crm_update, 20011, mode, record=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == 2 * 9 and len(set(threads)) == count
+    for name in _CRM_MODES[mode]:
+        one, two = runs[1].optimizers[name].grads, runs[2].optimizers[name].grads
+        assert len(one) == len(two) == 2
+        for step_one, step_two in zip(one, two):
+            assert {k: g.tobytes() for k, g in step_one.items()} == \
+                {k: g.tobytes() for k, g in step_two.items()}, (mode, name)
+
+
+@pytest.mark.parametrize("mode", sorted(_CRM_MODES))
 def test_crm_update_diverges_before_any_step(mode):
     state, ds, pairs, deltas, zhat_const = _crm_setup(9000, 0)
-    deltas[8999] = np.nan  # in the second block
+    deltas[8999] = np.nan  # in the last of four blocks
     before = {k: s.fingerprint() for k, s in state.bundle.stores().items()}
     with pytest.raises(DivergenceError, match=f"non-finite {mode} objective at epoch 0"):
         tr._crm_update(state, ds, tiny_config(), pairs, deltas, 0.1, _CRM_MODES[mode],
@@ -721,6 +816,19 @@ def test_training_is_deterministic():
     assert a.best_val_acc == b.best_val_acc and a.test_acc == b.test_acc
     for ra, rb in zip(a.history, b.history):
         assert ra == rb
+
+
+def test_crowding_run_is_equal_on_one_and_two_threads(tmp_path, monkeypatch):
+    ds = tiny_dataset(n=500, r=45, c=4)
+    cfg = tiny_config(epochs=2, inner_steps=1, pretrain_epochs=2, gen_pretrain_epochs=1)
+    assert len(ds.split_indices(TRAIN)) * ds.num_annotators >= 12000
+    runs = {}
+    for count in (1, 2):
+        monkeypatch.setattr(tr, "_BLOCK_THREADS", count)
+        runs[count] = train_crowding(ds, cfg)
+        tr.save_result_checkpoint(tmp_path / f"{count}.bin", runs[count])
+    _assert_same_training(runs[1], runs[2])
+    assert (tmp_path / "1.bin").read_bytes() == (tmp_path / "2.bin").read_bytes()
 
 
 def test_seed_changes_the_run():
