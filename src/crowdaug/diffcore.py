@@ -300,11 +300,10 @@ def rowwise_matvec(m: Tensor, v: Tensor) -> Tensor:
 def rowwise_bilinear(u: Tensor, mats: Tensor, v: Tensor, classes) -> Tensor:
     """Per-row bilinear form over a class table: out[b] = u[b] @ mats[classes[b]] @ v[b].
 
-    Rows are grouped by class and each group is multiplied with its (m, n)
-    matrix, so no per-row copy of the (C, m, n) table is made. The values,
-    and the table's gradient, are bit-identical to gathering one matrix per
-    row and accumulating the per-row gradients with ``np.add.at``: a group's
-    rows stay in ascending order and ``sum(0)`` adds them one after another.
+    Rows are grouped by class, and each group is one BLAS product with its
+    (m, n) matrix: ``((v_c @ M_c.T) * u_c).sum(1)`` forward, and
+    ``(g_c * u_c).T @ v_c`` for the matrix's gradient. No per-row copy of the
+    (C, m, n) table and no (B, m, n) intermediate is made.
     """
     classes = np.asarray(classes, dtype=np.int64)
     num_classes = mats.shape[0]
@@ -313,17 +312,16 @@ def rowwise_bilinear(u: Tensor, mats: Tensor, v: Tensor, classes) -> Tensor:
     groups = [np.flatnonzero(classes == c) for c in range(num_classes)]
     out = np.empty(len(classes))
     for c, idx in enumerate(groups):
-        out[idx] = np.einsum("bi,ij,bj->b", u.data[idx], mats.data[c], v.data[idx])
+        out[idx] = ((v.data[idx] @ mats.data[c].T) * u.data[idx]).sum(1)
 
     def back(g):
         gu, gv = np.empty_like(u.data), np.empty_like(v.data)
         gm = np.empty_like(mats.data)
         for c, idx in enumerate(groups):
-            g_c, u_c, v_c, m_c = g[idx], u.data[idx], v.data[idx], mats.data[c]
-            gu[idx] = np.einsum("b,ij,bj->bi", g_c, m_c, v_c)
-            gv[idx] = np.einsum("b,bi,ij->bj", g_c, u_c, m_c)
-            # + 0.0 turns a -0.0 into the 0.0 that np.add.at's zero start gives
-            gm[c] = np.einsum("b,bi,bj->bij", g_c, u_c, v_c).sum(0) + 0.0
+            g_c, m_c = g[idx, None], mats.data[c]
+            gu[idx] = g_c * (v.data[idx] @ m_c.T)
+            gv[idx] = g_c * (u.data[idx] @ m_c)
+            gm[c] = (g_c * u.data[idx]).T @ v.data[idx]
         return gu, gm, gv
 
     return Tensor(out, parents=(u, mats, v), backward_fn=back)

@@ -45,16 +45,23 @@ the same bits on one thread or two. The forward-only passes (step 1, the
 step-3 scores, the generator step's codes and the augmentation export) are
 bit-identical to one call over every row; the CRM steps are too below 8192
 pairs, and above that only the order of the gradient's sum over pairs moves.
-Step 1 draws the noise and the categorical uniforms of all pairs up front,
-so each block samples its own labels and keeps no (pairs, classes) array.
-The classifier probabilities of step 1, of the generator step's codes and of
-the export depend only on the instance, so ``_instance_probs`` computes them
-once per distinct instance, byte-equal to the pass per pair. The export
-writes its CSV one row block at a time from a NumPy formatter, byte-equal to
+
+The sampling pass keeps no per-pair code or noise array. The classifier
+probabilities of step 1, of the generator step's codes and of the export
+depend only on the instance, so ``_instance_probs`` computes them once per
+distinct instance and each block gathers its own pairs' rows, byte-equal to
+the pass per pair. Step 1 draws every pair's noise, then its label uniform,
+then its code uniform, and keeps the noise, which the CRM steps replay. The
+export keeps none: it draws past the noise in block-sized chunks, draws the
+uniforms, and replays each block's noise from a copy of the generator.
+``_in_flight`` hands a block its noise on the calling thread in block order,
+so the draws are the same on one thread or two. The export writes its CSV
+one row block at a time from a NumPy formatter, byte-equal to
 ``csv.writer``.
 """
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -272,33 +279,41 @@ def one_block_thread() -> None:
     _BLOCK_THREADS = 1
 
 
-def _in_flight(run, blocks: list[slice]):
-    """Yield ``run(rows)`` of each block in block order.
+def _in_flight(run, blocks: list[slice], feed=lambda rows: ()):
+    """Yield ``run(rows, *feed(rows))`` of each block in block order.
 
-    On ``_BLOCK_THREADS`` = 2 two blocks are in flight at a time: the calling
-    thread runs the even blocks and one worker thread, from a pool made for
-    this pass (no thread outlives it), the odd ones. ``run`` must not switch
-    the grad mode (see ``diffcore``)."""
+    ``feed`` gives a block's own inputs, such as its noise drawn from a
+    generator: it runs on the calling thread, in block order, just before its
+    block is handed out, so its draws come in the same order on one thread or
+    two and only the blocks in flight hold theirs. On ``_BLOCK_THREADS`` = 2
+    two blocks are in flight at a time: the calling thread runs the even
+    blocks and one worker thread, from a pool made for this pass (no thread
+    outlives it), the odd ones. ``run`` must not switch the grad mode (see
+    ``diffcore``)."""
     if _BLOCK_THREADS < 2 or len(blocks) < 2:
-        yield from map(run, blocks)
+        for rows in blocks:
+            yield run(rows, *feed(rows))
         return
     # imported here: the pool module costs every command's start-up (eval's too)
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) as pool:
         for at in range(0, len(blocks), 2):
-            ahead = pool.submit(run, blocks[at + 1]) if at + 1 < len(blocks) else None
-            yield run(blocks[at])
+            mine = feed(blocks[at])
+            ahead = pool.submit(run, blocks[at + 1], *feed(blocks[at + 1])) \
+                if at + 1 < len(blocks) else None
+            yield run(blocks[at], *mine)
             if ahead is not None:
                 yield ahead.result()
 
 
 @dc.no_grad()
-def _forward_in_blocks(n: int, forward):
-    """``forward(rows)`` over ``_row_blocks(n)``: each block's array (or tuple
-    of arrays) is written to its rows of one ``n``-row array per output."""
+def _forward_in_blocks(n: int, forward, feed=lambda rows: ()):
+    """``forward(rows, *feed(rows))`` over ``_row_blocks(n)`` (see
+    ``_in_flight``): each block's array (or tuple of arrays) is written to its
+    rows of one ``n``-row array per output."""
     blocks = _row_blocks(n)
     outs = None
-    for rows, values in zip(blocks, _in_flight(forward, blocks)):
+    for rows, values in zip(blocks, _in_flight(forward, blocks, feed)):
         parts = values if isinstance(values, tuple) else (values,)
         if outs is None:
             outs = tuple(np.empty((n, *p.shape[1:]), dtype=p.dtype) for p in parts)
@@ -307,14 +322,16 @@ def _forward_in_blocks(n: int, forward):
     return outs if isinstance(values, tuple) else outs[0]
 
 
-def _instance_probs(clf: Classifier, ds: CrowdDataset, inst: np.ndarray) -> np.ndarray:
-    """Classifier probabilities of each pair's instance ``inst``: one forward
-    pass per distinct instance, gathered back to the pairs.
+def _instance_probs(clf: Classifier, ds: CrowdDataset, inst: np.ndarray) -> tuple:
+    """Classifier probabilities of the distinct instances of ``inst``, one
+    forward pass each, and each pair's row among them: ``probs[at]`` is
+    byte-equal to ``_forward_in_blocks`` over the pairs, and a pass over pair
+    blocks gathers only its own rows.
 
-    Byte-equal to ``_forward_in_blocks`` over the pairs. The distinct rows are
-    repeated up to the pair pass's first block height, so every block is as
-    tall as one of that pass and takes the same BLAS kernel (a shorter block
-    would fall under OpenBLAS's small-matrix one; see ``_BLOCK_ROWS``).
+    The distinct rows are repeated up to the pair pass's first block height,
+    so every block is as tall as one of that pass and takes the same BLAS
+    kernel (a shorter block would fall under OpenBLAS's small-matrix one; see
+    ``_BLOCK_ROWS``).
     """
     present = np.zeros(ds.num_instances, dtype=bool)
     present[inst] = True
@@ -322,29 +339,33 @@ def _instance_probs(clf: Classifier, ds: CrowdDataset, inst: np.ndarray) -> np.n
     padded = np.resize(distinct, max(len(distinct), _row_blocks(len(inst))[0].stop))
     probs = _forward_in_blocks(len(padded), lambda s: clf.probs(ds.features[padded[s]]).data)
     # position of each instance among the distinct ones, without a sort
-    return probs[np.cumsum(present)[inst] - 1]
+    return probs, (np.cumsum(present) - 1)[inst]
 
 
 def _sample_generated(gen: Generator, clf: Classifier, ds: CrowdDataset, inst: np.ndarray,
-                      annot: np.ndarray, rng: np.random.Generator) -> tuple:
-    """One generated label per (``inst``, ``annot``) pair with fresh noise;
-    returns (codes, noise, labels, their probabilities, the entropies of the
-    generator's distributions).
+                      annot: np.ndarray, noise, uniforms: np.ndarray,
+                      code_uniforms: np.ndarray | None = None):
+    """One generated label per (``inst``, ``annot``) pair at its categorical
+    uniform, with the noise ``noise(rows)`` gives each row block (a ``feed``
+    of ``_in_flight``); returns the labels, or with ``code_uniforms`` the
+    tuple (labels, their probabilities, the entropies of the generator's
+    distributions, the code class drawn at each code uniform).
 
-    The noise and then each pair's categorical uniform are drawn up front, so
-    every row block samples its own labels and no (pairs, classes)
-    distribution is kept."""
-    zhat = _instance_probs(clf, ds, inst)
-    eps = gen.draw_noise(rng, len(inst))
-    uniforms = rng.random(len(inst))
+    Each block gathers its own codes from ``_instance_probs`` and samples its
+    own labels, so no (pairs, classes) array is kept."""
+    probs, at = _instance_probs(clf, ds, inst)
 
-    def sample(s):
+    def sample(s, eps):
+        zhat = probs[at[s]]
         dist = gen.distribution(ds.features[inst[s]], ds.annotator_features[annot[s]],
-                                zhat[s], eps[s]).data
+                                zhat, eps).data
         labels = dc.categorical_at(dist, uniforms[s])
-        return labels, dist[np.arange(len(labels)), labels], dc.entropy(dist, axis=1)
+        if code_uniforms is None:
+            return labels
+        return (labels, dist[np.arange(len(labels)), labels], dc.entropy(dist, axis=1),
+                dc.categorical_at(zhat, code_uniforms[s]))
 
-    return (zhat, eps, *_forward_in_blocks(len(inst), sample))
+    return _forward_in_blocks(len(inst), sample, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +535,14 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     inst = np.concatenate(pairs_inst)
     annot = np.concatenate(pairs_annot)
 
-    zhat, eps, labels, g0, entropies = _sample_generated(gen, clf, ds, inst, annot, rng)
+    # the stream's order: every pair's noise, label uniform, then code uniform
+    eps = gen.draw_noise(rng, len(inst))
+    uniforms = rng.random(len(inst))
+    code_uniforms = rng.random(len(inst))
+    labels, g0, entropies, zhat_draws = _sample_generated(
+        gen, clf, ds, inst, annot, lambda rows: (eps[rows],), uniforms, code_uniforms)
     return LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
-                       zhat_draws=dc.sample_categorical(rng, zhat), entropies=entropies)
+                       zhat_draws=zhat_draws, entropies=entropies)
 
 
 def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
@@ -586,13 +612,14 @@ _NET_NAMES = {"gen": "generator", "clf": "classifier"}
 def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
                 pairs: LoggedBatch, deltas: np.ndarray, mu: float,
                 trains: tuple[str, ...], rng: np.random.Generator,
-                zhat_const: np.ndarray | None = None) -> None:
+                zhat_const: tuple | None = None) -> None:
     """Minimize mean((delta - mu) * G(y) / g0) over ``pairs``.
 
     Only the stores named in ``trains`` ("gen", "clf") step, generator first.
     With the classifier training, codes come from it in train mode (dropout
-    from ``rng``); otherwise ``zhat_const`` is the code. Frozen stores take
-    no gradient and must come out bit-identical.
+    from ``rng``); otherwise ``zhat_const`` = (codes, rows) gives them, pair
+    ``i``'s code being ``codes[rows[i]]`` (``_instance_probs``). Frozen stores
+    take no gradient and must come out bit-identical.
 
     Each inner step runs forward and backward over ``_row_blocks`` of the
     pairs, at most two pair blocks' graphs alive at a time (``_in_flight``):
@@ -612,6 +639,8 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     what = _NET_NAMES[trains[0]] if len(trains) == 1 else "joint"
     if "clf" in trains:
         uniq, inverse = np.unique(pairs.instances, return_inverse=True)
+    else:
+        const_codes, inverse = zhat_const
     blocks = _row_blocks(len(pairs))
     frozen_leaves = [(t, t.requires_grad) for k in frozen for t in stores[k].tensors()]
     for t, _ in frozen_leaves:
@@ -627,7 +656,7 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
             def block_step(rows):
                 # the graph is local, so it is freed when the block returns
                 zhat = dc.gather_rows(codes, inverse[rows]) if "clf" in trains \
-                    else zhat_const[rows]
+                    else const_codes[inverse[rows]]
                 dist = gen.distribution(ds.features[pairs.instances[rows]],
                                         ds.annotator_features[pairs.annotators[rows]],
                                         zhat, pairs.eps[rows])
@@ -932,23 +961,36 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
     Returns rows (instance, annotator, label, authentic) over the full
     train-instance x annotator grid in canonical order; optionally writes
     them as CSV with an ``authentic`` column.
+
+    The stream is every missing pair's noise, then each one's categorical
+    uniform. The noise is not kept: the stream is drawn past it in row-block
+    chunks (chunked normal draws equal one draw), and a copy of the generator
+    taken before replays it to the sampling pass one block at a time.
     """
     rng = np.random.default_rng(seed)
     train_idx = ds.split_indices(TRAIN)
     r_total = ds.num_annotators
-    inst = np.repeat(train_idx, r_total)
-    annot = np.tile(np.arange(r_total), len(train_idx))
-    # authentic label per (instance, annotator) key, -1 where the pair is missing
-    known = np.full(ds.num_instances * r_total, -1, dtype=np.int64)
+    grid = np.empty((len(train_idx), r_total, 4), dtype=np.int64)
+    grid[..., 0] = train_idx[:, None]
+    grid[..., 1] = np.arange(r_total)
+    grid[..., 2] = -1  # the label, -1 where the pair is missing
+    slot = np.zeros(ds.num_instances, dtype=np.int64)
+    slot[train_idx] = np.arange(len(train_idx))
     ann = _train_annotations(ds)
-    known[ann[:, 0] * r_total + ann[:, 1]] = ann[:, 2]
-    labels = known[inst * r_total + annot]
-    missing = labels < 0
-    if missing.any():
-        labels[missing] = _sample_generated(bundle.generator, bundle.classifier, ds,
-                                            inst[missing], annot[missing], rng)[2]
+    grid[slot[ann[:, 0]], ann[:, 1], 2] = ann[:, 2]
+    rows = grid.reshape(-1, 4)
+    rows[:, 3] = rows[:, 2] >= 0
+    missing = np.flatnonzero(rows[:, 3] == 0)
+    if len(missing):
+        gen = bundle.generator
+        replay = copy.deepcopy(rng)
+        for block in _row_blocks(len(missing)):
+            gen.draw_noise(rng, block.stop - block.start)
+        uniforms = rng.random(len(missing))
+        rows[missing, 2] = _sample_generated(
+            gen, bundle.classifier, ds, rows[missing, 0], rows[missing, 1],
+            lambda block: (gen.draw_noise(replay, block.stop - block.start),), uniforms)
 
-    rows = np.column_stack([inst, annot, labels, (~missing).astype(np.int64)])
     if out_path is not None:
         with open(out_path, "wb") as fh:
             fh.write(b"instance_id,annotator_id,label,authentic\n")

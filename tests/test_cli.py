@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -169,6 +170,25 @@ def test_blas_pin_holds_only_before_numpy(first, env, pinned):
     assert numpy_first == (first == "numpy")
     assert got_pinned == pinned
     assert block_threads == (2 if pinned and len(os.sched_getaffinity(0)) >= 2 else 1)
+
+
+def test_malloc_is_one_arena_with_fixed_thresholds(monkeypatch):
+    calls = []  # the mallopt calls made through a stand-in C library
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    cli._tune_malloc()
+    # M_ARENA_MAX, M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of glibc's malloc.h
+    assert calls == [(-8, 1), (-3, 32 * 2**20), (-1, 256 * 2**20)]
+
+
+def test_malloc_tuning_is_a_no_op_without_mallopt(monkeypatch):
+    def no_library(name):
+        raise OSError("no C library handle")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+    cli._tune_malloc()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # no mallopt
+    cli._tune_malloc()
 
 
 def test_zero_info_weight_is_labeled_distinctly(workspace, tmp_path):

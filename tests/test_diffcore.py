@@ -238,11 +238,15 @@ def _bilinear_reference(u, mats, v, classes, g):
     (57, 4, 6, 6, 2),       # the last class has no rows
     (500, 3, 32, 32, 3),
     (2000, 5, 7, 11, 4),
+    (4000, 4, 32, 32, 5),   # the discriminator's embedding width
 ])
-def test_rowwise_bilinear_is_bit_identical_to_gather_reference(rows, num_classes, m, n, seed):
+def test_rowwise_bilinear_equals_gather_reference(rows, num_classes, m, n, seed):
+    # BLAS sums the products in another order than the einsums and np.add.at,
+    # so each value and gradient array is compared to within 1e-12 of the
+    # array's largest magnitude (4000 x 32 x 32 differs by about 1e-13)
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(rows, m))
-    u[::7] = -0.0  # zero rows give -0.0 products, which np.add.at turns into 0.0
+    u[::7] = 0.0
     v = rng.normal(size=(rows, n))
     mats = rng.normal(size=(num_classes, m, n))
     classes = rng.integers(0, num_classes - 1, size=rows)
@@ -253,7 +257,8 @@ def test_rowwise_bilinear_is_bit_identical_to_gather_reference(rows, num_classes
     got = (out.data, *out._backward(g))
     for value, expected in zip(got, _bilinear_reference(u, mats, v, classes, g)):
         assert value.shape == expected.shape
-        assert value.tobytes() == expected.tobytes()
+        scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+        assert np.abs(value - expected).max(initial=0.0) <= 1e-12 * scale
     assert not np.any(got[2][num_classes - 1])
 
 
