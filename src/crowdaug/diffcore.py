@@ -3,13 +3,12 @@
 The compute graph is kept implicitly: every Tensor produced by an op holds
 references to its parent tensors plus a closure mapping the output gradient to
 parent gradients. ``backward`` walks the graph in reverse topological order
-and accumulates into the ``.grad`` slots of parameter leaves. Repeated
-``backward`` calls keep accumulating until the slots are zeroed. Given a
-``sink`` dict instead, ``backward`` leaves the slots alone and adds each
-leaf's gradient under that leaf in the dict; ``add_grads`` later adds a sink
-into the slots. Graphs built on several threads at once, which share only
-their leaves, back-propagate this way, and adding their sinks in a fixed
-order gives the same bits on any number of threads.
+and returns the gradient of every ``requires_grad`` leaf it reaches, as a
+``{leaf: gradient}`` dict; ``Adam.step`` takes that dict. Gradients are a
+return value, not state, so nothing has to be reset between steps, and graphs
+built on several threads at once, which share only their leaves, never write
+to one place: adding their dicts with ``add_grads`` in a fixed order gives the
+same bits on any number of threads.
 
 Ops take and return Tensors only; ``entropy``, ``sample_categorical`` and
 ``categorical_at`` are the array utilities. A Tensor's ``+`` and ``*`` build
@@ -83,11 +82,10 @@ def _as_f64(x) -> Array:
 class Tensor:
     """One node of the compute graph wrapping a dense float64 array."""
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "_backward")
+    __slots__ = ("data", "requires_grad", "parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward_fn=None):
         self.data = _as_f64(data)
-        self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         if not _grad_enabled or not any(map(_needs_grad, parents)):
             parents, backward_fn = (), None
@@ -440,14 +438,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, grad: Array | None = None, sink: dict | None = None) -> None:
-    """Reverse-mode sweep from a scalar loss into leaf ``.grad`` slots.
+def backward(loss: Tensor, grad: Array | None = None) -> dict:
+    """Reverse-mode sweep from a scalar loss; returns ``{leaf: gradient}`` for
+    every ``requires_grad`` leaf the sweep reaches.
 
     ``grad``, shaped like ``loss``, seeds the sweep with an upstream gradient
-    instead, so ``loss`` may be any tensor. Gradients accumulate across
-    calls; zero the slots between independent losses. With a ``sink`` dict
-    the slots are not touched: each leaf's gradient is added under the leaf
-    in ``sink`` (see ``add_grads``).
+    instead, so ``loss`` may be any tensor. The returned arrays may be shared
+    with ``grad`` or with each other: read them, never write to them.
     """
     if not _grad_enabled:
         raise RuntimeError("backward called inside a no_grad scope")
@@ -459,17 +456,14 @@ def backward(loss: Tensor, grad: Array | None = None, sink: dict | None = None) 
         raise ValueError(f"gradient shape {grad.shape} does not match {loss.shape}")
     order = _toposort(loss)
     grads: dict[int, Array] = {id(loss): grad}
+    leaf_grads: dict[Tensor, Array] = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._backward is None:
             if node.requires_grad:
-                if sink is None:
-                    _add_grad(node, g)
-                else:
-                    acc = sink.get(node)
-                    sink[node] = g if acc is None else acc + g
+                leaf_grads[node] = g
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node.parents, parent_grads):
@@ -477,19 +471,14 @@ def backward(loss: Tensor, grad: Array | None = None, sink: dict | None = None) 
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
+    return leaf_grads
 
 
-def _add_grad(leaf: Tensor, g: Array) -> None:
-    if leaf.grad is None:
-        leaf.grad = np.zeros_like(leaf.data)
-    leaf.grad += g
-
-
-def add_grads(sink: dict) -> None:
-    """Add the gradients a ``backward(..., sink=sink)`` collected into their
-    leaves' ``.grad`` slots, as that call would have without a sink."""
-    for leaf, g in sink.items():
-        _add_grad(leaf, g)
+def add_grads(total: dict, more: dict) -> None:
+    """Add the ``{leaf: gradient}`` dict ``more`` into ``total``, leaf by leaf."""
+    for leaf, g in more.items():
+        acc = total.get(leaf)
+        total[leaf] = g if acc is None else acc + g
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +486,7 @@ def add_grads(sink: dict) -> None:
 
 
 class ParamStore:
-    """Named leaf tensors with gradient slots; insertion order is preserved."""
+    """Named parameter leaves; insertion order is preserved."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -522,10 +511,6 @@ class ParamStore:
 
     def tensors(self) -> list[Tensor]:
         return list(self._params.values())
-
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = None
 
     def state_dict(self) -> dict[str, Array]:
         return {k: t.data.copy() for k, t in self._params.items()}
@@ -571,8 +556,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam over a ParamStore, reading the ``.grad`` slots filled by backward;
-    a parameter without a gradient takes a zero one."""
+    """Adam over a ParamStore. ``step`` takes a ``{leaf: gradient}`` dict, as
+    ``backward`` returns it, and reads its parameters' entries; a parameter
+    without an entry takes a zero gradient."""
 
     def __init__(self, store: ParamStore, lr: float):
         self.store = store
@@ -581,14 +567,14 @@ class Adam:
         self.m: dict[str, Array] = {}
         self.v: dict[str, Array] = {}
 
-    def step(self) -> None:
-        """One in-place update of every parameter of the store."""
+    def step(self, grads: dict) -> None:
+        """One in-place update of every parameter of the store by ``grads``."""
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1**self.step_count
         bc2 = 1.0 - ADAM_BETA2**self.step_count
         for name, t in self.store.items():
             p = t.data
-            g = np.zeros_like(p) if t.grad is None else t.grad
+            g = grads[t] if t in grads else np.zeros_like(p)
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape mismatch for {name!r}: {g.shape} vs {p.shape}")
             m = self.m.setdefault(name, np.zeros_like(p))
@@ -598,9 +584,6 @@ class Adam:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * (g * g)
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-
-    def zero_grad(self) -> None:
-        self.store.zero_grad()
 
     def state_dict(self) -> dict:
         return {"step_count": self.step_count,

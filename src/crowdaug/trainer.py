@@ -8,8 +8,8 @@ One epoch of the main procedure:
 2. select per-annotator count-balanced generated samples (weight 1/entropy)
    and update the discriminator and auxiliary net on selected + authentic;
 3. score every logged sample into a loss delta;
-4. split train instances by normalized classifier entropy against the
-   threshold t;
+4. split the logged pairs by their instance's normalized classifier entropy
+   against the threshold t;
 5. update the generator by the importance-weighted objective on low-entropy
    instances (classifier frozen);
 6. update the classifier the same way on high-entropy instances using only
@@ -20,12 +20,13 @@ The Lagrange multiplier's coefficient is chosen per epoch from ``MU_GRID`` by
 validation accuracy. A one-step mode (generator and classifier updated
 jointly on all pairs) exists only for the stability comparison. Steps 5 and
 6 and the one-step mode run one counterfactual-risk loop, ``_crm_update``,
-which differs only in the networks it moves and the pairs it sees; each
-inner step runs forward and backward over pair blocks and keeps one pair
-block's graph alive at a time, accumulating the gradient in the parameters'
-slots. Supervised training, generator pretraining and the D/Q warm-up run
-one minibatch loop, ``_epoch_losses``; step 1 and the augmentation export
-draw labels through one sampling pass, ``_sample_generated``.
+which differs only in the networks it moves and the logged pairs it indexes;
+each inner step runs forward and backward over pair blocks, keeps at most
+two pair blocks' graphs alive at a time, and sums the gradient dicts that
+``backward`` returns into one, on which the optimizers step. Supervised
+training, generator pretraining and the D/Q warm-up run one minibatch loop,
+``_epoch_losses``; step 1 and the augmentation export draw labels through
+one sampling pass, ``_sample_generated``.
 
 The discriminator and the auxiliary net read one encoding of each row batch
 (``_encoding``): the D/Q step of step 2 decodes the class table once and
@@ -38,26 +39,28 @@ balanced blocks of 2048-4095 rows, two of them in flight at a time. When at
 least two cores are usable and BLAS is pinned to one thread (see
 ``crowdaug/__init__.py``), the calling thread runs every other block and one
 worker thread the rest (``_in_flight``); grid worker processes run theirs on
-one thread. Each CRM block back-propagates into its own gradient sink, and
-the sinks are added into the ``.grad`` slots in block order; each
-forward-only block writes its own rows of the output. A run therefore gives
-the same bits on one thread or two. The forward-only passes (step 1, the
-step-3 scores, the generator step's codes and the augmentation export) are
-bit-identical to one call over every row; the CRM steps are too below 8192
-pairs, and above that only the order of the gradient's sum over pairs moves.
+one thread. Each CRM block's ``backward`` returns its own gradient dict, and
+the dicts are added in block order; each forward-only block writes its own
+rows of the output. A run therefore gives the same bits on one thread or
+two. The forward-only passes (step 1, the step-3 scores and the augmentation
+export) are bit-identical to one call over every row; the CRM steps are too
+below 8192 pairs, and above that only the order of the gradient's sum over
+pairs moves.
 
 The sampling pass keeps no per-pair code or noise array. The classifier
-probabilities of step 1, of the generator step's codes and of the export
-depend only on the instance, so ``_instance_probs`` computes them once per
-distinct instance and each block gathers its own pairs' rows, byte-equal to
-the pass per pair. Step 1 draws every pair's noise, then its label uniform,
-then its code uniform, and keeps the noise, which the CRM steps replay. The
-export keeps none: it draws past the noise in block-sized chunks, draws the
-uniforms, and replays each block's noise from a copy of the generator.
-``_in_flight`` hands a block its noise on the calling thread in block order,
-so the draws are the same on one thread or two. The export writes its CSV
-one row block at a time from a NumPy formatter, byte-equal to
-``csv.writer``.
+probabilities of step 1 and of the export depend only on the instance, so
+``_instance_probs`` computes them once per distinct instance and each block
+gathers its own pairs' rows, byte-equal to the pass per pair. The classifier
+does not move between steps 1 and 5, so step 1's table, kept on the logged
+batch, also gives step 4's entropy split, the generator step's codes and
+step 7's code entropy. Step 1 draws every pair's noise, then its label
+uniform, then its code uniform, and keeps the noise, which the CRM steps
+replay. The export keeps none: it draws past the noise in block-sized
+chunks, draws the uniforms, and replays each block's noise from a copy of
+the generator. ``_in_flight`` hands a block its noise on the calling thread
+in block order, so the draws are the same on one thread or two. The export
+writes its CSV one row block at a time from a NumPy formatter, byte-equal
+to ``csv.writer``.
 """
 from __future__ import annotations
 
@@ -155,7 +158,7 @@ class TrainConfig:
 
 @dataclass
 class LoggedBatch:
-    """Column view of this epoch's logged generated annotations."""
+    """Column view of this epoch's logged annotations and their classifier table."""
 
     instances: np.ndarray   # global instance ids, shape (P,)
     annotators: np.ndarray  # annotator ids, shape (P,)
@@ -164,14 +167,11 @@ class LoggedBatch:
     eps: np.ndarray         # noise at logging time, shape (P, k)
     zhat_draws: np.ndarray  # sampled code class per pair, shape (P,)
     entropies: np.ndarray   # generator-distribution entropy per pair, shape (P,)
+    codes: np.ndarray       # classifier probabilities per logged instance, shape (D, C)
+    code_rows: np.ndarray   # each pair's row of ``codes``, shape (P,)
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def subset(self, idx: np.ndarray) -> "LoggedBatch":
-        return LoggedBatch(self.instances[idx], self.annotators[idx],
-                           self.labels[idx], self.g0[idx], self.eps[idx],
-                           self.zhat_draws[idx], self.entropies[idx])
 
 
 @dataclass
@@ -210,9 +210,7 @@ def _descend(opt: Adam, loss: Tensor, what: str, epoch: int) -> float:
     """One descent step of ``opt``'s store on a finite scalar ``loss``."""
     value = loss.item()
     _check_finite(value, what, epoch)
-    opt.zero_grad()
-    backward(loss)
-    opt.step()
+    opt.step(backward(loss))
     return value
 
 
@@ -339,10 +337,10 @@ def _instance_probs(clf: Classifier, ds: CrowdDataset, inst: np.ndarray) -> tupl
     padded = np.resize(distinct, max(len(distinct), _row_blocks(len(inst))[0].stop))
     probs = _forward_in_blocks(len(padded), lambda s: clf.probs(ds.features[padded[s]]).data)
     # position of each instance among the distinct ones, without a sort
-    return probs, (np.cumsum(present) - 1)[inst]
+    return probs[:len(distinct)], (np.cumsum(present) - 1)[inst]
 
 
-def _sample_generated(gen: Generator, clf: Classifier, ds: CrowdDataset, inst: np.ndarray,
+def _sample_generated(gen: Generator, table: tuple, ds: CrowdDataset, inst: np.ndarray,
                       annot: np.ndarray, noise, uniforms: np.ndarray,
                       code_uniforms: np.ndarray | None = None):
     """One generated label per (``inst``, ``annot``) pair at its categorical
@@ -351,9 +349,10 @@ def _sample_generated(gen: Generator, clf: Classifier, ds: CrowdDataset, inst: n
     tuple (labels, their probabilities, the entropies of the generator's
     distributions, the code class drawn at each code uniform).
 
-    Each block gathers its own codes from ``_instance_probs`` and samples its
-    own labels, so no (pairs, classes) array is kept."""
-    probs, at = _instance_probs(clf, ds, inst)
+    ``table`` is ``_instance_probs`` of ``inst``: each block gathers its own
+    codes from it and samples its own labels, so no (pairs, classes) array is
+    kept."""
+    probs, at = table
 
     def sample(s, eps):
         zhat = probs[at[s]]
@@ -539,10 +538,12 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     eps = gen.draw_noise(rng, len(inst))
     uniforms = rng.random(len(inst))
     code_uniforms = rng.random(len(inst))
+    codes, code_rows = table = _instance_probs(clf, ds, inst)
     labels, g0, entropies, zhat_draws = _sample_generated(
-        gen, clf, ds, inst, annot, lambda rows: (eps[rows],), uniforms, code_uniforms)
+        gen, table, ds, inst, annot, lambda rows: (eps[rows],), uniforms, code_uniforms)
     return LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
-                       zhat_draws=zhat_draws, entropies=entropies)
+                       zhat_draws=zhat_draws, entropies=entropies, codes=codes,
+                       code_rows=code_rows)
 
 
 def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
@@ -610,73 +611,68 @@ _NET_NAMES = {"gen": "generator", "clf": "classifier"}
 
 
 def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
-                pairs: LoggedBatch, deltas: np.ndarray, mu: float,
-                trains: tuple[str, ...], rng: np.random.Generator,
-                zhat_const: tuple | None = None) -> None:
-    """Minimize mean((delta - mu) * G(y) / g0) over ``pairs``.
+                batch: LoggedBatch, idx: np.ndarray, deltas: np.ndarray, mu: float,
+                trains: tuple[str, ...], rng: np.random.Generator) -> None:
+    """Minimize mean((delta - mu) * G(y) / g0) over the logged pairs ``idx`` of
+    ``batch``; ``deltas`` holds one delta per logged pair.
 
     Only the stores named in ``trains`` ("gen", "clf") step, generator first.
     With the classifier training, codes come from it in train mode (dropout
-    from ``rng``); otherwise ``zhat_const`` = (codes, rows) gives them, pair
-    ``i``'s code being ``codes[rows[i]]`` (``_instance_probs``). Frozen stores
-    take no gradient and must come out bit-identical.
+    from ``rng``); otherwise from the batch's step-1 table, pair ``i``'s code
+    being ``batch.codes[batch.code_rows[i]]``. Frozen stores take no gradient
+    and must come out bit-identical.
 
-    Each inner step runs forward and backward over ``_row_blocks`` of the
-    pairs, at most two pair blocks' graphs alive at a time (``_in_flight``):
-    a block's objective is its sum scaled by 1/len(pairs), each block
-    back-propagates into its own gradient sink, and the sinks are added into
-    the ``.grad`` slots in block order, so the gradient has the same bits on
-    one thread or two. The classifier's codes are computed once per step over
-    the unique instances (one dropout draw); the blocks' gradients with
-    respect to them are gathered in one leaf and sent through the classifier
-    once. Below 8192 pairs this is one block, the same computation as a single
-    pass; above it only the order in which the weight and bias gradients are
-    summed over pairs differs.
+    Each inner step runs forward and backward over ``_row_blocks`` of ``idx``,
+    at most two pair blocks' graphs alive at a time (``_in_flight``): a block
+    gathers its own pairs' rows of the batch, its objective is its sum scaled
+    by 1/len(idx), and the gradient dicts its ``backward`` returns are added up
+    in block order, so the gradient has the same bits on one thread or two. The
+    classifier's codes are computed once per step over the unique instances
+    (one dropout draw); the blocks' gradients with respect to them are summed
+    under one leaf, sent through the classifier once and added in. Every
+    trained optimizer then steps on the one sum. Below 8192 pairs this is one
+    block, the same computation as a single pass; above it only the order in
+    which the weight and bias gradients are summed over pairs differs.
     """
     clf, gen = state.bundle.classifier, state.bundle.generator
     stores = {"gen": gen.store, "clf": clf.store}
     frozen = {k: s.fingerprint() for k, s in stores.items() if k not in trains}
     what = _NET_NAMES[trains[0]] if len(trains) == 1 else "joint"
     if "clf" in trains:
-        uniq, inverse = np.unique(pairs.instances, return_inverse=True)
-    else:
-        const_codes, inverse = zhat_const
-    blocks = _row_blocks(len(pairs))
+        uniq, inverse = np.unique(batch.instances[idx], return_inverse=True)
+    blocks = _row_blocks(len(idx))
     frozen_leaves = [(t, t.requires_grad) for k in frozen for t in stores[k].tensors()]
     for t, _ in frozen_leaves:
         t.requires_grad = False
     try:
         for _ in range(cfg.inner_steps):
-            for store in stores.values():
-                store.zero_grad()
             if "clf" in trains:
                 probs = clf.probs(ds.features[uniq], train_mode=True, rng=rng)
                 codes = Tensor(probs.data, requires_grad=True)
 
             def block_step(rows):
                 # the graph is local, so it is freed when the block returns
+                at = idx[rows]
                 zhat = dc.gather_rows(codes, inverse[rows]) if "clf" in trains \
-                    else const_codes[inverse[rows]]
-                dist = gen.distribution(ds.features[pairs.instances[rows]],
-                                        ds.annotator_features[pairs.annotators[rows]],
-                                        zhat, pairs.eps[rows])
-                obj = crm_objective(pairs.g0[rows], dc.pick(dist, pairs.labels[rows]),
-                                    deltas[rows], mu, len(pairs))
-                sink = {}
-                backward(obj, sink=sink)
-                return obj.item(), sink
+                    else batch.codes[batch.code_rows[at]]
+                dist = gen.distribution(ds.features[batch.instances[at]],
+                                        ds.annotator_features[batch.annotators[at]],
+                                        zhat, batch.eps[at])
+                obj = crm_objective(batch.g0[at], dc.pick(dist, batch.labels[at]),
+                                    deltas[at], mu, len(idx))
+                return obj.item(), backward(obj)
 
-            objective = 0.0
-            for value, sink in _in_flight(block_step, blocks):
+            objective, grads = 0.0, {}
+            for value, block_grads in _in_flight(block_step, blocks):
                 objective += value
-                dc.add_grads(sink)
+                dc.add_grads(grads, block_grads)
             _check_finite(objective, f"{what} objective", state.epoch)
             if "clf" in trains:
-                backward(probs, codes.grad)
+                dc.add_grads(grads, backward(probs, grads.pop(codes)))
                 del probs, codes
             for name in ("gen", "clf"):
                 if name in trains:
-                    state.optimizers[name].step()
+                    state.optimizers[name].step(grads)
     finally:
         for t, needed in frozen_leaves:
             t.requires_grad = needed
@@ -715,16 +711,15 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     counts = np.bincount(authentic[:, 1], minlength=ds.num_annotators)
     selected = select_for_discriminator(batch.annotators, batch.entropies,
                                         counts, rng, mode=cfg.selection_mode)
-    sel = batch.subset(selected)
     auth_rows = (ds.features[authentic[:, 0]],
                  ds.annotator_features[authentic[:, 1]], authentic[:, 2])
-    sel_rows = (ds.features[sel.instances],
-                ds.annotator_features[sel.annotators], sel.labels)
+    sel_rows = (ds.features[batch.instances[selected]],
+                ds.annotator_features[batch.annotators[selected]], batch.labels[selected])
     disc_loss_val, clamp_count = float("nan"), 0
     for _ in range(cfg.inner_steps):
         disc_loss_val, clamped = _disc_aux_step(
             state.optimizers["disc"], bundle.discriminator, bundle.aux,
-            bundle.adjacency, auth_rows, sel_rows, sel.zhat_draws, cfg,
+            bundle.adjacency, auth_rows, sel_rows, batch.zhat_draws[selected], cfg,
             "discriminator loss", state.epoch)
         clamp_count += clamped
 
@@ -745,21 +740,13 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     deltas_clf, _ = per_annotation_delta(d_scores, q_at_draw, 0.0)
     clamp_count += clamped_d
 
-    # (4) split train instances by normalized code entropy at logging time
-    train_idx = ds.split_indices(TRAIN)
-    with dc.no_grad():
-        zhat_train = bundle.classifier.probs(ds.features[train_idx]).data
-    norm_entropy = dc.entropy(zhat_train, axis=1) / np.log(ds.num_classes)
-    low_instances = train_idx[norm_entropy <= cfg.entropy_threshold]
-    pair_is_low = np.isin(batch.instances, low_instances)
+    # (4) split the logged pairs by their instance's normalized code entropy
+    # in step 1's classifier table (the classifier has not moved since)
+    code_entropies = dc.entropy(batch.codes, axis=1)
+    is_low = code_entropies / np.log(ds.num_classes) <= cfg.entropy_threshold
+    pair_is_low = is_low[batch.code_rows]
     low_idx = np.flatnonzero(pair_is_low)
     high_idx = np.flatnonzero(~pair_is_low)
-    low = batch.subset(low_idx)
-    high = batch.subset(high_idx)
-    num_logged = len(batch)
-    if cfg.two_step:
-        del batch  # its two halves are all the CRM steps read
-    zhat_low_const = _instance_probs(bundle.classifier, ds, low.instances)
 
     # (5)+(6) CRM updates under a shared multiplier-coefficient search; the
     # joint update applies one μ to all pairs, so both records carry it
@@ -778,13 +765,14 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
         mu_g, mu_c = coeff * mean_delta_low, coeff * mean_delta_high
         if cfg.two_step:
             if len(low_idx):
-                _crm_update(state, ds, cfg, low, deltas_gen[low_idx], mu_g,
-                            ("gen",), cand_rng, zhat_const=zhat_low_const)
+                _crm_update(state, ds, cfg, batch, low_idx, deltas_gen, mu_g,
+                            ("gen",), cand_rng)
             if len(high_idx):
-                _crm_update(state, ds, cfg, high, deltas_clf[high_idx], mu_c,
+                _crm_update(state, ds, cfg, batch, high_idx, deltas_clf, mu_c,
                             ("clf",), cand_rng)
         else:
-            _crm_update(state, ds, cfg, batch, deltas_gen, mu_g, ("gen", "clf"), cand_rng)
+            _crm_update(state, ds, cfg, batch, np.arange(len(batch)), deltas_gen, mu_g,
+                        ("gen", "clf"), cand_rng)
         val_acc = split_accuracy(bundle.classifier, ds, VAL)
         results.append((coeff, mu_g, mu_c, val_acc, _fork_gc(state)))
 
@@ -805,9 +793,8 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     with dc.no_grad():  # steps 5 and 6 leave D, so step 3's table is current
         d_auth_final = disc.score(*_encoding(disc, auth_rows, mats)).data
         d_gen_final = disc.score(*_encoding(disc, sel_rows, mats)).data
-    code_entropy = float(dc.entropy(zhat_train, axis=1).mean())
     breakdown = compute_breakdown(d_auth_final, d_gen_final, q_at_draw[selected],
-                                  code_entropy, cfg.info_weight)
+                                  float(code_entropies.mean()), cfg.info_weight)
     record = {
         "epoch": state.epoch,
         "train_acc": split_accuracy(bundle.classifier, ds, TRAIN),
@@ -819,7 +806,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
         "disc_loss": disc_loss_val,
         "disc_auc": evalsuite.auc(d_auth_final, d_gen_final),
         "clamp_count": clamp_count + breakdown.clamp_count,
-        "num_logged": num_logged,
+        "num_logged": len(batch),
         "num_selected": int(len(selected)),
         "num_low_pairs": int(len(low_idx)),
         "num_high_pairs": int(len(high_idx)),
@@ -899,13 +886,26 @@ def _dims_meta(dims: NetDims) -> dict:
             for f in fields(NetDims)}
 
 
+def _meta_value(arrays: dict, key: str, kind: str):
+    """``arrays[key]`` as a ``kind`` ("int", "float" or "bool"): a finite
+    scalar, integral for an int and 0 or 1 for a bool, else ``ValueError``."""
+    value = arrays[key]
+    if value.shape != ():
+        raise ValueError(f"{key} must be a scalar, got shape {value.shape}")
+    value = float(value)
+    if not math.isfinite(value) or kind == "int" and not value.is_integer() \
+            or kind == "bool" and value not in (0.0, 1.0):
+        raise ValueError(f"{key} = {value} is not a valid {kind}")
+    return _META_TYPES[kind](value)
+
+
 def _dims_from_meta(arrays: dict) -> NetDims:
     kwargs = {}
     for f in fields(NetDims):
         key = f"meta.{f.name}"
         # checkpoints saved before the generator switches were stored had both on
         if key in arrays or not f.name.startswith("gen_use_"):
-            kwargs[f.name] = _META_TYPES[f.type](arrays[key])
+            kwargs[f.name] = _meta_value(arrays, key, f.type)
     return NetDims(**kwargs)
 
 
@@ -933,7 +933,7 @@ def load_result_checkpoint(path: str | Path, classifier_only: bool = False,
     rng = np.random.default_rng(0)
     try:
         dims = _dims_from_meta(arrays)
-        if not classifier_only and arrays["meta.has_bundle"]:
+        if not classifier_only and _meta_value(arrays, "meta.has_bundle", "bool"):
             adjacency = CoocAdjacency(counts=arrays["adjacency.counts"],
                                       propagation=arrays["adjacency.propagation"])
             bundle = build_bundle(dims, adjacency, rng)
@@ -988,7 +988,8 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
             gen.draw_noise(rng, block.stop - block.start)
         uniforms = rng.random(len(missing))
         rows[missing, 2] = _sample_generated(
-            gen, bundle.classifier, ds, rows[missing, 0], rows[missing, 1],
+            gen, _instance_probs(bundle.classifier, ds, rows[missing, 0]), ds,
+            rows[missing, 0], rows[missing, 1],
             lambda block: (gen.draw_noise(replay, block.stop - block.start),), uniforms)
 
     if out_path is not None:

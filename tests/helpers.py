@@ -31,9 +31,10 @@ def encoding(disc, x, e, y, adj):
     return (*disc.encode(x, e), disc.decoded_matrices(adj), y)
 
 
-def store_grads(*stores):
-    """Every parameter's (name, value bytes, gradient bytes or None), in store order."""
-    return [(name, t.data.tobytes(), None if t.grad is None else t.grad.tobytes())
+def store_grads(grads, *stores):
+    """Every parameter's (name, value bytes, bytes of its entry in the
+    ``{leaf: gradient}`` dict ``grads`` or None), in store order."""
+    return [(name, t.data.tobytes(), None if t not in grads else grads[t].tobytes())
             for store in stores for name, t in store.items()]
 
 
@@ -65,12 +66,8 @@ def grad_check(fn: Callable[[], Tensor], params: ParamStore | Iterable[Tensor],
     else:
         named = [(f"param{i}", t) for i, t in enumerate(params)]
 
-    for _, t in named:
-        t.grad = None
-    loss = fn()
-    backward(loss)
-    analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
-                for name, t in named}
+    grads = backward(fn())
+    analytic = {name: grads.get(t, np.zeros_like(t.data)) for name, t in named}
 
     worst = 0.0
     for name, t in named:
@@ -88,8 +85,6 @@ def grad_check(fn: Callable[[], Tensor], params: ParamStore | Iterable[Tensor],
             numeric = (f_plus - f_minus) / (2.0 * eps)
             rel = abs(aflat[i] - numeric) / (abs(numeric) + 1e-8)
             worst = max(worst, rel)
-    for _, t in named:
-        t.grad = None
     return worst
 
 

@@ -493,6 +493,27 @@ def test_checkpoint_with_impossible_manifest_entry_is_data_error(
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["eval", "augment"])
+@pytest.mark.parametrize("name, value, message", [
+    ("meta.num_classes", np.inf, "= inf is not a valid int"),
+    ("meta.num_classes", np.array([3.0, 3.0]), "must be a scalar, got shape (2,)"),
+    ("meta.num_classes", 4.5, "= 4.5 is not a valid int"),
+    ("meta.lca_enabled", 0.5, "= 0.5 is not a valid bool")],
+    ids=["infinite", "vector", "fractional", "non-binary-bool"])
+def test_checkpoint_with_malformed_meta_value_is_data_error(
+        workspace, tmp_path, capsys, command, name, value, message):
+    arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
+    arrays[name] = np.asarray(value, dtype=np.float64)
+    broken = tmp_path / "broken.bin"
+    save_checkpoint(broken, arrays)
+    code = cli.main([command, "--data", str(workspace / "data"),
+                     "--checkpoint", str(broken), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err and name in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_checkpoint_with_non_utf8_manifest_is_data_error(workspace, tmp_path, capsys):
     broken = tmp_path / "latin1.bin"
     broken.write_bytes(b"crowdaug-checkpoint-v1\nmeta.caf\xe9|1|0\n\n" + bytes(8))

@@ -98,53 +98,60 @@ def test_backward_requires_scalar():
         backward(dc.mul(t, t))
 
 
-def test_backward_accumulates_until_zeroed():
+def test_tensor_has_no_gradient_slot():
+    # gradients are what backward returns, never state on a tensor
     w = Tensor(np.array([3.0]), requires_grad=True)
-    loss = dc.t_sum(dc.mul(w, w))
-    backward(loss)
-    np.testing.assert_allclose(w.grad, [6.0])
-    backward(dc.t_sum(dc.mul(w, w)))
-    np.testing.assert_allclose(w.grad, [12.0])
-    w.grad = None
-    backward(dc.t_sum(dc.mul(w, w)))
-    np.testing.assert_allclose(w.grad, [6.0])
+    grads = backward(dc.t_sum(dc.mul(w, w)))
+    assert not hasattr(w, "grad")
+    with pytest.raises(AttributeError):
+        w.grad = grads[w]
+
+
+def test_backward_returns_the_gradient_of_each_trainable_leaf_it_reaches():
+    w = Tensor(np.array([3.0]), requires_grad=True)
+    c = Tensor(np.array([2.0]))
+    unused = Tensor(np.array([1.0]), requires_grad=True)
+    grads = backward(dc.t_sum(dc.mul(w, c)))
+    assert list(grads) == [w]
+    np.testing.assert_array_equal(grads[w], [2.0])
+    assert unused not in grads
 
 
 def test_backward_diamond_graph():
     # y = x*x + x*x reuses x twice on two paths; dy/dx = 4x
     x = Tensor(np.array([5.0]), requires_grad=True)
     sq = dc.mul(x, x)
-    backward(dc.t_sum(dc.add(sq, sq)))
-    np.testing.assert_allclose(x.grad, [20.0])
+    grads = backward(dc.t_sum(dc.add(sq, sq)))
+    np.testing.assert_allclose(grads[x], [20.0])
 
 
 def test_broadcast_add_gradient():
     a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(RNG.normal(size=(1, 4)), requires_grad=True)
-    backward(dc.t_sum(dc.add(a, b)))
-    np.testing.assert_allclose(a.grad, np.ones((3, 4)))
-    np.testing.assert_allclose(b.grad, np.full((1, 4), 3.0))
+    grads = backward(dc.t_sum(dc.add(a, b)))
+    np.testing.assert_allclose(grads[a], np.ones((3, 4)))
+    np.testing.assert_allclose(grads[b], np.full((1, 4), 3.0))
 
 
 def test_gather_rows_accumulates_repeats():
     emb = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
     out = dc.gather_rows(emb, [1, 1, 4])
-    backward(dc.t_sum(out))
+    grads = backward(dc.t_sum(out))
     expected = np.zeros((5, 3))
     expected[1] = 2.0
     expected[4] = 1.0
-    np.testing.assert_allclose(emb.grad, expected)
+    np.testing.assert_allclose(grads[emb], expected)
 
 
 def test_pick_selects_per_row():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     out = dc.pick(a, [2, 0])
     np.testing.assert_allclose(out.data, [2.0, 3.0])
-    backward(dc.t_sum(out))
+    grads = backward(dc.t_sum(out))
     expected = np.zeros((2, 3))
     expected[0, 2] = 1.0
     expected[1, 0] = 1.0
-    np.testing.assert_allclose(a.grad, expected)
+    np.testing.assert_allclose(grads[a], expected)
 
 
 def test_grad_check_elementary_ops():
@@ -210,8 +217,8 @@ def test_dense_is_byte_identical_to_the_three_op_chain(rows, relu):
     for layer in (dc.dense, three_op_dense):
         leaves = [Tensor(v, requires_grad=True) for v in (x, w, b)]
         out = layer(*leaves, relu=relu)
-        backward(out, g)
-        results.append([out.data] + [t.grad for t in leaves])
+        grads = backward(out, g)
+        results.append([out.data] + [grads[t] for t in leaves])
     for fused, chain in zip(*results):
         assert fused.shape == chain.shape
         assert fused.tobytes() == chain.tobytes()  # bytes, so sign bits too
@@ -307,8 +314,8 @@ def test_sigmoid_softmax_tensor_grads():
 
 def test_clamp_gradient_masks_out_of_range():
     x = Tensor(np.array([-2.0, 0.5, 3.0]), requires_grad=True)
-    backward(dc.t_sum(dc.clamp(x, 0.0, 1.0)))
-    np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
+    grads = backward(dc.t_sum(dc.clamp(x, 0.0, 1.0)))
+    np.testing.assert_allclose(grads[x], [0.0, 1.0, 0.0])
 
 
 def test_dropout_scales_and_is_deterministic_per_seed():
@@ -438,20 +445,18 @@ def test_gradients_of_parents_that_need_one_are_unchanged(name):
     build = _op_cases()[name]
     out, leaves = _case_leaves(build)
     g = np.random.default_rng(5).normal(size=out.shape)
-    backward(out, g)
-    full = [leaf.grad.copy() for leaf in leaves]
+    full = backward(out, g)
     for mask in range(1, 2 ** len(leaves) - 1):
         frozen = [i for i in range(len(leaves)) if mask >> i & 1]
         for i, leaf in enumerate(leaves):
-            leaf.grad = None
             leaf.requires_grad = i not in frozen
         try:
-            backward(build(), g)
+            grads = backward(build(), g)
             for i, leaf in enumerate(leaves):
                 if i in frozen:
-                    assert leaf.grad is None
+                    assert leaf not in grads
                 else:
-                    assert leaf.grad.tobytes() == full[i].tobytes(), (name, frozen, i)
+                    assert grads[leaf].tobytes() == full[leaf].tobytes(), (name, frozen, i)
         finally:
             for leaf in leaves:
                 leaf.requires_grad = True
@@ -471,14 +476,14 @@ def test_matmul_and_add_skip_parents_that_need_no_gradient():
 def test_backward_seeded_with_an_upstream_gradient():
     w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     out = dc.mul(w, w)
-    backward(out, np.array([3.0, 0.5]))
-    np.testing.assert_array_equal(w.grad, [6.0, 2.0])
+    np.testing.assert_array_equal(backward(out, np.array([3.0, 0.5]))[w], [6.0, 2.0])
     with pytest.raises(ValueError, match="shape"):
         backward(out, np.ones(3))
 
 
-def test_backward_into_a_sink_leaves_the_slots_alone():
-    # two graphs over shared leaves: sinks added in order give the slots' bits
+def test_added_gradient_dicts_equal_backward_of_the_summed_loss():
+    # two graphs over shared leaves: their dicts added in order give the bits
+    # of one backward through the sum of the two losses
     rng = np.random.default_rng(3)
     w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
@@ -487,19 +492,13 @@ def test_backward_into_a_sink_leaves_the_slots_alone():
     def loss(x):
         return dc.t_sum(dc.softmax(dc.dense(Tensor(x), w, b, relu=True), axis=1) * x[:, :3])
 
+    summed = backward(dc.add(loss(xs[0]), loss(xs[1])))
+    total = {}
     for x in xs:
-        backward(loss(x))
-    direct = {"w": w.grad, "b": b.grad}
-    w.grad = b.grad = None
-    sinks = [{} for _ in xs]
-    for x, sink in zip(xs, sinks):
-        backward(loss(x), sink=sink)
-    assert w.grad is None and b.grad is None
-    assert set(sinks[0]) == {w, b}
-    for sink in sinks:
-        dc.add_grads(sink)
-    assert w.grad.tobytes() == direct["w"].tobytes()
-    assert b.grad.tobytes() == direct["b"].tobytes()
+        dc.add_grads(total, backward(loss(x)))
+    assert set(total) == set(summed) == {w, b}
+    for leaf in (w, b):
+        assert total[leaf].tobytes() == summed[leaf].tobytes()
 
 
 def test_backward_inside_no_grad_raises():
@@ -508,9 +507,7 @@ def test_backward_inside_no_grad_raises():
     with dc.no_grad():
         with pytest.raises(RuntimeError, match="no_grad"):
             backward(loss)
-    assert w.grad is None
-    backward(loss)
-    np.testing.assert_allclose(w.grad, [6.0])
+    np.testing.assert_allclose(backward(loss)[w], [6.0])
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +518,7 @@ def test_adam_first_step_closed_form():
     # with m,v bias-corrected, step 1 moves by lr * g / (|g| + eps)
     store = ParamStore()
     p = store.add("p", np.array([1.0]))
-    p.grad = np.array([0.25])
-    Adam(store, lr=0.1).step()
+    Adam(store, lr=0.1).step({p: np.array([0.25])})
     np.testing.assert_allclose(p.data, [0.9000000039999998], atol=0, rtol=0)
 
 
@@ -530,7 +526,7 @@ def test_adam_without_gradient_takes_a_zero_one():
     store = ParamStore()
     p = store.add("p", np.array([1.0, -2.0]))
     opt = Adam(store, lr=0.1)
-    opt.step()
+    opt.step({})
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
     assert opt.state_dict()["step_count"] == 1
 
@@ -541,10 +537,8 @@ def test_adam_converges_on_quadratic():
     opt = Adam(store, lr=0.1)
     target = np.array([1.5, 2.5])
     for _ in range(600):
-        opt.zero_grad()
         diff = dc.add(w, Tensor(-target))
-        backward(dc.t_sum(dc.mul(diff, diff)))
-        opt.step()
+        opt.step(backward(dc.t_sum(dc.mul(diff, diff))))
     np.testing.assert_allclose(w.data, target, atol=1e-4)
 
 
@@ -553,9 +547,7 @@ def test_adam_state_roundtrip_bit_exact():
     w = store.add("w", np.array([2.0]))
     opt = Adam(store, lr=0.05)
     for _ in range(3):
-        opt.zero_grad()
-        backward(dc.t_sum(dc.mul(w, w)))
-        opt.step()
+        opt.step(backward(dc.t_sum(dc.mul(w, w))))
     snap_params = store.state_dict()
     snap_opt = opt.state_dict()
 
@@ -565,18 +557,16 @@ def test_adam_state_roundtrip_bit_exact():
         store.load_state_dict(snap_params)
         opt.load_state_dict(snap_opt)
         for _ in range(2):
-            opt.zero_grad()
-            backward(dc.t_sum(dc.mul(w, w)))
-            opt.step()
+            opt.step(backward(dc.t_sum(dc.mul(w, w))))
         results.append(w.data.copy())
     assert results[0].tobytes() == results[1].tobytes()
 
 
 def test_adam_rejects_shape_mismatch():
     store = ParamStore()
-    store.add("p", np.zeros(3)).grad = np.zeros(4)
+    p = store.add("p", np.zeros(3))
     with pytest.raises(ValueError, match="gradient shape mismatch"):
-        Adam(store, lr=0.1).step()
+        Adam(store, lr=0.1).step({p: np.zeros(4)})
 
 
 # ---------------------------------------------------------------------------

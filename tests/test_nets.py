@@ -212,10 +212,9 @@ def test_aux_shares_discriminator_encoders():
     # and D's encoders take Q's gradient through the joint D/Q optimizer
     opt = dc.Adam(ParamStore.union(disc.store, b.aux.store), lr=0.1)
     encoders = {n: disc.store[n].data.copy() for n in ("Wu", "bu", "Wv", "bv")}
-    opt.zero_grad()
-    dc.backward(dc.neg(dc.t_mean(dc.pick(log_posterior(), [0, 2, 1, 0]))))
-    assert all(np.any(disc.store[n].grad != 0) for n in encoders)
-    opt.step()
+    grads = dc.backward(dc.neg(dc.t_mean(dc.pick(log_posterior(), [0, 2, 1, 0]))))
+    assert all(np.any(grads[disc.store[n]] != 0) for n in encoders)
+    opt.step(grads)
     assert all(np.any(disc.store[n].data != old) for n, old in encoders.items())
 
 
@@ -369,12 +368,10 @@ def test_fused_layers_are_byte_identical_to_three_op_layers(name, monkeypatch):
     stores = list(b.stores().values())
 
     def run():
-        for store in stores:
-            store.zero_grad()
         out = forward()
         nodes = len(dc._toposort(out))
-        dc.backward(out, np.random.default_rng(41).normal(size=out.shape))
-        return out.data.tobytes(), store_grads(*stores), nodes
+        grads = dc.backward(out, np.random.default_rng(41).normal(size=out.shape))
+        return out.data.tobytes(), store_grads(grads, *stores), nodes
 
     fused_out, fused_grads, fused_nodes = run()
     monkeypatch.setattr(dc, "dense", three_op_dense)

@@ -49,9 +49,9 @@ def test_disc_loss_gradient_signs():
     auth = Tensor(np.array([0.7]), requires_grad=True)
     gen = Tensor(np.array([0.4]), requires_grad=True)
     loss, _ = discriminator_loss(auth, gen, l2_coeff=0.0)
-    backward(loss)
-    assert auth.grad[0] < 0  # pushing authentic scores up reduces the loss
-    assert gen.grad[0] > 0   # pushing generated scores down reduces the loss
+    grads = backward(loss)
+    assert grads[auth][0] < 0  # pushing authentic scores up reduces the loss
+    assert grads[gen][0] > 0   # pushing generated scores down reduces the loss
 
 
 def test_disc_loss_requires_both_sides():
@@ -203,9 +203,9 @@ def test_crm_gradient_matches_closed_form():
     deltas = np.array([1.0, -1.0, 0.5])
     mu = 0.25
     target = Tensor(np.array([0.4, 0.3, 0.3]), requires_grad=True)
-    backward(crm_objective(g0, target, deltas, mu))
+    grads = backward(crm_objective(g0, target, deltas, mu))
     expected = (deltas - mu) / g0 / 3.0
-    np.testing.assert_allclose(target.grad, expected, atol=1e-15)
+    np.testing.assert_allclose(grads[target], expected, atol=1e-15)
 
 
 def test_breakdown_combined_identity():

@@ -255,8 +255,11 @@ def test_logged_grid_equals_the_whole_grid_sample(monkeypatch):
         dist = gen.distribution(ds.features[inst], ds.annotator_features[annot],
                                 zhat, eps).data
     labels = dc.sample_categorical(rng, dist)
+    # the classifier table, gathered per pair, is the whole grid's codes
     expected = LoggedBatch(inst, annot, labels, dist[np.arange(len(inst)), labels], eps,
-                           dc.sample_categorical(rng, zhat), dc.entropy(dist, axis=1))
+                           dc.sample_categorical(rng, zhat), dc.entropy(dist, axis=1),
+                           batch.codes, batch.code_rows)
+    assert batch.codes[batch.code_rows].tobytes() == zhat.tobytes()
     for f in dataclasses.fields(LoggedBatch):
         got, want = getattr(batch, f.name), getattr(expected, f.name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
@@ -414,6 +417,14 @@ def test_crm_step_frees_its_graph_before_the_next_forward(monkeypatch):
     assert all(freed_at_forward)
 
 
+class _RecordingAdam(dc.Adam):
+    """Adam that keeps the last gradient dict it stepped on."""
+
+    def step(self, grads):
+        self.grads = grads
+        super().step(grads)
+
+
 def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32):
     """One ``_disc_aux_step`` of fresh randomized D/Q nets over 50 authentic
     and ``gen_rows`` generated rows, as a closure returning the loss, the
@@ -433,10 +444,10 @@ def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32):
         for store in bundle.stores().values():
             randomize(store, np.random.default_rng(3), scale=0.5)
         disc, aux = bundle.discriminator, bundle.aux
-        opt = dc.Adam(dc.ParamStore.union(disc.store, aux.store), lr=1e-3)
+        opt = _RecordingAdam(dc.ParamStore.union(disc.store, aux.store), lr=1e-3)
         loss, clamped = tr._disc_aux_step(opt, disc, aux, adj, auth, gen, codes,
                                           tiny_config(), "test", 0)
-        return loss, clamped, store_grads(disc.store, aux.store)
+        return loss, clamped, store_grads(opt.grads, disc.store, aux.store)
 
     return step
 
@@ -467,7 +478,7 @@ def test_disc_aux_step_grad_check_covers_the_shared_encoders(monkeypatch):
     codes = rng.integers(0, 3, size=4)
     losses = []
     monkeypatch.setattr(tr, "backward", losses.append)  # keep the loss, step nothing
-    no_step = SimpleNamespace(zero_grad=lambda: None, step=lambda: None)
+    no_step = SimpleNamespace(step=lambda grads: None)
 
     def loss():
         tr._disc_aux_step(no_step, bundle.discriminator, bundle.aux, adj, auth, gen,
@@ -513,6 +524,35 @@ def test_disc_aux_step_decodes_once_and_encodes_each_row_batch_once(monkeypatch)
     _disc_aux_step_on(70)()
     assert sorted(calls) == [("decode", 0), ("encode", 50), ("encode", 70),
                              ("logits", 70), ("score", 50), ("score", 70)]
+
+
+def test_entropy_split_runs_no_classifier_pass_of_its_own(monkeypatch):
+    # in one epoch the classifier runs for step 1's table (one block), for the
+    # classifier CRM step (train mode) and for the accuracies: each candidate's
+    # validation accuracy, then train and test; step 4's split and the
+    # generator step's codes read step 1's table
+    calls, in_epoch = [], []
+    probs, run_epoch = Classifier.probs, tr.run_epoch
+
+    def counting(self, x, train_mode=False, rng=None):
+        if in_epoch:
+            calls.append(train_mode)
+        return probs(self, x, train_mode, rng)
+
+    def epoch(*args):
+        in_epoch.append(True)
+        try:
+            return run_epoch(*args)
+        finally:
+            in_epoch.clear()
+
+    monkeypatch.setattr(Classifier, "probs", counting)
+    monkeypatch.setattr(tr, "run_epoch", epoch)
+    cfg = tiny_config(epochs=1, pretrain_epochs=20, entropy_threshold=0.8)
+    record = train_crowding(tiny_dataset(), cfg).history[0]
+    assert record["num_low_pairs"] and record["num_high_pairs"]  # both CRM steps run
+    assert calls.count(True) == len(tr.MU_GRID) * cfg.inner_steps
+    assert calls.count(False) == 1 + len(tr.MU_GRID) + 2
 
 
 def test_epoch_scores_the_logged_grid_in_one_pass(monkeypatch):
@@ -581,41 +621,39 @@ def _crm_setup(pairs_count, seed):
     ds = SimpleNamespace(features=rng.normal(size=(700, 2)),
                          annotator_features=rng.normal(size=(30, 40)))
     g0 = rng.uniform(0.05, 1.0, size=pairs_count)
-    pairs = LoggedBatch(instances=rng.integers(0, 700, size=pairs_count),
-                        annotators=rng.integers(0, 30, size=pairs_count),
-                        labels=rng.integers(0, 4, size=pairs_count), g0=g0,
-                        eps=rng.normal(size=(pairs_count, 8)),
-                        zhat_draws=rng.integers(0, 4, size=pairs_count),
-                        entropies=np.ones(pairs_count))
+    inst = rng.integers(0, 700, size=pairs_count)
+    annot, labels = rng.integers(0, 30, size=pairs_count), rng.integers(0, 4, size=pairs_count)
+    eps, zhat_draws = rng.normal(size=(pairs_count, 8)), rng.integers(0, 4, size=pairs_count)
     deltas = rng.normal(size=pairs_count)
     with dc.no_grad():
-        codes = bundle.classifier.probs(ds.features[pairs.instances]).data
-    zhat_const = (codes, np.arange(pairs_count))
+        codes = bundle.classifier.probs(ds.features[inst]).data
+    pairs = LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
+                        zhat_draws=zhat_draws, entropies=np.ones(pairs_count),
+                        codes=codes, code_rows=np.arange(pairs_count))
     state = tr.TrainState(bundle=bundle, optimizers={
         "clf": dc.Adam(bundle.classifier.store, lr=1e-3),
         "gen": dc.Adam(bundle.generator.store, lr=1e-3)})
-    return state, ds, pairs, deltas, zhat_const
+    return state, ds, pairs, deltas
 
 
-def _one_pass_crm_update(state, ds, cfg, pairs, deltas, mu, trains, rng, zhat_const):
-    """``_crm_update`` as one graph over every pair, the reference for the blocks."""
+def _one_pass_crm_update(state, ds, cfg, pairs, idx, deltas, mu, trains, rng):
+    """``_crm_update`` as one graph over every pair of ``idx``, the reference
+    for the blocks."""
     clf, gen = state.bundle.classifier, state.bundle.generator
-    gx, ge = ds.features[pairs.instances], ds.annotator_features[pairs.annotators]
+    gx, ge = ds.features[pairs.instances[idx]], ds.annotator_features[pairs.annotators[idx]]
     if "clf" in trains:
-        uniq, inverse = np.unique(pairs.instances, return_inverse=True)
+        uniq, inverse = np.unique(pairs.instances[idx], return_inverse=True)
     for _ in range(cfg.inner_steps):
-        zhat = zhat_const[0][zhat_const[1]]
+        zhat = pairs.codes[pairs.code_rows[idx]]
         if "clf" in trains:
             zhat = dc.gather_rows(clf.probs(ds.features[uniq], train_mode=True, rng=rng),
                                   inverse)
-        dist = gen.distribution(gx, ge, zhat, pairs.eps)
-        obj = tr.crm_objective(pairs.g0, dc.pick(dist, pairs.labels), deltas, mu)
-        gen.store.zero_grad()
-        clf.store.zero_grad()
-        dc.backward(obj)
+        dist = gen.distribution(gx, ge, zhat, pairs.eps[idx])
+        obj = tr.crm_objective(pairs.g0[idx], dc.pick(dist, pairs.labels[idx]), deltas[idx], mu)
+        grads = dc.backward(obj)
         for name in ("gen", "clf"):
             if name in trains:
-                state.optimizers[name].step()
+                state.optimizers[name].step(grads)
 
 
 class _RecordingOptimizer:
@@ -624,18 +662,18 @@ class _RecordingOptimizer:
     def __init__(self, store):
         self.store, self.grads = store, []
 
-    def step(self):
-        self.grads.append({k: t.grad.copy() for k, t in self.store.items()})
+    def step(self, grads):
+        self.grads.append({k: grads[t].copy() for k, t in self.store.items()})
 
 
 def _run_crm(update, pairs_count, mode, seed=0, inner_steps=2, record=False):
-    state, ds, pairs, deltas, zhat_const = _crm_setup(pairs_count, seed)
+    state, ds, pairs, deltas = _crm_setup(pairs_count, seed)
     if record:
         state.optimizers = {"gen": _RecordingOptimizer(state.bundle.generator.store),
                             "clf": _RecordingOptimizer(state.bundle.classifier.store)}
     trains = _CRM_MODES[mode]
-    update(state, ds, tiny_config(inner_steps=inner_steps), pairs, deltas, 0.1, trains,
-           np.random.default_rng(seed + 1), zhat_const=zhat_const)
+    update(state, ds, tiny_config(inner_steps=inner_steps), pairs, np.arange(pairs_count),
+           deltas, 0.1, trains, np.random.default_rng(seed + 1))
     return state
 
 
@@ -699,13 +737,32 @@ def test_crm_update_gradients_are_equal_on_one_and_two_threads(mode, monkeypatch
 
 
 @pytest.mark.parametrize("mode", sorted(_CRM_MODES))
+def test_crm_update_over_an_index_equals_the_copied_pairs(mode):
+    # the epoch hands the CRM steps the logged batch and the index of the
+    # pairs to train on; every block gathers its rows through that index
+    runs = []
+    for copied in (False, True):
+        state, ds, pairs, deltas = _crm_setup(9000, 0)
+        idx = np.sort(np.random.default_rng(2).choice(9000, size=8500, replace=False))
+        if copied:
+            columns = {f.name: getattr(pairs, f.name)[idx] for f in dataclasses.fields(pairs)
+                       if f.name != "codes"}
+            pairs, deltas = LoggedBatch(codes=pairs.codes, **columns), deltas[idx]
+            idx = np.arange(len(idx))
+        tr._crm_update(state, ds, tiny_config(), pairs, idx, deltas, 0.1, _CRM_MODES[mode],
+                       np.random.default_rng(1))
+        runs.append({k: s.fingerprint() for k, s in state.bundle.stores().items()})
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("mode", sorted(_CRM_MODES))
 def test_crm_update_diverges_before_any_step(mode):
-    state, ds, pairs, deltas, zhat_const = _crm_setup(9000, 0)
+    state, ds, pairs, deltas = _crm_setup(9000, 0)
     deltas[8999] = np.nan  # in the last of four blocks
     before = {k: s.fingerprint() for k, s in state.bundle.stores().items()}
     with pytest.raises(DivergenceError, match=f"non-finite {mode} objective at epoch 0"):
-        tr._crm_update(state, ds, tiny_config(), pairs, deltas, 0.1, _CRM_MODES[mode],
-                       np.random.default_rng(1), zhat_const=zhat_const)
+        tr._crm_update(state, ds, tiny_config(), pairs, np.arange(9000), deltas, 0.1,
+                       _CRM_MODES[mode], np.random.default_rng(1))
     assert {k: s.fingerprint() for k, s in state.bundle.stores().items()} == before
     for store in (state.bundle.generator.store, state.bundle.classifier.store):
         assert all(t.requires_grad for t in store.tensors())
@@ -714,11 +771,12 @@ def test_crm_update_diverges_before_any_step(mode):
 @pytest.mark.parametrize("mode", sorted(_CRM_MODES))
 def test_crm_update_peak_memory_does_not_grow_with_pairs(mode):
     def peak(pairs_count):
-        state, ds, pairs, deltas, zhat_const = _crm_setup(pairs_count, 0)
+        state, ds, pairs, deltas = _crm_setup(pairs_count, 0)
+        idx = np.arange(pairs_count)
         tracemalloc.start()
         try:
-            tr._crm_update(state, ds, tiny_config(inner_steps=1), pairs, deltas, 0.1,
-                           _CRM_MODES[mode], np.random.default_rng(1), zhat_const=zhat_const)
+            tr._crm_update(state, ds, tiny_config(inner_steps=1), pairs, idx, deltas, 0.1,
+                           _CRM_MODES[mode], np.random.default_rng(1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -818,9 +876,9 @@ def test_one_step_mode_records_the_mu_it_applied(monkeypatch):
     applied = []
     crm_update = tr._crm_update
 
-    def recording(state, ds, cfg, pairs, deltas, mu, trains, rng, **kw):
+    def recording(state, ds, cfg, batch, idx, deltas, mu, trains, rng):
         applied.append((trains, mu))
-        return crm_update(state, ds, cfg, pairs, deltas, mu, trains, rng, **kw)
+        return crm_update(state, ds, cfg, batch, idx, deltas, mu, trains, rng)
 
     monkeypatch.setattr(tr, "_crm_update", recording)
     res = train_crowding(tiny_dataset(), tiny_config(epochs=2, two_step=False))
