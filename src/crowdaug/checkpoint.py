@@ -45,7 +45,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         manifest = raw[:sep].decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise CheckpointError(f"{path}: manifest is not UTF-8 text") from None
-    payload = raw[sep + 2:]
+    payload = memoryview(raw)[sep + 2:]  # a view: the payload is not copied
     if not manifest or manifest[0] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     arrays: dict[str, np.ndarray] = {}

@@ -27,6 +27,7 @@ from .trainer import (
     TrainConfig,
     TrainResult,
     check_method,
+    check_trainable,
     export_augmented,
     load_result_checkpoint,
     one_block_thread,
@@ -269,6 +270,7 @@ def cmd_train(args) -> int:
     values = _load_config_values(args.config)
     cfg = _train_config(values, args.seed)
     ds = load_dataset(args.data)
+    check_trainable(ds)
     out_dir = Path(args.out)
     write_manifest(out_dir, "train", {**config_as_dict(cfg), "method": args.method},
                    cfg.seed,
@@ -339,6 +341,7 @@ def cmd_sweep(args) -> int:
         check_method(method)
     cfg = _train_config(rest, args.seed)
     ds = load_dataset(args.data)
+    check_trainable(ds)
     for fraction in fractions:  # fail before any cell trains, not hours in
         check_removal(ds, fraction)
     _thread_cap()  # a bad CROWDING_THREADS fails here, before the manifest
@@ -371,6 +374,7 @@ def cmd_ablate(args) -> int:
         apply_ablation(cfg, variant)
     _thread_cap()  # a bad CROWDING_THREADS fails here, before the manifest
     ds = load_dataset(args.data)
+    check_trainable(ds)
 
     out_dir = Path(args.out)
     write_manifest(out_dir, "ablate",

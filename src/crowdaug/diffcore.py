@@ -345,9 +345,10 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def _shifted_logits(x: Tensor, axis: int) -> Array:
-    """``x`` minus its max along ``axis``; non-finite logits raise."""
+    """``x`` minus its max along ``axis``; non-finite logits raise
+    ``FloatingPointError``, which training reports as divergence."""
     if not np.all(np.isfinite(x.data)):
-        raise ValueError("softmax input contains non-finite values")
+        raise FloatingPointError("softmax input contains non-finite values")
     return x.data - x.data.max(axis=axis, keepdims=True)
 
 
@@ -540,12 +541,11 @@ class ParamStore:
         return merged
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fan_in=None, fan_out=None) -> Array:
-    if fan_in is None:
-        fan_in = shape[-2] if len(shape) >= 2 else shape[-1]
-    if fan_out is None:
-        fan_out = shape[-1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng: np.random.Generator, shape) -> Array:
+    """Uniform draws in +-sqrt(6 / (fan_in + fan_out)), the fans being the
+    last two axes (a vector's one axis twice)."""
+    fan_in = shape[-2] if len(shape) >= 2 else shape[-1]
+    limit = np.sqrt(6.0 / (fan_in + shape[-1]))
     return rng.uniform(-limit, limit, size=shape)
 
 
@@ -568,22 +568,27 @@ class Adam:
         self.v: dict[str, Array] = {}
 
     def step(self, grads: dict) -> None:
-        """One in-place update of every parameter of the store by ``grads``."""
+        """One in-place update of every parameter of the store by ``grads``.
+
+        A step that overflows warns nothing: its non-finite parameters make
+        the next forward pass's logits non-finite, and softmax raises."""
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1**self.step_count
         bc2 = 1.0 - ADAM_BETA2**self.step_count
-        for name, t in self.store.items():
-            p = t.data
-            g = grads[t] if t in grads else np.zeros_like(p)
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape mismatch for {name!r}: {g.shape} vs {p.shape}")
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, t in self.store.items():
+                p = t.data
+                g = grads[t] if t in grads else np.zeros_like(p)
+                if g.shape != p.shape:
+                    raise ValueError(f"gradient shape mismatch for {name!r}: "
+                                     f"{g.shape} vs {p.shape}")
+                m = self.m.setdefault(name, np.zeros_like(p))
+                v = self.v.setdefault(name, np.zeros_like(p))
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * (g * g)
+                p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def state_dict(self) -> dict:
         return {"step_count": self.step_count,

@@ -26,6 +26,10 @@ Q train together through ``ParamStore.union`` of their two stores.
 Every layer ``x @ W + b`` (with or without ReLU) is one ``diffcore.dense``
 node; only the discriminator's class-matrix mixing calls ``matmul``.
 
+Each net lists its parameters as ``(name, shape, init)`` in ``spec(dims)``,
+from which it is built, so ``param_shapes`` gives every checkpoint array's
+shape without building a net.
+
 All forwards accept plain numpy batches and return graph Tensors, except
 inside a ``diffcore.no_grad`` scope, where the same values come back without
 a graph (nothing to back-propagate). Every output-layer weight starts at zero
@@ -83,6 +87,17 @@ def _check_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     return x
 
 
+def _params(spec: list, rng: np.random.Generator) -> ParamStore:
+    """A store of the ``(name, shape, init)`` parameters a net's ``spec``
+    lists, in order: "glorot" draws from ``rng``, "zeros" and "eye" draw
+    nothing."""
+    store = ParamStore()
+    for name, shape, init in spec:
+        store.add(name, dc.glorot_uniform(rng, shape) if init == "glorot"
+                  else np.eye(*shape) if init == "eye" else np.zeros(shape))
+    return store
+
+
 def _class_index(y, num_classes: int) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= num_classes):
@@ -93,14 +108,16 @@ def _class_index(y, num_classes: int) -> np.ndarray:
 class Classifier:
     """One hidden ReLU layer (with dropout in train mode) into class logits."""
 
+    @staticmethod
+    def spec(d: NetDims) -> list:
+        return [("W1", (d.feature_dim, d.clf_hidden), "glorot"),
+                ("b1", (d.clf_hidden,), "zeros"),
+                ("W2", (d.clf_hidden, d.num_classes), "zeros"),
+                ("b2", (d.num_classes,), "zeros")]
+
     def __init__(self, dims: NetDims, rng: np.random.Generator):
         self.dims = dims
-        p = ParamStore()
-        p.add("W1", dc.glorot_uniform(rng, (dims.feature_dim, dims.clf_hidden)))
-        p.add("b1", np.zeros(dims.clf_hidden))
-        p.add("W2", np.zeros((dims.clf_hidden, dims.num_classes)))
-        p.add("b2", np.zeros(dims.num_classes))
-        self.store = p
+        self.store = _params(self.spec(dims), rng)
 
     def logits(self, x: np.ndarray, train_mode: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
@@ -120,17 +137,19 @@ class Classifier:
 class Generator:
     """Two ReLU layers over [x; e; zhat; noise] into annotation-label logits."""
 
+    @staticmethod
+    def spec(d: NetDims) -> list:
+        d_in = d.feature_dim + d.annotator_dim + d.num_classes + d.noise_dim
+        return [("W1", (d_in, d.gen_hidden1), "glorot"),
+                ("b1", (d.gen_hidden1,), "zeros"),
+                ("W2", (d.gen_hidden1, d.gen_hidden2), "glorot"),
+                ("b2", (d.gen_hidden2,), "zeros"),
+                ("W3", (d.gen_hidden2, d.num_classes), "zeros"),
+                ("b3", (d.num_classes,), "zeros")]
+
     def __init__(self, dims: NetDims, rng: np.random.Generator):
         self.dims = dims
-        d_in = dims.feature_dim + dims.annotator_dim + dims.num_classes + dims.noise_dim
-        p = ParamStore()
-        p.add("W1", dc.glorot_uniform(rng, (d_in, dims.gen_hidden1)))
-        p.add("b1", np.zeros(dims.gen_hidden1))
-        p.add("W2", dc.glorot_uniform(rng, (dims.gen_hidden1, dims.gen_hidden2)))
-        p.add("b2", np.zeros(dims.gen_hidden2))
-        p.add("W3", np.zeros((dims.gen_hidden2, dims.num_classes)))
-        p.add("b3", np.zeros(dims.num_classes))
-        self.store = p
+        self.store = _params(self.spec(dims), rng)
 
     def draw_noise(self, rng: np.random.Generator, batch: int) -> np.ndarray:
         return rng.standard_normal((batch, self.dims.noise_dim))
@@ -166,18 +185,20 @@ class Generator:
 class Discriminator:
     """Bilinear authenticity scorer with optional label-correlation mixing."""
 
+    @staticmethod
+    def spec(d: NetDims) -> list:
+        m = d.embed_dim
+        return [("Wu", (d.annotator_dim, m), "glorot"),
+                ("bu", (m,), "zeros"),
+                ("Wv", (d.feature_dim, m), "glorot"),
+                ("bv", (m,), "zeros"),
+                ("M", (d.num_classes, m, m), "glorot"),
+                # identity-initialized mixing keeps decoded matrices live at step one
+                ("Wmix", (m, m), "eye")]
+
     def __init__(self, dims: NetDims, rng: np.random.Generator):
         self.dims = dims
-        c, m = dims.num_classes, dims.embed_dim
-        p = ParamStore()
-        p.add("Wu", dc.glorot_uniform(rng, (dims.annotator_dim, m)))
-        p.add("bu", np.zeros(m))
-        p.add("Wv", dc.glorot_uniform(rng, (dims.feature_dim, m)))
-        p.add("bv", np.zeros(m))
-        p.add("M", dc.glorot_uniform(rng, (c, m, m), fan_in=m, fan_out=m))
-        # identity-initialized mixing keeps decoded matrices live at step one
-        p.add("Wmix", np.eye(m))
-        self.store = p
+        self.store = _params(self.spec(dims), rng)
 
     def encode(self, x, e) -> tuple[Tensor, Tensor]:
         """Encoded annotators ``u`` and instances ``v`` of a row batch, which
@@ -219,20 +240,21 @@ class AuxNet:
     label's embedding.
     """
 
+    @staticmethod
+    def spec(d: NetDims) -> list:
+        m, ce = d.embed_dim, d.class_embed_dim
+        return [("Wembed", (m * m, ce), "glorot"),
+                ("bembed", (ce,), "zeros"),
+                ("W1", (2 * m + ce, d.aux_hidden1), "glorot"),
+                ("b1", (d.aux_hidden1,), "zeros"),
+                ("W2", (d.aux_hidden1, d.aux_hidden2), "glorot"),
+                ("b2", (d.aux_hidden2,), "zeros"),
+                ("W3", (d.aux_hidden2, d.num_classes), "zeros"),
+                ("b3", (d.num_classes,), "zeros")]
+
     def __init__(self, dims: NetDims, rng: np.random.Generator):
         self.dims = dims
-        m, ce = dims.embed_dim, dims.class_embed_dim
-        d_in = 2 * m + ce
-        p = ParamStore()
-        p.add("Wembed", dc.glorot_uniform(rng, (m * m, ce)))
-        p.add("bembed", np.zeros(ce))
-        p.add("W1", dc.glorot_uniform(rng, (d_in, dims.aux_hidden1)))
-        p.add("b1", np.zeros(dims.aux_hidden1))
-        p.add("W2", dc.glorot_uniform(rng, (dims.aux_hidden1, dims.aux_hidden2)))
-        p.add("b2", np.zeros(dims.aux_hidden2))
-        p.add("W3", np.zeros((dims.aux_hidden2, dims.num_classes)))
-        p.add("b3", np.zeros(dims.num_classes))
-        self.store = p
+        self.store = _params(self.spec(dims), rng)
 
     def logits(self, u: Tensor, v: Tensor, mats: Tensor, y) -> Tensor:
         """Code logits of each row from the discriminator's encoding ``u``,
@@ -250,6 +272,17 @@ class AuxNet:
         return dc.log_softmax(self.logits(u, v, mats, y), axis=1)
 
 
+NETS = {"classifier": Classifier, "generator": Generator,
+        "discriminator": Discriminator, "aux": AuxNet}
+
+
+def param_shapes(dims: NetDims, nets=tuple(NETS)) -> dict[str, tuple]:
+    """``{"<net>.<name>": shape}`` of the named nets' parameters, the names
+    of ``NetworkBundle.state_dict``, computed without building a net."""
+    return {f"{net}.{name}": shape
+            for net in nets for name, shape, _ in NETS[net].spec(dims)}
+
+
 @dataclass
 class NetworkBundle:
     """All four parameter sets plus the co-occurrence adjacency they share."""
@@ -262,12 +295,7 @@ class NetworkBundle:
     adjacency: CoocAdjacency | None
 
     def stores(self) -> dict[str, ParamStore]:
-        return {
-            "classifier": self.classifier.store,
-            "generator": self.generator.store,
-            "discriminator": self.discriminator.store,
-            "aux": self.aux.store,
-        }
+        return {net: getattr(self, net).store for net in NETS}
 
     def state_dict(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -288,11 +316,7 @@ class NetworkBundle:
 def build_bundle(dims: NetDims, adjacency: CoocAdjacency | None,
                  rng: np.random.Generator) -> NetworkBundle:
     """Fresh networks drawn from ``rng`` (checkpoint loading overwrites them)."""
-    classifier = Classifier(dims, rng)
-    generator = Generator(dims, rng)
-    discriminator = Discriminator(dims, rng)
-    aux = AuxNet(dims, rng)
     if dims.lca_enabled and adjacency is None:
         raise ValueError("label-correlation mixing needs a co-occurrence adjacency")
-    return NetworkBundle(dims, classifier, generator, discriminator, aux, adjacency)
+    return NetworkBundle(dims, *(net(dims, rng) for net in NETS.values()), adjacency)
 

@@ -17,13 +17,19 @@ One epoch of the main procedure:
 7. record metrics.
 
 The Lagrange multiplier's coefficient is chosen per epoch from ``MU_GRID`` by
-validation accuracy. A one-step mode (generator and classifier updated
-jointly on all pairs) exists only for the stability comparison. Steps 5 and
-6 and the one-step mode run one counterfactual-risk loop, ``_crm_update``,
-which differs only in the networks it moves and the logged pairs it indexes;
-each inner step runs forward and backward over pair blocks, keeps at most
-two pair blocks' graphs alive at a time, and sums the gradient dicts that
-``backward`` returns into one, on which the optimizers step. Supervised
+validation accuracy, and the run returns its best epoch by validation
+accuracy. Both selections keep the classifier and the generator together,
+as one snapshot of both nets and their Adam moments (``_snapshot``), under
+one rule (``_improves``: NaN never wins, a tie keeps the earlier
+candidate); so the returned generator is the one trained with the returned
+classifier, the pretrained one when the pretrained classifier wins. A
+one-step mode (generator and classifier updated jointly on all pairs) exists
+only for the stability comparison. Steps 5 and 6 and the one-step mode run
+one counterfactual-risk loop, ``_crm_update``, which differs only in the
+networks it moves and the logged pairs it indexes; each inner step runs
+forward and backward over pair blocks, keeps at most two pair blocks' graphs
+alive at a time, and sums the gradient dicts that ``backward`` returns into
+one, on which the optimizers step. Supervised
 training, generator pretraining and the D/Q warm-up run one minibatch loop,
 ``_epoch_losses``; step 1 and the augmentation export draw labels through
 one sampling pass, ``_sample_generated``.
@@ -67,7 +73,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +83,12 @@ from . import diffcore as dc
 from . import evalsuite
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError
-from .data import TRAIN, VAL, TEST, CoocAdjacency, CrowdDataset, build_cooccurrence, majority_vote
+from .data import (TRAIN, VAL, TEST, CoocAdjacency, CrowdDataset, DatasetError,
+                   build_cooccurrence, majority_vote)
 from .diffcore import Adam, ParamStore, Tensor, backward
 from .evalsuite import split_accuracy
-from .nets import AuxNet, Classifier, Discriminator, Generator, NetDims, NetworkBundle, build_bundle
+from .nets import (NETS, AuxNet, Classifier, Discriminator, Generator, NetDims, NetworkBundle,
+                   build_bundle, param_shapes)
 from .objectives import (
     compute_breakdown,
     crm_objective,
@@ -681,20 +689,24 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
             f"{_NET_NAMES[name]} changed during the {what} step"
 
 
-def _fork_gc(state: TrainState) -> dict:
-    return {
-        "clf": state.bundle.classifier.store.state_dict(),
-        "gen": state.bundle.generator.store.state_dict(),
-        "opt_clf": state.optimizers["clf"].state_dict(),
-        "opt_gen": state.optimizers["gen"].state_dict(),
-    }
+def _snapshot(state: TrainState) -> dict:
+    """The classifier's and generator's parameters and Adam moments, which
+    ``_restore`` puts back: the one copy both selections keep."""
+    return {name: (state.optimizers[name].store.state_dict(),
+                   state.optimizers[name].state_dict()) for name in ("clf", "gen")}
 
 
-def _restore_gc(state: TrainState, fork: dict) -> None:
-    state.bundle.classifier.store.load_state_dict(fork["clf"])
-    state.bundle.generator.store.load_state_dict(fork["gen"])
-    state.optimizers["clf"].load_state_dict(fork["opt_clf"])
-    state.optimizers["gen"].load_state_dict(fork["opt_gen"])
+def _restore(state: TrainState, snap: dict) -> None:
+    for name, (params, moments) in snap.items():
+        state.optimizers[name].store.load_state_dict(params)
+        state.optimizers[name].load_state_dict(moments)
+
+
+def _improves(acc: float, best: float) -> bool:
+    """The selection rule of the μ search and the best epoch: a validation
+    accuracy beats the leader's unless it is NaN, any number beats a NaN
+    leader, and a tie keeps the earlier candidate."""
+    return not math.isnan(acc) and (math.isnan(best) or acc > best)
 
 
 def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
@@ -748,41 +760,27 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     low_idx = np.flatnonzero(pair_is_low)
     high_idx = np.flatnonzero(~pair_is_low)
 
-    # (5)+(6) CRM updates under a shared multiplier-coefficient search; the
-    # joint update applies one μ to all pairs, so both records carry it
-    if cfg.two_step:
-        mean_delta_low = float(deltas_gen[low_idx].mean()) if len(low_idx) else 0.0
-        mean_delta_high = float(deltas_clf[high_idx].mean()) if len(high_idx) else 0.0
-    else:
-        mean_delta_low = mean_delta_high = float(deltas_gen.mean())
-
-    fork = _fork_gc(state)
+    # (5)+(6) CRM updates under a shared multiplier-coefficient search: each
+    # step is (pairs, deltas, mean delta, networks); the joint update applies
+    # one μ to all pairs, so both records carry it
+    steps = ((low_idx, deltas_gen, ("gen",)), (high_idx, deltas_clf, ("clf",))) \
+        if cfg.two_step else ((np.arange(len(batch)), deltas_gen, ("gen", "clf")),)
+    steps = tuple((idx, deltas, float(deltas[idx].mean()) if len(idx) else 0.0, trains)
+                  for idx, deltas, trains in steps)
+    start, leader = _snapshot(state), None
     candidate_seed = int(rng.integers(2**63))
-    results = []
     for coeff in MU_GRID:
-        _restore_gc(state, fork)
+        _restore(state, start)
         cand_rng = np.random.default_rng(candidate_seed)
-        mu_g, mu_c = coeff * mean_delta_low, coeff * mean_delta_high
-        if cfg.two_step:
-            if len(low_idx):
-                _crm_update(state, ds, cfg, batch, low_idx, deltas_gen, mu_g,
-                            ("gen",), cand_rng)
-            if len(high_idx):
-                _crm_update(state, ds, cfg, batch, high_idx, deltas_clf, mu_c,
-                            ("clf",), cand_rng)
-        else:
-            _crm_update(state, ds, cfg, batch, np.arange(len(batch)), deltas_gen, mu_g,
-                        ("gen", "clf"), cand_rng)
+        for idx, deltas, mean_delta, trains in steps:
+            if len(idx):
+                _crm_update(state, ds, cfg, batch, idx, deltas, coeff * mean_delta,
+                            trains, cand_rng)
         val_acc = split_accuracy(bundle.classifier, ds, VAL)
-        results.append((coeff, mu_g, mu_c, val_acc, _fork_gc(state)))
-
-    def sort_key(item):
-        acc = item[3]
-        return -np.inf if math.isnan(acc) else acc
-
-    best = max(results, key=sort_key)  # first wins ties (max is stable)
-    _restore_gc(state, best[4])
-    chosen_coeff, mu_g, mu_c = best[0], best[1], best[2]
+        if leader is None or _improves(val_acc, best_acc):
+            chosen_coeff, best_acc, leader = coeff, val_acc, _snapshot(state)
+    _restore(state, leader)
+    mu_g, mu_c = chosen_coeff * steps[0][2], chosen_coeff * steps[-1][2]
 
     if cfg.two_step and not len(low_idx):
         warnings.append("empty low-entropy set: generator update skipped")
@@ -798,7 +796,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     record = {
         "epoch": state.epoch,
         "train_acc": split_accuracy(bundle.classifier, ds, TRAIN),
-        "val_acc": best[3],
+        "val_acc": best_acc,
         "test_acc": split_accuracy(bundle.classifier, ds, TEST),
         "value_term": breakdown.value_term,
         "info_term": breakdown.info_term,
@@ -821,11 +819,12 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
 
 
 def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
-    """Full adversarial-augmentation training; best-validation classifier wins.
+    """Full adversarial-augmentation training; the best-validation epoch's
+    classifier and generator win.
 
-    The freshly pretrained classifier is the epoch-0 candidate, so on clean
-    data the procedure can never fall below its own starting point by more
-    than validation noise.
+    The freshly pretrained pair is the epoch-0 candidate, so on clean data the
+    procedure can never fall below its own starting point by more than
+    validation noise.
     """
     cfg.validate()
     master = np.random.default_rng(cfg.seed)
@@ -844,17 +843,14 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     )
 
     best_val = split_accuracy(clf, ds, VAL)
-    best_epoch = -1  # the pretrained classifier itself
-    best_params = clf.store.state_dict()
+    best_epoch = -1  # the pretrained classifier and generator themselves
+    best = _snapshot(state)
     for _ in range(cfg.epochs):
         record = run_epoch(state, ds, cfg)
-        val = record["val_acc"]
-        if not math.isnan(val) and (math.isnan(best_val) or val > best_val):
-            best_val = val
-            best_epoch = record["epoch"]
-            best_params = clf.store.state_dict()
+        if _improves(record["val_acc"], best_val):
+            best_val, best_epoch, best = record["val_acc"], record["epoch"], _snapshot(state)
 
-    clf.store.load_state_dict(best_params)
+    _restore(state, best)
     return TrainResult(classifier=clf, bundle=bundle, history=state.history,
                        best_epoch=best_epoch, best_val_acc=best_val,
                        test_acc=split_accuracy(clf, ds, TEST),
@@ -864,14 +860,25 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
 METHODS = {"crowding": train_crowding, "dl-cl": train_dl_cl, "dl-mv": train_dl_mv}
 
 
+def check_trainable(ds: CrowdDataset) -> None:
+    """Reject a dataset with no annotation on a train instance, on which every
+    method would train on nothing; the CLI calls it before the manifest."""
+    if not len(_train_annotations(ds)):
+        raise DatasetError("no train instance has an annotation, so there is nothing to train on")
+
+
 def check_method(method: str) -> None:
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected crowding, dl-cl, or dl-mv")
 
 
 def train_method(ds: CrowdDataset, cfg: TrainConfig, method: str) -> TrainResult:
+    """Train ``method``; non-finite logits on the way raise ``DivergenceError``."""
     check_method(method)
-    return METHODS[method](ds, cfg)
+    try:
+        return METHODS[method](ds, cfg)
+    except FloatingPointError as exc:
+        raise DivergenceError(f"{method}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -909,9 +916,36 @@ def _dims_from_meta(arrays: dict) -> NetDims:
     return NetDims(**kwargs)
 
 
+def _checkpoint_shapes(dims: NetDims, nets: tuple) -> dict:
+    """The shape of every array ``nets`` (with the adjacency of a bundle)
+    read from a checkpoint, as ``dims`` gives it."""
+    shapes = param_shapes(dims, nets)
+    if len(nets) > 1:
+        shapes["adjacency.counts"] = shapes["adjacency.propagation"] = (dims.num_classes,) * 2
+    return shapes
+
+
+def _check_arrays(arrays: dict, dims: NetDims, nets: tuple) -> None:
+    """Before any net is built: every array ``nets`` read is present, has the
+    shape the ``meta.*`` widths give, and is finite; else ``KeyError`` or
+    ``ValueError``. A mismatch names the widths that size the array (those
+    whose change would change its shape)."""
+    for name, shape in _checkpoint_shapes(dims, nets).items():
+        if arrays[name].shape != shape:
+            widths = [w for w in (f.name for f in fields(NetDims) if f.type == "int")
+                      if _checkpoint_shapes(replace(dims, **{w: getattr(dims, w) + 1}),
+                                            nets)[name] != shape]
+            given = ", ".join(f"meta.{w} = {getattr(dims, w)}" for w in widths)
+            raise ValueError(f"shape mismatch for {name!r}: {arrays[name].shape}, but "
+                             f"{given} give {shape}")
+        if not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"{name!r} holds a non-finite value")
+
+
 def save_result_checkpoint(path: str | Path, result: TrainResult) -> None:
     """Persist a finished run: the best classifier, and for the adversarial
-    method the whole network bundle plus its adjacency."""
+    method the whole network bundle (the selected epoch's classifier and
+    generator) plus its adjacency."""
     if result.bundle is not None:
         dims = result.bundle.dims
         arrays = dict(result.bundle.state_dict())
@@ -934,18 +968,20 @@ def load_result_checkpoint(path: str | Path, classifier_only: bool = False,
     try:
         dims = _dims_from_meta(arrays)
         if not classifier_only and _meta_value(arrays, "meta.has_bundle", "bool"):
+            _check_arrays(arrays, dims, tuple(NETS))
             adjacency = CoocAdjacency(counts=arrays["adjacency.counts"],
                                       propagation=arrays["adjacency.propagation"])
             bundle = build_bundle(dims, adjacency, rng)
             bundle.load_state_dict(arrays)
             return bundle.classifier, bundle
+        _check_arrays(arrays, dims, ("classifier",))
         clf = Classifier(dims, rng)
         clf.store.load_state_dict({name: arrays[f"classifier.{name}"]
                                    for name in clf.store.names()})
         return clf, None
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing array {exc.args[0]!r}") from None
-    except ValueError as exc:  # an array of the wrong shape, or invalid meta dims
+    except ValueError as exc:  # invalid meta dims, or an array they do not fit
         raise CheckpointError(f"{path}: {exc}") from None
 
 

@@ -4,15 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from crowdaug import cli
-from crowdaug.checkpoint import load_checkpoint, save_checkpoint
-from crowdaug.data import load_dataset, save_dataset
-from crowdaug.trainer import DivergenceError, TrainConfig
+from crowdaug.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from crowdaug.data import VAL, load_dataset, save_dataset
+from crowdaug.trainer import DivergenceError, TrainConfig, load_result_checkpoint
 from helpers import read_augmented_file
 
 
@@ -358,6 +359,64 @@ def test_divergence_maps_to_exit_code_4(workspace, tmp_path, monkeypatch, capsys
     assert not (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("method", ["crowding", "dl-cl", "dl-mv"])
+def test_diverging_run_exits_4_with_one_line(tmp_path, capsys, method):
+    # learning rates this large overflow the first Adam step, so the next
+    # forward pass meets non-finite logits
+    (tmp_path / "synth.cfg").write_text(SYNTH_CFG.replace("60", "40"), encoding="utf-8")
+    assert cli.main(["synth", "--config", str(tmp_path / "synth.cfg"),
+                     "--out", str(tmp_path / "data"), "--seed", "1"]) == 0
+    (tmp_path / "train.cfg").write_text(
+        TRAIN_CFG + "".join(f"lr_{name} = 1e300\n" for name in
+                            ("classifier", "generator", "discriminator", "pretrain")),
+        encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = cli.main(["train", "--data", str(tmp_path / "data"), "--method", method,
+                     "--config", str(tmp_path / "train.cfg"), "--out", str(out)])
+    assert code == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err == f"divergence: {method}: softmax input contains non-finite values\n"
+    assert (out / "manifest.json").is_file() and not (out / "checkpoint.bin").exists()
+
+
+def all_validation_variant(workspace, out):
+    """The workspace dataset with every instance in the validation split."""
+    ds = load_dataset(workspace / "data")
+    return dataset_variant(workspace, out, splits=np.full_like(ds.splits, VAL))
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["train", "--method", "crowding"], TRAIN_CFG),
+    (["train", "--method", "dl-cl"], TRAIN_CFG),
+    (["train", "--method", "dl-mv"], TRAIN_CFG),
+    (["sweep"], "sweep_fractions = 0\nsweep_seeds = 0\n"),
+    (["ablate"], "ablate_variants = full\nablate_seeds = 0\n"),
+], ids=["train-crowding", "train-dl-cl", "train-dl-mv", "sweep", "ablate"])
+def test_training_on_no_train_instance_is_data_error(workspace, tmp_path, capsys,
+                                                     argv, config):
+    data = all_validation_variant(workspace, tmp_path / "data")
+    cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+    cfg.write_text(config, encoding="utf-8")
+    code = cli.main(argv + ["--data", str(data), "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == \
+        "data error: no train instance has an annotation, so there is nothing to train on\n"
+    assert not out.exists()  # rejected before the manifest
+
+
+def test_eval_and_augment_accept_a_dataset_with_no_train_instance(workspace, tmp_path):
+    data = all_validation_variant(workspace, tmp_path / "data")
+    checkpoint = str(workspace / "run" / "checkpoint.bin")
+    for command in ("eval", "augment"):
+        assert cli.main([command, "--data", str(data), "--checkpoint", checkpoint,
+                         "--out", str(tmp_path / command)]) == cli.EXIT_OK
+    assert set(json.loads((tmp_path / "eval" / "metrics.json").read_text(
+        encoding="utf-8"))) == {"val_acc"}
+    assert (tmp_path / "augment" / "augmented.csv").read_text(encoding="utf-8") == \
+        "instance_id,annotator_id,label,authentic\n"
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -498,8 +557,13 @@ def test_checkpoint_with_impossible_manifest_entry_is_data_error(
     ("meta.num_classes", np.inf, "= inf is not a valid int"),
     ("meta.num_classes", np.array([3.0, 3.0]), "must be a scalar, got shape (2,)"),
     ("meta.num_classes", 4.5, "= 4.5 is not a valid int"),
-    ("meta.lca_enabled", 0.5, "= 0.5 is not a valid bool")],
-    ids=["infinite", "vector", "fractional", "non-binary-bool"])
+    ("meta.lca_enabled", 0.5, "= 0.5 is not a valid bool"),
+    ("meta.clf_hidden", 2 ** 40, "shape mismatch for 'classifier.W1'"),
+    ("meta.clf_hidden", 2 ** 27, "shape mismatch for 'classifier.W1'"),
+    ("meta.num_classes", 2 ** 40, "shape mismatch for 'classifier.W2'"),
+    ("classifier.W2", np.full((128, 3), np.nan), "holds a non-finite value")],
+    ids=["infinite", "vector", "fractional", "non-binary-bool", "huge-hidden-width",
+         "large-hidden-width", "huge-class-count", "nan-weight"])
 def test_checkpoint_with_malformed_meta_value_is_data_error(
         workspace, tmp_path, capsys, command, name, value, message):
     arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
@@ -512,6 +576,23 @@ def test_checkpoint_with_malformed_meta_value_is_data_error(
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err and name in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_checkpoint_widths_are_checked_before_any_net_is_built(workspace, tmp_path):
+    # a hidden width of 2**20 would make the classifier's W1 alone 16 MiB
+    arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
+    arrays["meta.clf_hidden"] = np.asarray(2.0 ** 20)
+    broken = tmp_path / "wide.bin"
+    save_checkpoint(broken, arrays)
+    for classifier_only in (True, False):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="meta.clf_hidden = 1048576"):
+                load_result_checkpoint(broken, classifier_only=classifier_only)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
 
 
 def test_checkpoint_with_non_utf8_manifest_is_data_error(workspace, tmp_path, capsys):

@@ -36,10 +36,11 @@ def test_softmax_shift_invariance():
 
 
 def test_softmax_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        softmax(Tensor(np.array([np.nan, 0.0])))
-    with pytest.raises(ValueError):
-        softmax(Tensor(np.array([np.inf, 0.0])))
+    for nonfinite in (np.nan, np.inf):
+        with pytest.raises(FloatingPointError):
+            softmax(Tensor(np.array([nonfinite, 0.0])))
+        with pytest.raises(FloatingPointError):
+            log_softmax(Tensor(np.array([nonfinite, 0.0])))
 
 
 def test_entropy_two_thirds():

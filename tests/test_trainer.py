@@ -846,20 +846,49 @@ def test_epoch_moves_discriminator_and_choosing_side():
         assert not moved_clf
 
 
-def test_one_step_mode_moves_both_networks():
-    ds = tiny_dataset()
-    cfg = tiny_config(epochs=1, two_step=False)
-    res = train_crowding(ds, cfg)
+def _record_epochs(monkeypatch) -> list:
+    """Each ``run_epoch`` call's store fingerprints before and after it."""
+    epochs = []
+    run_epoch = tr.run_epoch
 
-    rng = np.random.default_rng(cfg.seed)
-    clf, _ = pretrain_dl_cl(ds, cfg, rng=rng)
-    gen, _, _, _ = pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
-    assert res.bundle.generator.store.fingerprint() != gen.store.fingerprint()
-    # best-val restore may roll the classifier back to the pretrained epoch-0
-    # candidate, so compare the last-epoch record instead of the final params
+    def recording(state, ds, cfg):
+        before = {name: s.fingerprint() for name, s in state.bundle.stores().items()}
+        record = run_epoch(state, ds, cfg)
+        epochs.append((before, {name: s.fingerprint()
+                                for name, s in state.bundle.stores().items()}))
+        return record
+
+    monkeypatch.setattr(tr, "run_epoch", recording)
+    return epochs
+
+
+def test_one_step_mode_moves_both_networks(monkeypatch):
+    # read the networks right after the epoch: the best-epoch selection may
+    # return the pretrained pair in place of what the epoch trained
+    epochs = _record_epochs(monkeypatch)
+    res = train_crowding(tiny_dataset(), tiny_config(epochs=1, two_step=False))
+    (before, after), = epochs
+    assert after["generator"] != before["generator"]
+    assert after["classifier"] != before["classifier"]
     assert res.history[0]["mu_coeff"] in tr.MU_GRID
     assert res.history[0]["num_logged"] == res.history[0]["num_low_pairs"] + \
         res.history[0]["num_high_pairs"]
+
+
+@pytest.mark.parametrize("seed, best_epoch", [(1, -1), (3, 0)])
+def test_run_returns_the_generator_of_the_selected_epoch(monkeypatch, seed, best_epoch):
+    # classifier and generator are selected together: the returned generator
+    # is the one the selected classifier was trained with, the pretrained
+    # generator when the pretrained classifier wins
+    epochs = _record_epochs(monkeypatch)
+    res = train_crowding(tiny_dataset(n=150, c=4),
+                         tiny_config(seed=seed, epochs=3, pretrain_epochs=10,
+                                     entropy_threshold=0.9))
+    assert res.best_epoch == best_epoch
+    selected = epochs[0][0] if best_epoch < 0 else epochs[best_epoch][1]
+    assert selected["generator"] != epochs[-1][1]["generator"]  # the epochs moved it
+    for name in ("generator", "classifier"):
+        assert res.bundle.stores()[name].fingerprint() == selected[name]
 
 
 def test_mu_grid_reports_chosen_coefficient():
