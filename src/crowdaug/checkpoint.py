@@ -37,7 +37,10 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise CheckpointError(f"{path}: missing manifest terminator")

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import BLAS_THREADS, NUMPY_IMPORTED_FIRST, __version__, evalsuite
@@ -97,6 +98,8 @@ def _load_config_values(config_file: str | None) -> dict[str, str]:
         raise ConfigError(f"config file not found: {config_file}") from exc
     except OSError as exc:  # a directory, or a file that cannot be read
         raise ConfigError(f"cannot read config file {config_file}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {config_file} is not UTF-8 text") from None
 
 
 def _split_prefixed(values: dict[str, str], prefix: str) -> tuple[dict, dict]:
@@ -403,10 +406,9 @@ def cmd_augment(args) -> int:
             f"run trained with the adversarial method")
     _check_checkpoint_dims(args.checkpoint, bundle.dims, ds,
                            ("feature_dim", "annotator_dim"))
-    rows = export_augmented(ds, bundle, seed=args.seed,
-                            out_path=out_dir / "augmented.csv")
-    print(f"augment: {len(rows)} rows "
-          f"({int(rows[:, 3].sum())} authentic) -> {out_dir}")
+    written = export_augmented(ds, bundle, seed=args.seed,
+                               out_path=out_dir / "augmented.csv")
+    print(f"augment: {written.rows} rows ({written.authentic} authentic) -> {out_dir}")
     return EXIT_OK
 
 
@@ -502,7 +504,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command in ("synth", "eval", "augment") and args.seed is None:
             args.seed = 0
-        return args.func(args)
+        with warnings.catch_warnings():
+            if args.command in ("eval", "augment"):
+                # a checkpoint's weights that overflow reach softmax's check of
+                # non-finite values, reported below; NumPy's warnings on the way
+                # would only print lines before it
+                warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -511,6 +519,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except FloatingPointError as exc:  # eval/augment of weights that overflow
+        print(f"divergence: {args.command}: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
 

@@ -422,9 +422,13 @@ class _FenwickTree:
 def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     if not path.exists():
         raise DatasetError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise DatasetError(f"empty file: {path}")
     return rows[0], rows[1:]

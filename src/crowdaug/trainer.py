@@ -61,12 +61,18 @@ does not move between steps 1 and 5, so step 1's table, kept on the logged
 batch, also gives step 4's entropy split, the generator step's codes and
 step 7's code entropy. Step 1 draws every pair's noise, then its label
 uniform, then its code uniform, and keeps the noise, which the CRM steps
-replay. The export keeps none: it draws past the noise in block-sized
-chunks, draws the uniforms, and replays each block's noise from a copy of
-the generator. ``_in_flight`` hands a block its noise on the calling thread
-in block order, so the draws are the same on one thread or two. The export
-writes its CSV one row block at a time from a NumPy formatter, byte-equal
-to ``csv.writer``.
+replay.
+
+The export streams its CSV one pair block at a time and holds no array with
+an entry per grid pair or per missing pair, only columns of the annotations
+and the instances and two blocks. Each block of the missing pairs derives
+its pairs from the sorted authentic positions, replays its noise from a copy
+of the generator (the stream is drawn past the noise in block-sized chunks
+first) and draws its uniforms; ``_in_flight`` does both on the calling
+thread in block order, so the draws are the same on one thread or two. As
+each block comes back, the calling thread writes the grid rows through the
+block's last missing pair from a NumPy formatter, byte-equal to
+``csv.writer``.
 """
 from __future__ import annotations
 
@@ -328,51 +334,45 @@ def _forward_in_blocks(n: int, forward, feed=lambda rows: ()):
     return outs if isinstance(values, tuple) else outs[0]
 
 
-def _instance_probs(clf: Classifier, ds: CrowdDataset, inst: np.ndarray) -> tuple:
-    """Classifier probabilities of the distinct instances of ``inst``, one
-    forward pass each, and each pair's row among them: ``probs[at]`` is
-    byte-equal to ``_forward_in_blocks`` over the pairs, and a pass over pair
-    blocks gathers only its own rows.
+def _instance_probs(clf: Classifier, ds: CrowdDataset, present: np.ndarray,
+                    pairs: int) -> tuple:
+    """Classifier probabilities of the instances flagged in ``present``, one
+    forward pass each, and the instance -> row map into them: for a pass over
+    ``pairs`` pairs, ``probs[row_of[inst]]`` is byte-equal to
+    ``_forward_in_blocks`` over the pairs' instances, and each pair block
+    gathers only its own rows.
 
     The distinct rows are repeated up to the pair pass's first block height,
     so every block is as tall as one of that pass and takes the same BLAS
     kernel (a shorter block would fall under OpenBLAS's small-matrix one; see
     ``_BLOCK_ROWS``).
     """
-    present = np.zeros(ds.num_instances, dtype=bool)
-    present[inst] = True
     distinct = np.flatnonzero(present)
-    padded = np.resize(distinct, max(len(distinct), _row_blocks(len(inst))[0].stop))
+    padded = np.resize(distinct, max(len(distinct), _row_blocks(pairs)[0].stop))
     probs = _forward_in_blocks(len(padded), lambda s: clf.probs(ds.features[padded[s]]).data)
-    # position of each instance among the distinct ones, without a sort
-    return probs[:len(distinct)], (np.cumsum(present) - 1)[inst]
+    # the position of each instance among the distinct ones, without a sort
+    return probs[:len(distinct)], np.cumsum(present) - 1
 
 
 def _sample_generated(gen: Generator, table: tuple, ds: CrowdDataset, inst: np.ndarray,
-                      annot: np.ndarray, noise, uniforms: np.ndarray,
+                      annot: np.ndarray, eps: np.ndarray, uniforms: np.ndarray,
                       code_uniforms: np.ndarray | None = None):
-    """One generated label per (``inst``, ``annot``) pair at its categorical
-    uniform, with the noise ``noise(rows)`` gives each row block (a ``feed``
-    of ``_in_flight``); returns the labels, or with ``code_uniforms`` the
-    tuple (labels, their probabilities, the entropies of the generator's
-    distributions, the code class drawn at each code uniform).
+    """One generated label per (``inst``, ``annot``) pair of one row block,
+    drawn with noise ``eps`` at its categorical uniform; returns the labels,
+    or with ``code_uniforms`` the tuple (labels, their probabilities, the
+    entropies of the generator's distributions, the code class drawn at each
+    code uniform).
 
-    ``table`` is ``_instance_probs`` of ``inst``: each block gathers its own
-    codes from it and samples its own labels, so no (pairs, classes) array is
-    kept."""
-    probs, at = table
-
-    def sample(s, eps):
-        zhat = probs[at[s]]
-        dist = gen.distribution(ds.features[inst[s]], ds.annotator_features[annot[s]],
-                                zhat, eps).data
-        labels = dc.categorical_at(dist, uniforms[s])
-        if code_uniforms is None:
-            return labels
-        return (labels, dist[np.arange(len(labels)), labels], dc.entropy(dist, axis=1),
-                dc.categorical_at(zhat, code_uniforms[s]))
-
-    return _forward_in_blocks(len(inst), sample, noise)
+    ``table`` is ``_instance_probs``: the block gathers its own codes from it,
+    so no (pairs, classes) array is kept."""
+    probs, row_of = table
+    zhat = probs[row_of[inst]]
+    dist = gen.distribution(ds.features[inst], ds.annotator_features[annot], zhat, eps).data
+    labels = dc.categorical_at(dist, uniforms)
+    if code_uniforms is None:
+        return labels
+    return (labels, dist[np.arange(len(labels)), labels], dc.entropy(dist, axis=1),
+            dc.categorical_at(zhat, code_uniforms))
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +546,15 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     eps = gen.draw_noise(rng, len(inst))
     uniforms = rng.random(len(inst))
     code_uniforms = rng.random(len(inst))
-    codes, code_rows = table = _instance_probs(clf, ds, inst)
-    labels, g0, entropies, zhat_draws = _sample_generated(
-        gen, table, ds, inst, annot, lambda rows: (eps[rows],), uniforms, code_uniforms)
+    present = np.zeros(ds.num_instances, dtype=bool)
+    present[inst] = True
+    codes, row_of = table = _instance_probs(clf, ds, present, len(inst))
+    labels, g0, entropies, zhat_draws = _forward_in_blocks(
+        len(inst), lambda rows, *block: _sample_generated(gen, table, ds, *block),
+        lambda rows: (inst[rows], annot[rows], eps[rows], uniforms[rows], code_uniforms[rows]))
     return LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
                        zhat_draws=zhat_draws, entropies=entropies, codes=codes,
-                       code_rows=code_rows)
+                       code_rows=row_of[inst])
 
 
 def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
@@ -989,51 +992,106 @@ def load_result_checkpoint(path: str | Path, classifier_only: bool = False,
 # augmentation export
 
 
+@dataclass
+class ExportSummary:
+    """What ``export_augmented`` wrote; its length is the rows written."""
+
+    rows: int
+    authentic: int
+
+    def __len__(self) -> int:
+        return self.rows
+
+
 @dc.no_grad()
 def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
-                     out_path: str | Path | None = None) -> np.ndarray:
-    """Authentic annotations plus one generated label per missing pair.
+                     out_path: str | Path) -> ExportSummary:
+    """Write the authentic annotations plus one generated label per missing
+    pair to ``out_path`` as CSV rows (instance, annotator, label, authentic)
+    over the full train-instance x annotator grid in canonical order.
 
-    Returns rows (instance, annotator, label, authentic) over the full
-    train-instance x annotator grid in canonical order; optionally writes
-    them as CSV with an ``authentic`` column.
+    The grid is never held: pair ``p`` of it is train instance ``p // R``
+    with annotator ``p % R``, and the k-th missing pair sits at ``k`` plus the
+    number of authentic positions before it, found by one search in the
+    sorted authentic positions. Each row block of the missing pairs derives
+    its own pairs from that, samples its labels, and is written with the
+    authentic rows up to its last pair as it comes back from ``_in_flight``;
+    the rows after the last missing pair are written last.
 
     The stream is every missing pair's noise, then each one's categorical
     uniform. The noise is not kept: the stream is drawn past it in row-block
     chunks (chunked normal draws equal one draw), and a copy of the generator
-    taken before replays it to the sampling pass one block at a time.
+    taken before replays it block by block; the uniforms are drawn per block
+    from the stream past the noise (chunked uniform draws equal one draw).
+    The CSV is written under a temporary name and renamed at the end, so a
+    failed export leaves no partial file.
     """
     rng = np.random.default_rng(seed)
     train_idx = ds.split_indices(TRAIN)
-    r_total = ds.num_annotators
-    grid = np.empty((len(train_idx), r_total, 4), dtype=np.int64)
-    grid[..., 0] = train_idx[:, None]
-    grid[..., 1] = np.arange(r_total)
-    grid[..., 2] = -1  # the label, -1 where the pair is missing
+    r = ds.num_annotators
+    total = len(train_idx) * r
     slot = np.zeros(ds.num_instances, dtype=np.int64)
     slot[train_idx] = np.arange(len(train_idx))
     ann = _train_annotations(ds)
-    grid[slot[ann[:, 0]], ann[:, 1], 2] = ann[:, 2]
-    rows = grid.reshape(-1, 4)
-    rows[:, 3] = rows[:, 2] >= 0
-    missing = np.flatnonzero(rows[:, 3] == 0)
-    if len(missing):
-        gen = bundle.generator
-        replay = copy.deepcopy(rng)
-        for block in _row_blocks(len(missing)):
-            gen.draw_noise(rng, block.stop - block.start)
-        uniforms = rng.random(len(missing))
-        rows[missing, 2] = _sample_generated(
-            gen, _instance_probs(bundle.classifier, ds, rows[missing, 0]), ds,
-            rows[missing, 0], rows[missing, 1],
-            lambda block: (gen.draw_noise(replay, block.stop - block.start),), uniforms)
+    auth_pos = slot[ann[:, 0]] * r + ann[:, 1]
+    order = np.argsort(auth_pos)
+    auth_pos, auth_labels = auth_pos[order], ann[order, 2]
+    missing_before = auth_pos - np.arange(len(auth_pos))  # of each authentic position
 
-    if out_path is not None:
-        with open(out_path, "wb") as fh:
+    def missing_position(k):
+        return k + np.searchsorted(missing_before, k, "right")
+
+    missing = total - len(auth_pos)
+    blocks = _row_blocks(missing) if missing else []
+    if blocks:
+        gen = bundle.generator
+        # a train instance has a missing pair unless all R annotators labeled it
+        present = np.zeros(ds.num_instances, dtype=bool)
+        present[train_idx[np.bincount(slot[ann[:, 0]], minlength=len(train_idx)) < r]] = True
+        table = _instance_probs(bundle.classifier, ds, present, missing)
+        replay = copy.deepcopy(rng)
+        for rows in blocks:
+            gen.draw_noise(rng, rows.stop - rows.start)
+
+    def feed(rows):
+        pos = missing_position(np.arange(rows.start, rows.stop))
+        count = rows.stop - rows.start
+        return (train_idx[pos // r], pos % r, gen.draw_noise(replay, count), rng.random(count))
+
+    def sample(rows, *block):
+        return _sample_generated(gen, table, ds, *block)
+
+    written = 0
+
+    def write(fh, stop: int, generated=()) -> None:
+        """Grid rows ``written..stop``; ``generated`` labels its missing pairs."""
+        nonlocal written
+        pos = np.arange(written, stop)
+        lo, hi = np.searchsorted(auth_pos, (written, stop))
+        at = auth_pos[lo:hi] - written
+        rows = np.zeros((len(pos), 4), dtype=np.int64)
+        rows[:, 0] = train_idx[pos // r]
+        rows[:, 1] = pos % r
+        rows[at, 2] = auth_labels[lo:hi]
+        rows[at, 3] = 1
+        rows[rows[:, 3] == 0, 2] = generated
+        fh.write(_csv_int_lines(rows))
+        written = stop
+
+    out_path = Path(out_path)
+    partial = out_path.with_name(out_path.name + ".partial")
+    try:
+        with open(partial, "wb") as fh:
             fh.write(b"instance_id,annotator_id,label,authentic\n")
-            for block in _row_blocks(len(rows)):
-                fh.write(_csv_int_lines(rows[block]))
-    return rows
+            for rows, labels in zip(blocks, _in_flight(sample, blocks, feed)):
+                write(fh, int(missing_position(rows.stop - 1)) + 1, labels)
+            start = written
+            for rows in _row_blocks(total - start):  # authentic rows only
+                write(fh, start + rows.stop)
+        os.replace(partial, out_path)
+    finally:
+        partial.unlink(missing_ok=True)
+    return ExportSummary(rows=written, authentic=len(auth_pos))
 
 
 def _csv_int_lines(rows: np.ndarray) -> bytes:

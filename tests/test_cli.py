@@ -295,6 +295,16 @@ def test_config_naming_a_directory_is_config_error(workspace, tmp_path, capsys):
     assert not out.exists()  # rejected before the manifest
 
 
+def test_config_that_is_not_utf8_is_config_error(workspace, tmp_path, capsys):
+    cfg, out = tmp_path / "train.cfg", tmp_path / "o"
+    cfg.write_bytes(b"epochs = \xff\n")
+    code = cli.main(["train", "--data", str(workspace / "data"),
+                     "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "is not UTF-8 text" in _config_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["crowding", "dl-mv"])
 @pytest.mark.parametrize("key, message", [
     ("dropout = 1.5", "dropout must lie in [0, 1)"),
@@ -915,6 +925,65 @@ def test_augment_requires_adversarial_checkpoint(workspace, tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_DATA
     assert "no generator" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would print a line
+@pytest.mark.parametrize("command, nets", [
+    ("eval", ("classifier", "generator")),
+    ("augment", ("classifier", "generator")),
+    ("augment", ("generator",))],
+    ids=["eval", "augment", "augment-generator-only"])
+def test_checkpoint_whose_weights_overflow_is_divergence(workspace, tmp_path, capsys,
+                                                         command, nets):
+    # finite weights, so the checkpoint loads; its forward passes overflow
+    arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
+    for name in arrays:
+        if name.split(".")[0] in nets and name.split(".")[1].startswith("W"):
+            arrays[name] = arrays[name] * 1e300
+    huge = tmp_path / "huge.bin"
+    save_checkpoint(huge, arrays)
+    out = tmp_path / "o"
+    code = cli.main([command, "--data", str(workspace / "data"),
+                     "--checkpoint", str(huge), "--out", str(out)])
+    assert code == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.startswith(f"divergence: {command}:") and "non-finite" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    # the manifest only: no augmented.csv, partial or whole
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command", ["eval", "augment"])
+def test_checkpoint_naming_a_directory_is_data_error(workspace, tmp_path, capsys, command):
+    code = cli.main([command, "--data", str(workspace / "data"),
+                     "--checkpoint", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read checkpoint {tmp_path}:")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "augment"])
+@pytest.mark.parametrize("damage, message", [
+    ("directory", "data error: cannot read {path}: Is a directory"),
+    ("not-utf8", "data error: {path}: not UTF-8 text")])
+def test_unreadable_annotations_are_data_error(workspace, tmp_path, capsys, command,
+                                               damage, message):
+    data = dataset_variant(workspace, tmp_path / "data")
+    path = data / "annotations.csv"
+    path.unlink()
+    if damage == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"instance_id,annotator_id,label\n1,0,\xff\n")
+    argv = [command, "--data", str(data), "--out", str(tmp_path / "o")]
+    if command == "train":
+        argv += ["--config", str(workspace / "train.cfg")]
+    else:
+        argv += ["--checkpoint", str(workspace / "run" / "checkpoint.bin")]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert capsys.readouterr().err == message.format(path=path) + "\n"
+    assert not (tmp_path / "o").exists()  # rejected before the manifest
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 
 import test_acceptance
 from crowdaug import cli
+from crowdaug.data import TRAIN, load_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,9 +96,8 @@ def test_tracer_names_exist():
     assert missing == []
 
 
-def test_traced_train_counts_rows_of_all_four_nets(tmp_path):
-    # the tracer counts a net's rows from the first argument of its wrapped
-    # method, so a signature change there reads as zero rows
+def tiny_run_inputs(tmp_path):
+    """A synthesized 40 x 5 dataset and a one-epoch train config under ``tmp_path``."""
     (tmp_path / "synth.cfg").write_text(
         "num_classes = 3\nnum_instances = 40\nnum_annotators = 5\nfeature_dim = 2\n",
         encoding="utf-8")
@@ -106,15 +106,41 @@ def test_traced_train_counts_rows_of_all_four_nets(tmp_path):
         "epochs = 1\ninner_steps = 1\nbatch_size = 32\n", encoding="utf-8")
     assert cli.main(["synth", "--config", str(tmp_path / "synth.cfg"),
                      "--out", str(tmp_path / "data"), "--seed", "1"]) == 0
+    return tmp_path / "data", tmp_path / "train.cfg"
+
+
+def traced_counts(tmp_path, argv):
+    """The tracer's counts of ``crowdaug <argv>`` run under ``perfbench/traced_cli.py``."""
     trace = tmp_path / "trace.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(trace), "0", "--",
-         "train", "--data", str(tmp_path / "data"), "--config", str(tmp_path / "train.cfg"),
-         "--method", "crowding", "--out", str(tmp_path / "run"), "--seed", "1"],
-        env=env, check=True, capture_output=True, timeout=300)
-    counts = json.loads(trace.read_text(encoding="utf-8"))["counts"]
+         *argv], env=env, check=True, capture_output=True, timeout=300)
+    return json.loads(trace.read_text(encoding="utf-8"))["counts"]
+
+
+def test_traced_train_counts_rows_of_all_four_nets(tmp_path):
+    # the tracer counts a net's rows from the first argument of its wrapped
+    # method, so a signature change there reads as zero rows
+    data, cfg = tiny_run_inputs(tmp_path)
+    counts = traced_counts(tmp_path, [
+        "train", "--data", str(data), "--config", str(cfg), "--method", "crowding",
+        "--out", str(tmp_path / "run"), "--seed", "1"])
     rows = {span: counts.get(f"nets.{span}.rows", 0) for span in (
         "classifier.fwd", "generator.fwd", "discriminator.score", "aux.fwd")}
     assert all(rows.values()), rows
+
+
+def test_traced_augment_counts_every_exported_row(tmp_path):
+    # the tracer counts the export's rows as len() of what export_augmented
+    # returns: N_train x R for the whole grid
+    data, cfg = tiny_run_inputs(tmp_path)
+    assert cli.main(["train", "--data", str(data), "--config", str(cfg),
+                     "--method", "crowding", "--out", str(tmp_path / "run"),
+                     "--seed", "1"]) == 0
+    counts = traced_counts(tmp_path, [
+        "augment", "--data", str(data), "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+        "--out", str(tmp_path / "aug")])
+    ds = load_dataset(data)
+    assert counts["trainer.export_rows"] == len(ds.split_indices(TRAIN)) * ds.num_annotators

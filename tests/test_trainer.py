@@ -344,8 +344,10 @@ def test_instance_probs_equal_the_per_pair_pass(pairs, distinct, monkeypatch):
     ds = SimpleNamespace(features=rng.normal(size=(20000, 2)), num_instances=20000)
     inst = _pair_instances(pairs, pairs if distinct == "all" else min(pairs, distinct), rng)
     per_pair = tr._forward_in_blocks(pairs, lambda s: clf.probs(ds.features[inst[s]]).data)
-    probs, at = tr._instance_probs(clf, ds, inst)
-    assert probs[at].tobytes() == per_pair.tobytes()
+    present = np.zeros(ds.num_instances, dtype=bool)
+    present[inst] = True
+    probs, row_of = tr._instance_probs(clf, ds, present, pairs)
+    assert probs[row_of[inst]].tobytes() == per_pair.tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -1063,11 +1065,20 @@ def test_best_epoch_tracks_validation():
 # augmentation export
 
 
-def test_export_covers_grid_and_preserves_authentic():
+def exported_rows(ds, bundle, seed, path):
+    """Export to ``path`` and read it back as (instance, annotator, label,
+    authentic) rows."""
+    summary = export_augmented(ds, bundle, seed=seed, out_path=path)
+    triplets, flags = read_augmented_file(path)
+    assert (len(summary), summary.authentic) == (len(triplets), int(flags.sum()))
+    return np.column_stack([triplets, flags.astype(np.int64)])
+
+
+def test_export_covers_grid_and_preserves_authentic(tmp_path):
     ds = tiny_dataset()
     cfg = tiny_config(epochs=1)
     res = train_crowding(ds, cfg)
-    rows = export_augmented(ds, res.bundle, seed=5)
+    rows = exported_rows(ds, res.bundle, 5, tmp_path / "augmented.csv")
     train_idx = ds.split_indices(TRAIN)
     assert rows.shape == (len(train_idx) * ds.num_annotators, 4)
     assert set(np.unique(rows[:, 0]).tolist()) == set(train_idx.tolist())
@@ -1085,13 +1096,12 @@ def test_export_is_deterministic_and_round_trips(tmp_path):
     ds = tiny_dataset()
     cfg = tiny_config(epochs=1)
     res = train_crowding(ds, cfg)
-    path = tmp_path / "augmented.csv"
-    rows = export_augmented(ds, res.bundle, seed=5, out_path=path)
-    again = export_augmented(ds, res.bundle, seed=5)
-    assert np.array_equal(rows, again)
-    triplets, flags = read_augmented_file(path)
-    assert np.array_equal(triplets, rows[:, :3])
-    assert np.array_equal(flags, rows[:, 3] == 1)
+    rows = exported_rows(ds, res.bundle, 5, tmp_path / "a.csv")
+    export_augmented(ds, res.bundle, seed=5, out_path=tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == \
+        b"instance_id,annotator_id,label,authentic\n" + csv_writer_bytes(rows)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
 
 def _labels_fed(ds, bundle, rows, seed, zero_annotator_features):
@@ -1124,7 +1134,7 @@ def test_export_feeds_the_generator_the_inputs_it_was_trained_on(tmp_path):
     assert arrays["meta.gen_use_annotator_features"] == 0.0
     assert arrays["meta.gen_use_instance_features"] == 1.0
     _, bundle = tr.load_result_checkpoint(path)
-    rows = export_augmented(ds, bundle, seed=5)
+    rows = exported_rows(ds, bundle, 5, tmp_path / "augmented.csv")
     generated = rows[rows[:, 3] == 0, 2]
     assert np.array_equal(generated, _labels_fed(ds, bundle, rows, 5, True))
     assert not np.array_equal(generated, _labels_fed(ds, bundle, rows, 5, False))
@@ -1135,7 +1145,7 @@ def test_export_feeds_the_generator_the_inputs_it_was_trained_on(tmp_path):
                     {k: v for k, v in arrays.items() if k not in switches})
     _, older = tr.load_result_checkpoint(tmp_path / "older.bin")
     assert older.dims.gen_use_instance_features and older.dims.gen_use_annotator_features
-    rows = export_augmented(ds, older, seed=5)
+    rows = exported_rows(ds, older, 5, tmp_path / "augmented.csv")
     assert np.array_equal(rows[rows[:, 3] == 0, 2], _labels_fed(ds, older, rows, 5, False))
 
 
@@ -1218,6 +1228,53 @@ def test_export_bytes_equal_per_pair_reference(tmp_path, n, r):
     assert (tmp_path / "augmented.csv").read_bytes() == reference_export(ds, bundle, 5)
 
 
+def annotated_on(ds, annotated, seed=0):
+    """``ds`` annotated on exactly the (train instance, annotator) pairs that
+    the boolean (train instances, annotators) grid ``annotated`` flags, at
+    random labels."""
+    slots, annot = np.nonzero(annotated)
+    labels = np.random.default_rng(seed).integers(ds.num_classes, size=len(slots))
+    return ds.with_annotations(np.column_stack([ds.split_indices(TRAIN)[slots], annot, labels]))
+
+
+def shaped_grid(case):
+    """A dataset whose train grid has the shape ``case`` names."""
+    small = case in ("no-missing", "authentic-ends")
+    ds = tiny_dataset(n=60 if small else 1000, r=6 if small else 20, c=4)
+    rng = np.random.default_rng(1)
+    shape = (len(ds.split_indices(TRAIN)), ds.num_annotators)
+    if case == "no-missing":
+        return annotated_on(ds, np.ones(shape, dtype=bool))
+    annotated = np.zeros(shape, dtype=bool)
+    annotated[np.arange(shape[0]), rng.integers(shape[1], size=shape[0])] = True
+    if case == "authentic-ends":  # the grid starts and ends with authentic rows
+        annotated[:2] = annotated[-2:] = True
+    else:  # "8191-missing" or "8192-missing": one pair block, or the first split
+        free = np.flatnonzero(~annotated)
+        extra = len(free) - int(case.split("-")[0])
+        annotated.flat[rng.choice(free, size=extra, replace=False)] = True
+    return annotated_on(ds, annotated)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", ["no-missing", "authentic-ends", "8191-missing",
+                                  "8192-missing"])
+def test_export_bytes_equal_per_pair_reference_on_shaped_grids(tmp_path, monkeypatch,
+                                                               case, threads):
+    monkeypatch.setattr(tr, "_BLOCK_THREADS", threads)
+    ds = shaped_grid(case)
+    bundle = _randomized_bundle(ds, 4)
+    export_augmented(ds, bundle, seed=5, out_path=tmp_path / "augmented.csv")
+    _, flags = read_augmented_file(tmp_path / "augmented.csv")
+    if case == "authentic-ends":
+        assert flags[:12].all() and flags[-12:].all() and not flags.all()
+    else:
+        assert (~flags).sum() == {"no-missing": 0, "8191-missing": 8191,
+                                  "8192-missing": 8192}[case]
+    assert (tmp_path / "augmented.csv").read_bytes() == reference_export(ds, bundle, 5)
+    assert [p.name for p in tmp_path.iterdir()] == ["augmented.csv"]
+
+
 def _randomized_bundle(ds, seed):
     rng = np.random.default_rng(seed)
     bundle = build_bundle(tr._dims_for(ds, tiny_config()), build_cooccurrence(ds), rng)
@@ -1226,38 +1283,61 @@ def _randomized_bundle(ds, seed):
     return bundle
 
 
-def test_export_and_logged_grid_are_equal_on_one_and_two_threads(monkeypatch):
+def test_export_and_logged_grid_are_equal_on_one_and_two_threads(tmp_path, monkeypatch):
     # 16,000 grid pairs, about 15,000 of them missing: several pair blocks
     ds = tiny_dataset(n=400, r=40, c=4)
     bundle = _randomized_bundle(ds, 2)
     runs = {}
     for threads in (1, 2):
         monkeypatch.setattr(tr, "_BLOCK_THREADS", threads)
-        rows = export_augmented(ds, bundle, seed=5)
+        path = tmp_path / f"{threads}.csv"
+        written = export_augmented(ds, bundle, seed=5, out_path=path)
         batch = log_generation_grid(bundle.generator, bundle.classifier, ds, tiny_config(),
                                     np.random.default_rng(3))
-        runs[threads] = [rows.tobytes()] + [getattr(batch, f.name).tobytes()
-                                            for f in dataclasses.fields(LoggedBatch)]
-    assert (rows[:, 3] == 0).sum() >= 8192 and len(batch) >= 8192
+        runs[threads] = [path.read_bytes()] + [getattr(batch, f.name).tobytes()
+                                               for f in dataclasses.fields(LoggedBatch)]
+    assert len(written) - written.authentic >= 8192 and len(batch) >= 8192
     assert runs[1] == runs[2]
 
 
-def test_export_peak_memory_per_pair():
-    # the export keeps its (pairs, 4) rows and a few int64/float64 columns of
-    # the missing pairs; no (pairs, classes) codes and no (pairs, noise) array
+def test_export_peak_memory_per_pair(tmp_path):
+    # writing the CSV as the CLI does, the export holds no array with an entry
+    # per grid pair or per missing pair: only columns of the annotations and
+    # the instances, and two pair blocks
     def peak(n):
         ds = tiny_dataset(n=n, r=40, c=4)
         bundle = _randomized_bundle(ds, 0)
         tracemalloc.start()
         try:
-            rows = export_augmented(ds, bundle, seed=5)
-            return tracemalloc.get_traced_memory()[1], len(rows)
+            written = export_augmented(ds, bundle, seed=5, out_path=tmp_path / "augmented.csv")
+            return tracemalloc.get_traced_memory()[1], len(written)
         finally:
             tracemalloc.stop()
 
     (small, small_pairs), (large, large_pairs) = peak(1000), peak(2000)
     per_pair = (large - small) / (large_pairs - small_pairs)
-    assert per_pair < 96, per_pair
+    assert per_pair < 16, per_pair
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_export_leaves_no_file(tmp_path, monkeypatch, threads):
+    # the second pair block fails after the first one has been written
+    monkeypatch.setattr(tr, "_BLOCK_THREADS", threads)
+    ds = tiny_dataset(n=400, r=40, c=4)
+    bundle = _randomized_bundle(ds, 2)
+    sample, calls = tr._sample_generated, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise FloatingPointError("softmax input contains non-finite values")
+        return sample(*args)
+
+    monkeypatch.setattr(tr, "_sample_generated", failing)
+    with pytest.raises(FloatingPointError):
+        export_augmented(ds, bundle, seed=5, out_path=tmp_path / "augmented.csv")
+    assert len(calls) >= 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_augmented_rejects_wrong_header(tmp_path):
