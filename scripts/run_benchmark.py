@@ -7,8 +7,8 @@ each with dl-cl, dl-mv and crowding. The data geometry and the schedule are
 ``BENCH_DATA``, ``CONTROL_DATA`` and ``BENCH_TRAIN`` of
 ``tests/test_acceptance.py``; dl-cl and dl-mv read only its pretraining
 schedule, so dl-cl is criterion 6's baseline, crowding's own pretraining.
-Every run goes through the experiment grid (``cli._run_grid``), so
-``CROWDING_THREADS`` caps the worker processes.
+Every run goes through the experiment grid (``cli._run_grid``), on one
+worker process per usable core; ``taskset`` caps them.
 
 Writes one record per seed and dataset to ``--out`` (default
 ``BENCH_gain_seeds.json``): the three test accuracies, the gain (crowding

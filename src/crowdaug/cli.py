@@ -12,7 +12,6 @@ import ctypes
 import hashlib
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -27,6 +26,7 @@ from .trainer import (
     DivergenceError,
     TrainConfig,
     TrainResult,
+    _usable_cores,
     check_method,
     check_trainable,
     export_augmented,
@@ -67,7 +67,10 @@ def _dataset_paths(data_dir: str | Path) -> list[Path]:
 
 def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
                    inputs: list[Path | None], outputs: list[str]) -> Path:
-    """Record what is about to run; written before any training starts."""
+    """Record what is about to run; written before any training starts.
+
+    Any file already at one of ``outputs`` is removed first, so a run that
+    fails leaves no earlier run's output beside its manifest."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at the path or on the way to it
@@ -83,6 +86,11 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "blas_threads": BLAS_THREADS,
         "numpy_imported_first": NUMPY_IMPORTED_FIRST,
     }
+    for output in outputs:
+        try:
+            Path(output).unlink(missing_ok=True)
+        except OSError as exc:  # a directory at the path
+            raise ConfigError(f"cannot replace output {output}: {exc.strerror}") from exc
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -195,19 +203,13 @@ def _sweep_job(payload) -> TrainResult:
     return train_method(reduced, cfg, method)
 
 
-def _thread_cap() -> int:
-    """The worker-process cap ``CROWDING_THREADS`` (default 1, at least 1)."""
-    cap = os.environ.get("CROWDING_THREADS", "1")
-    try:
-        return max(1, int(cap))
-    except ValueError:
-        raise ConfigError(f"CROWDING_THREADS must be an integer, got {cap!r}") from None
-
-
 def _run_grid(jobs: list) -> list[TrainResult]:
-    """Run every job, on worker processes when ``CROWDING_THREADS`` > 1, and
-    return the results in job order: the same on any worker count."""
-    workers = min(_thread_cap(), len(jobs))
+    """Run every job, on one worker process per usable core (at most one per
+    job), and return the results in job order: the same on any worker count.
+
+    On one usable core the jobs run serially. CPU affinity (``taskset``) caps
+    the workers."""
+    workers = min(_usable_cores(), len(jobs))
     if workers > 1:
         # imported here: the pool module costs every other command's start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -347,7 +349,6 @@ def cmd_sweep(args) -> int:
     check_trainable(ds)
     for fraction in fractions:  # fail before any cell trains, not hours in
         check_removal(ds, fraction)
-    _thread_cap()  # a bad CROWDING_THREADS fails here, before the manifest
 
     out_dir = Path(args.out)
     write_manifest(out_dir, "sweep",
@@ -375,7 +376,6 @@ def cmd_ablate(args) -> int:
     cfg = _train_config(rest, args.seed)
     for variant in variants:  # fail before the manifest, not in the first job
         apply_ablation(cfg, variant)
-    _thread_cap()  # a bad CROWDING_THREADS fails here, before the manifest
     ds = load_dataset(args.data)
     check_trainable(ds)
 

@@ -38,10 +38,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"))
+    return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,

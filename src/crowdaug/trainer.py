@@ -790,10 +790,11 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     if cfg.two_step and not len(high_idx):
         warnings.append("empty high-entropy set: classifier update skipped")
 
-    # (7) metrics
-    with dc.no_grad():  # steps 5 and 6 leave D, so step 3's table is current
+    # (7) metrics: steps 5 and 6 leave D, so step 3's table and scores are
+    # current and only the authentic rows are scored again
+    with dc.no_grad():
         d_auth_final = disc.score(*_encoding(disc, auth_rows, mats)).data
-        d_gen_final = disc.score(*_encoding(disc, sel_rows, mats)).data
+    d_gen_final = d_scores[selected]
     breakdown = compute_breakdown(d_auth_final, d_gen_final, q_at_draw[selected],
                                   float(code_entropies.mean()), cfg.info_weight)
     record = {

@@ -3,12 +3,10 @@
 Criteria 1-5 and 11 are exact/property checks. Criteria 6-10 are scaled
 synthetic experiments; their shared runs live in session fixtures so the
 5-seed benchmark is trained once and reused. Every fixture trains through
-the experiment grid (``cli._run_grid``) on min(2, nproc) worker processes;
-the results are the same on any worker count.
+the experiment grid (``cli._run_grid``), which runs one worker process per
+usable core; the results are the same on any worker count.
 """
 import math
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -341,22 +339,13 @@ def test_criterion_05_selection_balance():
 # criteria 6-10: scaled synthetic experiments (shared fixtures)
 
 
-@contextmanager
-def _grid_workers():
-    """A scope in which the experiment grid runs on min(2, nproc) worker processes."""
-    with pytest.MonkeyPatch.context() as env:
-        env.setenv("CROWDING_THREADS", str(min(2, os.cpu_count() or 1)))
-        yield
-
-
 def _seed_runs(data, runs):
     """Synthesize ``data`` on every seed and train each (method, TrainConfig
     dict) of ``runs`` on it; per seed: (dataset, result of each run)."""
     datasets = [synthesize_dataset(SynthConfig(**data), seed=seed) for seed in SEEDS]
-    with _grid_workers():
-        results = iter(cli._run_grid([(seed, ds, 0.0, method, seed, train)
-                                      for seed, ds in zip(SEEDS, datasets)
-                                      for method, train in runs]))
+    results = iter(cli._run_grid([(seed, ds, 0.0, method, seed, train)
+                                  for seed, ds in zip(SEEDS, datasets)
+                                  for method, train in runs]))
     return {seed: (ds, *(next(results) for _ in runs))
             for seed, ds in zip(SEEDS, datasets)}
 
@@ -403,10 +392,8 @@ def test_criterion_06_end_to_end_improvement(benchmark_runs, control_runs):
 def sweep_table():
     ds = synthesize_dataset(SynthConfig(**SWEEP_DATA), seed=100)
     cfg = TrainConfig(**SWEEP_TRAIN)
-    with _grid_workers():
-        return cli.sparsity_sweep(ds, fractions=(0.0, 0.2, 0.4, 0.6),
-                                  methods=("crowding", "dl-mv"), seeds=SEEDS,
-                                  cfg=cfg)
+    return cli.sparsity_sweep(ds, fractions=(0.0, 0.2, 0.4, 0.6),
+                              methods=("crowding", "dl-mv"), seeds=SEEDS, cfg=cfg)
 
 
 @pytest.mark.slow

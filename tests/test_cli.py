@@ -1,4 +1,5 @@
 """Command-line behavior: artifacts, manifests, exit codes, determinism."""
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -666,31 +667,6 @@ def test_sweep_rejects_bad_grid_before_any_cell_trains(workspace, tmp_path, caps
     assert not (out / "manifest.json").exists()
 
 
-def test_thread_cap_must_be_integer(workspace, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CROWDING_THREADS", "many")
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("sweep_methods = dl-mv\nsweep_fractions = 0\n"
-                   "sweep_seeds = 0\npretrain_epochs = 1\nbatch_size = 32\n",
-                   encoding="utf-8")
-    code = cli.main(["sweep", "--data", str(workspace / "data"),
-                     "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_CONFIG
-    assert "CROWDING_THREADS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["sweep", "ablate"])
-def test_thread_cap_is_checked_before_the_manifest(workspace, tmp_path, monkeypatch,
-                                                   capsys, command):
-    monkeypatch.setenv("CROWDING_THREADS", "abc")
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(f"{command}_seeds = 0\n" + GRID_TRAIN_CFG, encoding="utf-8")
-    out = tmp_path / "o"
-    assert cli.main([command, "--data", str(workspace / "data"),
-                     "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-    assert "CROWDING_THREADS" in _config_error_line(capsys)
-    assert not (out / "manifest.json").exists()
-
-
 @pytest.mark.parametrize("command,keys,repeated", [
     ("sweep", "sweep_fractions = 0, 0.0\nsweep_methods = dl-mv\nsweep_seeds = 0, 1\n", "0.0"),
     ("sweep", "sweep_fractions = 0\nsweep_methods = dl-mv, dl-mv\nsweep_seeds = 0\n", "'dl-mv'"),
@@ -752,25 +728,49 @@ def test_sweep_and_ablate_on_two_workers_match_serial(workspace, tmp_path,
             ("b", ds, 0.0, "dl-mv", 0, GRID_TRAIN),
             ("c", ds, 0.0, "crowding", 2, {**GRID_TRAIN, "two_step": False})]
     outputs, results = {}, {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CROWDING_THREADS", threads)
-        results[threads] = cli._run_grid(jobs)
+    for cores in (1, 2):  # the grid runs one worker process per usable core
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        results[cores] = cli._run_grid(jobs)
         # job order: each result is the run its job asked for
         assert [(r.method, r.config.seed, r.config.two_step)
-                for r in results[threads]] == \
+                for r in results[cores]] == \
             [("crowding", 1, True), ("dl-mv", 0, True), ("crowding", 2, False)]
         for command, name in (("sweep", "sweep"), ("ablate", "ablation")):
-            out = tmp_path / f"{command}{threads}"
+            out = tmp_path / f"{command}{cores}"
             assert cli.main([command, "--data", str(workspace / "data"),
                              "--config", str(tmp_path / f"{command}.cfg"),
                              "--out", str(out)]) == 0
             for ext in ("csv", "json"):
-                outputs[threads, name, ext] = (out / f"{name}.{ext}").read_bytes()
-    for (threads, name, ext), data in outputs.items():
-        assert data == outputs["1", name, ext], f"{name}.{ext} on {threads} workers"
-    for serial, pooled in zip(results["1"], results["2"]):
+                outputs[cores, name, ext] = (out / f"{name}.{ext}").read_bytes()
+    for (cores, name, ext), data in outputs.items():
+        assert data == outputs[1, name, ext], f"{name}.{ext} on {cores} workers"
+    for serial, pooled in zip(results[1], results[2]):
         assert pooled.history == serial.history
         assert pooled.test_acc == serial.test_acc
+
+
+@pytest.mark.parametrize("cores, workers", [(1, None), (2, 2), (8, 3)])
+def test_grid_runs_one_worker_process_per_usable_core(monkeypatch, cores, workers):
+    made = []
+
+    class Pool:  # records its size and runs the jobs in this process
+        def __init__(self, max_workers, initializer):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(cli, "_sweep_job", lambda job: -job)
+    assert cli._run_grid([1, 2, 3]) == [-1, -2, -3]
+    assert made == ([] if workers is None else [workers])  # none on one core
 
 
 # two jobs of 16,000 logged pairs each: seven row blocks per pass over the grid
@@ -793,18 +793,20 @@ def _grid_digest(results) -> list:
 
 def test_grid_workers_run_their_blocks_on_one_thread(monkeypatch):
     # forked workers with a block pool of their own would oversubscribe the
-    # cores, and a worker thread alive at the fork could hang the child
+    # cores, and a worker thread alive at the fork could hang the child; the
+    # script reports two usable cores, so it forks two workers on any machine
     script = WIDE_GRID_JOBS + (
         "import json, test_cli\n"
+        "cli._usable_cores = lambda: 2\n"
         "print(json.dumps(test_cli._grid_digest(cli._run_grid(jobs))))\n")
     tests = os.path.dirname(os.path.abspath(__file__))
-    env = {**os.environ, "CROWDING_THREADS": "2",
+    env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([tests, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=300).stdout
     namespace = {}
     exec(WIDE_GRID_JOBS, namespace)
-    monkeypatch.setenv("CROWDING_THREADS", "1")
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     serial = _grid_digest(cli._run_grid(namespace["jobs"]))
     assert all(rec["num_logged"] >= 8192 for history, _, _ in serial for rec in history)
     assert json.loads(out) == json.loads(json.dumps(serial))
@@ -928,13 +930,16 @@ def test_augment_requires_adversarial_checkpoint(workspace, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would print a line
-@pytest.mark.parametrize("command, nets", [
-    ("eval", ("classifier", "generator")),
-    ("augment", ("classifier", "generator")),
-    ("augment", ("generator",))],
-    ids=["eval", "augment", "augment-generator-only"])
+@pytest.mark.parametrize("command, nets, earlier", [
+    ("eval", ("classifier", "generator"), None),
+    ("augment", ("classifier", "generator"), None),
+    ("augment", ("generator",), None),
+    ("eval", ("classifier",), "metrics.json"),
+    ("augment", ("generator",), "augmented.csv")],
+    ids=["eval", "augment", "augment-generator-only", "eval-over-earlier-output",
+         "augment-over-earlier-output"])
 def test_checkpoint_whose_weights_overflow_is_divergence(workspace, tmp_path, capsys,
-                                                         command, nets):
+                                                         command, nets, earlier):
     # finite weights, so the checkpoint loads; its forward passes overflow
     arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
     for name in arrays:
@@ -943,14 +948,28 @@ def test_checkpoint_whose_weights_overflow_is_divergence(workspace, tmp_path, ca
     huge = tmp_path / "huge.bin"
     save_checkpoint(huge, arrays)
     out = tmp_path / "o"
+    if earlier is not None:  # an earlier run's output in the same directory
+        out.mkdir()
+        (out / earlier).write_text("earlier run\n", encoding="utf-8")
     code = cli.main([command, "--data", str(workspace / "data"),
                      "--checkpoint", str(huge), "--out", str(out)])
     assert code == cli.EXIT_DIVERGED
     err = capsys.readouterr().err
     assert err.startswith(f"divergence: {command}:") and "non-finite" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    # the manifest only: no augmented.csv, partial or whole
+    # the manifest only: no output, partial, whole or left from an earlier run
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_output_path_that_is_a_directory_is_config_error(workspace, tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "augmented.csv").mkdir(parents=True)
+    code = cli.main(["augment", "--data", str(workspace / "data"),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "cannot replace output" in _config_error_line(capsys)
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "augment"])

@@ -1,6 +1,8 @@
 """Repository tooling stays in step with the package: the generated config
 reference, the names the benchmark tracer wraps and what it sees of a run,
-the scripts' imports and the seed harness's summary."""
+the scripts' imports, the seed harness's summary and the package's reads of
+the environment."""
+import ast
 import importlib
 import importlib.util
 import json
@@ -42,6 +44,29 @@ def test_scripts_import():
     assert scripts
     for path in scripts:
         assert callable(load_script(path.relative_to(ROOT)).main), path.name
+
+
+def test_src_reads_only_the_blas_thread_variables():
+    # the package takes no setting from the environment: the experiment grid
+    # sizes itself from the usable cores, and CPU affinity caps it
+    import crowdaug
+    reads = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else ""
+            if name.startswith(("environ", "getenv")):
+                reads.append((path.relative_to(ROOT / "src").as_posix(),
+                              lines[node.lineno - 1].strip()))
+    assert sorted(reads) == [
+        ("crowdaug/__init__.py",
+         "BLAS_THREADS = {var: os.environ[var] for var in BLAS_THREAD_VARS}"),
+        ("crowdaug/__init__.py", 'os.environ.setdefault(_var, "1")'),
+    ]
+    assert crowdaug.BLAS_THREAD_VARS == ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS")
 
 
 HARNESS = load_script("scripts/run_benchmark.py")

@@ -559,11 +559,17 @@ def test_entropy_split_runs_no_classifier_pass_of_its_own(monkeypatch):
 
 def test_epoch_scores_the_logged_grid_in_one_pass(monkeypatch):
     calls = _record_judges(monkeypatch)
-    result = train_crowding(tiny_dataset(), tiny_config(epochs=1))
+    ds = tiny_dataset()
+    result = train_crowding(ds, tiny_config(epochs=1))
     logged = result.history[0]["num_logged"]
     assert logged < 8192  # one pair block
     assert sorted(c for c in calls if c[1] == logged) == \
         [("encode", logged), ("logits", logged), ("score", logged)]
+    # the metrics read the selected rows' scores from that pass, and score
+    # only the authentic rows again
+    authentic = len(tr._train_annotations(ds))
+    after_grid = calls.index(("score", logged)) + 1
+    assert calls[after_grid:] == [("encode", authentic), ("score", authentic)]
 
 
 def test_disc_aux_step_peak_memory_per_generated_row():
