@@ -86,8 +86,8 @@ def main() -> int:
     seeds = range(args.seeds)
     datasets = {name: [synthesize_dataset(SynthConfig(**data), seed=seed) for seed in seeds]
                 for name, data in (("benchmark", BENCH_DATA), ("control", CONTROL_DATA))}
-    jobs = [(name, ds, 0.0, method, seed, BENCH_TRAIN)
-            for name, sets in datasets.items() for seed, ds in zip(seeds, sets)
+    jobs = [(ds, 0.0, method, seed, BENCH_TRAIN)
+            for sets in datasets.values() for seed, ds in zip(seeds, sets)
             for method in METHODS]
     results = iter(_run_grid(jobs))
 

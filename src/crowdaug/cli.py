@@ -16,11 +16,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import BLAS_THREADS, NUMPY_IMPORTED_FIRST, __version__, evalsuite
 from .checkpoint import CheckpointError
 from .config import ConfigError, apply_overrides, config_as_dict, load_config_file
 from .data import TEST, TRAIN, VAL, DatasetError, SynthConfig, check_removal, load_dataset, remove_annotations, save_dataset, synthesize_dataset
-from .evalsuite import RunReport, SweepTable
+from .evalsuite import RunReport
 from .trainer import (
     METHODS,
     DivergenceError,
@@ -141,9 +143,7 @@ def _seed(text: str) -> int:
 
 def _train_config(values: dict[str, str], seed: int | None) -> TrainConfig:
     fixed = {} if seed is None else {"seed": seed}
-    cfg = apply_overrides(TrainConfig, values, **fixed)
-    cfg.validate()
-    return cfg
+    return apply_overrides(TrainConfig, values, **fixed)
 
 
 def _check_checkpoint_dims(path, dims, ds, fields: tuple[str, ...]) -> None:
@@ -195,9 +195,9 @@ def _variant_of(method: str, cfg: TrainConfig) -> str:
 
 
 def _sweep_job(payload) -> TrainResult:
-    """One grid cell ``(axis value, dataset, fraction, method, seed, config
-    dict)``: remove annotations, train, and return the run's result."""
-    _, ds, fraction, method, seed, cfg_dict = payload
+    """One grid job ``(dataset, fraction, method, seed, config dict)``: remove
+    annotations, train, and return the run's result."""
+    ds, fraction, method, seed, cfg_dict = payload
     reduced = remove_annotations(ds, fraction, seed=seed)
     cfg = TrainConfig(**{**cfg_dict, "seed": seed})
     return train_method(reduced, cfg, method)
@@ -219,30 +219,41 @@ def _run_grid(jobs: list) -> list[TrainResult]:
     return [_sweep_job(job) for job in jobs]
 
 
-def _tabulate(table: SweepTable, jobs: list) -> SweepTable:
-    """Each job's test accuracy in the table, under its axis value and method."""
-    for (value, _, _, method, _, _), result in zip(jobs, _run_grid(jobs)):
-        table.add(value, method, result.test_acc)
-    table.validate()
-    return table
+def _grid_rows(axis_name: str, cells: list, ds, seeds) -> list[dict]:
+    """Train every ``(axis value, fraction, method, config dict)`` cell on
+    every seed; one row per cell, in cell order, with the mean and standard
+    deviation of its test accuracies over the seeds."""
+    results = iter(_run_grid([(ds, fraction, method, seed, cfg_dict)
+                              for _, fraction, method, cfg_dict in cells
+                              for seed in seeds]))
+    rows = []
+    for value, _, method, _ in cells:
+        accs = [next(results).test_acc for _ in seeds]
+        rows.append({axis_name: value, "method": method,
+                     "mean_acc": float(np.mean(accs)), "std_acc": float(np.std(accs)),
+                     "num_seeds": len(accs)})
+    return rows
 
 
-def sparsity_sweep(ds, fractions, methods, seeds, cfg: TrainConfig) -> SweepTable:
-    """Remove -> train -> test-accuracy grid over (fraction, method, seed)."""
-    table = SweepTable(axis_name="fraction", axis_values=list(fractions),
-                       methods=list(methods))
-    return _tabulate(table, [(fraction, ds, fraction, method, seed, cfg.__dict__)
-                             for fraction in fractions for seed in seeds
-                             for method in methods])
+def sparsity_sweep(ds, fractions, methods, seeds, cfg: TrainConfig) -> list[dict]:
+    """Remove -> train -> test-accuracy rows over (fraction, method), across seeds."""
+    return _grid_rows("fraction", [(fraction, fraction, method, cfg.__dict__)
+                                   for fraction in fractions for method in methods],
+                      ds, seeds)
 
 
-def run_ablation(ds, variants, cfg: TrainConfig, seeds) -> SweepTable:
-    """Each ablation variant across seeds on all annotations (fraction 0)."""
-    table = SweepTable(axis_name="variant", axis_values=list(variants),
-                       methods=["crowding"])
-    return _tabulate(table, [(variant, ds, 0.0, "crowding", seed,
-                              apply_ablation(cfg, variant).__dict__)
-                             for variant in variants for seed in seeds])
+def run_ablation(ds, variants, cfg: TrainConfig, seeds) -> list[dict]:
+    """Each ablation variant's rows across seeds on all annotations (fraction 0)."""
+    return _grid_rows("variant", [(variant, 0.0, "crowding",
+                                   apply_ablation(cfg, variant).__dict__)
+                                  for variant in variants], ds, seeds)
+
+
+def _write_rows(out_dir: Path, name: str, rows: list[dict]) -> None:
+    """The grid's rows as ``<name>.csv`` and ``<name>.json``."""
+    evalsuite.write_csv(out_dir / f"{name}.csv", rows)
+    (out_dir / f"{name}.json").write_text(json.dumps(rows, indent=2) + "\n",
+                                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +263,6 @@ def run_ablation(ds, variants, cfg: TrainConfig, seeds) -> SweepTable:
 def cmd_synth(args) -> int:
     values = _load_config_values(args.config)
     cfg = apply_overrides(SynthConfig, values)
-    cfg.validate()
     out_dir = Path(args.out)
     write_manifest(out_dir, "synth", config_as_dict(cfg), args.seed,
                    [Path(args.config)] if args.config else [],
@@ -358,9 +368,7 @@ def cmd_sweep(args) -> int:
                    ([Path(args.config)] if args.config else []) + _dataset_paths(args.data),
                    [str(out_dir / "sweep.csv"), str(out_dir / "sweep.json")])
 
-    table = sparsity_sweep(ds, fractions, methods, seeds, cfg)
-    table.to_csv(out_dir / "sweep.csv")
-    table.to_json(out_dir / "sweep.json")
+    _write_rows(out_dir, "sweep", sparsity_sweep(ds, fractions, methods, seeds, cfg))
     print(f"sweep: {len(fractions)}x{len(methods)} cells, "
           f"{len(seeds)} seeds -> {out_dir}")
     return EXIT_OK
@@ -386,9 +394,7 @@ def cmd_ablate(args) -> int:
                    ([Path(args.config)] if args.config else []) + _dataset_paths(args.data),
                    [str(out_dir / "ablation.csv"), str(out_dir / "ablation.json")])
 
-    table = run_ablation(ds, variants, cfg, seeds)
-    table.to_csv(out_dir / "ablation.csv")
-    table.to_json(out_dir / "ablation.json")
+    _write_rows(out_dir, "ablation", run_ablation(ds, variants, cfg, seeds))
     print(f"ablation: {len(variants)} variants, {len(seeds)} seeds -> {out_dir}")
     return EXIT_OK
 

@@ -143,8 +143,8 @@ class CrowdDataset:
             if ann[:, 2].min() < 0 or ann[:, 2].max() >= self.num_classes:
                 raise DatasetError(
                     f"annotation label out of range [0, {self.num_classes})")
-            # sorted neighbours, not np.unique: its first call imports numpy.ma,
-            # ~30 ms of every command's start-up
+            # a repeated pair sits next to its twin in the sorted keys: the
+            # sort np.unique would do, without its copy of the distinct keys
             pair_keys = np.sort(ann[:, 0] * self.num_annotators + ann[:, 1])
             if np.any(pair_keys[1:] == pair_keys[:-1]):
                 raise DatasetError("duplicate annotation for an (instance, annotator) pair")
@@ -199,7 +199,7 @@ class SynthConfig:
     val_fraction: float = 0.15
     test_fraction: float = 0.15
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         c = self.num_classes
         if c < 2:
             raise ConfigError(f"num_classes must be >= 2, got {c}")
@@ -236,7 +236,6 @@ def _instance_difficulty(features: np.ndarray, centroids: np.ndarray) -> tuple[n
 
 def synthesize_dataset(cfg: SynthConfig, seed: int) -> CrowdDataset:
     """Draw a full synthetic crowd dataset; ground truth is retained."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
     c, d, r = cfg.num_classes, cfg.feature_dim, cfg.num_annotators
 
@@ -545,13 +544,13 @@ def _parse_splits(path: Path, body: list[list[str]], n: int) -> np.ndarray:
     return splits
 
 
-def load_dataset(data_dir: str | Path, num_classes: int | None = None) -> CrowdDataset:
+def load_dataset(data_dir: str | Path) -> CrowdDataset:
     """Load a dataset directory written by ``save_dataset`` or by hand.
 
     Required: ``features.csv``, ``annotations.csv``. Optional:
     ``annotators.csv`` (else annotators get one-hot vectors),
     ``truth.csv``, ``splits.csv`` (else every instance is train).
-    ``num_classes`` is inferred from the labels when not given.
+    ``num_classes`` is inferred from the labels.
 
     Each file is read by ``csv.reader`` (its quoting, blank-line and line-end
     rules) and its body converted in one NumPy call; only a file that fails
@@ -595,16 +594,14 @@ def load_dataset(data_dir: str | Path, num_classes: int | None = None) -> CrowdD
             raise DatasetError(f"{splits_path}: bad header {header}")
         splits = _parse_splits(splits_path, body, n)
 
-    if num_classes is None:
-        observed = [triplets[:, 2].max()] if triplets.size else []
-        if truth is not None and np.any(truth >= 0):
-            observed.append(truth.max())
-        if not observed:
-            raise DatasetError("cannot infer num_classes from an unlabeled dataset")
-        num_classes = int(max(observed)) + 1
+    observed = [triplets[:, 2].max()] if triplets.size else []
+    if truth is not None and np.any(truth >= 0):
+        observed.append(truth.max())
+    if not observed:
+        raise DatasetError("cannot infer num_classes from an unlabeled dataset")
 
     return CrowdDataset(
-        num_classes=num_classes,
+        num_classes=int(max(observed)) + 1,
         features=features,
         annotator_features=annotator_features,
         annotations=triplets,

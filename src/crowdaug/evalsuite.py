@@ -1,6 +1,6 @@
-"""Metrics and report tables: accuracy, AUC and ranks, per-epoch run reports
-and sweep tables. The experiment grid that fills sweep
-tables is in ``cli``; nothing here trains, so the trainer imports it freely.
+"""Metrics and reports: accuracy, AUC and ranks, per-epoch run reports and
+the CSV writer of report and grid rows. The experiment grid is in ``cli``;
+nothing here trains, so the trainer imports it freely.
 """
 from __future__ import annotations
 
@@ -80,6 +80,17 @@ def auc(positive_scores, negative_scores) -> float:
 # reports
 
 
+def write_csv(path: str | Path, rows: list[dict]) -> None:
+    """Rows under the first row's keys; no rows write an empty file."""
+    if not rows:
+        Path(path).write_text("", encoding="utf-8")
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 @dataclass
 class RunReport:
     """Per-epoch metric records plus a final summary block."""
@@ -97,68 +108,9 @@ class RunReport:
                     raise ValueError(f"{key} out of [0,1] at epoch {i}")
 
     def to_csv(self, path: str | Path) -> None:
-        if not self.epochs:
-            Path(path).write_text("", encoding="utf-8")
-            return
-        keys = list(self.epochs[0].keys())
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=keys, lineterminator="\n")
-            writer.writeheader()
-            for rec in self.epochs:
-                writer.writerow(rec)
+        write_csv(path, self.epochs)
 
     def to_json(self, path: str | Path) -> None:
         payload = {"summary": self.summary, "epochs": self.epochs}
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
-
-
-@dataclass
-class SweepTable:
-    """axis value x method -> per-seed accuracies with mean/std aggregation."""
-
-    axis_name: str
-    axis_values: list
-    methods: list[str]
-    cells: dict = field(default_factory=dict)  # (axis_value, method) -> list[float]
-
-    def add(self, axis_value, method: str, acc: float) -> None:
-        self.cells.setdefault((axis_value, method), []).append(float(acc))
-
-    def mean(self, axis_value, method: str) -> float:
-        return float(np.mean(self.cells[(axis_value, method)]))
-
-    def std(self, axis_value, method: str) -> float:
-        return float(np.std(self.cells[(axis_value, method)]))
-
-    def validate(self) -> None:
-        sizes = {len(v) for v in self.cells.values()}
-        if len(sizes) > 1:
-            raise ValueError(f"cells aggregate unequal seed counts: {sorted(sizes)}")
-
-    def rows(self) -> list[dict]:
-        out = []
-        for value in self.axis_values:
-            for method in self.methods:
-                accs = self.cells.get((value, method), [])
-                out.append({
-                    self.axis_name: value,
-                    "method": method,
-                    "mean_acc": float(np.mean(accs)) if accs else float("nan"),
-                    "std_acc": float(np.std(accs)) if accs else float("nan"),
-                    "num_seeds": len(accs),
-                })
-        return out
-
-    def to_csv(self, path: str | Path) -> None:
-        rows = self.rows()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()),
-                                    lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.rows(), indent=2) + "\n",
                               encoding="utf-8")

@@ -142,7 +142,7 @@ class TrainConfig:
     gen_use_annotator_features: bool = True
     selection_mode: str = "entropy"  # or "uniform"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.info_weight < 0:
             raise ConfigError("info_weight must be >= 0")
         if not 0.0 < self.entropy_threshold < 1.0:
@@ -425,7 +425,6 @@ def pretrain_dl_cl(ds: CrowdDataset, cfg: TrainConfig,
                    rng: np.random.Generator | None = None) -> tuple[Classifier, list]:
     """Crowd-layer pretraining of a classifier through per-annotator label
     transforms; returns (classifier, history) and drops the transforms."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     clf = Classifier(_dims_for(ds, cfg), rng)
     transforms = identity_transforms(ds.num_annotators, ds.num_classes)
@@ -437,7 +436,6 @@ def pretrain_dl_cl(ds: CrowdDataset, cfg: TrainConfig,
 
 def train_dl_mv(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     """Majority-vote aggregation followed by standard supervised training."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     mv = majority_vote(ds)
     train_idx = ds.split_indices(TRAIN)
@@ -830,7 +828,6 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     procedure can never fall below its own starting point by more than
     validation noise.
     """
-    cfg.validate()
     master = np.random.default_rng(cfg.seed)
     clf, _ = pretrain_dl_cl(ds, cfg, rng=master)
     adjacency = build_cooccurrence(ds)

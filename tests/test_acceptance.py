@@ -4,9 +4,13 @@ Criteria 1-5 and 11 are exact/property checks. Criteria 6-10 are scaled
 synthetic experiments; their shared runs live in session fixtures so the
 5-seed benchmark is trained once and reused. Every fixture trains through
 the experiment grid (``cli._run_grid``), which runs one worker process per
-usable core; the results are the same on any worker count.
+usable core; the results are the same on any worker count. One more test
+checks criterion 6's runs against ``BENCH_gain_seeds.json``, whose seeds 0-4
+they are.
 """
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,7 @@ from helpers import (
 )
 
 SEEDS = (0, 1, 2, 3, 4)
+BENCH_GAIN_SEEDS = Path(__file__).resolve().parent.parent / "BENCH_gain_seeds.json"
 
 # measured-value-vs-tolerance strings, printed one per criterion by the
 # terminal-summary hook in conftest.py
@@ -343,7 +348,7 @@ def _seed_runs(data, runs):
     """Synthesize ``data`` on every seed and train each (method, TrainConfig
     dict) of ``runs`` on it; per seed: (dataset, result of each run)."""
     datasets = [synthesize_dataset(SynthConfig(**data), seed=seed) for seed in SEEDS]
-    results = iter(cli._run_grid([(seed, ds, 0.0, method, seed, train)
+    results = iter(cli._run_grid([(ds, 0.0, method, seed, train)
                                   for seed, ds in zip(SEEDS, datasets)
                                   for method, train in runs]))
     return {seed: (ds, *(next(results) for _ in runs))
@@ -388,8 +393,24 @@ def test_criterion_06_end_to_end_improvement(benchmark_runs, control_runs):
         f"(per seed: {[f'{d:+.2f}' for d in control_drops]})")
 
 
+@pytest.mark.slow
+def test_seed_harness_file_matches_criterion_6_runs(benchmark_runs, control_runs):
+    # scripts/run_benchmark.py wrote BENCH_gain_seeds.json; its seeds 0-4 are
+    # criterion 6's, so a stale file shows here without training anything
+    saved = json.loads(BENCH_GAIN_SEEDS.read_text(encoding="utf-8"))
+    for name, runs in (("benchmark", benchmark_runs), ("control", control_runs)):
+        for record in saved[name]["seeds"][:len(SEEDS)]:
+            _, baseline, crowding = runs[record["seed"]]
+            assert (record["dl-cl_test_acc"], record["crowding_test_acc"],
+                    record["best_epoch"], record["val_acc"], record["mu_coeff"]) == \
+                (baseline.test_acc, crowding.test_acc, crowding.best_epoch,
+                 [rec["val_acc"] for rec in crowding.history],
+                 [rec["mu_coeff"] for rec in crowding.history]), \
+                f"{name} seed {record['seed']}"
+
+
 @pytest.fixture(scope="session")
-def sweep_table():
+def sweep_rows():
     ds = synthesize_dataset(SynthConfig(**SWEEP_DATA), seed=100)
     cfg = TrainConfig(**SWEEP_TRAIN)
     return cli.sparsity_sweep(ds, fractions=(0.0, 0.2, 0.4, 0.6),
@@ -397,9 +418,9 @@ def sweep_table():
 
 
 @pytest.mark.slow
-def test_criterion_07_sparsity_sweep(sweep_table):
+def test_criterion_07_sparsity_sweep(sweep_rows):
     fractions = (0.0, 0.2, 0.4, 0.6)
-    means = {m: [sweep_table.mean(f, m) for f in fractions]
+    means = {m: [row["mean_acc"] for row in sweep_rows if row["method"] == m]
              for m in ("crowding", "dl-mv")}
     rhos = {m: spearman(fractions, accs) for m, accs in means.items()}
     worst_gap = min(means["crowding"][i] - means["dl-mv"][i]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from crowdaug import cli
+from crowdaug import evalsuite as ev
 from crowdaug.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from crowdaug.data import VAL, load_dataset, save_dataset
 from crowdaug.trainer import DivergenceError, TrainConfig, load_result_checkpoint
@@ -724,9 +725,9 @@ def test_sweep_and_ablate_on_two_workers_match_serial(workspace, tmp_path,
         "ablate_variants = full, no-info\nablate_seeds = 0\n" + GRID_TRAIN_CFG,
         encoding="utf-8")
     ds = load_dataset(workspace / "data")
-    jobs = [("a", ds, 0.3, "crowding", 1, GRID_TRAIN),
-            ("b", ds, 0.0, "dl-mv", 0, GRID_TRAIN),
-            ("c", ds, 0.0, "crowding", 2, {**GRID_TRAIN, "two_step": False})]
+    jobs = [(ds, 0.3, "crowding", 1, GRID_TRAIN),
+            (ds, 0.0, "dl-mv", 0, GRID_TRAIN),
+            (ds, 0.0, "crowding", 2, {**GRID_TRAIN, "two_step": False})]
     outputs, results = {}, {}
     for cores in (1, 2):  # the grid runs one worker process per usable core
         monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
@@ -781,7 +782,7 @@ ds = synthesize_dataset(SynthConfig(num_classes=4, num_instances=400, num_annota
                                     feature_dim=2, avg_annotations=2.0), seed=1)
 train = dict(pretrain_epochs=1, gen_pretrain_epochs=1, disc_pretrain_epochs=1,
              epochs=1, inner_steps=1, batch_size=32)
-jobs = [(seed, ds, 0.0, "crowding", seed, train) for seed in (0, 1)]
+jobs = [(ds, 0.0, "crowding", seed, train) for seed in (0, 1)]
 """
 
 
@@ -841,32 +842,37 @@ def test_variant_of_names_every_ablation():
     assert cli._variant_of("dl-mv", cli.apply_ablation(cfg, "no-info")) == "dl-mv"
 
 
-def test_sparsity_sweep_populates_grid(workspace):
+def test_sparsity_sweep_populates_grid(workspace, tmp_path):
     ds = load_dataset(workspace / "data")
-    table = cli.sparsity_sweep(ds, fractions=(0.0, 0.3), methods=("dl-mv",),
-                               seeds=(0, 1), cfg=quick_config())
-    table.validate()
-    for fraction in (0.0, 0.3):
-        assert len(table.cells[(fraction, "dl-mv")]) == 2
-        assert 0.0 <= table.mean(fraction, "dl-mv") <= 1.0
-    rows = table.rows()
-    assert all(row["num_seeds"] == 2 for row in rows)
+    cfg = quick_config()
+    rows = cli.sparsity_sweep(ds, fractions=(0.0, 0.3), methods=("dl-mv", "dl-cl"),
+                              seeds=(0, 1), cfg=cfg)
+    cells = [(0.0, "dl-mv"), (0.0, "dl-cl"), (0.3, "dl-mv"), (0.3, "dl-cl")]
+    assert [(row["fraction"], row["method"]) for row in rows] == cells
+    for row, (fraction, method) in zip(rows, cells):
+        accs = [r.test_acc for r in cli._run_grid([(ds, fraction, method, seed, cfg.__dict__)
+                                                    for seed in (0, 1)])]
+        assert row == {"fraction": fraction, "method": method,
+                       "mean_acc": float(np.mean(accs)), "std_acc": float(np.std(accs)),
+                       "num_seeds": 2}
+    ev.write_csv(tmp_path / "empty.csv", [])
+    assert (tmp_path / "empty.csv").read_bytes() == b""
 
 
 def test_sparsity_sweep_overrides_seed_per_run(workspace):
     ds = load_dataset(workspace / "data")
     cfg = quick_config(seed=999)  # must be replaced by the sweep's seeds
-    table = cli.sparsity_sweep(ds, fractions=(0.2,), methods=("dl-mv",),
+    [row] = cli.sparsity_sweep(ds, fractions=(0.2,), methods=("dl-mv",),
                                seeds=(0,), cfg=cfg)
-    assert len(table.cells[(0.2, "dl-mv")]) == 1
+    assert row["num_seeds"] == 1
     assert cfg.seed == 999
 
 
 def test_run_ablation_single_variant(workspace):
     ds = load_dataset(workspace / "data")
-    table = cli.run_ablation(ds, ["no-info"], quick_config(), seeds=(0,))
-    accs = table.cells[("no-info", "crowding")]
-    assert len(accs) == 1 and 0.0 <= accs[0] <= 1.0
+    [row] = cli.run_ablation(ds, ["no-info"], quick_config(), seeds=(0,))
+    assert row["variant"] == "no-info" and row["method"] == "crowding"
+    assert row["num_seeds"] == 1 and 0.0 <= row["mean_acc"] <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,12 @@ def test_load_small_handwritten_dataset(tmp_path):
 
 def test_load_label_out_of_range(tmp_path):
     write_dir(tmp_path, BASIC_FEATURES, BASIC_ANNOTATIONS, truth=[0, 1, 0])
-    ds = load_dataset(tmp_path, num_classes=2)
+    ds = load_dataset(tmp_path)
     assert ds.num_classes == 2
-    bad = BASIC_ANNOTATIONS + [[1, 1, 2]]
+    bad = BASIC_ANNOTATIONS + [[1, 1, -1]]
     write_dir(tmp_path, BASIC_FEATURES, bad)
     with pytest.raises(DatasetError, match="label out of range"):
-        load_dataset(tmp_path, num_classes=2)
+        load_dataset(tmp_path)
 
 
 def test_load_duplicate_pair(tmp_path):
@@ -311,12 +311,12 @@ def test_synth_per_annotator_accuracy_binomial(seed=7):
 
 def test_synth_config_validation():
     with pytest.raises(ConfigError):
-        SynthConfig(avg_annotations=0.5).validate()
+        SynthConfig(avg_annotations=0.5)
     with pytest.raises(ConfigError):
-        SynthConfig(num_classes=4, reliability_low=0.2, reliability_high=0.9).validate()
+        SynthConfig(num_classes=4, reliability_low=0.2, reliability_high=0.9)
     with pytest.raises(ConfigError):
-        SynthConfig(reliability_low=0.6, reliability_high=1.2).validate()
-    SynthConfig().validate()
+        SynthConfig(reliability_low=0.6, reliability_high=1.2)
+    SynthConfig()
 
 
 def test_synth_deterministic():

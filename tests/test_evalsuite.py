@@ -177,42 +177,3 @@ def test_run_report_serializes(tmp_path):
     payload = json.loads(json_path.read_text(encoding="utf-8"))
     assert payload["summary"]["best_epoch"] == 1
     assert payload["epochs"][1]["val_acc"] == 0.75
-
-
-def test_sweep_table_aggregates():
-    table = ev.SweepTable(axis_name="fraction", axis_values=[0.3],
-                          methods=["a", "b"])
-    table.add(0.3, "a", 0.5)
-    table.add(0.3, "a", 0.7)
-    table.add(0.3, "b", 0.9)
-    table.add(0.3, "b", 0.9)
-    assert table.mean(0.3, "a") == pytest.approx(0.6)
-    assert table.std(0.3, "a") == pytest.approx(0.1)
-    assert table.std(0.3, "b") == 0.0
-    table.validate()
-
-
-def test_sweep_table_rejects_ragged_cells():
-    table = ev.SweepTable(axis_name="fraction", axis_values=[0.3],
-                          methods=["a", "b"])
-    table.add(0.3, "a", 0.5)
-    table.add(0.3, "b", 0.9)
-    table.add(0.3, "b", 0.8)
-    with pytest.raises(ValueError, match="unequal seed counts"):
-        table.validate()
-
-
-def test_sweep_table_serializes(tmp_path):
-    table = ev.SweepTable(axis_name="fraction", axis_values=[0.0, 0.5],
-                          methods=["m"])
-    table.add(0.0, "m", 1.0)
-    table.add(0.5, "m", 0.5)
-    table.to_csv(tmp_path / "t.csv")
-    table.to_json(tmp_path / "t.json")
-    with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    assert float(rows[1]["mean_acc"]) == 0.5
-    payload = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))
-    assert payload[0]["num_seeds"] == 1
-

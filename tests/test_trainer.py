@@ -79,11 +79,11 @@ def test_config_rejects_bad_values():
                dict(seed=-1), dict(noise_dim=0), dict(dropout=1.5),
                dict(dropout=-0.1), dict(dropout=1.0)):
         with pytest.raises(ConfigError):
-            TrainConfig(**kw).validate()
+            TrainConfig(**kw)
 
 
 def test_config_defaults_validate():
-    TrainConfig().validate()
+    TrainConfig()
 
 
 def test_unknown_method_rejected():
