@@ -177,3 +177,36 @@ def test_run_report_serializes(tmp_path):
     payload = json.loads(json_path.read_text(encoding="utf-8"))
     assert payload["summary"]["best_epoch"] == 1
     assert payload["epochs"][1]["val_acc"] == 0.75
+
+
+# ---------------------------------------------------------------------------
+# sweep rows
+
+
+def test_sweep_table_aggregates(monkeypatch):
+    from crowdaug import cli
+    accs = {("a", 0): 0.5, ("a", 1): 0.7, ("b", 0): 0.9, ("b", 1): 0.9}
+    monkeypatch.setattr(cli, "_run_grid", lambda jobs: [
+        types.SimpleNamespace(test_acc=accs[(method, seed)])
+        for _, _, method, seed, _ in jobs])
+    rows = cli._grid_rows("fraction", [(0.3, 0.3, "a", {}), (0.3, 0.3, "b", {})],
+                          ds=None, seeds=(0, 1))
+    assert [(row["fraction"], row["method"]) for row in rows] == [(0.3, "a"), (0.3, "b")]
+    assert rows[0]["mean_acc"] == pytest.approx(0.6)
+    assert rows[0]["std_acc"] == pytest.approx(0.1)
+    assert rows[1]["std_acc"] == 0.0
+    assert [row["num_seeds"] for row in rows] == [2, 2]
+
+
+def test_sweep_table_serializes(tmp_path):
+    from crowdaug import cli
+    rows = [{"fraction": 0.0, "method": "m", "mean_acc": 1.0, "std_acc": 0.0, "num_seeds": 1},
+            {"fraction": 0.5, "method": "m", "mean_acc": 0.5, "std_acc": 0.0, "num_seeds": 1}]
+    cli._write_rows(tmp_path, "t", rows)
+    with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
+        read = list(csv.DictReader(fh))
+    assert len(read) == 2
+    assert float(read[1]["mean_acc"]) == 0.5
+    payload = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))
+    assert payload == rows
+    assert payload[0]["num_seeds"] == 1
