@@ -88,12 +88,12 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "blas_threads": BLAS_THREADS,
         "numpy_imported_first": NUMPY_IMPORTED_FIRST,
     }
-    for output in outputs:
+    path = out_dir / "manifest.json"
+    for output in [path, *outputs]:
         try:
             Path(output).unlink(missing_ok=True)
         except OSError as exc:  # a directory at the path
             raise ConfigError(f"cannot replace output {output}: {exc.strerror}") from exc
-    path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
@@ -139,6 +139,14 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _fraction(text: str) -> float:
+    """A sweep fraction: the share of annotations removed, in [0, 1)."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"removal fraction must lie in [0, 1), got {text!r}")
+    return value
 
 
 def _train_config(values: dict[str, str], seed: int | None) -> TrainConfig:
@@ -347,7 +355,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     values = _load_config_values(args.config)
     sweep, rest = _split_prefixed(values, "sweep_")
-    fractions = _parse_list(sweep.pop("fractions", "0,0.2,0.4,0.6"), float)
+    fractions = _parse_list(sweep.pop("fractions", "0,0.2,0.4,0.6"), _fraction)
     methods = _parse_list(sweep.pop("methods", "crowding,dl-cl,dl-mv"), str)
     seeds = _parse_list(sweep.pop("seeds", "0,1,2"), _seed)
     if sweep:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -434,114 +435,104 @@ def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def _as_table(body: list[list[str]], width: int, dtype) -> np.ndarray | None:
-    """``body`` as one (rows, width) array from a single NumPy conversion; None
-    when a row has another width or a value does not convert.
-
-    numpy's str-to-int64/float64 casts give Python's ``int()``/``float()``
-    values, so a caller needs its per-row parse only to name a bad row.
+    """``body`` as one (rows, width) array from a single NumPy conversion (an
+    empty body gives the empty table); None when a row has another width or a
+    value does not convert. numpy's str-to-int64/float64 casts give Python's
+    ``int()``/``float()`` values.
     """
     try:
-        table = np.array(body, dtype=dtype)
+        table = np.array(body or np.empty((0, width)), dtype=dtype)
     except (ValueError, OverflowError):
         return None
     return table if table.shape == (len(body), width) else None
 
 
-def _ids_in_range(ids: np.ndarray, n: int) -> bool:
-    return not ids.size or (ids.min() >= 0 and ids.max() < n)
+def _read_table(path: Path, header: list[str] | None, dtype, row_error,
+                convert=lambda table: table):
+    """``convert`` of the file's body as one table, once its header is checked
+    (None means ``f0..f{d-1}``). When the conversion fails or ``convert``
+    returns None, the first row for which ``row_error(i, row, width)`` gives a
+    message is named in a ``DatasetError``.
+    """
+    got, body = _read_csv_rows(path)
+    if header is None and got != [f"f{i}" for i in range(len(got))]:
+        raise DatasetError(f"{path}: header must be f0..f{{d-1}}, got {got[:4]}...")
+    if header is not None and got != header:
+        raise DatasetError(f"{path}: bad header {got}")
+    table = _as_table(body, len(got), dtype)
+    out = None if table is None else convert(table)
+    if out is None:
+        for i, row in enumerate(body):
+            if error := row_error(i, row, len(got)):
+                raise DatasetError(f"{path}: {error}")
+    return out
 
 
-def _assign_last_wins(out: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``out[ids[i]] = values[i]`` in row order: a repeated id keeps its last row."""
+def _float_row_error(i: int, row: list[str], width: int) -> str | None:
+    if len(row) != width:
+        return f"ragged feature row {i} (expected {width} columns, got {len(row)})"
+    if _as_table([row], width, np.float64) is None:
+        return f"non-numeric value in row {i}"
+    return None
+
+
+def _int_row_error(i: int, row: list[str], width: int, n: int | None = None) -> str | None:
+    """With ``n``, the row's first value is an instance id in [0, n)."""
+    if len(row) != width:
+        return f"row {i} has {len(row)} columns, expected {width}"
+    try:
+        inst = np.array(row, dtype=np.int64)[0]
+    except OverflowError:
+        return f"integer out of range in row {i}"
+    except ValueError:
+        return f"non-integer value in row {i}"
+    return None if n is None or 0 <= inst < n else f"instance id {inst} out of range"
+
+
+def _split_row_error(i: int, row: list[str], width: int, n: int) -> str | None:
+    if len(row) != width:
+        return f"row {i} must be instance_id,split"
+    try:
+        inst = int(np.array(row[:1], dtype=object).astype(np.int64)[0])
+    except OverflowError:  # an integer outside int64, so out of range too
+        inst = int(row[0])
+    except ValueError:
+        return f"non-integer id in row {i}"
+    if row[1] not in SPLIT_NAMES:
+        return f"unknown split {row[1]!r}"
+    return None if 0 <= inst < n else f"instance id {inst} out of range"
+
+
+def _last_wins(n: int, ids: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+    """An n-vector of -1 with ``out[ids[i]] = values[i]`` in row order (a
+    repeated id keeps its last row); None when an id lies outside [0, n)."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        return None
     _, first_from_end = np.unique(ids[::-1], return_index=True)
     last = len(ids) - 1 - first_from_end
+    out = np.full(n, -1, dtype=values.dtype)
     out[ids[last]] = values[last]
     return out
 
 
-def _parse_float_matrix(path: Path, prefix: str) -> np.ndarray:
-    header, body = _read_csv_rows(path)
-    expected = [f"{prefix}{i}" for i in range(len(header))]
-    if header != expected:
-        raise DatasetError(
-            f"{path}: header must be {prefix}0..{prefix}{{d-1}}, got {header[:4]}...")
-    width = len(header)
-    data = _as_table(body, width, np.float64)
-    if data is None:
-        data = np.empty((len(body), width), dtype=np.float64)
-        for i, row in enumerate(body):
-            if len(row) != width:
-                raise DatasetError(f"{path}: ragged feature row {i} "
-                                   f"(expected {width} columns, got {len(row)})")
-            try:
-                data[i] = [float(v) for v in row]
-            except ValueError:
-                raise DatasetError(f"{path}: non-numeric value in row {i}") from None
-    if not np.all(np.isfinite(data)):
-        raise DatasetError(f"{path}: non-finite value in features")
-    return data
-
-
-_INT64 = np.iinfo(np.int64)
-
-
-def _parse_int_row(row: list[str], width: int, path: Path, i: int) -> list[int]:
-    if len(row) != width:
-        raise DatasetError(f"{path}: row {i} has {len(row)} columns, expected {width}")
+def _splits_of(table: np.ndarray, n: int) -> np.ndarray | None:
+    """Split codes from an object table of (id, name) rows; None on an id that
+    is not an integer in [0, n) or on an unknown name."""
     try:
-        values = [int(v) for v in row]
-    except ValueError:
-        raise DatasetError(f"{path}: non-integer value in row {i}") from None
-    if not all(_INT64.min <= v <= _INT64.max for v in values):
-        raise DatasetError(f"{path}: integer out of range in row {i}")
-    return values
+        ids = table[:, 0].astype(np.int64)
+    except (ValueError, OverflowError):
+        return None
+    codes = np.full(len(table), -1, dtype=np.int8)
+    for code, name in enumerate(SPLIT_NAMES):
+        codes[table[:, 1] == name] = code
+    return None if np.any(codes < 0) else _last_wins(n, ids, codes)
 
 
-def _parse_truth(path: Path, body: list[list[str]], n: int) -> np.ndarray:
-    rows = _as_table(body, 2, np.int64)
-    if rows is not None and _ids_in_range(rows[:, 0], n):
-        return _assign_last_wins(np.full(n, -1, dtype=np.int64), rows[:, 0], rows[:, 1])
-    # the row-by-row parse, which names the first bad row (an empty body ends here too)
-    truth = np.full(n, -1, dtype=np.int64)
-    for i, row in enumerate(body):
-        inst, label = _parse_int_row(row, 2, path, i)
-        if not 0 <= inst < n:
-            raise DatasetError(f"{path}: instance id {inst} out of range")
-        truth[inst] = label
-    return truth
-
-
-def _parse_splits(path: Path, body: list[list[str]], n: int) -> np.ndarray:
-    name_to_code = {name: code for code, name in enumerate(SPLIT_NAMES)}
-    splits = None
-    rows = _as_table(body, 2, object)
-    if rows is not None:
-        try:
-            ids = rows[:, 0].astype(np.int64)
-        except (ValueError, OverflowError):
-            ids = None
-        codes = np.full(len(rows), -1, dtype=np.int8)
-        for name, code in name_to_code.items():
-            codes[rows[:, 1] == name] = code
-        if ids is not None and _ids_in_range(ids, n) and np.all(codes >= 0):
-            splits = _assign_last_wins(np.full(n, -1, dtype=np.int8), ids, codes)
-    if splits is None:  # the row-by-row parse, which names the first bad row
-        splits = np.full(n, -1, dtype=np.int8)
-        for i, row in enumerate(body):
-            if len(row) != 2:
-                raise DatasetError(f"{path}: row {i} must be instance_id,split")
-            try:
-                inst = int(row[0])
-            except ValueError:
-                raise DatasetError(f"{path}: non-integer id in row {i}") from None
-            if row[1] not in name_to_code:
-                raise DatasetError(f"{path}: unknown split {row[1]!r}")
-            if not 0 <= inst < n:
-                raise DatasetError(f"{path}: instance id {inst} out of range")
-            splits[inst] = name_to_code[row[1]]
-    if np.any(splits < 0):
-        raise DatasetError(f"{path}: split missing for some instances")
-    return splits
+def _read_matrix(path: Path) -> np.ndarray:
+    matrix = _read_table(path, None, np.float64, _float_row_error)
+    if not np.all(np.isfinite(matrix)):
+        raise DatasetError(f"{path}: non-finite value in features")
+    return matrix
 
 
 def load_dataset(data_dir: str | Path) -> CrowdDataset:
@@ -553,27 +544,20 @@ def load_dataset(data_dir: str | Path) -> CrowdDataset:
     ``num_classes`` is inferred from the labels.
 
     Each file is read by ``csv.reader`` (its quoting, blank-line and line-end
-    rules) and its body converted in one NumPy call; only a file that fails
-    that conversion or a check is parsed again row by row, to name the bad
-    row. A repeated instance id in ``truth.csv`` or ``splits.csv`` keeps its
-    last row.
+    rules) and its body converted in one NumPy call. Only a file that fails
+    that conversion or the check of its ids and split names is walked again,
+    one row cast at a time, to name its first bad row. A repeated instance id
+    in ``truth.csv`` or ``splits.csv`` keeps its last row.
     """
     data_dir = Path(data_dir)
-    features = _parse_float_matrix(data_dir / "features.csv", "f")
+    features = _read_matrix(data_dir / "features.csv")
     n = len(features)
-
-    ann_path = data_dir / "annotations.csv"
-    header, body = _read_csv_rows(ann_path)
-    if header != ["instance_id", "annotator_id", "label"]:
-        raise DatasetError(f"{ann_path}: bad header {header}")
-    triplets = _as_table(body, 3, np.int64)
-    if triplets is None:  # the row-by-row parse, which names the first bad row
-        triplets = np.asarray([_parse_int_row(row, 3, ann_path, i)
-                               for i, row in enumerate(body)], dtype=np.int64).reshape(-1, 3)
+    triplets = _read_table(data_dir / "annotations.csv", ["instance_id", "annotator_id", "label"],
+                           np.int64, _int_row_error)
 
     annot_path = data_dir / "annotators.csv"
     if annot_path.exists():
-        annotator_features = _parse_float_matrix(annot_path, "f")
+        annotator_features = _read_matrix(annot_path)
     else:
         r = int(triplets[:, 1].max()) + 1 if triplets.size else 1
         annotator_features = np.eye(r)
@@ -581,18 +565,17 @@ def load_dataset(data_dir: str | Path) -> CrowdDataset:
     truth = None
     truth_path = data_dir / "truth.csv"
     if truth_path.exists():
-        header, body = _read_csv_rows(truth_path)
-        if header != ["instance_id", "label"]:
-            raise DatasetError(f"{truth_path}: bad header {header}")
-        truth = _parse_truth(truth_path, body, n)
+        truth = _read_table(truth_path, ["instance_id", "label"], np.int64,
+                            partial(_int_row_error, n=n),
+                            lambda table: _last_wins(n, table[:, 0], table[:, 1]))
 
     splits = None
     splits_path = data_dir / "splits.csv"
     if splits_path.exists():
-        header, body = _read_csv_rows(splits_path)
-        if header != ["instance_id", "split"]:
-            raise DatasetError(f"{splits_path}: bad header {header}")
-        splits = _parse_splits(splits_path, body, n)
+        splits = _read_table(splits_path, ["instance_id", "split"], object,
+                             partial(_split_row_error, n=n), partial(_splits_of, n=n))
+        if np.any(splits < 0):
+            raise DatasetError(f"{splits_path}: split missing for some instances")
 
     observed = [triplets[:, 2].max()] if triplets.size else []
     if truth is not None and np.any(truth >= 0):

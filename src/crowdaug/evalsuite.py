@@ -52,17 +52,11 @@ def split_accuracy(classifier, ds: CrowdDataset, split: int) -> float:
 
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their mean rank."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # return_index makes the sort stable, so NaNs (each its own value) rank in
+    # input order; a group of tied values holds ranks cumsum - count + 1 .. cumsum
+    _, _, inverse, counts = np.unique(np.asarray(values, dtype=np.float64), return_index=True,
+                                      return_inverse=True, return_counts=True, equal_nan=False)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def auc(positive_scores, negative_scores) -> float:

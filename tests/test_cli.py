@@ -656,6 +656,10 @@ def test_sweep_rejects_unknown_sweep_key(workspace, tmp_path, capsys):
      "removal infeasible"),
     ("sweep_methods = dl-mv\nsweep_fractions = 0, half\n", cli.EXIT_CONFIG,
      "bad list value '0, half'"),
+    ("sweep_methods = dl-mv\nsweep_fractions = 0, 1.5\n", cli.EXIT_CONFIG,
+     "bad list value '0, 1.5': removal fraction must lie in [0, 1), got '1.5'"),
+    ("sweep_methods = dl-mv\nsweep_fractions = nan\n", cli.EXIT_CONFIG,
+     "bad list value 'nan': removal fraction must lie in [0, 1), got 'nan'"),
 ])
 def test_sweep_rejects_bad_grid_before_any_cell_trains(workspace, tmp_path, capsys,
                                                        keys, code, message):
@@ -968,14 +972,17 @@ def test_checkpoint_whose_weights_overflow_is_divergence(workspace, tmp_path, ca
 
 
 def test_output_path_that_is_a_directory_is_config_error(workspace, tmp_path, capsys):
-    out = tmp_path / "o"
-    (out / "augmented.csv").mkdir(parents=True)
-    code = cli.main(["augment", "--data", str(workspace / "data"),
-                     "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
-                     "--out", str(out)])
-    assert code == cli.EXIT_CONFIG
-    assert "cannot replace output" in _config_error_line(capsys)
-    assert not (out / "manifest.json").exists()
+    for name in ("augmented.csv", "manifest.json"):
+        out = tmp_path / f"o-{name}"
+        (out / name).mkdir(parents=True)
+        (out / name / "kept").touch()
+        code = cli.main(["augment", "--data", str(workspace / "data"),
+                         "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"cannot replace output {out / name}" in _config_error_line(capsys)
+        assert [p.name for p in out.iterdir()] == [name]  # no manifest written
+        assert [p.name for p in (out / name).iterdir()] == ["kept"]
 
 
 @pytest.mark.parametrize("command", ["eval", "augment"])

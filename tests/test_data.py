@@ -240,6 +240,44 @@ def test_load_names_the_bad_row(tmp_path, name, body, message):
     assert str(info.value) == f"{tmp_path / name}: {message}"
 
 
+@pytest.mark.parametrize("name, body, message", [
+    # an id outside int64 is still an integer: out of range, after the name check
+    ("splits.csv", "0,train\n99999999999999999999,train\n",
+     "instance id 99999999999999999999 out of range"),
+    # a row is cast in one NumPy call, which reports the first bad value it meets
+    ("annotations.csv", "0,0,1\n99999999999999999999,x,1\n", "integer out of range in row 1"),
+])
+def test_load_names_the_bad_value_of_a_row(tmp_path, name, body, message):
+    test_load_names_the_bad_row(tmp_path, name, body, message)
+
+
+@pytest.mark.parametrize("name, files, message", [
+    ("truth.csv", {"truth": [0, 1, 0]}, None),
+    ("splits.csv", {"splits": ["train"] * 3}, "{path}: split missing for some instances"),
+    ("annotators.csv", {"annotators": [[1.0], [0.5]]}, "annotation annotator id out of range"),
+    ("annotations.csv", {"truth": [0, 1, 0], "splits": ["test"] * 3}, None),
+    ("features.csv", {}, "annotation instance id out of range"),
+])
+def test_load_header_only_file(tmp_path, name, files, message):
+    # a header with no rows is an empty table, checked like any other
+    write_dir(tmp_path, BASIC_FEATURES, BASIC_ANNOTATIONS, **files)
+    path = tmp_path / name
+    path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    if message is not None:
+        with pytest.raises(DatasetError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == message.format(path=path)
+        return
+    ds = load_dataset(tmp_path)
+    assert ds.num_classes == 2 and ds.annotations.dtype == np.int64
+    if name == "truth.csv":
+        np.testing.assert_array_equal(ds.ground_truth, [-1, -1, -1])
+        np.testing.assert_array_equal(ds.annotations, BASIC_ANNOTATIONS)
+    else:
+        assert ds.annotations.shape == (0, 3)
+        np.testing.assert_array_equal(ds.ground_truth, [0, 1, 0])
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 
