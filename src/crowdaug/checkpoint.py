@@ -59,6 +59,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             offset = int(offset_text)
         except ValueError:
             raise CheckpointError(f"{path}: bad manifest line {line!r}") from None
+        if name in arrays:
+            raise CheckpointError(f"{path}: manifest names array {name!r} twice")
         if offset < 0 or any(d < 0 for d in shape):
             raise CheckpointError(
                 f"{path}: negative offset or dimension in manifest line {line!r}")

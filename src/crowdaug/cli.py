@@ -1,9 +1,10 @@
 """Command-line entry point: reproducible synth/train/eval/sweep/ablate/augment runs.
 
-Every command resolves its configuration, writes a manifest (command, resolved
-config, input digests, seed, version, planned outputs) *before* doing any real
-work, then emits its artifacts. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numeric divergence.
+Argument parsing, config checks, the manifest, exit codes and the experiment
+grid. Every command writes a manifest (command, resolved config, digests of the
+files its arguments name, seed, version, planned outputs) *before* doing any
+real work. Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
+divergence.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from . import BLAS_THREADS, NUMPY_IMPORTED_FIRST, __version__, evalsuite
 from .checkpoint import CheckpointError
 from .config import ConfigError, apply_overrides, config_as_dict, load_config_file
 from .data import TEST, TRAIN, VAL, DatasetError, SynthConfig, check_removal, load_dataset, remove_annotations, save_dataset, synthesize_dataset
-from .evalsuite import RunReport
 from .trainer import (
     METHODS,
     DivergenceError,
@@ -55,32 +55,30 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _input_digests(paths: list[Path | None]) -> dict[str, str]:
-    out = {}
-    for p in paths:
-        if p is not None and Path(p).is_file():
-            out[str(p)] = _sha256(Path(p))
-    return out
+def _write_json(path: Path, payload, sort_keys: bool = True) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n",
+                    encoding="utf-8")
 
 
-def _dataset_paths(data_dir: str | Path) -> list[Path]:
-    return [Path(data_dir) / name for name in DATASET_FILES]
+def write_manifest(args, config: dict, seed: int, output_names) -> Path:
+    """Record what ``args.command`` is about to run in ``args.out``, before any
+    training starts, and return that directory. The inputs are the files that
+    ``--config``, ``--checkpoint`` and ``--data`` name; absent ones are skipped.
 
-
-def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                   inputs: list[Path | None], outputs: list[str]) -> Path:
-    """Record what is about to run; written before any training starts.
-
-    Any file already at one of ``outputs`` is removed first, so a run that
+    Any file already at one of the outputs is removed first, so a run that
     fails leaves no earlier run's output beside its manifest."""
+    out_dir, data = Path(args.out), getattr(args, "data", None)
+    inputs = [Path(p) for p in (args.config, getattr(args, "checkpoint", None)) if p]
+    inputs += [] if data is None else [Path(data) / name for name in DATASET_FILES]
+    outputs = [str(out_dir / name) for name in output_names]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at the path or on the way to it
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "input_digests": _input_digests(inputs),
+        "input_digests": {str(p): _sha256(p) for p in inputs if p.is_file()},
         "seed": seed,
         "version": __version__,
         "outputs": outputs,
@@ -94,9 +92,8 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
             Path(output).unlink(missing_ok=True)
         except OSError as exc:  # a directory at the path
             raise ConfigError(f"cannot replace output {output}: {exc.strerror}") from exc
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    _write_json(path, manifest)
+    return out_dir
 
 
 def _load_config_values(config_file: str | None) -> dict[str, str]:
@@ -152,24 +149,6 @@ def _fraction(text: str) -> float:
 def _train_config(values: dict[str, str], seed: int | None) -> TrainConfig:
     fixed = {} if seed is None else {"seed": seed}
     return apply_overrides(TrainConfig, values, **fixed)
-
-
-def _check_checkpoint_dims(path, dims, ds, fields: tuple[str, ...]) -> None:
-    """Reject a checkpoint whose input widths or classes do not fit the dataset.
-
-    A dataset may have fewer classes than the checkpoint (a class with no
-    annotation), never more.
-    """
-    for name in fields:
-        trained, given = getattr(dims, name), getattr(ds, name)
-        if trained != given:
-            raise CheckpointError(
-                f"{path}: checkpoint was trained with {name} = {trained}, "
-                f"but the dataset has {name} = {given}")
-    if ds.num_classes > dims.num_classes:
-        raise CheckpointError(
-            f"{path}: checkpoint was trained with num_classes = "
-            f"{dims.num_classes}, but the dataset has {ds.num_classes} classes")
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +239,7 @@ def run_ablation(ds, variants, cfg: TrainConfig, seeds) -> list[dict]:
 def _write_rows(out_dir: Path, name: str, rows: list[dict]) -> None:
     """The grid's rows as ``<name>.csv`` and ``<name>.json``."""
     evalsuite.write_csv(out_dir / f"{name}.csv", rows)
-    (out_dir / f"{name}.json").write_text(json.dumps(rows, indent=2) + "\n",
-                                          encoding="utf-8")
+    _write_json(out_dir / f"{name}.json", rows, sort_keys=False)  # in column order
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +247,8 @@ def _write_rows(out_dir: Path, name: str, rows: list[dict]) -> None:
 
 
 def cmd_synth(args) -> int:
-    values = _load_config_values(args.config)
-    cfg = apply_overrides(SynthConfig, values)
-    out_dir = Path(args.out)
-    write_manifest(out_dir, "synth", config_as_dict(cfg), args.seed,
-                   [Path(args.config)] if args.config else [],
-                   [str(out_dir / f) for f in DATASET_FILES])
+    cfg = apply_overrides(SynthConfig, _load_config_values(args.config))
+    out_dir = write_manifest(args, config_as_dict(cfg), args.seed, DATASET_FILES)
     ds = synthesize_dataset(cfg, seed=args.seed)
     save_dataset(ds, out_dir)
     print(f"synthesized {ds.num_instances} instances, "
@@ -290,16 +264,11 @@ def _selected_by(result) -> str:
 
 
 def cmd_train(args) -> int:
-    values = _load_config_values(args.config)
-    cfg = _train_config(values, args.seed)
+    cfg = _train_config(_load_config_values(args.config), args.seed)
     ds = load_dataset(args.data)
     check_trainable(ds)
-    out_dir = Path(args.out)
-    write_manifest(out_dir, "train", {**config_as_dict(cfg), "method": args.method},
-                   cfg.seed,
-                   ([Path(args.config)] if args.config else []) + _dataset_paths(args.data),
-                   [str(out_dir / n) for n in ("checkpoint.bin", "report.csv",
-                                               "report.json")])
+    out_dir = write_manifest(args, {**config_as_dict(cfg), "method": args.method},
+                             cfg.seed, ("checkpoint.bin", "report.csv", "report.json"))
     if args.method == "crowding" and evalsuite.split_truth(ds, VAL) is None:
         print("warning: the dataset has no validation truth, so no epoch can be "
               "selected and crowding returns its pretrained classifier",
@@ -315,46 +284,32 @@ def cmd_train(args) -> int:
     }
     if result.method == "crowding":
         summary["selected_by"] = _selected_by(result)
-    report = RunReport(epochs=result.history, summary=summary)
-    report.validate()
     save_result_checkpoint(out_dir / "checkpoint.bin", result)
-    report.to_csv(out_dir / "report.csv")
-    report.to_json(out_dir / "report.json")
+    evalsuite.write_csv(out_dir / "report.csv", result.history)
+    _write_json(out_dir / "report.json", {"summary": summary, "epochs": result.history})
     print(f"{args.method}: best_val={result.best_val_acc:.4f} "
           f"test={result.test_acc:.4f} -> {out_dir}")
     return EXIT_OK
 
 
-def _checkpoint_inputs(args) -> list[Path]:
-    """Check ``--config`` as a TrainConfig; list the files eval/augment read."""
-    _train_config(_load_config_values(args.config), None)
-    return (([Path(args.config)] if args.config else []) + [Path(args.checkpoint)]
-            + _dataset_paths(args.data))
-
-
 def cmd_eval(args) -> int:
     ds = load_dataset(args.data)
-    out_dir = Path(args.out)
-    write_manifest(out_dir, "eval", {"checkpoint": str(args.checkpoint)},
-                   args.seed, _checkpoint_inputs(args),
-                   [str(out_dir / "metrics.json")])
-    clf, _ = load_result_checkpoint(args.checkpoint, classifier_only=True)
-    _check_checkpoint_dims(args.checkpoint, clf.dims, ds, ("feature_dim",))
+    _train_config(_load_config_values(args.config), None)  # checked, not used
+    out_dir = write_manifest(args, {"checkpoint": str(args.checkpoint)}, args.seed,
+                             ("metrics.json",))
+    clf = load_result_checkpoint(args.checkpoint, ds)
     metrics = {}
     for name, split in (("train", TRAIN), ("val", VAL), ("test", TEST)):
         acc = evalsuite.split_accuracy(clf, ds, split)
         if not math.isnan(acc):
             metrics[f"{name}_acc"] = acc
-    path = out_dir / "metrics.json"
-    path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_json(out_dir / "metrics.json", metrics)
     print(json.dumps(metrics, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    values = _load_config_values(args.config)
-    sweep, rest = _split_prefixed(values, "sweep_")
+    sweep, rest = _split_prefixed(_load_config_values(args.config), "sweep_")
     fractions = _parse_list(sweep.pop("fractions", "0,0.2,0.4,0.6"), _fraction)
     methods = _parse_list(sweep.pop("methods", "crowding,dl-cl,dl-mv"), str)
     seeds = _parse_list(sweep.pop("seeds", "0,1,2"), _seed)
@@ -368,13 +323,9 @@ def cmd_sweep(args) -> int:
     for fraction in fractions:  # fail before any cell trains, not hours in
         check_removal(ds, fraction)
 
-    out_dir = Path(args.out)
-    write_manifest(out_dir, "sweep",
-                   {**config_as_dict(cfg), "fractions": fractions,
-                    "methods": methods, "seeds": seeds},
-                   cfg.seed,
-                   ([Path(args.config)] if args.config else []) + _dataset_paths(args.data),
-                   [str(out_dir / "sweep.csv"), str(out_dir / "sweep.json")])
+    out_dir = write_manifest(args, {**config_as_dict(cfg), "fractions": fractions,
+                                    "methods": methods, "seeds": seeds},
+                             cfg.seed, ("sweep.csv", "sweep.json"))
 
     _write_rows(out_dir, "sweep", sparsity_sweep(ds, fractions, methods, seeds, cfg))
     print(f"sweep: {len(fractions)}x{len(methods)} cells, "
@@ -383,8 +334,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    values = _load_config_values(args.config)
-    ablate, rest = _split_prefixed(values, "ablate_")
+    ablate, rest = _split_prefixed(_load_config_values(args.config), "ablate_")
     variants = _parse_list(ablate.pop("variants", ",".join(ABLATIONS)), str)
     seeds = _parse_list(ablate.pop("seeds", "0,1,2"), _seed)
     if ablate:
@@ -395,12 +345,8 @@ def cmd_ablate(args) -> int:
     ds = load_dataset(args.data)
     check_trainable(ds)
 
-    out_dir = Path(args.out)
-    write_manifest(out_dir, "ablate",
-                   {**config_as_dict(cfg), "variants": variants, "seeds": seeds},
-                   cfg.seed,
-                   ([Path(args.config)] if args.config else []) + _dataset_paths(args.data),
-                   [str(out_dir / "ablation.csv"), str(out_dir / "ablation.json")])
+    out_dir = write_manifest(args, {**config_as_dict(cfg), "variants": variants, "seeds": seeds},
+                             cfg.seed, ("ablation.csv", "ablation.json"))
 
     _write_rows(out_dir, "ablation", run_ablation(ds, variants, cfg, seeds))
     print(f"ablation: {len(variants)} variants, {len(seeds)} seeds -> {out_dir}")
@@ -409,17 +355,10 @@ def cmd_ablate(args) -> int:
 
 def cmd_augment(args) -> int:
     ds = load_dataset(args.data)
-    out_dir = Path(args.out)
-    write_manifest(out_dir, "augment", {"checkpoint": str(args.checkpoint)},
-                   args.seed, _checkpoint_inputs(args),
-                   [str(out_dir / "augmented.csv")])
-    _, bundle = load_result_checkpoint(args.checkpoint)
-    if bundle is None:
-        raise CheckpointError(
-            f"{args.checkpoint}: checkpoint has no generator; augment needs a "
-            f"run trained with the adversarial method")
-    _check_checkpoint_dims(args.checkpoint, bundle.dims, ds,
-                           ("feature_dim", "annotator_dim"))
+    _train_config(_load_config_values(args.config), None)  # checked, not used
+    out_dir = write_manifest(args, {"checkpoint": str(args.checkpoint)}, args.seed,
+                             ("augmented.csv",))
+    bundle = load_result_checkpoint(args.checkpoint, ds, generator=True)
     written = export_augmented(ds, bundle, seed=args.seed,
                                out_path=out_dir / "augmented.csv")
     print(f"augment: {written.rows} rows ({written.authentic} authentic) -> {out_dir}")

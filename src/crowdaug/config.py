@@ -7,6 +7,7 @@ hyper-parameter name can never silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -61,7 +62,7 @@ def _coerce_value(raw: str, typ: Any, key: str):
             value = float(raw)
         except ValueError:
             raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from None
-        if value != value or value in (float("inf"), float("-inf")):
+        if not math.isfinite(value):
             raise ConfigError(f"key {key!r}: non-finite value {raw!r}")
         return value
     if typ is str:
@@ -87,6 +88,13 @@ def apply_overrides(cls: type[T], values: dict[str, str], **fixed) -> T:
         kwargs[key] = _coerce_value(raw, typ, key)
     kwargs.update(fixed)
     return cls(**kwargs)
+
+
+def check_finite(cfg) -> None:
+    """Reject a config dataclass with a non-finite value in a float field."""
+    for f in dataclasses.fields(cfg):
+        if f.type in (float, "float") and not math.isfinite(getattr(cfg, f.name)):
+            raise ConfigError(f"{f.name} must be finite, got {getattr(cfg, f.name)}")
 
 
 def config_as_dict(cfg) -> dict[str, Any]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, check_finite
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "val", "test")
@@ -201,6 +201,7 @@ class SynthConfig:
     test_fraction: float = 0.15
 
     def __post_init__(self) -> None:
+        check_finite(self)
         c = self.num_classes
         if c < 2:
             raise ConfigError(f"num_classes must be >= 2, got {c}")

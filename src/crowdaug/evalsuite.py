@@ -1,12 +1,10 @@
-"""Metrics and reports: accuracy, AUC and ranks, per-epoch run reports and
-the CSV writer of report and grid rows. The experiment grid is in ``cli``;
-nothing here trains, so the trainer imports it freely.
+"""Metrics: accuracy, AUC and ranks, and the CSV writer of report and grid
+rows. The reports and the experiment grid are written by ``cli``; nothing
+here trains, so the trainer imports it freely.
 """
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +69,7 @@ def auc(positive_scores, negative_scores) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reports
+# CSV
 
 
 def write_csv(path: str | Path, rows: list[dict]) -> None:
@@ -83,28 +81,3 @@ def write_csv(path: str | Path, rows: list[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-
-
-@dataclass
-class RunReport:
-    """Per-epoch metric records plus a final summary block."""
-
-    epochs: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        for i, rec in enumerate(self.epochs):
-            if rec.get("epoch") != i:
-                raise ValueError("epoch records must be contiguous from 0")
-            for key in ("train_acc", "val_acc", "test_acc"):
-                v = rec.get(key)
-                if v is not None and np.isfinite(v) and not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{key} out of [0,1] at epoch {i}")
-
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, self.epochs)
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {"summary": self.summary, "epochs": self.epochs}
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")

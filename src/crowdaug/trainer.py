@@ -88,7 +88,7 @@ from . import BLAS_PINNED
 from . import diffcore as dc
 from . import evalsuite
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError
+from .config import ConfigError, check_finite
 from .data import (TRAIN, VAL, TEST, CoocAdjacency, CrowdDataset, DatasetError,
                    build_cooccurrence, majority_vote)
 from .diffcore import Adam, ParamStore, Tensor, backward
@@ -143,6 +143,7 @@ class TrainConfig:
     selection_mode: str = "entropy"  # or "uniform"
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.info_weight < 0:
             raise ConfigError("info_weight must be >= 0")
         if not 0.0 < self.entropy_threshold < 1.0:
@@ -960,29 +961,43 @@ def save_result_checkpoint(path: str | Path, result: TrainResult) -> None:
     save_checkpoint(path, arrays)
 
 
-def load_result_checkpoint(path: str | Path, classifier_only: bool = False,
-                           ) -> tuple[Classifier, NetworkBundle | None]:
-    """Rebuild the classifier (and the bundle when present) from a checkpoint;
-    ``classifier_only`` reads just the ``meta.*`` and ``classifier.*`` arrays."""
+def load_result_checkpoint(path: str | Path, ds: CrowdDataset,
+                           generator: bool = False) -> Classifier | NetworkBundle:
+    """Rebuild the classifier, or with ``generator`` the whole bundle, from a
+    checkpoint (without it only the ``meta.*`` and ``classifier.*`` arrays are
+    read). Before any net is built, the arrays are checked, then their fit to
+    ``ds``: the same input widths, and no more classes than were trained (a
+    class with no annotation may be missing from ``ds``)."""
     arrays = load_checkpoint(path)
     rng = np.random.default_rng(0)
     try:
         dims = _dims_from_meta(arrays)
-        if not classifier_only and _meta_value(arrays, "meta.has_bundle", "bool"):
-            _check_arrays(arrays, dims, tuple(NETS))
+        bundled = generator and _meta_value(arrays, "meta.has_bundle", "bool")
+        _check_arrays(arrays, dims, tuple(NETS) if bundled else ("classifier",))
+        if generator and not bundled:
+            raise ValueError("checkpoint has no generator; augment needs a run "
+                             "trained with the adversarial method")
+        for name in ("feature_dim", "annotator_dim") if generator else ("feature_dim",):
+            trained, given = getattr(dims, name), getattr(ds, name)
+            if trained != given:
+                raise ValueError(f"checkpoint was trained with {name} = {trained}, "
+                                 f"but the dataset has {name} = {given}")
+        if ds.num_classes > dims.num_classes:
+            raise ValueError(f"checkpoint was trained with num_classes = {dims.num_classes}, "
+                             f"but the dataset has {ds.num_classes} classes")
+        if bundled:
             adjacency = CoocAdjacency(counts=arrays["adjacency.counts"],
                                       propagation=arrays["adjacency.propagation"])
             bundle = build_bundle(dims, adjacency, rng)
             bundle.load_state_dict(arrays)
-            return bundle.classifier, bundle
-        _check_arrays(arrays, dims, ("classifier",))
+            return bundle
         clf = Classifier(dims, rng)
         clf.store.load_state_dict({name: arrays[f"classifier.{name}"]
                                    for name in clf.store.names()})
-        return clf, None
+        return clf
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing array {exc.args[0]!r}") from None
-    except ValueError as exc:  # invalid meta dims, or an array they do not fit
+    except ValueError as exc:  # invalid meta dims, arrays they do not fit, or no fit to ds
         raise CheckpointError(f"{path}: {exc}") from None
 
 

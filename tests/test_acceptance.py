@@ -521,7 +521,8 @@ def test_criterion_11_determinism(tmp_path):
 
     path = tmp_path / "ckpt.bin"
     save_result_checkpoint(path, a)
-    clf, bundle = load_result_checkpoint(path)
+    bundle = load_result_checkpoint(path, ds, generator=True)
+    clf = load_result_checkpoint(path, ds)
     for name, arr in a.bundle.state_dict().items():
         assert np.array_equal(arr, bundle.state_dict()[name]), name
     # and the classifier alone reproduces identical predictions

@@ -127,6 +127,12 @@ def test_train_emits_all_artifacts(workspace):
     assert report["summary"]["seed"] == 3
     assert 0.0 <= report["summary"]["test_acc"] <= 1.0
     assert len(report["epochs"]) == 1
+    # the epochs are numbered 0..n-1, and every accuracy lies in [0, 1] or is NaN
+    epochs = report["epochs"]
+    assert [record["epoch"] for record in epochs] == list(range(len(epochs)))
+    accs = [v for record in epochs for k, v in record.items() if k.endswith("_acc")]
+    assert len(accs) == 3 * len(epochs)
+    assert all(np.isnan(acc) or 0.0 <= acc <= 1.0 for acc in accs)
 
 
 def test_manifest_echoes_defaults_and_digests(workspace):
@@ -141,6 +147,33 @@ def test_manifest_echoes_defaults_and_digests(workspace):
     assert any(path.endswith("annotations.csv") for path in digests)
     assert all(len(d) == 64 for d in digests.values())
     assert any(p.endswith("checkpoint.bin") for p in manifest["outputs"])
+
+
+GRID_CFG = {"sweep": "sweep_fractions = 0\nsweep_methods = dl-mv\nsweep_seeds = 0\n",
+            "ablate": "ablate_variants = full\nablate_seeds = 0\n"}
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "sweep", "ablate", "augment"])
+def test_manifest_lists_the_files_the_arguments_name(workspace, tmp_path, command):
+    # no truth.csv in the dataset: the manifest skips a file that is absent
+    data = dataset_variant(workspace, tmp_path / "data", ground_truth=None)
+    base = workspace / ("synth.cfg" if command == "synth" else "train.cfg")
+    config, out = tmp_path / "run.cfg", tmp_path / "out"
+    config.write_text(base.read_text(encoding="utf-8") + GRID_CFG.get(command, ""),
+                      encoding="utf-8")
+    argv, inputs = [command, "--config", str(config), "--out", str(out)], [config]
+    if command != "synth":
+        argv += ["--data", str(data)]
+        inputs += [data / name for name in cli.DATASET_FILES if name != "truth.csv"]
+    if command in ("eval", "augment"):
+        argv += ["--checkpoint", str(workspace / "run" / "checkpoint.bin")]
+        inputs.append(workspace / "run" / "checkpoint.bin")
+    assert cli.main(argv) == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["command"] == command
+    assert manifest["input_digests"] == {str(p): cli._sha256(p) for p in inputs}
+    assert sorted(manifest["outputs"]) == sorted(
+        str(p) for p in out.iterdir() if p.name != "manifest.json")
 
 
 def test_manifest_records_the_blas_pin(workspace):
@@ -532,8 +565,8 @@ def test_checkpoint_with_wrong_shape_array_is_data_error(workspace, tmp_path, ca
 
 
 def rewrite_manifest_entry(src, dst, name, field, value):
-    """Copy checkpoint ``src`` to ``dst`` with one field (1 = shape, 2 = offset)
-    of array ``name``'s manifest entry replaced."""
+    """Copy checkpoint ``src`` to ``dst`` with one field (0 = name, 1 = shape,
+    2 = offset) of array ``name``'s manifest entry replaced."""
     manifest, payload = src.read_bytes().split(b"\n\n", 1)
     lines = manifest.decode("utf-8").split("\n")
     for i, line in enumerate(lines):
@@ -546,21 +579,26 @@ def rewrite_manifest_entry(src, dst, name, field, value):
 
 @pytest.mark.parametrize("command", ["eval", "augment"])
 @pytest.mark.parametrize("name, field, value, message", [
-    ("classifier.W1", 2, "-2048", "negative offset or dimension"),
-    ("meta.num_classes", 1, "-1", "negative offset or dimension"),
+    ("classifier.W1", 2, "-2048",
+     "negative offset or dimension in manifest line 'classifier.W1|"),
+    ("meta.num_classes", 1, "-1",
+     "negative offset or dimension in manifest line 'meta.num_classes|"),
     # 2**62 x 4 elements overflow an int64 product to 0
-    ("classifier.W1", 1, f"{2 ** 62},4", "payload truncated")],
-    ids=["negative-offset", "negative-dimension", "overflowing-shape"])
+    ("classifier.W1", 1, f"{2 ** 62},4", "payload truncated for 'classifier.W1'"),
+    # a later entry must not replace an earlier one of its name: both are
+    # (128,), so eval would score the classifier with a generator bias
+    ("generator.b2", 0, "classifier.b1", "manifest names array 'classifier.b1' twice")],
+    ids=["negative-offset", "negative-dimension", "overflowing-shape", "repeated-name"])
 def test_checkpoint_with_impossible_manifest_entry_is_data_error(
         workspace, tmp_path, capsys, command, name, field, value, message):
-    broken = tmp_path / "broken.bin"
-    rewrite_manifest_entry(workspace / "run" / "checkpoint.bin", broken, name, field, value)
-    assert f"{name}|".encode() in broken.read_bytes()
+    checkpoint, broken = workspace / "run" / "checkpoint.bin", tmp_path / "broken.bin"
+    rewrite_manifest_entry(checkpoint, broken, name, field, value)
+    assert broken.read_bytes() != checkpoint.read_bytes()
     code = cli.main([command, "--data", str(workspace / "data"),
                      "--checkpoint", str(broken), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and message in err and name in err
+    assert err.startswith("data error:") and message in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
@@ -596,11 +634,12 @@ def test_checkpoint_widths_are_checked_before_any_net_is_built(workspace, tmp_pa
     arrays["meta.clf_hidden"] = np.asarray(2.0 ** 20)
     broken = tmp_path / "wide.bin"
     save_checkpoint(broken, arrays)
-    for classifier_only in (True, False):
+    ds = load_dataset(workspace / "data")
+    for generator in (False, True):
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError, match="meta.clf_hidden = 1048576"):
-                load_result_checkpoint(broken, classifier_only=classifier_only)
+                load_result_checkpoint(broken, ds, generator=generator)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -354,6 +354,10 @@ def test_synth_config_validation():
         SynthConfig(num_classes=4, reliability_low=0.2, reliability_high=0.9)
     with pytest.raises(ConfigError):
         SynthConfig(reliability_low=0.6, reliability_high=1.2)
+    for name in ("avg_annotations", "class_sep", "noise_scale"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                SynthConfig(**{name: value})
     SynthConfig()
 
 

@@ -1,4 +1,4 @@
-"""Metric primitives against hand-computed values and report serialization."""
+"""Metric primitives against hand-computed values and grid-row serialization."""
 import csv
 import json
 import math
@@ -141,42 +141,6 @@ def test_spearman_rejects_mismatched_input():
         spearman([1.0], [2.0])
     with pytest.raises(ValueError):
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def test_run_report_validates_epoch_numbering():
-    report = ev.RunReport(epochs=[{"epoch": 0, "val_acc": 0.5},
-                                  {"epoch": 2, "val_acc": 0.6}])
-    with pytest.raises(ValueError, match="contiguous"):
-        report.validate()
-
-
-def test_run_report_validates_accuracy_range():
-    report = ev.RunReport(epochs=[{"epoch": 0, "val_acc": 1.2}])
-    with pytest.raises(ValueError, match="val_acc"):
-        report.validate()
-    ev.RunReport(epochs=[{"epoch": 0, "val_acc": float("nan")}]).validate()
-
-
-def test_run_report_serializes(tmp_path):
-    report = ev.RunReport(
-        epochs=[{"epoch": 0, "val_acc": 0.5}, {"epoch": 1, "val_acc": 0.75}],
-        summary={"best_epoch": 1, "test_acc": 0.7})
-    report.validate()
-    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
-    report.to_csv(csv_path)
-    report.to_json(json_path)
-
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [float(r["val_acc"]) for r in rows] == [0.5, 0.75]
-
-    payload = json.loads(json_path.read_text(encoding="utf-8"))
-    assert payload["summary"]["best_epoch"] == 1
-    assert payload["epochs"][1]["val_acc"] == 0.75
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Repository tooling stays in step with the package: the generated config
-reference, the names the benchmark tracer wraps and what it sees of a run,
-the scripts' imports, the seed harness's summary and the package's reads of
-the environment."""
+reference, the names README.md and the benchmark tracer refer to, what the
+tracer sees of a run, the scripts' imports, the seed harness's summary and
+the package's reads of the environment."""
 import ast
 import importlib
 import importlib.util
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -36,6 +37,32 @@ def test_config_reference_is_current():
     committed = (ROOT / "docs" / "config_reference.md").read_text(encoding="utf-8")
     assert committed == gen.render(), \
         "docs/config_reference.md is stale: run scripts/gen_config_reference.py"
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name` (`crowdaug.` prefix optional) and `_private`
+    # name in README.md is a name in the package
+    modules = {path.stem: importlib.import_module(f"crowdaug.{path.stem}")
+               for path in (ROOT / "src" / "crowdaug").glob("[!_]*.py")}
+    checked, missing = [], []
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for name in re.findall(r"`(\w+(?:\.\w+)*)`", readme):
+        prefixed = name.startswith("crowdaug.")
+        parts = name.split(".")[prefixed:]
+        if prefixed or parts[0] in modules and len(parts) > 1:
+            owner = modules.get(parts[0])
+            for part in parts[1:]:
+                owner = getattr(owner, part, None)
+            found = owner is not None
+        elif name.startswith("_"):
+            found = any(hasattr(module, name) for module in modules.values())
+        else:
+            continue
+        checked.append(name)
+        if not found:
+            missing.append(name)
+    assert "cli._tune_malloc" in checked and "_read_table" in checked
+    assert missing == []
 
 
 def test_scripts_import():

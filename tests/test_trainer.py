@@ -77,7 +77,8 @@ def test_config_rejects_bad_values():
                dict(lr_classifier=0.0), dict(disc_l2=-1e-9),
                dict(max_grid_pairs=-1), dict(pretrain_epochs=-1),
                dict(seed=-1), dict(noise_dim=0), dict(dropout=1.5),
-               dict(dropout=-0.1), dict(dropout=1.0)):
+               dict(dropout=-0.1), dict(dropout=1.0), dict(lr_classifier=float("nan")),
+               dict(info_weight=float("nan")), dict(disc_l2=float("inf"))):
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
 
@@ -1139,7 +1140,7 @@ def test_export_feeds_the_generator_the_inputs_it_was_trained_on(tmp_path):
     arrays = load_checkpoint(path)
     assert arrays["meta.gen_use_annotator_features"] == 0.0
     assert arrays["meta.gen_use_instance_features"] == 1.0
-    _, bundle = tr.load_result_checkpoint(path)
+    bundle = tr.load_result_checkpoint(path, ds, generator=True)
     rows = exported_rows(ds, bundle, 5, tmp_path / "augmented.csv")
     generated = rows[rows[:, 3] == 0, 2]
     assert np.array_equal(generated, _labels_fed(ds, bundle, rows, 5, True))
@@ -1149,7 +1150,7 @@ def test_export_feeds_the_generator_the_inputs_it_was_trained_on(tmp_path):
     switches = ("meta.gen_use_instance_features", "meta.gen_use_annotator_features")
     save_checkpoint(tmp_path / "older.bin",
                     {k: v for k, v in arrays.items() if k not in switches})
-    _, older = tr.load_result_checkpoint(tmp_path / "older.bin")
+    older = tr.load_result_checkpoint(tmp_path / "older.bin", ds, generator=True)
     assert older.dims.gen_use_instance_features and older.dims.gen_use_annotator_features
     rows = exported_rows(ds, older, 5, tmp_path / "augmented.csv")
     assert np.array_equal(rows[rows[:, 3] == 0, 2], _labels_fed(ds, older, rows, 5, False))
@@ -1170,8 +1171,8 @@ CROWDING_CHECKPOINT_NAMES = (
 
 def test_crowding_checkpoint_array_names_are_pinned(tmp_path):
     # every parameter is saved once, under its owning net, in a fixed order
-    path = tmp_path / "checkpoint.bin"
-    tr.save_result_checkpoint(path, train_crowding(tiny_dataset(), tiny_config(epochs=1)))
+    path, ds = tmp_path / "checkpoint.bin", tiny_dataset()
+    tr.save_result_checkpoint(path, train_crowding(ds, tiny_config(epochs=1)))
     arrays = load_checkpoint(path)
     assert list(arrays) == CROWDING_CHECKPOINT_NAMES
     # only the two generator switches may be missing (older checkpoints)
@@ -1179,7 +1180,7 @@ def test_crowding_checkpoint_array_names_are_pinned(tmp_path):
         save_checkpoint(tmp_path / "broken.bin",
                         {k: v for k, v in arrays.items() if k != key})
         with pytest.raises(CheckpointError, match=f"missing array '{key}'"):
-            tr.load_result_checkpoint(tmp_path / "broken.bin")
+            tr.load_result_checkpoint(tmp_path / "broken.bin", ds, generator=True)
 
 
 def csv_writer_bytes(rows):
