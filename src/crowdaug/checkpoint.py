@@ -37,6 +37,9 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """The named arrays of a checkpoint file, as read-only views into the
+    file's bytes: nothing is copied, and a reader copies what it keeps (which
+    also lets the file's bytes go)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:  # missing, a directory, or unreadable
@@ -67,6 +70,5 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         end = offset + 8 * math.prod(shape)  # Python ints: no overflow
         if end > len(payload):
             raise CheckpointError(f"{path}: payload truncated for {name!r}")
-        arrays[name] = np.frombuffer(payload[offset:end],
-                                     dtype="<f8").reshape(shape).copy()
+        arrays[name] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape)
     return arrays

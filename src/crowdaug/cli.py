@@ -55,9 +55,23 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, nested in dicts and lists too,
+    replaced by None, which JSON writes as ``null``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, payload, sort_keys: bool = True) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n",
-                    encoding="utf-8")
+    """Strict JSON: a NaN or infinite float is written as ``null``."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=sort_keys,
+                      allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def write_manifest(args, config: dict, seed: int, output_names) -> Path:

@@ -34,6 +34,9 @@ or left on one thread switches it for all of them.
 in place on the product, with the NumPy operations of the chain
 ``relu(add(matmul(x, w), b))``, so values and gradients are byte-identical
 to it (-0.0 too); the graph keeps one array and a bool mask, not three arrays.
+``nll(log_probs, labels)``, the mean negative log-likelihood, is one node in
+the same way: its value and gradient are those of
+``neg(t_mean(pick(log_probs, labels)))``, byte for byte.
 
 ``rowwise_bilinear(u, mats, v, classes)`` reads row b's matrix from a
 (C, m, n) class table by index and works class by class, so neither its
@@ -281,6 +284,23 @@ def pick(a: Tensor, idx) -> Tensor:
         return (ga,)
 
     return Tensor(out, parents=(a,), backward_fn=back)
+
+
+def nll(log_probs: Tensor, labels) -> Tensor:
+    """Mean negative log-likelihood of ``labels`` under (B, C) ``log_probs``,
+    as one node (see the module docstring)."""
+    idx = np.asarray(labels, dtype=np.int64)
+    rows = np.arange(log_probs.shape[0])
+    picked = log_probs.data[rows, idx]
+    scale = 1.0 / picked.size
+    out = -(picked.sum() * scale)
+
+    def back(g):
+        ga = np.zeros_like(log_probs.data)
+        ga[rows, idx] = -g * scale
+        return (ga,)
+
+    return Tensor(out, parents=(log_probs,), backward_fn=back)
 
 
 def rowwise_matvec(m: Tensor, v: Tensor) -> Tensor:
@@ -558,44 +578,73 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam over a ParamStore. ``step`` takes a ``{leaf: gradient}`` dict, as
     ``backward`` returns it, and reads its parameters' entries; a parameter
-    without an entry takes a zero gradient."""
+    without an entry takes a zero gradient.
+
+    The moments ``m`` and ``v`` are two flat arrays over the store's
+    parameters in store order, allocated once, at the first step (an
+    optimizer that never stepped holds none). A step copies the gradients
+    into one flat array, applies each update operation once over all of
+    them, and subtracts each parameter's slice of the update in place. Every
+    operation is elementwise, so the bits are those of a parameter-by-parameter
+    update."""
 
     def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.lr = lr
         self.step_count = 0
-        self.m: dict[str, Array] = {}
-        self.v: dict[str, Array] = {}
+        self._slices: list[tuple[str, Tensor, slice]] = []
+        self._size = 0
+        for name, t in store.items():
+            self._slices.append((name, t, slice(self._size, self._size + t.data.size)))
+            self._size += t.data.size
+        self.m: Array | None = None
+        self.v: Array | None = None
 
     def step(self, grads: dict) -> None:
         """One in-place update of every parameter of the store by ``grads``.
 
         A step that overflows warns nothing: its non-finite parameters make
         the next forward pass's logits non-finite, and softmax raises."""
+        g = np.empty(self._size)
+        for name, t, at in self._slices:
+            if t not in grads:
+                g[at] = 0.0
+                continue
+            grad = grads[t]
+            if grad.shape != t.data.shape:
+                raise ValueError(f"gradient shape mismatch for {name!r}: "
+                                 f"{grad.shape} vs {t.data.shape}")
+            g[at] = grad.reshape(-1)
+        if self.m is None:
+            self.m, self.v = np.zeros(self._size), np.zeros(self._size)
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1**self.step_count
         bc2 = 1.0 - ADAM_BETA2**self.step_count
+        m, v = self.m, self.v
         with np.errstate(over="ignore", invalid="ignore"):
-            for name, t in self.store.items():
-                p = t.data
-                g = grads[t] if t in grads else np.zeros_like(p)
-                if g.shape != p.shape:
-                    raise ValueError(f"gradient shape mismatch for {name!r}: "
-                                     f"{g.shape} vs {p.shape}")
-                m = self.m.setdefault(name, np.zeros_like(p))
-                v = self.v.setdefault(name, np.zeros_like(p))
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * (g * g)
-                p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            m *= ADAM_BETA1
+            update = (1.0 - ADAM_BETA1) * g
+            m += update
+            v *= ADAM_BETA2
+            g *= g
+            g *= 1.0 - ADAM_BETA2
+            v += g
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order
+            np.divide(m, bc1, out=update)
+            update *= self.lr
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            update /= g
+            for _, t, at in self._slices:
+                t.data -= update[at].reshape(t.data.shape)
 
     def state_dict(self) -> dict:
         return {"step_count": self.step_count,
-                "m": {k: a.copy() for k, a in self.m.items()},
-                "v": {k: a.copy() for k, a in self.v.items()}}
+                "m": None if self.m is None else self.m.copy(),
+                "v": None if self.v is None else self.v.copy()}
 
     def load_state_dict(self, d: dict) -> None:
         self.step_count = d["step_count"]
-        self.m = {k: a.copy() for k, a in d["m"].items()}
-        self.v = {k: a.copy() for k, a in d["v"].items()}
+        self.m = None if d["m"] is None else d["m"].copy()
+        self.v = None if d["v"] is None else d["v"].copy()

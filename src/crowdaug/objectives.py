@@ -44,17 +44,40 @@ def discriminator_loss(authentic_scores: Tensor, generated_scores: Tensor,
 
     Minimizing this over the discriminator maximizes
     mean(log D(authentic)) + mean(log(1 - D(generated))).
+
+    The loss is one graph node over the two score tensors. Its value and its
+    gradients take the NumPy operations, in order, of the op chain
+    ``neg(add(t_mean(t_log(clamp(a))), t_mean(t_log(neg(clamp(g)) + 1.0))))``
+    plus ``t_mean(mul(both, both)) * l2_coeff`` over the clamped scores'
+    ``concat``, so they are byte-identical to it.
     """
-    auth = dc.clamp(authentic_scores, CLAMP_LO, CLAMP_HI)
-    gen = dc.clamp(generated_scores, CLAMP_LO, CLAMP_HI)
-    if auth.size == 0 or gen.size == 0:
+    a, g = authentic_scores, generated_scores
+    if a.size == 0 or g.size == 0:
         raise ValueError("discriminator_loss needs both authentic and generated scores")
-    loss = dc.neg(dc.add(dc.t_mean(dc.t_log(auth)),
-                         dc.t_mean(dc.t_log(dc.neg(gen) + 1.0))))
+    auth = np.clip(a.data, CLAMP_LO, CLAMP_HI)
+    gen = np.clip(g.data, CLAMP_LO, CLAMP_HI)
+    one_minus_gen = -gen + 1.0
+    scale_a, scale_g = 1.0 / auth.size, 1.0 / gen.size
+    value = -(np.log(auth).sum() * scale_a + np.log(one_minus_gen).sum() * scale_g)
     if l2_coeff > 0.0:
-        both = dc.concat([auth, gen], axis=0)
-        loss = loss + dc.t_mean(dc.mul(both, both)) * l2_coeff
-    return loss, _clamp_count(authentic_scores.data) + _clamp_count(generated_scores.data)
+        both = np.concatenate([auth, gen], axis=0)
+        scale_both = 1.0 / both.size
+        value = value + (both * both).sum() * scale_both * l2_coeff
+
+    def back(grad):
+        g_sum = -grad
+        g_auth = g_sum * scale_a / auth
+        g_gen = -(g_sum * scale_g / one_minus_gen)
+        if l2_coeff > 0.0:
+            g_both = grad * l2_coeff * scale_both * both
+            g_both = g_both + g_both
+            g_auth = g_auth + g_both[:auth.shape[0]]
+            g_gen = g_gen + g_both[auth.shape[0]:]
+        return (g_auth * ((a.data >= CLAMP_LO) & (a.data <= CLAMP_HI)),
+                g_gen * ((g.data >= CLAMP_LO) & (g.data <= CLAMP_HI)))
+
+    loss = Tensor(value, parents=(a, g), backward_fn=back)
+    return loss, _clamp_count(a.data) + _clamp_count(g.data)
 
 
 def info_lower_bound(q_logprobs: np.ndarray, entropy_term: float) -> float:

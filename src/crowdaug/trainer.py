@@ -413,7 +413,7 @@ def crowd_layer_loss(logits: Tensor, labels: np.ndarray,
     if transforms is not None:
         mats = dc.gather_rows(transforms["T"], annotators)
         log_probs = dc.log_softmax(dc.rowwise_matvec(mats, log_probs), axis=1)
-    return dc.neg(dc.t_mean(dc.pick(log_probs, labels)))
+    return dc.nll(log_probs, labels)
 
 
 def identity_transforms(num_annotators: int, num_classes: int) -> ParamStore:
@@ -486,7 +486,7 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
     def gen_step(batch, epoch):
         x, e, zhat, labels = rows(batch)
         log_dist = gen.log_distribution(x, e, zhat, gen.draw_noise(rng, len(batch)))
-        loss = dc.neg(dc.t_mean(dc.pick(log_dist, labels)))
+        loss = dc.nll(log_dist, labels)
         return _descend(opt_g, loss, "generator pretraining loss", epoch)
 
     def disc_step(batch, epoch):
@@ -607,14 +607,20 @@ def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, auth: tuple
     Q's cross-entropy of ``codes``; returns (loss, clamped D outputs).
 
     The table is decoded once and each row batch encoded once: D's score of
-    the generated rows and Q's posterior read the same encoding."""
+    the generated rows and Q's posterior read the same encoding. The graph is
+    dropped before ``opt`` steps, so the step's flat arrays do not add to the
+    graph's peak."""
     mats = disc.decoded_matrices(adj)
     auth_enc, gen_enc = _encoding(disc, auth, mats), _encoding(disc, gen, mats)
     d_loss, clamped = discriminator_loss(disc.score(*auth_enc), disc.score(*gen_enc),
                                          cfg.disc_l2)
-    q_lp = aux.log_posterior(*gen_enc)
-    loss = d_loss + dc.neg(dc.t_mean(dc.pick(q_lp, codes)))
-    return _descend(opt, loss, what, epoch), clamped
+    loss = d_loss + dc.nll(aux.log_posterior(*gen_enc), codes)
+    value = loss.item()
+    _check_finite(value, what, epoch)
+    grads = backward(loss)
+    del mats, auth_enc, gen_enc, d_loss, loss
+    opt.step(grads)
+    return value, clamped
 
 
 _NET_NAMES = {"gen": "generator", "clf": "classifier"}
@@ -986,8 +992,8 @@ def load_result_checkpoint(path: str | Path, ds: CrowdDataset,
             raise ValueError(f"checkpoint was trained with num_classes = {dims.num_classes}, "
                              f"but the dataset has {ds.num_classes} classes")
         if bundled:
-            adjacency = CoocAdjacency(counts=arrays["adjacency.counts"],
-                                      propagation=arrays["adjacency.propagation"])
+            adjacency = CoocAdjacency(counts=arrays["adjacency.counts"].copy(),
+                                      propagation=arrays["adjacency.propagation"].copy())
             bundle = build_bundle(dims, adjacency, rng)
             bundle.load_state_dict(arrays)
             return bundle

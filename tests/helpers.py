@@ -7,6 +7,7 @@ import numpy as np
 from crowdaug import diffcore as dc
 from crowdaug.diffcore import ParamStore, Tensor, backward
 from crowdaug.evalsuite import _ranks
+from crowdaug.objectives import CLAMP_HI, CLAMP_LO, _clamp_count
 
 
 def randomize(store, rng, scale):
@@ -23,6 +24,47 @@ def three_op_dense(x, w, b, relu=False):
     """
     out = dc.add(dc.matmul(x, w), b)
     return dc.relu(out) if relu else out
+
+
+def chain_nll(log_probs, labels):
+    """The op chain that ``diffcore.nll`` is one node of."""
+    return dc.neg(dc.t_mean(dc.pick(log_probs, labels)))
+
+
+def chain_discriminator_loss(authentic_scores, generated_scores, l2_coeff=1e-4):
+    """The op chain that ``objectives.discriminator_loss`` is one node of,
+    with the same (loss, clamp count) return."""
+    auth = dc.clamp(authentic_scores, CLAMP_LO, CLAMP_HI)
+    gen = dc.clamp(generated_scores, CLAMP_LO, CLAMP_HI)
+    loss = dc.neg(dc.add(dc.t_mean(dc.t_log(auth)),
+                         dc.t_mean(dc.t_log(dc.neg(gen) + 1.0))))
+    if l2_coeff > 0.0:
+        both = dc.concat([auth, gen], axis=0)
+        loss = loss + dc.t_mean(dc.mul(both, both)) * l2_coeff
+    return loss, _clamp_count(authentic_scores.data) + _clamp_count(generated_scores.data)
+
+
+class PerParameterAdam:
+    """``diffcore.Adam`` as one moment pair per parameter, updated parameter by
+    parameter: the reference for the flat moments' byte-identity."""
+
+    def __init__(self, store, lr):
+        self.store, self.lr, self.step_count = store, lr, 0
+        self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
+
+    def step(self, grads):
+        self.step_count += 1
+        bc1 = 1.0 - dc.ADAM_BETA1**self.step_count
+        bc2 = 1.0 - dc.ADAM_BETA2**self.step_count
+        for name, t in self.store.items():
+            g = grads[t] if t in grads else np.zeros_like(t.data)
+            m, v = self.m[name], self.v[name]
+            m *= dc.ADAM_BETA1
+            m += (1.0 - dc.ADAM_BETA1) * g
+            v *= dc.ADAM_BETA2
+            v += (1.0 - dc.ADAM_BETA2) * (g * g)
+            t.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + dc.ADAM_EPS)
 
 
 def encoding(disc, x, e, y, adj):

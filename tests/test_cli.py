@@ -127,12 +127,13 @@ def test_train_emits_all_artifacts(workspace):
     assert report["summary"]["seed"] == 3
     assert 0.0 <= report["summary"]["test_acc"] <= 1.0
     assert len(report["epochs"]) == 1
-    # the epochs are numbered 0..n-1, and every accuracy lies in [0, 1] or is NaN
+    # the epochs are numbered 0..n-1, and every accuracy lies in [0, 1] or is
+    # null (a NaN accuracy is written as null)
     epochs = report["epochs"]
     assert [record["epoch"] for record in epochs] == list(range(len(epochs)))
     accs = [v for record in epochs for k, v in record.items() if k.endswith("_acc")]
     assert len(accs) == 3 * len(epochs)
-    assert all(np.isnan(acc) or 0.0 <= acc <= 1.0 for acc in accs)
+    assert all(acc is None or 0.0 <= acc <= 1.0 for acc in accs)
 
 
 def test_manifest_echoes_defaults_and_digests(workspace):

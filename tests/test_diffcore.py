@@ -15,7 +15,7 @@ from crowdaug.diffcore import (
     sample_categorical,
     softmax,
 )
-from helpers import grad_check, three_op_dense
+from helpers import PerParameterAdam, chain_nll, grad_check, three_op_dense
 
 RNG = np.random.default_rng(0)
 
@@ -226,6 +226,23 @@ def test_dense_is_byte_identical_to_the_three_op_chain(rows, relu):
     if relu and rows:
         out = results[1][0]
         assert np.signbit(out[out == 0]).any()  # ReLU of a negative is -0.0
+
+
+@pytest.mark.parametrize("seed_grad", [None, -2.5, 0.0])
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_nll_is_byte_identical_to_the_op_chain(rows, seed_grad):
+    rng = np.random.default_rng(rows)
+    log_probs = log_softmax(Tensor(rng.normal(size=(rows, 4)) * 3.0)).data
+    labels = rng.integers(0, 4, size=rows)
+    results = []
+    for loss_fn in (dc.nll, chain_nll):
+        leaf = Tensor(log_probs, requires_grad=True)
+        loss = loss_fn(leaf, labels)
+        grads = backward(loss, None if seed_grad is None else np.array(seed_grad))
+        results.append((loss.data, grads[leaf]))
+    for node, chain in zip(*results):
+        assert node.shape == chain.shape
+        assert node.tobytes() == chain.tobytes()  # bytes, so sign bits too
 
 
 def _bilinear_reference(u, mats, v, classes, g):
@@ -561,6 +578,49 @@ def test_adam_state_roundtrip_bit_exact():
             opt.step(backward(dc.t_sum(dc.mul(w, w))))
         results.append(w.data.copy())
     assert results[0].tobytes() == results[1].tobytes()
+
+
+def test_flat_adam_is_byte_identical_to_per_parameter_moments():
+    # three parameters of different shapes; "b" has no gradient on steps 2 and
+    # 4, and a state_dict round trip after step 3 resumes both sides alike
+    rng = np.random.default_rng(11)
+    init = {"W": rng.normal(size=(3, 4)), "b": rng.normal(size=4), "s": rng.normal(size=())}
+    stores = [ParamStore() for _ in range(2)]
+    for store in stores:
+        for name, value in init.items():
+            store.add(name, value.copy())
+    flat, ref = Adam(stores[0], lr=0.05), PerParameterAdam(stores[1], lr=0.05)
+    draws = [{name: rng.normal(size=v.shape) * 10.0 ** rng.integers(-6, 3)
+              for name, v in init.items()} for _ in range(6)]
+    for draw in draws:
+        draw["W"][0, 0] = 0.0
+    for k in (1, 3):
+        del draws[k]["b"]
+
+    def step(k):
+        for opt in (flat, ref):
+            opt.step({opt.store[name]: g for name, g in draws[k].items()})
+        assert [t.data.tobytes() for t in stores[0].tensors()] == \
+            [t.data.tobytes() for t in stores[1].tensors()]
+        for moment in ("m", "v"):
+            reference = np.concatenate([a.reshape(-1) for a in getattr(ref, moment).values()])
+            assert getattr(flat, moment).tobytes() == reference.tobytes()
+
+    for k in range(3):
+        step(k)
+    params, moments = stores[0].state_dict(), flat.state_dict()
+    ref_params = stores[1].state_dict()
+    ref_moments = ({k: a.copy() for k, a in ref.m.items()},
+                   {k: a.copy() for k, a in ref.v.items()}, ref.step_count)
+    for k in (3, 4):
+        step(k)
+    stores[0].load_state_dict(params)
+    flat.load_state_dict(moments)
+    stores[1].load_state_dict(ref_params)
+    ref.m, ref.v, ref.step_count = ref_moments
+    for k in (3, 4, 5):
+        step(k)
+    assert flat.step_count == 6
 
 
 def test_adam_rejects_shape_mismatch():

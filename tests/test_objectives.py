@@ -11,12 +11,34 @@ from crowdaug.objectives import (
     info_lower_bound,
     per_annotation_delta,
 )
+from helpers import chain_discriminator_loss
 
 LN2 = np.log(2.0)
 
 
 # ---------------------------------------------------------------------------
 # discriminator loss
+
+
+@pytest.mark.parametrize("l2_coeff", [0.0, 1e-4, 0.3])
+@pytest.mark.parametrize("seed_grad", [None, 1.75])
+def test_disc_loss_is_byte_identical_to_the_op_chain(l2_coeff, seed_grad):
+    # scores at, inside and beyond both clamp bounds, where the gradient is cut
+    rng = np.random.default_rng(3)
+    edges = [0.0, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13, 1.0, -0.25, 1.5]
+    auth = np.concatenate([edges, rng.uniform(size=9)])
+    gen = np.concatenate([rng.uniform(size=12), edges[::-1]])
+    results = []
+    for loss_fn in (discriminator_loss, chain_discriminator_loss):
+        leaves = Tensor(auth, requires_grad=True), Tensor(gen, requires_grad=True)
+        loss, clamped = loss_fn(*leaves, l2_coeff=l2_coeff)
+        grads = backward(loss, None if seed_grad is None else np.array(seed_grad))
+        results.append([loss.data, grads[leaves[0]], grads[leaves[1]]])
+        results[-1].append(clamped)
+    assert results[0][3] == results[1][3] == 2 * len(edges)
+    for node, chain in zip(results[0][:3], results[1][:3]):
+        assert node.shape == chain.shape
+        assert node.tobytes() == chain.tobytes()  # bytes, so sign bits too
 
 
 def test_disc_loss_uninformed_half():

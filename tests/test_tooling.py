@@ -196,3 +196,47 @@ def test_traced_augment_counts_every_exported_row(tmp_path):
         "--out", str(tmp_path / "aug")])
     ds = load_dataset(data)
     assert counts["trainer.export_rows"] == len(ds.split_indices(TRAIN)) * ds.num_annotators
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_every_json_output_is_strict(tmp_path):
+    # a NaN accuracy (here: no truth.csv, so no test accuracy) is written as
+    # null, so a strict reader parses every JSON file the commands write
+    data, cfg = tiny_run_inputs(tmp_path)
+    unlabeled = tmp_path / "unlabeled"
+    unlabeled.mkdir()
+    for path in data.glob("*.csv"):
+        if path.name != "truth.csv":
+            (unlabeled / path.name).write_bytes(path.read_bytes())
+    sweep_cfg, ablate_cfg = tmp_path / "sweep.cfg", tmp_path / "ablate.cfg"
+    for path, keys in ((sweep_cfg, "sweep_fractions = 0\nsweep_methods = dl-mv\n"),
+                       (ablate_cfg, "ablate_variants = full\nablate_seeds = 0\n")):
+        path.write_text(cfg.read_text(encoding="utf-8") + keys, encoding="utf-8")
+    run, checkpoint = tmp_path / "run", str(tmp_path / "run" / "checkpoint.bin")
+    commands = [
+        ["train", "--data", str(data), "--config", str(cfg), "--method", "crowding",
+         "--out", str(run), "--seed", "1"],
+        ["eval", "--data", str(data), "--checkpoint", checkpoint, "--out", str(tmp_path / "ev")],
+        ["augment", "--data", str(data), "--checkpoint", checkpoint,
+         "--out", str(tmp_path / "aug")],
+        ["sweep", "--data", str(data), "--config", str(sweep_cfg), "--out", str(tmp_path / "sw")],
+        ["ablate", "--data", str(data), "--config", str(ablate_cfg), "--out", str(tmp_path / "ab")],
+        ["train", "--data", str(unlabeled), "--config", str(cfg), "--method", "dl-mv",
+         "--out", str(tmp_path / "mv"), "--seed", "1"],
+        ["sweep", "--data", str(unlabeled), "--config", str(sweep_cfg),
+         "--out", str(tmp_path / "sw-unlabeled")],
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    written = sorted(tmp_path.rglob("*.json"))
+    assert {path.name for path in written} >= {
+        "manifest.json", "report.json", "metrics.json", "sweep.json", "ablation.json"}
+    for path in written:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    summary = json.loads((tmp_path / "mv" / "report.json").read_text(encoding="utf-8"))
+    assert summary["summary"]["test_acc"] is None
+    rows = json.loads((tmp_path / "sw-unlabeled" / "sweep.json").read_text(encoding="utf-8"))
+    assert [row["mean_acc"] for row in rows] == [None]

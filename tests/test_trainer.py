@@ -43,6 +43,8 @@ from crowdaug.trainer import (
     train_method,
 )
 from helpers import (
+    chain_discriminator_loss,
+    chain_nll,
     encoding,
     grad_check,
     randomize,
@@ -463,6 +465,16 @@ def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
     fused = step()
     monkeypatch.setattr(dc, "dense", three_op_dense)
     assert step() == fused
+
+
+def test_disc_aux_step_is_byte_identical_to_the_loss_op_chains(monkeypatch):
+    # D's loss and Q's cross-entropy are one graph node each; the op chains
+    # they replace give the same loss, gradients and stepped parameters
+    step = _disc_aux_step_on(70)
+    one_node = step()
+    monkeypatch.setattr(dc, "nll", chain_nll)
+    monkeypatch.setattr(tr, "discriminator_loss", chain_discriminator_loss)
+    assert step() == one_node
 
 
 def test_disc_aux_step_grad_check_covers_the_shared_encoders(monkeypatch):
@@ -1154,6 +1166,25 @@ def test_export_feeds_the_generator_the_inputs_it_was_trained_on(tmp_path):
     assert older.dims.gen_use_instance_features and older.dims.gen_use_annotator_features
     rows = exported_rows(ds, older, 5, tmp_path / "augmented.csv")
     assert np.array_equal(rows[rows[:, 3] == 0, 2], _labels_fed(ds, older, rows, 5, False))
+
+
+def test_loaded_nets_copy_the_checkpoint_views(tmp_path, monkeypatch):
+    # load_checkpoint hands out read-only views into the file's bytes; the
+    # nets and the adjacency built from them keep copies, never the views
+    path, ds = tmp_path / "checkpoint.bin", tiny_dataset()
+    tr.save_result_checkpoint(path, train_crowding(ds, tiny_config(epochs=1)))
+    loads = []
+    monkeypatch.setattr(tr, "load_checkpoint",
+                        lambda p: loads.append(load_checkpoint(p)) or loads[-1])
+    bundle = tr.load_result_checkpoint(path, ds, generator=True)
+    classifier = tr.load_result_checkpoint(path, ds)
+    views = [a for arrays in loads for a in arrays.values()]
+    assert len(loads) == 2 and not any(a.flags.writeable for a in views)
+    kept = [t.data for store in (*bundle.stores().values(), classifier.store)
+            for t in store.tensors()]
+    kept += [bundle.adjacency.counts, bundle.adjacency.propagation]
+    assert not any(np.shares_memory(k, v) for k in kept for v in views)
+    assert all(k.flags.writeable for k in kept)
 
 
 CROWDING_CHECKPOINT_NAMES = (
