@@ -7,7 +7,7 @@ each with dl-cl, dl-mv and crowding. The data geometry and the schedule are
 ``BENCH_DATA``, ``CONTROL_DATA`` and ``BENCH_TRAIN`` of
 ``tests/test_acceptance.py``; dl-cl and dl-mv read only its pretraining
 schedule, so dl-cl is criterion 6's baseline, crowding's own pretraining.
-Every run goes through the experiment grid (``cli._run_grid``), on one
+Every run goes through the experiment grid (``cli.run_grid``), on one
 worker process per usable core; ``taskset`` caps them.
 
 Writes one record per seed and dataset to ``--out`` (default
@@ -35,7 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import crowdaug  # noqa: F401,E402  (pins BLAS before NumPy is imported)
 import numpy as np
 
-from crowdaug.cli import _run_grid
+from crowdaug.cli import run_grid
 from crowdaug.data import SynthConfig, synthesize_dataset
 from test_acceptance import BENCH_DATA, BENCH_TRAIN, CONTROL_DATA
 
@@ -89,7 +89,7 @@ def main() -> int:
     jobs = [(ds, 0.0, method, seed, BENCH_TRAIN)
             for sets in datasets.values() for seed, ds in zip(seeds, sets)
             for method in METHODS]
-    results = iter(_run_grid(jobs))
+    results = iter(run_grid(jobs))
 
     report = {"config": {"data": BENCH_DATA, "control_data": CONTROL_DATA,
                          "train": BENCH_TRAIN, "methods": list(METHODS),

@@ -51,7 +51,7 @@ def step_functions(seed: int) -> dict:
         rng = np.random.default_rng(seed)
         clf = Classifier(trainer._dims_for(ds, cfg), rng)
         adjacency = build_cooccurrence(ds)
-        gen, disc, aux, _ = trainer.pretrain_gen_disc(ds, clf, cfg, rng, adjacency)
+        gen, disc, aux = trainer.pretrain_gen_disc(ds, clf, cfg, rng, adjacency)
     finally:
         trainer._epoch_losses = real
     crowd_step, gen_step = steps[0], steps[1]

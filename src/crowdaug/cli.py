@@ -204,7 +204,7 @@ def _sweep_job(payload) -> TrainResult:
     return train_method(reduced, cfg, method)
 
 
-def _run_grid(jobs: list) -> list[TrainResult]:
+def run_grid(jobs: list) -> list[TrainResult]:
     """Run every job, on one worker process per usable core (at most one per
     job), and return the results in job order: the same on any worker count.
 
@@ -224,9 +224,9 @@ def _grid_rows(axis_name: str, cells: list, ds, seeds) -> list[dict]:
     """Train every ``(axis value, fraction, method, config dict)`` cell on
     every seed; one row per cell, in cell order, with the mean and standard
     deviation of its test accuracies over the seeds."""
-    results = iter(_run_grid([(ds, fraction, method, seed, cfg_dict)
-                              for _, fraction, method, cfg_dict in cells
-                              for seed in seeds]))
+    results = iter(run_grid([(ds, fraction, method, seed, cfg_dict)
+                             for _, fraction, method, cfg_dict in cells
+                             for seed in seeds]))
     rows = []
     for value, _, method, _ in cells:
         accs = [next(results).test_acc for _ in seeds]

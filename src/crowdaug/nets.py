@@ -27,8 +27,13 @@ Every layer ``x @ W + b`` (with or without ReLU) is one ``diffcore.dense``
 node; only the discriminator's class-matrix mixing calls ``matmul``.
 
 Each net lists its parameters as ``(name, shape, init)`` in ``spec(dims)``,
-from which it is built, so ``param_shapes`` gives every checkpoint array's
-shape without building a net.
+from which it is built. This module also owns the checkpoint schema: a
+checkpoint holds the classifier alone or all four nets with the adjacency,
+each array named ``<net>.<name>`` with the shape ``checkpoint_shapes`` gives
+without building a net, plus the ``meta.*`` scalars of their ``NetDims``.
+``checkpoint_arrays`` writes that schema, ``checked_nets`` decodes the
+widths and checks every array before any net is built, and ``restore_nets``
+builds the nets from the arrays.
 
 All forwards accept plain numpy batches and return graph Tensors, except
 inside a ``diffcore.no_grad`` scope, where the same values come back without
@@ -39,7 +44,8 @@ gradients are live from step one).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -276,11 +282,76 @@ NETS = {"classifier": Classifier, "generator": Generator,
         "discriminator": Discriminator, "aux": AuxNet}
 
 
-def param_shapes(dims: NetDims, nets=tuple(NETS)) -> dict[str, tuple]:
-    """``{"<net>.<name>": shape}`` of the named nets' parameters, the names
-    of ``NetworkBundle.state_dict``, computed without building a net."""
-    return {f"{net}.{name}": shape
-            for net in nets for name, shape, _ in NETS[net].spec(dims)}
+def checkpoint_shapes(dims: NetDims, nets: tuple[str, ...]) -> dict[str, tuple]:
+    """``{name: shape}`` of every array the named nets keep in a checkpoint,
+    in saved order and without building a net: each parameter as
+    ``<net>.<name>``, then, with the discriminator (the one net that reads
+    it), each ``CoocAdjacency`` field as ``adjacency.<field>``."""
+    shapes = {f"{net}.{name}": shape
+              for net in nets for name, shape, _ in NETS[net].spec(dims)}
+    if "discriminator" in nets:
+        shapes.update({f"adjacency.{f.name}": (dims.num_classes,) * 2
+                       for f in fields(CoocAdjacency)})
+    return shapes
+
+
+def checkpoint_arrays(dims: NetDims, stores: dict[str, ParamStore],
+                      adjacency: CoocAdjacency | None = None) -> dict[str, np.ndarray]:
+    """Copies of the checkpoint arrays of the nets whose ``stores`` are given
+    by name: the names of ``checkpoint_shapes``, then ``meta.has_bundle``
+    (1 when all four nets are there) and one ``meta.<field>`` scalar per
+    ``NetDims`` field, in field order."""
+    out = {f"{net}.{name}": tensor.data.copy()
+           for net, store in stores.items() for name, tensor in store.items()}
+    if adjacency is not None:
+        out.update({f"adjacency.{f.name}": getattr(adjacency, f.name).copy()
+                    for f in fields(CoocAdjacency)})
+    out["meta.has_bundle"] = np.array(float(len(stores) == len(NETS)))
+    out.update({f"meta.{f.name}": np.array(float(getattr(dims, f.name)))
+                for f in fields(NetDims)})
+    return out
+
+
+_META_TYPES = {"int": int, "float": float, "bool": bool}
+
+
+def _meta(arrays: dict, name: str, kind: str):
+    """``meta.<name>`` as a ``kind`` ("int", "float" or "bool"): a finite
+    scalar, integral for an int and 0 or 1 for a bool, else ``ValueError``."""
+    key = f"meta.{name}"
+    value = arrays[key]
+    if value.shape != ():
+        raise ValueError(f"{key} must be a scalar, got shape {value.shape}")
+    value = float(value)
+    if not math.isfinite(value) or kind == "int" and not value.is_integer() \
+            or kind == "bool" and value not in (0.0, 1.0):
+        raise ValueError(f"{key} = {value} is not a valid {kind}")
+    return _META_TYPES[kind](value)
+
+
+def checked_nets(arrays: dict, bundle: bool) -> tuple[NetDims, tuple[str, ...]]:
+    """The widths of a checkpoint's nets and the nets to read from it: all
+    four when ``bundle`` is asked and the checkpoint holds them
+    (``meta.has_bundle``), else the classifier.
+
+    Before any net is built, every ``meta.*`` width is decoded and every
+    array those nets read is checked: present, of the shape the widths give,
+    and finite. A missing array raises ``KeyError``, anything else
+    ``ValueError``; a shape mismatch names the widths that size the array
+    (those whose change would change its shape)."""
+    dims = NetDims(**{f.name: _meta(arrays, f.name, f.type) for f in fields(NetDims)})
+    nets = tuple(NETS) if bundle and _meta(arrays, "has_bundle", "bool") else ("classifier",)
+    for name, shape in checkpoint_shapes(dims, nets).items():
+        if arrays[name].shape != shape:
+            widths = [w for w in (f.name for f in fields(NetDims) if f.type == "int")
+                      if checkpoint_shapes(replace(dims, **{w: getattr(dims, w) + 1}),
+                                           nets)[name] != shape]
+            given = ", ".join(f"meta.{w} = {getattr(dims, w)}" for w in widths)
+            raise ValueError(f"shape mismatch for {name!r}: {arrays[name].shape}, but "
+                             f"{given} give {shape}")
+        if not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"{name!r} holds a non-finite value")
+    return dims, nets
 
 
 @dataclass
@@ -298,25 +369,20 @@ class NetworkBundle:
         return {net: getattr(self, net).store for net in NETS}
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for prefix, store in self.stores().items():
-            for name, tensor in store.items():
-                out[f"{prefix}.{name}"] = tensor.data.copy()
-        if self.adjacency is not None:
-            out["adjacency.counts"] = self.adjacency.counts.copy()
-            out["adjacency.propagation"] = self.adjacency.propagation.copy()
-        return out
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for prefix, store in self.stores().items():
-            store.load_state_dict(
-                {name: state[f"{prefix}.{name}"] for name in store.names()})
+        """The bundle's checkpoint arrays (``checkpoint_arrays``)."""
+        return checkpoint_arrays(self.dims, self.stores(), self.adjacency)
 
 
-def build_bundle(dims: NetDims, adjacency: CoocAdjacency | None,
-                 rng: np.random.Generator) -> NetworkBundle:
-    """Fresh networks drawn from ``rng`` (checkpoint loading overwrites them)."""
-    if dims.lca_enabled and adjacency is None:
-        raise ValueError("label-correlation mixing needs a co-occurrence adjacency")
-    return NetworkBundle(dims, *(net(dims, rng) for net in NETS.values()), adjacency)
-
+def restore_nets(arrays: dict, dims: NetDims,
+                 nets: tuple[str, ...]) -> Classifier | NetworkBundle:
+    """The nets ``checked_nets`` gave, built from the checkpoint's arrays, whose
+    copies they hold: the classifier alone, or all four as a bundle with the
+    adjacency."""
+    rng = np.random.default_rng(0)  # every parameter is overwritten
+    built = {net: NETS[net](dims, rng) for net in nets}
+    for net, obj in built.items():
+        obj.store.load_state_dict({name: arrays[f"{net}.{name}"] for name in obj.store.names()})
+    if nets == ("classifier",):
+        return built["classifier"]
+    return NetworkBundle(dims, **built, adjacency=CoocAdjacency(**{
+        f.name: arrays[f"adjacency.{f.name}"].copy() for f in fields(CoocAdjacency)}))

@@ -13,8 +13,6 @@ counts are surfaced so adversarial saturation is visible in reports.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import diffcore as dc
@@ -22,16 +20,6 @@ from .diffcore import Tensor
 
 CLAMP_LO = 1e-12
 CLAMP_HI = 1.0 - 1e-12
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Reporting view of one batch: V, L_I, and V - lambda * L_I."""
-
-    value_term: float
-    info_term: float
-    combined: float
-    clamp_count: int
 
 
 def _clamp_count(values: np.ndarray) -> int:
@@ -130,8 +118,10 @@ def crm_objective(g0, target_probs: Tensor, deltas, mu: float,
 
 def compute_breakdown(authentic_scores: np.ndarray, generated_scores: np.ndarray,
                       q_logprobs: np.ndarray, code_entropy: float,
-                      info_weight: float) -> LossBreakdown:
-    """Metrics-only summary of the adversarial batch (no gradients)."""
+                      info_weight: float) -> tuple[dict[str, float], int]:
+    """Metrics-only summary of the adversarial batch (no gradients): the terms
+    ``value_term`` (V), ``info_term`` (L_I) and ``combined`` (V - lambda * L_I),
+    in that order, and the clamp count."""
     auth = np.asarray(authentic_scores, dtype=np.float64)
     gen = np.asarray(generated_scores, dtype=np.float64)
     clamped = _clamp_count(auth) + _clamp_count(gen)
@@ -139,5 +129,5 @@ def compute_breakdown(authentic_scores: np.ndarray, generated_scores: np.ndarray
     gen = np.clip(gen, CLAMP_LO, CLAMP_HI)
     value = float(np.mean(np.log(auth)) + np.mean(np.log1p(-gen)))
     info = info_lower_bound(np.asarray(q_logprobs, dtype=np.float64), code_entropy)
-    return LossBreakdown(value_term=value, info_term=info,
-                         combined=value - info_weight * info, clamp_count=clamped)
+    return ({"value_term": value, "info_term": info,
+             "combined": value - info_weight * info}, clamped)

@@ -79,7 +79,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +93,8 @@ from .data import (TRAIN, VAL, TEST, CoocAdjacency, CrowdDataset, DatasetError,
                    build_cooccurrence, majority_vote)
 from .diffcore import Adam, ParamStore, Tensor, backward
 from .evalsuite import split_accuracy
-from .nets import (NETS, AuxNet, Classifier, Discriminator, Generator, NetDims, NetworkBundle,
-                   build_bundle, param_shapes)
+from .nets import (AuxNet, Classifier, Discriminator, Generator, NetDims, NetworkBundle,
+                   checkpoint_arrays, checked_nets, restore_nets)
 from .objectives import (
     compute_breakdown,
     crm_objective,
@@ -464,12 +464,10 @@ def train_dl_cl(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
 
 
 def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
-                      rng: np.random.Generator,
-                      adjacency: CoocAdjacency | None = None,
-                      ) -> tuple[Generator, Discriminator, AuxNet, list]:
+                      rng: np.random.Generator, adjacency: CoocAdjacency,
+                      ) -> tuple[Generator, Discriminator, AuxNet]:
     """Likelihood-pretrain the generator, then warm up D and Q against it."""
     dims = _dims_for(ds, cfg)
-    adjacency = build_cooccurrence(ds) if adjacency is None else adjacency
     gen = Generator(dims, rng)
     disc = Discriminator(dims, rng)
     aux = AuxNet(dims, rng)
@@ -499,12 +497,9 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
                               (x, e, fake_labels), zdraws, cfg,
                               "discriminator pretraining loss", epoch)[0]
 
-    history = []
-    for phase, epochs, step in (("gen", cfg.gen_pretrain_epochs, gen_step),
-                                ("disc", cfg.disc_pretrain_epochs, disc_step)):
-        history += [{"phase": phase, "epoch": epoch, "loss": loss} for epoch, loss
-                    in enumerate(_epoch_losses(rng, len(ann), cfg, epochs, step))]
-    return gen, disc, aux, history
+    _epoch_losses(rng, len(ann), cfg, cfg.gen_pretrain_epochs, gen_step)
+    _epoch_losses(rng, len(ann), cfg, cfg.disc_pretrain_epochs, disc_step)
+    return gen, disc, aux
 
 
 # ---------------------------------------------------------------------------
@@ -800,19 +795,17 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     with dc.no_grad():
         d_auth_final = disc.score(*_encoding(disc, auth_rows, mats)).data
     d_gen_final = d_scores[selected]
-    breakdown = compute_breakdown(d_auth_final, d_gen_final, q_at_draw[selected],
-                                  float(code_entropies.mean()), cfg.info_weight)
+    terms, clamped_b = compute_breakdown(d_auth_final, d_gen_final, q_at_draw[selected],
+                                         float(code_entropies.mean()), cfg.info_weight)
     record = {
         "epoch": state.epoch,
         "train_acc": split_accuracy(bundle.classifier, ds, TRAIN),
         "val_acc": best_acc,
         "test_acc": split_accuracy(bundle.classifier, ds, TEST),
-        "value_term": breakdown.value_term,
-        "info_term": breakdown.info_term,
-        "combined": breakdown.combined,
+        **terms,
         "disc_loss": disc_loss_val,
         "disc_auc": evalsuite.auc(d_auth_final, d_gen_final),
-        "clamp_count": clamp_count + breakdown.clamp_count,
+        "clamp_count": clamp_count + clamped_b,
         "num_logged": len(batch),
         "num_selected": int(len(selected)),
         "num_low_pairs": int(len(low_idx)),
@@ -838,7 +831,7 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     master = np.random.default_rng(cfg.seed)
     clf, _ = pretrain_dl_cl(ds, cfg, rng=master)
     adjacency = build_cooccurrence(ds)
-    gen, disc, aux, _ = pretrain_gen_disc(ds, clf, cfg, master, adjacency)
+    gen, disc, aux = pretrain_gen_disc(ds, clf, cfg, master, adjacency)
     bundle = NetworkBundle(_dims_for(ds, cfg), clf, gen, disc, aux, adjacency)
     state = TrainState(
         bundle=bundle,
@@ -892,95 +885,26 @@ def train_method(ds: CrowdDataset, cfg: TrainConfig, method: str) -> TrainResult
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_META_TYPES = {"int": int, "float": float, "bool": bool}
-
-
-def _dims_meta(dims: NetDims) -> dict:
-    """One ``meta.<field>`` scalar per ``NetDims`` field, in field order."""
-    return {f"meta.{f.name}": np.array(float(getattr(dims, f.name)))
-            for f in fields(NetDims)}
-
-
-def _meta_value(arrays: dict, key: str, kind: str):
-    """``arrays[key]`` as a ``kind`` ("int", "float" or "bool"): a finite
-    scalar, integral for an int and 0 or 1 for a bool, else ``ValueError``."""
-    value = arrays[key]
-    if value.shape != ():
-        raise ValueError(f"{key} must be a scalar, got shape {value.shape}")
-    value = float(value)
-    if not math.isfinite(value) or kind == "int" and not value.is_integer() \
-            or kind == "bool" and value not in (0.0, 1.0):
-        raise ValueError(f"{key} = {value} is not a valid {kind}")
-    return _META_TYPES[kind](value)
-
-
-def _dims_from_meta(arrays: dict) -> NetDims:
-    kwargs = {}
-    for f in fields(NetDims):
-        key = f"meta.{f.name}"
-        # checkpoints saved before the generator switches were stored had both on
-        if key in arrays or not f.name.startswith("gen_use_"):
-            kwargs[f.name] = _meta_value(arrays, key, f.type)
-    return NetDims(**kwargs)
-
-
-def _checkpoint_shapes(dims: NetDims, nets: tuple) -> dict:
-    """The shape of every array ``nets`` (with the adjacency of a bundle)
-    read from a checkpoint, as ``dims`` gives it."""
-    shapes = param_shapes(dims, nets)
-    if len(nets) > 1:
-        shapes["adjacency.counts"] = shapes["adjacency.propagation"] = (dims.num_classes,) * 2
-    return shapes
-
-
-def _check_arrays(arrays: dict, dims: NetDims, nets: tuple) -> None:
-    """Before any net is built: every array ``nets`` read is present, has the
-    shape the ``meta.*`` widths give, and is finite; else ``KeyError`` or
-    ``ValueError``. A mismatch names the widths that size the array (those
-    whose change would change its shape)."""
-    for name, shape in _checkpoint_shapes(dims, nets).items():
-        if arrays[name].shape != shape:
-            widths = [w for w in (f.name for f in fields(NetDims) if f.type == "int")
-                      if _checkpoint_shapes(replace(dims, **{w: getattr(dims, w) + 1}),
-                                            nets)[name] != shape]
-            given = ", ".join(f"meta.{w} = {getattr(dims, w)}" for w in widths)
-            raise ValueError(f"shape mismatch for {name!r}: {arrays[name].shape}, but "
-                             f"{given} give {shape}")
-        if not np.all(np.isfinite(arrays[name])):
-            raise ValueError(f"{name!r} holds a non-finite value")
-
-
 def save_result_checkpoint(path: str | Path, result: TrainResult) -> None:
     """Persist a finished run: the best classifier, and for the adversarial
     method the whole network bundle (the selected epoch's classifier and
     generator) plus its adjacency."""
-    if result.bundle is not None:
-        dims = result.bundle.dims
-        arrays = dict(result.bundle.state_dict())
-        arrays["meta.has_bundle"] = np.array(1.0)
-    else:
-        dims = result.classifier.dims
-        arrays = {f"classifier.{k}": v
-                  for k, v in result.classifier.store.state_dict().items()}
-        arrays["meta.has_bundle"] = np.array(0.0)
-    arrays.update(_dims_meta(dims))
-    save_checkpoint(path, arrays)
+    clf, bundle = result.classifier, result.bundle
+    save_checkpoint(path, bundle.state_dict() if bundle is not None
+                    else checkpoint_arrays(clf.dims, {"classifier": clf.store}))
 
 
 def load_result_checkpoint(path: str | Path, ds: CrowdDataset,
                            generator: bool = False) -> Classifier | NetworkBundle:
     """Rebuild the classifier, or with ``generator`` the whole bundle, from a
-    checkpoint (without it only the ``meta.*`` and ``classifier.*`` arrays are
-    read). Before any net is built, the arrays are checked, then their fit to
-    ``ds``: the same input widths, and no more classes than were trained (a
-    class with no annotation may be missing from ``ds``)."""
+    checkpoint (without it only the classifier's arrays are read). Before any
+    net is built, the arrays are checked (``nets.checked_nets``), then their
+    fit to ``ds``: the same input widths, and no more classes than were
+    trained (a class with no annotation may be missing from ``ds``)."""
     arrays = load_checkpoint(path)
-    rng = np.random.default_rng(0)
     try:
-        dims = _dims_from_meta(arrays)
-        bundled = generator and _meta_value(arrays, "meta.has_bundle", "bool")
-        _check_arrays(arrays, dims, tuple(NETS) if bundled else ("classifier",))
-        if generator and not bundled:
+        dims, nets = checked_nets(arrays, generator)
+        if generator and nets == ("classifier",):
             raise ValueError("checkpoint has no generator; augment needs a run "
                              "trained with the adversarial method")
         for name in ("feature_dim", "annotator_dim") if generator else ("feature_dim",):
@@ -991,16 +915,7 @@ def load_result_checkpoint(path: str | Path, ds: CrowdDataset,
         if ds.num_classes > dims.num_classes:
             raise ValueError(f"checkpoint was trained with num_classes = {dims.num_classes}, "
                              f"but the dataset has {ds.num_classes} classes")
-        if bundled:
-            adjacency = CoocAdjacency(counts=arrays["adjacency.counts"].copy(),
-                                      propagation=arrays["adjacency.propagation"].copy())
-            bundle = build_bundle(dims, adjacency, rng)
-            bundle.load_state_dict(arrays)
-            return bundle
-        clf = Classifier(dims, rng)
-        clf.store.load_state_dict({name: arrays[f"classifier.{name}"]
-                                   for name in clf.store.names()})
-        return clf
+        return restore_nets(arrays, dims, nets)
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing array {exc.args[0]!r}") from None
     except ValueError as exc:  # invalid meta dims, arrays they do not fit, or no fit to ds

@@ -7,7 +7,13 @@ import numpy as np
 from crowdaug import diffcore as dc
 from crowdaug.diffcore import ParamStore, Tensor, backward
 from crowdaug.evalsuite import _ranks
+from crowdaug.nets import NETS, NetworkBundle
 from crowdaug.objectives import CLAMP_HI, CLAMP_LO, _clamp_count
+
+
+def build_bundle(dims, adjacency, rng):
+    """Fresh networks of all four kinds drawn from ``rng``, in ``NETS`` order."""
+    return NetworkBundle(dims, *(net(dims, rng) for net in NETS.values()), adjacency)
 
 
 def randomize(store, rng, scale):

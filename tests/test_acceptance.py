@@ -3,7 +3,7 @@
 Criteria 1-5 and 11 are exact/property checks. Criteria 6-10 are scaled
 synthetic experiments; their shared runs live in session fixtures so the
 5-seed benchmark is trained once and reused. Every fixture trains through
-the experiment grid (``cli._run_grid``), which runs one worker process per
+the experiment grid (``cli.run_grid``), which runs one worker process per
 usable core; the results are the same on any worker count. One more test
 checks criterion 6's runs against ``BENCH_gain_seeds.json``, whose seeds 0-4
 they are.
@@ -348,9 +348,9 @@ def _seed_runs(data, runs):
     """Synthesize ``data`` on every seed and train each (method, TrainConfig
     dict) of ``runs`` on it; per seed: (dataset, result of each run)."""
     datasets = [synthesize_dataset(SynthConfig(**data), seed=seed) for seed in SEEDS]
-    results = iter(cli._run_grid([(ds, 0.0, method, seed, train)
-                                  for seed, ds in zip(SEEDS, datasets)
-                                  for method, train in runs]))
+    results = iter(cli.run_grid([(ds, 0.0, method, seed, train)
+                                 for seed, ds in zip(SEEDS, datasets)
+                                 for method, train in runs]))
     return {seed: (ds, *(next(results) for _ in runs))
             for seed, ds in zip(SEEDS, datasets)}
 

@@ -775,7 +775,7 @@ def test_sweep_and_ablate_on_two_workers_match_serial(workspace, tmp_path,
     outputs, results = {}, {}
     for cores in (1, 2):  # the grid runs one worker process per usable core
         monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-        results[cores] = cli._run_grid(jobs)
+        results[cores] = cli.run_grid(jobs)
         # job order: each result is the run its job asked for
         assert [(r.method, r.config.seed, r.config.two_step)
                 for r in results[cores]] == \
@@ -814,7 +814,7 @@ def test_grid_runs_one_worker_process_per_usable_core(monkeypatch, cores, worker
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
     monkeypatch.setattr(cli, "_sweep_job", lambda job: -job)
-    assert cli._run_grid([1, 2, 3]) == [-1, -2, -3]
+    assert cli.run_grid([1, 2, 3]) == [-1, -2, -3]
     assert made == ([] if workers is None else [workers])  # none on one core
 
 
@@ -843,7 +843,7 @@ def test_grid_workers_run_their_blocks_on_one_thread(monkeypatch):
     script = WIDE_GRID_JOBS + (
         "import json, test_cli\n"
         "cli._usable_cores = lambda: 2\n"
-        "print(json.dumps(test_cli._grid_digest(cli._run_grid(jobs))))\n")
+        "print(json.dumps(test_cli._grid_digest(cli.run_grid(jobs))))\n")
     tests = os.path.dirname(os.path.abspath(__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([tests, os.environ.get("PYTHONPATH", "")])}
@@ -852,7 +852,7 @@ def test_grid_workers_run_their_blocks_on_one_thread(monkeypatch):
     namespace = {}
     exec(WIDE_GRID_JOBS, namespace)
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
-    serial = _grid_digest(cli._run_grid(namespace["jobs"]))
+    serial = _grid_digest(cli.run_grid(namespace["jobs"]))
     assert all(rec["num_logged"] >= 8192 for history, _, _ in serial for rec in history)
     assert json.loads(out) == json.loads(json.dumps(serial))
 
@@ -894,8 +894,8 @@ def test_sparsity_sweep_populates_grid(workspace, tmp_path):
     cells = [(0.0, "dl-mv"), (0.0, "dl-cl"), (0.3, "dl-mv"), (0.3, "dl-cl")]
     assert [(row["fraction"], row["method"]) for row in rows] == cells
     for row, (fraction, method) in zip(rows, cells):
-        accs = [r.test_acc for r in cli._run_grid([(ds, fraction, method, seed, cfg.__dict__)
-                                                    for seed in (0, 1)])]
+        accs = [r.test_acc for r in cli.run_grid([(ds, fraction, method, seed, cfg.__dict__)
+                                                   for seed in (0, 1)])]
         assert row == {"fraction": fraction, "method": method,
                        "mean_acc": float(np.mean(accs)), "std_acc": float(np.std(accs)),
                        "num_seeds": 2}

@@ -150,7 +150,7 @@ def test_spearman_rejects_mismatched_input():
 def test_sweep_table_aggregates(monkeypatch):
     from crowdaug import cli
     accs = {("a", 0): 0.5, ("a", 1): 0.7, ("b", 0): 0.9, ("b", 1): 0.9}
-    monkeypatch.setattr(cli, "_run_grid", lambda jobs: [
+    monkeypatch.setattr(cli, "run_grid", lambda jobs: [
         types.SimpleNamespace(test_acc=accs[(method, seed)])
         for _, _, method, seed, _ in jobs])
     rows = cli._grid_rows("fraction", [(0.3, 0.3, "a", {}), (0.3, 0.3, "b", {})],

@@ -7,14 +7,16 @@ from crowdaug.checkpoint import CheckpointError, load_checkpoint, save_checkpoin
 from crowdaug.data import CoocAdjacency
 from crowdaug.diffcore import ParamStore, Tensor
 from crowdaug.nets import (
+    NETS,
     AuxNet,
     Classifier,
     Discriminator,
     Generator,
     NetDims,
-    build_bundle,
+    checked_nets,
+    restore_nets,
 )
-from helpers import encoding, grad_check, randomize, store_grads, three_op_dense
+from helpers import build_bundle, encoding, grad_check, randomize, store_grads, three_op_dense
 
 SMALL = NetDims(num_classes=3, feature_dim=4, annotator_dim=5, noise_dim=2,
                 clf_hidden=6, gen_hidden1=5, gen_hidden2=7, aux_hidden1=5,
@@ -419,8 +421,10 @@ def test_bundle_state_round_trip(tmp_path):
     path = tmp_path / "bundle.ckpt"
     save_checkpoint(path, state)
 
-    b2 = small_bundle(seed=36)
-    b2.load_state_dict(load_checkpoint(path))
+    arrays = load_checkpoint(path)
+    dims, nets = checked_nets(arrays, bundle=True)
+    assert dims == b.dims and nets == tuple(NETS)
+    b2 = restore_nets(arrays, dims, nets)
     for prefix, store in b.stores().items():
         other = b2.stores()[prefix]
         for name, t in store.items():

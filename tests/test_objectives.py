@@ -235,6 +235,7 @@ def test_breakdown_combined_identity():
     auth = rng.uniform(0.1, 0.9, size=10)
     gen = rng.uniform(0.1, 0.9, size=12)
     q_logs = np.log(rng.uniform(0.05, 1.0, size=12))
-    bd = compute_breakdown(auth, gen, q_logs, code_entropy=0.9, info_weight=0.7)
-    assert abs(bd.combined - (bd.value_term - 0.7 * bd.info_term)) < 1e-12
-    assert bd.clamp_count == 0
+    terms, clamped = compute_breakdown(auth, gen, q_logs, code_entropy=0.9, info_weight=0.7)
+    assert list(terms) == ["value_term", "info_term", "combined"]
+    assert abs(terms["combined"] - (terms["value_term"] - 0.7 * terms["info_term"])) < 1e-12
+    assert clamped == 0

@@ -65,6 +65,21 @@ def test_readme_names_resolve():
     assert missing == []
 
 
+def test_only_nets_spells_a_checkpoint_array_name():
+    # nets owns the checkpoint schema, so no other module's string constants
+    # (an f-string's literal parts included) start like a checkpoint array name
+    prefixes = ("classifier.", "generator.", "discriminator.", "aux.", "adjacency.", "meta.")
+    found = []
+    for path in sorted((ROOT / "src" / "crowdaug").glob("*.py")):
+        if path.name == "nets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.startswith(prefixes):
+                found.append((path.name, node.lineno, node.value))
+    assert found == []
+
+
 def test_scripts_import():
     # each script's main() runs only under __main__, so loading runs its imports
     scripts = sorted((ROOT / "scripts").glob("*.py"))

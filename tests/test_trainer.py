@@ -1,5 +1,6 @@
 """Training-loop behavior: selection balance, logging consistency, freezing,
 determinism, baseline equivalences, and the augmentation export."""
+import copy
 import csv
 import dataclasses
 import io
@@ -25,7 +26,7 @@ from crowdaug.data import (
     majority_vote,
     synthesize_dataset,
 )
-from crowdaug.nets import AuxNet, Classifier, Discriminator, Generator, NetDims, build_bundle
+from crowdaug.nets import AuxNet, Classifier, Discriminator, Generator, NetDims
 from crowdaug.trainer import (
     DivergenceError,
     LoggedBatch,
@@ -43,6 +44,7 @@ from crowdaug.trainer import (
     train_method,
 )
 from helpers import (
+    build_bundle,
     chain_discriminator_loss,
     chain_nll,
     encoding,
@@ -843,7 +845,7 @@ def test_low_threshold_freezes_generator():
 
     rng = np.random.default_rng(cfg.seed)
     clf, _ = pretrain_dl_cl(ds, cfg, rng=rng)
-    gen, _, _, _ = pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
+    gen, _, _ = pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
     assert res.bundle.generator.store.fingerprint() == gen.store.fingerprint()
 
 
@@ -854,7 +856,7 @@ def test_epoch_moves_discriminator_and_choosing_side():
 
     rng = np.random.default_rng(cfg.seed)
     clf, _ = pretrain_dl_cl(ds, cfg, rng=rng)
-    gen, disc, aux, _ = pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
+    gen, disc, aux = pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
     assert res.bundle.discriminator.store.fingerprint() != disc.store.fingerprint()
     rec = res.history[0]
     moved_gen = res.bundle.generator.store.fingerprint() != gen.store.fingerprint()
@@ -1046,9 +1048,21 @@ def test_generator_pretraining_reduces_loss():
                       disc_pretrain_epochs=0)
     rng = np.random.default_rng(0)
     clf, _ = pretrain_dl_cl(ds, cfg, rng=rng)
-    _, _, _, history = pretrain_gen_disc(ds, clf, cfg, rng)
-    gen_losses = [h["loss"] for h in history if h["phase"] == "gen"]
-    assert gen_losses[-1] < gen_losses[0]
+    ann = tr._train_annotations(ds)
+
+    def mean_nll(gen):
+        # the generator's mean negative log-likelihood of the train annotations
+        with dc.no_grad():
+            zhat = clf.probs(ds.features[ann[:, 0]]).data
+            eps = gen.draw_noise(np.random.default_rng(1), len(ann))
+            log_dist = gen.log_distribution(ds.features[ann[:, 0]],
+                                            ds.annotator_features[ann[:, 1]], zhat, eps).data
+        return -log_dist[np.arange(len(ann)), ann[:, 2]].mean()
+
+    # pretraining draws its generator first, so a copy of the stream rebuilds it
+    untrained = Generator(tr._dims_for(ds, cfg), copy.deepcopy(rng))
+    gen, _, _ = pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
+    assert mean_nll(gen) < mean_nll(untrained)
 
 
 # ---------------------------------------------------------------------------
@@ -1158,14 +1172,12 @@ def test_export_feeds_the_generator_the_inputs_it_was_trained_on(tmp_path):
     assert np.array_equal(generated, _labels_fed(ds, bundle, rows, 5, True))
     assert not np.array_equal(generated, _labels_fed(ds, bundle, rows, 5, False))
 
-    # a checkpoint saved before the switches were stored had both on
+    # a checkpoint without the switches is refused, not read as both on
     switches = ("meta.gen_use_instance_features", "meta.gen_use_annotator_features")
     save_checkpoint(tmp_path / "older.bin",
                     {k: v for k, v in arrays.items() if k not in switches})
-    older = tr.load_result_checkpoint(tmp_path / "older.bin", ds, generator=True)
-    assert older.dims.gen_use_instance_features and older.dims.gen_use_annotator_features
-    rows = exported_rows(ds, older, 5, tmp_path / "augmented.csv")
-    assert np.array_equal(rows[rows[:, 3] == 0, 2], _labels_fed(ds, older, rows, 5, False))
+    with pytest.raises(CheckpointError, match="missing array 'meta.gen_use_instance_features'"):
+        tr.load_result_checkpoint(tmp_path / "older.bin", ds, generator=True)
 
 
 def test_loaded_nets_copy_the_checkpoint_views(tmp_path, monkeypatch):
@@ -1206,8 +1218,8 @@ def test_crowding_checkpoint_array_names_are_pinned(tmp_path):
     tr.save_result_checkpoint(path, train_crowding(ds, tiny_config(epochs=1)))
     arrays = load_checkpoint(path)
     assert list(arrays) == CROWDING_CHECKPOINT_NAMES
-    # only the two generator switches may be missing (older checkpoints)
-    for key in (k for k in arrays if k.startswith("meta.") and "gen_use_" not in k):
+    # every meta scalar is required
+    for key in (k for k in arrays if k.startswith("meta.")):
         save_checkpoint(tmp_path / "broken.bin",
                         {k: v for k, v in arrays.items() if k != key})
         with pytest.raises(CheckpointError, match=f"missing array '{key}'"):
@@ -1352,7 +1364,15 @@ def test_export_peak_memory_per_pair(tmp_path):
         finally:
             tracemalloc.stop()
 
-    (small, small_pairs), (large, large_pairs) = peak(1000), peak(2000)
+    # on two block threads a run's peak is as high as its two in-flight
+    # blocks' temporaries come to overlap, which thread timing decides: under
+    # load a run can miss the full overlap by up to a block (1.45 MB read as
+    # 36 bytes a pair once). The largest of five peaks per size reaches it.
+    def largest_peak(n):
+        peaks = [peak(n) for _ in range(5)]
+        return max(p for p, _ in peaks), peaks[0][1]
+
+    (small, small_pairs), (large, large_pairs) = largest_peak(1000), largest_peak(2000)
     per_pair = (large - small) / (large_pairs - small_pairs)
     assert per_pair < 16, per_pair
 
