@@ -10,6 +10,11 @@ built on several threads at once, which share only their leaves, never write
 to one place: adding their dicts with ``add_grads`` in a fixed order gives the
 same bits on any number of threads.
 
+The sweep hands each node's gradient to its closure and keeps no reference
+to it, nor to the parent gradients once it has added them up, so a closure
+that makes a masked copy (``dense``'s ReLU) frees the gradient it was given
+and two such gradients never coexist. Closures never write into their input.
+
 Ops take and return Tensors only; ``entropy``, ``sample_categorical`` and
 ``categorical_at`` are the array utilities. A Tensor's ``+`` and ``*`` build
 ``add`` and ``mul`` nodes, with a non-Tensor operand as a constant.
@@ -465,7 +470,9 @@ def backward(loss: Tensor, grad: Array | None = None) -> dict:
 
     ``grad``, shaped like ``loss``, seeds the sweep with an upstream gradient
     instead, so ``loss`` may be any tensor. The returned arrays may be shared
-    with ``grad`` or with each other: read them, never write to them.
+    with ``grad`` or with each other: read them, never write to them. A
+    node's gradient is handed to its closure and not kept (see the module
+    docstring).
     """
     if not _grad_enabled:
         raise RuntimeError("backward called inside a no_grad scope")
@@ -479,20 +486,25 @@ def backward(loss: Tensor, grad: Array | None = None) -> dict:
     grads: dict[int, Array] = {id(loss): grad}
     leaf_grads: dict[Tensor, Array] = {}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
+        if id(node) not in grads:
             continue
-        if node._backward is None:
-            if node.requires_grad:
-                leaf_grads[node] = g
-            continue
-        parent_grads = node._backward(g)
-        for parent, pg in zip(node.parents, parent_grads):
-            if pg is None:
-                continue
+        if node._backward is not None:
+            # popped straight into the closure: nothing else holds the gradient
+            _hand_on(grads, node.parents, node._backward(grads.pop(id(node))))
+        elif node.requires_grad:
+            leaf_grads[node] = grads.pop(id(node))
+        else:
+            del grads[id(node)]
+    return leaf_grads
+
+
+def _hand_on(grads: dict, parents: tuple, parent_grads: tuple) -> None:
+    """Add a node's ``parent_grads`` into ``grads``; the tuple and its arrays
+    are dropped on return, so only ``grads`` keeps them."""
+    for parent, pg in zip(parents, parent_grads):
+        if pg is not None:
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-    return leaf_grads
 
 
 def add_grads(total: dict, more: dict) -> None:

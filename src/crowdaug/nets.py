@@ -26,6 +26,15 @@ Q train together through ``ParamStore.union`` of their two stores.
 Every layer ``x @ W + b`` (with or without ReLU) is one ``diffcore.dense``
 node; only the discriminator's class-matrix mixing calls ``matmul``.
 
+``Generator.frozen_distribution`` serves a step that trains the classifier's
+codes through a generator it holds fixed. It is one node whose only parent is
+the code tensor: its forward runs the NumPy calls of ``distribution``'s
+``concat``, ``dense`` and ``softmax`` nodes in their order, so its value is
+byte-identical to them, and it keeps only the two ReLU masks and its output,
+no activation and no input. Its backward runs those nodes' backward and
+returns the code columns of the input gradient alone, byte-identical to the
+graph's, without the (rows, input width) gradient the graph would make.
+
 Each net lists its parameters as ``(name, shape, init)`` in ``spec(dims)``,
 from which it is built. This module also owns the checkpoint schema: a
 checkpoint holds the classifier alone or all four nets with the adjacency,
@@ -160,9 +169,10 @@ class Generator:
     def draw_noise(self, rng: np.random.Generator, batch: int) -> np.ndarray:
         return rng.standard_normal((batch, self.dims.noise_dim))
 
-    def logits(self, x, e, zhat, eps) -> Tensor:
-        """Label logits of each row; ``x`` (``e``) reads as zeros when
-        ``gen_use_instance_features`` (``gen_use_annotator_features``) is off."""
+    def _inputs(self, x, e, zhat, eps) -> list[Tensor]:
+        """The checked parts ``[x, e, zhat, eps]`` of the input row; ``x``
+        (``e``) reads as zeros when ``gen_use_instance_features``
+        (``gen_use_annotator_features``) is off."""
         d = self.dims
         x = _check_batch(x, d.feature_dim, "generator instance input")
         e = _check_batch(e, d.annotator_dim, "generator annotator input")
@@ -175,14 +185,52 @@ class Generator:
             zhat = Tensor(_check_batch(zhat, d.num_classes, "generator zhat"))
         elif zhat.shape[1] != d.num_classes:
             raise ValueError(f"generator zhat must have width {d.num_classes}")
+        return [Tensor(x), Tensor(e), zhat, Tensor(eps)]
+
+    def logits(self, x, e, zhat, eps) -> Tensor:
+        """Label logits of each row (see ``_inputs``)."""
         p = self.store
-        inp = dc.concat([Tensor(x), Tensor(e), zhat, Tensor(eps)], axis=1)
+        inp = dc.concat(self._inputs(x, e, zhat, eps), axis=1)
         h1 = dc.dense(inp, p["W1"], p["b1"], relu=True)
         h2 = dc.dense(h1, p["W2"], p["b2"], relu=True)
         return dc.dense(h2, p["W3"], p["b3"])
 
     def distribution(self, x, e, zhat, eps) -> Tensor:
         return dc.softmax(self.logits(x, e, zhat, eps), axis=1)
+
+    def frozen_distribution(self, x, e, zhat: Tensor, eps) -> Tensor:
+        """``distribution`` with the parameters held fixed, as one node whose
+        only parent is the code tensor ``zhat`` (see the module docstring)."""
+        parts = self._inputs(x, e, zhat, eps)
+        p = self.store
+        w1, w2, w3 = p["W1"].data, p["W2"].data, p["W3"].data
+        # the NumPy calls of concat, dense, dense and dense, in their order
+        h = np.concatenate([t.data for t in parts], axis=1) @ w1
+        h += p["b1"].data
+        mask1 = h > 0
+        h *= mask1
+        h = h @ w2
+        h += p["b2"].data
+        mask2 = h > 0
+        h *= mask2
+        h = h @ w3
+        h += p["b3"].data
+        s = dc.softmax(Tensor(h), axis=1).data
+        d = self.dims
+        code_rows = slice(d.feature_dim + d.annotator_dim,
+                          d.feature_dim + d.annotator_dim + d.num_classes)
+
+        def back(g):
+            # softmax's and each dense node's backward, then only the code
+            # columns of the input gradient: the transposed view of W1's code
+            # rows gives the full product's columns bit for bit, a contiguous
+            # copy of it does not
+            g = s * (g - (g * s).sum(axis=1, keepdims=True))
+            g = (g @ w3.T) * mask2
+            g = (g @ w2.T) * mask1
+            return (g @ w1[code_rows].T,)
+
+        return Tensor(s, parents=(parts[2],), backward_fn=back)
 
     def log_distribution(self, x, e, zhat, eps) -> Tensor:
         return dc.log_softmax(self.logits(x, e, zhat, eps), axis=1)

@@ -34,7 +34,8 @@ def discriminator_loss(authentic_scores: Tensor, generated_scores: Tensor,
     mean(log D(authentic)) + mean(log(1 - D(generated))).
 
     The loss is one graph node over the two score tensors. Its value and its
-    gradients take the NumPy operations, in order, of the op chain
+    gradients (``discriminator_score_grad``) take the NumPy operations, in
+    order, of the op chain
     ``neg(add(t_mean(t_log(clamp(a))), t_mean(t_log(neg(clamp(g)) + 1.0))))``
     plus ``t_mean(mul(both, both)) * l2_coeff`` over the clamped scores'
     ``concat``, so they are byte-identical to it.
@@ -51,21 +52,32 @@ def discriminator_loss(authentic_scores: Tensor, generated_scores: Tensor,
         both = np.concatenate([auth, gen], axis=0)
         scale_both = 1.0 / both.size
         value = value + (both * both).sum() * scale_both * l2_coeff
+    sizes = (a.size, g.size)
 
     def back(grad):
-        g_sum = -grad
-        g_auth = g_sum * scale_a / auth
-        g_gen = -(g_sum * scale_g / one_minus_gen)
-        if l2_coeff > 0.0:
-            g_both = grad * l2_coeff * scale_both * both
-            g_both = g_both + g_both
-            g_auth = g_auth + g_both[:auth.shape[0]]
-            g_gen = g_gen + g_both[auth.shape[0]:]
-        return (g_auth * ((a.data >= CLAMP_LO) & (a.data <= CLAMP_HI)),
-                g_gen * ((g.data >= CLAMP_LO) & (g.data <= CLAMP_HI)))
+        return tuple(discriminator_score_grad(t.data, side, sizes, l2_coeff, grad)
+                     for side, t in enumerate((a, g)))
 
     loss = Tensor(value, parents=(a, g), backward_fn=back)
     return loss, _clamp_count(a.data) + _clamp_count(g.data)
+
+
+def discriminator_score_grad(scores: np.ndarray, side: int, sizes: tuple[int, int],
+                             l2_coeff: float, grad=1.0) -> np.ndarray:
+    """The gradient of ``discriminator_loss``, times the upstream ``grad``, with
+    respect to ``scores`` of one side (0 authentic, 1 generated) when the two
+    sides have ``sizes`` rows. Each row's entry reads only its own score, so
+    the rows of a block of one side come out as in one call over the side."""
+    clipped = np.clip(scores, CLAMP_LO, CLAMP_HI)
+    g_sum = -grad
+    if side == 0:
+        g = g_sum * (1.0 / sizes[0]) / clipped
+    else:
+        g = -(g_sum * (1.0 / sizes[1]) / (-clipped + 1.0))
+    if l2_coeff > 0.0:
+        g_l2 = grad * l2_coeff * (1.0 / (sizes[0] + sizes[1])) * clipped
+        g = g + (g_l2 + g_l2)
+    return g * ((scores >= CLAMP_LO) & (scores <= CLAMP_HI))
 
 
 def info_lower_bound(q_logprobs: np.ndarray, entropy_term: float) -> float:

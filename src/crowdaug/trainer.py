@@ -29,29 +29,39 @@ one counterfactual-risk loop, ``_crm_update``, which differs only in the
 networks it moves and the logged pairs it indexes; each inner step runs
 forward and backward over pair blocks, keeps at most two pair blocks' graphs
 alive at a time, and sums the gradient dicts that ``backward`` returns into
-one, on which the optimizers step. Supervised
-training, generator pretraining and the D/Q warm-up run one minibatch loop,
-``_epoch_losses``; step 1 and the augmentation export draw labels through
-one sampling pass, ``_sample_generated``.
+one, on which the optimizers step. The classifier's step runs the generator
+it holds fixed as one node over the codes (``Generator.frozen_distribution``),
+which keeps no activation of it. Supervised training, generator pretraining
+and the D/Q warm-up run one minibatch loop, ``_epoch_losses``; step 1 and the
+augmentation export draw labels through one sampling pass,
+``_sample_generated``.
 
 The discriminator and the auxiliary net read one encoding of each row batch
-(``_encoding``): the D/Q step of step 2 decodes the class table once and
-encodes the authentic and the selected rows once each, and step 3 scores D
-and Q in one pass over the pairs.
+(``_encoding``), and step 3 scores D and Q in one pass over the pairs. The
+D/Q step (``_disc_aux_step``) decodes the class table once and hands it to
+three leaves, one each for D's authentic scores, D's generated scores and Q;
+it runs the authentic side, then the generated side, in row blocks, each
+block encoded once and backpropagated as soon as it is scored, and sends the
+leaves' summed gradient through the decoder once.
 
-Every pass over all pairs runs in row blocks, so its memory does not grow
-with the pair grid: one block below 8192 rows, and from 8192 rows on
-balanced blocks of 2048-4095 rows, two of them in flight at a time. When at
-least two cores are usable and BLAS is pinned to one thread (see
+Every pass over all pairs or annotations runs in row blocks, so its memory
+does not grow with the pair grid: one block below 8192 rows, and from 8192
+rows on balanced blocks of 2048-4095 rows, two of them in flight at a time.
+When at least two cores are usable and BLAS is pinned to one thread (see
 ``crowdaug/__init__.py``), the calling thread runs every other block and one
 worker thread the rest (``_in_flight``); grid worker processes run theirs on
 one thread. Each CRM block's ``backward`` returns its own gradient dict, and
 the dicts are added in block order; each forward-only block writes its own
 rows of the output. A run therefore gives the same bits on one thread or
-two. The forward-only passes (step 1, the step-3 scores and the augmentation
-export) are bit-identical to one call over every row; the CRM steps are too
-below 8192 pairs, and above that only the order of the gradient's sum over
-pairs moves.
+two. The forward-only passes (step 1, the step-3 scores, step 7's authentic
+scores and the augmentation export) are bit-identical to one call over every
+row; the CRM and D/Q steps are too below 8192 rows (a side), and above that
+only the order of the gradient's sum over rows moves.
+
+The epoch frees each per-pair array after its last reader: step 1's
+entropies after the selection, the code draws after the step-3 pass, and the
+step-3 scores, cut to the selected rows step 7 reads, once the deltas exist.
+The logged batch then holds only what the CRM steps read.
 
 The sampling pass keeps no per-pair code or noise array. The classifier
 probabilities of step 1 and of the export depend only on the instance, so
@@ -99,6 +109,7 @@ from .objectives import (
     compute_breakdown,
     crm_objective,
     discriminator_loss,
+    discriminator_score_grad,
     per_annotation_delta,
 )
 
@@ -173,15 +184,20 @@ class TrainConfig:
 
 @dataclass
 class LoggedBatch:
-    """Column view of this epoch's logged annotations and their classifier table."""
+    """Column view of this epoch's logged annotations and their classifier table.
+
+    ``zhat_draws`` and ``entropies`` are read before the CRM steps alone:
+    ``run_epoch`` sets each to None after its last reader (the step-3 judge
+    pass and the selection), so the batch the CRM steps read holds only
+    their columns."""
 
     instances: np.ndarray   # global instance ids, shape (P,)
     annotators: np.ndarray  # annotator ids, shape (P,)
     labels: np.ndarray      # sampled labels, shape (P,)
     g0: np.ndarray          # logging probabilities, shape (P,)
     eps: np.ndarray         # noise at logging time, shape (P, k)
-    zhat_draws: np.ndarray  # sampled code class per pair, shape (P,)
-    entropies: np.ndarray   # generator-distribution entropy per pair, shape (P,)
+    zhat_draws: np.ndarray | None  # sampled code class per pair, shape (P,)
+    entropies: np.ndarray | None   # generator-distribution entropy per pair, shape (P,)
     codes: np.ndarray       # classifier probabilities per logged instance, shape (D, C)
     code_rows: np.ndarray   # each pair's row of ``codes``, shape (P,)
 
@@ -595,25 +611,71 @@ def _encoding(disc: Discriminator, rows: tuple, mats: Tensor) -> tuple:
     return (*disc.encode(x, e), mats, y)
 
 
+def _seeded_root(seeds: list) -> Tensor:
+    """A scalar node over the tensors of the ``(tensor, upstream gradient)``
+    pairs ``seeds``: ``backward`` of it is one sweep that hands each tensor
+    its gradient."""
+    return Tensor(0.0, parents=tuple(t for t, _ in seeds),
+                  backward_fn=lambda g: tuple(up for _, up in seeds))
+
+
 def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, auth: tuple,
                    gen: tuple, codes: np.ndarray, cfg: TrainConfig, what: str,
                    epoch: int) -> tuple[float, int]:
     """One step on D's authentic-vs-generated loss over ``(x, e, y)`` rows plus
     Q's cross-entropy of ``codes``; returns (loss, clamped D outputs).
 
-    The table is decoded once and each row batch encoded once: D's score of
-    the generated rows and Q's posterior read the same encoding. The graph is
-    dropped before ``opt`` steps, so the step's flat arrays do not add to the
-    graph's peak."""
+    The class table is decoded once and read through three leaves: D's score
+    of the authentic rows, D's score of the generated rows and Q each have
+    their own. The authentic side, then the generated side, runs over
+    ``_row_blocks`` of its rows through ``_in_flight``. A block encodes its
+    rows once (Q reads the generated rows' encoding too), scores them and
+    backpropagates at once, seeded with the loss's gradient with respect to
+    its scores, which reads only those scores (``discriminator_score_grad``),
+    and with Q's cross-entropy gradient, a row sum scaled by one over the
+    generated rows. So one block's graph is alive at a time per thread, and an
+    authentic block is done before any generated block exists. The blocks'
+    gradient dicts are added in block order; the leaves' gradients are added
+    as (authentic + generated) + Q, the order in which one graph over both
+    sides accumulates the table's, and sent through the decoder once. The loss
+    and the clamp count come once from the two score vectors. Below 8192 rows
+    a side the bits are those of one graph over every row; above, only the
+    order of the sums over rows moves."""
     mats = disc.decoded_matrices(adj)
-    auth_enc, gen_enc = _encoding(disc, auth, mats), _encoding(disc, gen, mats)
-    d_loss, clamped = discriminator_loss(disc.score(*auth_enc), disc.score(*gen_enc),
+    tables = [Tensor(mats.data, requires_grad=True) for _ in range(3)]
+    sizes = (len(auth[2]), len(gen[2]))
+    q_scale = 1.0 / len(codes)
+
+    def block_step(side, rows):
+        x, e, y = (column[rows] for column in (auth, gen)[side])
+        u, v = disc.encode(x, e)
+        scores = disc.score(u, v, tables[side], y)
+        seeds = [(scores, discriminator_score_grad(scores.data, side, sizes, cfg.disc_l2))]
+        picked = None
+        if side:
+            log_post = aux.log_posterior(u, v, tables[2], y)
+            at = (np.arange(len(y)), codes[rows])
+            picked, g = log_post.data[at], np.zeros_like(log_post.data)
+            g[at] = -q_scale  # dc.nll's gradient at the generated rows' count
+            seeds.append((log_post, g))
+        return scores.data, picked, backward(_seeded_root(seeds))
+
+    scores, picked, grads = ([], []), [], {}
+    for side in (0, 1):
+        blocks = _row_blocks(sizes[side])
+        for block_scores, block_picked, block_grads in _in_flight(
+                lambda rows: block_step(side, rows), blocks):
+            scores[side].append(block_scores)
+            if side:
+                picked.append(block_picked)
+            dc.add_grads(grads, block_grads)
+    d_loss, clamped = discriminator_loss(*(Tensor(np.concatenate(s)) for s in scores),
                                          cfg.disc_l2)
-    loss = d_loss + dc.nll(aux.log_posterior(*gen_enc), codes)
-    value = loss.item()
+    # plus dc.nll's value over every generated row
+    value = float(d_loss.data + -(np.concatenate(picked).sum() * q_scale))
     _check_finite(value, what, epoch)
-    grads = backward(loss)
-    del mats, auth_enc, gen_enc, d_loss, loss
+    table_grad = (grads.pop(tables[0]) + grads.pop(tables[1])) + grads.pop(tables[2])
+    dc.add_grads(grads, backward(mats, table_grad))
     opt.step(grads)
     return value, clamped
 
@@ -631,7 +693,9 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     With the classifier training, codes come from it in train mode (dropout
     from ``rng``); otherwise from the batch's step-1 table, pair ``i``'s code
     being ``batch.codes[batch.code_rows[i]]``. Frozen stores take no gradient
-    and must come out bit-identical.
+    and must come out bit-identical; a frozen generator runs as one node over
+    the codes (``Generator.frozen_distribution``), whose value and code
+    gradient are the graph's bytes.
 
     Each inner step runs forward and backward over ``_row_blocks`` of ``idx``,
     at most two pair blocks' graphs alive at a time (``_in_flight``): a block
@@ -651,6 +715,7 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     what = _NET_NAMES[trains[0]] if len(trains) == 1 else "joint"
     if "clf" in trains:
         uniq, inverse = np.unique(batch.instances[idx], return_inverse=True)
+    distribution = gen.distribution if "gen" in trains else gen.frozen_distribution
     blocks = _row_blocks(len(idx))
     frozen_leaves = [(t, t.requires_grad) for k in frozen for t in stores[k].tensors()]
     for t, _ in frozen_leaves:
@@ -666,9 +731,9 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
                 at = idx[rows]
                 zhat = dc.gather_rows(codes, inverse[rows]) if "clf" in trains \
                     else batch.codes[batch.code_rows[at]]
-                dist = gen.distribution(ds.features[batch.instances[at]],
-                                        ds.annotator_features[batch.annotators[at]],
-                                        zhat, batch.eps[at])
+                dist = distribution(ds.features[batch.instances[at]],
+                                    ds.annotator_features[batch.annotators[at]],
+                                    zhat, batch.eps[at])
                 obj = crm_objective(batch.g0[at], dc.pick(dist, batch.labels[at]),
                                     deltas[at], mu, len(idx))
                 return obj.item(), backward(obj)
@@ -726,15 +791,17 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     counts = np.bincount(authentic[:, 1], minlength=ds.num_annotators)
     selected = select_for_discriminator(batch.annotators, batch.entropies,
                                         counts, rng, mode=cfg.selection_mode)
+    batch.entropies = None  # each per-pair array goes after its last reader
     auth_rows = (ds.features[authentic[:, 0]],
                  ds.annotator_features[authentic[:, 1]], authentic[:, 2])
     sel_rows = (ds.features[batch.instances[selected]],
                 ds.annotator_features[batch.annotators[selected]], batch.labels[selected])
+    sel_codes = batch.zhat_draws[selected]
     disc_loss_val, clamp_count = float("nan"), 0
     for _ in range(cfg.inner_steps):
         disc_loss_val, clamped = _disc_aux_step(
             state.optimizers["disc"], bundle.discriminator, bundle.aux,
-            bundle.adjacency, auth_rows, sel_rows, batch.zhat_draws[selected], cfg,
+            bundle.adjacency, auth_rows, sel_rows, sel_codes, cfg,
             "discriminator loss", state.epoch)
         clamp_count += clamped
 
@@ -751,9 +818,13 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
         return disc.score(*enc).data, q_lp[np.arange(len(q_lp)), batch.zhat_draws[s]]
 
     d_scores, q_at_draw = _forward_in_blocks(len(batch), judge)
+    batch.zhat_draws = None
     deltas_gen, clamped_d = per_annotation_delta(d_scores, q_at_draw, cfg.info_weight)
     deltas_clf, _ = per_annotation_delta(d_scores, q_at_draw, 0.0)
     clamp_count += clamped_d
+    # step 7 reads the selected rows' scores alone
+    d_gen_final, q_selected = d_scores[selected], q_at_draw[selected]
+    del d_scores, q_at_draw
 
     # (4) split the logged pairs by their instance's normalized code entropy
     # in step 1's classifier table (the classifier has not moved since)
@@ -792,10 +863,9 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
 
     # (7) metrics: steps 5 and 6 leave D, so step 3's table and scores are
     # current and only the authentic rows are scored again
-    with dc.no_grad():
-        d_auth_final = disc.score(*_encoding(disc, auth_rows, mats)).data
-    d_gen_final = d_scores[selected]
-    terms, clamped_b = compute_breakdown(d_auth_final, d_gen_final, q_at_draw[selected],
+    d_auth_final = _forward_in_blocks(len(authentic), lambda s: disc.score(
+        *_encoding(disc, tuple(column[s] for column in auth_rows), mats)).data)
+    terms, clamped_b = compute_breakdown(d_auth_final, d_gen_final, q_selected,
                                          float(code_entropies.mean()), cfg.info_weight)
     record = {
         "epoch": state.epoch,

@@ -8,7 +8,7 @@ from crowdaug import diffcore as dc
 from crowdaug.diffcore import ParamStore, Tensor, backward
 from crowdaug.evalsuite import _ranks
 from crowdaug.nets import NETS, NetworkBundle
-from crowdaug.objectives import CLAMP_HI, CLAMP_LO, _clamp_count
+from crowdaug.objectives import CLAMP_HI, CLAMP_LO, _clamp_count, discriminator_loss
 
 
 def build_bundle(dims, adjacency, rng):
@@ -48,6 +48,19 @@ def chain_discriminator_loss(authentic_scores, generated_scores, l2_coeff=1e-4):
         both = dc.concat([auth, gen], axis=0)
         loss = loss + dc.t_mean(dc.mul(both, both)) * l2_coeff
     return loss, _clamp_count(authentic_scores.data) + _clamp_count(generated_scores.data)
+
+
+def single_graph_disc_aux_step(opt, disc, aux, adj, auth, gen, codes, cfg, what, epoch):
+    """``trainer._disc_aux_step`` as one graph over every row of both sides
+    and the one-node losses: the reference for its row blocks."""
+    mats = disc.decoded_matrices(adj)
+    auth_enc = (*disc.encode(*auth[:2]), mats, auth[2])
+    gen_enc = (*disc.encode(*gen[:2]), mats, gen[2])
+    d_loss, clamped = discriminator_loss(disc.score(*auth_enc), disc.score(*gen_enc),
+                                         cfg.disc_l2)
+    loss = d_loss + dc.nll(aux.log_posterior(*gen_enc), codes)
+    opt.step(backward(loss))
+    return loss.item(), clamped
 
 
 class PerParameterAdam:
@@ -107,14 +120,20 @@ def grad_check(fn: Callable[[], Tensor], params: ParamStore | Iterable[Tensor],
     |analytic - numeric| / (|numeric| + 1e-8), maximized over every entry of
     every parameter.
     """
+    return difference_check(lambda: fn().item(), backward(fn()), params, eps)
+
+
+def difference_check(value: Callable[[], float], grads: dict,
+                     params: ParamStore | Iterable[Tensor], eps: float = 1e-5) -> float:
+    """Max relative error, as ``grad_check`` gives it, between the
+    ``{leaf: gradient}`` dict ``grads`` and central differences of ``value()``
+    in every entry of ``params`` (a parameter without an entry has gradient 0)."""
     if not 0.0 < eps <= 1e-3:
         raise ValueError(f"eps must be in (0, 1e-3], got {eps}")
     if isinstance(params, ParamStore):
         named = list(params.items())
     else:
         named = [(f"param{i}", t) for i, t in enumerate(params)]
-
-    grads = backward(fn())
     analytic = {name: grads.get(t, np.zeros_like(t.data)) for name, t in named}
 
     worst = 0.0
@@ -124,9 +143,9 @@ def grad_check(fn: Callable[[], Tensor], params: ParamStore | Iterable[Tensor],
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = fn().item()
+            f_plus = value()
             flat[i] = orig - eps
-            f_minus = fn().item()
+            f_minus = value()
             flat[i] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise ValueError(f"non-finite loss while perturbing parameter {name!r}")

@@ -135,6 +135,33 @@ def test_generator_with_switch_off_ignores_that_input(switch):
         assert gen.distribution(*varied, zhat, eps).data.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("rows", [1000, 2048, 3071, 4095])
+@pytest.mark.parametrize("switch", [None, "gen_use_instance_features",
+                                    "gen_use_annotator_features"])
+def test_frozen_distribution_is_byte_identical_to_the_frozen_graph(rows, switch):
+    # the classifier's CRM step at the pair-grid benchmark's widths: its block
+    # heights (one below OpenBLAS's small-matrix bound, then 2048-4095) and the
+    # generator's parameters frozen; the one node's value and code gradient
+    # equal the graph's, whose input gradient is 54 columns wide
+    dims = NetDims(num_classes=4, feature_dim=2, annotator_dim=40,
+                   **({switch: False} if switch else {}))
+    rng = np.random.default_rng(rows)
+    gen = Generator(dims, rng)
+    randomize(gen.store, rng, scale=0.3)
+    x, e, eps = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 40)), gen.draw_noise(rng, rows)
+    codes = dc.softmax(Tensor(rng.normal(size=(rows, 4))), axis=1).data
+    upstream = rng.normal(size=(rows, 4))
+    for t in gen.store.tensors():
+        t.requires_grad = False
+    results = []
+    for forward in (gen.distribution, gen.frozen_distribution):
+        zhat = Tensor(codes, requires_grad=True)
+        dist = forward(x, e, zhat, eps)
+        results.append((dist.data.tobytes(), dc.backward(dist, upstream)[zhat].tobytes()))
+    assert len(dc._toposort(dist)) == 2  # the node and the code leaf
+    assert results[1] == results[0]
+
+
 # ---------------------------------------------------------------------------
 # LCA decoding algebra
 

@@ -43,14 +43,17 @@ from crowdaug.trainer import (
     train_dl_mv,
     train_method,
 )
+import helpers
 from helpers import (
     build_bundle,
     chain_discriminator_loss,
     chain_nll,
+    difference_check,
     encoding,
     grad_check,
     randomize,
     read_augmented_file,
+    single_graph_disc_aux_step,
     store_grads,
     three_op_dense,
 )
@@ -432,16 +435,20 @@ class _RecordingAdam(dc.Adam):
         super().step(grads)
 
 
-def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32):
-    """One ``_disc_aux_step`` of fresh randomized D/Q nets over 50 authentic
-    and ``gen_rows`` generated rows, as a closure returning the loss, the
-    clamp count and every D/Q parameter's value and gradient bytes."""
+def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32, auth_rows=50, scale=0.5,
+                      disc_l2=1e-4, lca=True, record=False):
+    """One ``_disc_aux_step`` of fresh D/Q nets, randomized at ``scale``, over
+    ``auth_rows`` authentic and ``gen_rows`` generated rows, as a closure
+    returning the loss, the clamp count and every D/Q parameter's value and
+    gradient bytes (with ``record``, the gradient dict itself in their place)."""
     c = num_classes
-    dims = NetDims(num_classes=c, feature_dim=2, annotator_dim=6, embed_dim=embed_dim)
+    dims = NetDims(num_classes=c, feature_dim=2, annotator_dim=6, embed_dim=embed_dim,
+                   lca_enabled=lca)
     prop = np.random.default_rng(0).uniform(0.1, 1.0, size=(c, c))
     adj = CoocAdjacency(counts=np.zeros((c, c)), propagation=(prop + prop.T) / c)
     rng = np.random.default_rng(1)
-    auth = (rng.normal(size=(50, 2)), rng.normal(size=(50, 6)), rng.integers(0, c, 50))
+    auth = (rng.normal(size=(auth_rows, 2)), rng.normal(size=(auth_rows, 6)),
+            rng.integers(0, c, auth_rows))
     gen = (rng.normal(size=(gen_rows, 2)), rng.normal(size=(gen_rows, 6)),
            rng.integers(0, c, gen_rows))
     codes = rng.integers(0, c, size=gen_rows)
@@ -449,14 +456,45 @@ def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32):
     def step():
         bundle = build_bundle(dims, adj, np.random.default_rng(2))
         for store in bundle.stores().values():
-            randomize(store, np.random.default_rng(3), scale=0.5)
+            randomize(store, np.random.default_rng(3), scale=scale)
         disc, aux = bundle.discriminator, bundle.aux
         opt = _RecordingAdam(dc.ParamStore.union(disc.store, aux.store), lr=1e-3)
         loss, clamped = tr._disc_aux_step(opt, disc, aux, adj, auth, gen, codes,
-                                          tiny_config(), "test", 0)
+                                          tiny_config(disc_l2=disc_l2), "test", 0)
+        if record:
+            return loss, clamped, {name: opt.grads[t] for name, t in opt.store.items()}
         return loss, clamped, store_grads(opt.grads, disc.store, aux.store)
 
     return step
+
+
+@pytest.mark.parametrize("disc_l2", [0.0, 1e-4])
+@pytest.mark.parametrize("scale", [0.5, 3.0])
+@pytest.mark.parametrize("lca", [True, False])
+def test_disc_aux_step_equals_one_graph_over_both_sides(disc_l2, scale, lca, monkeypatch):
+    # one block a side: the loss, the clamp count, every gradient and every
+    # stepped parameter equal one graph's; at scale 3 most scores saturate to
+    # a clamp bound on both sides, where the gradient is cut
+    step = _disc_aux_step_on(70, scale=scale, disc_l2=disc_l2, lca=lca)
+    blocked = step()
+    assert (blocked[1] > 60) == (scale > 1)
+    monkeypatch.setattr(tr, "_disc_aux_step", single_graph_disc_aux_step)
+    assert blocked == step()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_disc_aux_step_row_blocks_match_one_graph(threads, monkeypatch):
+    # 9000 and 8400 rows: four blocks a side, which move only the order of
+    # the sums over rows; the loss and the clamp count come from the scores
+    monkeypatch.setattr(tr, "_BLOCK_THREADS", threads)
+    step = _disc_aux_step_on(8400, auth_rows=9000, record=True)
+    blocked = step()
+    monkeypatch.setattr(tr, "_disc_aux_step", single_graph_disc_aux_step)
+    reference = step()
+    assert blocked[:2] == reference[:2]
+    for name, grad in reference[2].items():
+        error = np.abs(blocked[2][name] - grad).max()
+        assert error <= 1e-12 * np.abs(grad).max(), (name, error)
 
 
 def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
@@ -470,18 +508,21 @@ def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
 
 
 def test_disc_aux_step_is_byte_identical_to_the_loss_op_chains(monkeypatch):
-    # D's loss and Q's cross-entropy are one graph node each; the op chains
-    # they replace give the same loss, gradients and stepped parameters
+    # the step seeds its blocks with the gradients of D's loss and Q's
+    # cross-entropy; one graph over both sides built from the op chains those
+    # losses replace gives the same loss, gradients and stepped parameters
     step = _disc_aux_step_on(70)
-    one_node = step()
+    blocked = step()
+    monkeypatch.setattr(tr, "_disc_aux_step", single_graph_disc_aux_step)
     monkeypatch.setattr(dc, "nll", chain_nll)
-    monkeypatch.setattr(tr, "discriminator_loss", chain_discriminator_loss)
-    assert step() == one_node
+    monkeypatch.setattr(helpers, "discriminator_loss", chain_discriminator_loss)
+    assert step() == blocked
 
 
-def test_disc_aux_step_grad_check_covers_the_shared_encoders(monkeypatch):
-    # the whole D/Q loss as the step builds it: D's two scores and Q's
-    # cross-entropy all reach the encoders, so their gradients sum three paths
+def test_disc_aux_step_grad_check_covers_the_shared_encoders():
+    # the gradients the step hands to its optimizer against central
+    # differences of the loss it returns: D's two scores and Q's cross-entropy
+    # all reach the encoders, so their gradients sum three paths
     dims = NetDims(num_classes=3, feature_dim=2, annotator_dim=4, embed_dim=3,
                    class_embed_dim=2, aux_hidden1=4, aux_hidden2=3)
     rng = np.random.default_rng(5)
@@ -493,17 +534,19 @@ def test_disc_aux_step_grad_check_covers_the_shared_encoders(monkeypatch):
     auth = (rng.normal(size=(5, 2)), rng.normal(size=(5, 4)), rng.integers(0, 3, 5))
     gen = (rng.normal(size=(4, 2)), rng.normal(size=(4, 4)), rng.integers(0, 3, 4))
     codes = rng.integers(0, 3, size=4)
-    losses = []
-    monkeypatch.setattr(tr, "backward", losses.append)  # keep the loss, step nothing
-    no_step = SimpleNamespace(step=lambda grads: None)
+    handed = []
+    no_step = SimpleNamespace(step=handed.append)  # keep the gradients, step nothing
 
     def loss():
-        tr._disc_aux_step(no_step, bundle.discriminator, bundle.aux, adj, auth, gen,
-                          codes, tiny_config(), "test", 0)
-        return losses.pop()
+        return tr._disc_aux_step(no_step, bundle.discriminator, bundle.aux, adj, auth, gen,
+                                 codes, tiny_config(), "test", 0)[0]
 
-    params = dc.ParamStore.union(bundle.discriminator.store, bundle.aux.store)
-    assert grad_check(loss, params) < 1e-4
+    loss()
+    grads = handed.pop()
+    disc = bundle.discriminator.store
+    assert all(disc[name] in grads for name in ("Wu", "bu", "Wv", "bv", "M", "Wmix"))
+    params = dc.ParamStore.union(disc, bundle.aux.store)
+    assert difference_check(loss, grads, params) < 1e-4
 
 
 def _record_judges(monkeypatch) -> list:
@@ -610,6 +653,25 @@ def test_disc_aux_step_peak_memory_per_generated_row():
     assert per_row < 0.6 * 8 * m * m, per_row
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_disc_aux_step_peak_memory_does_not_grow_with_rows(threads, monkeypatch):
+    # each side runs in row blocks, one block's graph per thread at a time,
+    # so four times the rows keep the peak (one graph over every row: 4.0x)
+    monkeypatch.setattr(tr, "_BLOCK_THREADS", threads)
+
+    def peak(rows):
+        step = _disc_aux_step_on(rows, auth_rows=rows)
+        tracemalloc.start()
+        try:
+            step()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(9000), peak(36000)
+    assert large <= 1.5 * small, (small, large)
+
+
 def _assert_same_training(a, b):
     assert repr(a.history) == repr(b.history)
     assert a.test_acc == b.test_acc
@@ -646,13 +708,14 @@ def _crm_setup(pairs_count, seed):
     g0 = rng.uniform(0.05, 1.0, size=pairs_count)
     inst = rng.integers(0, 700, size=pairs_count)
     annot, labels = rng.integers(0, 30, size=pairs_count), rng.integers(0, 4, size=pairs_count)
-    eps, zhat_draws = rng.normal(size=(pairs_count, 8)), rng.integers(0, 4, size=pairs_count)
+    eps = rng.normal(size=(pairs_count, 8))
     deltas = rng.normal(size=pairs_count)
     with dc.no_grad():
         codes = bundle.classifier.probs(ds.features[inst]).data
+    # the epoch drops the code draws and the entropies before its CRM steps
     pairs = LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
-                        zhat_draws=zhat_draws, entropies=np.ones(pairs_count),
-                        codes=codes, code_rows=np.arange(pairs_count))
+                        zhat_draws=None, entropies=None, codes=codes,
+                        code_rows=np.arange(pairs_count))
     state = tr.TrainState(bundle=bundle, optimizers={
         "clf": dc.Adam(bundle.classifier.store, lr=1e-3),
         "gen": dc.Adam(bundle.generator.store, lr=1e-3)})
@@ -768,14 +831,27 @@ def test_crm_update_over_an_index_equals_the_copied_pairs(mode):
         state, ds, pairs, deltas = _crm_setup(9000, 0)
         idx = np.sort(np.random.default_rng(2).choice(9000, size=8500, replace=False))
         if copied:
-            columns = {f.name: getattr(pairs, f.name)[idx] for f in dataclasses.fields(pairs)
-                       if f.name != "codes"}
-            pairs, deltas = LoggedBatch(codes=pairs.codes, **columns), deltas[idx]
+            columns = ("instances", "annotators", "labels", "g0", "eps", "code_rows")
+            pairs = dataclasses.replace(pairs, **{name: getattr(pairs, name)[idx]
+                                                  for name in columns})
+            deltas = deltas[idx]
             idx = np.arange(len(idx))
         tr._crm_update(state, ds, tiny_config(), pairs, idx, deltas, 0.1, _CRM_MODES[mode],
                        np.random.default_rng(1))
         runs.append({k: s.fingerprint() for k, s in state.bundle.stores().items()})
     assert runs[0] == runs[1]
+
+
+def test_epoch_drops_the_code_draws_and_entropies_before_the_crm_steps(monkeypatch):
+    seen, crm_update = [], tr._crm_update
+
+    def recording(state, ds, cfg, batch, *rest):
+        seen.append((batch.zhat_draws, batch.entropies))
+        return crm_update(state, ds, cfg, batch, *rest)
+
+    monkeypatch.setattr(tr, "_crm_update", recording)
+    train_crowding(tiny_dataset(), tiny_config(epochs=1))
+    assert seen and all(draws is None and entropies is None for draws, entropies in seen)
 
 
 @pytest.mark.parametrize("mode", sorted(_CRM_MODES))
@@ -806,6 +882,25 @@ def test_crm_update_peak_memory_does_not_grow_with_pairs(mode):
 
     small, large = peak(12000), peak(48000)
     assert large <= 1.5 * small, (small, large)
+
+
+def test_classifier_crm_update_keeps_no_generator_activation():
+    # the frozen generator is one node that keeps two ReLU masks and its output
+    # (224 bytes a pair) and hands back the code columns alone; its two hidden
+    # activations alone are 1,536 bytes a pair. One block on one thread: the
+    # graph path read 5,297 bytes a pair, the frozen node 2,049.
+    def peak(pairs_count):
+        state, ds, pairs, deltas = _crm_setup(pairs_count, 0)
+        tracemalloc.start()
+        try:
+            tr._crm_update(state, ds, tiny_config(inner_steps=1), pairs, np.arange(pairs_count),
+                           deltas, 0.1, ("clf",), np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_pair = (peak(8000) - peak(4000)) / 4000
+    assert per_pair < 3000, per_pair
 
 
 # ---------------------------------------------------------------------------
@@ -1372,7 +1467,11 @@ def test_export_peak_memory_per_pair(tmp_path):
         peaks = [peak(n) for _ in range(5)]
         return max(p for p, _ in peaks), peaks[0][1]
 
-    (small, small_pairs), (large, large_pairs) = largest_peak(1000), largest_peak(2000)
+    # 38 missing pairs a train instance: both sizes run their missing pairs in
+    # 2,052-row blocks (19 and 38 of them), so the blocks' temporaries, which
+    # grow with the block height, cancel out of the difference
+    peak(1026)  # the process's first threaded export also traces the pool's import
+    (small, small_pairs), (large, large_pairs) = largest_peak(1026), largest_peak(2052)
     per_pair = (large - small) / (large_pairs - small_pairs)
     assert per_pair < 16, per_pair
 
