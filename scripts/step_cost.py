@@ -59,11 +59,11 @@ def step_functions(seed: int) -> dict:
     opt = dc.Adam(dc.ParamStore.union(disc.store, aux.store), lr=cfg.lr_discriminator)
 
     def dq_step(batch):
-        x, e = ds.features[ann[batch, 0]], ds.annotator_features[ann[batch, 1]]
+        inst, annot = ann[batch, 0], ann[batch, 1]
         fake = rng.integers(0, ds.num_classes, len(batch))
         codes = rng.integers(0, ds.num_classes, len(batch))
-        return trainer._disc_aux_step(opt, disc, aux, adjacency, (x, e, ann[batch, 2]),
-                                      (x, e, fake), codes, cfg, "D/Q loss", 0)
+        return trainer._disc_aux_step(opt, disc, aux, adjacency, ds, (inst, annot, ann[batch, 2]),
+                                      (inst, annot, fake), codes, cfg, "D/Q loss", 0)
 
     return {"crowd_layer": (lambda batch: crowd_step(batch, 0), len(ann)),
             "gen_pretrain": (lambda batch: gen_step(batch, 0), len(ann)),

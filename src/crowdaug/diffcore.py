@@ -15,9 +15,10 @@ to it, nor to the parent gradients once it has added them up, so a closure
 that makes a masked copy (``dense``'s ReLU) frees the gradient it was given
 and two such gradients never coexist. Closures never write into their input.
 
-Ops take and return Tensors only; ``entropy``, ``sample_categorical`` and
-``categorical_at`` are the array utilities. A Tensor's ``+`` and ``*`` build
-``add`` and ``mul`` nodes, with a non-Tensor operand as a constant.
+Ops take and return Tensors only, and a Tensor has no arithmetic operators:
+a graph is spelled with the ops, a constant as a ``Tensor`` of its own.
+``entropy``, ``sample_categorical`` and ``categorical_at`` are the array
+utilities.
 
 An op over parents that need no gradient records no graph either: a parent
 needs one when it is a ``requires_grad`` leaf or has parents itself, so
@@ -104,10 +105,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -117,24 +114,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, leaf={self._backward is None})"
 
-    # arithmetic sugar; non-Tensor operands become constants
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    __rmul__ = __mul__
-
 
 def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or bool(t.parents)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -248,7 +230,6 @@ def t_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
@@ -541,9 +522,6 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
 
     def state_dict(self) -> dict[str, Array]:
         return {k: t.data.copy() for k, t in self._params.items()}

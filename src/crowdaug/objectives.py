@@ -2,11 +2,17 @@
 
 The discriminator maximizes E[log D] on authentic annotations plus
 E[log(1-D)] on generated ones (implemented as a loss to minimize, plus an L2
-penalty on its raw outputs). The generator and classifier are updated
-off-policy: each logged annotation carries its logging probability g0, and the
-importance-weighted objective mean((delta - mu) * G_theta(y) / g0) is
-minimized, where delta folds the discriminator signal and (for the generator)
-the per-sample information term.
+penalty on its raw outputs). That loss is a value of the two score arrays
+(``discriminator_loss``), and its gradient with respect to each side's
+scores is an array of its own (``discriminator_score_grad``), with which the
+trainer seeds the backward of each row block it scores, so no graph node
+spans both sides.
+
+The generator and classifier are updated off-policy: each logged annotation
+carries its logging probability g0, and the importance-weighted objective
+mean((delta - mu) * G_theta(y) / g0) is minimized, where delta folds the
+discriminator signal and (for the generator) the per-sample information
+term.
 
 Probabilities entering any log are clamped to [1e-12, 1 - 1e-12]; clamp
 counts are surfaced so adversarial saturation is visible in reports.
@@ -26,25 +32,25 @@ def _clamp_count(values: np.ndarray) -> int:
     return int(np.count_nonzero((values <= CLAMP_LO) | (values >= CLAMP_HI)))
 
 
-def discriminator_loss(authentic_scores: Tensor, generated_scores: Tensor,
-                       l2_coeff: float = 1e-4) -> tuple[Tensor, int]:
-    """Negative adversarial value plus output L2; returns (loss, clamp count).
+def discriminator_loss(authentic_scores: np.ndarray, generated_scores: np.ndarray,
+                       l2_coeff: float = 1e-4) -> tuple[float, int]:
+    """Negative adversarial value plus output L2 of two score arrays; returns
+    (loss, clamp count).
 
     Minimizing this over the discriminator maximizes
-    mean(log D(authentic)) + mean(log(1 - D(generated))).
+    mean(log D(authentic)) + mean(log(1 - D(generated))). Its gradient with
+    respect to either side's scores is ``discriminator_score_grad``.
 
-    The loss is one graph node over the two score tensors. Its value and its
-    gradients (``discriminator_score_grad``) take the NumPy operations, in
-    order, of the op chain
-    ``neg(add(t_mean(t_log(clamp(a))), t_mean(t_log(neg(clamp(g)) + 1.0))))``
-    plus ``t_mean(mul(both, both)) * l2_coeff`` over the clamped scores'
-    ``concat``, so they are byte-identical to it.
+    The value takes the NumPy operations, in order, of the op chain
+    ``neg(add(t_mean(t_log(clamp(a))), t_mean(t_log(add(neg(clamp(g)), 1)))))``
+    plus ``mul(t_mean(mul(both, both)), l2_coeff)`` over the clamped scores'
+    ``concat``, so it is byte-identical to that chain's.
     """
     a, g = authentic_scores, generated_scores
     if a.size == 0 or g.size == 0:
         raise ValueError("discriminator_loss needs both authentic and generated scores")
-    auth = np.clip(a.data, CLAMP_LO, CLAMP_HI)
-    gen = np.clip(g.data, CLAMP_LO, CLAMP_HI)
+    auth = np.clip(a, CLAMP_LO, CLAMP_HI)
+    gen = np.clip(g, CLAMP_LO, CLAMP_HI)
     one_minus_gen = -gen + 1.0
     scale_a, scale_g = 1.0 / auth.size, 1.0 / gen.size
     value = -(np.log(auth).sum() * scale_a + np.log(one_minus_gen).sum() * scale_g)
@@ -52,21 +58,15 @@ def discriminator_loss(authentic_scores: Tensor, generated_scores: Tensor,
         both = np.concatenate([auth, gen], axis=0)
         scale_both = 1.0 / both.size
         value = value + (both * both).sum() * scale_both * l2_coeff
-    sizes = (a.size, g.size)
-
-    def back(grad):
-        return tuple(discriminator_score_grad(t.data, side, sizes, l2_coeff, grad)
-                     for side, t in enumerate((a, g)))
-
-    loss = Tensor(value, parents=(a, g), backward_fn=back)
-    return loss, _clamp_count(a.data) + _clamp_count(g.data)
+    return float(value), _clamp_count(a) + _clamp_count(g)
 
 
 def discriminator_score_grad(scores: np.ndarray, side: int, sizes: tuple[int, int],
                              l2_coeff: float, grad=1.0) -> np.ndarray:
     """The gradient of ``discriminator_loss``, times the upstream ``grad``, with
     respect to ``scores`` of one side (0 authentic, 1 generated) when the two
-    sides have ``sizes`` rows. Each row's entry reads only its own score, so
+    sides have ``sizes`` rows, byte-identical to the op chain's backward (see
+    ``discriminator_loss``). Each row's entry reads only its own score, so
     the rows of a block of one side come out as in one call over the side."""
     clipped = np.clip(scores, CLAMP_LO, CLAMP_HI)
     g_sum = -grad

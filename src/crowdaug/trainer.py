@@ -36,13 +36,17 @@ and the D/Q warm-up run one minibatch loop, ``_epoch_losses``; step 1 and the
 augmentation export draw labels through one sampling pass,
 ``_sample_generated``.
 
-The discriminator and the auxiliary net read one encoding of each row batch
-(``_encoding``), and step 3 scores D and Q in one pass over the pairs. The
-D/Q step (``_disc_aux_step``) decodes the class table once and hands it to
-three leaves, one each for D's authentic scores, D's generated scores and Q;
-it runs the authentic side, then the generated side, in row blocks, each
-block encoded once and backpropagated as soon as it is scored, and sends the
-leaves' summed gradient through the decoder once.
+The discriminator and the auxiliary net read pairs as index columns
+(instances, annotators, labels), as every other pass over pairs does: one
+forward (``_judge``) gathers a row block's features and encodes them once
+for both judges. It serves the D/Q warm-up, the epoch's D/Q step, step 3's
+one pass over the logged pairs and step 7. The D/Q step
+(``_disc_aux_step``) decodes the class table once and hands it to three
+leaves, one each for D's authentic scores, D's generated scores and Q; it
+runs the authentic side, then the generated side, in row blocks, each block
+backpropagated as soon as it is scored, and sends the leaves' summed
+gradient through the decoder once. D's loss is a value of the two score
+vectors; its gradient (``discriminator_score_grad``) seeds each block.
 
 Every pass over all pairs or annotations runs in row blocks, so its memory
 does not grow with the pair grid: one block below 8192 rows, and from 8192
@@ -509,8 +513,9 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
         with dc.no_grad():
             fake_labels = dc.sample_categorical(rng, gen.distribution(x, e, zhat, eps).data)
         zdraws = dc.sample_categorical(rng, zhat)
-        return _disc_aux_step(opt_dq, disc, aux, adjacency, (x, e, labels),
-                              (x, e, fake_labels), zdraws, cfg,
+        inst, annot = ann[batch, 0], ann[batch, 1]
+        return _disc_aux_step(opt_dq, disc, aux, adjacency, ds, (inst, annot, labels),
+                              (inst, annot, fake_labels), zdraws, cfg,
                               "discriminator pretraining loss", epoch)[0]
 
     _epoch_losses(rng, len(ann), cfg, cfg.gen_pretrain_epochs, gen_step)
@@ -604,11 +609,17 @@ def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
     return np.concatenate(selected)
 
 
-def _encoding(disc: Discriminator, rows: tuple, mats: Tensor) -> tuple:
-    """``(u, v, mats, y)`` of ``(x, e, y)`` rows: the input of both
-    ``Discriminator.score`` and ``AuxNet.logits``."""
-    x, e, y = rows
-    return (*disc.encode(x, e), mats, y)
+def _judge(disc: Discriminator, aux: AuxNet, ds: CrowdDataset, cols: tuple, rows,
+           mats: Tensor, q_mats: Tensor | None = None) -> tuple:
+    """D's scores of the pairs ``rows`` of the index columns ``cols``
+    (instances, annotators, labels) and, given ``q_mats``, Q's log-posterior
+    of them (else None). The pairs' features are gathered here and encoded
+    once for both judges; D reads the decoded class table ``mats``, Q
+    ``q_mats``."""
+    inst, annot, labels = (column[rows] for column in cols)
+    u, v = disc.encode(ds.features[inst], ds.annotator_features[annot])
+    scores = disc.score(u, v, mats, labels)
+    return scores, None if q_mats is None else aux.log_posterior(u, v, q_mats, labels)
 
 
 def _seeded_root(seeds: list) -> Tensor:
@@ -619,27 +630,30 @@ def _seeded_root(seeds: list) -> Tensor:
                   backward_fn=lambda g: tuple(up for _, up in seeds))
 
 
-def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, auth: tuple,
-                   gen: tuple, codes: np.ndarray, cfg: TrainConfig, what: str,
+def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, ds: CrowdDataset,
+                   auth: tuple, gen: tuple, codes: np.ndarray, cfg: TrainConfig, what: str,
                    epoch: int) -> tuple[float, int]:
-    """One step on D's authentic-vs-generated loss over ``(x, e, y)`` rows plus
-    Q's cross-entropy of ``codes``; returns (loss, clamped D outputs).
+    """One step on D's authentic-vs-generated loss over the pairs of the
+    index columns ``auth`` and ``gen`` (instances, annotators, labels) plus
+    Q's cross-entropy of ``codes`` on the generated pairs; returns (loss,
+    clamped D outputs).
 
     The class table is decoded once and read through three leaves: D's score
     of the authentic rows, D's score of the generated rows and Q each have
     their own. The authentic side, then the generated side, runs over
-    ``_row_blocks`` of its rows through ``_in_flight``. A block encodes its
-    rows once (Q reads the generated rows' encoding too), scores them and
-    backpropagates at once, seeded with the loss's gradient with respect to
-    its scores, which reads only those scores (``discriminator_score_grad``),
-    and with Q's cross-entropy gradient, a row sum scaled by one over the
-    generated rows. So one block's graph is alive at a time per thread, and an
-    authentic block is done before any generated block exists. The blocks'
-    gradient dicts are added in block order; the leaves' gradients are added
-    as (authentic + generated) + Q, the order in which one graph over both
-    sides accumulates the table's, and sent through the decoder once. The loss
-    and the clamp count come once from the two score vectors. Below 8192 rows
-    a side the bits are those of one graph over every row; above, only the
+    ``_row_blocks`` of its rows through ``_in_flight``. A block gathers and
+    encodes its rows once (``_judge``; Q reads the generated rows' encoding
+    too), scores them and backpropagates at once, seeded with the loss's
+    gradient with respect to its scores, which reads only those scores
+    (``discriminator_score_grad``), and with Q's cross-entropy gradient, a
+    row sum scaled by one over the generated rows. So one block's graph is
+    alive at a time per thread, and an authentic block is done before any
+    generated block exists. The blocks' gradient dicts are added in block
+    order; the leaves' gradients are added as (authentic + generated) + Q,
+    the order in which one graph over both sides accumulates the table's,
+    and sent through the decoder once. The loss and the clamp count come once
+    from the two score vectors (``discriminator_loss``). Below 8192 rows a
+    side the bits are those of one graph over every row; above, only the
     order of the sums over rows moves."""
     mats = disc.decoded_matrices(adj)
     tables = [Tensor(mats.data, requires_grad=True) for _ in range(3)]
@@ -647,14 +661,12 @@ def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, auth: tuple
     q_scale = 1.0 / len(codes)
 
     def block_step(side, rows):
-        x, e, y = (column[rows] for column in (auth, gen)[side])
-        u, v = disc.encode(x, e)
-        scores = disc.score(u, v, tables[side], y)
+        scores, log_post = _judge(disc, aux, ds, (auth, gen)[side], rows, tables[side],
+                                  tables[2] if side else None)
         seeds = [(scores, discriminator_score_grad(scores.data, side, sizes, cfg.disc_l2))]
         picked = None
         if side:
-            log_post = aux.log_posterior(u, v, tables[2], y)
-            at = (np.arange(len(y)), codes[rows])
+            at = (np.arange(len(scores)), codes[rows])
             picked, g = log_post.data[at], np.zeros_like(log_post.data)
             g[at] = -q_scale  # dc.nll's gradient at the generated rows' count
             seeds.append((log_post, g))
@@ -669,10 +681,9 @@ def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, auth: tuple
             if side:
                 picked.append(block_picked)
             dc.add_grads(grads, block_grads)
-    d_loss, clamped = discriminator_loss(*(Tensor(np.concatenate(s)) for s in scores),
-                                         cfg.disc_l2)
+    d_loss, clamped = discriminator_loss(*(np.concatenate(s) for s in scores), cfg.disc_l2)
     # plus dc.nll's value over every generated row
-    value = float(d_loss.data + -(np.concatenate(picked).sum() * q_scale))
+    value = float(d_loss + -(np.concatenate(picked).sum() * q_scale))
     _check_finite(value, what, epoch)
     table_grad = (grads.pop(tables[0]) + grads.pop(tables[1])) + grads.pop(tables[2])
     dc.add_grads(grads, backward(mats, table_grad))
@@ -692,10 +703,12 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     Only the stores named in ``trains`` ("gen", "clf") step, generator first.
     With the classifier training, codes come from it in train mode (dropout
     from ``rng``); otherwise from the batch's step-1 table, pair ``i``'s code
-    being ``batch.codes[batch.code_rows[i]]``. Frozen stores take no gradient
-    and must come out bit-identical; a frozen generator runs as one node over
-    the codes (``Generator.frozen_distribution``), whose value and code
-    gradient are the graph's bytes.
+    being ``batch.codes[batch.code_rows[i]]``. No leaf of a frozen store is
+    in the graph, so none is in the gradient dict, and a frozen store must
+    come out bit-identical: the generator step reads the classifier's codes
+    from those arrays, and a frozen generator runs as one node over the
+    codes (``Generator.frozen_distribution``), whose value and code gradient
+    are the graph's bytes.
 
     Each inner step runs forward and backward over ``_row_blocks`` of ``idx``,
     at most two pair blocks' graphs alive at a time (``_in_flight``): a block
@@ -717,41 +730,34 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
         uniq, inverse = np.unique(batch.instances[idx], return_inverse=True)
     distribution = gen.distribution if "gen" in trains else gen.frozen_distribution
     blocks = _row_blocks(len(idx))
-    frozen_leaves = [(t, t.requires_grad) for k in frozen for t in stores[k].tensors()]
-    for t, _ in frozen_leaves:
-        t.requires_grad = False
-    try:
-        for _ in range(cfg.inner_steps):
-            if "clf" in trains:
-                probs = clf.probs(ds.features[uniq], train_mode=True, rng=rng)
-                codes = Tensor(probs.data, requires_grad=True)
+    for _ in range(cfg.inner_steps):
+        if "clf" in trains:
+            probs = clf.probs(ds.features[uniq], train_mode=True, rng=rng)
+            codes = Tensor(probs.data, requires_grad=True)
 
-            def block_step(rows):
-                # the graph is local, so it is freed when the block returns
-                at = idx[rows]
-                zhat = dc.gather_rows(codes, inverse[rows]) if "clf" in trains \
-                    else batch.codes[batch.code_rows[at]]
-                dist = distribution(ds.features[batch.instances[at]],
-                                    ds.annotator_features[batch.annotators[at]],
-                                    zhat, batch.eps[at])
-                obj = crm_objective(batch.g0[at], dc.pick(dist, batch.labels[at]),
-                                    deltas[at], mu, len(idx))
-                return obj.item(), backward(obj)
+        def block_step(rows):
+            # the graph is local, so it is freed when the block returns
+            at = idx[rows]
+            zhat = dc.gather_rows(codes, inverse[rows]) if "clf" in trains \
+                else batch.codes[batch.code_rows[at]]
+            dist = distribution(ds.features[batch.instances[at]],
+                                ds.annotator_features[batch.annotators[at]],
+                                zhat, batch.eps[at])
+            obj = crm_objective(batch.g0[at], dc.pick(dist, batch.labels[at]),
+                                deltas[at], mu, len(idx))
+            return obj.item(), backward(obj)
 
-            objective, grads = 0.0, {}
-            for value, block_grads in _in_flight(block_step, blocks):
-                objective += value
-                dc.add_grads(grads, block_grads)
-            _check_finite(objective, f"{what} objective", state.epoch)
-            if "clf" in trains:
-                dc.add_grads(grads, backward(probs, grads.pop(codes)))
-                del probs, codes
-            for name in ("gen", "clf"):
-                if name in trains:
-                    state.optimizers[name].step(grads)
-    finally:
-        for t, needed in frozen_leaves:
-            t.requires_grad = needed
+        objective, grads = 0.0, {}
+        for value, block_grads in _in_flight(block_step, blocks):
+            objective += value
+            dc.add_grads(grads, block_grads)
+        _check_finite(objective, f"{what} objective", state.epoch)
+        if "clf" in trains:
+            dc.add_grads(grads, backward(probs, grads.pop(codes)))
+            del probs, codes
+        for name in ("gen", "clf"):
+            if name in trains:
+                state.optimizers[name].step(grads)
     for name, before in frozen.items():
         assert stores[name].fingerprint() == before, \
             f"{_NET_NAMES[name]} changed during the {what} step"
@@ -792,30 +798,25 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     selected = select_for_discriminator(batch.annotators, batch.entropies,
                                         counts, rng, mode=cfg.selection_mode)
     batch.entropies = None  # each per-pair array goes after its last reader
-    auth_rows = (ds.features[authentic[:, 0]],
-                 ds.annotator_features[authentic[:, 1]], authentic[:, 2])
-    sel_rows = (ds.features[batch.instances[selected]],
-                ds.annotator_features[batch.annotators[selected]], batch.labels[selected])
+    disc, aux = bundle.discriminator, bundle.aux
+    auth_cols = tuple(authentic.T)
+    sel_cols = (batch.instances[selected], batch.annotators[selected], batch.labels[selected])
     sel_codes = batch.zhat_draws[selected]
     disc_loss_val, clamp_count = float("nan"), 0
     for _ in range(cfg.inner_steps):
         disc_loss_val, clamped = _disc_aux_step(
-            state.optimizers["disc"], bundle.discriminator, bundle.aux,
-            bundle.adjacency, auth_rows, sel_rows, sel_codes, cfg,
-            "discriminator loss", state.epoch)
+            state.optimizers["disc"], disc, aux, bundle.adjacency, ds, auth_cols, sel_cols,
+            sel_codes, cfg, "discriminator loss", state.epoch)
         clamp_count += clamped
 
     # (3) score all logged samples: D and Q read one encoding per pair block
-    disc = bundle.discriminator
     with dc.no_grad():
         mats = disc.decoded_matrices(bundle.adjacency)
+    logged = (batch.instances, batch.annotators, batch.labels)
 
     def judge(s):
-        enc = _encoding(disc, (ds.features[batch.instances[s]],
-                               ds.annotator_features[batch.annotators[s]],
-                               batch.labels[s]), mats)
-        q_lp = bundle.aux.log_posterior(*enc).data
-        return disc.score(*enc).data, q_lp[np.arange(len(q_lp)), batch.zhat_draws[s]]
+        scores, log_post = _judge(disc, aux, ds, logged, s, mats, mats)
+        return scores.data, log_post.data[np.arange(len(scores)), batch.zhat_draws[s]]
 
     d_scores, q_at_draw = _forward_in_blocks(len(batch), judge)
     batch.zhat_draws = None
@@ -863,8 +864,8 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
 
     # (7) metrics: steps 5 and 6 leave D, so step 3's table and scores are
     # current and only the authentic rows are scored again
-    d_auth_final = _forward_in_blocks(len(authentic), lambda s: disc.score(
-        *_encoding(disc, tuple(column[s] for column in auth_rows), mats)).data)
+    d_auth_final = _forward_in_blocks(
+        len(authentic), lambda s: _judge(disc, aux, ds, auth_cols, s, mats)[0].data)
     terms, clamped_b = compute_breakdown(d_auth_final, d_gen_final, q_selected,
                                          float(code_entropies.mean()), cfg.info_weight)
     record = {

@@ -8,7 +8,7 @@ from crowdaug import diffcore as dc
 from crowdaug.diffcore import ParamStore, Tensor, backward
 from crowdaug.evalsuite import _ranks
 from crowdaug.nets import NETS, NetworkBundle
-from crowdaug.objectives import CLAMP_HI, CLAMP_LO, _clamp_count, discriminator_loss
+from crowdaug.objectives import CLAMP_HI, CLAMP_LO, _clamp_count
 
 
 def build_bundle(dims, adjacency, rng):
@@ -38,27 +38,33 @@ def chain_nll(log_probs, labels):
 
 
 def chain_discriminator_loss(authentic_scores, generated_scores, l2_coeff=1e-4):
-    """The op chain that ``objectives.discriminator_loss`` is one node of,
-    with the same (loss, clamp count) return."""
+    """``objectives.discriminator_loss`` as an op chain over two score
+    tensors, whose backward is ``discriminator_score_grad``'s reference;
+    returns (loss tensor, clamp count)."""
     auth = dc.clamp(authentic_scores, CLAMP_LO, CLAMP_HI)
     gen = dc.clamp(generated_scores, CLAMP_LO, CLAMP_HI)
     loss = dc.neg(dc.add(dc.t_mean(dc.t_log(auth)),
-                         dc.t_mean(dc.t_log(dc.neg(gen) + 1.0))))
+                         dc.t_mean(dc.t_log(dc.add(dc.neg(gen), Tensor(1.0))))))
     if l2_coeff > 0.0:
         both = dc.concat([auth, gen], axis=0)
-        loss = loss + dc.t_mean(dc.mul(both, both)) * l2_coeff
+        loss = dc.add(loss, dc.mul(dc.t_mean(dc.mul(both, both)), Tensor(l2_coeff)))
     return loss, _clamp_count(authentic_scores.data) + _clamp_count(generated_scores.data)
 
 
-def single_graph_disc_aux_step(opt, disc, aux, adj, auth, gen, codes, cfg, what, epoch):
+def single_graph_disc_aux_step(opt, disc, aux, adj, ds, auth, gen, codes, cfg, what, epoch):
     """``trainer._disc_aux_step`` as one graph over every row of both sides
-    and the one-node losses: the reference for its row blocks."""
+    of the index columns ``auth`` and ``gen``, with D's loss as its op chain:
+    the reference for its row blocks and its seeded gradients."""
     mats = disc.decoded_matrices(adj)
-    auth_enc = (*disc.encode(*auth[:2]), mats, auth[2])
-    gen_enc = (*disc.encode(*gen[:2]), mats, gen[2])
-    d_loss, clamped = discriminator_loss(disc.score(*auth_enc), disc.score(*gen_enc),
-                                         cfg.disc_l2)
-    loss = d_loss + dc.nll(aux.log_posterior(*gen_enc), codes)
+
+    def encoding_of(cols):
+        inst, annot, labels = cols
+        return (*disc.encode(ds.features[inst], ds.annotator_features[annot]), mats, labels)
+
+    auth_enc, gen_enc = encoding_of(auth), encoding_of(gen)
+    d_loss, clamped = chain_discriminator_loss(disc.score(*auth_enc), disc.score(*gen_enc),
+                                               cfg.disc_l2)
+    loss = dc.add(d_loss, dc.nll(aux.log_posterior(*gen_enc), codes))
     opt.step(backward(loss))
     return loss.item(), clamped
 

@@ -26,7 +26,7 @@ from crowdaug.data import (
     synthesize_dataset,
 )
 from crowdaug.nets import AuxNet, Classifier, Discriminator, Generator, NetDims
-from crowdaug.objectives import crm_objective, discriminator_loss
+from crowdaug.objectives import crm_objective
 from crowdaug.trainer import (
     TrainConfig,
     load_result_checkpoint,
@@ -35,6 +35,7 @@ from crowdaug.trainer import (
     train_crowding,
 )
 from helpers import (
+    chain_discriminator_loss,
     decile_points,
     entropy_accuracy_curve,
     grad_check,
@@ -129,17 +130,17 @@ def test_criterion_01_gradient_integrity():
 
         # classifier through a weighted log-probability readout
         worst = max(worst, grad_check(
-            lambda: dc.t_sum(dc.log_softmax(clf.logits(x), axis=1)
-                             * dc.Tensor(weights)), clf.store))
+            lambda: dc.t_sum(dc.mul(dc.log_softmax(clf.logits(x), axis=1),
+                                    dc.Tensor(weights))), clf.store))
         # generator distribution readout
         worst = max(worst, grad_check(
-            lambda: dc.t_sum(gen.distribution(x, e, zhat, eps)
-                             * dc.Tensor(weights)), gen.store))
+            lambda: dc.t_sum(dc.mul(gen.distribution(x, e, zhat, eps),
+                                    dc.Tensor(weights))), gen.store))
         # discriminator ± LCA through the adversarial loss
         y2 = rng.integers(0, dims.num_classes, size=batch)
         worst = max(worst, grad_check(
-            lambda: discriminator_loss(disc.score(*encoding(disc, x, e, y, adj)),
-                                       disc.score(*encoding(disc, x, e, y2, adj)))[0],
+            lambda: chain_discriminator_loss(disc.score(*encoding(disc, x, e, y, adj)),
+                                             disc.score(*encoding(disc, x, e, y2, adj)))[0],
             disc.store))
         # auxiliary posterior cross-entropy, through the shared encoders too
         zdraw = rng.integers(0, dims.num_classes, size=batch)

@@ -151,7 +151,7 @@ def test_frozen_distribution_is_byte_identical_to_the_frozen_graph(rows, switch)
     x, e, eps = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 40)), gen.draw_noise(rng, rows)
     codes = dc.softmax(Tensor(rng.normal(size=(rows, 4))), axis=1).data
     upstream = rng.normal(size=(rows, 4))
-    for t in gen.store.tensors():
+    for _, t in gen.store.items():
         t.requires_grad = False
     results = []
     for forward in (gen.distribution, gen.frozen_distribution):
@@ -249,7 +249,7 @@ def test_aux_shares_discriminator_encoders():
 
 def test_no_tensor_belongs_to_two_stores():
     stores = small_bundle().stores()
-    owners = [id(t) for store in stores.values() for t in store.tensors()]
+    owners = [id(t) for store in stores.values() for _, t in store.items()]
     assert len(owners) == len(set(owners))
     assert stores["aux"].names() == ["Wembed", "bembed", "W1", "b1", "W2", "b2", "W3", "b3"]
 

@@ -8,6 +8,7 @@ from crowdaug.objectives import (
     compute_breakdown,
     crm_objective,
     discriminator_loss,
+    discriminator_score_grad,
     info_lower_bound,
     per_annotation_delta,
 )
@@ -21,64 +22,60 @@ LN2 = np.log(2.0)
 
 
 @pytest.mark.parametrize("l2_coeff", [0.0, 1e-4, 0.3])
-@pytest.mark.parametrize("seed_grad", [None, 1.75])
-def test_disc_loss_is_byte_identical_to_the_op_chain(l2_coeff, seed_grad):
-    # scores at, inside and beyond both clamp bounds, where the gradient is cut
+@pytest.mark.parametrize("upstream", [None, 1.75])
+def test_disc_loss_is_byte_identical_to_the_op_chain(l2_coeff, upstream):
+    # the value, and each side's score gradient at a unit and a 1.75 upstream
+    # gradient, against the op chain's value and backward; scores at, inside
+    # and beyond both clamp bounds, where the gradient is cut
     rng = np.random.default_rng(3)
     edges = [0.0, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13, 1.0, -0.25, 1.5]
     auth = np.concatenate([edges, rng.uniform(size=9)])
     gen = np.concatenate([rng.uniform(size=12), edges[::-1]])
-    results = []
-    for loss_fn in (discriminator_loss, chain_discriminator_loss):
-        leaves = Tensor(auth, requires_grad=True), Tensor(gen, requires_grad=True)
-        loss, clamped = loss_fn(*leaves, l2_coeff=l2_coeff)
-        grads = backward(loss, None if seed_grad is None else np.array(seed_grad))
-        results.append([loss.data, grads[leaves[0]], grads[leaves[1]]])
-        results[-1].append(clamped)
-    assert results[0][3] == results[1][3] == 2 * len(edges)
-    for node, chain in zip(results[0][:3], results[1][:3]):
-        assert node.shape == chain.shape
-        assert node.tobytes() == chain.tobytes()  # bytes, so sign bits too
+    loss, clamped = discriminator_loss(auth, gen, l2_coeff=l2_coeff)
+    leaves = Tensor(auth, requires_grad=True), Tensor(gen, requires_grad=True)
+    chain, chain_clamped = chain_discriminator_loss(*leaves, l2_coeff=l2_coeff)
+    grad = () if upstream is None else (np.array(upstream),)
+    chain_grads = backward(chain, *grad)
+    assert isinstance(loss, float)
+    assert clamped == chain_clamped == 2 * len(edges)
+    assert np.array(loss).tobytes() == chain.data.tobytes()
+    for side, (scores, leaf) in enumerate(zip((auth, gen), leaves)):
+        got = discriminator_score_grad(scores, side, (auth.size, gen.size), l2_coeff, *grad)
+        assert got.shape == scores.shape
+        assert got.tobytes() == chain_grads[leaf].tobytes()  # bytes, so sign bits too
 
 
 def test_disc_loss_uninformed_half():
-    loss, clamped = discriminator_loss(Tensor(np.full(4, 0.5)), Tensor(np.full(6, 0.5)),
-                                       l2_coeff=0.0)
-    assert abs(loss.item() - 2 * LN2) < 1e-12
+    loss, clamped = discriminator_loss(np.full(4, 0.5), np.full(6, 0.5), l2_coeff=0.0)
+    assert abs(loss - 2 * LN2) < 1e-12
     assert clamped == 0
 
 
 def test_disc_loss_perfect_limit():
-    loss, _ = discriminator_loss(Tensor(np.full(3, 1 - 1e-9)), Tensor(np.full(3, 1e-9)),
-                                 l2_coeff=0.0)
-    assert 0.0 < loss.item() < 1e-6
+    loss, _ = discriminator_loss(np.full(3, 1 - 1e-9), np.full(3, 1e-9), l2_coeff=0.0)
+    assert 0.0 < loss < 1e-6
 
 
 def test_disc_loss_l2_term():
-    loss, _ = discriminator_loss(Tensor(np.full(2, 0.5)), Tensor(np.full(2, 0.5)),
-                                 l2_coeff=1e-4)
-    assert abs(loss.item() - (2 * LN2 + 1e-4 * 0.25)) < 1e-15
+    loss, _ = discriminator_loss(np.full(2, 0.5), np.full(2, 0.5), l2_coeff=1e-4)
+    assert abs(loss - (2 * LN2 + 1e-4 * 0.25)) < 1e-15
 
 
 def test_disc_loss_clamps_and_counts_saturated_scores():
-    loss, clamped = discriminator_loss(Tensor(np.array([1.0, 0.5])), Tensor(np.array([0.0])),
-                                       l2_coeff=0.0)
-    assert np.isfinite(loss.item())
+    loss, clamped = discriminator_loss(np.array([1.0, 0.5]), np.array([0.0]), l2_coeff=0.0)
+    assert np.isfinite(loss)
     assert clamped == 2
 
 
 def test_disc_loss_gradient_signs():
-    auth = Tensor(np.array([0.7]), requires_grad=True)
-    gen = Tensor(np.array([0.4]), requires_grad=True)
-    loss, _ = discriminator_loss(auth, gen, l2_coeff=0.0)
-    grads = backward(loss)
-    assert grads[auth][0] < 0  # pushing authentic scores up reduces the loss
-    assert grads[gen][0] > 0   # pushing generated scores down reduces the loss
+    # pushing authentic scores up and generated scores down reduces the loss
+    assert discriminator_score_grad(np.array([0.7]), 0, (1, 1), 0.0)[0] < 0
+    assert discriminator_score_grad(np.array([0.4]), 1, (1, 1), 0.0)[0] > 0
 
 
 def test_disc_loss_requires_both_sides():
     with pytest.raises(ValueError):
-        discriminator_loss(Tensor(np.array([])), Tensor(np.array([0.5])))
+        discriminator_loss(np.array([]), np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------

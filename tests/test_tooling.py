@@ -12,6 +12,7 @@ import re
 import statistics
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -255,3 +256,95 @@ def test_every_json_output_is_strict(tmp_path):
     assert summary["summary"]["test_acc"] is None
     rows = json.loads((tmp_path / "sw-unlabeled" / "sweep.json").read_text(encoding="utf-8"))
     assert [row["mean_acc"] for row in rows] == [None]
+
+
+# Functions of the package that no command enters, each with the reason it stays.
+NEVER_ENTERED = {
+    # perfbench's tracer wraps these ops by name (ROADMAP item 11)
+    "diffcore.add": "tracer-named op",
+    "diffcore.add.back": "tracer-named op",
+    "diffcore.neg": "tracer-named op",
+    "diffcore.t_exp": "tracer-named op",
+    "diffcore.t_log": "tracer-named op",
+    "diffcore.t_mean": "tracer-named op",
+    "diffcore.relu": "tracer-named op",
+    "data._float_row_error": "runs only on a malformed file",
+    "data._int_row_error": "runs only on a malformed file",
+    "data._split_row_error": "runs only on a malformed file",
+    "cli._Parser.error": "runs only on a malformed command line",
+    "trainer.one_block_thread": "initializes grid worker processes, not profiled here",
+    "diffcore.Tensor.__repr__": "prints a tensor while debugging",
+    "trainer.ExportSummary.__len__": "perfbench's tracer counts the export's rows by it",
+}
+
+
+def _package_functions():
+    """``{(file, first line): name}`` of every function and nested closure
+    (``def``) of the package; a decorated one starts at its first decorator,
+    as its code object does."""
+    import crowdaug
+    found = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                name = prefix + child.name
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), first)] = f"{path.stem}.{name}"
+                walk(child, path, name + ".")
+            else:
+                walk(child, path, prefix + child.name + "." if isinstance(child, ast.ClassDef)
+                     else prefix)
+
+    for path in sorted(Path(crowdaug.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    return found
+
+
+def test_every_function_has_a_production_caller(tmp_path, monkeypatch):
+    # every command runs on tiny inputs under a profiler of every thread (the
+    # grid serially, in this process); each function the package defines is
+    # entered, except the few that NEVER_ENTERED names with their reason
+    train = ("pretrain_epochs = 1\ngen_pretrain_epochs = 1\ndisc_pretrain_epochs = 1\n"
+             "epochs = 1\ninner_steps = 1\nbatch_size = 32\n")
+    configs = {"synth": "num_classes = 3\nnum_instances = 40\nnum_annotators = 5\n"
+                        "feature_dim = 2\n",
+               "train": train, "one-step": train + "two_step = false\n",
+               "sweep": train + "sweep_fractions = 0,0.5\nsweep_seeds = 0\n",
+               "ablate": train + "ablate_seeds = 0\n"}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text, encoding="utf-8")
+    data, checkpoint = str(tmp_path / "data"), str(tmp_path / "run" / "checkpoint.bin")
+
+    def run(command, config, out, *more):
+        return [command, "--config", str(tmp_path / f"{config}.cfg"),
+                "--out", str(tmp_path / out), *more]
+
+    commands = [
+        run("synth", "synth", "data", "--seed", "1"),
+        run("train", "train", "run", "--data", data),
+        run("train", "one-step", "one-step", "--data", data),
+        run("train", "train", "mv", "--data", data, "--method", "dl-mv"),
+        ["eval", "--data", data, "--checkpoint", checkpoint, "--out", str(tmp_path / "ev")],
+        ["augment", "--data", data, "--checkpoint", checkpoint, "--out", str(tmp_path / "aug")],
+        run("sweep", "sweep", "sweep", "--data", data),
+        run("ablate", "ablate", "ablate", "--data", data),
+    ]
+    usable = cli._usable_cores
+    monkeypatch.setattr(cli, "_usable_cores", lambda: min(1, usable()))
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    never = {name for at, name in _package_functions().items() if at not in entered}
+    assert never == set(NEVER_ENTERED)

@@ -43,10 +43,8 @@ from crowdaug.trainer import (
     train_dl_mv,
     train_method,
 )
-import helpers
 from helpers import (
     build_bundle,
-    chain_discriminator_loss,
     chain_nll,
     difference_check,
     encoding,
@@ -438,19 +436,20 @@ class _RecordingAdam(dc.Adam):
 def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32, auth_rows=50, scale=0.5,
                       disc_l2=1e-4, lca=True, record=False):
     """One ``_disc_aux_step`` of fresh D/Q nets, randomized at ``scale``, over
-    ``auth_rows`` authentic and ``gen_rows`` generated rows, as a closure
-    returning the loss, the clamp count and every D/Q parameter's value and
-    gradient bytes (with ``record``, the gradient dict itself in their place)."""
+    ``auth_rows`` authentic and ``gen_rows`` generated pairs of a stand-in
+    dataset of 500 instances and 30 annotators, as a closure returning the
+    loss, the clamp count and every D/Q parameter's value and gradient bytes
+    (with ``record``, the gradient dict itself in their place)."""
     c = num_classes
     dims = NetDims(num_classes=c, feature_dim=2, annotator_dim=6, embed_dim=embed_dim,
                    lca_enabled=lca)
     prop = np.random.default_rng(0).uniform(0.1, 1.0, size=(c, c))
     adj = CoocAdjacency(counts=np.zeros((c, c)), propagation=(prop + prop.T) / c)
     rng = np.random.default_rng(1)
-    auth = (rng.normal(size=(auth_rows, 2)), rng.normal(size=(auth_rows, 6)),
-            rng.integers(0, c, auth_rows))
-    gen = (rng.normal(size=(gen_rows, 2)), rng.normal(size=(gen_rows, 6)),
-           rng.integers(0, c, gen_rows))
+    ds = SimpleNamespace(features=rng.normal(size=(500, 2)),
+                         annotator_features=rng.normal(size=(30, 6)))
+    auth, gen = ((rng.integers(0, 500, rows), rng.integers(0, 30, rows), rng.integers(0, c, rows))
+                 for rows in (auth_rows, gen_rows))
     codes = rng.integers(0, c, size=gen_rows)
 
     def step():
@@ -459,7 +458,7 @@ def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32, auth_rows=50, scale
             randomize(store, np.random.default_rng(3), scale=scale)
         disc, aux = bundle.discriminator, bundle.aux
         opt = _RecordingAdam(dc.ParamStore.union(disc.store, aux.store), lr=1e-3)
-        loss, clamped = tr._disc_aux_step(opt, disc, aux, adj, auth, gen, codes,
+        loss, clamped = tr._disc_aux_step(opt, disc, aux, adj, ds, auth, gen, codes,
                                           tiny_config(disc_l2=disc_l2), "test", 0)
         if record:
             return loss, clamped, {name: opt.grads[t] for name, t in opt.store.items()}
@@ -468,17 +467,23 @@ def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32, auth_rows=50, scale
     return step
 
 
-@pytest.mark.parametrize("disc_l2", [0.0, 1e-4])
-@pytest.mark.parametrize("scale", [0.5, 3.0])
-@pytest.mark.parametrize("lca", [True, False])
-def test_disc_aux_step_equals_one_graph_over_both_sides(disc_l2, scale, lca, monkeypatch):
+@pytest.mark.parametrize("disc_l2, scale, lca, nll", [
+    *((disc_l2, scale, lca, "node") for disc_l2 in (0.0, 1e-4) for scale in (0.5, 3.0)
+      for lca in (True, False)),
+    (1e-4, 0.5, True, "chain")])
+def test_disc_aux_step_equals_one_graph_over_both_sides(disc_l2, scale, lca, nll, monkeypatch):
     # one block a side: the loss, the clamp count, every gradient and every
-    # stepped parameter equal one graph's; at scale 3 most scores saturate to
-    # a clamp bound on both sides, where the gradient is cut
+    # stepped parameter equal one graph's over both sides, built from D's
+    # loss as its op chain (and, in the "chain" case, Q's cross-entropy as
+    # its op chain too), whose gradients the step's seeds replace; at scale 3
+    # most scores saturate to a clamp bound on both sides, where the gradient
+    # is cut
     step = _disc_aux_step_on(70, scale=scale, disc_l2=disc_l2, lca=lca)
     blocked = step()
     assert (blocked[1] > 60) == (scale > 1)
     monkeypatch.setattr(tr, "_disc_aux_step", single_graph_disc_aux_step)
+    if nll == "chain":
+        monkeypatch.setattr(dc, "nll", chain_nll)
     assert blocked == step()
 
 
@@ -507,18 +512,6 @@ def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
     assert step() == fused
 
 
-def test_disc_aux_step_is_byte_identical_to_the_loss_op_chains(monkeypatch):
-    # the step seeds its blocks with the gradients of D's loss and Q's
-    # cross-entropy; one graph over both sides built from the op chains those
-    # losses replace gives the same loss, gradients and stepped parameters
-    step = _disc_aux_step_on(70)
-    blocked = step()
-    monkeypatch.setattr(tr, "_disc_aux_step", single_graph_disc_aux_step)
-    monkeypatch.setattr(dc, "nll", chain_nll)
-    monkeypatch.setattr(helpers, "discriminator_loss", chain_discriminator_loss)
-    assert step() == blocked
-
-
 def test_disc_aux_step_grad_check_covers_the_shared_encoders():
     # the gradients the step hands to its optimizer against central
     # differences of the loss it returns: D's two scores and Q's cross-entropy
@@ -531,15 +524,18 @@ def test_disc_aux_step_grad_check_covers_the_shared_encoders():
     bundle = build_bundle(dims, adj, rng)
     for store in bundle.stores().values():
         randomize(store, rng, scale=0.5)
-    auth = (rng.normal(size=(5, 2)), rng.normal(size=(5, 4)), rng.integers(0, 3, 5))
-    gen = (rng.normal(size=(4, 2)), rng.normal(size=(4, 4)), rng.integers(0, 3, 4))
+    ds = SimpleNamespace(features=rng.normal(size=(6, 2)),
+                         annotator_features=rng.normal(size=(3, 4)))
+    # instances and annotators repeat within and across the sides
+    auth, gen = ((rng.integers(0, 6, rows), rng.integers(0, 3, rows), rng.integers(0, 3, rows))
+                 for rows in (5, 4))
     codes = rng.integers(0, 3, size=4)
     handed = []
     no_step = SimpleNamespace(step=handed.append)  # keep the gradients, step nothing
 
     def loss():
-        return tr._disc_aux_step(no_step, bundle.discriminator, bundle.aux, adj, auth, gen,
-                                 codes, tiny_config(), "test", 0)[0]
+        return tr._disc_aux_step(no_step, bundle.discriminator, bundle.aux, adj, ds, auth,
+                                 gen, codes, tiny_config(), "test", 0)[0]
 
     loss()
     grads = handed.pop()
@@ -623,11 +619,13 @@ def test_epoch_scores_the_logged_grid_in_one_pass(monkeypatch):
     assert logged < 8192  # one pair block
     assert sorted(c for c in calls if c[1] == logged) == \
         [("encode", logged), ("logits", logged), ("score", logged)]
-    # the metrics read the selected rows' scores from that pass, and score
-    # only the authentic rows again
+    # D scores the pass's encoding, then Q reads it; the metrics read the
+    # selected rows' scores from that pass, and score only the authentic rows
+    # again
     authentic = len(tr._train_annotations(ds))
     after_grid = calls.index(("score", logged)) + 1
-    assert calls[after_grid:] == [("encode", authentic), ("score", authentic)]
+    assert calls[after_grid:] == [("logits", logged), ("encode", authentic),
+                                  ("score", authentic)]
 
 
 def test_disc_aux_step_peak_memory_per_generated_row():
@@ -854,6 +852,47 @@ def test_epoch_drops_the_code_draws_and_entropies_before_the_crm_steps(monkeypat
     assert seen and all(draws is None and entropies is None for draws, entropies in seen)
 
 
+def test_epoch_holds_no_features_of_the_judged_pairs(monkeypatch):
+    # the D/Q step and step 7 gather their pairs' features block by block
+    # from index columns, so 64 more annotator-feature columns grow what is
+    # live on entry to the CRM steps by the epoch's snapshot of the wider
+    # generator (1,536 bytes a column), less than the dataset's own (400, 64)
+    # block (3,200 bytes a column); holding the authentic and selected rows'
+    # features through the CRM steps adds 16 bytes a column per authentic row
+    # (3,840 bytes a column at 240 rows)
+    live, run_epoch, crm_update = [], tr.run_epoch, tr._crm_update
+
+    def tracing(state, ds, cfg):
+        if state.epoch == 1:  # every optimizer has stepped
+            tracemalloc.start()
+        return run_epoch(state, ds, cfg)
+
+    def recording(*args):
+        if tracemalloc.is_tracing():
+            live.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.stop()
+        return crm_update(*args)
+
+    monkeypatch.setattr(tr, "run_epoch", tracing)
+    monkeypatch.setattr(tr, "_crm_update", recording)
+    base = synthesize_dataset(SynthConfig(num_classes=3, num_instances=60, num_annotators=400,
+                                          feature_dim=2, avg_annotations=4.0), seed=0)
+    rng = np.random.default_rng(0)
+    narrow = dataclasses.replace(base, annotator_features=rng.normal(size=(400, 2)))
+    wide = dataclasses.replace(base, annotator_features=np.hstack(
+        [narrow.annotator_features, rng.normal(size=(400, 64))]))
+    assert len(tr._train_annotations(base)) >= 200
+    try:
+        for ds in (narrow, wide):
+            train_crowding(ds, tiny_config(epochs=2, inner_steps=1, max_grid_pairs=4000))
+    finally:
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+    assert len(live) == 2
+    grown = live[1] - live[0]
+    assert grown <= wide.annotator_features.nbytes - narrow.annotator_features.nbytes, grown
+
+
 @pytest.mark.parametrize("mode", sorted(_CRM_MODES))
 def test_crm_update_diverges_before_any_step(mode):
     state, ds, pairs, deltas = _crm_setup(9000, 0)
@@ -864,7 +903,28 @@ def test_crm_update_diverges_before_any_step(mode):
                        _CRM_MODES[mode], np.random.default_rng(1))
     assert {k: s.fingerprint() for k, s in state.bundle.stores().items()} == before
     for store in (state.bundle.generator.store, state.bundle.classifier.store):
-        assert all(t.requires_grad for t in store.tensors())
+        assert all(t.requires_grad for _, t in store.items())
+
+
+@pytest.mark.parametrize("mode", sorted(_CRM_MODES))
+def test_crm_update_steps_on_no_leaf_of_a_frozen_store(mode):
+    # the stores a step holds fixed are in no graph it builds, so every
+    # gradient dict an optimizer steps on holds each trained store's leaves
+    # and no frozen store's (four blocks a step)
+    state, ds, pairs, deltas = _crm_setup(9000, 0)
+    trains = _CRM_MODES[mode]
+    stores = {"gen": state.bundle.generator.store, "clf": state.bundle.classifier.store}
+    stepped = []
+    for name in stores:
+        state.optimizers[name] = SimpleNamespace(
+            step=lambda grads, name=name: stepped.append((name, set(grads))))
+    tr._crm_update(state, ds, tiny_config(), pairs, np.arange(9000), deltas, 0.1, trains,
+                   np.random.default_rng(1))
+    assert [name for name, _ in stepped] == [name for name in ("gen", "clf")
+                                             if name in trains] * 2
+    trained = {t for name in trains for _, t in stores[name].items()}
+    frozen = {t for name in stores if name not in trains for _, t in stores[name].items()}
+    assert all(keys == trained and not keys & frozen for _, keys in stepped)
 
 
 @pytest.mark.parametrize("mode", sorted(_CRM_MODES))
@@ -1288,7 +1348,7 @@ def test_loaded_nets_copy_the_checkpoint_views(tmp_path, monkeypatch):
     views = [a for arrays in loads for a in arrays.values()]
     assert len(loads) == 2 and not any(a.flags.writeable for a in views)
     kept = [t.data for store in (*bundle.stores().values(), classifier.store)
-            for t in store.tensors()]
+            for _, t in store.items()]
     kept += [bundle.adjacency.counts, bundle.adjacency.propagation]
     assert not any(np.shares_memory(k, v) for k in kept for v in views)
     assert all(k.flags.writeable for k in kept)
