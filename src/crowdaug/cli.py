@@ -22,7 +22,9 @@ import numpy as np
 from . import BLAS_THREADS, NUMPY_IMPORTED_FIRST, __version__, evalsuite
 from .checkpoint import CheckpointError
 from .config import ConfigError, apply_overrides, config_as_dict, load_config_file
-from .data import TEST, TRAIN, VAL, DatasetError, SynthConfig, check_removal, load_dataset, remove_annotations, save_dataset, synthesize_dataset
+from .data import (DATASET_FILES, TEST, TRAIN, VAL, DatasetError, SynthConfig, check_removal,
+                   load_dataset, remove_annotations, save_dataset, synthesize_dataset,
+                   write_csv)
 from .trainer import (
     METHODS,
     DivergenceError,
@@ -42,10 +44,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
-
-DATASET_FILES = ("features.csv", "annotators.csv", "annotations.csv",
-                 "truth.csv", "splits.csv")
-
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -250,9 +248,15 @@ def run_ablation(ds, variants, cfg: TrainConfig, seeds) -> list[dict]:
                                   for variant in variants], ds, seeds)
 
 
+def _write_records(path: Path, records: list[dict]) -> None:
+    """``records`` as CSV rows under the first one's keys; no records write an
+    empty file."""
+    write_csv(path, [list(records[0]), *(r.values() for r in records)] if records else [])
+
+
 def _write_rows(out_dir: Path, name: str, rows: list[dict]) -> None:
     """The grid's rows as ``<name>.csv`` and ``<name>.json``."""
-    evalsuite.write_csv(out_dir / f"{name}.csv", rows)
+    _write_records(out_dir / f"{name}.csv", rows)
     _write_json(out_dir / f"{name}.json", rows, sort_keys=False)  # in column order
 
 
@@ -299,7 +303,7 @@ def cmd_train(args) -> int:
     if result.method == "crowding":
         summary["selected_by"] = _selected_by(result)
     save_result_checkpoint(out_dir / "checkpoint.bin", result)
-    evalsuite.write_csv(out_dir / "report.csv", result.history)
+    _write_records(out_dir / "report.csv", result.history)
     _write_json(out_dir / "report.json", {"summary": summary, "epochs": result.history})
     print(f"{args.method}: best_val={result.best_val_acc:.4f} "
           f"test={result.test_acc:.4f} -> {out_dir}")
@@ -478,7 +482,7 @@ def main(argv=None) -> int:
                 # would only print lines before it
                 warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # a config whose nets cannot be allocated
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DatasetError, CheckpointError, FileNotFoundError) as exc:

@@ -9,7 +9,6 @@ transformation returns a new dataset.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -594,38 +593,33 @@ def load_dataset(data_dir: str | Path) -> CrowdDataset:
     )
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+DATASET_FILES = ("features.csv", "annotators.csv", "annotations.csv",
+                 "truth.csv", "splits.csv")
 
 
-def save_dataset(ds: CrowdDataset, out_dir: str | Path) -> list[Path]:
-    """Write the dataset in canonical order; returns the files written."""
+def write_csv(path: str | Path, rows) -> None:
+    """``rows``, the first of them the header, as ``csv.writer`` lines ending
+    in "\\n"; no rows write an empty file. The one CSV writer of the dataset
+    files, the training report and the grid rows (a Python float is written
+    by its ``repr``)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def save_dataset(ds: CrowdDataset, out_dir: str | Path) -> None:
+    """Write the dataset's ``DATASET_FILES`` in canonical order (``truth.csv``
+    only with ground truth)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def emit(name: str, header: list[str], rows) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        path = out_dir / name
-        path.write_bytes(buf.getvalue().encode("utf-8"))
-        written.append(path)
-
-    d = ds.feature_dim
-    emit("features.csv", [f"f{i}" for i in range(d)],
-         ([_format_float(v) for v in row] for row in ds.features))
-    emit("annotators.csv", [f"f{i}" for i in range(ds.annotator_dim)],
-         ([_format_float(v) for v in row] for row in ds.annotator_features))
-
+    write_csv(out_dir / "features.csv",
+              [[f"f{i}" for i in range(ds.feature_dim)], *ds.features.tolist()])
+    write_csv(out_dir / "annotators.csv",
+              [[f"f{i}" for i in range(ds.annotator_dim)], *ds.annotator_features.tolist()])
     order = np.lexsort((ds.annotations[:, 1], ds.annotations[:, 0]))
-    emit("annotations.csv", ["instance_id", "annotator_id", "label"],
-         ([int(a), int(b), int(c)] for a, b, c in ds.annotations[order]))
-
+    write_csv(out_dir / "annotations.csv",
+              [["instance_id", "annotator_id", "label"], *ds.annotations[order].tolist()])
     if ds.ground_truth is not None:
-        emit("truth.csv", ["instance_id", "label"],
-             ([i, int(v)] for i, v in enumerate(ds.ground_truth)))
-    emit("splits.csv", ["instance_id", "split"],
-         ([i, SPLIT_NAMES[s]] for i, s in enumerate(ds.splits)))
-    return written
+        write_csv(out_dir / "truth.csv",
+                  [["instance_id", "label"], *enumerate(ds.ground_truth.tolist())])
+    write_csv(out_dir / "splits.csv",
+              [["instance_id", "split"], *((i, SPLIT_NAMES[s]) for i, s in enumerate(ds.splits))])

@@ -111,9 +111,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, leaf={self._backward is None})"
-
 
 def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or bool(t.parents)
@@ -212,30 +209,23 @@ def t_log(a: Tensor) -> Tensor:
     return Tensor(out, parents=(a,), backward_fn=lambda g: (g / a.data,))
 
 
-def t_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def t_sum(a: Tensor) -> Tensor:
+    """The sum of every entry."""
+    return Tensor(a.data.sum(), parents=(a,),
+                  backward_fn=lambda g: (np.broadcast_to(g, a.shape).copy(),))
+
+
+def t_mean(a: Tensor) -> Tensor:
+    return mul(t_sum(a), Tensor(1.0 / a.data.size))
+
+
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join along the last axis."""
+    out = np.concatenate([p.data for p in parts], axis=-1)
+    splits = np.cumsum([p.data.shape[-1] for p in parts])[:-1]
 
     def back(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return Tensor(out, parents=(a,), backward_fn=back)
-
-
-def t_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(t_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
-
-
-def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=-1))
 
     return Tensor(out, parents=tuple(parts), backward_fn=back)
 
@@ -347,35 +337,36 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities (graph tensors) and array utilities
+# nonlinearities (graph tensors) and array utilities; softmax, log_softmax and
+# entropy work along the last axis, a row's classes
 
 
-def _shifted_logits(x: Tensor, axis: int) -> Array:
-    """``x`` minus its max along ``axis``; non-finite logits raise
+def _shifted_logits(x: Tensor) -> Array:
+    """``x`` minus its max along the last axis; non-finite logits raise
     ``FloatingPointError``, which training reports as divergence."""
     if not np.all(np.isfinite(x.data)):
         raise FloatingPointError("softmax input contains non-finite values")
-    return x.data - x.data.max(axis=axis, keepdims=True)
+    return x.data - x.data.max(axis=-1, keepdims=True)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Exp-normalized probabilities along ``axis`` (max-shifted for stability)."""
-    ex = np.exp(_shifted_logits(x, axis))
-    s = ex / ex.sum(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Exp-normalized probabilities (max-shifted for stability)."""
+    ex = np.exp(_shifted_logits(x))
+    s = ex / ex.sum(axis=-1, keepdims=True)
 
     def back(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - dot),)
 
     return Tensor(s, parents=(x,), backward_fn=back)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = _shifted_logits(x, axis)
-    ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    shifted = _shifted_logits(x)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def back(g):
-        return (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(ls) * g.sum(axis=-1, keepdims=True),)
 
     return Tensor(ls, parents=(x,), backward_fn=back)
 
@@ -394,18 +385,18 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor(s, parents=(x,), backward_fn=lambda g: (g * s * (1.0 - s),))
 
 
-def entropy(p, axis: int = -1):
+def entropy(p):
     """Shannon entropy in nats, with 0*log(0) = 0."""
     p = _as_f64(p)
     if np.any(p < 0):
         raise ValueError("entropy input has negative entries")
     if np.any(p > 1.0 + 1e-9):
         raise ValueError("entropy input has entries > 1")
-    sums = p.sum(axis=axis)
+    sums = p.sum(axis=-1)
     if not np.allclose(sums, 1.0, atol=1e-9):
         raise ValueError("entropy input rows must sum to 1 within 1e-9")
     terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -terms.sum(axis=axis)
+    return -terms.sum(axis=-1)
 
 
 def sample_categorical(rng: np.random.Generator, probs: Array) -> Array:

@@ -1,11 +1,7 @@
-"""Metrics: accuracy, AUC and ranks, and the CSV writer of report and grid
-rows. The reports and the experiment grid are written by ``cli``; nothing
-here trains, so the trainer imports it freely.
+"""Metrics: accuracy, AUC and ranks. The reports and the experiment grid are
+written by ``cli``; nothing here trains, so the trainer imports it freely.
 """
 from __future__ import annotations
-
-import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -66,18 +62,3 @@ def auc(positive_scores, negative_scores) -> float:
     ranks = _ranks(np.concatenate([pos, neg]))
     rank_sum = ranks[:len(pos)].sum()
     return float((rank_sum - len(pos) * (len(pos) + 1) / 2.0) / (len(pos) * len(neg)))
-
-
-# ---------------------------------------------------------------------------
-# CSV
-
-
-def write_csv(path: str | Path, rows: list[dict]) -> None:
-    """Rows under the first row's keys; no rows write an empty file."""
-    if not rows:
-        Path(path).write_text("", encoding="utf-8")
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)

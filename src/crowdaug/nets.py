@@ -61,6 +61,7 @@ import numpy as np
 from . import diffcore as dc
 from .data import CoocAdjacency
 from .diffcore import ParamStore, Tensor
+from .objectives import CLAMP_HI, CLAMP_LO
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ class Classifier:
         return dc.dense(h, p["W2"], p["b2"])
 
     def probs(self, x, train_mode: bool = False, rng=None) -> Tensor:
-        return dc.softmax(self.logits(x, train_mode, rng), axis=1)
+        return dc.softmax(self.logits(x, train_mode, rng))
 
 
 class Generator:
@@ -190,13 +191,13 @@ class Generator:
     def logits(self, x, e, zhat, eps) -> Tensor:
         """Label logits of each row (see ``_inputs``)."""
         p = self.store
-        inp = dc.concat(self._inputs(x, e, zhat, eps), axis=1)
+        inp = dc.concat(self._inputs(x, e, zhat, eps))
         h1 = dc.dense(inp, p["W1"], p["b1"], relu=True)
         h2 = dc.dense(h1, p["W2"], p["b2"], relu=True)
         return dc.dense(h2, p["W3"], p["b3"])
 
     def distribution(self, x, e, zhat, eps) -> Tensor:
-        return dc.softmax(self.logits(x, e, zhat, eps), axis=1)
+        return dc.softmax(self.logits(x, e, zhat, eps))
 
     def frozen_distribution(self, x, e, zhat: Tensor, eps) -> Tensor:
         """``distribution`` with the parameters held fixed, as one node whose
@@ -215,7 +216,7 @@ class Generator:
         h *= mask2
         h = h @ w3
         h += p["b3"].data
-        s = dc.softmax(Tensor(h), axis=1).data
+        s = dc.softmax(Tensor(h)).data
         d = self.dims
         code_rows = slice(d.feature_dim + d.annotator_dim,
                           d.feature_dim + d.annotator_dim + d.num_classes)
@@ -233,7 +234,7 @@ class Generator:
         return Tensor(s, parents=(parts[2],), backward_fn=back)
 
     def log_distribution(self, x, e, zhat, eps) -> Tensor:
-        return dc.log_softmax(self.logits(x, e, zhat, eps), axis=1)
+        return dc.log_softmax(self.logits(x, e, zhat, eps))
 
 
 class Discriminator:
@@ -281,8 +282,7 @@ class Discriminator:
         the decoded table ``mats`` (``decoded_matrices``) at label ``y``."""
         y = _class_index(y, self.dims.num_classes)
         # clamp away float64 saturation so the output stays strictly inside (0,1)
-        return dc.clamp(dc.sigmoid(dc.rowwise_bilinear(u, mats, v, y)),
-                        1e-12, 1.0 - 1e-12)
+        return dc.clamp(dc.sigmoid(dc.rowwise_bilinear(u, mats, v, y)), CLAMP_LO, CLAMP_HI)
 
 
 class AuxNet:
@@ -317,13 +317,13 @@ class AuxNet:
         y = _class_index(y, d.num_classes)
         c, m = d.num_classes, d.embed_dim
         table = dc.dense(dc.reshape(mats, (c, m * m)), p["Wembed"], p["bembed"])
-        inp = dc.concat([v, u, dc.gather_rows(table, y)], axis=1)
+        inp = dc.concat([v, u, dc.gather_rows(table, y)])
         h1 = dc.dense(inp, p["W1"], p["b1"], relu=True)
         h2 = dc.dense(h1, p["W2"], p["b2"], relu=True)
         return dc.dense(h2, p["W3"], p["b3"])
 
     def log_posterior(self, u: Tensor, v: Tensor, mats: Tensor, y) -> Tensor:
-        return dc.log_softmax(self.logits(u, v, mats, y), axis=1)
+        return dc.log_softmax(self.logits(u, v, mats, y))
 
 
 NETS = {"classifier": Classifier, "generator": Generator,

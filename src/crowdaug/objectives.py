@@ -33,7 +33,7 @@ def _clamp_count(values: np.ndarray) -> int:
 
 
 def discriminator_loss(authentic_scores: np.ndarray, generated_scores: np.ndarray,
-                       l2_coeff: float = 1e-4) -> tuple[float, int]:
+                       l2_coeff: float) -> tuple[float, int]:
     """Negative adversarial value plus output L2 of two score arrays; returns
     (loss, clamp count).
 
@@ -62,20 +62,19 @@ def discriminator_loss(authentic_scores: np.ndarray, generated_scores: np.ndarra
 
 
 def discriminator_score_grad(scores: np.ndarray, side: int, sizes: tuple[int, int],
-                             l2_coeff: float, grad=1.0) -> np.ndarray:
-    """The gradient of ``discriminator_loss``, times the upstream ``grad``, with
-    respect to ``scores`` of one side (0 authentic, 1 generated) when the two
-    sides have ``sizes`` rows, byte-identical to the op chain's backward (see
+                             l2_coeff: float) -> np.ndarray:
+    """The gradient of ``discriminator_loss`` with respect to ``scores`` of
+    one side (0 authentic, 1 generated) when the two sides have ``sizes``
+    rows, byte-identical to the op chain's backward (see
     ``discriminator_loss``). Each row's entry reads only its own score, so
     the rows of a block of one side come out as in one call over the side."""
     clipped = np.clip(scores, CLAMP_LO, CLAMP_HI)
-    g_sum = -grad
     if side == 0:
-        g = g_sum * (1.0 / sizes[0]) / clipped
+        g = -(1.0 / sizes[0]) / clipped
     else:
-        g = -(g_sum * (1.0 / sizes[1]) / (-clipped + 1.0))
+        g = (1.0 / sizes[1]) / (-clipped + 1.0)
     if l2_coeff > 0.0:
-        g_l2 = grad * l2_coeff * (1.0 / (sizes[0] + sizes[1])) * clipped
+        g_l2 = l2_coeff * (1.0 / (sizes[0] + sizes[1])) * clipped
         g = g + (g_l2 + g_l2)
     return g * ((scores >= CLAMP_LO) & (scores <= CLAMP_HI))
 
@@ -107,15 +106,14 @@ def per_annotation_delta(d_scores, q_logprobs, info_weight: float) -> tuple[np.n
     return deltas, clamped
 
 
-def crm_objective(g0, target_probs: Tensor, deltas, mu: float,
-                  total: int | None = None) -> Tensor:
-    """Importance-weighted risk mean((delta - mu) * G_theta(y) / g0).
+def crm_objective(g0, target_probs: Tensor, deltas, mu: float, total: int) -> Tensor:
+    """Importance-weighted risk mean((delta - mu) * G_theta(y) / g0) over a
+    logged set of ``total`` pairs.
 
     ``target_probs`` must be a graph Tensor (the gradient path); ``g0`` and
     ``deltas`` are constants from logging time. When these cover one block
-    of a larger logged set, ``total`` is that set's size: the block's sum is
-    scaled by 1/total, so the blocks' objectives (and gradients) add up to
-    the mean over the whole set.
+    of the set, the block's sum is scaled by 1/total, so the blocks'
+    objectives (and gradients) add up to the mean over the whole set.
     """
     g0 = np.asarray(g0, dtype=np.float64)
     if np.any(g0 <= 0.0):
@@ -125,7 +123,7 @@ def crm_objective(g0, target_probs: Tensor, deltas, mu: float,
         raise ValueError("g0, target_probs, and deltas must share one shape")
     centered = Tensor(deltas - mu)
     weighted = dc.t_sum(dc.mul(centered, dc.div(target_probs, Tensor(g0))))
-    return dc.mul(weighted, Tensor(1.0 / (g0.size if total is None else total)))
+    return dc.mul(weighted, Tensor(1.0 / total))
 
 
 def compute_breakdown(authentic_scores: np.ndarray, generated_scores: np.ndarray,

@@ -55,12 +55,13 @@ When at least two cores are usable and BLAS is pinned to one thread (see
 ``crowdaug/__init__.py``), the calling thread runs every other block and one
 worker thread the rest (``_in_flight``); grid worker processes run theirs on
 one thread. Each CRM block's ``backward`` returns its own gradient dict, and
-the dicts are added in block order; each forward-only block writes its own
-rows of the output. A run therefore gives the same bits on one thread or
-two. The forward-only passes (step 1, the step-3 scores, step 7's authentic
-scores and the augmentation export) are bit-identical to one call over every
-row; the CRM and D/Q steps are too below 8192 rows (a side), and above that
-only the order of the gradient's sum over rows moves.
+the dicts are added in block order; each forward-only block slices its own
+inputs and writes its own rows of the output (``_forward_in_blocks``). A run
+therefore gives the same bits on one thread or two. The forward-only passes
+(step 1, the step-3 scores, step 7's authentic scores and the augmentation
+export) are bit-identical to one call over every row; the CRM and D/Q steps
+are too below 8192 rows (a side), and above that only the order of the
+gradient's sum over rows moves.
 
 The epoch frees each per-pair array after its last reader: step 1's
 entropies after the selection, the code draws after the step-3 pass, and the
@@ -315,14 +316,14 @@ def one_block_thread() -> None:
 def _in_flight(run, blocks: list[slice], feed=lambda rows: ()):
     """Yield ``run(rows, *feed(rows))`` of each block in block order.
 
-    ``feed`` gives a block's own inputs, such as its noise drawn from a
-    generator: it runs on the calling thread, in block order, just before its
-    block is handed out, so its draws come in the same order on one thread or
-    two and only the blocks in flight hold theirs. On ``_BLOCK_THREADS`` = 2
-    two blocks are in flight at a time: the calling thread runs the even
-    blocks and one worker thread, from a pool made for this pass (no thread
-    outlives it), the odd ones. ``run`` must not switch the grad mode (see
-    ``diffcore``)."""
+    ``feed`` gives a block's own inputs drawn from a generator (the export's
+    noise and uniforms): it runs on the calling thread, in block order, just
+    before its block is handed out, so its draws come in the same order on one
+    thread or two and only the blocks in flight hold theirs. On
+    ``_BLOCK_THREADS`` = 2 two blocks are in flight at a time: the calling
+    thread runs the even blocks and one worker thread, from a pool made for
+    this pass (no thread outlives it), the odd ones. ``run`` must not switch
+    the grad mode (see ``diffcore``)."""
     if _BLOCK_THREADS < 2 or len(blocks) < 2:
         for rows in blocks:
             yield run(rows, *feed(rows))
@@ -340,13 +341,13 @@ def _in_flight(run, blocks: list[slice], feed=lambda rows: ()):
 
 
 @dc.no_grad()
-def _forward_in_blocks(n: int, forward, feed=lambda rows: ()):
-    """``forward(rows, *feed(rows))`` over ``_row_blocks(n)`` (see
-    ``_in_flight``): each block's array (or tuple of arrays) is written to its
-    rows of one ``n``-row array per output."""
+def _forward_in_blocks(n: int, forward):
+    """``forward(rows)`` over ``_row_blocks(n)`` through ``_in_flight``: each
+    block's array (or tuple of arrays) is written to its rows of one ``n``-row
+    array per output. ``forward`` slices its own inputs and draws nothing."""
     blocks = _row_blocks(n)
     outs = None
-    for rows, values in zip(blocks, _in_flight(forward, blocks, feed)):
+    for rows, values in zip(blocks, _in_flight(forward, blocks)):
         parts = values if isinstance(values, tuple) else (values,)
         if outs is None:
             outs = tuple(np.empty((n, *p.shape[1:]), dtype=p.dtype) for p in parts)
@@ -392,7 +393,7 @@ def _sample_generated(gen: Generator, table: tuple, ds: CrowdDataset, inst: np.n
     labels = dc.categorical_at(dist, uniforms)
     if code_uniforms is None:
         return labels
-    return (labels, dist[np.arange(len(labels)), labels], dc.entropy(dist, axis=1),
+    return (labels, dist[np.arange(len(labels)), labels], dc.entropy(dist),
             dc.categorical_at(zhat, code_uniforms))
 
 
@@ -429,10 +430,10 @@ def crowd_layer_loss(logits: Tensor, labels: np.ndarray,
     before the final normalization; identity matrices make this collapse to
     plain cross-entropy exactly.
     """
-    log_probs = dc.log_softmax(logits, axis=1)
+    log_probs = dc.log_softmax(logits)
     if transforms is not None:
         mats = dc.gather_rows(transforms["T"], annotators)
-        log_probs = dc.log_softmax(dc.rowwise_matvec(mats, log_probs), axis=1)
+        log_probs = dc.log_softmax(dc.rowwise_matvec(mats, log_probs))
     return dc.nll(log_probs, labels)
 
 
@@ -565,8 +566,8 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     present[inst] = True
     codes, row_of = table = _instance_probs(clf, ds, present, len(inst))
     labels, g0, entropies, zhat_draws = _forward_in_blocks(
-        len(inst), lambda rows, *block: _sample_generated(gen, table, ds, *block),
-        lambda rows: (inst[rows], annot[rows], eps[rows], uniforms[rows], code_uniforms[rows]))
+        len(inst), lambda rows: _sample_generated(gen, table, ds, inst[rows], annot[rows],
+                                                  eps[rows], uniforms[rows], code_uniforms[rows]))
     return LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
                        zhat_draws=zhat_draws, entropies=entropies, codes=codes,
                        code_rows=row_of[inst])
@@ -829,7 +830,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
 
     # (4) split the logged pairs by their instance's normalized code entropy
     # in step 1's classifier table (the classifier has not moved since)
-    code_entropies = dc.entropy(batch.codes, axis=1)
+    code_entropies = dc.entropy(batch.codes)
     is_low = code_entropies / np.log(ds.num_classes) <= cfg.entropy_threshold
     pair_is_low = is_low[batch.code_rows]
     low_idx = np.flatnonzero(pair_is_low)

@@ -46,7 +46,7 @@ def chain_discriminator_loss(authentic_scores, generated_scores, l2_coeff=1e-4):
     loss = dc.neg(dc.add(dc.t_mean(dc.t_log(auth)),
                          dc.t_mean(dc.t_log(dc.add(dc.neg(gen), Tensor(1.0))))))
     if l2_coeff > 0.0:
-        both = dc.concat([auth, gen], axis=0)
+        both = dc.concat([auth, gen])
         loss = dc.add(loss, dc.mul(dc.t_mean(dc.mul(both, both)), Tensor(l2_coeff)))
     return loss, _clamp_count(authentic_scores.data) + _clamp_count(generated_scores.data)
 
@@ -170,7 +170,7 @@ def entropy_accuracy_curve(classifier, x, labels) -> tuple[np.ndarray, np.ndarra
     """
     labels = np.asarray(labels, dtype=np.int64)
     probs = classifier.probs(np.asarray(x, dtype=np.float64)).data
-    ent = dc.entropy(probs, axis=1)
+    ent = dc.entropy(probs)
     order = np.argsort(ent, kind="stable")
     correct = (probs.argmax(axis=1) == labels)[order]
     cum_acc = np.cumsum(correct) / np.arange(1, len(labels) + 1)

@@ -130,7 +130,7 @@ def test_criterion_01_gradient_integrity():
 
         # classifier through a weighted log-probability readout
         worst = max(worst, grad_check(
-            lambda: dc.t_sum(dc.mul(dc.log_softmax(clf.logits(x), axis=1),
+            lambda: dc.t_sum(dc.mul(dc.log_softmax(clf.logits(x)),
                                     dc.Tensor(weights))), clf.store))
         # generator distribution readout
         worst = max(worst, grad_check(
@@ -153,13 +153,13 @@ def test_criterion_01_gradient_integrity():
         deltas = rng.normal(size=batch)
         worst = max(worst, grad_check(
             lambda: crm_objective(g0, dc.pick(gen.distribution(x, e, zhat, eps),
-                                              y), deltas, 0.1),
+                                              y), deltas, 0.1, batch),
             gen.store))
         # the same objective through the classifier (live code path)
         def clf_crm():
             z = clf.probs(x)
             dist = gen.distribution(x, e, z, eps)
-            return crm_objective(g0, dc.pick(dist, y), deltas, 0.0)
+            return crm_objective(g0, dc.pick(dist, y), deltas, 0.0, batch)
         worst = max(worst, grad_check(clf_crm, clf.store))
 
     _note(1, f"worst relative gradient error {worst:.2e} (tolerance 1e-4) "
@@ -198,13 +198,13 @@ def test_criterion_02_normalization_invariants():
         trials += len(p)
         assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9)
         assert np.all(p >= 0.0)
-        h = dc.entropy(p, axis=1)
+        h = dc.entropy(p)
         assert np.all(h >= 0.0) and np.all(h <= ln_c + 1e-12)
 
     # raw softmax over adversarially scaled logits
     logits = rng.normal(size=(2500, dims.num_classes)) * \
         rng.choice([1e-3, 1.0, 50.0, 1e3], size=(2500, 1))
-    check_probs(dc.softmax(dc.Tensor(logits), axis=1).data)
+    check_probs(dc.softmax(dc.Tensor(logits)).data)
 
     x = rng.normal(size=(2500, dims.feature_dim), scale=3.0)
     e_idx = rng.integers(0, dims.annotator_dim, size=2500)
@@ -289,7 +289,7 @@ def test_criterion_04_crm_unbiasedness_oracle():
         g0 = g0_dist[labels]
         target_t = dc.Tensor(np.tile(target, (n, 1)))
         value = crm_objective(g0, dc.pick(target_t, labels),
-                              deltas_by_label[labels], mu=0.0).item()
+                              deltas_by_label[labels], mu=0.0, total=n).item()
         expected = float(np.sum(deltas_by_label * target))
         assert abs(value - expected) <= 1e-9
 
@@ -299,9 +299,9 @@ def test_criterion_04_crm_unbiasedness_oracle():
     target_rows = dc.Tensor(np.array([[0.5, 0.25, 0.25]] * 3))
     deltas = np.array([0.5, -0.25, 1.0])
     for c in (0.5, -1.0, 2.0):
-        base = crm_objective(g0, dc.pick(target_rows, labels), deltas, 0.25)
+        base = crm_objective(g0, dc.pick(target_rows, labels), deltas, 0.25, 3)
         shifted = crm_objective(g0, dc.pick(target_rows, labels),
-                                deltas + c, 0.25 + c)
+                                deltas + c, 0.25 + c, 3)
         assert base.item() == shifted.item()
     _note(4, "30 enumerated logging policies: importance-weighted estimate "
              "equals the exact target-policy value within 1e-9; "

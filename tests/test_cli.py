@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from crowdaug import cli
-from crowdaug import evalsuite as ev
 from crowdaug.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from crowdaug.data import VAL, load_dataset, save_dataset
+from crowdaug.data import DATASET_FILES, VAL, load_dataset, save_dataset, write_csv
+from crowdaug.nets import Generator
 from crowdaug.trainer import DivergenceError, TrainConfig, load_result_checkpoint
 from helpers import read_augmented_file
 
@@ -165,7 +165,7 @@ def test_manifest_lists_the_files_the_arguments_name(workspace, tmp_path, comman
     argv, inputs = [command, "--config", str(config), "--out", str(out)], [config]
     if command != "synth":
         argv += ["--data", str(data)]
-        inputs += [data / name for name in cli.DATASET_FILES if name != "truth.csv"]
+        inputs += [data / name for name in DATASET_FILES if name != "truth.csv"]
     if command in ("eval", "augment"):
         argv += ["--checkpoint", str(workspace / "run" / "checkpoint.bin")]
         inputs.append(workspace / "run" / "checkpoint.bin")
@@ -356,6 +356,22 @@ def test_out_of_range_net_setting_is_config_error(workspace, tmp_path, capsys,
     assert code == cli.EXIT_CONFIG
     assert message in _config_error_line(capsys)
     assert not out.exists()  # rejected before the manifest
+
+
+def test_nets_that_cannot_be_allocated_are_config_error(workspace, tmp_path, monkeypatch,
+                                                        capsys):
+    # noise_dim = 2000000000 asks NumPy for 954 GiB of generator weights; the
+    # refusal is raised here without allocating anything
+    def refuse(self, dims, rng):
+        raise MemoryError("Unable to allocate 954. GiB for an array with shape "
+                          "(2000000026, 64) and data type float64")
+
+    monkeypatch.setattr(Generator, "__init__", refuse)
+    (tmp_path / "train.cfg").write_text(TRAIN_CFG, encoding="utf-8")
+    code = cli.main(["train", "--data", str(workspace / "data"), "--config",
+                     str(tmp_path / "train.cfg"), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "Unable to allocate 954. GiB" in _config_error_line(capsys)
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -899,7 +915,7 @@ def test_sparsity_sweep_populates_grid(workspace, tmp_path):
         assert row == {"fraction": fraction, "method": method,
                        "mean_acc": float(np.mean(accs)), "std_acc": float(np.std(accs)),
                        "num_seeds": 2}
-    ev.write_csv(tmp_path / "empty.csv", [])
+    write_csv(tmp_path / "empty.csv", [])
     assert (tmp_path / "empty.csv").read_bytes() == b""
 
 

@@ -164,7 +164,7 @@ def test_grad_check_elementary_ops():
 
     def loss():
         h = dc.relu(dc.add(dc.matmul(a, b), c))
-        p = softmax(h, axis=1)
+        p = softmax(h)
         return dc.t_mean(dc.mul(p, p))
 
     assert grad_check(loss, store) < 1e-6
@@ -197,7 +197,7 @@ def test_grad_check_dense_layers():
 
     def loss():
         h = dc.dense(x, w1, b1, relu=True)
-        p = softmax(dc.dense(h, w2, b2), axis=1)
+        p = softmax(dc.dense(h, w2, b2))
         return dc.t_mean(dc.mul(p, p))
 
     assert grad_check(loss, store) < 1e-6
@@ -301,7 +301,7 @@ def test_grad_check_log_softmax_concat():
     b = store.add("b", rng.normal(size=(3, 3)))
 
     def loss():
-        ls = log_softmax(dc.concat([a, b], axis=1), axis=1)
+        ls = log_softmax(dc.concat([a, b]))
         return dc.neg(dc.t_mean(dc.pick(ls, [0, 4, 2])))
 
     assert grad_check(loss, store) < 1e-6
@@ -325,7 +325,7 @@ def test_sigmoid_softmax_tensor_grads():
     x = store.add("x", rng.normal(size=(5, 4)))
 
     def loss():
-        return dc.t_mean(dc.mul(dc.sigmoid(x), softmax(x, axis=1)))
+        return dc.t_mean(dc.mul(dc.sigmoid(x), softmax(x)))
 
     assert grad_check(loss, store) < 1e-6
 
@@ -371,9 +371,9 @@ def _op_cases():
         "dense_relu": lambda: dc.dense(a, b, bias5, relu=True),
         "t_exp": lambda: dc.t_exp(a),
         "t_log": lambda: dc.t_log(dc.t_exp(a)),
-        "t_sum": lambda: dc.t_sum(a, axis=1),
+        "t_sum": lambda: dc.t_sum(a),
         "t_mean": lambda: dc.t_mean(a),
-        "concat": lambda: dc.concat([a, c, Tensor(b.data.T[:4])], axis=1),
+        "concat": lambda: dc.concat([a, c, Tensor(b.data.T[:4])]),
         "reshape": lambda: dc.reshape(mats, (2, 9)),
         "gather_rows": lambda: dc.gather_rows(mats, rows),
         "pick": lambda: dc.pick(a, cols),
@@ -381,8 +381,8 @@ def _op_cases():
         "rowwise_bilinear": lambda: dc.rowwise_bilinear(a, mats, c, rows),
         "clamp": lambda: dc.clamp(a, -0.5, 0.5),
         "dropout": lambda: dc.dropout(a, 0.5, np.random.default_rng(4)),
-        "softmax": lambda: softmax(a, axis=1),
-        "log_softmax": lambda: log_softmax(a, axis=1),
+        "softmax": lambda: softmax(a),
+        "log_softmax": lambda: log_softmax(a),
         "relu": lambda: dc.relu(a),
         "sigmoid": lambda: dc.sigmoid(a),
     }
@@ -431,7 +431,7 @@ def test_no_grad_restores_after_nesting_and_errors():
 
 def test_op_over_constants_records_no_graph():
     a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))
-    out = dc.softmax(dc.add(dc.matmul(a, b), Tensor(np.ones(2))), axis=1)
+    out = dc.softmax(dc.add(dc.matmul(a, b), Tensor(np.ones(2))))
     assert out.parents == () and out._backward is None
     # a parent with parents of its own still needs a gradient
     w = Tensor(np.ones((3, 2)), requires_grad=True)
@@ -507,7 +507,7 @@ def test_added_gradient_dicts_equal_backward_of_the_summed_loss():
     xs = [rng.normal(size=(5, 4)) for _ in range(2)]
 
     def loss(x):
-        return dc.t_sum(dc.mul(dc.softmax(dc.dense(Tensor(x), w, b, relu=True), axis=1),
+        return dc.t_sum(dc.mul(dc.softmax(dc.dense(Tensor(x), w, b, relu=True)),
                                Tensor(x[:, :3])))
 
     summed = backward(dc.add(loss(xs[0]), loss(xs[1])))
@@ -688,7 +688,7 @@ def test_sample_categorical_frequencies():
 
 
 def test_sample_categorical_is_categorical_at_its_uniforms():
-    probs = dc.softmax(Tensor(np.random.default_rng(5).normal(size=(500, 4))), axis=1).data
+    probs = dc.softmax(Tensor(np.random.default_rng(5).normal(size=(500, 4)))).data
     draws = sample_categorical(np.random.default_rng(8), probs)
     uniforms = np.random.default_rng(8).random(500)
     np.testing.assert_array_equal(dc.categorical_at(probs, uniforms), draws)

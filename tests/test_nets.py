@@ -63,7 +63,7 @@ def test_generator_uniform_at_init():
     eps = b.generator.draw_noise(rng, 5)
     dist = b.generator.distribution(x, e, zhat, eps).data
     np.testing.assert_allclose(dist, np.full((5, 3), 1.0 / 3.0), atol=1e-15)
-    np.testing.assert_allclose(dc.entropy(dist, axis=1), np.log(3.0), atol=1e-12)
+    np.testing.assert_allclose(dc.entropy(dist), np.log(3.0), atol=1e-12)
 
 
 def test_aux_uniform_at_init():
@@ -72,7 +72,7 @@ def test_aux_uniform_at_init():
     x = rng.normal(size=(4, SMALL.feature_dim))
     e = rng.normal(size=(4, SMALL.annotator_dim))
     enc = encoding(b.discriminator, x, e, [0, 1, 2, 0], b.adjacency)
-    out = dc.softmax(b.aux.logits(*enc), axis=1).data
+    out = dc.softmax(b.aux.logits(*enc)).data
     np.testing.assert_allclose(out, np.full((4, 3), 1.0 / 3.0), atol=1e-15)
 
 
@@ -149,7 +149,7 @@ def test_frozen_distribution_is_byte_identical_to_the_frozen_graph(rows, switch)
     gen = Generator(dims, rng)
     randomize(gen.store, rng, scale=0.3)
     x, e, eps = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 40)), gen.draw_noise(rng, rows)
-    codes = dc.softmax(Tensor(rng.normal(size=(rows, 4))), axis=1).data
+    codes = dc.softmax(Tensor(rng.normal(size=(rows, 4)))).data
     upstream = rng.normal(size=(rows, 4))
     for _, t in gen.store.items():
         t.requires_grad = False
@@ -302,7 +302,7 @@ def test_grad_check_classifier():
     x, _, y = rand_inputs(np.random.default_rng(23))
 
     def loss():
-        lp = dc.log_softmax(b.classifier.logits(x), axis=1)
+        lp = dc.log_softmax(b.classifier.logits(x))
         return dc.neg(dc.t_mean(dc.pick(lp, y)))
 
     assert grad_check(loss, b.classifier.store) < 1e-4
@@ -313,7 +313,7 @@ def test_grad_check_generator():
     randomize(b.generator.store, np.random.default_rng(25), scale=0.4)
     rng = np.random.default_rng(26)
     x, e, y = rand_inputs(rng)
-    zhat = dc.softmax(Tensor(rng.normal(size=(3, SMALL.num_classes))), axis=1).data
+    zhat = dc.softmax(Tensor(rng.normal(size=(3, SMALL.num_classes)))).data
     eps = b.generator.draw_noise(rng, 3)
 
     def loss():
@@ -358,7 +358,7 @@ def test_forwards_under_no_grad_equal_graph_mode():
         randomize(store, np.random.default_rng(35), scale=0.5)
     rng = np.random.default_rng(36)
     x, e, y = rand_inputs(rng, batch=7)
-    zhat = dc.softmax(Tensor(rng.normal(size=(7, SMALL.num_classes))), axis=1).data
+    zhat = dc.softmax(Tensor(rng.normal(size=(7, SMALL.num_classes)))).data
     eps = b.generator.draw_noise(rng, 7)
     forwards = {
         "classifier": lambda: b.classifier.probs(x),

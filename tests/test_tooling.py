@@ -3,6 +3,7 @@ reference, the names README.md and the benchmark tracer refer to, what the
 tracer sees of a run, the scripts' imports, the seed harness's summary and
 the package's reads of the environment."""
 import ast
+import gc
 import importlib
 import importlib.util
 import json
@@ -13,6 +14,7 @@ import statistics
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -273,15 +275,19 @@ NEVER_ENTERED = {
     "data._split_row_error": "runs only on a malformed file",
     "cli._Parser.error": "runs only on a malformed command line",
     "trainer.one_block_thread": "initializes grid worker processes, not profiled here",
-    "diffcore.Tensor.__repr__": "prints a tensor while debugging",
     "trainer.ExportSummary.__len__": "perfbench's tracer counts the export's rows by it",
 }
 
+# Parameters with a default (`module.function.parameter`) that the commands
+# bind one way only, always to the default or never to it, each with the
+# reason it stays.
+ONE_WAY_DEFAULTS: dict[str, str] = {}
+
 
 def _package_functions():
-    """``{(file, first line): name}`` of every function and nested closure
-    (``def``) of the package; a decorated one starts at its first decorator,
-    as its code object does."""
+    """``{(file, first line): (name, whether a parameter has a default)}`` of
+    every function and nested closure (``def``) of the package; a decorated
+    one starts at its first decorator, as its code object does."""
     import crowdaug
     found = {}
 
@@ -290,7 +296,8 @@ def _package_functions():
             if isinstance(child, ast.FunctionDef):
                 name = prefix + child.name
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(str(path), first)] = f"{path.stem}.{name}"
+                defaulted = bool(child.args.defaults) or any(child.args.kw_defaults)
+                found[(str(path), first)] = (f"{path.stem}.{name}", defaulted)
                 walk(child, path, name + ".")
             else:
                 walk(child, path, prefix + child.name + "." if isinstance(child, ast.ClassDef)
@@ -301,15 +308,31 @@ def _package_functions():
     return found
 
 
-def test_every_function_has_a_production_caller(tmp_path, monkeypatch):
-    # every command runs on tiny inputs under a profiler of every thread (the
-    # grid serially, in this process); each function the package defines is
-    # entered, except the few that NEVER_ENTERED names with their reason
+def _defaults_of(code):
+    """``{parameter: default object}`` of the function whose code is ``code``
+    (a closure's from its instance alive at the call)."""
+    func = next(f for f in gc.get_referrers(code) if isinstance(f, types.FunctionType))
+    positional, defaults = code.co_varnames[:code.co_argcount], func.__defaults__ or ()
+    return {**dict(zip(positional[len(positional) - len(defaults):], defaults)),
+            **(func.__kwdefaults__ or {})}
+
+
+@pytest.fixture(scope="module")
+def profiled_commands(tmp_path_factory):
+    """Every command on tiny inputs under a profiler of every thread (the grid
+    serially, in this process), the first through ``main()`` with ``sys.argv``
+    set, as the console script runs it. Returns the ``(file, first line)`` of
+    each package function entered, and ``{name.parameter: set of bools}``:
+    for each parameter with a default of a function entered, whether some call
+    bound it to its default object (True) and whether some call bound it to
+    another value (False)."""
+    tmp_path = tmp_path_factory.mktemp("profiled")
     train = ("pretrain_epochs = 1\ngen_pretrain_epochs = 1\ndisc_pretrain_epochs = 1\n"
              "epochs = 1\ninner_steps = 1\nbatch_size = 32\n")
     configs = {"synth": "num_classes = 3\nnum_instances = 40\nnum_annotators = 5\n"
                         "feature_dim = 2\n",
                "train": train, "one-step": train + "two_step = false\n",
+               "capped": train + "max_grid_pairs = 50\n",
                "sweep": train + "sweep_fractions = 0,0.5\nsweep_seeds = 0\n",
                "ablate": train + "ablate_seeds = 0\n"}
     for name, text in configs.items():
@@ -324,27 +347,58 @@ def test_every_function_has_a_production_caller(tmp_path, monkeypatch):
         run("synth", "synth", "data", "--seed", "1"),
         run("train", "train", "run", "--data", data),
         run("train", "one-step", "one-step", "--data", data),
+        run("train", "capped", "capped", "--data", data),
         run("train", "train", "mv", "--data", data, "--method", "dl-mv"),
         ["eval", "--data", data, "--checkpoint", checkpoint, "--out", str(tmp_path / "ev")],
         ["augment", "--data", data, "--checkpoint", checkpoint, "--out", str(tmp_path / "aug")],
         run("sweep", "sweep", "sweep", "--data", data),
         run("ablate", "ablate", "ablate", "--data", data),
     ]
-    usable = cli._usable_cores
-    monkeypatch.setattr(cli, "_usable_cores", lambda: min(1, usable()))
-    entered = set()
+    functions = _package_functions()
+    # also updated from block threads: no update is lost, since each set is
+    # only ever added to and a cached entry is only ever computed again
+    entered, defaults, bound = set(), {}, {}
 
     def profile(frame, event, arg):
-        if event == "call":
-            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+        if event != "call":
+            return
+        code = frame.f_code
+        at = (code.co_filename, code.co_firstlineno)
+        entered.add(at)
+        if at in functions and functions[at][1]:
+            if code not in defaults:
+                defaults[code] = _defaults_of(code)
+            for param, default in defaults[code].items():
+                bound.setdefault(f"{functions[at][0]}.{param}", set()).add(
+                    frame.f_locals[param] is default)
 
-    threading.setprofile(profile)
-    sys.setprofile(profile)
-    try:
-        for argv in commands:
-            assert cli.main(argv) == 0, argv
-    finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
-    never = {name for at, name in _package_functions().items() if at not in entered}
+    usable = cli._usable_cores
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_usable_cores", lambda: min(1, usable()))
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            patch.setattr(sys, "argv", ["crowdaug", *commands[0]])
+            assert cli.main() == 0, commands[0]
+            for argv in commands[1:]:
+                assert cli.main(argv) == 0, argv
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+    return SimpleNamespace(functions=functions, entered=entered, bound=bound)
+
+
+def test_every_function_has_a_production_caller(profiled_commands):
+    # each function the package defines is entered by some command, except
+    # the few that NEVER_ENTERED names with their reason
+    never = {name for at, (name, _) in profiled_commands.functions.items()
+             if at not in profiled_commands.entered}
     assert never == set(NEVER_ENTERED)
+
+
+def test_every_default_is_both_taken_and_overridden(profiled_commands):
+    # a parameter with a default that some call takes and some other call
+    # overrides is varied by production; one bound one way only is test-only
+    # API or a constant, except the few that ONE_WAY_DEFAULTS names
+    one_way = {name for name, seen in profiled_commands.bound.items() if len(seen) < 2}
+    assert one_way == set(ONE_WAY_DEFAULTS)

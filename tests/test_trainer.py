@@ -263,7 +263,7 @@ def test_logged_grid_equals_the_whole_grid_sample(monkeypatch):
     labels = dc.sample_categorical(rng, dist)
     # the classifier table, gathered per pair, is the whole grid's codes
     expected = LoggedBatch(inst, annot, labels, dist[np.arange(len(inst)), labels], eps,
-                           dc.sample_categorical(rng, zhat), dc.entropy(dist, axis=1),
+                           dc.sample_categorical(rng, zhat), dc.entropy(dist),
                            batch.codes, batch.code_rows)
     assert batch.codes[batch.code_rows].tobytes() == zhat.tobytes()
     for f in dataclasses.fields(LoggedBatch):
@@ -312,7 +312,7 @@ def test_blocked_forward_equals_one_shot(n, monkeypatch):
     for store in bundle.stores().values():
         randomize(store, rng, scale=0.3)
     x, e = rng.normal(size=(n, 2)), rng.normal(size=(n, 40))
-    zhat = dc.softmax(dc.Tensor(rng.normal(size=(n, 4))), axis=1).data
+    zhat = dc.softmax(dc.Tensor(rng.normal(size=(n, 4)))).data
     eps = rng.normal(size=(n, 8))
     y = rng.integers(0, 4, size=n)
     forwards = {
@@ -733,7 +733,8 @@ def _one_pass_crm_update(state, ds, cfg, pairs, idx, deltas, mu, trains, rng):
             zhat = dc.gather_rows(clf.probs(ds.features[uniq], train_mode=True, rng=rng),
                                   inverse)
         dist = gen.distribution(gx, ge, zhat, pairs.eps[idx])
-        obj = tr.crm_objective(pairs.g0[idx], dc.pick(dist, pairs.labels[idx]), deltas[idx], mu)
+        obj = tr.crm_objective(pairs.g0[idx], dc.pick(dist, pairs.labels[idx]), deltas[idx], mu,
+                               len(idx))
         grads = dc.backward(obj)
         for name in ("gen", "clf"):
             if name in trains:
@@ -1154,7 +1155,7 @@ def test_crowd_layer_identity_equals_plain_cross_entropy():
     logits = clf.logits(ds.features[ann[:, 0]])
     eye = identity_transforms(ds.num_annotators, ds.num_classes)
     with_identity = crowd_layer_loss(logits, ann[:, 2], eye, ann[:, 1]).item()
-    lp = dc.log_softmax(logits, axis=1)
+    lp = dc.log_softmax(logits)
     plain = dc.neg(dc.t_mean(dc.pick(lp, ann[:, 2]))).item()
     assert crowd_layer_loss(logits, ann[:, 2]).item() == plain
     assert with_identity == pytest.approx(plain, abs=1e-12)
