@@ -1,5 +1,6 @@
 """Dataset loading, synthesis, co-occurrence, vote, and removal tests."""
 import csv
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +124,21 @@ def test_save_load_round_trip_byte_identical(tmp_path):
     np.testing.assert_array_equal(canon(loaded.annotations), canon(ds.annotations))
     np.testing.assert_array_equal(loaded.ground_truth, ds.ground_truth)
     np.testing.assert_array_equal(loaded.splits, ds.splits)
+
+
+def test_save_dataset_writes_each_float_by_its_repr(tmp_path):
+    # a subnormal, 1e17, -0.0, the largest float and inexact decimals are
+    # written as Python's repr and load back bit for bit
+    features = np.array([[5e-324, 1e17, -0.0], [sys.float_info.max, 0.1, -1.0 / 3.0]])
+    ds = CrowdDataset(num_classes=2, features=features,
+                      annotator_features=np.array([[2.5e-308], [-7e22]]),
+                      annotations=[[0, 0, 1], [1, 1, 0]], ground_truth=[1, 0])
+    save_dataset(ds, tmp_path)
+    lines = (tmp_path / "features.csv").read_text(encoding="utf-8").splitlines()
+    assert lines == ["f0,f1,f2", *(",".join(map(repr, row)) for row in features.tolist())]
+    loaded = load_dataset(tmp_path)
+    assert loaded.features.tobytes() == features.tobytes()
+    assert loaded.annotator_features.tobytes() == ds.annotator_features.tobytes()
 
 
 def load_by_rows(data_dir):

@@ -16,6 +16,7 @@ from crowdaug.nets import (
     checked_nets,
     restore_nets,
 )
+from crowdaug.objectives import CLAMP_HI, CLAMP_LO, _clamp_count
 from helpers import build_bundle, encoding, grad_check, randomize, store_grads, three_op_dense
 
 SMALL = NetDims(num_classes=3, feature_dim=4, annotator_dim=5, noise_dim=2,
@@ -96,6 +97,18 @@ def test_discriminator_output_open_interval():
     y = rng.integers(0, 3, size=50)
     scores = b.discriminator.score(*encoding(b.discriminator, x, e, y, b.adjacency)).data
     assert np.all(scores > 0.0) and np.all(scores < 1.0)
+
+
+def test_discriminator_score_saturates_at_the_objectives_clamp():
+    # a bilinear form of +-1e6 saturates the sigmoid to exactly 1.0 and 0.0;
+    # score stops at the bounds the loss, the deltas and clamp_count read
+    disc = small_bundle().discriminator
+    m = SMALL.embed_dim
+    mats = Tensor(np.stack([np.eye(m) * 1e6, np.eye(m) * -1e6, np.zeros((m, m))]))
+    ones = Tensor(np.ones((3, m)))
+    scores = disc.score(ones, ones, mats, [0, 1, 2]).data
+    assert scores.tolist() == [CLAMP_HI, CLAMP_LO, 0.5]
+    assert _clamp_count(scores) == 2  # rows at a bound count as clamped
 
 
 # ---------------------------------------------------------------------------
