@@ -13,7 +13,8 @@ same bits on any number of threads.
 The sweep hands each node's gradient to its closure and keeps no reference
 to it, nor to the parent gradients once it has added them up, so a closure
 that makes a masked copy (``dense``'s ReLU) frees the gradient it was given
-and two such gradients never coexist. Closures never write into their input.
+and two such gradients never coexist. Closures never write into their input;
+``mlp``'s masks in place only arrays it made itself.
 
 Ops take and return Tensors only, and a Tensor has no arithmetic operators:
 a graph is spelled with the ops, a constant as a ``Tensor`` of its own.
@@ -23,8 +24,8 @@ utilities.
 An op over parents that need no gradient records no graph either: a parent
 needs one when it is a ``requires_grad`` leaf or has parents itself, so
 constants and frozen parameters cost no backward work, and ``matmul``,
-``add`` and ``dense`` skip the product or bias sum of a parent that needs
-none. The gradients of the parents that do need one are unchanged.
+``add``, ``dense`` and ``mlp`` skip the product or bias sum of a parent that
+needs none. The gradients of the parents that do need one are unchanged.
 
 Inside a ``no_grad()`` scope no graph is recorded: op outputs keep neither
 parents nor a backward closure, so each intermediate array is freed as soon
@@ -43,6 +44,22 @@ to it (-0.0 too); the graph keeps one array and a bool mask, not three arrays.
 ``nll(log_probs, labels)``, the mean negative log-likelihood, is one node in
 the same way: its value and gradient are those of
 ``neg(t_mean(pick(log_probs, labels)))``, byte for byte.
+
+``mlp(parts, layers)`` is a whole perceptron as one node: the concatenation
+of ``parts`` through ``(w, b)`` layers with ReLU between them, by the layer
+arithmetic ``dense`` runs, so its value and its gradients are those of
+``concat`` and a ``dense`` per layer, byte for byte (but see the frozen
+case below). Its parents are only the
+tensors that need a gradient, so constant inputs and frozen weights are
+never held; it keeps a layer's input only when that layer's weight needs a
+gradient, and the ReLU masks. Its backward masks in place and frees each
+kept array once it has read it, so the node's backward runs once: a second
+raises ``RuntimeError``. The parts' gradients are one full ``g @ w.T`` of
+the first layer, split as ``concat`` splits it; a single part that needs
+one under a constant first layer (a frozen net's codes) takes its columns
+alone, through the transposed view of its rows of ``w``, so no (rows, input
+width) gradient is made. Those columns equal the full product's bytes at the
+CRM step's block heights, not at every height.
 
 ``rowwise_bilinear(u, mats, v, classes)`` reads row b's matrix from a
 (C, m, n) class table by index and works class by class, so neither its
@@ -63,6 +80,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -178,25 +196,105 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, parents=(a, b), backward_fn=back)
 
 
+def _bias_relu(out: Array, b: Array, relu: bool) -> Array | None:
+    """Add the bias ``b`` to the product ``out`` and apply ReLU if ``relu``,
+    both in place; returns the ReLU mask (None without)."""
+    out += b
+    if not relu:
+        return None
+    mask = out > 0
+    out *= mask
+    return mask
+
+
+def _layer_grads(g: Array, x: Array | None, w: Array, b_shape: tuple, need_x: bool,
+                 need_b: bool) -> tuple:
+    """The gradients (x's, w's, b's) of ``x @ w + b`` at the gradient ``g`` of
+    that sum, None where not needed; w's is computed when ``x`` is given.
+    ``x`` is dropped before x's gradient is made, so a caller that hands over
+    its last reference frees it first."""
+    gw = None if x is None else x.T @ g
+    del x
+    gb = _unbroadcast(g, b_shape) if need_b else None
+    return (g @ w.T if need_x else None), gw, gb
+
+
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``x @ w + b``, then ReLU if ``relu``, as one node (see the module docstring)."""
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ValueError(f"dense expects 2-D operands, got {x.shape} @ {w.shape}")
     out = x.data @ w.data
-    out += b.data
-    if relu:
-        mask = out > 0
-        out *= mask
+    mask = _bias_relu(out, b.data, relu)
     need_x, need_w, need_b = _needs_grad(x), _needs_grad(w), _needs_grad(b)
 
     def back(g):
         if relu:
             g = g * mask
-        return (g @ w.data.T if need_x else None,
-                x.data.T @ g if need_w else None,
-                _unbroadcast(g, b.shape) if need_b else None)
+        return _layer_grads(g, x.data if need_w else None, w.data, b.shape, need_x, need_b)
 
     return Tensor(out, parents=(x, w, b), backward_fn=back)
+
+
+def mlp(parts: Sequence[Tensor], layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """The concatenation of ``parts`` along the last axis through the ``(w, b)``
+    ``layers``, ReLU between layers, as one node whose backward runs once
+    (see the module docstring)."""
+    if any(p.data.ndim != 2 for p in parts) or any(w.data.ndim != 2 for w, _ in layers):
+        raise ValueError("mlp expects 2-D parts and weights")
+
+    def needs(t: Tensor) -> bool:
+        return _grad_enabled and _needs_grad(t)
+
+    grad_parts = [i for i, p in enumerate(parts) if needs(p)]
+    need_w = [needs(w) for w, _ in layers]
+    need_b = [needs(b) for _, b in layers]
+    keep = bool(grad_parts) or any(need_w) or any(need_b)
+    # the one part that needs a gradient under a constant first layer (a
+    # frozen net's codes) takes its columns alone; else the input gradient is
+    # the full product, split as concat splits it
+    one_part = grad_parts[0] if len(grad_parts) == 1 and not need_w[0] else None
+    inputs: list[Array | None] = []  # a layer's input, kept when its w needs a gradient
+    masks: list[Array | None] = []
+    h = np.concatenate([p.data for p in parts], axis=-1)
+    for k, (w, b) in enumerate(layers):
+        if keep:
+            inputs.append(h if need_w[k] else None)
+        h = h @ w.data  # the layer's input is freed here unless kept
+        mask = _bias_relu(h, b.data, relu=k < len(layers) - 1)
+        if keep:
+            masks.append(mask)
+    bounds = list(accumulate((p.data.shape[-1] for p in parts), initial=0))
+
+    def back(g):
+        if not masks:
+            raise RuntimeError("an mlp node's backward runs once; its saved arrays are freed")
+        found = []  # the parents' gradients, last parent first
+        for k in reversed(range(len(layers))):
+            w, b = layers[k]
+            mask = masks.pop()
+            if mask is not None:
+                g *= mask  # g is this node's own product with the layer above's w
+            del mask
+            gx, gw, gb = _layer_grads(g, inputs.pop(), w.data, b.shape,
+                                      k > 0 or bool(grad_parts) and one_part is None, need_b[k])
+            found += [t for t, need in ((gb, need_b[k]), (gw, need_w[k])) if need]
+            if k == 0 and one_part is not None:
+                # the transposed view of the part's rows of w gives the full
+                # product's columns bit for bit at the CRM step's block heights
+                # (2048-4095 rows, and 1000), a contiguous copy of it does not
+                gx = g @ w.data[bounds[one_part]:bounds[one_part + 1]].T
+            g = gx
+        if one_part is not None:
+            found.append(g)
+        elif grad_parts:
+            pieces = np.split(g, bounds[1:-1], axis=-1)
+            found += [pieces[i] for i in reversed(grad_parts)]
+        return tuple(reversed(found))
+
+    parents = [parts[i] for i in grad_parts]
+    for (w, b), nw, nb in zip(layers, need_w, need_b):
+        parents += [t for t, need in ((w, nw), (b, nb)) if need]
+    return Tensor(h, parents=parents, backward_fn=back)
 
 
 def t_exp(a: Tensor) -> Tensor:
@@ -241,9 +339,13 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     out = a.data[idx]
 
     def back(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        # each column of a 2-D view summed onto zeros in row order, as
+        # np.add.at sums it, byte for byte
+        cols = g.reshape(len(idx), int(np.prod(a.shape[1:])))
+        ga = np.empty((len(a.data), cols.shape[1]))
+        for j in range(cols.shape[1]):
+            ga[:, j] = np.bincount(idx, weights=cols[:, j], minlength=len(a.data))
+        return (ga.reshape(a.shape),)
 
     return Tensor(out, parents=(a,), backward_fn=back)
 

@@ -23,17 +23,15 @@ the table, and ``Discriminator.score`` and ``AuxNet.logits`` both take
 the table once for both judges. Each parameter has one owning store; D and
 Q train together through ``ParamStore.union`` of their two stores.
 
-Every layer ``x @ W + b`` (with or without ReLU) is one ``diffcore.dense``
-node; only the discriminator's class-matrix mixing calls ``matmul``.
-
-``Generator.frozen_distribution`` serves a step that trains the classifier's
-codes through a generator it holds fixed. It is one node whose only parent is
-the code tensor: its forward runs the NumPy calls of ``distribution``'s
-``concat``, ``dense`` and ``softmax`` nodes in their order, so its value is
-byte-identical to them, and it keeps only the two ReLU masks and its output,
-no activation and no input. Its backward runs those nodes' backward and
-returns the code columns of the input gradient alone, byte-identical to the
-graph's, without the (rows, input width) gradient the graph would make.
+The generator and the aux net's head are three-layer perceptrons, each one
+``diffcore.mlp`` node over its input parts; every other layer ``x @ W + b``
+(with or without ReLU) is one ``diffcore.dense`` node, and only the
+discriminator's class-matrix mixing calls ``matmul``. ``Generator.logits``
+with ``frozen=True`` serves the step that trains the classifier's codes
+through a generator it holds fixed: the node reads constant copies of the
+weights, so its only parent is the code tensor, it keeps the two ReLU masks
+and no activation, and it returns the code columns of the input gradient
+alone.
 
 Each net lists its parameters as ``(name, shape, init)`` in ``spec(dims)``,
 from which it is built. This module also owns the checkpoint schema: a
@@ -188,50 +186,19 @@ class Generator:
             raise ValueError(f"generator zhat must have width {d.num_classes}")
         return [Tensor(x), Tensor(e), zhat, Tensor(eps)]
 
-    def logits(self, x, e, zhat, eps) -> Tensor:
-        """Label logits of each row (see ``_inputs``)."""
+    def logits(self, x, e, zhat, eps, frozen: bool = False) -> Tensor:
+        """Label logits of each row (see ``_inputs``), as one ``diffcore.mlp``
+        node. ``frozen`` holds the parameters fixed: the node reads constant
+        copies of them, so its only parent is a code tensor that needs a
+        gradient, and it keeps the two ReLU masks and no activation."""
         p = self.store
-        inp = dc.concat(self._inputs(x, e, zhat, eps))
-        h1 = dc.dense(inp, p["W1"], p["b1"], relu=True)
-        h2 = dc.dense(h1, p["W2"], p["b2"], relu=True)
-        return dc.dense(h2, p["W3"], p["b3"])
+        layers = [(p[f"W{i}"], p[f"b{i}"]) for i in (1, 2, 3)]
+        if frozen:
+            layers = [(Tensor(w.data), Tensor(b.data)) for w, b in layers]
+        return dc.mlp(self._inputs(x, e, zhat, eps), layers)
 
     def distribution(self, x, e, zhat, eps) -> Tensor:
         return dc.softmax(self.logits(x, e, zhat, eps))
-
-    def frozen_distribution(self, x, e, zhat: Tensor, eps) -> Tensor:
-        """``distribution`` with the parameters held fixed, as one node whose
-        only parent is the code tensor ``zhat`` (see the module docstring)."""
-        parts = self._inputs(x, e, zhat, eps)
-        p = self.store
-        w1, w2, w3 = p["W1"].data, p["W2"].data, p["W3"].data
-        # the NumPy calls of concat, dense, dense and dense, in their order
-        h = np.concatenate([t.data for t in parts], axis=1) @ w1
-        h += p["b1"].data
-        mask1 = h > 0
-        h *= mask1
-        h = h @ w2
-        h += p["b2"].data
-        mask2 = h > 0
-        h *= mask2
-        h = h @ w3
-        h += p["b3"].data
-        s = dc.softmax(Tensor(h)).data
-        d = self.dims
-        code_rows = slice(d.feature_dim + d.annotator_dim,
-                          d.feature_dim + d.annotator_dim + d.num_classes)
-
-        def back(g):
-            # softmax's and each dense node's backward, then only the code
-            # columns of the input gradient: the transposed view of W1's code
-            # rows gives the full product's columns bit for bit, a contiguous
-            # copy of it does not
-            g = s * (g - (g * s).sum(axis=1, keepdims=True))
-            g = (g @ w3.T) * mask2
-            g = (g @ w2.T) * mask1
-            return (g @ w1[code_rows].T,)
-
-        return Tensor(s, parents=(parts[2],), backward_fn=back)
 
     def log_distribution(self, x, e, zhat, eps) -> Tensor:
         return dc.log_softmax(self.logits(x, e, zhat, eps))
@@ -317,10 +284,8 @@ class AuxNet:
         y = _class_index(y, d.num_classes)
         c, m = d.num_classes, d.embed_dim
         table = dc.dense(dc.reshape(mats, (c, m * m)), p["Wembed"], p["bembed"])
-        inp = dc.concat([v, u, dc.gather_rows(table, y)])
-        h1 = dc.dense(inp, p["W1"], p["b1"], relu=True)
-        h2 = dc.dense(h1, p["W2"], p["b2"], relu=True)
-        return dc.dense(h2, p["W3"], p["b3"])
+        return dc.mlp([v, u, dc.gather_rows(table, y)],
+                      [(p[f"W{i}"], p[f"b{i}"]) for i in (1, 2, 3)])
 
     def log_posterior(self, u: Tensor, v: Tensor, mats: Tensor, y) -> Tensor:
         return dc.log_softmax(self.logits(u, v, mats, y))

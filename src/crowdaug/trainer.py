@@ -29,12 +29,13 @@ one counterfactual-risk loop, ``_crm_update``, which differs only in the
 networks it moves and the logged pairs it indexes; each inner step runs
 forward and backward over pair blocks, keeps at most two pair blocks' graphs
 alive at a time, and sums the gradient dicts that ``backward`` returns into
-one, on which the optimizers step. The classifier's step runs the generator
-it holds fixed as one node over the codes (``Generator.frozen_distribution``),
-which keeps no activation of it. Supervised training, generator pretraining
-and the D/Q warm-up run one minibatch loop, ``_epoch_losses``; step 1 and the
-augmentation export draw labels through one sampling pass,
-``_sample_generated``.
+one, on which the optimizers step. The generator is one ``diffcore.mlp``
+node, which frees each activation it keeps once its backward has read it;
+the classifier's step runs it with its weights held fixed
+(``Generator.logits(frozen=True)``), a node over the codes that keeps no
+activation. Supervised training, generator pretraining and the D/Q warm-up
+run one minibatch loop, ``_epoch_losses``; step 1 and the augmentation
+export draw labels through one sampling pass, ``_sample_generated``.
 
 The discriminator and the auxiliary net read pairs as index columns
 (instances, annotators, labels), as every other pass over pairs does: one
@@ -369,11 +370,18 @@ def _instance_probs(clf: Classifier, ds: CrowdDataset, present: np.ndarray,
     kernel (a shorter block would fall under OpenBLAS's small-matrix one; see
     ``_BLOCK_ROWS``).
     """
-    distinct = np.flatnonzero(present)
+    distinct, row_of = _distinct(present)
     padded = np.resize(distinct, max(len(distinct), _row_blocks(pairs)[0].stop))
     probs = _forward_in_blocks(len(padded), lambda s: clf.probs(ds.features[padded[s]]).data)
-    # the position of each instance among the distinct ones, without a sort
-    return probs[:len(distinct)], np.cumsum(present) - 1
+    return probs[:len(distinct)], row_of
+
+
+def _distinct(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The instances flagged in the presence map ``present``, ascending, and
+    each instance's position among them, without a sort: for the flagged
+    entries of an instance array, ``np.unique``'s values and, read at that
+    array, its inverse."""
+    return np.flatnonzero(present), np.cumsum(present) - 1
 
 
 def _sample_generated(gen: Generator, table: tuple, ds: CrowdDataset, inst: np.ndarray,
@@ -708,16 +716,16 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     in the graph, so none is in the gradient dict, and a frozen store must
     come out bit-identical: the generator step reads the classifier's codes
     from those arrays, and a frozen generator runs as one node over the
-    codes (``Generator.frozen_distribution``), whose value and code gradient
-    are the graph's bytes.
+    codes (``Generator.logits(frozen=True)``).
 
     Each inner step runs forward and backward over ``_row_blocks`` of ``idx``,
     at most two pair blocks' graphs alive at a time (``_in_flight``): a block
     gathers its own pairs' rows of the batch, its objective is its sum scaled
     by 1/len(idx), and the gradient dicts its ``backward`` returns are added up
     in block order, so the gradient has the same bits on one thread or two. The
-    classifier's codes are computed once per step over the unique instances
-    (one dropout draw); the blocks' gradients with respect to them are summed
+    classifier's codes are computed once per step over the distinct
+    instances, found from a presence map without a sort (``_distinct``), with
+    one dropout draw; the blocks' gradients with respect to them are summed
     under one leaf, sent through the classifier once and added in. Every
     trained optimizer then steps on the one sum. Below 8192 pairs this is one
     block, the same computation as a single pass; above it only the order in
@@ -728,8 +736,9 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     frozen = {k: s.fingerprint() for k, s in stores.items() if k not in trains}
     what = _NET_NAMES[trains[0]] if len(trains) == 1 else "joint"
     if "clf" in trains:
-        uniq, inverse = np.unique(batch.instances[idx], return_inverse=True)
-    distribution = gen.distribution if "gen" in trains else gen.frozen_distribution
+        present = np.zeros(len(ds.features), dtype=bool)
+        present[batch.instances[idx]] = True
+        uniq, row_of = _distinct(present)
     blocks = _row_blocks(len(idx))
     for _ in range(cfg.inner_steps):
         if "clf" in trains:
@@ -739,11 +748,11 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
         def block_step(rows):
             # the graph is local, so it is freed when the block returns
             at = idx[rows]
-            zhat = dc.gather_rows(codes, inverse[rows]) if "clf" in trains \
+            zhat = dc.gather_rows(codes, row_of[batch.instances[at]]) if "clf" in trains \
                 else batch.codes[batch.code_rows[at]]
-            dist = distribution(ds.features[batch.instances[at]],
-                                ds.annotator_features[batch.annotators[at]],
-                                zhat, batch.eps[at])
+            dist = dc.softmax(gen.logits(ds.features[batch.instances[at]],
+                                         ds.annotator_features[batch.annotators[at]],
+                                         zhat, batch.eps[at], frozen="gen" not in trains))
             obj = crm_objective(batch.g0[at], dc.pick(dist, batch.labels[at]),
                                 deltas[at], mu, len(idx))
             return obj.item(), backward(obj)

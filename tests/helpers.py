@@ -32,6 +32,19 @@ def three_op_dense(x, w, b, relu=False):
     return dc.relu(out) if relu else out
 
 
+def chain_mlp(parts, layers):
+    """The ``concat`` and ``dense`` chain that ``diffcore.mlp`` is one node of.
+
+    Patched in for ``diffcore.mlp``, it rebuilds the generator and the aux
+    net layer by layer; it calls ``diffcore.dense`` at run time, so patching
+    that with ``three_op_dense`` too gives three nodes per layer.
+    """
+    h = dc.concat(parts)
+    for k, (w, b) in enumerate(layers):
+        h = dc.dense(h, w, b, relu=k < len(layers) - 1)
+    return h
+
+
 def chain_nll(log_probs, labels):
     """The op chain that ``diffcore.nll`` is one node of."""
     return dc.neg(dc.t_mean(dc.pick(log_probs, labels)))

@@ -144,6 +144,25 @@ def test_gather_rows_accumulates_repeats():
     np.testing.assert_allclose(grads[emb], expected)
 
 
+@pytest.mark.parametrize("shape, rows", [((2000, 4), 2048), ((4, 16), 4000), ((64, 16), 64),
+                                         ((6, 3, 3), 64), ((5, 3), 0)])
+def test_gather_rows_backward_is_byte_identical_to_add_at(shape, rows):
+    # a 2-D code table and the crowd layer's 3-D transforms T: repeated
+    # indices, rows no index reaches, and -0.0 and inf entries in the gradient
+    rng = np.random.default_rng(rows)
+    table = Tensor(rng.normal(size=shape), requires_grad=True)
+    idx = rng.integers(0, max(1, shape[0] - 2), size=rows)  # the last two rows untouched
+    g = rng.normal(size=(rows, *shape[1:]))
+    columns = g.reshape(rows, int(np.prod(shape[1:])))
+    columns[::5, 0] = -0.0
+    columns[7:8, -1] = np.inf
+    reference = np.zeros(shape)
+    np.add.at(reference, idx, g)
+    grad = backward(dc.gather_rows(table, idx), g)[table]
+    assert grad.shape == shape
+    assert grad.tobytes() == reference.tobytes()
+
+
 def test_pick_selects_per_row():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     out = dc.pick(a, [2, 0])

@@ -17,7 +17,8 @@ from crowdaug.nets import (
     restore_nets,
 )
 from crowdaug.objectives import CLAMP_HI, CLAMP_LO, _clamp_count
-from helpers import build_bundle, encoding, grad_check, randomize, store_grads, three_op_dense
+from helpers import (build_bundle, chain_mlp, encoding, grad_check, randomize, store_grads,
+                     three_op_dense)
 
 SMALL = NetDims(num_classes=3, feature_dim=4, annotator_dim=5, noise_dim=2,
                 clf_hidden=6, gen_hidden1=5, gen_hidden2=7, aux_hidden1=5,
@@ -148,31 +149,95 @@ def test_generator_with_switch_off_ignores_that_input(switch):
         assert gen.distribution(*varied, zhat, eps).data.tobytes() == reference.tobytes()
 
 
+# which of the generator-wide parts [x, e, codes, noise] need a gradient, and
+# whether the layers train; None runs under no_grad
+MLP_CASES = {
+    "constant weights, the codes": ((2,), False),  # the classifier's CRM step
+    "trained, the codes": ((2,), True),  # the joint CRM step
+    "trained, no part": ((), True),  # the generator's CRM step
+    "trained, three parts": ((0, 2, 3), True),  # as Q's three parts in the D/Q step
+    "constant weights, two parts": ((1, 2), False),
+    "no_grad": None,
+}
+
+
 @pytest.mark.parametrize("rows", [1000, 2048, 3071, 4095])
+@pytest.mark.parametrize("case", sorted(MLP_CASES))
+def test_mlp_is_byte_identical_to_the_concat_and_dense_chain(rows, case):
+    # the pair-grid benchmark's generator widths at its CRM block heights (one
+    # below OpenBLAS's small-matrix bound, then 2048-4095): the value and
+    # every gradient, parts' and layers', equal the chain's bytes, and the
+    # graph holds the node and the leaves that need a gradient alone
+    grad_parts, trained = MLP_CASES[case] or ((), False)
+    rng = np.random.default_rng(rows)
+    widths, sizes = (2, 40, 4, 8), (54, 64, 128, 4)
+    arrays = [rng.normal(size=(rows, w)) for w in widths]
+    weights = [(rng.normal(scale=0.3, size=(n, m)), rng.normal(scale=0.3, size=m))
+               for n, m in zip(sizes, sizes[1:])]
+    upstream = rng.normal(size=(rows, 4))
+
+    def run(forward):
+        parts = [Tensor(a, requires_grad=i in grad_parts) for i, a in enumerate(arrays)]
+        layers = [(Tensor(w, requires_grad=trained), Tensor(b, requires_grad=trained))
+                  for w, b in weights]
+        if MLP_CASES[case] is None:
+            with dc.no_grad():
+                out = forward(parts, layers)
+            return out.data.tobytes(), [], len(dc._toposort(out))
+        out = forward(parts, layers)
+        nodes = len(dc._toposort(out))
+        leaves = [parts[i] for i in grad_parts] + [t for layer in layers for t in layer
+                                                   if t.requires_grad]
+        grads = dc.backward(out, upstream)
+        assert set(grads) == set(leaves)
+        return out.data.tobytes(), [grads[t].tobytes() for t in leaves], nodes
+
+    sent = upstream.copy()
+    node, chain = run(dc.mlp), run(chain_mlp)
+    assert node[:2] == chain[:2]
+    assert node[2] == 1 + len(grad_parts) + 6 * trained
+    assert upstream.tobytes() == sent.tobytes()  # the node never writes into its input
+
+
+def test_mlp_backward_runs_once():
+    # the node frees what it saved as its backward reads it
+    rng = np.random.default_rng(3)
+    part = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    layers = [(Tensor(rng.normal(size=(3, 4))), Tensor(np.zeros(4))),
+              (Tensor(rng.normal(size=(4, 2)), requires_grad=True), Tensor(np.zeros(2)))]
+    out = dc.mlp([part], layers)
+    first = dc.backward(out, np.ones((5, 2)))
+    assert set(first) == {part, layers[1][0]}
+    with pytest.raises(RuntimeError, match="backward runs once"):
+        dc.backward(out, np.ones((5, 2)))
+
+
 @pytest.mark.parametrize("switch", [None, "gen_use_instance_features",
                                     "gen_use_annotator_features"])
-def test_frozen_distribution_is_byte_identical_to_the_frozen_graph(rows, switch):
-    # the classifier's CRM step at the pair-grid benchmark's widths: its block
-    # heights (one below OpenBLAS's small-matrix bound, then 2048-4095) and the
-    # generator's parameters frozen; the one node's value and code gradient
-    # equal the graph's, whose input gradient is 54 columns wide
+def test_frozen_generator_equals_the_chain_over_a_frozen_store(switch, monkeypatch):
+    # the classifier's CRM step: the generator's constant copies of its
+    # weights give the bytes of the layer chain over its own leaves with no
+    # gradient, and the node's one parent is the code tensor
     dims = NetDims(num_classes=4, feature_dim=2, annotator_dim=40,
                    **({switch: False} if switch else {}))
-    rng = np.random.default_rng(rows)
+    rng = np.random.default_rng(5)
     gen = Generator(dims, rng)
     randomize(gen.store, rng, scale=0.3)
-    x, e, eps = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 40)), gen.draw_noise(rng, rows)
-    codes = dc.softmax(Tensor(rng.normal(size=(rows, 4)))).data
-    upstream = rng.normal(size=(rows, 4))
+    x, e, eps = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 40)), gen.draw_noise(rng, 2048)
+    codes = dc.softmax(Tensor(rng.normal(size=(2048, 4)))).data
+    upstream = rng.normal(size=(2048, 4))
+
+    def run(frozen):
+        zhat = Tensor(codes, requires_grad=True)
+        logits = gen.logits(x, e, zhat, eps, frozen=frozen)
+        return logits.data.tobytes(), dc.backward(logits, upstream)[zhat].tobytes(), logits
+
+    node = run(True)
+    assert node[2].parents[0].requires_grad and len(dc._toposort(node[2])) == 2
+    monkeypatch.setattr(dc, "mlp", chain_mlp)
     for _, t in gen.store.items():
         t.requires_grad = False
-    results = []
-    for forward in (gen.distribution, gen.frozen_distribution):
-        zhat = Tensor(codes, requires_grad=True)
-        dist = forward(x, e, zhat, eps)
-        results.append((dist.data.tobytes(), dc.backward(dist, upstream)[zhat].tobytes()))
-    assert len(dc._toposort(dist)) == 2  # the node and the code leaf
-    assert results[1] == results[0]
+    assert run(False)[:2] == node[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +482,7 @@ def test_fused_layers_are_byte_identical_to_three_op_layers(name, monkeypatch):
 
     fused_out, fused_grads, fused_nodes = run()
     monkeypatch.setattr(dc, "dense", three_op_dense)
+    monkeypatch.setattr(dc, "mlp", chain_mlp)
     chain_out, chain_grads, chain_nodes = run()
     assert chain_nodes > fused_nodes  # the reference really is the old chain
     assert chain_out == fused_out

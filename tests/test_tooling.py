@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 import test_acceptance
-from crowdaug import cli
+from crowdaug import cli, trainer
 from crowdaug.data import TRAIN, load_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -192,7 +192,10 @@ def traced_counts(tmp_path, argv):
 
 def test_traced_train_counts_rows_of_all_four_nets(tmp_path):
     # the tracer counts a net's rows from the first argument of its wrapped
-    # method, so a signature change there reads as zero rows
+    # method, so a signature change there reads as zero rows; every generator
+    # row goes through Generator.logits, the classifier CRM step's frozen
+    # generator too: two pretraining passes over the train annotations, then
+    # per epoch the logged grid and each μ candidate's CRM inner steps
     data, cfg = tiny_run_inputs(tmp_path)
     counts = traced_counts(tmp_path, [
         "train", "--data", str(data), "--config", str(cfg), "--method", "crowding",
@@ -200,6 +203,12 @@ def test_traced_train_counts_rows_of_all_four_nets(tmp_path):
     rows = {span: counts.get(f"nets.{span}.rows", 0) for span in (
         "classifier.fwd", "generator.fwd", "discriminator.score", "aux.fwd")}
     assert all(rows.values()), rows
+    epochs = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))["epochs"]
+    annotations = len(trainer._train_annotations(load_dataset(data)))
+    pretrain_epochs, inner_steps = 1 + 1, 1  # tiny_run_inputs's generator and D/Q warm-up
+    assert rows["generator.fwd"] == pretrain_epochs * annotations + sum(
+        e["num_logged"] + len(trainer.MU_GRID) * inner_steps
+        * (e["num_low_pairs"] + e["num_high_pairs"]) for e in epochs)
 
 
 def test_traced_augment_counts_every_exported_row(tmp_path):
@@ -270,6 +279,8 @@ NEVER_ENTERED = {
     "diffcore.t_log": "tracer-named op",
     "diffcore.t_mean": "tracer-named op",
     "diffcore.relu": "tracer-named op",
+    "diffcore.concat": "tracer-named op",
+    "diffcore.concat.back": "tracer-named op",
     "data._float_row_error": "runs only on a malformed file",
     "data._int_row_error": "runs only on a malformed file",
     "data._split_row_error": "runs only on a malformed file",

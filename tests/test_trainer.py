@@ -45,6 +45,7 @@ from crowdaug.trainer import (
 )
 from helpers import (
     build_bundle,
+    chain_mlp,
     chain_nll,
     difference_check,
     encoding,
@@ -356,6 +357,19 @@ def test_instance_probs_equal_the_per_pair_pass(pairs, distinct, monkeypatch):
     assert probs[row_of[inst]].tobytes() == per_pair.tobytes()
 
 
+@pytest.mark.parametrize("distinct", [1, 5, 700])
+def test_distinct_equals_unique(distinct):
+    # np.unique's values and inverse, from the presence map without a sort
+    rng = np.random.default_rng(distinct)
+    inst = rng.choice(1000, size=distinct, replace=False)[rng.integers(0, distinct, size=9000)]
+    present = np.zeros(1000, dtype=bool)
+    present[inst] = True
+    uniq, row_of = tr._distinct(present)
+    values, inverse = np.unique(inst, return_inverse=True)
+    assert uniq.tobytes() == values.tobytes()
+    assert row_of[inst].tobytes() == inverse.tobytes()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_in_flight_feeds_each_block_in_order_on_the_calling_thread(threads, monkeypatch):
     monkeypatch.setattr(tr, "_BLOCK_THREADS", threads)
@@ -509,6 +523,7 @@ def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
     step = _disc_aux_step_on(70)
     fused = step()
     monkeypatch.setattr(dc, "dense", three_op_dense)
+    monkeypatch.setattr(dc, "mlp", chain_mlp)
     assert step() == fused
 
 
@@ -680,7 +695,13 @@ def _assert_same_training(a, b):
 def test_training_is_byte_identical_to_three_op_layers(two_step, monkeypatch):
     ds, cfg = tiny_dataset(), tiny_config(two_step=two_step)
     fused = train_crowding(ds, cfg)
+    node = dc.mlp
     monkeypatch.setattr(dc, "dense", three_op_dense)
+    # the frozen generator stays one node: its code gradient, through its view
+    # of W1's code rows, is the chain's at the CRM step's block heights only
+    # (test_nets), and these blocks are shorter
+    monkeypatch.setattr(dc, "mlp", lambda parts, layers: (
+        chain_mlp if layers[0][0].requires_grad else node)(parts, layers))
     _assert_same_training(train_crowding(ds, cfg), fused)
 
 
@@ -945,23 +966,39 @@ def test_crm_update_peak_memory_does_not_grow_with_pairs(mode):
     assert large <= 1.5 * small, (small, large)
 
 
-def test_classifier_crm_update_keeps_no_generator_activation():
-    # the frozen generator is one node that keeps two ReLU masks and its output
-    # (224 bytes a pair) and hands back the code columns alone; its two hidden
-    # activations alone are 1,536 bytes a pair. One block on one thread: the
-    # graph path read 5,297 bytes a pair, the frozen node 2,049.
-    def peak(pairs_count):
-        state, ds, pairs, deltas = _crm_setup(pairs_count, 0)
+def _crm_block_peak_per_pair(mode, pairs_count):
+    """Traced bytes a pair that one ``_crm_update`` block of ``mode`` adds
+    from ``pairs_count`` pairs to twice as many (one block, one thread)."""
+    def peak(count):
+        state, ds, pairs, deltas = _crm_setup(count, 0)
         tracemalloc.start()
         try:
-            tr._crm_update(state, ds, tiny_config(inner_steps=1), pairs, np.arange(pairs_count),
-                           deltas, 0.1, ("clf",), np.random.default_rng(1))
+            tr._crm_update(state, ds, tiny_config(inner_steps=1), pairs, np.arange(count),
+                           deltas, 0.1, _CRM_MODES[mode], np.random.default_rng(1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    per_pair = (peak(8000) - peak(4000)) / 4000
-    assert per_pair < 3000, per_pair
+    return (peak(2 * pairs_count) - peak(pairs_count)) / pairs_count
+
+
+def test_classifier_crm_update_keeps_no_generator_activation():
+    # the frozen generator is one node that keeps its two ReLU masks (192
+    # bytes a pair) and no activation, and hands back the code columns alone;
+    # its two hidden activations alone are 1,536 bytes a pair. A graph node
+    # per layer read 5,297 bytes a pair; the bound is what the frozen node
+    # read before it became an mlp node, 2,049.6, set by the forward pass
+    per_pair = _crm_block_peak_per_pair("classifier", 4000)
+    assert per_pair <= 2050, per_pair
+
+
+def test_generator_crm_block_frees_each_activation_once_read():
+    # a 2,048-pair block: the generator's mlp node keeps its three layer
+    # inputs (1,968 bytes a pair) and frees each once its backward has read
+    # it; a graph node per layer kept all of them through the whole backward
+    # and read 4,376 bytes a pair, this node 2,632
+    per_pair = _crm_block_peak_per_pair("generator", 2048)
+    assert per_pair <= 2900, per_pair
 
 
 # ---------------------------------------------------------------------------
