@@ -12,8 +12,8 @@ same bits on any number of threads.
 
 The sweep hands each node's gradient to its closure and keeps no reference
 to it, nor to the parent gradients once it has added them up, so a closure
-that makes a masked copy (``dense``'s ReLU) frees the gradient it was given
-and two such gradients never coexist. Closures never write into their input;
+that makes a masked copy (``clamp``'s) frees the gradient it was given, and
+two such gradients never coexist. Closures never write into their input;
 ``mlp``'s masks in place only arrays it made itself.
 
 Ops take and return Tensors only, and a Tensor has no arithmetic operators:
@@ -24,8 +24,8 @@ utilities.
 An op over parents that need no gradient records no graph either: a parent
 needs one when it is a ``requires_grad`` leaf or has parents itself, so
 constants and frozen parameters cost no backward work, and ``matmul``,
-``add``, ``dense`` and ``mlp`` skip the product or bias sum of a parent that
-needs none. The gradients of the parents that do need one are unchanged.
+``add`` and ``mlp`` skip the product or bias sum of a parent that needs
+none. The gradients of the parents that do need one are unchanged.
 
 Inside a ``no_grad()`` scope no graph is recorded: op outputs keep neither
 parents nor a backward closure, so each intermediate array is freed as soon
@@ -37,29 +37,30 @@ process, not per thread: set it before a pass hands row blocks to other
 threads, and leave it alone until the pass is over, because a scope entered
 or left on one thread switches it for all of them.
 
-``dense(x, w, b, relu)`` is one layer as one node. Its bias add and ReLU run
-in place on the product, with the NumPy operations of the chain
-``relu(add(matmul(x, w), b))``, so values and gradients are byte-identical
-to it (-0.0 too); the graph keeps one array and a bool mask, not three arrays.
-``nll(log_probs, labels)``, the mean negative log-likelihood, is one node in
-the same way: its value and gradient are those of
-``neg(t_mean(pick(log_probs, labels)))``, byte for byte.
+``nll(log_probs, labels)``, the mean negative log-likelihood, is one node:
+its value and gradient are those of ``neg(t_mean(pick(log_probs, labels)))``,
+byte for byte.
 
-``mlp(parts, layers)`` is a whole perceptron as one node: the concatenation
-of ``parts`` through ``(w, b)`` layers with ReLU between them, by the layer
-arithmetic ``dense`` runs, so its value and its gradients are those of
-``concat`` and a ``dense`` per layer, byte for byte (but see the frozen
-case below). Its parents are only the
-tensors that need a gradient, so constant inputs and frozen weights are
-never held; it keeps a layer's input only when that layer's weight needs a
-gradient, and the ReLU masks. Its backward masks in place and frees each
-kept array once it has read it, so the node's backward runs once: a second
-raises ``RuntimeError``. The parts' gradients are one full ``g @ w.T`` of
-the first layer, split as ``concat`` splits it; a single part that needs
-one under a constant first layer (a frozen net's codes) takes its columns
-alone, through the transposed view of its rows of ``w``, so no (rows, input
-width) gradient is made. Those columns equal the full product's bytes at the
-CRM step's block heights, not at every height.
+``mlp(parts, layers, dropout)`` is a whole perceptron as one node, and every
+layer of the four nets runs in one: the concatenation of ``parts`` (a single
+part is read as it is, not copied) through ``(w, b)`` layers with ReLU
+between them. Each layer's bias add and ReLU run in place on its product;
+with ``dropout=(rate, rng)``, each hidden ReLU's output is then multiplied in
+place by the mask ``dropout`` would draw, at the same point of ``rng``'s
+stream. So its value and its gradients are those of ``concat``, then
+``relu(add(matmul(h, w), b))`` and ``dropout`` per hidden layer and
+``add(matmul(h, w), b)`` for the last, byte for byte (-0.0 too; but see the
+frozen case below). Its parents are only the tensors that need a gradient,
+so constant inputs and frozen weights are never held; it keeps a layer's
+input only when that layer's weight needs a gradient, and the masks. Its
+backward multiplies by a layer's dropout mask, then by its ReLU mask, in
+place, and frees each kept array once it has read it, so the node's
+backward runs once: a second raises ``RuntimeError``. The parts' gradients
+are one full ``g @ w.T`` of the first layer, split as ``concat`` splits it;
+a single part that needs one under a constant first layer (a frozen net's
+codes) takes its columns alone, through the transposed view of its rows of
+``w``, so no (rows, input width) gradient is made. Those columns equal the
+full product's bytes at the CRM step's block heights, not at every height.
 
 ``rowwise_bilinear(u, mats, v, classes)`` reads row b's matrix from a
 (C, m, n) class table by index and works class by class, so neither its
@@ -196,48 +197,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, parents=(a, b), backward_fn=back)
 
 
-def _bias_relu(out: Array, b: Array, relu: bool) -> Array | None:
-    """Add the bias ``b`` to the product ``out`` and apply ReLU if ``relu``,
-    both in place; returns the ReLU mask (None without)."""
-    out += b
-    if not relu:
-        return None
-    mask = out > 0
-    out *= mask
-    return mask
-
-
-def _layer_grads(g: Array, x: Array | None, w: Array, b_shape: tuple, need_x: bool,
-                 need_b: bool) -> tuple:
-    """The gradients (x's, w's, b's) of ``x @ w + b`` at the gradient ``g`` of
-    that sum, None where not needed; w's is computed when ``x`` is given.
-    ``x`` is dropped before x's gradient is made, so a caller that hands over
-    its last reference frees it first."""
-    gw = None if x is None else x.T @ g
-    del x
-    gb = _unbroadcast(g, b_shape) if need_b else None
-    return (g @ w.T if need_x else None), gw, gb
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """``x @ w + b``, then ReLU if ``relu``, as one node (see the module docstring)."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ValueError(f"dense expects 2-D operands, got {x.shape} @ {w.shape}")
-    out = x.data @ w.data
-    mask = _bias_relu(out, b.data, relu)
-    need_x, need_w, need_b = _needs_grad(x), _needs_grad(w), _needs_grad(b)
-
-    def back(g):
-        if relu:
-            g = g * mask
-        return _layer_grads(g, x.data if need_w else None, w.data, b.shape, need_x, need_b)
-
-    return Tensor(out, parents=(x, w, b), backward_fn=back)
-
-
-def mlp(parts: Sequence[Tensor], layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+def mlp(parts: Sequence[Tensor], layers: Sequence[tuple[Tensor, Tensor]],
+        dropout: tuple[float, np.random.Generator] | None = None) -> Tensor:
     """The concatenation of ``parts`` along the last axis through the ``(w, b)``
-    ``layers``, ReLU between layers, as one node whose backward runs once
+    ``layers``, ReLU between layers, each followed by a dropout mask drawn from
+    ``rng`` given ``dropout=(rate, rng)``, as one node whose backward runs once
     (see the module docstring)."""
     if any(p.data.ndim != 2 for p in parts) or any(w.data.ndim != 2 for w, _ in layers):
         raise ValueError("mlp expects 2-D parts and weights")
@@ -254,15 +218,23 @@ def mlp(parts: Sequence[Tensor], layers: Sequence[tuple[Tensor, Tensor]]) -> Ten
     # the full product, split as concat splits it
     one_part = grad_parts[0] if len(grad_parts) == 1 and not need_w[0] else None
     inputs: list[Array | None] = []  # a layer's input, kept when its w needs a gradient
-    masks: list[Array | None] = []
-    h = np.concatenate([p.data for p in parts], axis=-1)
+    masks: list[list[Array]] = []  # a layer's masks, in the order the forward applied them
+    h = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], axis=-1)
     for k, (w, b) in enumerate(layers):
         if keep:
             inputs.append(h if need_w[k] else None)
         h = h @ w.data  # the layer's input is freed here unless kept
-        mask = _bias_relu(h, b.data, relu=k < len(layers) - 1)
+        h += b.data
+        applied = []
+        if k < len(layers) - 1:
+            applied.append(h > 0)
+            if dropout is not None:
+                rate, rng = dropout
+                applied.append((rng.random(h.shape) >= rate) / (1.0 - rate))
+            for mask in applied:
+                h *= mask
         if keep:
-            masks.append(mask)
+            masks.append(applied)
     bounds = list(accumulate((p.data.shape[-1] for p in parts), initial=0))
 
     def back(g):
@@ -271,19 +243,22 @@ def mlp(parts: Sequence[Tensor], layers: Sequence[tuple[Tensor, Tensor]]) -> Ten
         found = []  # the parents' gradients, last parent first
         for k in reversed(range(len(layers))):
             w, b = layers[k]
-            mask = masks.pop()
-            if mask is not None:
-                g *= mask  # g is this node's own product with the layer above's w
-            del mask
-            gx, gw, gb = _layer_grads(g, inputs.pop(), w.data, b.shape,
-                                      k > 0 or bool(grad_parts) and one_part is None, need_b[k])
-            found += [t for t, need in ((gb, need_b[k]), (gw, need_w[k])) if need]
+            applied = masks.pop()
+            while applied:
+                g *= applied.pop()  # g is this node's own product with the layer above's w
+            if need_b[k]:
+                found.append(_unbroadcast(g, b.shape))
+            x = inputs.pop()
+            if x is not None:
+                found.append(x.T @ g)
+            del x  # freed before the input gradient is made
             if k == 0 and one_part is not None:
                 # the transposed view of the part's rows of w gives the full
                 # product's columns bit for bit at the CRM step's block heights
                 # (2048-4095 rows, and 1000), a contiguous copy of it does not
-                gx = g @ w.data[bounds[one_part]:bounds[one_part + 1]].T
-            g = gx
+                g = g @ w.data[bounds[one_part]:bounds[one_part + 1]].T
+            elif k > 0 or grad_parts:
+                g = g @ w.data.T
         if one_part is not None:
             found.append(g)
         elif grad_parts:

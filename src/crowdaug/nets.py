@@ -23,15 +23,15 @@ the table, and ``Discriminator.score`` and ``AuxNet.logits`` both take
 the table once for both judges. Each parameter has one owning store; D and
 Q train together through ``ParamStore.union`` of their two stores.
 
-The generator and the aux net's head are three-layer perceptrons, each one
-``diffcore.mlp`` node over its input parts; every other layer ``x @ W + b``
-(with or without ReLU) is one ``diffcore.dense`` node, and only the
-discriminator's class-matrix mixing calls ``matmul``. ``Generator.logits``
-with ``frozen=True`` serves the step that trains the classifier's codes
-through a generator it holds fixed: the node reads constant copies of the
-weights, so its only parent is the code tensor, it keeps the two ReLU masks
-and no activation, and it returns the code columns of the input gradient
-alone.
+Every perceptron is one ``diffcore.mlp`` node: the classifier, with its
+dropout drawn inside the node in train mode, the generator and the aux net's
+head over their input parts, and the one-layer encoders and class-table
+embedding. Only the discriminator's class-matrix mixing calls ``matmul``.
+``Generator.logits`` with ``frozen=True`` serves the step that trains the
+classifier's codes through a generator it holds fixed: the node reads
+constant copies of the weights, so its only parent is the code tensor, it
+keeps the two ReLU masks and no activation, and it returns the code columns
+of the input gradient alone.
 
 Each net lists its parameters as ``(name, shape, init)`` in ``spec(dims)``,
 from which it is built. This module also owns the checkpoint schema: a
@@ -137,12 +137,12 @@ class Classifier:
                rng: np.random.Generator | None = None) -> Tensor:
         x = _check_batch(x, self.dims.feature_dim, "classifier input")
         p = self.store
-        h = dc.dense(Tensor(x), p["W1"], p["b1"], relu=True)
+        dropout = None
         if train_mode and self.dims.dropout > 0.0:
             if rng is None:
                 raise ValueError("train-mode classify needs an rng for dropout")
-            h = dc.dropout(h, self.dims.dropout, rng)
-        return dc.dense(h, p["W2"], p["b2"])
+            dropout = (self.dims.dropout, rng)
+        return dc.mlp([Tensor(x)], [(p["W1"], p["b1"]), (p["W2"], p["b2"])], dropout)
 
     def probs(self, x, train_mode: bool = False, rng=None) -> Tensor:
         return dc.softmax(self.logits(x, train_mode, rng))
@@ -228,8 +228,8 @@ class Discriminator:
         d, p = self.dims, self.store
         e = _check_batch(e, d.annotator_dim, "discriminator annotator input")
         x = _check_batch(x, d.feature_dim, "discriminator instance input")
-        return (dc.dense(Tensor(e), p["Wu"], p["bu"]),
-                dc.dense(Tensor(x), p["Wv"], p["bv"]))
+        return (dc.mlp([Tensor(e)], [(p["Wu"], p["bu"])]),
+                dc.mlp([Tensor(x)], [(p["Wv"], p["bv"])]))
 
     def decoded_matrices(self, adj: CoocAdjacency | None) -> Tensor:
         """Per-class bilinear matrices after optional correlation mixing."""
@@ -283,7 +283,7 @@ class AuxNet:
         d, p = self.dims, self.store
         y = _class_index(y, d.num_classes)
         c, m = d.num_classes, d.embed_dim
-        table = dc.dense(dc.reshape(mats, (c, m * m)), p["Wembed"], p["bembed"])
+        table = dc.mlp([dc.reshape(mats, (c, m * m))], [(p["Wembed"], p["bembed"])])
         return dc.mlp([v, u, dc.gather_rows(table, y)],
                       [(p[f"W{i}"], p[f"b{i}"]) for i in (1, 2, 3)])
 

@@ -22,26 +22,21 @@ def randomize(store, rng, scale):
         tensor.data = rng.normal(scale=scale, size=tensor.data.shape)
 
 
-def three_op_dense(x, w, b, relu=False):
-    """The ``matmul``/``add``/``relu`` chain that ``diffcore.dense`` fuses.
+def chain_mlp(parts, layers, dropout=None):
+    """The op chain that ``diffcore.mlp`` is one node of: ``concat``, then
+    ``matmul``, ``add``, ``relu`` and (given ``(rate, rng)``) ``dropout`` per
+    hidden layer, and ``matmul`` and ``add`` for the last.
 
-    Patched in for ``diffcore.dense``, it rebuilds the nets as three graph
-    nodes per layer: the reference for the fused op's byte-identity.
-    """
-    out = dc.add(dc.matmul(x, w), b)
-    return dc.relu(out) if relu else out
-
-
-def chain_mlp(parts, layers):
-    """The ``concat`` and ``dense`` chain that ``diffcore.mlp`` is one node of.
-
-    Patched in for ``diffcore.mlp``, it rebuilds the generator and the aux
-    net layer by layer; it calls ``diffcore.dense`` at run time, so patching
-    that with ``three_op_dense`` too gives three nodes per layer.
+    Patched in for ``diffcore.mlp``, it rebuilds every net as three or four
+    graph nodes per layer: the reference for the node's byte-identity.
     """
     h = dc.concat(parts)
     for k, (w, b) in enumerate(layers):
-        h = dc.dense(h, w, b, relu=k < len(layers) - 1)
+        h = dc.add(dc.matmul(h, w), b)
+        if k < len(layers) - 1:
+            h = dc.relu(h)
+            if dropout is not None:
+                h = dc.dropout(h, *dropout)
     return h
 
 

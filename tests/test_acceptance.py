@@ -145,8 +145,7 @@ def test_criterion_01_gradient_integrity():
         # auxiliary posterior cross-entropy, through the shared encoders too
         zdraw = rng.integers(0, dims.num_classes, size=batch)
         worst = max(worst, grad_check(
-            lambda: dc.neg(dc.t_mean(dc.pick(
-                aux.log_posterior(*encoding(disc, x, e, y, adj)), zdraw))),
+            lambda: dc.nll(aux.log_posterior(*encoding(disc, x, e, y, adj)), zdraw),
             dc.ParamStore.union(disc.store, aux.store)))
         # importance-weighted objective through the generator
         g0 = np.full(batch, 1.0 / dims.num_classes)

@@ -15,7 +15,7 @@ from crowdaug.diffcore import (
     sample_categorical,
     softmax,
 )
-from helpers import PerParameterAdam, chain_nll, grad_check, three_op_dense
+from helpers import PerParameterAdam, chain_mlp, chain_nll, grad_check
 
 RNG = np.random.default_rng(0)
 
@@ -205,46 +205,61 @@ def test_grad_check_bilinear_and_matvec():
     assert grad_check(loss, store) < 1e-6
 
 
-def test_grad_check_dense_layers():
+# an mlp's depth and whether it draws dropout, as the nets use it
+MLP_DEPTHS = {
+    "one layer": (1, False),  # D's encoders and Q's class-table embedding
+    "relu": (2, False),  # the classifier in eval mode
+    "relu, dropout": (2, True),  # the classifier in train mode
+}
+
+
+@pytest.mark.parametrize("case", sorted(MLP_DEPTHS))
+def test_grad_check_mlp_layers(case):
+    depth, drop = MLP_DEPTHS[case]
     rng = np.random.default_rng(19)
     store = ParamStore()
     x = store.add("x", rng.normal(size=(5, 3)))
-    w1 = store.add("w1", rng.normal(size=(3, 4)))
-    b1 = store.add("b1", rng.normal(size=4))
-    w2 = store.add("w2", rng.normal(size=(4, 2)))
-    b2 = store.add("b2", rng.normal(size=2))
+    layers = [(store.add("w1", rng.normal(size=(3, 4))), store.add("b1", rng.normal(size=4))),
+              (store.add("w2", rng.normal(size=(4, 2))), store.add("b2", rng.normal(size=2)))]
 
     def loss():
-        h = dc.dense(x, w1, b1, relu=True)
-        p = softmax(dc.dense(h, w2, b2))
+        # a fresh generator per call draws the same dropout mask each time
+        dropout = (0.5, np.random.default_rng(6)) if drop else None
+        p = softmax(dc.mlp([x], layers[:depth], dropout))
         return dc.t_mean(dc.mul(p, p))
 
     assert grad_check(loss, store) < 1e-6
 
 
-@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("case", sorted(MLP_DEPTHS))
 @pytest.mark.parametrize("rows", [0, 1, 9, 300])
-def test_dense_is_byte_identical_to_the_three_op_chain(rows, relu):
+def test_one_part_mlp_is_byte_identical_to_the_op_chain(rows, case):
+    depth, drop = MLP_DEPTHS[case]
     rng = np.random.default_rng(rows)
     x = rng.normal(size=(rows, 6))
     x[::3] = 0.0  # zero rows: the pre-activation is the bias alone
     w = rng.normal(size=(6, 5))
     b = rng.normal(size=5)
     b[:3] = 0.0, -0.0, -1.0  # zero rows: exact zero and negative pre-activations
-    g = rng.normal(size=(rows, 5))
+    w2, b2 = rng.normal(size=(5, 4)), rng.normal(size=4)
+    g = rng.normal(size=(rows, 4 if depth == 2 else 5))
     g[:, 1] = -g[:, 1] ** 2  # negative upstream gradients where units are off
     results = []
-    for layer in (dc.dense, three_op_dense):
-        leaves = [Tensor(v, requires_grad=True) for v in (x, w, b)]
-        out = layer(*leaves, relu=relu)
+    for forward in (dc.mlp, chain_mlp):
+        leaves = [Tensor(v, requires_grad=True) for v in (x, w, b, w2, b2)[:2 * depth + 1]]
+        layers = list(zip(leaves[1::2], leaves[2::2]))
+        dropout = (0.5, np.random.default_rng(7)) if drop else None
+        out = forward(leaves[:1], layers, dropout)
         grads = backward(out, g)
         results.append([out.data] + [grads[t] for t in leaves])
-    for fused, chain in zip(*results):
-        assert fused.shape == chain.shape
-        assert fused.tobytes() == chain.tobytes()  # bytes, so sign bits too
-    if relu and rows:
-        out = results[1][0]
-        assert np.signbit(out[out == 0]).any()  # ReLU of a negative is -0.0
+        if drop:
+            results[-1].append(dropout[1].random())  # the stream after the draw
+    for node, chain in zip(*results):
+        assert np.shape(node) == np.shape(chain)
+        assert np.asarray(node).tobytes() == np.asarray(chain).tobytes()  # so sign bits too
+    if depth == 2 and rows:
+        hidden = dc.relu(dc.add(dc.matmul(Tensor(x), Tensor(w)), Tensor(b))).data
+        assert np.signbit(hidden[hidden == 0]).any()  # ReLU of a negative is -0.0
 
 
 @pytest.mark.parametrize("seed_grad", [None, -2.5, 0.0])
@@ -378,6 +393,7 @@ def _op_cases():
     bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
     mats = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
     bias5 = Tensor(rng.normal(size=(5,)), requires_grad=True)
+    w53 = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     rows = np.array([1, 0, 1, 1])
     cols = np.array([2, 0, 1, 2])
     return {
@@ -386,8 +402,10 @@ def _op_cases():
         "mul": lambda: dc.mul(a, c),
         "div": lambda: dc.div(a, dc.t_exp(c)),
         "matmul": lambda: dc.matmul(a, b),
-        "dense": lambda: dc.dense(a, b, bias5),
-        "dense_relu": lambda: dc.dense(a, b, bias5, relu=True),
+        "mlp": lambda: dc.mlp([a], [(b, bias5)]),
+        "mlp_relu": lambda: dc.mlp([a], [(b, bias5), (w53, bias)]),
+        "mlp_dropout": lambda: dc.mlp([a], [(b, bias5), (w53, bias)],
+                                      (0.5, np.random.default_rng(4))),
         "t_exp": lambda: dc.t_exp(a),
         "t_log": lambda: dc.t_log(dc.t_exp(a)),
         "t_sum": lambda: dc.t_sum(a),
@@ -526,7 +544,7 @@ def test_added_gradient_dicts_equal_backward_of_the_summed_loss():
     xs = [rng.normal(size=(5, 4)) for _ in range(2)]
 
     def loss(x):
-        return dc.t_sum(dc.mul(dc.softmax(dc.dense(Tensor(x), w, b, relu=True)),
+        return dc.t_sum(dc.mul(dc.softmax(dc.relu(dc.mlp([Tensor(x)], [(w, b)]))),
                                Tensor(x[:, :3])))
 
     summed = backward(dc.add(loss(xs[0]), loss(xs[1])))

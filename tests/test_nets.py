@@ -17,8 +17,7 @@ from crowdaug.nets import (
     restore_nets,
 )
 from crowdaug.objectives import CLAMP_HI, CLAMP_LO, _clamp_count
-from helpers import (build_bundle, chain_mlp, encoding, grad_check, randomize, store_grads,
-                     three_op_dense)
+from helpers import build_bundle, chain_mlp, encoding, grad_check, randomize, store_grads
 
 SMALL = NetDims(num_classes=3, feature_dim=4, annotator_dim=5, noise_dim=2,
                 clf_hidden=6, gen_hidden1=5, gen_hidden2=7, aux_hidden1=5,
@@ -149,26 +148,29 @@ def test_generator_with_switch_off_ignores_that_input(switch):
         assert gen.distribution(*varied, zhat, eps).data.tobytes() == reference.tobytes()
 
 
-# which of the generator-wide parts [x, e, codes, noise] need a gradient, and
-# whether the layers train; None runs under no_grad
+# which of the generator-wide parts [x, e, codes, noise] need a gradient,
+# whether the layers train, and whether each hidden layer draws dropout; None
+# runs under no_grad
 MLP_CASES = {
-    "constant weights, the codes": ((2,), False),  # the classifier's CRM step
-    "trained, the codes": ((2,), True),  # the joint CRM step
-    "trained, no part": ((), True),  # the generator's CRM step
-    "trained, three parts": ((0, 2, 3), True),  # as Q's three parts in the D/Q step
-    "constant weights, two parts": ((1, 2), False),
+    "constant weights, the codes": ((2,), False, False),  # the classifier's CRM step
+    "trained, the codes": ((2,), True, False),  # the joint CRM step
+    "trained, no part": ((), True, False),  # the generator's CRM step
+    "trained, no part, dropout": ((), True, True),  # as the classifier's train mode
+    "trained, three parts": ((0, 2, 3), True, False),  # as Q's three parts in the D/Q step
+    "constant weights, two parts": ((1, 2), False, False),
     "no_grad": None,
 }
 
 
 @pytest.mark.parametrize("rows", [1000, 2048, 3071, 4095])
 @pytest.mark.parametrize("case", sorted(MLP_CASES))
-def test_mlp_is_byte_identical_to_the_concat_and_dense_chain(rows, case):
+def test_mlp_is_byte_identical_to_the_op_chain(rows, case):
     # the pair-grid benchmark's generator widths at its CRM block heights (one
     # below OpenBLAS's small-matrix bound, then 2048-4095): the value and
     # every gradient, parts' and layers', equal the chain's bytes, and the
-    # graph holds the node and the leaves that need a gradient alone
-    grad_parts, trained = MLP_CASES[case] or ((), False)
+    # graph holds the node and the leaves that need a gradient alone; with
+    # dropout, both draw the same masks and leave the stream in one state
+    grad_parts, trained, drop = MLP_CASES[case] or ((), False, False)
     rng = np.random.default_rng(rows)
     widths, sizes = (2, 40, 4, 8), (54, 64, 128, 4)
     arrays = [rng.normal(size=(rows, w)) for w in widths]
@@ -180,22 +182,25 @@ def test_mlp_is_byte_identical_to_the_concat_and_dense_chain(rows, case):
         parts = [Tensor(a, requires_grad=i in grad_parts) for i, a in enumerate(arrays)]
         layers = [(Tensor(w, requires_grad=trained), Tensor(b, requires_grad=trained))
                   for w, b in weights]
+        stream = np.random.default_rng(rows + 1)
+        dropout = (0.5, stream) if drop else None
         if MLP_CASES[case] is None:
             with dc.no_grad():
                 out = forward(parts, layers)
-            return out.data.tobytes(), [], len(dc._toposort(out))
-        out = forward(parts, layers)
+            return out.data.tobytes(), [], stream.bit_generator.state, len(dc._toposort(out))
+        out = forward(parts, layers, dropout)
         nodes = len(dc._toposort(out))
         leaves = [parts[i] for i in grad_parts] + [t for layer in layers for t in layer
                                                    if t.requires_grad]
         grads = dc.backward(out, upstream)
         assert set(grads) == set(leaves)
-        return out.data.tobytes(), [grads[t].tobytes() for t in leaves], nodes
+        return (out.data.tobytes(), [grads[t].tobytes() for t in leaves],
+                stream.bit_generator.state, nodes)
 
     sent = upstream.copy()
     node, chain = run(dc.mlp), run(chain_mlp)
-    assert node[:2] == chain[:2]
-    assert node[2] == 1 + len(grad_parts) + 6 * trained
+    assert node[:3] == chain[:3]
+    assert node[3] == 1 + len(grad_parts) + 6 * trained
     assert upstream.tobytes() == sent.tobytes()  # the node never writes into its input
 
 
@@ -481,7 +486,6 @@ def test_fused_layers_are_byte_identical_to_three_op_layers(name, monkeypatch):
         return out.data.tobytes(), store_grads(grads, *stores), nodes
 
     fused_out, fused_grads, fused_nodes = run()
-    monkeypatch.setattr(dc, "dense", three_op_dense)
     monkeypatch.setattr(dc, "mlp", chain_mlp)
     chain_out, chain_grads, chain_nodes = run()
     assert chain_nodes > fused_nodes  # the reference really is the old chain

@@ -271,7 +271,7 @@ def test_every_json_output_is_strict(tmp_path):
 
 # Functions of the package that no command enters, each with the reason it stays.
 NEVER_ENTERED = {
-    # perfbench's tracer wraps these ops by name (ROADMAP item 11)
+    # perfbench's tracer wraps these ops by name (ROADMAP items 6 and 9)
     "diffcore.add": "tracer-named op",
     "diffcore.add.back": "tracer-named op",
     "diffcore.neg": "tracer-named op",
@@ -281,6 +281,7 @@ NEVER_ENTERED = {
     "diffcore.relu": "tracer-named op",
     "diffcore.concat": "tracer-named op",
     "diffcore.concat.back": "tracer-named op",
+    "diffcore.dropout": "tracer-named op",
     "data._float_row_error": "runs only on a malformed file",
     "data._int_row_error": "runs only on a malformed file",
     "data._split_row_error": "runs only on a malformed file",

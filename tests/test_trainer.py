@@ -54,7 +54,6 @@ from helpers import (
     read_augmented_file,
     single_graph_disc_aux_step,
     store_grads,
-    three_op_dense,
 )
 
 
@@ -522,7 +521,6 @@ def test_disc_aux_step_is_byte_identical_to_three_op_layers(monkeypatch):
     # pins the order in which shared leaves accumulate them
     step = _disc_aux_step_on(70)
     fused = step()
-    monkeypatch.setattr(dc, "dense", three_op_dense)
     monkeypatch.setattr(dc, "mlp", chain_mlp)
     assert step() == fused
 
@@ -696,12 +694,11 @@ def test_training_is_byte_identical_to_three_op_layers(two_step, monkeypatch):
     ds, cfg = tiny_dataset(), tiny_config(two_step=two_step)
     fused = train_crowding(ds, cfg)
     node = dc.mlp
-    monkeypatch.setattr(dc, "dense", three_op_dense)
     # the frozen generator stays one node: its code gradient, through its view
     # of W1's code rows, is the chain's at the CRM step's block heights only
     # (test_nets), and these blocks are shorter
-    monkeypatch.setattr(dc, "mlp", lambda parts, layers: (
-        chain_mlp if layers[0][0].requires_grad else node)(parts, layers))
+    monkeypatch.setattr(dc, "mlp", lambda parts, layers, dropout=None: (
+        chain_mlp if layers[0][0].requires_grad else node)(parts, layers, dropout))
     _assert_same_training(train_crowding(ds, cfg), fused)
 
 
