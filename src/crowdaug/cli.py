@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import BLAS_THREADS, NUMPY_IMPORTED_FIRST, __version__, evalsuite
 from .checkpoint import CheckpointError
-from .config import ConfigError, apply_overrides, config_as_dict, load_config_file
+from .config import ConfigError, apply_overrides, parse_config_text
 from .data import (DATASET_FILES, TEST, TRAIN, VAL, DatasetError, SynthConfig, check_removal,
                    load_dataset, remove_annotations, save_dataset, synthesize_dataset,
                    write_csv)
@@ -112,7 +113,7 @@ def _load_config_values(config_file: str | None) -> dict[str, str]:
     if config_file is None:
         return {}
     try:
-        return load_config_file(config_file)
+        return parse_config_text(Path(config_file).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {config_file}") from exc
     except OSError as exc:  # a directory, or a file that cannot be read
@@ -266,7 +267,7 @@ def _write_rows(out_dir: Path, name: str, rows: list[dict]) -> None:
 
 def cmd_synth(args) -> int:
     cfg = apply_overrides(SynthConfig, _load_config_values(args.config))
-    out_dir = write_manifest(args, config_as_dict(cfg), args.seed, DATASET_FILES)
+    out_dir = write_manifest(args, dataclasses.asdict(cfg), args.seed, DATASET_FILES)
     ds = synthesize_dataset(cfg, seed=args.seed)
     save_dataset(ds, out_dir)
     print(f"synthesized {ds.num_instances} instances, "
@@ -285,7 +286,7 @@ def cmd_train(args) -> int:
     cfg = _train_config(_load_config_values(args.config), args.seed)
     ds = load_dataset(args.data)
     check_trainable(ds)
-    out_dir = write_manifest(args, {**config_as_dict(cfg), "method": args.method},
+    out_dir = write_manifest(args, {**dataclasses.asdict(cfg), "method": args.method},
                              cfg.seed, ("checkpoint.bin", "report.csv", "report.json"))
     if args.method == "crowding" and evalsuite.split_truth(ds, VAL) is None:
         print("warning: the dataset has no validation truth, so no epoch can be "
@@ -293,14 +294,14 @@ def cmd_train(args) -> int:
               file=sys.stderr)
     result = train_method(ds, cfg, args.method)
     summary = {
-        "method": result.method,
-        "variant": _variant_of(result.method, cfg),
+        "method": args.method,
+        "variant": _variant_of(args.method, cfg),
         "seed": cfg.seed,
         "best_epoch": result.best_epoch,
         "best_val_acc": result.best_val_acc,
         "test_acc": result.test_acc,
     }
-    if result.method == "crowding":
+    if args.method == "crowding":
         summary["selected_by"] = _selected_by(result)
     save_result_checkpoint(out_dir / "checkpoint.bin", result)
     _write_records(out_dir / "report.csv", result.history)
@@ -341,7 +342,7 @@ def cmd_sweep(args) -> int:
     for fraction in fractions:  # fail before any cell trains, not hours in
         check_removal(ds, fraction)
 
-    out_dir = write_manifest(args, {**config_as_dict(cfg), "fractions": fractions,
+    out_dir = write_manifest(args, {**dataclasses.asdict(cfg), "fractions": fractions,
                                     "methods": methods, "seeds": seeds},
                              cfg.seed, ("sweep.csv", "sweep.json"))
 
@@ -363,7 +364,8 @@ def cmd_ablate(args) -> int:
     ds = load_dataset(args.data)
     check_trainable(ds)
 
-    out_dir = write_manifest(args, {**config_as_dict(cfg), "variants": variants, "seeds": seeds},
+    out_dir = write_manifest(args, {**dataclasses.asdict(cfg), "variants": variants,
+                                    "seeds": seeds},
                              cfg.seed, ("ablation.csv", "ablation.json"))
 
     _write_rows(out_dir, "ablation", run_ablation(ds, variants, cfg, seeds))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from pathlib import Path
 from typing import Any, TypeVar
 
 T = TypeVar("T")
@@ -36,10 +35,6 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def load_config_file(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
@@ -95,8 +90,3 @@ def check_finite(cfg) -> None:
     for f in dataclasses.fields(cfg):
         if f.type in (float, "float") and not math.isfinite(getattr(cfg, f.name)):
             raise ConfigError(f"{f.name} must be finite, got {getattr(cfg, f.name)}")
-
-
-def config_as_dict(cfg) -> dict[str, Any]:
-    """Materialize every field (defaults included) for manifests and echoes."""
-    return dataclasses.asdict(cfg)

@@ -18,8 +18,8 @@ two such gradients never coexist. Closures never write into their input;
 
 Ops take and return Tensors only, and a Tensor has no arithmetic operators:
 a graph is spelled with the ops, a constant as a ``Tensor`` of its own.
-``entropy``, ``sample_categorical`` and ``categorical_at`` are the array
-utilities.
+``entropy`` and ``categorical_at`` (a class per row at given uniform draws)
+are the array utilities.
 
 An op over parents that need no gradient records no graph either: a parent
 needs one when it is a ``requires_grad`` leaf or has parents itself, so
@@ -474,12 +474,6 @@ def entropy(p):
         raise ValueError("entropy input rows must sum to 1 within 1e-9")
     terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
     return -terms.sum(axis=-1)
-
-
-def sample_categorical(rng: np.random.Generator, probs: Array) -> Array:
-    """Draw one class index per row of a (B, C) probability matrix."""
-    probs = np.atleast_2d(_as_f64(probs))
-    return categorical_at(probs, rng.random(probs.shape[0]))
 
 
 def categorical_at(probs: Array, u: Array) -> Array:

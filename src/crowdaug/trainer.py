@@ -230,8 +230,6 @@ class TrainResult:
     best_epoch: int
     best_val_acc: float
     test_acc: float
-    config: TrainConfig
-    method: str
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +472,7 @@ def train_dl_mv(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     val_acc = split_accuracy(clf, ds, VAL)
     return TrainResult(classifier=clf, bundle=None, history=history,
                        best_epoch=len(history) - 1, best_val_acc=val_acc,
-                       test_acc=split_accuracy(clf, ds, TEST),
-                       config=cfg, method="dl-mv")
+                       test_acc=split_accuracy(clf, ds, TEST))
 
 
 def train_dl_cl(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
@@ -484,8 +481,7 @@ def train_dl_cl(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     return TrainResult(classifier=clf, bundle=None, history=history,
                        best_epoch=len(history) - 1,
                        best_val_acc=split_accuracy(clf, ds, VAL),
-                       test_acc=split_accuracy(clf, ds, TEST),
-                       config=cfg, method="dl-cl")
+                       test_acc=split_accuracy(clf, ds, TEST))
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +516,9 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
         x, e, zhat, labels = rows(batch)
         eps = gen.draw_noise(rng, len(batch))
         with dc.no_grad():
-            fake_labels = dc.sample_categorical(rng, gen.distribution(x, e, zhat, eps).data)
-        zdraws = dc.sample_categorical(rng, zhat)
+            fake_labels = dc.categorical_at(gen.distribution(x, e, zhat, eps).data,
+                                            rng.random(len(batch)))
+        zdraws = dc.categorical_at(zhat, rng.random(len(batch)))
         inst, annot = ann[batch, 0], ann[batch, 1]
         return _disc_aux_step(opt_dq, disc, aux, adjacency, ds, (inst, annot, labels),
                               (inst, annot, fake_labels), zdraws, cfg,
@@ -935,8 +932,7 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     _restore(state, best)
     return TrainResult(classifier=clf, bundle=bundle, history=state.history,
                        best_epoch=best_epoch, best_val_acc=best_val,
-                       test_acc=split_accuracy(clf, ds, TEST),
-                       config=cfg, method="crowding")
+                       test_acc=split_accuracy(clf, ds, TEST))
 
 
 METHODS = {"crowding": train_crowding, "dl-cl": train_dl_cl, "dl-mv": train_dl_mv}

@@ -67,6 +67,10 @@ def test_load_label_out_of_range(tmp_path):
     write_dir(tmp_path, BASIC_FEATURES, bad)
     with pytest.raises(DatasetError, match="label out of range"):
         load_dataset(tmp_path)
+    # -1 marks an unknown truth; anything below it is a bad label
+    write_dir(tmp_path, BASIC_FEATURES, BASIC_ANNOTATIONS, truth=[0, -5, 1])
+    with pytest.raises(DatasetError, match="ground-truth label out of range"):
+        load_dataset(tmp_path)
 
 
 def test_load_duplicate_pair(tmp_path):

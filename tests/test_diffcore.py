@@ -12,7 +12,6 @@ from crowdaug.diffcore import (
     backward,
     entropy,
     log_softmax,
-    sample_categorical,
     softmax,
 )
 from helpers import PerParameterAdam, chain_mlp, chain_nll, grad_check
@@ -710,30 +709,23 @@ def test_param_store_union_rejects_repeated_name():
 # sampling
 
 
-def test_sample_categorical_deterministic_and_in_range():
+def test_categorical_at_deterministic_and_in_range():
     probs = np.tile(np.array([0.2, 0.5, 0.3]), (1000, 1))
-    a = sample_categorical(np.random.default_rng(42), probs)
-    b = sample_categorical(np.random.default_rng(42), probs)
+    a = dc.categorical_at(probs, np.random.default_rng(42).random(1000))
+    b = dc.categorical_at(probs, np.random.default_rng(42).random(1000))
     np.testing.assert_array_equal(a, b)
     assert a.min() >= 0 and a.max() <= 2
 
 
-def test_sample_categorical_frequencies():
+def test_categorical_at_frequencies():
     probs = np.tile(np.array([0.1, 0.9]), (20000, 1))
-    draws = sample_categorical(np.random.default_rng(1), probs)
+    draws = dc.categorical_at(probs, np.random.default_rng(1).random(20000))
     assert abs(draws.mean() - 0.9) < 0.01
 
 
-def test_sample_categorical_is_categorical_at_its_uniforms():
-    probs = dc.softmax(Tensor(np.random.default_rng(5).normal(size=(500, 4)))).data
-    draws = sample_categorical(np.random.default_rng(8), probs)
-    uniforms = np.random.default_rng(8).random(500)
-    np.testing.assert_array_equal(dc.categorical_at(probs, uniforms), draws)
-
-
-def test_sample_categorical_degenerate_rows():
+def test_categorical_at_degenerate_rows():
     probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    draws = sample_categorical(np.random.default_rng(2), probs)
+    draws = dc.categorical_at(probs, np.random.default_rng(2).random(2))
     np.testing.assert_array_equal(draws, [0, 2])
 
 
