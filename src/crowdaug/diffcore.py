@@ -46,20 +46,27 @@ layer of the four nets runs in one: the concatenation of ``parts`` (a single
 part is read as it is, not copied) through ``(w, b)`` layers with ReLU
 between them. Each layer's bias add and ReLU run in place on its product;
 with ``dropout=(rate, rng)``, each hidden ReLU's output is then multiplied in
-place by the mask ``dropout`` would draw, at the same point of ``rng``'s
-stream. So its value and its gradients are those of ``concat``, then
+place by the bool keep mask ``dropout`` draws, at the same point of ``rng``'s
+stream, and then by the scalar ``1.0 / (1.0 - rate)``: mask first, then
+scalar, which gives the bits of ``dropout``'s float64 mask (overflow, NaN
+and -0.0 too). So its value and its gradients are those of ``concat``, then
 ``relu(add(matmul(h, w), b))`` and ``dropout`` per hidden layer and
 ``add(matmul(h, w), b)`` for the last, byte for byte (-0.0 too; but see the
 frozen case below). Its parents are only the tensors that need a gradient,
 so constant inputs and frozen weights are never held; it keeps a layer's
-input only when that layer's weight needs a gradient, and the masks. Its
-backward multiplies by a layer's dropout mask, then by its ReLU mask, in
-place, and frees each kept array once it has read it, so the node's
-backward runs once: a second raises ``RuntimeError``. The parts' gradients
-are one full ``g @ w.T`` of the first layer, split as ``concat`` splits it;
-a single part that needs one under a constant first layer (a frozen net's
-codes) takes its columns alone, through the transposed view of its rows of
-``w``, so no (rows, input width) gradient is made. Those columns equal the
+input only when that layer's weight needs a gradient, and the bool masks.
+When several parts all need a gradient (Q's head), they are parents, alive
+with the graph anyway, so the node keeps them rather than their
+concatenation and concatenates them again for the first layer's weight
+gradient, once the later layers' arrays are freed; a node with a constant
+part (the generator) keeps the concatenation. Its backward multiplies by a
+layer's dropout mask and scale, then by its ReLU mask, in place, and frees
+each kept array once it has read it, so the node's backward runs once: a
+second raises ``RuntimeError``. The parts' gradients are one full
+``g @ w.T`` of the first layer, split as ``concat`` splits it; a single part
+that needs one under a constant first layer (a frozen net's codes) takes its
+columns alone, through the transposed view of its rows of ``w``, so no
+(rows, input width) gradient is made. Those columns equal the
 full product's bytes at the CRM step's block heights, not at every height.
 
 ``rowwise_bilinear(u, mats, v, classes)`` reads row b's matrix from a
@@ -217,38 +224,50 @@ def mlp(parts: Sequence[Tensor], layers: Sequence[tuple[Tensor, Tensor]],
     # frozen net's codes) takes its columns alone; else the input gradient is
     # the full product, split as concat splits it
     one_part = grad_parts[0] if len(grad_parts) == 1 and not need_w[0] else None
-    inputs: list[Array | None] = []  # a layer's input, kept when its w needs a gradient
-    masks: list[list[Array]] = []  # a layer's masks, in the order the forward applied them
+    # a layer's input, kept when its w needs a gradient; several parts that
+    # are all parents live as long as the graph, so the first layer keeps
+    # them, not their concatenation
+    inputs: list[Array | tuple | None] = []
+    masks: list[tuple] = []  # a hidden layer's (ReLU mask, dropout mask or None)
+    scale = None if dropout is None else 1.0 / (1.0 - dropout[0])
     h = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], axis=-1)
     for k, (w, b) in enumerate(layers):
         if keep:
-            inputs.append(h if need_w[k] else None)
+            first_parts = k == 0 and len(grad_parts) == len(parts) > 1
+            inputs.append(None if not need_w[k] else
+                          tuple(p.data for p in parts) if first_parts else h)
         h = h @ w.data  # the layer's input is freed here unless kept
         h += b.data
-        applied = []
         if k < len(layers) - 1:
-            applied.append(h > 0)
+            relu, drop = h > 0, None
+            h *= relu
             if dropout is not None:
-                rate, rng = dropout
-                applied.append((rng.random(h.shape) >= rate) / (1.0 - rate))
-            for mask in applied:
-                h *= mask
-        if keep:
-            masks.append(applied)
+                drop = dropout[1].random(h.shape) >= dropout[0]
+                h *= drop  # the mask, then its scale: a float mask's bits
+                h *= scale
+            if keep:
+                masks.append((relu, drop))
     bounds = list(accumulate((p.data.shape[-1] for p in parts), initial=0))
 
     def back(g):
-        if not masks:
+        if not inputs:
             raise RuntimeError("an mlp node's backward runs once; its saved arrays are freed")
         found = []  # the parents' gradients, last parent first
         for k in reversed(range(len(layers))):
             w, b = layers[k]
-            applied = masks.pop()
-            while applied:
-                g *= applied.pop()  # g is this node's own product with the layer above's w
+            if k < len(layers) - 1:
+                # g is this node's own product with the layer above's w
+                relu, drop = masks.pop()
+                if drop is not None:
+                    g *= drop
+                    g *= scale
+                g *= relu
+                del relu, drop
             if need_b[k]:
                 found.append(_unbroadcast(g, b.shape))
             x = inputs.pop()
+            if isinstance(x, tuple):  # the later layers' arrays are freed by now
+                x = np.concatenate(x, axis=-1)
             if x is not None:
                 found.append(x.T @ g)
             del x  # freed before the input gradient is made

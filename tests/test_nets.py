@@ -156,7 +156,9 @@ MLP_CASES = {
     "trained, the codes": ((2,), True, False),  # the joint CRM step
     "trained, no part": ((), True, False),  # the generator's CRM step
     "trained, no part, dropout": ((), True, True),  # as the classifier's train mode
-    "trained, three parts": ((0, 2, 3), True, False),  # as Q's three parts in the D/Q step
+    "trained, three parts": ((0, 2, 3), True, False),
+    "trained, every part": ((0, 1, 2, 3), True, False),  # as Q's head in the D/Q step
+    "trained, every part, dropout": ((0, 1, 2, 3), True, True),
     "constant weights, two parts": ((1, 2), False, False),
     "no_grad": None,
 }
@@ -215,6 +217,63 @@ def test_mlp_backward_runs_once():
     assert set(first) == {part, layers[1][0]}
     with pytest.raises(RuntimeError, match="backward runs once"):
         dc.backward(out, np.ones((5, 2)))
+
+
+def _kept(node) -> dict:
+    """What an mlp node's backward closure holds, by name."""
+    return dict(zip(node._backward.__code__.co_freevars,
+                    (cell.cell_contents for cell in node._backward.__closure__)))
+
+
+def _kept_arrays(node) -> list:
+    """Every array an mlp node's backward keeps, through lists and tuples."""
+    found, todo = [], list(_kept(node).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return found
+
+
+def test_mlp_keeps_its_parts_not_their_concatenation():
+    # Q's head: three parts (v, u, the class embedding) that all need a
+    # gradient are graph nodes kept alive anyway, so the node keeps them and
+    # no array of the concatenated width; with a constant part (as the
+    # generator's features) it keeps the concatenation
+    rng = np.random.default_rng(0)
+    layers = [(Tensor(rng.normal(size=(n, m)), requires_grad=True),
+               Tensor(rng.normal(size=m), requires_grad=True))
+              for n, m in ((80, 64), (64, 128), (128, 4))]
+    arrays = [rng.normal(size=(300, w)) for w in (32, 32, 16)]
+    for constant in (None, 0):
+        parts = [Tensor(a, requires_grad=i != constant) for i, a in enumerate(arrays)]
+        kept = _kept_arrays(dc.mlp(parts, layers))
+        wide = [a for a in kept if a.shape[-1] == 80]
+        if constant is None:
+            assert not wide
+            assert all(any(a is p.data for a in kept) for p in parts)
+        else:
+            assert len(wide) == 1 and not any(a is p.data for a in kept for p in parts)
+
+
+def test_mlp_with_dropout_keeps_bool_masks_alone():
+    # each hidden layer keeps its ReLU mask and its dropout mask as bool
+    # arrays (the scale is one scalar); the only float arrays are the inputs
+    # of the layers whose weights need a gradient
+    rng = np.random.default_rng(1)
+    layers = [(Tensor(rng.normal(size=(n, m)), requires_grad=True),
+               Tensor(rng.normal(size=m), requires_grad=True))
+              for n, m in ((6, 32), (32, 32), (32, 4))]
+    out = dc.mlp([Tensor(rng.normal(size=(200, 6)))], layers, (0.5, np.random.default_rng(2)))
+    kept = _kept(out)
+    masks = [m for pair in kept["masks"] for m in pair]
+    assert len(masks) == 4 and all(m.dtype == bool and m.shape == (200, 32) for m in masks)
+    inputs = [a for a in kept["inputs"] if a is not None]
+    floats = [a for a in _kept_arrays(out) if a.dtype != bool]
+    assert len(floats) == len(inputs) == 3
+    assert all(any(f is a for a in inputs) for f in floats)
 
 
 @pytest.mark.parametrize("switch", [None, "gen_use_instance_features",
