@@ -53,20 +53,19 @@ and -0.0 too). So its value and its gradients are those of ``concat``, then
 ``relu(add(matmul(h, w), b))`` and ``dropout`` per hidden layer and
 ``add(matmul(h, w), b)`` for the last, byte for byte (-0.0 too; but see the
 frozen case below). Its parents are only the tensors that need a gradient,
-so constant inputs and frozen weights are never held; it keeps a layer's
-input only when that layer's weight needs a gradient, and the bool masks.
-When several parts all need a gradient (Q's head), they are parents, alive
-with the graph anyway, so the node keeps them rather than their
-concatenation and concatenates them again for the first layer's weight
-gradient, once the later layers' arrays are freed; a node with a constant
-part (the generator) keeps the concatenation. Its backward multiplies by a
-layer's dropout mask and scale, then by its ReLU mask, in place, and frees
-each kept array once it has read it, so the node's backward runs once: a
-second raises ``RuntimeError``. The parts' gradients are one full
-``g @ w.T`` of the first layer, split as ``concat`` splits it; a single part
-that needs one under a constant first layer (a frozen net's codes) takes its
-columns alone, through the transposed view of its rows of ``w``, so no
-(rows, input width) gradient is made. Those columns equal the
+so frozen weights are never held; it keeps a layer's input only when that
+layer's weight needs a gradient, and the bool masks. The first layer's
+input is kept as the parts, not their concatenation: they add up to its
+width, and those that need a gradient (all three of Q's head) are parents,
+alive with the graph anyway. The backward concatenates them again for the
+first layer's weight gradient, once the later layers' arrays are freed. It
+multiplies by a layer's dropout mask and scale, then by its ReLU mask, in
+place, and frees each kept array once it has read it, so the node's
+backward runs once: a second raises ``RuntimeError``. The parts' gradients
+are one full ``g @ w.T`` of the first layer, split as ``concat`` splits it;
+a single part that needs one under a constant first layer (a frozen net's
+codes) takes its columns alone, through the transposed view of its rows of
+``w``, so no (rows, input width) gradient is made. Those columns equal the
 full product's bytes at the CRM step's block heights, not at every height.
 
 ``rowwise_bilinear(u, mats, v, classes)`` reads row b's matrix from a
@@ -224,18 +223,17 @@ def mlp(parts: Sequence[Tensor], layers: Sequence[tuple[Tensor, Tensor]],
     # frozen net's codes) takes its columns alone; else the input gradient is
     # the full product, split as concat splits it
     one_part = grad_parts[0] if len(grad_parts) == 1 and not need_w[0] else None
-    # a layer's input, kept when its w needs a gradient; several parts that
-    # are all parents live as long as the graph, so the first layer keeps
-    # them, not their concatenation
-    inputs: list[Array | tuple | None] = []
+    # a layer's input, kept when its w needs a gradient; the first layer keeps
+    # the parts, not their concatenation: they add up to its width, and those
+    # that are parents live as long as the graph anyway
+    inputs: list[Array | list[Array] | None] = []
     masks: list[tuple] = []  # a hidden layer's (ReLU mask, dropout mask or None)
     scale = None if dropout is None else 1.0 / (1.0 - dropout[0])
-    h = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], axis=-1)
+    arrays = [p.data for p in parts]
+    h = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
     for k, (w, b) in enumerate(layers):
         if keep:
-            first_parts = k == 0 and len(grad_parts) == len(parts) > 1
-            inputs.append(None if not need_w[k] else
-                          tuple(p.data for p in parts) if first_parts else h)
+            inputs.append(None if not need_w[k] else arrays if k == 0 else h)
         h = h @ w.data  # the layer's input is freed here unless kept
         h += b.data
         if k < len(layers) - 1:
@@ -266,8 +264,8 @@ def mlp(parts: Sequence[Tensor], layers: Sequence[tuple[Tensor, Tensor]],
             if need_b[k]:
                 found.append(_unbroadcast(g, b.shape))
             x = inputs.pop()
-            if isinstance(x, tuple):  # the later layers' arrays are freed by now
-                x = np.concatenate(x, axis=-1)
+            if k == 0 and x is not None:  # the later layers' arrays are freed by now
+                x = x[0] if len(x) == 1 else np.concatenate(x, axis=-1)
             if x is not None:
                 found.append(x.T @ g)
             del x  # freed before the input gradient is made

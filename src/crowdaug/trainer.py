@@ -68,8 +68,8 @@ The epoch frees each per-pair array after its last reader: step 1's
 entropies after the selection, the code draws after the step-3 pass, and the
 step-3 scores, cut to the selected rows step 7 reads, once the deltas exist.
 It keeps one delta per pair, the one of the step that trains on the pair.
-The logged batch then holds only what the CRM steps read, each array once:
-int32 index columns, and the noise as a tape (below).
+The logged batch then holds only what the CRM steps read, its index columns
+as int32.
 
 The sampling pass keeps no per-pair code or noise array. The classifier
 probabilities of step 1 and of the export depend only on the instance, so
@@ -78,23 +78,23 @@ gathers its own pairs' rows, byte-equal to the pass per pair. The classifier
 does not move between steps 1 and 5, so step 1's table, kept on the logged
 batch, also gives step 4's entropy split, the generator step's codes and
 step 7's code entropy. Step 1 draws every pair's noise, then its label
-uniform, then its code uniform. The noise goes on a ``NoiseTape``, which
-keeps the stream's state at every 1024th pair and not the noise; each
-logging and CRM block replays its own pairs' rows from it, on the block's
-own thread.
+uniform, then its code uniform, and keeps the noise, which the CRM steps
+replay.
 
 The export streams its CSV one pair block at a time and holds no array with
 an entry per grid pair or per missing pair, only columns of the annotations
 and the instances and two blocks. Each block of the missing pairs derives
-its pairs from the sorted authentic positions and draws its uniforms on the
-calling thread in block order (``_in_flight``), and replays its noise from a
-tape on its own thread, so the draws are the same on one thread or two. As
+its pairs from the sorted authentic positions, replays its noise from a copy
+of the generator (the stream is drawn past the noise in block-sized chunks
+first) and draws its uniforms; ``_in_flight`` does both on the calling
+thread in block order, so the draws are the same on one thread or two. As
 each block comes back, the calling thread writes the grid rows through the
 block's last missing pair from a NumPy formatter, byte-equal to
 ``csv.writer``.
 """
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -190,67 +190,11 @@ class TrainConfig:
             raise ConfigError("dropout must lie in [0, 1)")
 
 
-# The noise tape records the stream's state every 1024 pairs: a state is
-# about 0.9 KB, under one byte a pair, and a replay draws at most 1023 rows
-# it does not need per chunk (64 KB at k = 8). A constant, not a setting.
-_TAPE_ROWS = 1024
-
-
-class NoiseTape:
-    """A (pairs, width) standard normal draw from ``rng``, kept as the bit
-    generator's state at the start of each chunk of ``_TAPE_ROWS`` pairs
-    rather than as the draw.
-
-    Making the tape draws the noise chunk by chunk and drops it, so ``rng``
-    ends where one (pairs, width) draw leaves it (chunked normal draws equal
-    one draw). ``rows(idx)`` replays the rows ``idx`` from the states of the
-    chunks that hold them, on whichever thread calls it."""
-
-    def __init__(self, rng: np.random.Generator, pairs: int, width: int):
-        self.width = width
-        self._kind = type(rng.bit_generator)
-        self._states = []
-        for start in range(0, pairs, _TAPE_ROWS):
-            self._states.append(rng.bit_generator.state)
-            rng.standard_normal((min(_TAPE_ROWS, pairs - start), width))
-
-    def rows(self, idx) -> np.ndarray:
-        """The draw's rows at the strictly ascending indices ``idx`` (or a
-        slice).
-
-        Each chunk that holds some of them is drawn again from its state,
-        through its last row asked for; chunks holding none are skipped. A
-        chunk's rows before its first one asked for are drawn and dropped,
-        and a run of consecutive rows is drawn straight into the output."""
-        if isinstance(idx, slice):
-            idx = np.arange(idx.start, idx.stop)
-        out = np.empty((len(idx), self.width))
-        if not len(idx):
-            return out
-        if np.any(idx[1:] <= idx[:-1]):
-            raise ValueError("noise tape rows must be strictly ascending")
-        chunks = idx // _TAPE_ROWS
-        bounds = [0, *(np.flatnonzero(chunks[1:] != chunks[:-1]) + 1), len(idx)]
-        replay = np.random.Generator(self._kind(0))  # its state is set before each draw
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            chunk, start, stop = int(chunks[lo]), int(idx[lo]), int(idx[hi - 1]) + 1
-            replay.bit_generator.state = self._states[chunk]
-            if start > chunk * _TAPE_ROWS:
-                replay.standard_normal((start - chunk * _TAPE_ROWS, self.width))
-            if stop - start == hi - lo:
-                replay.standard_normal(out=out[lo:hi])
-            else:
-                np.take(replay.standard_normal((stop - start, self.width)), idx[lo:hi] - start,
-                        axis=0, out=out[lo:hi])
-        return out
-
-
 @dataclass
 class LoggedBatch:
     """Column view of this epoch's logged annotations and their classifier table.
 
-    Each array is held once: the index columns are int32, and the logging
-    noise is a ``NoiseTape``, which each block replays for its own pairs.
+    The index columns are int32, half the bytes of NumPy's default ints.
     ``zhat_draws`` and ``entropies`` are read before the CRM steps alone:
     ``run_epoch`` sets each to None after its last reader (the step-3 judge
     pass and the selection), so the batch the CRM steps read holds only
@@ -260,7 +204,7 @@ class LoggedBatch:
     annotators: np.ndarray  # annotator ids, int32, shape (P,)
     labels: np.ndarray      # sampled labels, int32, shape (P,)
     g0: np.ndarray          # logging probabilities, shape (P,)
-    noise: NoiseTape        # noise at logging time, (P, k) rows
+    eps: np.ndarray         # noise at logging time, shape (P, k)
     zhat_draws: np.ndarray | None  # sampled code class per pair, int32, shape (P,)
     entropies: np.ndarray | None   # generator-distribution entropy per pair, shape (P,)
     codes: np.ndarray       # classifier probabilities per logged instance, shape (D, C)
@@ -375,7 +319,7 @@ def _in_flight(run, blocks: list[slice], feed=lambda rows: ()):
     """Yield ``run(rows, *feed(rows))`` of each block in block order.
 
     ``feed`` gives a block's own inputs drawn from a generator (the export's
-    uniforms): it runs on the calling thread, in block order, just
+    noise and uniforms): it runs on the calling thread, in block order, just
     before its block is handed out, so its draws come in the same order on one
     thread or two and only the blocks in flight hold theirs. On
     ``_BLOCK_THREADS`` = 2 two blocks are in flight at a time: the calling
@@ -622,9 +566,8 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     inst = np.concatenate(pairs_inst, dtype=np.int32)
     annot = np.concatenate(pairs_annot)
 
-    # the stream's order: every pair's noise (on a tape that each block
-    # replays), label uniform, then code uniform
-    noise = NoiseTape(rng, len(inst), gen.dims.noise_dim)
+    # the stream's order: every pair's noise, label uniform, then code uniform
+    eps = gen.draw_noise(rng, len(inst))
     uniforms = rng.random(len(inst))
     code_uniforms = rng.random(len(inst))
     present = np.zeros(ds.num_instances, dtype=bool)
@@ -632,9 +575,8 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     codes, row_of = table = _instance_probs(clf, ds, present, len(inst))
     labels, g0, entropies, zhat_draws = _forward_in_blocks(
         len(inst), lambda rows: _sample_generated(gen, table, ds, inst[rows], annot[rows],
-                                                  noise.rows(rows), uniforms[rows],
-                                                  code_uniforms[rows]))
-    return LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, noise=noise,
+                                                  eps[rows], uniforms[rows], code_uniforms[rows]))
+    return LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
                        zhat_draws=zhat_draws, entropies=entropies, codes=codes,
                        code_rows=row_of[inst])
 
@@ -778,8 +720,7 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
 
     Each inner step runs forward and backward over ``_row_blocks`` of ``idx``,
     at most two pair blocks' graphs alive at a time (``_in_flight``): a block
-    gathers its own pairs' rows of the batch and replays their noise from its
-    tape (``idx`` ascending), its objective is its sum scaled
+    gathers its own pairs' rows of the batch, its objective is its sum scaled
     by 1/len(idx), and the gradient dicts its ``backward`` returns are added up
     in block order, so the gradient has the same bits on one thread or two. The
     classifier's codes are computed once per step over the distinct
@@ -811,7 +752,7 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
                 else batch.codes[batch.code_rows[at]]
             dist = dc.softmax(gen.logits(ds.features[batch.instances[at]],
                                          ds.annotator_features[batch.annotators[at]],
-                                         zhat, batch.noise.rows(at), frozen="gen" not in trains))
+                                         zhat, batch.eps[at], frozen="gen" not in trains))
             obj = crm_objective(batch.g0[at], dc.pick(dist, batch.labels[at]),
                                 deltas[at], mu, len(idx))
             return obj.item(), backward(obj)
@@ -1098,10 +1039,10 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
     the rows after the last missing pair are written last.
 
     The stream is every missing pair's noise, then each one's categorical
-    uniform. The noise is not kept: it is drawn onto a ``NoiseTape``, from
-    which each block replays its own rows on its own thread; the uniforms
-    are drawn per block, in block order, from the stream past the noise
-    (chunked uniform draws equal one draw).
+    uniform. The noise is not kept: the stream is drawn past it in row-block
+    chunks (chunked normal draws equal one draw), and a copy of the generator
+    taken before replays it block by block; the uniforms are drawn per block
+    from the stream past the noise (chunked uniform draws equal one draw).
     The CSV is written under a temporary name and renamed at the end, so a
     failed export leaves no partial file.
     """
@@ -1128,14 +1069,17 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
         present = np.zeros(ds.num_instances, dtype=bool)
         present[train_idx[np.bincount(slot[ann[:, 0]], minlength=len(train_idx)) < r]] = True
         table = _instance_probs(bundle.classifier, ds, present, missing)
-        noise = NoiseTape(rng, missing, gen.dims.noise_dim)
+        replay = copy.deepcopy(rng)
+        for rows in blocks:
+            gen.draw_noise(rng, rows.stop - rows.start)
 
     def feed(rows):
         pos = missing_position(np.arange(rows.start, rows.stop))
-        return train_idx[pos // r], pos % r, rng.random(rows.stop - rows.start)
+        count = rows.stop - rows.start
+        return (train_idx[pos // r], pos % r, gen.draw_noise(replay, count), rng.random(count))
 
-    def sample(rows, inst, annot, uniforms):
-        return _sample_generated(gen, table, ds, inst, annot, noise.rows(rows), uniforms)
+    def sample(rows, *block):
+        return _sample_generated(gen, table, ds, *block)
 
     written = 0
 

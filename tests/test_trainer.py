@@ -218,8 +218,7 @@ def test_logged_probabilities_replay_bit_exact():
     replay_gen.store.load_state_dict(gen_state)
     zhat = replay_clf.probs(ds.features[batch.instances]).data
     dist = replay_gen.distribution(ds.features[batch.instances],
-                                   ds.annotator_features[batch.annotators], zhat,
-                                   batch.noise.rows(slice(0, len(batch)))).data
+                                   ds.annotator_features[batch.annotators], zhat, batch.eps).data
     assert np.array_equal(dist[np.arange(len(batch)), batch.labels], batch.g0)
 
 
@@ -263,7 +262,7 @@ def test_logged_grid_equals_the_whole_grid_sample(monkeypatch):
                                 zhat, eps).data
     labels = dc.categorical_at(dist, rng.random(len(inst)))
     # the classifier table, gathered per pair, is the whole grid's codes; the
-    # index columns are int32, and the tape replays the one noise draw
+    # index columns are int32
     expected = LoggedBatch(inst, annot, labels.astype(np.int32),
                            dist[np.arange(len(inst)), labels], eps,
                            dc.categorical_at(zhat, rng.random(len(inst))).astype(np.int32),
@@ -271,104 +270,9 @@ def test_logged_grid_equals_the_whole_grid_sample(monkeypatch):
     assert batch.codes[batch.code_rows].tobytes() == zhat.tobytes()
     for name in ("instances", "annotators", "code_rows"):
         assert getattr(batch, name).dtype == np.int32, name
-    got, want = _columns(batch), _columns(expected)
-    assert {k: v.dtype for k, v in got.items()} == {k: v.dtype for k, v in want.items()}
-    assert {k: v.tobytes() for k, v in got.items()} == \
-        {k: v.tobytes() for k, v in want.items()}
-
-
-_TAPE = tr._TAPE_ROWS
-_TAPE_PAIRS = 3 * _TAPE + 100  # three whole chunks and a partial one
-
-
-@pytest.mark.parametrize("rows", [
-    np.arange(0),  # empty
-    np.arange(_TAPE // 2, _TAPE // 2 + 9),  # starts mid-chunk, within it
-    np.arange(_TAPE - 5, 2 * _TAPE + 5),  # crosses two chunk boundaries
-    np.arange(2 * _TAPE + 7, _TAPE_PAIRS),  # ends in the last, partial chunk
-    np.array([3, 5, 2 * _TAPE + 1, _TAPE_PAIRS - 1]),  # gaps, a chunk skipped
-    np.sort(np.random.default_rng(0).choice(_TAPE_PAIRS, size=700, replace=False)),
-    slice(0, _TAPE_PAIRS),  # every row, as the logging pass asks for a block
-    slice(_TAPE + 1, _TAPE + 1),  # an empty slice
-], ids=["empty", "mid-chunk", "across-chunks", "last-partial-chunk", "sparse", "random",
-        "all-as-slice", "empty-slice"])
-def test_noise_tape_replays_the_rows_of_one_draw(rows):
-    width = 3
-    tape = tr.NoiseTape(np.random.default_rng(8), _TAPE_PAIRS, width)
-    draw = np.random.default_rng(8).standard_normal((_TAPE_PAIRS, width))
-    got = tape.rows(rows)
-    assert got.shape == draw[rows].shape and got.tobytes() == draw[rows].tobytes()
-
-
-@pytest.mark.parametrize("pairs", [0, 1, _TAPE, _TAPE_PAIRS])
-def test_noise_tape_leaves_the_stream_where_one_draw_does(pairs):
-    taped, drawn = np.random.default_rng(2), np.random.default_rng(2)
-    tr.NoiseTape(taped, pairs, 8)
-    drawn.standard_normal((pairs, 8))
-    assert taped.bit_generator.state == drawn.bit_generator.state
-    assert taped.random(5).tobytes() == drawn.random(5).tobytes()
-
-
-def test_noise_tape_replays_on_many_threads_at_once():
-    # block threads share one tape and read its states only: six threads, more
-    # than the cores, trading the interpreter often, each replay a one-draw's
-    tape = tr.NoiseTape(np.random.default_rng(3), _TAPE_PAIRS, 8)
-    draw = np.random.default_rng(3).standard_normal((_TAPE_PAIRS, 8))
-    picks = [np.sort(np.random.default_rng(k).choice(_TAPE_PAIRS, size=500, replace=False))
-             for k in range(6)]
-    results = [None] * len(picks)
-
-    def replay(k):
-        for _ in range(20):
-            if tape.rows(picks[k]).tobytes() != draw[picks[k]].tobytes():
-                return
-        results[k] = True
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=replay, args=(k,)) for k in range(len(picks))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert all(results)
-
-
-@pytest.mark.parametrize("rows", [[4, 2], [3, 3, 5]])
-def test_noise_tape_rejects_rows_out_of_order_or_repeated(rows):
-    tape = tr.NoiseTape(np.random.default_rng(0), 10, 2)
-    with pytest.raises(ValueError, match="strictly ascending"):
-        tape.rows(np.array(rows))
-
-
-def test_logging_leaves_the_stream_where_a_one_draw_logging_does():
-    # the tape draws the noise chunk by chunk, so the label and code uniforms
-    # after it, and every later draw of the epoch, are a one-draw logging's
-    ds = tiny_dataset(n=400, r=40, c=4)
-    cfg = tiny_config()
-    rng = np.random.default_rng(4)
-    bundle = build_bundle(tr._dims_for(ds, cfg), build_cooccurrence(ds), rng)
-    logged_rng, one_draw = np.random.default_rng(11), np.random.default_rng(11)
-    batch = log_generation_grid(bundle.generator, bundle.classifier, ds, cfg, logged_rng)
-    assert len(batch) > 4 * _TAPE
-    bundle.generator.draw_noise(one_draw, len(batch))
-    one_draw.random(len(batch))
-    one_draw.random(len(batch))
-    assert logged_rng.bit_generator.state == one_draw.bit_generator.state
-
-
-def _columns(batch):
-    """``{field: array}`` of a logged batch, its noise replayed for every pair
-    (or taken as it is when it is an array)."""
-    noise = batch.noise
-    if isinstance(noise, tr.NoiseTape):
-        noise = noise.rows(slice(0, len(batch)))
-    return {f.name: noise if f.name == "noise" else getattr(batch, f.name)
-            for f in dataclasses.fields(LoggedBatch)}
+    for f in dataclasses.fields(LoggedBatch):
+        got, want = getattr(batch, f.name), getattr(expected, f.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
 
 
 def test_logged_grid_respects_pair_cap():
@@ -825,12 +729,12 @@ def _crm_setup(pairs_count, seed):
     g0 = rng.uniform(0.05, 1.0, size=pairs_count)
     inst = rng.integers(0, 700, size=pairs_count)
     annot, labels = rng.integers(0, 30, size=pairs_count), rng.integers(0, 4, size=pairs_count)
-    noise = tr.NoiseTape(rng, pairs_count, 8)
+    eps = rng.normal(size=(pairs_count, 8))
     deltas = rng.normal(size=pairs_count)
     with dc.no_grad():
         codes = bundle.classifier.probs(ds.features[inst]).data
     # the epoch drops the code draws and the entropies before its CRM steps
-    pairs = LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, noise=noise,
+    pairs = LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
                         zhat_draws=None, entropies=None, codes=codes,
                         code_rows=np.arange(pairs_count))
     state = tr.TrainState(bundle=bundle, optimizers={
@@ -851,7 +755,7 @@ def _one_pass_crm_update(state, ds, cfg, pairs, idx, deltas, mu, trains, rng):
         if "clf" in trains:
             zhat = dc.gather_rows(clf.probs(ds.features[uniq], train_mode=True, rng=rng),
                                   inverse)
-        dist = gen.distribution(gx, ge, zhat, pairs.noise.rows(idx))
+        dist = gen.distribution(gx, ge, zhat, pairs.eps[idx])
         obj = tr.crm_objective(pairs.g0[idx], dc.pick(dist, pairs.labels[idx]), deltas[idx], mu,
                                len(idx))
         grads = dc.backward(obj)
@@ -948,11 +852,10 @@ def test_crm_update_over_an_index_equals_the_copied_pairs(mode):
     for copied in (False, True):
         state, ds, pairs, deltas = _crm_setup(9000, 0)
         idx = np.sort(np.random.default_rng(2).choice(9000, size=8500, replace=False))
-        if copied:  # the noise as an array of the copied rows
-            columns = ("instances", "annotators", "labels", "g0", "code_rows")
-            noise = pairs.noise.rows(idx)
-            pairs = dataclasses.replace(pairs, noise=SimpleNamespace(rows=lambda at: noise[at]),
-                                        **{name: getattr(pairs, name)[idx] for name in columns})
+        if copied:
+            columns = ("instances", "annotators", "labels", "g0", "eps", "code_rows")
+            pairs = dataclasses.replace(pairs, **{name: getattr(pairs, name)[idx]
+                                                  for name in columns})
             deltas = deltas[idx]
             idx = np.arange(len(idx))
         tr._crm_update(state, ds, tiny_config(), pairs, idx, deltas, 0.1, _CRM_MODES[mode],
@@ -1636,8 +1539,8 @@ def test_export_and_logged_grid_are_equal_on_one_and_two_threads(tmp_path, monke
         written = export_augmented(ds, bundle, seed=5, out_path=path)
         batch = log_generation_grid(bundle.generator, bundle.classifier, ds, tiny_config(),
                                     np.random.default_rng(3))
-        runs[threads] = [path.read_bytes()] + [column.tobytes()
-                                               for column in _columns(batch).values()]
+        runs[threads] = [path.read_bytes()] + [getattr(batch, f.name).tobytes()
+                                               for f in dataclasses.fields(LoggedBatch)]
     assert len(written) - written.authentic >= 8192 and len(batch) >= 8192
     assert runs[1] == runs[2]
 
