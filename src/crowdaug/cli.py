@@ -399,44 +399,25 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Train classifiers from sparse crowdsourced "
                                  "annotations with adversarial augmentation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, data=False, checkpoint=False, method=False):
-        p.add_argument("--config", default=None,
-                       help="key = value configuration file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=_seed, default=None,
-                       help="seed override (default: config seed)")
-        if data:
-            p.add_argument("--data", required=True, help="dataset directory")
-        if checkpoint:
-            p.add_argument("--checkpoint", required=True,
-                           help="checkpoint file from a training run")
-        if method:
-            p.add_argument("--method", default="crowding", choices=list(METHODS))
-
-    p = sub.add_parser("synth", help="generate a synthetic crowd dataset")
-    common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train one method on a dataset")
-    common(p, data=True, method=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="score a checkpoint on a dataset")
-    common(p, data=True, checkpoint=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="annotation-removal sweep across methods")
-    common(p, data=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("ablate", help="component-ablation comparison")
-    common(p, data=True)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("augment", help="export completed annotations")
-    common(p, data=True, checkpoint=True)
-    p.set_defaults(func=cmd_augment)
+    common = [("--config", {"default": None, "help": "key = value configuration file"}),
+              ("--out", {"required": True, "help": "output directory"}),
+              ("--seed", {"type": _seed, "default": None,
+                          "help": "seed override (default: config seed)"})]
+    data = ("--data", {"required": True, "help": "dataset directory"})
+    checkpoint = ("--checkpoint", {"required": True,
+                                   "help": "checkpoint file from a training run"})
+    method = ("--method", {"default": "crowding", "choices": list(METHODS)})
+    for name, help_text, func, extra in (
+            ("synth", "generate a synthetic crowd dataset", cmd_synth, []),
+            ("train", "train one method on a dataset", cmd_train, [data, method]),
+            ("eval", "score a checkpoint on a dataset", cmd_eval, [data, checkpoint]),
+            ("sweep", "annotation-removal sweep across methods", cmd_sweep, [data]),
+            ("ablate", "component-ablation comparison", cmd_ablate, [data]),
+            ("augment", "export completed annotations", cmd_augment, [data, checkpoint])):
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in common + extra:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -650,12 +650,11 @@ class Adam:
     without an entry takes a zero gradient.
 
     The moments ``m`` and ``v`` are two flat arrays over the store's
-    parameters in store order, allocated once, at the first step (an
-    optimizer that never stepped holds none). A step copies the gradients
-    into one flat array, applies each update operation once over all of
-    them, and subtracts each parameter's slice of the update in place. Every
-    operation is elementwise, so the bits are those of a parameter-by-parameter
-    update."""
+    parameters in store order, allocated as zeros with the optimizer. A step
+    copies the gradients into one flat array, applies each update operation
+    once over all of them, and subtracts each parameter's slice of the update
+    in place. Every operation is elementwise, so the bits are those of a
+    parameter-by-parameter update."""
 
     def __init__(self, store: ParamStore, lr: float):
         self.store = store
@@ -666,8 +665,7 @@ class Adam:
         for name, t in store.items():
             self._slices.append((name, t, slice(self._size, self._size + t.data.size)))
             self._size += t.data.size
-        self.m: Array | None = None
-        self.v: Array | None = None
+        self.m, self.v = np.zeros(self._size), np.zeros(self._size)
 
     def step(self, grads: dict) -> None:
         """One in-place update of every parameter of the store by ``grads``.
@@ -684,8 +682,6 @@ class Adam:
                 raise ValueError(f"gradient shape mismatch for {name!r}: "
                                  f"{grad.shape} vs {t.data.shape}")
             g[at] = grad.reshape(-1)
-        if self.m is None:
-            self.m, self.v = np.zeros(self._size), np.zeros(self._size)
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1**self.step_count
         bc2 = 1.0 - ADAM_BETA2**self.step_count
@@ -709,11 +705,8 @@ class Adam:
                 t.data -= update[at].reshape(t.data.shape)
 
     def state_dict(self) -> dict:
-        return {"step_count": self.step_count,
-                "m": None if self.m is None else self.m.copy(),
-                "v": None if self.v is None else self.v.copy()}
+        return {"step_count": self.step_count, "m": self.m.copy(), "v": self.v.copy()}
 
     def load_state_dict(self, d: dict) -> None:
         self.step_count = d["step_count"]
-        self.m = None if d["m"] is None else d["m"].copy()
-        self.v = None if d["v"] is None else d["v"].copy()
+        self.m, self.v = d["m"].copy(), d["v"].copy()

@@ -101,15 +101,17 @@ def _check_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     return x
 
 
-def _params(spec: list, rng: np.random.Generator) -> ParamStore:
-    """A store of the ``(name, shape, init)`` parameters a net's ``spec``
-    lists, in order: "glorot" draws from ``rng``, "zeros" and "eye" draw
-    nothing."""
-    store = ParamStore()
-    for name, shape, init in spec:
-        store.add(name, dc.glorot_uniform(rng, shape) if init == "glorot"
-                  else np.eye(*shape) if init == "eye" else np.zeros(shape))
-    return store
+class _Net:
+    """A net built from its ``spec(dims)``: a store of the ``(name, shape,
+    init)`` parameters it lists, in order; "glorot" draws from ``rng``,
+    "zeros" and "eye" draw nothing."""
+
+    def __init__(self, dims: NetDims, rng: np.random.Generator):
+        self.dims = dims
+        self.store = ParamStore()
+        for name, shape, init in self.spec(dims):
+            self.store.add(name, dc.glorot_uniform(rng, shape) if init == "glorot"
+                           else np.eye(*shape) if init == "eye" else np.zeros(shape))
 
 
 def _class_index(y, num_classes: int) -> np.ndarray:
@@ -119,7 +121,7 @@ def _class_index(y, num_classes: int) -> np.ndarray:
     return y
 
 
-class Classifier:
+class Classifier(_Net):
     """One hidden ReLU layer (with dropout in train mode) into class logits."""
 
     @staticmethod
@@ -128,10 +130,6 @@ class Classifier:
                 ("b1", (d.clf_hidden,), "zeros"),
                 ("W2", (d.clf_hidden, d.num_classes), "zeros"),
                 ("b2", (d.num_classes,), "zeros")]
-
-    def __init__(self, dims: NetDims, rng: np.random.Generator):
-        self.dims = dims
-        self.store = _params(self.spec(dims), rng)
 
     def logits(self, x: np.ndarray, train_mode: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
@@ -148,7 +146,7 @@ class Classifier:
         return dc.softmax(self.logits(x, train_mode, rng))
 
 
-class Generator:
+class Generator(_Net):
     """Two ReLU layers over [x; e; zhat; noise] into annotation-label logits."""
 
     @staticmethod
@@ -160,10 +158,6 @@ class Generator:
                 ("b2", (d.gen_hidden2,), "zeros"),
                 ("W3", (d.gen_hidden2, d.num_classes), "zeros"),
                 ("b3", (d.num_classes,), "zeros")]
-
-    def __init__(self, dims: NetDims, rng: np.random.Generator):
-        self.dims = dims
-        self.store = _params(self.spec(dims), rng)
 
     def draw_noise(self, rng: np.random.Generator, batch: int) -> np.ndarray:
         return rng.standard_normal((batch, self.dims.noise_dim))
@@ -204,7 +198,7 @@ class Generator:
         return dc.log_softmax(self.logits(x, e, zhat, eps))
 
 
-class Discriminator:
+class Discriminator(_Net):
     """Bilinear authenticity scorer with optional label-correlation mixing."""
 
     @staticmethod
@@ -217,10 +211,6 @@ class Discriminator:
                 ("M", (d.num_classes, m, m), "glorot"),
                 # identity-initialized mixing keeps decoded matrices live at step one
                 ("Wmix", (m, m), "eye")]
-
-    def __init__(self, dims: NetDims, rng: np.random.Generator):
-        self.dims = dims
-        self.store = _params(self.spec(dims), rng)
 
     def encode(self, x, e) -> tuple[Tensor, Tensor]:
         """Encoded annotators ``u`` and instances ``v`` of a row batch, which
@@ -252,7 +242,7 @@ class Discriminator:
         return dc.clamp(dc.sigmoid(dc.rowwise_bilinear(u, mats, v, y)), CLAMP_LO, CLAMP_HI)
 
 
-class AuxNet:
+class AuxNet(_Net):
     """Predicts the classifier's distribution from one annotation.
 
     Reads the discriminator's encoding of the row (passed in; the encoders
@@ -272,10 +262,6 @@ class AuxNet:
                 ("b2", (d.aux_hidden2,), "zeros"),
                 ("W3", (d.aux_hidden2, d.num_classes), "zeros"),
                 ("b3", (d.num_classes,), "zeros")]
-
-    def __init__(self, dims: NetDims, rng: np.random.Generator):
-        self.dims = dims
-        self.store = _params(self.spec(dims), rng)
 
     def logits(self, u: Tensor, v: Tensor, mats: Tensor, y) -> Tensor:
         """Code logits of each row from the discriminator's encoding ``u``,

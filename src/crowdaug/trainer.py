@@ -34,8 +34,10 @@ node, which frees each activation it keeps once its backward has read it;
 the classifier's step runs it with its weights held fixed
 (``Generator.logits(frozen=True)``), a node over the codes that keeps no
 activation. Supervised training, generator pretraining and the D/Q warm-up
-run one minibatch loop, ``_epoch_losses``; step 1 and the augmentation
-export draw labels through one sampling pass, ``_sample_generated``.
+run one minibatch loop, ``_epoch_losses``; step 1, the D/Q warm-up and the
+augmentation export draw generated labels through one sampling pass,
+``_sample_generated`` (the warm-up's table holds every instance's classifier
+probabilities).
 
 The discriminator and the auxiliary net read pairs as index columns
 (instances, annotators, labels), as every other pass over pairs does: one
@@ -388,14 +390,15 @@ def _distinct(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sample_generated(gen: Generator, table: tuple, ds: CrowdDataset, inst: np.ndarray,
                       annot: np.ndarray, eps: np.ndarray, uniforms: np.ndarray,
                       code_uniforms: np.ndarray | None = None):
-    """One generated label per (``inst``, ``annot``) pair of one row block,
-    drawn with noise ``eps`` at its categorical uniform; returns the int32
-    labels, or with ``code_uniforms`` the tuple (labels, their probabilities,
-    the entropies of the generator's distributions, the int32 code class
-    drawn at each code uniform).
+    """One generated label per (``inst``, ``annot``) pair of one row block or
+    minibatch, drawn with noise ``eps`` at its categorical uniform; returns
+    the int32 labels, or with ``code_uniforms`` the tuple (labels, their
+    probabilities, the entropies of the generator's distributions, the int32
+    code class drawn at each code uniform).
 
-    ``table`` is ``_instance_probs``: the block gathers its own codes from it,
-    so no (pairs, classes) array is kept."""
+    ``table`` is ``_instance_probs``' (probabilities, instance -> row map):
+    the block gathers its own codes from it, so no (pairs, classes) array is
+    kept."""
     probs, row_of = table
     zhat = probs[row_of[inst]]
     dist = gen.distribution(ds.features[inst], ds.annotator_features[annot], zhat, eps).data
@@ -465,26 +468,28 @@ def pretrain_dl_cl(ds: CrowdDataset, cfg: TrainConfig,
     return clf, history
 
 
+def _baseline_result(ds: CrowdDataset, clf: Classifier, history: list) -> TrainResult:
+    """A baseline's result: its classifier after the last epoch, scored on
+    the validation and test splits."""
+    return TrainResult(classifier=clf, bundle=None, history=history,
+                       best_epoch=len(history) - 1,
+                       best_val_acc=split_accuracy(clf, ds, VAL),
+                       test_acc=split_accuracy(clf, ds, TEST))
+
+
 def train_dl_mv(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     """Majority-vote aggregation followed by standard supervised training."""
     rng = np.random.default_rng(cfg.seed)
     mv = majority_vote(ds)
     train_idx = ds.split_indices(TRAIN)
     clf = Classifier(_dims_for(ds, cfg), rng)
-    history = _fit_classifier(clf, ds.features[train_idx], mv[train_idx], cfg, rng)
-    val_acc = split_accuracy(clf, ds, VAL)
-    return TrainResult(classifier=clf, bundle=None, history=history,
-                       best_epoch=len(history) - 1, best_val_acc=val_acc,
-                       test_acc=split_accuracy(clf, ds, TEST))
+    return _baseline_result(ds, clf, _fit_classifier(clf, ds.features[train_idx],
+                                                     mv[train_idx], cfg, rng))
 
 
 def train_dl_cl(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     """The crowd-layer baseline as a standalone method."""
-    clf, history = pretrain_dl_cl(ds, cfg)
-    return TrainResult(classifier=clf, bundle=None, history=history,
-                       best_epoch=len(history) - 1,
-                       best_val_acc=split_accuracy(clf, ds, VAL),
-                       test_acc=split_accuracy(clf, ds, TEST))
+    return _baseline_result(ds, *pretrain_dl_cl(ds, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -502,27 +507,25 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
     ann = _train_annotations(ds)
     with dc.no_grad():
         zhat_all = clf.probs(ds.features).data
+    table = (zhat_all, np.arange(ds.num_instances))  # _instance_probs' layout
     opt_g = Adam(gen.store, lr=cfg.lr_pretrain)
     opt_dq = Adam(ParamStore.union(disc.store, aux.store), lr=cfg.lr_discriminator)
 
-    def rows(batch):
-        inst, annot = ann[batch, 0], ann[batch, 1]
-        return ds.features[inst], ds.annotator_features[annot], zhat_all[inst], ann[batch, 2]
-
     def gen_step(batch, epoch):
-        x, e, zhat, labels = rows(batch)
-        log_dist = gen.log_distribution(x, e, zhat, gen.draw_noise(rng, len(batch)))
+        inst, annot, labels = ann[batch].T
+        log_dist = gen.log_distribution(ds.features[inst], ds.annotator_features[annot],
+                                        zhat_all[inst], gen.draw_noise(rng, len(batch)))
         loss = dc.nll(log_dist, labels)
         return _descend(opt_g, loss, "generator pretraining loss", epoch)
 
     def disc_step(batch, epoch):
-        x, e, zhat, labels = rows(batch)
+        inst, annot, labels = ann[batch].T
+        # the stream's order: noise, label uniforms, then code uniforms
         eps = gen.draw_noise(rng, len(batch))
+        uniforms, code_uniforms = rng.random(len(batch)), rng.random(len(batch))
         with dc.no_grad():
-            fake_labels = dc.categorical_at(gen.distribution(x, e, zhat, eps).data,
-                                            rng.random(len(batch)))
-        zdraws = dc.categorical_at(zhat, rng.random(len(batch)))
-        inst, annot = ann[batch, 0], ann[batch, 1]
+            fake_labels, _, _, zdraws = _sample_generated(gen, table, ds, inst, annot, eps,
+                                                          uniforms, code_uniforms)
         return _disc_aux_step(opt_dq, disc, aux, adjacency, ds, (inst, annot, labels),
                               (inst, annot, fake_labels), zdraws, cfg,
                               "discriminator pretraining loss", epoch)[0]
@@ -587,35 +590,37 @@ def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
                              mode: str = "entropy") -> np.ndarray:
     """Per-annotator draw of generated samples matching authentic counts.
 
-    Weights are 1/max(entropy, 1e-6) ("entropy" mode) or uniform; draws are
-    without replacement, exactly ``authentic_counts[r]`` per annotator, and
-    annotators without authentic annotations contribute nothing.
+    ``annotators`` must be grouped in ascending order, as step 1 lays the
+    pairs out (``log_generation_grid``), so each annotator's candidates are
+    one run of it, found by ``np.searchsorted``; an unordered column raises
+    ``ValueError``. Weights are 1/max(entropy, 1e-6) ("entropy" mode) or
+    uniform; draws are without replacement, exactly ``authentic_counts[r]``
+    per annotator, and annotators without authentic annotations contribute
+    nothing. Returns the selected indices, ascending.
     """
-    annotators = np.asarray(annotators, dtype=np.int64)
+    annotators = np.asarray(annotators)
+    if np.any(annotators[1:] < annotators[:-1]):
+        raise ValueError("generated samples must be grouped by ascending annotator")
     entropies = np.asarray(entropies, dtype=np.float64)
     authentic_counts = np.asarray(authentic_counts, dtype=np.int64)
-    # a stable sort keeps each annotator's candidates in ascending index order
-    order = np.argsort(annotators, kind="stable")
-    bounds = np.searchsorted(annotators[order], np.arange(len(authentic_counts) + 1))
-    selected = []
+    bounds = np.searchsorted(annotators, np.arange(len(authentic_counts) + 1,
+                                                   dtype=annotators.dtype))
+    selected = np.zeros(len(annotators), dtype=bool)
     for annot, count in enumerate(authentic_counts):
         if count == 0:
             continue
-        candidates = order[bounds[annot]:bounds[annot + 1]]
-        if len(candidates) < count:
+        lo, hi = bounds[annot], bounds[annot + 1]
+        if hi - lo < count:
             raise ValueError(
-                f"annotator {annot} has {len(candidates)} generated samples "
+                f"annotator {annot} has {hi - lo} generated samples "
                 f"but {count} authentic annotations")
         if mode == "uniform":
-            weights = np.ones(len(candidates))
+            weights = np.ones(hi - lo)
         else:
-            weights = 1.0 / np.maximum(entropies[candidates], 1e-6)
+            weights = 1.0 / np.maximum(entropies[lo:hi], 1e-6)
         probs = weights / weights.sum()
-        chosen = rng.choice(candidates, size=int(count), replace=False, p=probs)
-        selected.append(np.sort(chosen))
-    if not selected:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(selected)
+        selected[lo + rng.choice(hi - lo, size=int(count), replace=False, p=probs)] = True
+    return np.flatnonzero(selected)
 
 
 def _judge(disc: Discriminator, aux: AuxNet, ds: CrowdDataset, cols: tuple, rows,

@@ -121,6 +121,13 @@ def test_selection_infeasible_count_raises():
         select_for_discriminator(annotators, np.ones(3), np.array([3, 1]), rng)
 
 
+def test_selection_rejects_an_ungrouped_column():
+    # step 1 logs pairs grouped by ascending annotator, capped or not
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="grouped by ascending annotator"):
+        select_for_discriminator(np.array([0, 1, 0]), np.ones(3), np.array([1, 1]), rng)
+
+
 def test_selection_prefers_low_entropy():
     # one candidate at entropy 0.1 (weight 10) vs one at 1.0 (weight 1):
     # the low-entropy sample should win ~10/11 of draws.
@@ -170,7 +177,7 @@ def _select_by_scan(annotators, entropies, authentic_counts, rng, mode="entropy"
 def test_selection_equals_per_annotator_scan(mode):
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        annotators = rng.integers(0, 7, size=400)  # shuffled, as after a pair cap
+        annotators = np.sort(rng.integers(0, 7, size=400))  # grouped, as step 1 logs pairs
         entropies = rng.uniform(0.0, 1.5, size=400)
         counts = np.minimum(np.bincount(annotators, minlength=8),
                             rng.integers(0, 30, size=8))
@@ -235,6 +242,7 @@ def test_logged_grid_covers_all_train_pairs():
     pairs = set(zip(batch.instances.tolist(), batch.annotators.tolist()))
     assert len(pairs) == len(batch)
     assert set(batch.instances.tolist()) == set(train_idx.tolist())
+    assert np.all(np.diff(batch.annotators) >= 0)  # the layout selection reads
     assert np.all(batch.g0 > 0)
     assert np.all(batch.entropies >= 0)
 
@@ -290,6 +298,49 @@ def test_logged_grid_respects_pair_cap():
     # capped well below the full grid, but never below the authentic count
     assert len(batch) < len(ds.split_indices(TRAIN)) * ds.num_annotators
     assert np.all(per >= np.maximum(counts, 1))
+    assert np.all(np.diff(batch.annotators) >= 0)  # still grouped by annotator
+
+
+class _StopWarmUp(Exception):
+    pass
+
+
+def test_warm_up_draws_noise_then_label_then_code_uniforms(monkeypatch):
+    # the D/Q warm-up's first step against a per-row reference drawn from a
+    # copy of the stream at that step: every row's noise, then each row's
+    # label uniform, then each row's code uniform
+    ds = tiny_dataset()
+    cfg = tiny_config()
+    rng = np.random.default_rng(cfg.seed)
+    clf, _ = pretrain_dl_cl(ds, cfg, rng=rng)
+    draw_noise, streams, step_args = Generator.draw_noise, [], []
+
+    def recording_draw_noise(gen, stream, batch):
+        streams.append((gen, copy.deepcopy(stream)))
+        return draw_noise(gen, stream, batch)
+
+    def first_step(*args):
+        step_args.extend(args)
+        raise _StopWarmUp
+
+    monkeypatch.setattr(Generator, "draw_noise", recording_draw_noise)
+    monkeypatch.setattr(tr, "_disc_aux_step", first_step)
+    with pytest.raises(_StopWarmUp):
+        pretrain_gen_disc(ds, clf, cfg, rng, build_cooccurrence(ds))
+    (inst, annot, _), gen_cols, codes = step_args[5:8]
+    gen, stream = streams[-1]  # the generator and stream as the step drew
+    eps = draw_noise(gen, stream, len(inst))
+    uniforms, code_uniforms = stream.random(len(inst)), stream.random(len(inst))
+    with dc.no_grad():
+        zhat = clf.probs(ds.features).data[inst]
+        labels = [dc.categorical_at(gen.distribution(
+            ds.features[inst[i:i + 1]], ds.annotator_features[annot[i:i + 1]],
+            zhat[i:i + 1], eps[i:i + 1]).data, uniforms[i:i + 1])[0] for i in range(len(inst))]
+    assert len(inst) == cfg.batch_size
+    assert np.array_equal(gen_cols[0], inst) and np.array_equal(gen_cols[1], annot)
+    assert np.array_equal(gen_cols[2], labels)
+    assert np.array_equal(codes, [dc.categorical_at(zhat[i:i + 1], code_uniforms[i:i + 1])[0]
+                                  for i in range(len(inst))])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2047, 8191, 8192, 10239, 10240, 12289, 20011, 80000])
