@@ -78,7 +78,8 @@ def write_manifest(args, config: dict, seed: int, output_names) -> Path:
     training starts, and return that directory. The inputs are the files that
     ``--config``, ``--checkpoint`` and ``--data`` name; absent ones are skipped.
 
-    Any file already at one of the outputs is removed first, so a run that
+    Any file already at one of the outputs, or at its ``.partial`` name (where
+    the export writes before it renames), is removed first, so a run that
     fails leaves no earlier run's output beside its manifest."""
     out_dir, data = Path(args.out), getattr(args, "data", None)
     inputs = [Path(p) for p in (args.config, getattr(args, "checkpoint", None)) if p]
@@ -100,7 +101,7 @@ def write_manifest(args, config: dict, seed: int, output_names) -> Path:
         "numpy_imported_first": NUMPY_IMPORTED_FIRST,
     }
     path = out_dir / "manifest.json"
-    for output in [path, *outputs]:
+    for output in [path, *outputs, *(f"{name}.partial" for name in outputs)]:
         try:
             Path(output).unlink(missing_ok=True)
         except OSError as exc:  # a directory at the path

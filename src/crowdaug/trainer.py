@@ -36,8 +36,9 @@ the classifier's step runs it with its weights held fixed
 activation. Supervised training, generator pretraining and the D/Q warm-up
 run one minibatch loop, ``_epoch_losses``; step 1, the D/Q warm-up and the
 augmentation export draw generated labels through one sampling pass,
-``_sample_generated`` (the warm-up's table holds every instance's classifier
-probabilities).
+``_sample_generated``, which returns the labels, distributions and codes for
+each caller to take its part (the warm-up's table holds every instance's
+classifier probabilities).
 
 The discriminator and the auxiliary net read pairs as index columns
 (instances, annotators, labels), as every other pass over pairs does: one
@@ -76,12 +77,13 @@ as int32.
 The sampling pass keeps no per-pair code or noise array. The classifier
 probabilities of step 1 and of the export depend only on the instance, so
 ``_instance_probs`` computes them once per distinct instance and each block
-gathers its own pairs' rows, byte-equal to the pass per pair. The classifier
-does not move between steps 1 and 5, so step 1's table, kept on the logged
-batch, also gives step 4's entropy split, the generator step's codes and
-step 7's code entropy. Step 1 draws every pair's noise, then its label
-uniform, then its code uniform, and keeps the noise, which the CRM steps
-replay.
+gathers its own pairs' rows, byte-equal to the pass per pair; every reader
+takes pair ``i``'s code as ``codes[row_of[instances[i]]]`` from its table. The
+classifier does not move between steps 1 and 5, so step 1's table, kept on
+the logged batch, also gives step 4's entropy split, the generator step's
+codes and step 7's code entropy. Step 1 draws every pair's noise, then its
+label uniform, then its code uniform, and keeps the noise, which the CRM
+steps replay.
 
 The export streams its CSV one pair block at a time and holds no array with
 an entry per grid pair or per missing pair, only columns of the annotations
@@ -210,7 +212,7 @@ class LoggedBatch:
     zhat_draws: np.ndarray | None  # sampled code class per pair, int32, shape (P,)
     entropies: np.ndarray | None   # generator-distribution entropy per pair, shape (P,)
     codes: np.ndarray       # classifier probabilities per logged instance, shape (D, C)
-    code_rows: np.ndarray   # each pair's row of ``codes``, int32, shape (P,)
+    row_of: np.ndarray      # each instance's row of ``codes``, int32, shape (N,)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -360,12 +362,12 @@ def _forward_in_blocks(n: int, forward):
     return outs if isinstance(values, tuple) else outs[0]
 
 
-def _instance_probs(clf: Classifier, ds: CrowdDataset, present: np.ndarray,
+def _instance_probs(clf: Classifier, ds: CrowdDataset, instances: np.ndarray,
                     pairs: int) -> tuple:
-    """Classifier probabilities of the instances flagged in ``present``, one
+    """Classifier probabilities of the distinct ids in ``instances``, one
     forward pass each, and the instance -> row map into them: for a pass over
-    ``pairs`` pairs, ``probs[row_of[inst]]`` is byte-equal to
-    ``_forward_in_blocks`` over the pairs' instances, and each pair block
+    ``pairs`` pairs of those instances, ``probs[row_of[inst]]`` is byte-equal
+    to ``_forward_in_blocks`` over the pairs' instances, and each pair block
     gathers only its own rows.
 
     The distinct rows are repeated up to the pair pass's first block height,
@@ -373,28 +375,27 @@ def _instance_probs(clf: Classifier, ds: CrowdDataset, present: np.ndarray,
     kernel (a shorter block would fall under OpenBLAS's small-matrix one; see
     ``_BLOCK_ROWS``).
     """
-    distinct, row_of = _distinct(present)
+    distinct, row_of = _distinct(instances, len(ds.features))
     padded = np.resize(distinct, max(len(distinct), _row_blocks(pairs)[0].stop))
     probs = _forward_in_blocks(len(padded), lambda s: clf.probs(ds.features[padded[s]]).data)
     return probs[:len(distinct)], row_of
 
 
-def _distinct(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The instances flagged in the presence map ``present``, ascending, and
-    each instance's position among them, without a sort: for the flagged
-    entries of an instance array, ``np.unique``'s values and, read at that
-    array, its inverse (int32)."""
+def _distinct(instances: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids in ``instances`` (of ``0..n``), ascending, and each
+    id's position among them, from a presence map without a sort:
+    ``np.unique``'s values and, read at ``instances``, its inverse (int32)."""
+    present = np.zeros(n, dtype=bool)
+    present[instances] = True
     return np.flatnonzero(present), np.cumsum(present, dtype=np.int32) - 1
 
 
 def _sample_generated(gen: Generator, table: tuple, ds: CrowdDataset, inst: np.ndarray,
-                      annot: np.ndarray, eps: np.ndarray, uniforms: np.ndarray,
-                      code_uniforms: np.ndarray | None = None):
+                      annot: np.ndarray, eps: np.ndarray, uniforms: np.ndarray) -> tuple:
     """One generated label per (``inst``, ``annot``) pair of one row block or
     minibatch, drawn with noise ``eps`` at its categorical uniform; returns
-    the int32 labels, or with ``code_uniforms`` the tuple (labels, their
-    probabilities, the entropies of the generator's distributions, the int32
-    code class drawn at each code uniform).
+    (the int32 labels, the generator's distributions, the pairs' codes), from
+    which each caller takes what it needs.
 
     ``table`` is ``_instance_probs``' (probabilities, instance -> row map):
     the block gathers its own codes from it, so no (pairs, classes) array is
@@ -402,11 +403,7 @@ def _sample_generated(gen: Generator, table: tuple, ds: CrowdDataset, inst: np.n
     probs, row_of = table
     zhat = probs[row_of[inst]]
     dist = gen.distribution(ds.features[inst], ds.annotator_features[annot], zhat, eps).data
-    labels = dc.categorical_at(dist, uniforms).astype(np.int32)
-    if code_uniforms is None:
-        return labels
-    return (labels, dist[np.arange(len(labels)), labels], dc.entropy(dist),
-            dc.categorical_at(zhat, code_uniforms).astype(np.int32))
+    return dc.categorical_at(dist, uniforms).astype(np.int32), dist, zhat
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +521,8 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
         eps = gen.draw_noise(rng, len(batch))
         uniforms, code_uniforms = rng.random(len(batch)), rng.random(len(batch))
         with dc.no_grad():
-            fake_labels, _, _, zdraws = _sample_generated(gen, table, ds, inst, annot, eps,
-                                                          uniforms, code_uniforms)
+            fake_labels, _, zhat = _sample_generated(gen, table, ds, inst, annot, eps, uniforms)
+        zdraws = dc.categorical_at(zhat, code_uniforms).astype(np.int32)
         return _disc_aux_step(opt_dq, disc, aux, adjacency, ds, (inst, annot, labels),
                               (inst, annot, fake_labels), zdraws, cfg,
                               "discriminator pretraining loss", epoch)[0]
@@ -573,15 +570,17 @@ def log_generation_grid(gen: Generator, clf: Classifier, ds: CrowdDataset,
     eps = gen.draw_noise(rng, len(inst))
     uniforms = rng.random(len(inst))
     code_uniforms = rng.random(len(inst))
-    present = np.zeros(ds.num_instances, dtype=bool)
-    present[inst] = True
-    codes, row_of = table = _instance_probs(clf, ds, present, len(inst))
-    labels, g0, entropies, zhat_draws = _forward_in_blocks(
-        len(inst), lambda rows: _sample_generated(gen, table, ds, inst[rows], annot[rows],
-                                                  eps[rows], uniforms[rows], code_uniforms[rows]))
+    codes, row_of = table = _instance_probs(clf, ds, inst, len(inst))
+
+    def sample(rows):
+        labels, dist, zhat = _sample_generated(gen, table, ds, inst[rows], annot[rows],
+                                               eps[rows], uniforms[rows])
+        return (labels, dist[np.arange(len(labels)), labels], dc.entropy(dist),
+                dc.categorical_at(zhat, code_uniforms[rows]).astype(np.int32))
+
+    labels, g0, entropies, zhat_draws = _forward_in_blocks(len(inst), sample)
     return LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
-                       zhat_draws=zhat_draws, entropies=entropies, codes=codes,
-                       code_rows=row_of[inst])
+                       zhat_draws=zhat_draws, entropies=entropies, codes=codes, row_of=row_of)
 
 
 def select_for_discriminator(annotators: np.ndarray, entropies: np.ndarray,
@@ -715,13 +714,14 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     ``batch``; ``deltas`` holds one delta per logged pair.
 
     Only the stores named in ``trains`` ("gen", "clf") step, generator first.
-    With the classifier training, codes come from it in train mode (dropout
-    from ``rng``); otherwise from the batch's step-1 table, pair ``i``'s code
-    being ``batch.codes[batch.code_rows[i]]``. No leaf of a frozen store is
-    in the graph, so none is in the gradient dict, and a frozen store must
-    come out bit-identical: the generator step reads the classifier's codes
-    from those arrays, and a frozen generator runs as one node over the
-    codes (``Generator.logits(frozen=True)``).
+    Every block reads pair ``i``'s code as ``codes[row_of[batch.instances[i]]]``
+    from one table in ``_instance_probs``' layout: with the classifier
+    training, each inner step's table of it in train mode (dropout from
+    ``rng``), else the batch's step-1 table. No leaf of a frozen store is in
+    the graph, so none is in the gradient dict, and a frozen store must come
+    out bit-identical: the generator step reads the classifier's codes from
+    the step-1 table, and a frozen generator runs as one node over the codes
+    (``Generator.logits(frozen=True)``).
 
     Each inner step runs forward and backward over ``_row_blocks`` of ``idx``,
     at most two pair blocks' graphs alive at a time (``_in_flight``): a block
@@ -729,21 +729,20 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     by 1/len(idx), and the gradient dicts its ``backward`` returns are added up
     in block order, so the gradient has the same bits on one thread or two. The
     classifier's codes are computed once per step over the distinct
-    instances, found from a presence map without a sort (``_distinct``), with
-    one dropout draw; the blocks' gradients with respect to them are summed
-    under one leaf, sent through the classifier once and added in. Every
-    trained optimizer then steps on the one sum. Below 8192 pairs this is one
-    block, the same computation as a single pass; above it only the order in
-    which the weight and bias gradients are summed over pairs differs.
+    instances (``_distinct``), with one dropout draw; the blocks' gradients
+    with respect to them are summed under one leaf, sent through the
+    classifier once and added in. Every trained optimizer then steps on the
+    one sum. Below 8192 pairs this is one block, the same computation as a
+    single pass; above it only the order in which the weight and bias
+    gradients are summed over pairs differs.
     """
     clf, gen = state.bundle.classifier, state.bundle.generator
     stores = {"gen": gen.store, "clf": clf.store}
     frozen = {k: s.fingerprint() for k, s in stores.items() if k not in trains}
     what = _NET_NAMES[trains[0]] if len(trains) == 1 else "joint"
+    codes, row_of = Tensor(batch.codes), batch.row_of  # replaced when the classifier trains
     if "clf" in trains:
-        present = np.zeros(len(ds.features), dtype=bool)
-        present[batch.instances[idx]] = True
-        uniq, row_of = _distinct(present)
+        uniq, row_of = _distinct(batch.instances[idx], len(ds.features))
     blocks = _row_blocks(len(idx))
     for _ in range(cfg.inner_steps):
         if "clf" in trains:
@@ -753,11 +752,10 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
         def block_step(rows):
             # the graph is local, so it is freed when the block returns
             at = idx[rows]
-            zhat = dc.gather_rows(codes, row_of[batch.instances[at]]) if "clf" in trains \
-                else batch.codes[batch.code_rows[at]]
             dist = dc.softmax(gen.logits(ds.features[batch.instances[at]],
                                          ds.annotator_features[batch.annotators[at]],
-                                         zhat, batch.eps[at], frozen="gen" not in trains))
+                                         dc.gather_rows(codes, row_of[batch.instances[at]]),
+                                         batch.eps[at], frozen="gen" not in trains))
             obj = crm_objective(batch.g0[at], dc.pick(dist, batch.labels[at]),
                                 deltas[at], mu, len(idx))
             return obj.item(), backward(obj)
@@ -842,7 +840,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     # in step 1's classifier table (the classifier has not moved since)
     code_entropies = dc.entropy(batch.codes)
     is_low = code_entropies / np.log(ds.num_classes) <= cfg.entropy_threshold
-    pair_is_low = is_low[batch.code_rows]
+    pair_is_low = is_low[batch.row_of][batch.instances]
     low_idx = np.flatnonzero(pair_is_low).astype(np.int32)
     high_idx = np.flatnonzero(~pair_is_low).astype(np.int32)
     del pair_is_low
@@ -1071,9 +1069,8 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
     if blocks:
         gen = bundle.generator
         # a train instance has a missing pair unless all R annotators labeled it
-        present = np.zeros(ds.num_instances, dtype=bool)
-        present[train_idx[np.bincount(slot[ann[:, 0]], minlength=len(train_idx)) < r]] = True
-        table = _instance_probs(bundle.classifier, ds, present, missing)
+        table = _instance_probs(bundle.classifier, ds, train_idx[
+            np.bincount(slot[ann[:, 0]], minlength=len(train_idx)) < r], missing)
         replay = copy.deepcopy(rng)
         for rows in blocks:
             gen.draw_noise(rng, rows.stop - rows.start)
@@ -1084,7 +1081,7 @@ def export_augmented(ds: CrowdDataset, bundle: NetworkBundle, seed: int,
         return (train_idx[pos // r], pos % r, gen.draw_noise(replay, count), rng.random(count))
 
     def sample(rows, *block):
-        return _sample_generated(gen, table, ds, *block)
+        return _sample_generated(gen, table, ds, *block)[0]
 
     written = 0
 

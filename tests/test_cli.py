@@ -1028,7 +1028,7 @@ def test_checkpoint_whose_weights_overflow_is_divergence(workspace, tmp_path, ca
 
 
 def test_output_path_that_is_a_directory_is_config_error(workspace, tmp_path, capsys):
-    for name in ("augmented.csv", "manifest.json"):
+    for name in ("augmented.csv", "manifest.json", "augmented.csv.partial"):
         out = tmp_path / f"o-{name}"
         (out / name).mkdir(parents=True)
         (out / name / "kept").touch()

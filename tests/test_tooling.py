@@ -18,6 +18,7 @@ import types
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import test_acceptance
@@ -89,6 +90,22 @@ def test_scripts_import():
     assert scripts
     for path in scripts:
         assert callable(load_script(path.relative_to(ROOT)).main), path.name
+
+
+def test_step_cost_runs_each_step_once():
+    # the script calls trainer internals directly (log_generation_grid,
+    # _crm_update, _disc_aux_step, _epoch_losses), so a signature change there
+    # breaks it where test_scripts_import cannot see
+    step_cost = load_script("scripts/step_cost.py")
+    real_epoch_losses = trainer._epoch_losses
+    functions = step_cost.step_functions(0)
+    assert trainer._epoch_losses is real_epoch_losses  # put back after the build
+    assert sorted(functions) == ["crm_classifier", "crm_generator", "crowd_layer",
+                                 "disc_aux", "disc_aux_epoch", "gen_pretrain"]
+    rng = np.random.default_rng(0)
+    for name, (fn, population, rows) in functions.items():
+        assert population >= rows, name
+        fn(rng.permutation(population)[:rows])
 
 
 def test_src_reads_only_the_blas_thread_variables():
@@ -209,6 +226,10 @@ def test_traced_train_counts_rows_of_all_four_nets(tmp_path):
     assert rows["generator.fwd"] == pretrain_epochs * annotations + sum(
         e["num_logged"] + len(trainer.MU_GRID) * inner_steps
         * (e["num_low_pairs"] + e["num_high_pairs"]) for e in epochs)
+    # the pair counts are len() of what log_generation_grid and
+    # select_for_discriminator return, so each must keep its length contract
+    assert counts["trainer.logged_pairs"] == sum(e["num_logged"] for e in epochs)
+    assert counts["trainer.selected_pairs"] == sum(e["num_selected"] for e in epochs)
 
 
 def test_traced_augment_counts_every_exported_row(tmp_path):

@@ -269,14 +269,15 @@ def test_logged_grid_equals_the_whole_grid_sample(monkeypatch):
         dist = gen.distribution(ds.features[inst], ds.annotator_features[annot],
                                 zhat, eps).data
     labels = dc.categorical_at(dist, rng.random(len(inst)))
-    # the classifier table, gathered per pair, is the whole grid's codes; the
-    # index columns are int32
+    # the classifier table, read at each pair's instance, is the whole grid's
+    # codes; its row map has one entry an instance; the index columns are int32
     expected = LoggedBatch(inst, annot, labels.astype(np.int32),
                            dist[np.arange(len(inst)), labels], eps,
                            dc.categorical_at(zhat, rng.random(len(inst))).astype(np.int32),
-                           dc.entropy(dist), batch.codes, batch.code_rows)
-    assert batch.codes[batch.code_rows].tobytes() == zhat.tobytes()
-    for name in ("instances", "annotators", "code_rows"):
+                           dc.entropy(dist), batch.codes, batch.row_of)
+    assert batch.codes[batch.row_of[inst]].tobytes() == zhat.tobytes()
+    assert len(batch.row_of) == ds.num_instances
+    for name in ("instances", "annotators", "row_of"):
         assert getattr(batch, name).dtype == np.int32, name
     for f in dataclasses.fields(LoggedBatch):
         got, want = getattr(batch, f.name), getattr(expected, f.name)
@@ -402,26 +403,22 @@ def test_instance_probs_equal_the_per_pair_pass(pairs, distinct, monkeypatch):
     rng = np.random.default_rng(pairs)
     clf = Classifier(NetDims(num_classes=4, feature_dim=2, annotator_dim=40), rng)
     randomize(clf.store, rng, scale=0.3)
-    ds = SimpleNamespace(features=rng.normal(size=(20000, 2)), num_instances=20000)
+    ds = SimpleNamespace(features=rng.normal(size=(20000, 2)))
     inst = _pair_instances(pairs, pairs if distinct == "all" else min(pairs, distinct), rng)
     per_pair = tr._forward_in_blocks(pairs, lambda s: clf.probs(ds.features[inst[s]]).data)
-    present = np.zeros(ds.num_instances, dtype=bool)
-    present[inst] = True
-    probs, row_of = tr._instance_probs(clf, ds, present, pairs)
+    probs, row_of = tr._instance_probs(clf, ds, inst, pairs)
     assert probs[row_of[inst]].tobytes() == per_pair.tobytes()
 
 
 @pytest.mark.parametrize("distinct", [1, 5, 700])
 def test_distinct_equals_unique(distinct):
-    # np.unique's values and (int32) inverse, from the presence map without a sort
+    # np.unique's values and (int32) inverse, from a presence map without a sort
     rng = np.random.default_rng(distinct)
     inst = rng.choice(1000, size=distinct, replace=False)[rng.integers(0, distinct, size=9000)]
-    present = np.zeros(1000, dtype=bool)
-    present[inst] = True
-    uniq, row_of = tr._distinct(present)
+    uniq, row_of = tr._distinct(inst, 1000)
     values, inverse = np.unique(inst, return_inverse=True)
     assert uniq.tobytes() == values.tobytes()
-    assert row_of.dtype == np.int32  # as the logged batch's code rows
+    assert row_of.dtype == np.int32 and len(row_of) == 1000  # as the logged batch's row map
     assert row_of[inst].tobytes() == inverse.astype(np.int32).tobytes()
 
 
@@ -783,11 +780,12 @@ def _crm_setup(pairs_count, seed):
     eps = rng.normal(size=(pairs_count, 8))
     deltas = rng.normal(size=pairs_count)
     with dc.no_grad():
-        codes = bundle.classifier.probs(ds.features[inst]).data
-    # the epoch drops the code draws and the entropies before its CRM steps
+        codes = bundle.classifier.probs(ds.features).data
+    # the epoch drops the code draws and the entropies before its CRM steps;
+    # the table holds every instance, so its row map is the identity
     pairs = LoggedBatch(instances=inst, annotators=annot, labels=labels, g0=g0, eps=eps,
                         zhat_draws=None, entropies=None, codes=codes,
-                        code_rows=np.arange(pairs_count))
+                        row_of=np.arange(700, dtype=np.int32))
     state = tr.TrainState(bundle=bundle, optimizers={
         "clf": dc.Adam(bundle.classifier.store, lr=1e-3),
         "gen": dc.Adam(bundle.generator.store, lr=1e-3)})
@@ -802,7 +800,7 @@ def _one_pass_crm_update(state, ds, cfg, pairs, idx, deltas, mu, trains, rng):
     if "clf" in trains:
         uniq, inverse = np.unique(pairs.instances[idx], return_inverse=True)
     for _ in range(cfg.inner_steps):
-        zhat = pairs.codes[pairs.code_rows[idx]]
+        zhat = pairs.codes[pairs.row_of[pairs.instances[idx]]]
         if "clf" in trains:
             zhat = dc.gather_rows(clf.probs(ds.features[uniq], train_mode=True, rng=rng),
                                   inverse)
@@ -904,7 +902,7 @@ def test_crm_update_over_an_index_equals_the_copied_pairs(mode):
         state, ds, pairs, deltas = _crm_setup(9000, 0)
         idx = np.sort(np.random.default_rng(2).choice(9000, size=8500, replace=False))
         if copied:
-            columns = ("instances", "annotators", "labels", "g0", "eps", "code_rows")
+            columns = ("instances", "annotators", "labels", "g0", "eps")
             pairs = dataclasses.replace(pairs, **{name: getattr(pairs, name)[idx]
                                                   for name in columns})
             deltas = deltas[idx]
