@@ -80,14 +80,14 @@ def step_functions(seed: int) -> dict:
         fake = rng.integers(0, ds.num_classes, len(batch))
         codes = rng.integers(0, ds.num_classes, len(batch))
         return trainer._disc_aux_step(opt, disc, aux, adjacency, ds, (inst, annot, ann[batch, 2]),
-                                      (inst, annot, fake), codes, cfg, "D/Q loss", 0)
+                                      (inst, annot, fake), codes, "D/Q loss", 0)
 
     logged = trainer.log_generation_grid(gen, clf, ds, cfg, rng)
     deltas = rng.normal(size=len(logged))
     state = trainer.TrainState(
         bundle=NetworkBundle(clf.dims, clf, gen, disc, aux, adjacency),
-        optimizers={"clf": dc.Adam(clf.store, lr=cfg.lr_classifier),
-                    "gen": dc.Adam(gen.store, lr=cfg.lr_generator)})
+        optimizers={"clf": dc.Adam(clf.store, lr=trainer.LR_CRM),
+                    "gen": dc.Adam(gen.store, lr=trainer.LR_CRM)})
 
     def crm_step(trains):
         return lambda pairs: trainer._crm_update(state, ds, cfg, logged, np.sort(pairs), deltas,
@@ -101,7 +101,7 @@ def step_functions(seed: int) -> dict:
         return trainer._disc_aux_step(
             opt, disc, aux, adjacency, ds, (ann[batch, 0], ann[batch, 1], ann[batch, 2]),
             (logged.instances[gen_rows], logged.annotators[gen_rows], logged.labels[gen_rows]),
-            logged.zhat_draws[gen_rows], cfg, "D/Q loss", 0)
+            logged.zhat_draws[gen_rows], "D/Q loss", 0)
 
     return {"crowd_layer": (lambda batch: crowd_step(batch, 0), len(ann), BATCH),
             "gen_pretrain": (lambda batch: gen_step(batch, 0), len(ann), BATCH),

@@ -11,9 +11,13 @@ For every P and run, ``crowdaug synth`` and ``crowdaug train`` run as child
 processes of this launcher, which never imports NumPy: a child's
 ``ru_maxrss`` is at least the high-water mark of the process that spawned it,
 so a large launcher would hide a small train. Each train's peak comes from its
-own ``wait4``. The printed JSON holds every run's peak in MB, their median per
-P, and the least-squares slope of the medians in bytes per grid pair. Run it
-from the checkout to measure, e.g. ``python3 scripts/train_memory.py --runs 2``.
+own ``wait4``. The printed JSON holds every run's peak in MB, their median and
+minimum per P, and the least-squares slope of the minima in bytes per grid
+pair. One tree's peak at a P lands in one of a few modes (at 800k on a 2-core
+VM, about 180, 186-189 or 202-204 MB, likely heap layout), which moves a
+median of two runs by far more than a few bytes a pair; the slope is therefore
+fit to each P's minimum. Run it from the checkout to measure, e.g.
+``python3 scripts/train_memory.py``.
 """
 import argparse
 import json
@@ -53,7 +57,7 @@ def run_cli(argv: list, env: dict) -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pairs", type=int, nargs="+", default=[200_000, 400_000, 800_000])
-    parser.add_argument("--runs", type=int, default=2, help="train runs per size")
+    parser.add_argument("--runs", type=int, default=3, help="train runs per size")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -71,15 +75,17 @@ def main() -> int:
                                      "--method", "crowding", "--out", str(work / f"run-{k}"),
                                      "--seed", str(args.seed)], env)
                             for k in range(args.runs)]
-    medians = {pairs: statistics.median(runs) for pairs, runs in peaks.items()}
-    sizes = list(medians)
+    minima = {pairs: min(runs) for pairs, runs in peaks.items()}
+    sizes = list(minima)
     mean_p = statistics.fmean(sizes)
-    mean_mb = statistics.fmean(medians.values())
+    mean_mb = statistics.fmean(minima.values())
     spread = sum((p - mean_p) ** 2 for p in sizes)
-    slope = sum((p - mean_p) * (medians[p] - mean_mb) for p in sizes) / spread \
+    slope = sum((p - mean_p) * (minima[p] - mean_mb) for p in sizes) / spread \
         if spread else float("nan")
     print(json.dumps({"peak_rss_mb": {str(p): runs for p, runs in peaks.items()},
-                      "median_mb": {str(p): m for p, m in medians.items()},
+                      "median_mb": {str(p): statistics.median(runs)
+                                    for p, runs in peaks.items()},
+                      "min_mb": {str(p): m for p, m in minima.items()},
                       "slope_bytes_per_pair": slope * 1024 * 1024}, indent=1))
     return 0
 

@@ -165,6 +165,16 @@ def _train_config(values: dict[str, str], seed: int | None) -> TrainConfig:
     return apply_overrides(TrainConfig, values, **fixed)
 
 
+def _grid_config(args, values: dict[str, str], seeds: list) -> TrainConfig:
+    """The training config of a grid whose jobs train on ``seeds``: a seed that
+    ``--seed`` or the config sets must be the list's one seed, not be ignored."""
+    cfg = _train_config(values, args.seed)
+    if (args.seed is not None or "seed" in values) and seeds != [cfg.seed]:
+        raise ConfigError(f"seed {cfg.seed} must be the one seed of {args.command}_seeds = "
+                          f"{', '.join(map(str, seeds))}, the seeds the jobs train on")
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # experiment grid: sparsity sweeps and ablations train through one job list
 
@@ -337,7 +347,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown sweep key 'sweep_{sorted(sweep)[0]}'")
     for method in methods:
         check_method(method)
-    cfg = _train_config(rest, args.seed)
+    cfg = _grid_config(args, rest, seeds)
     ds = load_dataset(args.data)
     check_trainable(ds)
     for fraction in fractions:  # fail before any cell trains, not hours in
@@ -359,7 +369,7 @@ def cmd_ablate(args) -> int:
     seeds = _parse_list(ablate.pop("seeds", "0,1,2"), _seed)
     if ablate:
         raise ConfigError(f"unknown ablation key 'ablate_{sorted(ablate)[0]}'")
-    cfg = _train_config(rest, args.seed)
+    cfg = _grid_config(args, rest, seeds)
     for variant in variants:  # fail before the manifest, not in the first job
         apply_ablation(cfg, variant)
     ds = load_dataset(args.data)

@@ -131,11 +131,15 @@ class DivergenceError(RuntimeError):
 
 
 MU_GRID = (0.0, 0.5, 1.0)
+LR_CRM = 3e-4       # the classifier's and the generator's CRM optimizers
+LR_PRETRAIN = 1e-3  # supervised training and generator pretraining
+DISC_L2 = 1e-4      # L2 penalty on discriminator outputs
 
 
 @dataclass
 class TrainConfig:
-    """All hyper-parameters of the training procedures."""
+    """The training hyper-parameters a config file sets; the fixed ones are the
+    constants above and ``NetDims``' defaults."""
 
     seed: int = 0
     # schedule
@@ -149,16 +153,7 @@ class TrainConfig:
     # objective weights
     info_weight: float = 0.5        # weight of the information term
     entropy_threshold: float = 0.5  # split point on normalized entropy
-    disc_l2: float = 1e-4           # L2 penalty on discriminator outputs
-    # optimization
-    lr_classifier: float = 3e-4
-    lr_generator: float = 3e-4
     lr_discriminator: float = 3e-4
-    lr_pretrain: float = 1e-3
-    # architecture
-    noise_dim: int = 8
-    dropout: float = 0.5
-    lca_enabled: bool = True
     # grid control and ablation switches
     max_grid_pairs: int = 0          # 0 = log the full instance x annotator grid
     gen_use_instance_features: bool = True
@@ -178,20 +173,12 @@ class TrainConfig:
             raise ConfigError("pretraining epoch counts must be >= 0")
         if self.selection_mode not in ("entropy", "uniform"):
             raise ConfigError(f"unknown selection_mode {self.selection_mode!r}")
-        for name in ("lr_classifier", "lr_generator", "lr_discriminator",
-                     "lr_pretrain"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.disc_l2 < 0:
-            raise ConfigError("disc_l2 must be >= 0")
+        if self.lr_discriminator <= 0:
+            raise ConfigError("lr_discriminator must be positive")
         if self.max_grid_pairs < 0:
             raise ConfigError("max_grid_pairs must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.noise_dim < 1:
-            raise ConfigError("noise_dim must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must lie in [0, 1)")
 
 
 @dataclass
@@ -258,8 +245,7 @@ def _descend(opt: Adam, loss: Tensor, what: str, epoch: int) -> float:
 
 def _dims_for(ds: CrowdDataset, cfg: TrainConfig) -> NetDims:
     return NetDims(num_classes=ds.num_classes, feature_dim=ds.feature_dim,
-                   annotator_dim=ds.annotator_dim, noise_dim=cfg.noise_dim,
-                   dropout=cfg.dropout, lca_enabled=cfg.lca_enabled,
+                   annotator_dim=ds.annotator_dim,
                    gen_use_instance_features=cfg.gen_use_instance_features,
                    gen_use_annotator_features=cfg.gen_use_annotator_features)
 
@@ -417,7 +403,7 @@ def _fit_classifier(clf: Classifier, x: np.ndarray, labels: np.ndarray,
     """Cross-entropy training for ``cfg.pretrain_epochs`` epochs, optionally
     through per-annotator transforms."""
     params = clf.store if transforms is None else ParamStore.union(clf.store, transforms)
-    opt = Adam(params, lr=cfg.lr_pretrain)
+    opt = Adam(params, lr=LR_PRETRAIN)
 
     def step(batch, epoch):
         logits = clf.logits(x[batch], train_mode=True, rng=rng)
@@ -505,7 +491,7 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
     with dc.no_grad():
         zhat_all = clf.probs(ds.features).data
     table = (zhat_all, np.arange(ds.num_instances))  # _instance_probs' layout
-    opt_g = Adam(gen.store, lr=cfg.lr_pretrain)
+    opt_g = Adam(gen.store, lr=LR_PRETRAIN)
     opt_dq = Adam(ParamStore.union(disc.store, aux.store), lr=cfg.lr_discriminator)
 
     def gen_step(batch, epoch):
@@ -524,7 +510,7 @@ def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
             fake_labels, _, zhat = _sample_generated(gen, table, ds, inst, annot, eps, uniforms)
         zdraws = dc.categorical_at(zhat, code_uniforms).astype(np.int32)
         return _disc_aux_step(opt_dq, disc, aux, adjacency, ds, (inst, annot, labels),
-                              (inst, annot, fake_labels), zdraws, cfg,
+                              (inst, annot, fake_labels), zdraws,
                               "discriminator pretraining loss", epoch)[0]
 
     _epoch_losses(rng, len(ann), cfg, cfg.gen_pretrain_epochs, gen_step)
@@ -644,7 +630,7 @@ def _seeded_root(seeds: list) -> Tensor:
 
 
 def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, ds: CrowdDataset,
-                   auth: tuple, gen: tuple, codes: np.ndarray, cfg: TrainConfig, what: str,
+                   auth: tuple, gen: tuple, codes: np.ndarray, what: str,
                    epoch: int) -> tuple[float, int]:
     """One step on D's authentic-vs-generated loss over the pairs of the
     index columns ``auth`` and ``gen`` (instances, annotators, labels) plus
@@ -676,7 +662,7 @@ def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, ds: CrowdDa
     def block_step(side, rows):
         scores, log_post = _judge(disc, aux, ds, (auth, gen)[side], rows, tables[side],
                                   tables[2] if side else None)
-        seeds = [(scores, discriminator_score_grad(scores.data, side, sizes, cfg.disc_l2))]
+        seeds = [(scores, discriminator_score_grad(scores.data, side, sizes, DISC_L2))]
         picked = None
         if side:
             at = (np.arange(len(scores)), codes[rows])
@@ -694,7 +680,7 @@ def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, ds: CrowdDa
             if side:
                 picked.append(block_picked)
             dc.add_grads(grads, block_grads)
-    d_loss, clamped = discriminator_loss(*(np.concatenate(s) for s in scores), cfg.disc_l2)
+    d_loss, clamped = discriminator_loss(*(np.concatenate(s) for s in scores), DISC_L2)
     # plus dc.nll's value over every generated row
     value = float(d_loss + -(np.concatenate(picked).sum() * q_scale))
     _check_finite(value, what, epoch)
@@ -819,7 +805,7 @@ def run_epoch(state: TrainState, ds: CrowdDataset, cfg: TrainConfig) -> dict:
     for _ in range(cfg.inner_steps):
         disc_loss_val, clamped = _disc_aux_step(
             state.optimizers["disc"], disc, aux, bundle.adjacency, ds, auth_cols, sel_cols,
-            sel_codes, cfg, "discriminator loss", state.epoch)
+            sel_codes, "discriminator loss", state.epoch)
         clamp_count += clamped
 
     # (3) score all logged samples: D and Q read one encoding per pair block
@@ -926,8 +912,8 @@ def train_crowding(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
     state = TrainState(
         bundle=bundle,
         optimizers={
-            "clf": Adam(clf.store, lr=cfg.lr_classifier),
-            "gen": Adam(gen.store, lr=cfg.lr_generator),
+            "clf": Adam(clf.store, lr=LR_CRM),
+            "gen": Adam(gen.store, lr=LR_CRM),
             "disc": Adam(ParamStore.union(disc.store, aux.store), lr=cfg.lr_discriminator),
         },
         rng=master,

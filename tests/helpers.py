@@ -5,6 +5,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from crowdaug import diffcore as dc
+from crowdaug import trainer as tr
 from crowdaug.diffcore import ParamStore, Tensor, backward
 from crowdaug.evalsuite import _ranks
 from crowdaug.nets import NETS, NetworkBundle
@@ -59,7 +60,7 @@ def chain_discriminator_loss(authentic_scores, generated_scores, l2_coeff=1e-4):
     return loss, _clamp_count(authentic_scores.data) + _clamp_count(generated_scores.data)
 
 
-def single_graph_disc_aux_step(opt, disc, aux, adj, ds, auth, gen, codes, cfg, what, epoch):
+def single_graph_disc_aux_step(opt, disc, aux, adj, ds, auth, gen, codes, what, epoch):
     """``trainer._disc_aux_step`` as one graph over every row of both sides
     of the index columns ``auth`` and ``gen``, with D's loss as its op chain:
     the reference for its row blocks and its seeded gradients."""
@@ -71,7 +72,7 @@ def single_graph_disc_aux_step(opt, disc, aux, adj, ds, auth, gen, codes, cfg, w
 
     auth_enc, gen_enc = encoding_of(auth), encoding_of(gen)
     d_loss, clamped = chain_discriminator_loss(disc.score(*auth_enc), disc.score(*gen_enc),
-                                               cfg.disc_l2)
+                                               tr.DISC_L2)
     loss = dc.add(d_loss, dc.nll(aux.log_posterior(*gen_enc), codes))
     opt.step(backward(loss))
     return loss.item(), clamped

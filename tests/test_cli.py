@@ -342,26 +342,39 @@ def test_config_that_is_not_utf8_is_config_error(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["crowding", "dl-mv"])
-@pytest.mark.parametrize("key, message", [
-    ("dropout = 1.5", "dropout must lie in [0, 1)"),
-    ("dropout = -0.5", "dropout must lie in [0, 1)"),
-    ("noise_dim = 0", "noise_dim must be >= 1"),
+@pytest.mark.parametrize("line", [
+    "dropout = 1.5", "dropout = -0.5", "noise_dim = 0", "lca_enabled = false",
+    "disc_l2 = 0.0001", "lr_classifier = 0.0003", "lr_generator = 0.0003",
+    "lr_pretrain = 0.001",
 ])
-def test_out_of_range_net_setting_is_config_error(workspace, tmp_path, capsys,
-                                                  method, key, message):
+def test_removed_training_keys_are_unknown(workspace, tmp_path, capsys, method, line):
+    # the learning rates but the discriminator's, the L2 weight and the net
+    # settings are constants (trainer's, and NetDims' defaults), so setting
+    # one, even to its value, is a config error
     cfg, out = tmp_path / "train.cfg", tmp_path / "o"
-    cfg.write_text(TRAIN_CFG + key + "\n", encoding="utf-8")
+    cfg.write_text(TRAIN_CFG + line + "\n", encoding="utf-8")
     code = cli.main(["train", "--data", str(workspace / "data"), "--config", str(cfg),
                      "--method", method, "--out", str(out)])
     assert code == cli.EXIT_CONFIG
-    assert message in _config_error_line(capsys)
+    assert f"unknown config key {line.split()[0]!r}" in _config_error_line(capsys)
     assert not out.exists()  # rejected before the manifest
+
+
+def test_synth_that_cannot_be_allocated_is_config_error(tmp_path, capsys):
+    # NumPy refuses the 7.11 PiB of instance ids at once, touching no memory
+    (tmp_path / "synth.cfg").write_text("num_instances = 1000000000000000\n",
+                                        encoding="utf-8")
+    out = tmp_path / "o"
+    code = cli.main(["synth", "--config", str(tmp_path / "synth.cfg"), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "Unable to allocate 7.11 PiB" in _config_error_line(capsys)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 def test_nets_that_cannot_be_allocated_are_config_error(workspace, tmp_path, monkeypatch,
                                                         capsys):
-    # noise_dim = 2000000000 asks NumPy for 954 GiB of generator weights; the
-    # refusal is raised here without allocating anything
+    # a generator of 2,000,000,000 input columns would ask NumPy for 954 GiB
+    # of weights; the refusal is stood in for here, allocating nothing
     def refuse(self, dims, rng):
         raise MemoryError("Unable to allocate 954. GiB for an array with shape "
                           "(2000000026, 64) and data type float64")
@@ -422,16 +435,16 @@ def test_divergence_maps_to_exit_code_4(workspace, tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("method", ["crowding", "dl-cl", "dl-mv"])
-def test_diverging_run_exits_4_with_one_line(tmp_path, capsys, method):
+def test_diverging_run_exits_4_with_one_line(tmp_path, capsys, monkeypatch, method):
     # learning rates this large overflow the first Adam step, so the next
     # forward pass meets non-finite logits
     (tmp_path / "synth.cfg").write_text(SYNTH_CFG.replace("60", "40"), encoding="utf-8")
     assert cli.main(["synth", "--config", str(tmp_path / "synth.cfg"),
                      "--out", str(tmp_path / "data"), "--seed", "1"]) == 0
-    (tmp_path / "train.cfg").write_text(
-        TRAIN_CFG + "".join(f"lr_{name} = 1e300\n" for name in
-                            ("classifier", "generator", "discriminator", "pretrain")),
-        encoding="utf-8")
+    (tmp_path / "train.cfg").write_text(TRAIN_CFG + "lr_discriminator = 1e300\n",
+                                        encoding="utf-8")
+    for name in ("LR_CRM", "LR_PRETRAIN"):  # the CLI runs in this process
+        monkeypatch.setattr(f"crowdaug.trainer.{name}", 1e300)
     capsys.readouterr()
     out = tmp_path / "run"
     code = cli.main(["train", "--data", str(tmp_path / "data"), "--method", method,
@@ -744,6 +757,26 @@ def test_grid_lists_reject_a_repeated_value(workspace, tmp_path, capsys,
                      "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
     assert f"repeated list value {repeated} in" in _config_error_line(capsys)
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "ablate"])
+@pytest.mark.parametrize("flag, line", [(["--seed", "5"], ""), ([], "seed = 5\n")],
+                         ids=["flag", "config"])
+def test_grid_rejects_a_seed_its_jobs_would_not_use(workspace, tmp_path, capsys,
+                                                    command, flag, line):
+    # each job trains on a seed of the command's list, here the one seed 0, so
+    # a seed set by --seed or the config would be recorded and used by none
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(GRID_CFG[command] + line + GRID_TRAIN_CFG, encoding="utf-8")
+    argv = [command, "--data", str(workspace / "data"), "--config", str(cfg)]
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out), *flag]) == cli.EXIT_CONFIG
+    assert (f"seed 5 must be the one seed of {command}_seeds = 0, the seeds the jobs "
+            "train on" in _config_error_line(capsys))
+    assert not out.exists()  # rejected before the manifest
+    if flag:  # the list's one seed is accepted, as perfbench's sweep passes it
+        assert cli.main(argv + ["--out", str(out), "--seed", "0"]) == cli.EXIT_OK
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["seed"] == 0
 
 
 def test_ablate_writes_requested_variants(workspace, tmp_path):

@@ -79,11 +79,10 @@ def test_config_rejects_bad_values():
     for kw in (dict(info_weight=-0.1), dict(entropy_threshold=0.0),
                dict(entropy_threshold=1.0), dict(epochs=0),
                dict(selection_mode="greedy"),
-               dict(lr_classifier=0.0), dict(disc_l2=-1e-9),
-               dict(max_grid_pairs=-1), dict(pretrain_epochs=-1),
-               dict(seed=-1), dict(noise_dim=0), dict(dropout=1.5),
-               dict(dropout=-0.1), dict(dropout=1.0), dict(lr_classifier=float("nan")),
-               dict(info_weight=float("nan")), dict(disc_l2=float("inf"))):
+               dict(lr_discriminator=0.0), dict(max_grid_pairs=-1),
+               dict(pretrain_epochs=-1), dict(seed=-1),
+               dict(lr_discriminator=float("nan")), dict(info_weight=float("nan")),
+               dict(info_weight=float("inf"))):
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
 
@@ -205,9 +204,7 @@ def test_logged_probabilities_replay_bit_exact():
     ds = tiny_dataset()
     cfg = tiny_config()
     rng = np.random.default_rng(9)
-    dims = NetDims(num_classes=ds.num_classes, feature_dim=ds.feature_dim,
-                   annotator_dim=ds.annotator_dim, noise_dim=cfg.noise_dim,
-                   dropout=cfg.dropout, lca_enabled=cfg.lca_enabled)
+    dims = tr._dims_for(ds, cfg)
     clf = Classifier(dims, rng)
     gen = Generator(dims, rng)
     randomize(clf.store, rng, scale=0.3)
@@ -500,7 +497,7 @@ class _RecordingAdam(dc.Adam):
 
 
 def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32, auth_rows=50, scale=0.5,
-                      disc_l2=1e-4, lca=True, record=False):
+                      lca=True, record=False):
     """One ``_disc_aux_step`` of fresh D/Q nets, randomized at ``scale``, over
     ``auth_rows`` authentic and ``gen_rows`` generated pairs of a stand-in
     dataset of 500 instances and 30 annotators, as a closure returning the
@@ -524,8 +521,7 @@ def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32, auth_rows=50, scale
             randomize(store, np.random.default_rng(3), scale=scale)
         disc, aux = bundle.discriminator, bundle.aux
         opt = _RecordingAdam(dc.ParamStore.union(disc.store, aux.store), lr=1e-3)
-        loss, clamped = tr._disc_aux_step(opt, disc, aux, adj, ds, auth, gen, codes,
-                                          tiny_config(disc_l2=disc_l2), "test", 0)
+        loss, clamped = tr._disc_aux_step(opt, disc, aux, adj, ds, auth, gen, codes, "test", 0)
         if record:
             return loss, clamped, {name: opt.grads[t] for name, t in opt.store.items()}
         return loss, clamped, store_grads(opt.grads, disc.store, aux.store)
@@ -544,7 +540,8 @@ def test_disc_aux_step_equals_one_graph_over_both_sides(disc_l2, scale, lca, nll
     # its op chain too), whose gradients the step's seeds replace; at scale 3
     # most scores saturate to a clamp bound on both sides, where the gradient
     # is cut
-    step = _disc_aux_step_on(70, scale=scale, disc_l2=disc_l2, lca=lca)
+    monkeypatch.setattr(tr, "DISC_L2", disc_l2)
+    step = _disc_aux_step_on(70, scale=scale, lca=lca)
     blocked = step()
     assert (blocked[1] > 60) == (scale > 1)
     monkeypatch.setattr(tr, "_disc_aux_step", single_graph_disc_aux_step)
@@ -601,7 +598,7 @@ def test_disc_aux_step_grad_check_covers_the_shared_encoders():
 
     def loss():
         return tr._disc_aux_step(no_step, bundle.discriminator, bundle.aux, adj, ds, auth,
-                                 gen, codes, tiny_config(), "test", 0)[0]
+                                 gen, codes, "test", 0)[0]
 
     loss()
     grads = handed.pop()
