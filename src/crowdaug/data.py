@@ -51,19 +51,6 @@ class AnnotatorModel:
 
 
 @dataclass(frozen=True)
-class CoocAdjacency:
-    """Label co-occurrence counts and the normalized propagation matrix.
-
-    ``counts`` is the symmetric pair-count matrix A (same-label pairs on the
-    diagonal); ``propagation`` is P = D^{-1/2} (A + I) D^{-1/2} where D holds
-    the row sums of A + I.
-    """
-
-    counts: np.ndarray
-    propagation: np.ndarray
-
-
-@dataclass(frozen=True)
 class CrowdDataset:
     """Instances, annotators, sparse annotation triplets, and split tags."""
 
@@ -314,8 +301,10 @@ def majority_vote(ds: CrowdDataset) -> np.ndarray:
     return labels
 
 
-def build_cooccurrence(ds: CrowdDataset) -> CoocAdjacency:
-    """Count unordered same-instance label pairs and normalize A + I.
+def build_cooccurrence(ds: CrowdDataset) -> np.ndarray:
+    """The (C, C) label propagation matrix P = D^{-1/2} (A + I) D^{-1/2}, where
+    A counts unordered same-instance label pairs (same-label pairs on the
+    diagonal) and D holds the row sums of A + I.
 
     With H the (instance x class) label counts, instance n holds
     H[n, a] * H[n, b] pairs of labels a != b and H[n, a] choose 2 of label a.
@@ -326,8 +315,7 @@ def build_cooccurrence(ds: CrowdDataset) -> CoocAdjacency:
     counts = pairs.astype(np.float64)
     a_hat = counts + np.eye(ds.num_classes)
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    propagation = a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return CoocAdjacency(counts=counts, propagation=propagation)
+    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
   distribution over annotation labels. With an ablation switch off it reads
   zeros in place of the instance or annotator features it is given.
 - Discriminator: bilinear scorer sigma(u_r^T M_y v_n) over encoded annotator
-  and instance vectors, with an optional label-correlation decoder that mixes
+  and instance vectors, with a label-correlation decoder that always mixes
   the per-class bilinear matrices through the co-occurrence propagation
   matrix: M_hat_c = sum_c' P[c,c'] * M_c' * W. Each row is scored against
   its label's matrix in the (C, m, m) table (``diffcore.rowwise_bilinear``),
@@ -17,27 +17,28 @@
   row's label embedding, so its graph keeps no (B, m*m) copy of the table.
 
 The discriminator and the aux net judge the same encoding: ``Discriminator.
-encode(x, e)`` gives a row batch's ``(u, v)`` and ``decoded_matrices(adj)``
+encode(x, e)`` gives a row batch's ``(u, v)`` and ``decoded_matrices(P)``
 the table, and ``Discriminator.score`` and ``AuxNet.logits`` both take
 ``(u, v, mats, y)``, so a training step encodes each row batch and decodes
 the table once for both judges. Each parameter has one owning store; D and
 Q train together through ``ParamStore.union`` of their two stores.
 
 Every perceptron is one ``diffcore.mlp`` node: the classifier, with its
-dropout drawn inside the node in train mode, the generator and the aux net's
-head over their input parts, and the one-layer encoders and class-table
-embedding. Only the discriminator's class-matrix mixing calls ``matmul``.
-``Generator.logits`` with ``frozen=True`` serves the step that trains the
-classifier's codes through a generator it holds fixed: the node reads
-constant copies of the weights, so its only parent is the code tensor, it
-keeps the two ReLU masks and no activation, and it returns the code columns
-of the input gradient alone.
+dropout (rate ``DROPOUT``) drawn inside the node when given an rng, the
+generator and the aux net's head over their input parts, and the one-layer
+encoders and class-table embedding. Only the discriminator's class-matrix
+mixing calls ``matmul``. ``Generator.logits`` with ``frozen=True`` serves
+the step that trains the classifier's codes through a generator it holds
+fixed: the node reads constant copies of the weights, so its only parent is
+the code tensor, it keeps the two ReLU masks and no activation, and it
+returns the code columns of the input gradient alone.
 
 Each net lists its parameters as ``(name, shape, init)`` in ``spec(dims)``,
 from which it is built. This module also owns the checkpoint schema: a
-checkpoint holds the classifier alone or all four nets with the adjacency,
-each array named ``<net>.<name>`` with the shape ``checkpoint_shapes`` gives
-without building a net, plus the ``meta.*`` scalars of their ``NetDims``.
+checkpoint holds the classifier alone or all four nets with the propagation
+matrix P, each array named ``<net>.<name>`` with the shape
+``checkpoint_shapes`` gives without building a net, plus the ``meta.*``
+scalars of their ``NetDims``.
 ``checkpoint_arrays`` writes that schema, ``checked_nets`` decodes the
 widths and checks every array before any net is built, and ``restore_nets``
 builds the nets from the arrays.
@@ -57,9 +58,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import diffcore as dc
-from .data import CoocAdjacency
 from .diffcore import ParamStore, Tensor
 from .objectives import CLAMP_HI, CLAMP_LO
+
+DROPOUT = 0.5  # the classifier's dropout rate in training
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,6 @@ class NetDims:
     aux_hidden2: int = 128
     embed_dim: int = 32        # discriminator encoder output width
     class_embed_dim: int = 16  # low-dim embedding of the flattened class matrix
-    dropout: float = 0.5
-    lca_enabled: bool = True
     gen_use_instance_features: bool = True
     gen_use_annotator_features: bool = True
 
@@ -90,8 +90,6 @@ class NetDims:
         for f in fields(self):
             if f.type == "int" and getattr(self, f.name) < 1:
                 raise ValueError(f"{f.name} must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
 
 
 def _check_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -122,7 +120,8 @@ def _class_index(y, num_classes: int) -> np.ndarray:
 
 
 class Classifier(_Net):
-    """One hidden ReLU layer (with dropout in train mode) into class logits."""
+    """One hidden ReLU layer into class logits; given an rng (training), the
+    hidden layer drops units at rate ``DROPOUT``."""
 
     @staticmethod
     def spec(d: NetDims) -> list:
@@ -131,19 +130,14 @@ class Classifier(_Net):
                 ("W2", (d.clf_hidden, d.num_classes), "zeros"),
                 ("b2", (d.num_classes,), "zeros")]
 
-    def logits(self, x: np.ndarray, train_mode: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
+    def logits(self, x: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
         x = _check_batch(x, self.dims.feature_dim, "classifier input")
         p = self.store
-        dropout = None
-        if train_mode and self.dims.dropout > 0.0:
-            if rng is None:
-                raise ValueError("train-mode classify needs an rng for dropout")
-            dropout = (self.dims.dropout, rng)
+        dropout = None if rng is None else (DROPOUT, rng)
         return dc.mlp([Tensor(x)], [(p["W1"], p["b1"]), (p["W2"], p["b2"])], dropout)
 
-    def probs(self, x, train_mode: bool = False, rng=None) -> Tensor:
-        return dc.softmax(self.logits(x, train_mode, rng))
+    def probs(self, x, rng=None) -> Tensor:
+        return dc.softmax(self.logits(x, rng))
 
 
 class Generator(_Net):
@@ -199,7 +193,7 @@ class Generator(_Net):
 
 
 class Discriminator(_Net):
-    """Bilinear authenticity scorer with optional label-correlation mixing."""
+    """Bilinear authenticity scorer with label-correlation mixing."""
 
     @staticmethod
     def spec(d: NetDims) -> list:
@@ -221,16 +215,11 @@ class Discriminator(_Net):
         return (dc.mlp([Tensor(e)], [(p["Wu"], p["bu"])]),
                 dc.mlp([Tensor(x)], [(p["Wv"], p["bv"])]))
 
-    def decoded_matrices(self, adj: CoocAdjacency | None) -> Tensor:
-        """Per-class bilinear matrices after optional correlation mixing."""
+    def decoded_matrices(self, propagation: np.ndarray) -> Tensor:
+        """Per-class bilinear matrices mixed through the (C, C) co-occurrence
+        propagation matrix (``data.build_cooccurrence``)."""
         c, m = self.dims.num_classes, self.dims.embed_dim
-        mats = self.store["M"]
-        if not self.dims.lca_enabled:
-            return mats
-        if adj is None:
-            raise ValueError("label-correlation mixing needs a co-occurrence adjacency")
-        prop = Tensor(adj.propagation)
-        mixed = dc.matmul(prop, dc.reshape(mats, (c, m * m)))
+        mixed = dc.matmul(Tensor(propagation), dc.reshape(self.store["M"], (c, m * m)))
         stacked = dc.reshape(mixed, (c * m, m))
         return dc.reshape(dc.matmul(stacked, self.store["Wmix"]), (c, m, m))
 
@@ -285,37 +274,35 @@ def checkpoint_shapes(dims: NetDims, nets: tuple[str, ...]) -> dict[str, tuple]:
     """``{name: shape}`` of every array the named nets keep in a checkpoint,
     in saved order and without building a net: each parameter as
     ``<net>.<name>``, then, with the discriminator (the one net that reads
-    it), each ``CoocAdjacency`` field as ``adjacency.<field>``."""
+    it), the propagation matrix as ``adjacency.propagation``."""
     shapes = {f"{net}.{name}": shape
               for net in nets for name, shape, _ in NETS[net].spec(dims)}
     if "discriminator" in nets:
-        shapes.update({f"adjacency.{f.name}": (dims.num_classes,) * 2
-                       for f in fields(CoocAdjacency)})
+        shapes["adjacency.propagation"] = (dims.num_classes,) * 2
     return shapes
 
 
 def checkpoint_arrays(dims: NetDims, stores: dict[str, ParamStore],
-                      adjacency: CoocAdjacency | None = None) -> dict[str, np.ndarray]:
+                      propagation: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Copies of the checkpoint arrays of the nets whose ``stores`` are given
     by name: the names of ``checkpoint_shapes``, then ``meta.has_bundle``
     (1 when all four nets are there) and one ``meta.<field>`` scalar per
     ``NetDims`` field, in field order."""
     out = {f"{net}.{name}": tensor.data.copy()
            for net, store in stores.items() for name, tensor in store.items()}
-    if adjacency is not None:
-        out.update({f"adjacency.{f.name}": getattr(adjacency, f.name).copy()
-                    for f in fields(CoocAdjacency)})
+    if propagation is not None:
+        out["adjacency.propagation"] = propagation.copy()
     out["meta.has_bundle"] = np.array(float(len(stores) == len(NETS)))
     out.update({f"meta.{f.name}": np.array(float(getattr(dims, f.name)))
                 for f in fields(NetDims)})
     return out
 
 
-_META_TYPES = {"int": int, "float": float, "bool": bool}
+_META_TYPES = {"int": int, "bool": bool}
 
 
 def _meta(arrays: dict, name: str, kind: str):
-    """``meta.<name>`` as a ``kind`` ("int", "float" or "bool"): a finite
+    """``meta.<name>`` as a ``kind`` ("int" or "bool"): a finite
     scalar, integral for an int and 0 or 1 for a bool, else ``ValueError``."""
     key = f"meta.{name}"
     value = arrays[key]
@@ -355,14 +342,15 @@ def checked_nets(arrays: dict, bundle: bool) -> tuple[NetDims, tuple[str, ...]]:
 
 @dataclass
 class NetworkBundle:
-    """All four parameter sets plus the co-occurrence adjacency they share."""
+    """All four parameter sets plus the co-occurrence propagation matrix the
+    discriminator mixes its class matrices through."""
 
     dims: NetDims
     classifier: Classifier
     generator: Generator
     discriminator: Discriminator
     aux: AuxNet
-    adjacency: CoocAdjacency | None
+    adjacency: np.ndarray
 
     def stores(self) -> dict[str, ParamStore]:
         return {net: getattr(self, net).store for net in NETS}
@@ -376,12 +364,11 @@ def restore_nets(arrays: dict, dims: NetDims,
                  nets: tuple[str, ...]) -> Classifier | NetworkBundle:
     """The nets ``checked_nets`` gave, built from the checkpoint's arrays, whose
     copies they hold: the classifier alone, or all four as a bundle with the
-    adjacency."""
+    propagation matrix."""
     rng = np.random.default_rng(0)  # every parameter is overwritten
     built = {net: NETS[net](dims, rng) for net in nets}
     for net, obj in built.items():
         obj.store.load_state_dict({name: arrays[f"{net}.{name}"] for name in obj.store.names()})
     if nets == ("classifier",):
         return built["classifier"]
-    return NetworkBundle(dims, **built, adjacency=CoocAdjacency(**{
-        f.name: arrays[f"adjacency.{f.name}"].copy() for f in fields(CoocAdjacency)}))
+    return NetworkBundle(dims, **built, adjacency=arrays["adjacency.propagation"].copy())

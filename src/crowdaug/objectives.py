@@ -2,11 +2,11 @@
 
 The discriminator maximizes E[log D] on authentic annotations plus
 E[log(1-D)] on generated ones (implemented as a loss to minimize, plus an L2
-penalty on its raw outputs). That loss is a value of the two score arrays
-(``discriminator_loss``), and its gradient with respect to each side's
-scores is an array of its own (``discriminator_score_grad``), with which the
-trainer seeds the backward of each row block it scores, so no graph node
-spans both sides.
+penalty of weight ``DISC_L2`` on its raw outputs). That loss is a value of
+the two score arrays (``discriminator_loss``), and its gradient with respect
+to each side's scores is an array of its own (``discriminator_score_grad``),
+with which the trainer seeds the backward of each row block it scores, so no
+graph node spans both sides.
 
 The generator and classifier are updated off-policy: each logged annotation
 carries its logging probability g0, and the importance-weighted objective
@@ -26,14 +26,15 @@ from .diffcore import Tensor
 
 CLAMP_LO = 1e-12
 CLAMP_HI = 1.0 - 1e-12
+DISC_L2 = 1e-4  # L2 penalty on discriminator outputs
 
 
 def _clamp_count(values: np.ndarray) -> int:
     return int(np.count_nonzero((values <= CLAMP_LO) | (values >= CLAMP_HI)))
 
 
-def discriminator_loss(authentic_scores: np.ndarray, generated_scores: np.ndarray,
-                       l2_coeff: float) -> tuple[float, int]:
+def discriminator_loss(authentic_scores: np.ndarray,
+                       generated_scores: np.ndarray) -> tuple[float, int]:
     """Negative adversarial value plus output L2 of two score arrays; returns
     (loss, clamp count).
 
@@ -43,7 +44,7 @@ def discriminator_loss(authentic_scores: np.ndarray, generated_scores: np.ndarra
 
     The value takes the NumPy operations, in order, of the op chain
     ``neg(add(t_mean(t_log(clamp(a))), t_mean(t_log(add(neg(clamp(g)), 1)))))``
-    plus ``mul(t_mean(mul(both, both)), l2_coeff)`` over the clamped scores'
+    plus ``mul(t_mean(mul(both, both)), DISC_L2)`` over the clamped scores'
     ``concat``, so it is byte-identical to that chain's.
     """
     a, g = authentic_scores, generated_scores
@@ -54,15 +55,14 @@ def discriminator_loss(authentic_scores: np.ndarray, generated_scores: np.ndarra
     one_minus_gen = -gen + 1.0
     scale_a, scale_g = 1.0 / auth.size, 1.0 / gen.size
     value = -(np.log(auth).sum() * scale_a + np.log(one_minus_gen).sum() * scale_g)
-    if l2_coeff > 0.0:
-        both = np.concatenate([auth, gen], axis=0)
-        scale_both = 1.0 / both.size
-        value = value + (both * both).sum() * scale_both * l2_coeff
+    both = np.concatenate([auth, gen], axis=0)
+    scale_both = 1.0 / both.size
+    value = value + (both * both).sum() * scale_both * DISC_L2
     return float(value), _clamp_count(a) + _clamp_count(g)
 
 
-def discriminator_score_grad(scores: np.ndarray, side: int, sizes: tuple[int, int],
-                             l2_coeff: float) -> np.ndarray:
+def discriminator_score_grad(scores: np.ndarray, side: int,
+                             sizes: tuple[int, int]) -> np.ndarray:
     """The gradient of ``discriminator_loss`` with respect to ``scores`` of
     one side (0 authentic, 1 generated) when the two sides have ``sizes``
     rows, byte-identical to the op chain's backward (see
@@ -73,9 +73,8 @@ def discriminator_score_grad(scores: np.ndarray, side: int, sizes: tuple[int, in
         g = -(1.0 / sizes[0]) / clipped
     else:
         g = (1.0 / sizes[1]) / (-clipped + 1.0)
-    if l2_coeff > 0.0:
-        g_l2 = l2_coeff * (1.0 / (sizes[0] + sizes[1])) * clipped
-        g = g + (g_l2 + g_l2)
+    g_l2 = DISC_L2 * (1.0 / (sizes[0] + sizes[1])) * clipped
+    g = g + (g_l2 + g_l2)
     return g * ((scores >= CLAMP_LO) & (scores <= CLAMP_HI))
 
 

@@ -111,8 +111,8 @@ from . import diffcore as dc
 from . import evalsuite
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, check_finite
-from .data import (TRAIN, VAL, TEST, CoocAdjacency, CrowdDataset, DatasetError,
-                   build_cooccurrence, majority_vote)
+from .data import (TRAIN, VAL, TEST, CrowdDataset, DatasetError, build_cooccurrence,
+                   majority_vote)
 from .diffcore import Adam, ParamStore, Tensor, backward
 from .evalsuite import split_accuracy
 from .nets import (AuxNet, Classifier, Discriminator, Generator, NetDims, NetworkBundle,
@@ -133,13 +133,13 @@ class DivergenceError(RuntimeError):
 MU_GRID = (0.0, 0.5, 1.0)
 LR_CRM = 3e-4       # the classifier's and the generator's CRM optimizers
 LR_PRETRAIN = 1e-3  # supervised training and generator pretraining
-DISC_L2 = 1e-4      # L2 penalty on discriminator outputs
 
 
 @dataclass
 class TrainConfig:
     """The training hyper-parameters a config file sets; the fixed ones are the
-    constants above and ``NetDims``' defaults."""
+    constants above, ``nets.DROPOUT``, ``objectives.DISC_L2`` and ``NetDims``'
+    defaults."""
 
     seed: int = 0
     # schedule
@@ -406,7 +406,7 @@ def _fit_classifier(clf: Classifier, x: np.ndarray, labels: np.ndarray,
     opt = Adam(params, lr=LR_PRETRAIN)
 
     def step(batch, epoch):
-        logits = clf.logits(x[batch], train_mode=True, rng=rng)
+        logits = clf.logits(x[batch], rng)
         loss = crowd_layer_loss(logits, labels[batch], transforms,
                                 None if transforms is None else annotators[batch])
         return _descend(opt, loss, "cross-entropy loss", epoch)
@@ -480,7 +480,7 @@ def train_dl_cl(ds: CrowdDataset, cfg: TrainConfig) -> TrainResult:
 
 
 def pretrain_gen_disc(ds: CrowdDataset, clf: Classifier, cfg: TrainConfig,
-                      rng: np.random.Generator, adjacency: CoocAdjacency,
+                      rng: np.random.Generator, adjacency: np.ndarray,
                       ) -> tuple[Generator, Discriminator, AuxNet]:
     """Likelihood-pretrain the generator, then warm up D and Q against it."""
     dims = _dims_for(ds, cfg)
@@ -662,7 +662,7 @@ def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, ds: CrowdDa
     def block_step(side, rows):
         scores, log_post = _judge(disc, aux, ds, (auth, gen)[side], rows, tables[side],
                                   tables[2] if side else None)
-        seeds = [(scores, discriminator_score_grad(scores.data, side, sizes, DISC_L2))]
+        seeds = [(scores, discriminator_score_grad(scores.data, side, sizes))]
         picked = None
         if side:
             at = (np.arange(len(scores)), codes[rows])
@@ -680,7 +680,7 @@ def _disc_aux_step(opt: Adam, disc: Discriminator, aux: AuxNet, adj, ds: CrowdDa
             if side:
                 picked.append(block_picked)
             dc.add_grads(grads, block_grads)
-    d_loss, clamped = discriminator_loss(*(np.concatenate(s) for s in scores), DISC_L2)
+    d_loss, clamped = discriminator_loss(*(np.concatenate(s) for s in scores))
     # plus dc.nll's value over every generated row
     value = float(d_loss + -(np.concatenate(picked).sum() * q_scale))
     _check_finite(value, what, epoch)
@@ -732,7 +732,7 @@ def _crm_update(state: TrainState, ds: CrowdDataset, cfg: TrainConfig,
     blocks = _row_blocks(len(idx))
     for _ in range(cfg.inner_steps):
         if "clf" in trains:
-            probs = clf.probs(ds.features[uniq], train_mode=True, rng=rng)
+            probs = clf.probs(ds.features[uniq], rng)
             codes = Tensor(probs.data, requires_grad=True)
 
         def block_step(rows):
@@ -963,7 +963,7 @@ def train_method(ds: CrowdDataset, cfg: TrainConfig, method: str) -> TrainResult
 def save_result_checkpoint(path: str | Path, result: TrainResult) -> None:
     """Persist a finished run: the best classifier, and for the adversarial
     method the whole network bundle (the selected epoch's classifier and
-    generator) plus its adjacency."""
+    generator) plus its propagation matrix."""
     clf, bundle = result.classifier, result.bundle
     save_checkpoint(path, bundle.state_dict() if bundle is not None
                     else checkpoint_arrays(clf.dims, {"classifier": clf.store}))

@@ -5,11 +5,10 @@ from typing import Callable, Iterable
 import numpy as np
 
 from crowdaug import diffcore as dc
-from crowdaug import trainer as tr
 from crowdaug.diffcore import ParamStore, Tensor, backward
 from crowdaug.evalsuite import _ranks
 from crowdaug.nets import NETS, NetworkBundle
-from crowdaug.objectives import CLAMP_HI, CLAMP_LO, _clamp_count
+from crowdaug.objectives import CLAMP_HI, CLAMP_LO, DISC_L2, _clamp_count
 
 
 def build_bundle(dims, adjacency, rng):
@@ -46,7 +45,7 @@ def chain_nll(log_probs, labels):
     return dc.neg(dc.t_mean(dc.pick(log_probs, labels)))
 
 
-def chain_discriminator_loss(authentic_scores, generated_scores, l2_coeff=1e-4):
+def chain_discriminator_loss(authentic_scores, generated_scores):
     """``objectives.discriminator_loss`` as an op chain over two score
     tensors, whose backward is ``discriminator_score_grad``'s reference;
     returns (loss tensor, clamp count)."""
@@ -54,9 +53,8 @@ def chain_discriminator_loss(authentic_scores, generated_scores, l2_coeff=1e-4):
     gen = dc.clamp(generated_scores, CLAMP_LO, CLAMP_HI)
     loss = dc.neg(dc.add(dc.t_mean(dc.t_log(auth)),
                          dc.t_mean(dc.t_log(dc.add(dc.neg(gen), Tensor(1.0))))))
-    if l2_coeff > 0.0:
-        both = dc.concat([auth, gen])
-        loss = dc.add(loss, dc.mul(dc.t_mean(dc.mul(both, both)), Tensor(l2_coeff)))
+    both = dc.concat([auth, gen])
+    loss = dc.add(loss, dc.mul(dc.t_mean(dc.mul(both, both)), Tensor(DISC_L2)))
     return loss, _clamp_count(authentic_scores.data) + _clamp_count(generated_scores.data)
 
 
@@ -71,8 +69,7 @@ def single_graph_disc_aux_step(opt, disc, aux, adj, ds, auth, gen, codes, what, 
         return (*disc.encode(ds.features[inst], ds.annotator_features[annot]), mats, labels)
 
     auth_enc, gen_enc = encoding_of(auth), encoding_of(gen)
-    d_loss, clamped = chain_discriminator_loss(disc.score(*auth_enc), disc.score(*gen_enc),
-                                               tr.DISC_L2)
+    d_loss, clamped = chain_discriminator_loss(disc.score(*auth_enc), disc.score(*gen_enc))
     loss = dc.add(d_loss, dc.nll(aux.log_posterior(*gen_enc), codes))
     opt.step(backward(loss))
     return loss.item(), clamped
@@ -101,10 +98,12 @@ class PerParameterAdam:
             t.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + dc.ADAM_EPS)
 
 
-def encoding(disc, x, e, y, adj):
+def encoding(disc, x, e, y, adj=None):
     """``(u, v, mats, y)`` of one row batch: the input of both
-    ``Discriminator.score`` and ``AuxNet.logits``."""
-    return (*disc.encode(x, e), disc.decoded_matrices(adj), y)
+    ``Discriminator.score`` and ``AuxNet.logits``. With no propagation matrix
+    ``adj``, ``mats`` is D's unmixed class table ``store["M"]``."""
+    mats = disc.store["M"] if adj is None else disc.decoded_matrices(adj)
+    return (*disc.encode(x, e), mats, y)
 
 
 def store_grads(grads, *stores):

@@ -86,18 +86,15 @@ STAB_DATA = dict(num_classes=4, num_instances=150, num_annotators=10,
 STAB_TRAIN = {**BENCH_TRAIN, "epochs": 20}
 
 
-def small_dims(lca=True):
+def small_dims():
     return NetDims(num_classes=3, feature_dim=4, annotator_dim=5, noise_dim=2,
                    clf_hidden=8, gen_hidden1=6, gen_hidden2=7, aux_hidden1=6,
-                   aux_hidden2=7, embed_dim=4, class_embed_dim=3, dropout=0.5,
-                   lca_enabled=lca)
+                   aux_hidden2=7, embed_dim=4, class_embed_dim=3)
 
 
 def _adj(counts, scale, num_classes):
-    from crowdaug.data import CoocAdjacency
-    propagation = scale[:, None] * (counts + np.eye(num_classes)) * scale[None, :]
-    return CoocAdjacency(counts=counts.astype(np.float64),
-                         propagation=propagation)
+    """The propagation matrix of ``counts`` with degree scale ``scale``."""
+    return scale[:, None] * (counts + np.eye(num_classes)) * scale[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +106,13 @@ def test_criterion_01_gradient_integrity():
     batch = 6
     worst = 0.0
 
+    dims = small_dims()
     for lca in (True, False):
-        dims = small_dims(lca)
         x = rng.normal(size=(batch, dims.feature_dim))
         e = rng.normal(size=(batch, dims.annotator_dim))
         y = rng.integers(0, dims.num_classes, size=batch)
-        adj = _adj(*_counts_scale(rng, dims.num_classes), dims.num_classes)
+        prop = _adj(*_counts_scale(rng, dims.num_classes), dims.num_classes)
+        adj = prop if lca else None  # None: D's unmixed class matrices
 
         clf = Classifier(dims, rng)
         randomize(clf.store, rng, scale=0.4)

@@ -349,8 +349,9 @@ def test_config_that_is_not_utf8_is_config_error(workspace, tmp_path, capsys):
 ])
 def test_removed_training_keys_are_unknown(workspace, tmp_path, capsys, method, line):
     # the learning rates but the discriminator's, the L2 weight and the net
-    # settings are constants (trainer's, and NetDims' defaults), so setting
-    # one, even to its value, is a config error
+    # settings are constants (trainer's, objectives.DISC_L2, nets.DROPOUT and
+    # NetDims' defaults; label mixing is always on), so setting one, even to
+    # its value, is a config error
     cfg, out = tmp_path / "train.cfg", tmp_path / "o"
     cfg.write_text(TRAIN_CFG + line + "\n", encoding="utf-8")
     code = cli.main(["train", "--data", str(workspace / "data"), "--config", str(cfg),
@@ -581,6 +582,32 @@ def test_eval_reads_only_the_classifier_arrays(workspace, tmp_path):
         (tmp_path / "intact" / "metrics.json").read_bytes()
 
 
+def test_checkpoint_in_the_old_layout_still_loads(workspace, tmp_path):
+    # a checkpoint written while dropout and label mixing were NetDims
+    # fields also holds meta.dropout, meta.lca_enabled and the pair counts
+    # next to the propagation matrix; eval and augment read arrays by name,
+    # so they give the same bytes from it
+    arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
+    c = int(arrays["meta.num_classes"])
+    old = {}
+    for name, value in arrays.items():
+        if name == "adjacency.propagation":
+            old["adjacency.counts"] = np.arange(c * c, dtype=np.float64).reshape(c, c)
+        old[name] = value
+        if name == "meta.class_embed_dim":
+            old["meta.dropout"], old["meta.lca_enabled"] = np.array(0.5), np.array(1.0)
+    assert len(old) == len(arrays) + 3
+    save_checkpoint(tmp_path / "old.bin", old)
+    for command, output in (("eval", "metrics.json"), ("augment", "augmented.csv")):
+        for name, checkpoint in (("new", workspace / "run" / "checkpoint.bin"),
+                                 ("old", tmp_path / "old.bin")):
+            assert cli.main([command, "--data", str(workspace / "data"),
+                             "--checkpoint", str(checkpoint),
+                             "--out", str(tmp_path / command / name), "--seed", "5"]) == 0
+        assert (tmp_path / command / "old" / output).read_bytes() == \
+            (tmp_path / command / "new" / output).read_bytes()
+
+
 def test_checkpoint_with_wrong_shape_array_is_data_error(workspace, tmp_path, capsys):
     arrays = load_checkpoint(workspace / "run" / "checkpoint.bin")
     arrays["generator.W2"] = arrays["generator.W2"][:, :1]
@@ -637,7 +664,7 @@ def test_checkpoint_with_impossible_manifest_entry_is_data_error(
     ("meta.num_classes", np.inf, "= inf is not a valid int"),
     ("meta.num_classes", np.array([3.0, 3.0]), "must be a scalar, got shape (2,)"),
     ("meta.num_classes", 4.5, "= 4.5 is not a valid int"),
-    ("meta.lca_enabled", 0.5, "= 0.5 is not a valid bool"),
+    ("meta.gen_use_instance_features", 0.5, "= 0.5 is not a valid bool"),
     ("meta.clf_hidden", 2 ** 40, "shape mismatch for 'classifier.W1'"),
     ("meta.clf_hidden", 2 ** 27, "shape mismatch for 'classifier.W1'"),
     ("meta.num_classes", 2 ** 40, "shape mismatch for 'classifier.W2'"),

@@ -423,38 +423,53 @@ def _tiny_ds(annotations, num_classes=4, n=3, r=3):
                         splits=splits)
 
 
+def _propagation(counts):
+    """P = D^{-1/2} (A + I) D^{-1/2} of the pair counts A, D the row sums of A + I."""
+    a_hat = np.asarray(counts, dtype=np.float64) + np.eye(len(counts))
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
 def test_cooccurrence_single_pair():
     ds = _tiny_ds([[0, 0, 2], [0, 1, 3]])
-    adj = build_cooccurrence(ds)
     expected = np.zeros((4, 4))
     expected[2, 3] = expected[3, 2] = 1
-    np.testing.assert_array_equal(adj.counts, expected)
+    np.testing.assert_allclose(build_cooccurrence(ds), _propagation(expected),
+                               rtol=1e-15, atol=0)
 
 
 def test_cooccurrence_no_pairs_gives_identity_propagation():
     ds = _tiny_ds([[0, 0, 1], [1, 0, 2], [2, 1, 3]])
-    adj = build_cooccurrence(ds)
-    np.testing.assert_array_equal(adj.counts, np.zeros((4, 4)))
-    np.testing.assert_allclose(adj.propagation, np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(build_cooccurrence(ds), np.eye(4), atol=1e-15)
 
 
 def test_cooccurrence_triple_with_repeat():
     # labels (1,1,2) on one instance: pairs (1,1),(1,2),(1,2)
     ds = _tiny_ds([[0, 0, 1], [0, 1, 1], [0, 2, 2]])
-    adj = build_cooccurrence(ds)
-    assert adj.counts[1, 1] == 1
-    assert adj.counts[1, 2] == 2
-    assert adj.counts[2, 1] == 2
-    assert adj.counts.sum() == 5  # 1 + 2 + 2
+    counts = np.zeros((4, 4))
+    counts[1, 1] = 1
+    counts[1, 2] = counts[2, 1] = 2
+    prop = build_cooccurrence(ds)
+    np.testing.assert_allclose(prop, _propagation(counts), rtol=1e-15, atol=0)
+    # by hand: row sums of A + I are 1, 4, 3, 1
+    assert prop[1, 1] == pytest.approx(2 / 4)
+    assert prop[1, 2] == pytest.approx(2 / np.sqrt(12))
+    assert prop[0, 0] == prop[3, 3] == 1.0
 
 
 def test_cooccurrence_normalization_rows():
     ds = _tiny_ds([[0, 0, 1], [0, 1, 1], [0, 2, 2], [1, 0, 0], [1, 1, 3]])
-    adj = build_cooccurrence(ds)
-    a_hat = adj.counts + np.eye(4)
-    row_norm = a_hat / a_hat.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(row_norm.sum(axis=1), np.ones(4), atol=1e-12)
-    np.testing.assert_allclose(adj.propagation, adj.propagation.T, atol=1e-15)
+    counts = np.zeros((4, 4))
+    counts[1, 1] = 1
+    counts[1, 2] = counts[2, 1] = 2
+    counts[0, 3] = counts[3, 0] = 1
+    prop = build_cooccurrence(ds)
+    np.testing.assert_allclose(prop, _propagation(counts), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(prop, prop.T, atol=1e-15)
+    # D^{1/2} P D^{1/2} gives back A + I, whose rows sum to D
+    deg = (counts + np.eye(4)).sum(axis=1)
+    a_hat = np.sqrt(deg)[:, None] * prop * np.sqrt(deg)[None, :]
+    np.testing.assert_allclose(a_hat.sum(axis=1), deg, rtol=1e-14)
 
 
 def test_cooccurrence_equals_pair_loop():
@@ -472,14 +487,15 @@ def test_cooccurrence_equals_pair_loop():
                     expected[a, b] += 1.0
                     if a != b:
                         expected[b, a] += 1.0
-        np.testing.assert_array_equal(build_cooccurrence(ds).counts, expected)
+        np.testing.assert_allclose(build_cooccurrence(ds), _propagation(expected),
+                                   rtol=1e-15, atol=0)
 
 
 def test_cooccurrence_order_invariant():
     rows = [[0, 0, 1], [0, 1, 2], [1, 0, 3], [1, 1, 3], [1, 2, 0]]
     a = build_cooccurrence(_tiny_ds(rows))
     b = build_cooccurrence(_tiny_ds(rows[::-1]))
-    np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

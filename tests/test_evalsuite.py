@@ -18,7 +18,7 @@ class StubClassifier:
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.float64)
 
-    def probs(self, x, train_mode=False, rng=None):
+    def probs(self, x, rng=None):
         idx = np.asarray(x, dtype=np.int64).reshape(len(x), -1)[:, 0]
         return dc.Tensor(self.table[idx])
 

@@ -4,7 +4,6 @@ import pytest
 
 from crowdaug import diffcore as dc
 from crowdaug.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from crowdaug.data import CoocAdjacency
 from crowdaug.diffcore import ParamStore, Tensor
 from crowdaug.nets import (
     NETS,
@@ -25,7 +24,7 @@ SMALL = NetDims(num_classes=3, feature_dim=4, annotator_dim=5, noise_dim=2,
 
 
 def identity_adj(c):
-    return CoocAdjacency(counts=np.zeros((c, c)), propagation=np.eye(c))
+    return np.eye(c)
 
 
 def random_adj(c, rng):
@@ -33,7 +32,7 @@ def random_adj(c, rng):
     counts = counts + counts.T
     a_hat = counts + np.eye(c)
     inv = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return CoocAdjacency(counts=counts, propagation=a_hat * inv[:, None] * inv[None, :])
+    return a_hat * inv[:, None] * inv[None, :]
 
 
 def small_bundle(seed=0, **overrides):
@@ -305,13 +304,14 @@ def test_frozen_generator_equals_the_chain_over_a_frozen_store(switch, monkeypat
 
 
 def test_lca_identity_propagation_equals_disabled_with_mixed_matrices():
+    # identity propagation leaves only Wmix: the decoded table equals the
+    # unmixed table store["M"] of a twin whose M is M @ Wmix
     rng = np.random.default_rng(9)
     disc_on = Discriminator(SMALL, np.random.default_rng(1))
     randomize(disc_on.store, rng, scale=0.6)
     w = disc_on.store["Wmix"].data
 
-    dims_off = NetDims(**{**SMALL.__dict__, "lca_enabled": False})
-    disc_off = Discriminator(dims_off, np.random.default_rng(1))
+    disc_off = Discriminator(SMALL, np.random.default_rng(1))
     for name in ("Wu", "bu", "Wv", "bv"):
         disc_off.store[name].data = disc_on.store[name].data.copy()
     disc_off.store["M"].data = np.einsum("cij,jk->cik", disc_on.store["M"].data, w)
@@ -348,12 +348,6 @@ def test_discriminate_monotone_in_bilinear_form():
     scores = np.linspace(-4, 4, 33)
     out = dc.sigmoid(Tensor(scores)).data
     assert np.all(np.diff(out) > 0)
-
-
-def test_lca_requires_adjacency():
-    disc = Discriminator(SMALL, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="adjacency"):
-        disc.decoded_matrices(None)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +407,9 @@ def test_train_mode_requires_rng_and_is_stochastic():
     b = small_bundle()
     randomize(b.classifier.store, np.random.default_rng(15), scale=0.5)
     x = np.random.default_rng(16).normal(size=(4, SMALL.feature_dim))
-    with pytest.raises(ValueError, match="rng"):
-        b.classifier.probs(x, train_mode=True)
-    p1 = b.classifier.probs(x, train_mode=True, rng=np.random.default_rng(1)).data
-    p2 = b.classifier.probs(x, train_mode=True, rng=np.random.default_rng(2)).data
+    # an rng is what puts the classifier in train mode (dropout)
+    p1 = b.classifier.probs(x, np.random.default_rng(1)).data
+    p2 = b.classifier.probs(x, np.random.default_rng(2)).data
     assert not np.allclose(p1, p2)
     e1 = b.classifier.probs(x).data
     e2 = b.classifier.probs(x).data
@@ -463,11 +456,11 @@ def test_grad_check_generator():
 
 def test_grad_check_discriminator_with_and_without_lca():
     for lca in (True, False):
-        b = small_bundle(seed=27, lca_enabled=lca)
+        b = small_bundle(seed=27)
         disc = b.discriminator
         randomize(disc.store, np.random.default_rng(28), scale=0.4)
         x, e, y = rand_inputs(np.random.default_rng(29))
-        adj = b.adjacency if lca else None
+        adj = b.adjacency if lca else None  # None: the unmixed store["M"]
 
         def loss():
             s = disc.score(*encoding(disc, x, e, y, adj))
@@ -525,8 +518,7 @@ def test_fused_layers_are_byte_identical_to_three_op_layers(name, monkeypatch):
     x, e, y = rand_inputs(rng, batch=9)
     eps = b.generator.draw_noise(rng, 9)
     forward = {
-        "classifier": lambda: b.classifier.logits(
-            x, train_mode=True, rng=np.random.default_rng(40)),
+        "classifier": lambda: b.classifier.logits(x, np.random.default_rng(40)),
         "generator": lambda: b.generator.logits(x, e, b.classifier.probs(x), eps),
         "discriminator": lambda: b.discriminator.score(
             *encoding(b.discriminator, x, e, y, b.adjacency)),

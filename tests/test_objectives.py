@@ -5,6 +5,7 @@ import pytest
 from crowdaug import diffcore as dc
 from crowdaug.diffcore import Tensor, backward
 from crowdaug.objectives import (
+    DISC_L2,
     compute_breakdown,
     crm_objective,
     discriminator_loss,
@@ -21,8 +22,7 @@ LN2 = np.log(2.0)
 # discriminator loss
 
 
-@pytest.mark.parametrize("l2_coeff", [0.0, 1e-4, 0.3])
-def test_disc_loss_is_byte_identical_to_the_op_chain(l2_coeff):
+def test_disc_loss_is_byte_identical_to_the_op_chain():
     # the value, and each side's score gradient, against the op chain's value
     # and backward; scores at, inside and beyond both clamp bounds, where the
     # gradient is cut
@@ -30,50 +30,54 @@ def test_disc_loss_is_byte_identical_to_the_op_chain(l2_coeff):
     edges = [0.0, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13, 1.0, -0.25, 1.5]
     auth = np.concatenate([edges, rng.uniform(size=9)])
     gen = np.concatenate([rng.uniform(size=12), edges[::-1]])
-    loss, clamped = discriminator_loss(auth, gen, l2_coeff=l2_coeff)
+    loss, clamped = discriminator_loss(auth, gen)
     leaves = Tensor(auth, requires_grad=True), Tensor(gen, requires_grad=True)
-    chain, chain_clamped = chain_discriminator_loss(*leaves, l2_coeff=l2_coeff)
+    chain, chain_clamped = chain_discriminator_loss(*leaves)
     chain_grads = backward(chain)
     assert isinstance(loss, float)
     assert clamped == chain_clamped == 2 * len(edges)
     assert np.array(loss).tobytes() == chain.data.tobytes()
     for side, (scores, leaf) in enumerate(zip((auth, gen), leaves)):
-        got = discriminator_score_grad(scores, side, (auth.size, gen.size), l2_coeff)
+        got = discriminator_score_grad(scores, side, (auth.size, gen.size))
         assert got.shape == scores.shape
         assert got.tobytes() == chain_grads[leaf].tobytes()  # bytes, so sign bits too
 
 
 def test_disc_loss_uninformed_half():
-    loss, clamped = discriminator_loss(np.full(4, 0.5), np.full(6, 0.5), l2_coeff=0.0)
-    assert abs(loss - 2 * LN2) < 1e-12
+    # the L2 term adds DISC_L2 * 0.5^2
+    loss, clamped = discriminator_loss(np.full(4, 0.5), np.full(6, 0.5))
+    assert abs(loss - (2 * LN2 + DISC_L2 * 0.25)) < 1e-12
     assert clamped == 0
 
 
 def test_disc_loss_perfect_limit():
-    loss, _ = discriminator_loss(np.full(3, 1 - 1e-9), np.full(3, 1e-9), l2_coeff=0.0)
-    assert 0.0 < loss < 1e-6
+    # the log terms vanish, leaving the L2 term DISC_L2 * mean(score^2)
+    loss, _ = discriminator_loss(np.full(3, 1 - 1e-9), np.full(3, 1e-9))
+    l2 = DISC_L2 * ((1 - 1e-9) ** 2 + 1e-18) / 2
+    assert l2 < loss < l2 + 1e-6
 
 
 def test_disc_loss_l2_term():
-    loss, _ = discriminator_loss(np.full(2, 0.5), np.full(2, 0.5), l2_coeff=1e-4)
+    assert DISC_L2 == 1e-4
+    loss, _ = discriminator_loss(np.full(2, 0.5), np.full(2, 0.5))
     assert abs(loss - (2 * LN2 + 1e-4 * 0.25)) < 1e-15
 
 
 def test_disc_loss_clamps_and_counts_saturated_scores():
-    loss, clamped = discriminator_loss(np.array([1.0, 0.5]), np.array([0.0]), l2_coeff=0.0)
+    loss, clamped = discriminator_loss(np.array([1.0, 0.5]), np.array([0.0]))
     assert np.isfinite(loss)
     assert clamped == 2
 
 
 def test_disc_loss_gradient_signs():
     # pushing authentic scores up and generated scores down reduces the loss
-    assert discriminator_score_grad(np.array([0.7]), 0, (1, 1), 0.0)[0] < 0
-    assert discriminator_score_grad(np.array([0.4]), 1, (1, 1), 0.0)[0] > 0
+    assert discriminator_score_grad(np.array([0.7]), 0, (1, 1))[0] < 0
+    assert discriminator_score_grad(np.array([0.4]), 1, (1, 1))[0] > 0
 
 
 def test_disc_loss_requires_both_sides():
-    with pytest.raises(ValueError):
-        discriminator_loss(np.array([]), np.array([0.5]), 1e-4)
+    with pytest.raises(ValueError, match="both"):
+        discriminator_loss(np.array([]), np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------

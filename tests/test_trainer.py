@@ -20,13 +20,13 @@ from crowdaug.checkpoint import CheckpointError, load_checkpoint, save_checkpoin
 from crowdaug.config import ConfigError
 from crowdaug.data import (
     TRAIN, VAL, TEST,
-    CoocAdjacency,
     SynthConfig,
     build_cooccurrence,
     majority_vote,
     synthesize_dataset,
 )
-from crowdaug.nets import AuxNet, Classifier, Discriminator, Generator, NetDims
+from crowdaug.nets import (NETS, AuxNet, Classifier, Discriminator, Generator, NetDims,
+                           checkpoint_shapes)
 from crowdaug.trainer import (
     DivergenceError,
     LoggedBatch,
@@ -360,7 +360,7 @@ def test_blocked_forward_equals_one_shot(n, monkeypatch):
     dims = NetDims(num_classes=4, feature_dim=2, annotator_dim=40)
     rng = np.random.default_rng(n)
     prop = rng.uniform(0.1, 1.0, size=(4, 4))
-    adj = CoocAdjacency(counts=np.zeros((4, 4)), propagation=(prop + prop.T) / 4)
+    adj = (prop + prop.T) / 4
     bundle = build_bundle(dims, adj, rng)
     for store in bundle.stores().values():
         randomize(store, rng, scale=0.3)
@@ -497,17 +497,16 @@ class _RecordingAdam(dc.Adam):
 
 
 def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32, auth_rows=50, scale=0.5,
-                      lca=True, record=False):
+                      record=False):
     """One ``_disc_aux_step`` of fresh D/Q nets, randomized at ``scale``, over
     ``auth_rows`` authentic and ``gen_rows`` generated pairs of a stand-in
     dataset of 500 instances and 30 annotators, as a closure returning the
     loss, the clamp count and every D/Q parameter's value and gradient bytes
     (with ``record``, the gradient dict itself in their place)."""
     c = num_classes
-    dims = NetDims(num_classes=c, feature_dim=2, annotator_dim=6, embed_dim=embed_dim,
-                   lca_enabled=lca)
+    dims = NetDims(num_classes=c, feature_dim=2, annotator_dim=6, embed_dim=embed_dim)
     prop = np.random.default_rng(0).uniform(0.1, 1.0, size=(c, c))
-    adj = CoocAdjacency(counts=np.zeros((c, c)), propagation=(prop + prop.T) / c)
+    adj = (prop + prop.T) / c
     rng = np.random.default_rng(1)
     ds = SimpleNamespace(features=rng.normal(size=(500, 2)),
                          annotator_features=rng.normal(size=(30, 6)))
@@ -529,19 +528,15 @@ def _disc_aux_step_on(gen_rows, num_classes=4, embed_dim=32, auth_rows=50, scale
     return step
 
 
-@pytest.mark.parametrize("disc_l2, scale, lca, nll", [
-    *((disc_l2, scale, lca, "node") for disc_l2 in (0.0, 1e-4) for scale in (0.5, 3.0)
-      for lca in (True, False)),
-    (1e-4, 0.5, True, "chain")])
-def test_disc_aux_step_equals_one_graph_over_both_sides(disc_l2, scale, lca, nll, monkeypatch):
+@pytest.mark.parametrize("scale, nll", [(0.5, "node"), (3.0, "node"), (0.5, "chain")])
+def test_disc_aux_step_equals_one_graph_over_both_sides(scale, nll, monkeypatch):
     # one block a side: the loss, the clamp count, every gradient and every
     # stepped parameter equal one graph's over both sides, built from D's
     # loss as its op chain (and, in the "chain" case, Q's cross-entropy as
     # its op chain too), whose gradients the step's seeds replace; at scale 3
     # most scores saturate to a clamp bound on both sides, where the gradient
     # is cut
-    monkeypatch.setattr(tr, "DISC_L2", disc_l2)
-    step = _disc_aux_step_on(70, scale=scale, lca=lca)
+    step = _disc_aux_step_on(70, scale=scale)
     blocked = step()
     assert (blocked[1] > 60) == (scale > 1)
     monkeypatch.setattr(tr, "_disc_aux_step", single_graph_disc_aux_step)
@@ -583,7 +578,7 @@ def test_disc_aux_step_grad_check_covers_the_shared_encoders():
                    class_embed_dim=2, aux_hidden1=4, aux_hidden2=3)
     rng = np.random.default_rng(5)
     prop = rng.uniform(0.1, 1.0, size=(3, 3))
-    adj = CoocAdjacency(counts=np.zeros((3, 3)), propagation=(prop + prop.T) / 3)
+    adj = (prop + prop.T) / 3
     bundle = build_bundle(dims, adj, rng)
     for store in bundle.stores().values():
         randomize(store, rng, scale=0.5)
@@ -653,10 +648,10 @@ def test_entropy_split_runs_no_classifier_pass_of_its_own(monkeypatch):
     calls, in_epoch = [], []
     probs, run_epoch = Classifier.probs, tr.run_epoch
 
-    def counting(self, x, train_mode=False, rng=None):
+    def counting(self, x, rng=None):
         if in_epoch:
-            calls.append(train_mode)
-        return probs(self, x, train_mode, rng)
+            calls.append(rng is not None)  # train mode
+        return probs(self, x, rng)
 
     def epoch(*args):
         in_epoch.append(True)
@@ -765,7 +760,7 @@ def _crm_setup(pairs_count, seed):
     dims = NetDims(num_classes=4, feature_dim=2, annotator_dim=40)
     rng = np.random.default_rng(seed)
     prop = rng.uniform(0.1, 1.0, size=(4, 4))
-    adj = CoocAdjacency(counts=np.zeros((4, 4)), propagation=(prop + prop.T) / 4)
+    adj = (prop + prop.T) / 4
     bundle = build_bundle(dims, adj, rng)
     for store in bundle.stores().values():
         randomize(store, rng, scale=0.3)
@@ -799,7 +794,7 @@ def _one_pass_crm_update(state, ds, cfg, pairs, idx, deltas, mu, trains, rng):
     for _ in range(cfg.inner_steps):
         zhat = pairs.codes[pairs.row_of[pairs.instances[idx]]]
         if "clf" in trains:
-            zhat = dc.gather_rows(clf.probs(ds.features[uniq], train_mode=True, rng=rng),
+            zhat = dc.gather_rows(clf.probs(ds.features[uniq], rng),
                                   inverse)
         dist = gen.distribution(gx, ge, zhat, pairs.eps[idx])
         obj = tr.crm_objective(pairs.g0[idx], dc.pick(dist, pairs.labels[idx]), deltas[idx], mu,
@@ -1435,7 +1430,7 @@ def test_loaded_nets_copy_the_checkpoint_views(tmp_path, monkeypatch):
     assert len(loads) == 2 and not any(a.flags.writeable for a in views)
     kept = [t.data for store in (*bundle.stores().values(), classifier.store)
             for _, t in store.items()]
-    kept += [bundle.adjacency.counts, bundle.adjacency.propagation]
+    kept.append(bundle.adjacency)
     assert not any(np.shares_memory(k, v) for k in kept for v in views)
     assert all(k.flags.writeable for k in kept)
 
@@ -1445,12 +1440,29 @@ CROWDING_CHECKPOINT_NAMES = (
     + [f"generator.{n}" for n in ("W1", "b1", "W2", "b2", "W3", "b3")]
     + [f"discriminator.{n}" for n in ("Wu", "bu", "Wv", "bv", "M", "Wmix")]
     + [f"aux.{n}" for n in ("Wembed", "bembed", "W1", "b1", "W2", "b2", "W3", "b3")]
-    + ["adjacency.counts", "adjacency.propagation", "meta.has_bundle"]
+    + ["adjacency.propagation", "meta.has_bundle"]
     + [f"meta.{n}" for n in (
         "num_classes", "feature_dim", "annotator_dim", "noise_dim", "clf_hidden",
         "gen_hidden1", "gen_hidden2", "aux_hidden1", "aux_hidden2", "embed_dim",
-        "class_embed_dim", "dropout", "lca_enabled", "gen_use_instance_features",
+        "class_embed_dim", "gen_use_instance_features",
         "gen_use_annotator_features")])
+
+
+def test_every_net_dims_field_sizes_an_array_or_comes_from_the_config():
+    # a NetDims field is a width, which sizes a checkpoint array, or a switch
+    # that _dims_for sets from the TrainConfig key of its name; a field that
+    # is neither would be a setting with one value in use
+    ds, cfg = tiny_dataset(), tiny_config()
+    dims = tr._dims_for(ds, cfg)
+    shapes = checkpoint_shapes(dims, tuple(NETS))
+    for f in dataclasses.fields(NetDims):
+        if f.type == "int":
+            bumped = dataclasses.replace(dims, **{f.name: getattr(dims, f.name) + 1})
+            assert checkpoint_shapes(bumped, tuple(NETS)) != shapes, f.name
+        else:
+            for value in (False, True):
+                flipped = dataclasses.replace(cfg, **{f.name: value})
+                assert getattr(tr._dims_for(ds, flipped), f.name) is value, f.name
 
 
 def test_crowding_checkpoint_array_names_are_pinned(tmp_path):
